@@ -1,6 +1,6 @@
 //! Criterion bench for the time-travel database primitives: versioned
 //! writes, time-travel reads, and row rollback.
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use warp_sql::Value;
 use warp_ttdb::{RepairSession, TableAnnotation, TimeTravelDb};
 
@@ -21,6 +21,67 @@ fn seeded_db(rows: i64) -> TimeTravelDb {
         .unwrap();
     }
     db
+}
+
+/// `rows` logical rows with `versions` stored versions each; returns the
+/// database and the next unused timestamp.
+fn versioned_db(rows: i64, versions: i64) -> (TimeTravelDb, i64) {
+    let mut db = seeded_db(rows);
+    let mut time = rows + 1;
+    for v in 1..versions {
+        for i in 0..rows {
+            db.execute_logged(
+                &format!("UPDATE page SET body = 'v{v}' WHERE title = 'T{i}'"),
+                time,
+            )
+            .unwrap();
+            time += 1;
+        }
+    }
+    (db, time)
+}
+
+/// Access-path scaling: the cost of a point read and of a versioned update
+/// should be flat in the number of rows and linear in the versions of the
+/// one key they touch.
+fn bench_scaling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ttdb_scaling");
+    for rows in [200, 2_000] {
+        for versions in [1, 20] {
+            let (mut db, mut time) = versioned_db(rows, versions);
+            let stride = rows / 100;
+            group.bench_function(
+                format!("point_read_x100/rows={rows}/versions={versions}"),
+                |b| {
+                    b.iter(|| {
+                        for i in 0..100 {
+                            let title = i * stride;
+                            let sql = format!("SELECT body FROM page WHERE title = 'T{title}'");
+                            black_box(db.select_at(&sql, time).unwrap());
+                        }
+                    })
+                },
+            );
+            // Each iteration updates the next hundred keys, so the version
+            // count under measurement drifts by at most the iteration count.
+            let mut next = 0;
+            group.bench_function(
+                format!("versioned_update_x100/rows={rows}/versions={versions}"),
+                |b| {
+                    b.iter(|| {
+                        for _ in 0..100 {
+                            let sql =
+                                format!("UPDATE page SET body = 'new' WHERE title = 'T{next}'");
+                            black_box(db.execute_logged(&sql, time).unwrap());
+                            next = (next + 1) % rows;
+                            time += 1;
+                        }
+                    })
+                },
+            );
+        }
+    }
+    group.finish();
 }
 
 fn bench_ttdb(c: &mut Criterion) {
@@ -63,5 +124,5 @@ fn bench_ttdb(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ttdb);
+criterion_group!(benches, bench_ttdb, bench_scaling);
 criterion_main!(benches);

@@ -48,7 +48,8 @@ fn usage() {
         "usage: bench_gate BENCH_repair.json [MAX_SLOWDOWN_PERCENT] \
          [--recovery BENCH_recovery.json] [--commit BENCH_commit.json] \
          [--serve BENCH_serve.json] [--frontier BENCH_frontier.json] \
-         [--storage BENCH_storage.json] [--replication BENCH_replication.json]"
+         [--storage BENCH_storage.json [MAX_P99_RATIO]] \
+         [--replication BENCH_replication.json [MIN_ADVANTAGE]]"
     );
     println!();
     println!("Fails (exit 1) if parallel repair is slower than sequential by more than");
@@ -73,13 +74,15 @@ fn usage() {
     println!("--frontier PATH  also fail if column-aware repair re-executes less than");
     println!("                 {FRONTIER_MIN_RATIO}x fewer actions than the partition-grained");
     println!("                 engine, or their final database states diverge");
-    println!("--storage PATH   also fail if serving p99 under concurrent maintenance exceeds");
-    println!("                 {STORAGE_MAX_P99_RATIO}x quiescent, or the incremental checkpoint is less than");
-    println!("                 {STORAGE_MIN_CKPT_ADVANTAGE}x cheaper than whole-state at the largest database size");
-    println!("--replication PATH  also fail if standby lag p99 exceeds {REPLICATION_MAX_LAG_P99} records, or");
     println!(
-        "                 promoting the warm standby is less than \
-         {REPLICATION_MIN_FAILOVER_ADVANTAGE}x faster than cold log-replay"
+        "--storage PATH [RATIO]  also fail if serving p99 under concurrent maintenance exceeds"
+    );
+    println!("                 RATIO (default {STORAGE_MAX_P99_RATIO}) x quiescent, or the incremental checkpoint is less than");
+    println!("                 {STORAGE_MIN_CKPT_ADVANTAGE}x cheaper than whole-state at the largest database size");
+    println!("--replication PATH [ADVANTAGE]  also fail if standby lag p99 exceeds {REPLICATION_MAX_LAG_P99} records, or");
+    println!(
+        "                 promoting the warm standby is less than ADVANTAGE (default \
+         {REPLICATION_MIN_FAILOVER_ADVANTAGE}) x faster than cold log-replay"
     );
     println!(
         "                 at the largest history (skipped when cold replay \
@@ -97,7 +100,9 @@ struct Args {
     serve_max_regression: f64,
     frontier: Option<PathBuf>,
     storage: Option<PathBuf>,
+    storage_max_p99_ratio: f64,
     replication: Option<PathBuf>,
+    replication_min_advantage: f64,
 }
 
 fn parse_args(raw: &[String]) -> Result<Args, String> {
@@ -109,7 +114,9 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
     let mut serve_max_regression = SERVE_MAX_REGRESSION_PERCENT;
     let mut frontier = None;
     let mut storage = None;
+    let mut storage_max_p99_ratio = STORAGE_MAX_P99_RATIO;
     let mut replication = None;
+    let mut replication_min_advantage = REPLICATION_MIN_FAILOVER_ADVANTAGE;
     let mut i = 0;
     while i < raw.len() {
         match raw[i].as_str() {
@@ -140,6 +147,11 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                     .ok_or_else(|| "--storage requires a path".to_string())?;
                 storage = Some(PathBuf::from(value));
                 i += 2;
+                // Optional limit override, e.g. `--storage PATH 3`.
+                if let Some(ratio) = raw.get(i).and_then(|v| v.parse::<f64>().ok()) {
+                    storage_max_p99_ratio = ratio;
+                    i += 1;
+                }
             }
             "--replication" => {
                 let value = raw
@@ -147,6 +159,11 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                     .ok_or_else(|| "--replication requires a path".to_string())?;
                 replication = Some(PathBuf::from(value));
                 i += 2;
+                // Optional floor override, e.g. `--replication PATH 2`.
+                if let Some(advantage) = raw.get(i).and_then(|v| v.parse::<f64>().ok()) {
+                    replication_min_advantage = advantage;
+                    i += 1;
+                }
             }
             "--serve" => {
                 let value = raw
@@ -182,7 +199,9 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         serve_max_regression,
         frontier,
         storage,
+        storage_max_p99_ratio,
         replication,
+        replication_min_advantage,
     })
 }
 
@@ -433,16 +452,17 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        match evaluate_storage_gate(&records) {
+        match evaluate_storage_gate(&records, args.storage_max_p99_ratio) {
             Ok(verdict) => {
                 println!(
                     "bench_gate: storage: p99 quiescent {:.1} us, maintained {:.1} us \
-                     (ratio {:.2}, limit {STORAGE_MAX_P99_RATIO}x); checkpoint at {} rows: \
+                     (ratio {:.2}, limit {}x); checkpoint at {} rows: \
                      whole-state {:.3} ms, incremental {:.3} ms (advantage {:.1}x, \
                      floor {STORAGE_MIN_CKPT_ADVANTAGE}x)",
                     verdict.quiescent_p99_us,
                     verdict.maintained_p99_us,
                     verdict.p99_ratio,
+                    args.storage_max_p99_ratio,
                     verdict.large_rows,
                     verdict.whole_state_ms,
                     verdict.incremental_ms,
@@ -478,18 +498,18 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        match evaluate_replication_gate(&records) {
+        match evaluate_replication_gate(&records, args.replication_min_advantage) {
             Ok(verdict) => {
                 println!(
                     "bench_gate: replication: lag p99 {:.1} records \
                      (limit {REPLICATION_MAX_LAG_P99}); at {} actions: promote {:.2} ms, \
-                     cold replay {:.2} ms (advantage {:.1}x, floor \
-                     {REPLICATION_MIN_FAILOVER_ADVANTAGE}x)",
+                     cold replay {:.2} ms (advantage {:.1}x, floor {}x)",
                     verdict.lag_p99_records,
                     verdict.history_actions,
                     verdict.failover_ms,
                     verdict.cold_ms,
                     verdict.advantage,
+                    args.replication_min_advantage,
                 );
                 if verdict.advantage_skipped {
                     println!(

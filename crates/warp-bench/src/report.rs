@@ -1016,14 +1016,17 @@ pub struct StorageGateVerdict {
 }
 
 /// Evaluates the storage gate over `BENCH_storage.json`: serving p99 under
-/// concurrent maintenance must stay within [`STORAGE_MAX_P99_RATIO`] of
-/// quiescent p99 (best-of across records, skipped under
-/// [`STORAGE_P99_FLOOR_US`]), and at the largest database size the
+/// concurrent maintenance must stay within `max_p99_ratio` (CI runs
+/// [`STORAGE_MAX_P99_RATIO`]) of quiescent p99 (best-of across records,
+/// skipped under [`STORAGE_P99_FLOOR_US`]), and at the largest database size the
 /// incremental checkpoint must be at least [`STORAGE_MIN_CKPT_ADVANTAGE`]
 /// times cheaper than the whole-state checkpoint (skipped when the
 /// whole-state time is under [`STORAGE_CKPT_FLOOR_MS`]). Returns an error
 /// when either measurement pair is missing.
-pub fn evaluate_storage_gate(records: &[StorageBenchRecord]) -> Result<StorageGateVerdict, String> {
+pub fn evaluate_storage_gate(
+    records: &[StorageBenchRecord],
+    max_p99_ratio: f64,
+) -> Result<StorageGateVerdict, String> {
     let best_p99 = |maintenance: bool| -> Option<f64> {
         records
             .iter()
@@ -1053,7 +1056,7 @@ pub fn evaluate_storage_gate(records: &[StorageBenchRecord]) -> Result<StorageGa
     };
     let p99_ratio = maintained_p99_us / quiescent_p99_us.max(1e-9);
     let ckpt_advantage = whole.checkpoint_ms / incremental.checkpoint_ms.max(1e-9);
-    let p99_ok = maintained_p99_us <= STORAGE_P99_FLOOR_US || p99_ratio <= STORAGE_MAX_P99_RATIO;
+    let p99_ok = maintained_p99_us <= STORAGE_P99_FLOOR_US || p99_ratio <= max_p99_ratio;
     let ckpt_ok = whole.checkpoint_ms <= STORAGE_CKPT_FLOOR_MS
         || ckpt_advantage >= STORAGE_MIN_CKPT_ADVANTAGE;
     Ok(StorageGateVerdict {
@@ -1232,13 +1235,14 @@ pub struct ReplicationGateVerdict {
 /// Evaluates the replication gate over `BENCH_replication.json`:
 /// steady-state lag p99 must stay under [`REPLICATION_MAX_LAG_P99`]
 /// records (best-of across lag records), and at the largest measured
-/// history, promoting the warm standby must be at least
-/// [`REPLICATION_MIN_FAILOVER_ADVANTAGE`] times faster than cold
+/// history, promoting the warm standby must be at least `min_advantage`
+/// (CI runs [`REPLICATION_MIN_FAILOVER_ADVANTAGE`]) times faster than cold
 /// log-replay (skipped when the cold open is under
 /// [`REPLICATION_COLD_FLOOR_MS`]). Returns an error when either
 /// measurement kind is missing.
 pub fn evaluate_replication_gate(
     records: &[ReplicationBenchRecord],
+    min_advantage: f64,
 ) -> Result<ReplicationGateVerdict, String> {
     let lag_p99_records = records
         .iter()
@@ -1258,7 +1262,7 @@ pub fn evaluate_replication_gate(
     let advantage = largest.cold_ms / largest.failover_ms.max(1e-9);
     let lag_ok = lag_p99_records <= REPLICATION_MAX_LAG_P99;
     let advantage_skipped = largest.cold_ms <= REPLICATION_COLD_FLOOR_MS;
-    let advantage_ok = advantage_skipped || advantage >= REPLICATION_MIN_FAILOVER_ADVANTAGE;
+    let advantage_ok = advantage_skipped || advantage >= min_advantage;
     Ok(ReplicationGateVerdict {
         lag_p99_records,
         history_actions: largest.history_actions,
@@ -1669,7 +1673,7 @@ mod tests {
             storage_ckpt_record("incremental", 10_000, 0.6),
             storage_ckpt_record("whole_state", 10_000, 40.0),
         ];
-        let verdict = evaluate_storage_gate(&healthy).unwrap();
+        let verdict = evaluate_storage_gate(&healthy, STORAGE_MAX_P99_RATIO).unwrap();
         assert!(verdict.pass, "{verdict:?}");
         assert_eq!(verdict.large_rows, 10_000);
         assert!((verdict.p99_ratio - 1.5).abs() < 1e-9);
@@ -1681,7 +1685,11 @@ mod tests {
             storage_ckpt_record("incremental", 10_000, 0.6),
             storage_ckpt_record("whole_state", 10_000, 40.0),
         ];
-        assert!(!evaluate_storage_gate(&slow_serve).unwrap().pass);
+        assert!(
+            !evaluate_storage_gate(&slow_serve, STORAGE_MAX_P99_RATIO)
+                .unwrap()
+                .pass
+        );
         // ...unless the maintained p99 is under the absolute floor.
         let tiny_serve = vec![
             storage_serve_record(false, 100.0),
@@ -1689,7 +1697,11 @@ mod tests {
             storage_ckpt_record("incremental", 10_000, 0.6),
             storage_ckpt_record("whole_state", 10_000, 40.0),
         ];
-        assert!(evaluate_storage_gate(&tiny_serve).unwrap().pass);
+        assert!(
+            evaluate_storage_gate(&tiny_serve, STORAGE_MAX_P99_RATIO)
+                .unwrap()
+                .pass
+        );
         // An incremental checkpoint degrading to O(database) fails.
         let flat_delta = vec![
             storage_serve_record(false, 2_000.0),
@@ -1697,7 +1709,11 @@ mod tests {
             storage_ckpt_record("incremental", 10_000, 25.0),
             storage_ckpt_record("whole_state", 10_000, 40.0),
         ];
-        assert!(!evaluate_storage_gate(&flat_delta).unwrap().pass);
+        assert!(
+            !evaluate_storage_gate(&flat_delta, STORAGE_MAX_P99_RATIO)
+                .unwrap()
+                .pass
+        );
         // ...unless even the whole-state encode is timer noise.
         let tiny_ckpt = vec![
             storage_serve_record(false, 2_000.0),
@@ -1705,19 +1721,29 @@ mod tests {
             storage_ckpt_record("incremental", 10_000, 1.0),
             storage_ckpt_record("whole_state", 10_000, 1.5),
         ];
-        assert!(evaluate_storage_gate(&tiny_ckpt).unwrap().pass);
+        assert!(
+            evaluate_storage_gate(&tiny_ckpt, STORAGE_MAX_P99_RATIO)
+                .unwrap()
+                .pass
+        );
         // The advantage is judged at the LARGEST size only: a small-db
         // whole-state time never stands in for the grown database.
-        let verdict = evaluate_storage_gate(&healthy).unwrap();
+        let verdict = evaluate_storage_gate(&healthy, STORAGE_MAX_P99_RATIO).unwrap();
         assert!((verdict.whole_state_ms - 40.0).abs() < 1e-9);
         // Missing either pair is an error, not a silent pass.
-        assert!(evaluate_storage_gate(&[storage_serve_record(false, 1.0)]).is_err());
-        assert!(evaluate_storage_gate(&[
-            storage_serve_record(false, 1.0),
-            storage_serve_record(true, 1.0),
-        ])
+        assert!(
+            evaluate_storage_gate(&[storage_serve_record(false, 1.0)], STORAGE_MAX_P99_RATIO)
+                .is_err()
+        );
+        assert!(evaluate_storage_gate(
+            &[
+                storage_serve_record(false, 1.0),
+                storage_serve_record(true, 1.0),
+            ],
+            STORAGE_MAX_P99_RATIO
+        )
         .is_err());
-        assert!(evaluate_storage_gate(&[]).is_err());
+        assert!(evaluate_storage_gate(&[], STORAGE_MAX_P99_RATIO).is_err());
     }
 
     #[test]
@@ -1787,7 +1813,8 @@ mod tests {
             replication_failover_record(500, 8.0, 120.0),
             replication_failover_record(2_000, 10.0, 400.0),
         ];
-        let verdict = evaluate_replication_gate(&healthy).unwrap();
+        let verdict =
+            evaluate_replication_gate(&healthy, REPLICATION_MIN_FAILOVER_ADVANTAGE).unwrap();
         assert!(verdict.pass, "{verdict:?}");
         // The advantage is judged at the LARGEST history only.
         assert_eq!(verdict.history_actions, 2_000);
@@ -1797,24 +1824,40 @@ mod tests {
             replication_lag_record(REPLICATION_MAX_LAG_P99 * 3.0),
             replication_failover_record(2_000, 10.0, 400.0),
         ];
-        assert!(!evaluate_replication_gate(&lagging).unwrap().pass);
+        assert!(
+            !evaluate_replication_gate(&lagging, REPLICATION_MIN_FAILOVER_ADVANTAGE)
+                .unwrap()
+                .pass
+        );
         // A promote no faster than cold replay fails the advantage floor...
         let slow_promote = vec![
             replication_lag_record(12.0),
             replication_failover_record(2_000, 200.0, 400.0),
         ];
-        assert!(!evaluate_replication_gate(&slow_promote).unwrap().pass);
+        assert!(
+            !evaluate_replication_gate(&slow_promote, REPLICATION_MIN_FAILOVER_ADVANTAGE)
+                .unwrap()
+                .pass
+        );
         // ...unless even the cold open is timer noise.
         let tiny = vec![
             replication_lag_record(12.0),
             replication_failover_record(100, 6.0, 8.0),
         ];
-        let verdict = evaluate_replication_gate(&tiny).unwrap();
+        let verdict = evaluate_replication_gate(&tiny, REPLICATION_MIN_FAILOVER_ADVANTAGE).unwrap();
         assert!(verdict.pass && verdict.advantage_skipped);
         // Missing either kind is an error, not a silent pass.
-        assert!(evaluate_replication_gate(&[replication_lag_record(1.0)]).is_err());
-        assert!(evaluate_replication_gate(&[replication_failover_record(100, 1.0, 50.0)]).is_err());
-        assert!(evaluate_replication_gate(&[]).is_err());
+        assert!(evaluate_replication_gate(
+            &[replication_lag_record(1.0)],
+            REPLICATION_MIN_FAILOVER_ADVANTAGE
+        )
+        .is_err());
+        assert!(evaluate_replication_gate(
+            &[replication_failover_record(100, 1.0, 50.0)],
+            REPLICATION_MIN_FAILOVER_ADVANTAGE
+        )
+        .is_err());
+        assert!(evaluate_replication_gate(&[], REPLICATION_MIN_FAILOVER_ADVANTAGE).is_err());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::stats::LoggingStats;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use warp_browser::PageVisitRecord;
 use warp_http::{HttpRequest, HttpResponse};
@@ -121,14 +122,13 @@ impl ActionRecord {
     /// partitions are empty but that touched rows (e.g. an INSERT that never
     /// supplied a partition column) is widened to the whole table, so the
     /// footprint never under-approximates what the action touched.
-    pub fn partition_footprint(&self) -> Vec<PartitionSet> {
-        let mut out = Vec::new();
-        for q in &self.queries {
+    /// The recorded sets are borrowed — a repair plans over the whole
+    /// history — and only a widened write is built.
+    pub fn partition_footprint(&self) -> impl Iterator<Item = Cow<'_, PartitionSet>> {
+        self.queries.iter().flat_map(|q| {
             let (read, write) = normalized_dependency_partitions(&q.dependency);
-            out.extend(read.cloned());
-            out.extend(write);
-        }
-        out
+            read.map(Cow::Borrowed).into_iter().chain(write)
+        })
     }
 }
 
@@ -141,12 +141,12 @@ impl ActionRecord {
 /// on it exactly.
 pub(crate) fn normalized_dependency_partitions(
     dep: &warp_ttdb::QueryDependency,
-) -> (Option<&PartitionSet>, Option<PartitionSet>) {
+) -> (Option<&PartitionSet>, Option<Cow<'_, PartitionSet>>) {
     let read = Some(&dep.read_partitions).filter(|p| !p.is_empty());
     let write = if !dep.write_partitions.is_empty() {
-        Some(dep.write_partitions.clone())
+        Some(Cow::Borrowed(&dep.write_partitions))
     } else if dep.is_write && !dep.written_row_ids.is_empty() {
-        Some(PartitionSet::whole(&dep.table))
+        Some(Cow::Owned(PartitionSet::whole(&dep.table)))
     } else {
         None
     };

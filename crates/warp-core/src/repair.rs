@@ -309,7 +309,7 @@ impl WarpServer {
                             self.db
                                 .raw()
                                 .table(table)
-                                .map(|t| &t.rows != before)
+                                .map(|t| t.rows() != before.as_slice())
                                 .unwrap_or(false)
                         })
                         .filter_map(|(table, before)| {

@@ -35,11 +35,12 @@ use crate::conflict::{Conflict, ConflictKind};
 use crate::history::{ActionId, ActionRecord, HistoryGraph};
 use crate::sourcefs::SourceStore;
 use crate::stats::RepairStats;
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 use warp_browser::{replay_visit, ReplayConfig, ReplayOutcome};
 use warp_http::{HttpRequest, HttpResponse, Router, Transport};
-use warp_ttdb::{PartitionSet, RepairDelta, RepairSession, RowScope, TimeTravelDb};
+use warp_ttdb::{PartitionKey, PartitionSet, RepairDelta, RepairSession, RowScope, TimeTravelDb};
 
 /// How a repair is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -414,7 +415,7 @@ fn collect_deps<'a>(
     for dep in deps {
         let (read, write) = crate::history::normalized_dependency_partitions(dep);
         run.dynamic_deps.extend(read.cloned());
-        run.dynamic_deps.extend(write);
+        run.dynamic_deps.extend(write.map(Cow::into_owned));
     }
 }
 
@@ -580,13 +581,13 @@ impl UnionFind {
 }
 
 /// The partition graph: independent dependency groups of the history.
-pub(crate) struct PartitionPlan {
+pub(crate) struct PartitionPlan<'h> {
     /// Action IDs per group, each sorted by `(time, id)`. Groups are ordered
     /// by their smallest member action ID, so numbering is deterministic.
     pub groups: Vec<Vec<ActionId>>,
     /// Static footprint per group: the normalized partition sets of every
-    /// recorded query of the group's actions.
-    pub footprints: Vec<Vec<PartitionSet>>,
+    /// recorded query of the group's actions, borrowed from the history.
+    pub footprints: Vec<Vec<Cow<'h, PartitionSet>>>,
 }
 
 /// Builds the partition graph over all live (non-cancelled) actions:
@@ -603,7 +604,7 @@ pub(crate) struct PartitionPlan {
 /// graph as actions are recorded ([`HistoryGraph::partition_components`]),
 /// so planning a repair no longer rescans every recorded query — it only
 /// reads off the components and concatenates their footprints.
-pub(crate) fn plan_partitions(history: &HistoryGraph) -> PartitionPlan {
+pub(crate) fn plan_partitions(history: &HistoryGraph) -> PartitionPlan<'_> {
     let components = history.partition_components();
     let mut groups = Vec::with_capacity(components.len());
     let mut footprints = Vec::with_capacity(components.len());
@@ -621,8 +622,51 @@ pub(crate) fn plan_partitions(history: &HistoryGraph) -> PartitionPlan {
     PartitionPlan { groups, footprints }
 }
 
-fn footprints_intersect(a: &[PartitionSet], b: &[PartitionSet]) -> bool {
-    a.iter().any(|x| b.iter().any(|y| x.intersects(y)))
+/// The partitions one repaired cluster modified, flattened so the
+/// escalation check probes every other group's footprint in
+/// O(footprint · log modified) instead of intersecting each pair of sets.
+/// `overlaps_any(b)` is exactly `modified.any(|x| b.any(|y| x.intersects(y)))`.
+struct ModifiedIndex<'a> {
+    /// Every key of the modified `Keys` sets.
+    keys: BTreeSet<&'a PartitionKey>,
+    /// Tables modified as a whole.
+    whole: BTreeSet<&'a str>,
+    /// Tables with any modification (the two above, by table).
+    tables: BTreeSet<&'a str>,
+}
+
+impl<'a> ModifiedIndex<'a> {
+    fn new(modified: &'a [PartitionSet]) -> Self {
+        let mut index = ModifiedIndex {
+            keys: BTreeSet::new(),
+            whole: BTreeSet::new(),
+            tables: BTreeSet::new(),
+        };
+        for set in modified {
+            match set {
+                PartitionSet::Whole { table } => {
+                    index.whole.insert(table);
+                    index.tables.insert(table);
+                }
+                PartitionSet::Keys(keys) => {
+                    for key in keys {
+                        index.tables.insert(&key.table);
+                        index.keys.insert(key);
+                    }
+                }
+            }
+        }
+        index
+    }
+
+    fn overlaps_any<B: Borrow<PartitionSet>>(&self, sets: &[B]) -> bool {
+        sets.iter().any(|set| match set.borrow() {
+            PartitionSet::Whole { table } => self.tables.contains(table.as_str()),
+            PartitionSet::Keys(keys) => keys
+                .iter()
+                .any(|k| self.keys.contains(k) || self.whole.contains(k.table.as_str())),
+        })
+    }
 }
 
 /// Widens a bounded-clone row scope to cover a partition set.
@@ -766,34 +810,6 @@ pub(crate) fn run_partitioned(
             })
             .collect();
 
-        // The dependency-footprint row scope of each repair unit: with
-        // bounded-memory clones a worker batch copies only these tables —
-        // and within a table whose footprint is partition keys, only the
-        // row versions in those partitions.
-        let unit_scopes: Vec<BTreeMap<String, RowScope>> = clusters
-            .iter()
-            .map(|gs| {
-                let mut scope = BTreeMap::new();
-                for p in gs.iter().flat_map(|&g| plan.footprints[g].iter()) {
-                    widen_scope(&mut scope, p);
-                }
-                // Partition-filtered rows are only sound for tables whose
-                // every unique constraint includes a partition column
-                // (colliding rows then always share a partition and are
-                // cloned together); anything else is widened to the whole
-                // table so re-executed uniqueness checks see every row
-                // they would see on a full clone.
-                for (table, table_scope) in scope.iter_mut() {
-                    if matches!(table_scope, RowScope::Partitions(_))
-                        && !db.partition_clone_safe(table)
-                    {
-                        *table_scope = RowScope::AllRows;
-                    }
-                }
-                scope
-            })
-            .collect();
-
         // With at most one repair unit there is nothing to isolate: run it
         // in place on the master database and skip the clone/diff machinery
         // entirely. If its re-execution escalates, the repair generation is
@@ -817,10 +833,37 @@ pub(crate) fn run_partitioned(
                 id_watermark_end: db.synthetic_id_watermark(),
             }]
         } else {
-            let scopes = match clone_scope {
-                CloneScope::Footprint => Some(unit_scopes.as_slice()),
-                CloneScope::Full => None,
-            };
+            // The dependency-footprint row scope of each repair unit: with
+            // bounded-memory clones a worker batch copies only these tables
+            // — and within a table whose footprint is partition keys, only
+            // the row versions in those partitions.
+            let unit_scopes: Option<Vec<BTreeMap<String, RowScope>>> =
+                (clone_scope == CloneScope::Footprint).then(|| {
+                    clusters
+                        .iter()
+                        .map(|gs| {
+                            let mut scope = BTreeMap::new();
+                            for p in gs.iter().flat_map(|&g| plan.footprints[g].iter()) {
+                                widen_scope(&mut scope, p);
+                            }
+                            // Partition-filtered rows are only sound for
+                            // tables whose every unique constraint includes
+                            // a partition column (colliding rows then always
+                            // share a partition and are cloned together);
+                            // anything else is widened to the whole table so
+                            // re-executed uniqueness checks see every row
+                            // they would see on a full clone.
+                            for (table, table_scope) in scope.iter_mut() {
+                                if matches!(table_scope, RowScope::Partitions(_))
+                                    && !db.partition_clone_safe(table)
+                                {
+                                    *table_scope = RowScope::AllRows;
+                                }
+                            }
+                            scope
+                        })
+                        .collect()
+                });
             let mut batches = run_round(
                 env,
                 db,
@@ -828,7 +871,7 @@ pub(crate) fn run_partitioned(
                 seed_reexecute,
                 seed_cancel,
                 workers,
-                scopes,
+                unit_scopes.as_deref(),
             );
             // A batch that touched state outside its footprint scope
             // executed against a clone missing rows it may have needed, so
@@ -836,7 +879,10 @@ pub(crate) fn run_partitioned(
             // it on full clones (the synthetic-ID ranges restart from the
             // same base, so the re-run allocates exactly what a full-clone
             // round would have).
-            if scopes.is_some() && round_escaped_footprint(&batches, &unit_scopes) {
+            if unit_scopes
+                .as_deref()
+                .is_some_and(|scopes| round_escaped_footprint(&batches, scopes))
+            {
                 bounded_fallbacks += 1;
                 batches = run_round(env, db, &units, seed_reexecute, seed_cancel, workers, None);
             }
@@ -861,18 +907,19 @@ pub(crate) fn run_partitioned(
                 continue;
             }
             let my_root = cluster_uf.find(clusters[ci][0]);
+            let modified = ModifiedIndex::new(&run.modified);
             for other in 0..n_groups {
                 let other_root = cluster_uf.find(other);
                 if other_root == my_root {
                     continue;
                 }
-                let mut affected = footprints_intersect(&run.modified, &plan.footprints[other]);
+                let mut affected = modified.overlaps_any(&plan.footprints[other]);
                 if !affected {
                     // A repaired cluster's *dynamic* reads and writes also
                     // count as its footprint.
                     if let Some(&oc) = root_to_cluster.get(&other_root) {
                         if let Some(other_run) = cluster_run[oc] {
-                            affected = footprints_intersect(&run.modified, &other_run.dynamic_deps);
+                            affected = modified.overlaps_any(&other_run.dynamic_deps);
                         }
                     }
                 }
@@ -1082,22 +1129,22 @@ fn run_round(
     }
     let mut results: Vec<Option<RoundBatch>> = Vec::new();
     results.resize_with(n_batches, || None);
+    // Stream `t` takes batches `t, t + n_threads, …`; the calling thread
+    // works stream 0 itself instead of sleeping on the others.
+    let stream = |t: usize| -> Vec<(usize, RoundBatch)> {
+        (t..n_batches)
+            .step_by(n_threads)
+            .map(|bi| (bi, run_batch(bi, &batch_units[bi])))
+            .collect()
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|t| {
-                let batch_units = &batch_units;
-                let run_batch = &run_batch;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut bi = t;
-                    while bi < batch_units.len() {
-                        out.push((bi, run_batch(bi, &batch_units[bi])));
-                        bi += n_threads;
-                    }
-                    out
-                })
-            })
+        let stream = &stream;
+        let handles: Vec<_> = (1..n_threads)
+            .map(|t| scope.spawn(move || stream(t)))
             .collect();
+        for (bi, batch) in stream(0) {
+            results[bi] = Some(batch);
+        }
         for handle in handles {
             for (bi, batch) in handle.join().expect("repair worker panicked") {
                 results[bi] = Some(batch);
@@ -1613,6 +1660,50 @@ mod tests {
             .filter(|r| r.first() == Some(&Value::Int(2)))
             .count();
         assert!(id2_current >= 1, "id 2 must exist: {rows:?}");
+    }
+
+    /// The flattened escalation probe answers exactly what intersecting
+    /// every modified set with every footprint set answers.
+    #[test]
+    fn modified_index_agrees_with_pairwise_intersection() {
+        let key = |table: &str, column: &str, value: &str| {
+            PartitionSet::Keys(BTreeSet::from([PartitionKey::new(
+                table,
+                column,
+                &Value::text(value),
+            )]))
+        };
+        let mut two = key("page", "title", "a");
+        two.union_with(&key("acl", "title", "a"));
+        let sets = [
+            PartitionSet::empty(),
+            PartitionSet::whole("page"),
+            PartitionSet::whole("acl"),
+            key("page", "title", "a"),
+            key("page", "title", "b"),
+            key("page", "page_id", "a"),
+            key("acl", "title", "a"),
+            two,
+        ];
+        for a in 0..sets.len() {
+            for b in a..sets.len() {
+                let modified = [sets[a].clone(), sets[b].clone()];
+                let index = ModifiedIndex::new(&modified);
+                for c in 0..sets.len() {
+                    for d in c..sets.len() {
+                        let footprint = [sets[c].clone(), sets[d].clone()];
+                        let pairwise = modified
+                            .iter()
+                            .any(|x| footprint.iter().any(|y| x.intersects(y)));
+                        assert_eq!(
+                            index.overlaps_any(&footprint),
+                            pairwise,
+                            "{modified:?} vs {footprint:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

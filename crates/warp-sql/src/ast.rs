@@ -361,19 +361,22 @@ impl Expr {
     /// partitions a query touches (§4.1 of the paper).
     pub fn required_equalities(&self) -> Vec<(String, Value)> {
         let mut out = Vec::new();
-        self.collect_required_equalities(&mut out);
+        self.each_required_equality(&mut |c, v| out.push((c.to_string(), v.clone())));
         out
     }
 
-    fn collect_required_equalities(&self, out: &mut Vec<(String, Value)>) {
+    /// Visits the constraints [`Expr::required_equalities`] returns, by
+    /// reference and in the same order. The executor picks its access path
+    /// from these on every statement.
+    pub fn each_required_equality<'e>(&'e self, f: &mut impl FnMut(&'e str, &'e Value)) {
         match self {
             Expr::Binary {
                 left,
                 op: BinaryOp::And,
                 right,
             } => {
-                left.collect_required_equalities(out);
-                right.collect_required_equalities(out);
+                left.each_required_equality(f);
+                right.each_required_equality(f);
             }
             Expr::Binary {
                 left,
@@ -381,7 +384,7 @@ impl Expr {
                 right,
             } => match (&**left, &**right) {
                 (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => {
-                    out.push((c.clone(), v.clone()));
+                    f(c, v);
                 }
                 _ => {}
             },

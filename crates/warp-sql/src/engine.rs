@@ -2,10 +2,10 @@
 
 use crate::ast::{AggregateFunc, Expr, SelectItem, SelectStatement, Statement};
 use crate::error::{SqlError, SqlResult};
-use crate::expr::eval_expr;
+use crate::expr::{eval_expr, Bound};
 use crate::parser::parse;
 use crate::schema::TableSchema;
-use crate::storage::{Row, Table};
+use crate::storage::{Candidates, Row, Table};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -74,7 +74,7 @@ impl QueryResult {
         if self.ordered {
             for row in &self.rows {
                 for v in row {
-                    v.hash(&mut h);
+                    v.fingerprint_into(&mut h);
                 }
                 0xfeu8.hash(&mut h);
             }
@@ -84,7 +84,7 @@ impl QueryResult {
             for row in &self.rows {
                 let mut rh = DefaultHasher::new();
                 for v in row {
-                    v.hash(&mut rh);
+                    v.fingerprint_into(&mut rh);
                 }
                 rows_digest = rows_digest.wrapping_add(rh.finish());
             }
@@ -168,11 +168,7 @@ impl Database {
     /// directly through [`Database::table_mut`] (the time-travel layer's
     /// diff application and checkpoint restore). No-op when capture is off.
     pub fn record_change(&mut self, table: &str, removed: &[Row], added: &[Row]) {
-        if let Some(capture) = &mut self.capture {
-            if removed.is_empty() && added.is_empty() {
-                return;
-            }
-            let entry = capture.entry(normalize(table)).or_default();
+        if let Some(entry) = capture_entry(&mut self.capture, table, removed.len() + added.len()) {
             entry.removed.extend(removed.iter().cloned());
             entry.added.extend(added.iter().cloned());
         }
@@ -196,8 +192,9 @@ impl Database {
     /// Returns a mutable reference to the named table, if it exists.
     ///
     /// This is used by the time-travel layer for schema surgery (extending
-    /// uniqueness constraints with versioning columns); ordinary data access
-    /// goes through [`Database::execute`].
+    /// uniqueness constraints with versioning columns, declaring indexes)
+    /// and its bulk row loaders; ordinary data access goes through
+    /// [`Database::execute`].
     pub fn table_mut(&mut self, table: &str) -> Option<&mut Table> {
         self.tables.get_mut(&normalize(table))
     }
@@ -219,7 +216,7 @@ impl Database {
                 let copy = if keep_rows(name) {
                     table.clone()
                 } else {
-                    Table::new(table.schema.clone())
+                    table.empty_like()
                 };
                 (name.clone(), copy)
             })
@@ -302,12 +299,11 @@ impl Database {
     ) -> SqlResult<QueryResult> {
         // Evaluate value expressions against an empty row context first (they
         // may not reference columns), then validate and append.
-        let key = normalize(table);
         let t = self
             .tables
-            .get(&key)
+            .get_mut(&normalize(table))
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
-        let schema = t.schema.clone();
+        let schema = &t.schema;
         let mut col_indexes = Vec::with_capacity(columns.len());
         for c in columns {
             let idx = schema
@@ -324,31 +320,23 @@ impl Database {
                 .map(|c| c.default.clone().unwrap_or(Value::Null))
                 .collect();
             for (expr, &idx) in value_exprs.iter().zip(&col_indexes) {
-                row[idx] = eval_expr(expr, &schema, &empty_row)?;
+                row[idx] = eval_expr(expr, schema, &empty_row)?;
             }
-            for (i, col) in schema.columns.iter().enumerate() {
-                if col.is_not_null() && row[i].is_null() {
-                    return Err(SqlError::NotNullViolation {
-                        table: table.to_string(),
-                        column: col.name.clone(),
-                    });
-                }
-            }
+            check_not_null(schema, &row, table)?;
             new_rows.push(row);
         }
         // Uniqueness checks consider both existing rows and the batch itself.
-        let t = self.tables.get_mut(&key).expect("checked above");
+        let constraints = unique_constraint_columns(schema);
         for (i, row) in new_rows.iter().enumerate() {
-            check_unique(&t.schema, &t.rows, row, None)?;
+            check_unique(t, &constraints, row, None, &[])?;
             for earlier in &new_rows[..i] {
-                check_rows_distinct(&t.schema, earlier, row, table)?;
+                check_rows_distinct(&constraints, earlier, row, table)?;
             }
         }
         let n = new_rows.len() as u64;
-        if self.capture.is_some() {
-            self.record_change(table, &[], &new_rows);
+        if let Some(entry) = capture_entry(&mut self.capture, table, new_rows.len()) {
+            entry.added.extend(new_rows.iter().cloned());
         }
-        let t = self.tables.get_mut(&key).expect("checked above");
         for row in new_rows {
             t.push_row(row);
         }
@@ -361,26 +349,32 @@ impl Database {
     }
 
     fn select(&mut self, select: &SelectStatement) -> SqlResult<QueryResult> {
-        let key = normalize(&select.table);
         let t = self
             .tables
-            .get(&key)
+            .get(&normalize(&select.table))
             .ok_or_else(|| SqlError::NoSuchTable(select.table.clone()))?;
         let schema = &t.schema;
         // Filter.
+        let predicate = select.where_clause.as_ref().map(|w| Bound::bind(w, schema));
         let mut matching: Vec<&Row> = Vec::new();
-        for row in &t.rows {
-            if matches_where(select.where_clause.as_ref(), schema, row)? {
+        for pos in access_path(t, select.where_clause.as_ref(), predicate.as_ref()) {
+            let row = &t.rows()[pos];
+            if matches_where(predicate.as_ref(), row)? {
                 matching.push(row);
             }
         }
         // Sort.
         if !select.order_by.is_empty() {
+            let order_by: Vec<Bound> = select
+                .order_by
+                .iter()
+                .map(|ob| Bound::bind(&ob.expr, schema))
+                .collect();
             let mut keyed: Vec<(Vec<Value>, &Row)> = Vec::with_capacity(matching.len());
             for row in matching {
-                let mut k = Vec::with_capacity(select.order_by.len());
-                for ob in &select.order_by {
-                    k.push(eval_expr(&ob.expr, schema, row)?);
+                let mut k = Vec::with_capacity(order_by.len());
+                for ob in &order_by {
+                    k.push(ob.eval(row)?.into_owned());
                 }
                 keyed.push((k, row));
             }
@@ -400,43 +394,42 @@ impl Database {
         if let Some(limit) = select.limit {
             matching.truncate(limit as usize);
         }
-        // Project.
+        // Project. `None` is the wildcard.
         let has_aggregate = select
             .items
             .iter()
             .any(|item| matches!(item, SelectItem::Expr { expr, .. } if contains_aggregate(expr)));
         let mut columns = Vec::new();
+        let mut items: Vec<Option<Bound>> = Vec::with_capacity(select.items.len());
         for item in &select.items {
             match item {
-                SelectItem::Wildcard => columns.extend(schema.column_names()),
+                SelectItem::Wildcard => {
+                    columns.extend(schema.column_names());
+                    items.push(None);
+                }
                 SelectItem::Expr { expr, alias } => {
                     columns.push(alias.clone().unwrap_or_else(|| expr.to_string()));
+                    items.push(Some(Bound::bind(expr, schema)));
                 }
             }
         }
         let mut rows = Vec::new();
         if has_aggregate {
             let mut out_row = Vec::new();
-            for item in &select.items {
+            for item in &items {
                 match item {
-                    SelectItem::Wildcard => {
-                        return Err(SqlError::Execution("cannot mix * with aggregates".into()))
-                    }
-                    SelectItem::Expr { expr, .. } => {
-                        out_row.push(eval_aggregate(expr, schema, &matching)?);
-                    }
+                    None => return Err(SqlError::Execution("cannot mix * with aggregates".into())),
+                    Some(expr) => out_row.push(eval_aggregate(expr, &matching)?),
                 }
             }
             rows.push(out_row);
         } else {
             for row in &matching {
                 let mut out_row = Vec::new();
-                for item in &select.items {
+                for item in &items {
                     match item {
-                        SelectItem::Wildcard => out_row.extend(row.iter().cloned()),
-                        SelectItem::Expr { expr, .. } => {
-                            out_row.push(eval_expr(expr, schema, row)?);
-                        }
+                        None => out_row.extend(row.iter().cloned()),
+                        Some(expr) => out_row.push(expr.eval(row)?.into_owned()),
                     }
                 }
                 rows.push(out_row);
@@ -456,53 +449,51 @@ impl Database {
         assignments: &[crate::ast::Assignment],
         where_clause: Option<&Expr>,
     ) -> SqlResult<QueryResult> {
-        let key = normalize(table);
         let t = self
             .tables
-            .get(&key)
+            .get_mut(&normalize(table))
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
-        let schema = t.schema.clone();
+        let schema = &t.schema;
+        let mut bound_assignments = Vec::with_capacity(assignments.len());
         for a in assignments {
-            if schema.column_index(&a.column).is_none() {
-                return Err(SqlError::NoSuchColumn(a.column.clone()));
-            }
+            let idx = schema
+                .column_index(&a.column)
+                .ok_or_else(|| SqlError::NoSuchColumn(a.column.clone()))?;
+            bound_assignments.push((idx, Bound::bind(&a.value, schema)));
         }
-        // Compute the new contents first so constraint failures leave the
-        // table untouched.
-        let mut new_rows = t.rows.clone();
-        let mut touched = Vec::new();
-        for (i, row) in t.rows.iter().enumerate() {
-            if matches_where(where_clause, &schema, row)? {
+        // Stage the new images of the touched rows (ascending positions)
+        // first, so constraint failures leave the table untouched.
+        let predicate = where_clause.map(|w| Bound::bind(w, schema));
+        let mut staged: Vec<(usize, Row)> = Vec::new();
+        for pos in access_path(t, where_clause, predicate.as_ref()) {
+            let row = &t.rows()[pos];
+            if matches_where(predicate.as_ref(), row)? {
                 let mut updated = row.clone();
-                for a in assignments {
-                    let idx = schema.column_index(&a.column).expect("validated above");
-                    updated[idx] = eval_expr(&a.value, &schema, row)?;
+                for (idx, value) in &bound_assignments {
+                    updated[*idx] = value.eval(row)?.into_owned();
                 }
-                for (ci, col) in schema.columns.iter().enumerate() {
-                    if col.is_not_null() && updated[ci].is_null() {
-                        return Err(SqlError::NotNullViolation {
-                            table: table.to_string(),
-                            column: col.name.clone(),
-                        });
-                    }
-                }
-                new_rows[i] = updated;
-                touched.push(i);
+                check_not_null(schema, &updated, table)?;
+                staged.push((pos, updated));
             }
         }
         // Re-validate uniqueness over the updated table contents.
-        for &i in &touched {
-            check_unique(&schema, &new_rows, &new_rows[i], Some(i))?;
+        let constraints = unique_constraint_columns(schema);
+        for (pos, updated) in &staged {
+            check_unique(t, &constraints, updated, Some(*pos), &staged)?;
         }
-        let affected = touched.len() as u64;
-        if self.capture.is_some() && !touched.is_empty() {
-            let old = self.tables.get(&key).expect("checked above");
-            let removed: Vec<Row> = touched.iter().map(|&i| old.rows[i].clone()).collect();
-            let added: Vec<Row> = touched.iter().map(|&i| new_rows[i].clone()).collect();
-            self.record_change(table, &removed, &added);
+        let affected = staged.len() as u64;
+        let mut capture = capture_entry(&mut self.capture, table, staged.len());
+        if let Some(entry) = &mut capture {
+            entry
+                .added
+                .extend(staged.iter().map(|(_, row)| row.clone()));
         }
-        let t = self.tables.get_mut(&key).expect("checked above");
-        t.rows = new_rows;
+        for (pos, updated) in staged {
+            let old = t.replace_row(pos, updated);
+            if let Some(entry) = &mut capture {
+                entry.removed.push(old);
+            }
+        }
         Ok(QueryResult {
             columns: vec![],
             rows: vec![],
@@ -512,37 +503,30 @@ impl Database {
     }
 
     fn delete(&mut self, table: &str, where_clause: Option<&Expr>) -> SqlResult<QueryResult> {
-        let key = normalize(table);
-        let capture_on = self.capture.is_some();
         let t = self
             .tables
-            .get_mut(&key)
+            .get_mut(&normalize(table))
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
-        let schema = t.schema.clone();
-        let before = t.rows.len();
+        let predicate = where_clause.map(|w| Bound::bind(w, &t.schema));
+        let mut doomed = Vec::new();
         let mut err = None;
-        let mut removed: Vec<Row> = Vec::new();
-        t.rows.retain(|row| {
-            if err.is_some() {
-                return true;
-            }
-            match matches_where(where_clause, &schema, row) {
-                Ok(m) => {
-                    if m && capture_on {
-                        removed.push(row.clone());
-                    }
-                    !m
-                }
+        for pos in access_path(t, where_clause, predicate.as_ref()) {
+            match matches_where(predicate.as_ref(), &t.rows()[pos]) {
+                Ok(true) => doomed.push(pos),
+                Ok(false) => {}
                 Err(e) => {
                     err = Some(e);
-                    true
+                    break;
                 }
             }
-        });
-        let affected = (before - t.rows.len()) as u64;
-        // Record even on error: rows dropped before the predicate failed
-        // stay dropped, and capture must reflect what actually happened.
-        self.record_change(table, &removed, &[]);
+        }
+        // Rows that matched before the predicate failed are dropped all the
+        // same, and capture must reflect what actually happened.
+        let removed = t.remove_positions(&doomed);
+        let affected = removed.len() as u64;
+        if let Some(entry) = capture_entry(&mut self.capture, table, removed.len()) {
+            entry.removed.extend(removed);
+        }
         if let Some(e) = err {
             return Err(e);
         }
@@ -559,11 +543,51 @@ fn normalize(name: &str) -> String {
     name.to_ascii_lowercase()
 }
 
-fn matches_where(where_clause: Option<&Expr>, schema: &TableSchema, row: &Row) -> SqlResult<bool> {
-    match where_clause {
+/// The capture slot of `table`, if change capture is on and the statement
+/// changed any row (an untouched table never gets a slot).
+fn capture_entry<'c>(
+    capture: &'c mut Option<BTreeMap<String, TableChanges>>,
+    table: &str,
+    rows_changed: usize,
+) -> Option<&'c mut TableChanges> {
+    capture
+        .as_mut()
+        .filter(|_| rows_changed > 0)
+        .map(|c| c.entry(normalize(table)).or_default())
+}
+
+fn matches_where(predicate: Option<&Bound>, row: &Row) -> SqlResult<bool> {
+    match predicate {
         None => Ok(true),
-        Some(e) => Ok(eval_expr(e, schema, row)?.is_truthy()),
+        Some(p) => Ok(p.eval(row)?.is_truthy()),
     }
+}
+
+/// Chooses the storage positions a statement visits, in ascending order.
+///
+/// Every conjunct of the `WHERE` AND-chain that pins an indexed column to a
+/// non-NULL literal names a bucket holding every row that can match; the
+/// smallest such bucket is visited. Without one — no `WHERE`, `OR`, `LIKE`,
+/// a comparison with NULL, an unindexed column — or when the predicate
+/// could fail on a row it would skip, every position is visited. Either
+/// way the caller evaluates the whole predicate on each candidate, so the
+/// matching rows and their order do not depend on the path taken.
+fn access_path<'t>(
+    t: &'t Table,
+    where_clause: Option<&Expr>,
+    predicate: Option<&Bound>,
+) -> Candidates<'t> {
+    let mut pins = Vec::new();
+    if let (Some(w), Some(p)) = (where_clause, predicate) {
+        if p.cannot_fail() {
+            w.each_required_equality(&mut |column, value| {
+                if let (Some(idx), false) = (t.schema.column_index(column), value.is_null()) {
+                    pins.push((idx, value));
+                }
+            });
+        }
+    }
+    t.candidates(pins)
 }
 
 fn contains_aggregate(expr: &Expr) -> bool {
@@ -579,15 +603,15 @@ fn contains_aggregate(expr: &Expr) -> bool {
     }
 }
 
-fn eval_aggregate(expr: &Expr, schema: &TableSchema, rows: &[&Row]) -> SqlResult<Value> {
+fn eval_aggregate(expr: &Bound, rows: &[&Row]) -> SqlResult<Value> {
     match expr {
-        Expr::Aggregate { func, arg } => match func {
+        Bound::Aggregate { func, arg } => match func {
             AggregateFunc::Count => match arg {
                 None => Ok(Value::Int(rows.len() as i64)),
                 Some(a) => {
                     let mut n = 0;
                     for row in rows {
-                        if !eval_expr(a, schema, row)?.is_null() {
+                        if !a.eval(row)?.is_null() {
                             n += 1;
                         }
                     }
@@ -598,29 +622,22 @@ fn eval_aggregate(expr: &Expr, schema: &TableSchema, rows: &[&Row]) -> SqlResult
                 let a = arg
                     .as_ref()
                     .ok_or_else(|| SqlError::Execution("MAX/MIN require an argument".into()))?;
-                let mut best: Option<Value> = None;
+                let wanted = if *func == AggregateFunc::Max {
+                    std::cmp::Ordering::Greater
+                } else {
+                    std::cmp::Ordering::Less
+                };
+                let mut best: Option<std::borrow::Cow<Value>> = None;
                 for row in rows {
-                    let v = eval_expr(a, schema, row)?;
+                    let v = a.eval(row)?;
                     if v.is_null() {
                         continue;
                     }
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => {
-                            let keep_new = if *func == AggregateFunc::Max {
-                                v.cmp_total(&b) == std::cmp::Ordering::Greater
-                            } else {
-                                v.cmp_total(&b) == std::cmp::Ordering::Less
-                            };
-                            if keep_new {
-                                v
-                            } else {
-                                b
-                            }
-                        }
-                    });
+                    if best.as_ref().is_none_or(|b| v.cmp_total(b) == wanted) {
+                        best = Some(v);
+                    }
                 }
-                Ok(best.unwrap_or(Value::Null))
+                Ok(best.map_or(Value::Null, |b| b.into_owned()))
             }
             AggregateFunc::Sum => {
                 let a = arg
@@ -631,8 +648,7 @@ fn eval_aggregate(expr: &Expr, schema: &TableSchema, rows: &[&Row]) -> SqlResult
                 let mut any = false;
                 let mut is_float = false;
                 for row in rows {
-                    let v = eval_expr(a, schema, row)?;
-                    match v {
+                    match &*a.eval(row)? {
                         Value::Null => {}
                         Value::Float(f) => {
                             is_float = true;
@@ -661,55 +677,90 @@ fn eval_aggregate(expr: &Expr, schema: &TableSchema, rows: &[&Row]) -> SqlResult
         // against the first matching row (this mirrors the lax behaviour web
         // applications rely on in MySQL/SQLite).
         other => match rows.first() {
-            Some(row) => eval_expr(other, schema, row),
+            Some(row) => Ok(other.eval(row)?.into_owned()),
             None => Ok(Value::Null),
         },
     }
 }
 
-fn check_unique(
-    schema: &TableSchema,
-    rows: &[Row],
-    candidate: &Row,
-    skip_index: Option<usize>,
-) -> SqlResult<()> {
-    for uc in &schema.unique_constraints {
-        let idxs: Vec<usize> = uc.iter().filter_map(|c| schema.column_index(c)).collect();
-        if idxs.len() != uc.len() {
-            continue;
-        }
-        // NULL in any constrained column exempts the row (SQL semantics).
-        if idxs.iter().any(|&i| candidate[i].is_null()) {
-            continue;
-        }
-        for (ri, row) in rows.iter().enumerate() {
-            if Some(ri) == skip_index || std::ptr::eq(row, candidate) {
-                continue;
-            }
-            if idxs
-                .iter()
-                .all(|&i| row[i].sql_eq(&candidate[i]) == Some(true))
-            {
-                return Err(SqlError::UniqueViolation {
-                    table: schema.name.clone(),
-                    columns: uc.clone(),
-                });
-            }
+fn check_not_null(schema: &TableSchema, row: &Row, table: &str) -> SqlResult<()> {
+    for (col, value) in schema.columns.iter().zip(row) {
+        if col.is_not_null() && value.is_null() {
+            return Err(SqlError::NotNullViolation {
+                table: table.to_string(),
+                column: col.name.clone(),
+            });
         }
     }
     Ok(())
 }
 
-fn check_rows_distinct(schema: &TableSchema, a: &Row, b: &Row, table: &str) -> SqlResult<()> {
-    for uc in &schema.unique_constraints {
-        let idxs: Vec<usize> = uc.iter().filter_map(|c| schema.column_index(c)).collect();
-        if idxs.len() != uc.len() || idxs.iter().any(|&i| a[i].is_null() || b[i].is_null()) {
+/// The schema's uniqueness constraints with their columns resolved to row
+/// positions, once per statement (a constraint naming an unknown column is
+/// skipped).
+fn unique_constraint_columns(schema: &TableSchema) -> Vec<(&Vec<String>, Vec<usize>)> {
+    schema
+        .unique_constraints
+        .iter()
+        .filter_map(|uc| {
+            let idxs: Vec<usize> = uc.iter().filter_map(|c| schema.column_index(c)).collect();
+            (idxs.len() == uc.len()).then_some((uc, idxs))
+        })
+        .collect()
+}
+
+fn rows_collide(idxs: &[usize], a: &Row, b: &Row) -> bool {
+    idxs.iter().all(|&i| a[i].sql_eq(&b[i]) == Some(true))
+}
+
+/// Checks `candidate` against the table's contents as they will be once the
+/// `staged` new images (ascending positions) replace their rows; the row at
+/// `skip` is the candidate's own. A constraint holding an indexed column
+/// only looks at the rows sharing the candidate's value there.
+fn check_unique(
+    t: &Table,
+    constraints: &[(&Vec<String>, Vec<usize>)],
+    candidate: &Row,
+    skip: Option<usize>,
+    staged: &[(usize, Row)],
+) -> SqlResult<()> {
+    for (uc, idxs) in constraints {
+        // NULL in any constrained column exempts the row (SQL semantics).
+        if idxs.iter().any(|&i| candidate[i].is_null()) {
             continue;
         }
-        if idxs.iter().all(|&i| a[i].sql_eq(&b[i]) == Some(true)) {
+        let is_staged = |pos: usize| staged.binary_search_by_key(&pos, |s| s.0).is_ok();
+        let collides = t
+            .candidates(idxs.iter().map(|&i| (i, &candidate[i])))
+            .filter(|&pos| Some(pos) != skip && !is_staged(pos))
+            .any(|pos| rows_collide(idxs, &t.rows()[pos], candidate))
+            || staged
+                .iter()
+                .any(|(pos, row)| Some(*pos) != skip && rows_collide(idxs, row, candidate));
+        if collides {
+            return Err(SqlError::UniqueViolation {
+                table: t.schema.name.clone(),
+                columns: (*uc).clone(),
+            });
+        }
+    }
+    Ok(())
+}
+
+fn check_rows_distinct(
+    constraints: &[(&Vec<String>, Vec<usize>)],
+    a: &Row,
+    b: &Row,
+    table: &str,
+) -> SqlResult<()> {
+    for (uc, idxs) in constraints {
+        if idxs.iter().any(|&i| a[i].is_null() || b[i].is_null()) {
+            continue;
+        }
+        if rows_collide(idxs, a, b) {
             return Err(SqlError::UniqueViolation {
                 table: table.to_string(),
-                columns: uc.clone(),
+                columns: (*uc).clone(),
             });
         }
     }
@@ -836,6 +887,27 @@ mod tests {
             .execute_sql("SELECT title FROM page WHERE page_id = 2")
             .unwrap();
         assert_eq!(r.scalar(), Some(&Value::text("Help")));
+    }
+
+    /// Uniqueness is judged on the table as the whole statement leaves it:
+    /// a row may take a key another touched row vacates, and two touched
+    /// rows may not end on the same key.
+    #[test]
+    fn update_uniqueness_sees_the_other_rows_new_images() {
+        let mut db = wiki_db();
+        let r = db.execute_sql("UPDATE page SET page_id = page_id + 1");
+        assert_eq!(r.unwrap().affected, 3);
+        let r = db.execute_sql("SELECT page_id FROM page").unwrap();
+        assert_eq!(
+            r.column_values("page_id"),
+            vec![Value::Int(2), Value::Int(3), Value::Int(4)]
+        );
+        let err = db
+            .execute_sql("UPDATE page SET title = 'Same' WHERE owner = 'alice'")
+            .unwrap_err();
+        assert!(matches!(err, SqlError::UniqueViolation { .. }));
+        let r = db.execute_sql("SELECT COUNT(*) FROM page WHERE title = 'Same'");
+        assert_eq!(r.unwrap().scalar(), Some(&Value::Int(0)));
     }
 
     #[test]

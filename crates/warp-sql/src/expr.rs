@@ -1,68 +1,181 @@
 //! Expression evaluation against a row.
 
-use crate::ast::{BinaryOp, Expr, UnaryOp};
+use crate::ast::{AggregateFunc, BinaryOp, Expr, UnaryOp};
 use crate::error::{SqlError, SqlResult};
 use crate::schema::TableSchema;
 use crate::storage::Row;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// Evaluates an expression against a single row of the given schema.
 ///
 /// Aggregates are rejected here; the executor handles them separately.
 pub fn eval_expr(expr: &Expr, schema: &TableSchema, row: &Row) -> SqlResult<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column(name) => {
-            #[cfg(debug_assertions)]
-            crate::observer::record(name);
-            let idx = schema
-                .column_index(name)
-                .ok_or_else(|| SqlError::NoSuchColumn(name.clone()))?;
-            Ok(row.get(idx).cloned().unwrap_or(Value::Null))
-        }
-        Expr::Unary { op, operand } => {
-            let v = eval_expr(operand, schema, row)?;
-            match op {
-                UnaryOp::Not => Ok(Value::Bool(!v.is_truthy())),
-                UnaryOp::Neg => match v {
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    Value::Null => Ok(Value::Null),
-                    other => Err(SqlError::Type(format!("cannot negate {other:?}"))),
-                },
-            }
-        }
-        Expr::Binary { left, op, right } => {
-            let l = eval_expr(left, schema, row)?;
-            let r = eval_expr(right, schema, row)?;
-            eval_binary(&l, *op, &r)
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval_expr(expr, schema, row)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut found = false;
-            for item in list {
-                let iv = eval_expr(item, schema, row)?;
-                if v.sql_eq(&iv) == Some(true) {
-                    found = true;
-                    break;
+    Ok(Bound::bind(expr, schema).eval(row)?.into_owned())
+}
+
+/// An expression bound to one schema: column names are resolved to row
+/// positions once, so evaluating it per row does no name lookups, and
+/// operands are passed by reference (a column or literal is only cloned if
+/// it *is* the result).
+#[derive(Debug)]
+pub(crate) enum Bound<'e> {
+    Literal(&'e Value),
+    Column(usize),
+    /// A column the schema lacks. Evaluating it is the error, so a statement
+    /// that visits no row succeeds, as it always has.
+    Missing(&'e str),
+    Unary {
+        op: UnaryOp,
+        operand: Box<Bound<'e>>,
+    },
+    Binary {
+        left: Box<Bound<'e>>,
+        op: BinaryOp,
+        right: Box<Bound<'e>>,
+    },
+    InList {
+        expr: Box<Bound<'e>>,
+        list: Vec<Bound<'e>>,
+        negated: bool,
+    },
+    IsNull {
+        expr: Box<Bound<'e>>,
+        negated: bool,
+    },
+    Aggregate {
+        func: AggregateFunc,
+        arg: Option<Box<Bound<'e>>>,
+    },
+}
+
+impl<'e> Bound<'e> {
+    /// Resolves `expr`'s column references against `schema`.
+    pub(crate) fn bind(expr: &'e Expr, schema: &TableSchema) -> Bound<'e> {
+        let bind = |e: &'e Expr| Box::new(Bound::bind(e, schema));
+        match expr {
+            Expr::Literal(v) => Bound::Literal(v),
+            Expr::Column(name) => {
+                #[cfg(debug_assertions)]
+                crate::observer::record(name);
+                match schema.column_index(name) {
+                    Some(idx) => Bound::Column(idx),
+                    None => Bound::Missing(name),
                 }
             }
-            Ok(Value::Bool(found != *negated))
+            Expr::Unary { op, operand } => Bound::Unary {
+                op: *op,
+                operand: bind(operand),
+            },
+            Expr::Binary { left, op, right } => Bound::Binary {
+                left: bind(left),
+                op: *op,
+                right: bind(right),
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Bound::InList {
+                expr: bind(expr),
+                list: list.iter().map(|e| Bound::bind(e, schema)).collect(),
+                negated: *negated,
+            },
+            Expr::IsNull { expr, negated } => Bound::IsNull {
+                expr: bind(expr),
+                negated: *negated,
+            },
+            Expr::Aggregate { func, arg } => Bound::Aggregate {
+                func: *func,
+                arg: arg.as_deref().map(bind),
+            },
         }
-        Expr::IsNull { expr, negated } => {
-            let v = eval_expr(expr, schema, row)?;
-            Ok(Value::Bool(v.is_null() != *negated))
+    }
+
+    /// Evaluates the expression against one row.
+    pub(crate) fn eval<'r>(&'r self, row: &'r [Value]) -> SqlResult<Cow<'r, Value>> {
+        Ok(match self {
+            Bound::Literal(v) => Cow::Borrowed(*v),
+            Bound::Column(idx) => match row.get(*idx) {
+                Some(v) => Cow::Borrowed(v),
+                None => Cow::Owned(Value::Null),
+            },
+            Bound::Missing(name) => return Err(SqlError::NoSuchColumn((*name).to_string())),
+            Bound::Unary { op, operand } => {
+                let v = operand.eval(row)?;
+                Cow::Owned(match op {
+                    UnaryOp::Not => Value::Bool(!v.is_truthy()),
+                    UnaryOp::Neg => match &*v {
+                        Value::Int(i) => Value::Int(-i),
+                        Value::Float(f) => Value::Float(-f),
+                        Value::Null => Value::Null,
+                        other => return Err(SqlError::Type(format!("cannot negate {other:?}"))),
+                    },
+                })
+            }
+            Bound::Binary { left, op, right } => {
+                let l = left.eval(row)?;
+                let r = right.eval(row)?;
+                Cow::Owned(eval_binary(&l, *op, &r)?)
+            }
+            Bound::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let v = expr.eval(row)?;
+                if v.is_null() {
+                    return Ok(Cow::Owned(Value::Null));
+                }
+                let mut found = false;
+                for item in list {
+                    if v.sql_eq(&*item.eval(row)?) == Some(true) {
+                        found = true;
+                        break;
+                    }
+                }
+                Cow::Owned(Value::Bool(found != *negated))
+            }
+            Bound::IsNull { expr, negated } => {
+                Cow::Owned(Value::Bool(expr.eval(row)?.is_null() != *negated))
+            }
+            Bound::Aggregate { .. } => {
+                return Err(SqlError::Execution(
+                    "aggregate used outside a projection".into(),
+                ))
+            }
+        })
+    }
+
+    /// True if evaluating the expression can never return an error, whatever
+    /// the row holds. Only then may a statement skip rows that cannot match:
+    /// the scan evaluates its predicate on every row, so a row that matches
+    /// nothing can still fail the statement (a division by its zero, say).
+    pub(crate) fn cannot_fail(&self) -> bool {
+        match self {
+            Bound::Literal(_) | Bound::Column(_) => true,
+            Bound::Missing(_) | Bound::Aggregate { .. } => false,
+            Bound::Unary { op, operand } => match op {
+                UnaryOp::Not => operand.cannot_fail(),
+                UnaryOp::Neg => matches!(
+                    **operand,
+                    Bound::Literal(Value::Int(_) | Value::Float(_) | Value::Null)
+                ),
+            },
+            Bound::Binary { left, op, right } => {
+                use BinaryOp::*;
+                match op {
+                    Add | Sub | Mul | Div => false,
+                    And | Or | Eq | NotEq | Lt | LtEq | Gt | GtEq | Concat | Like => {
+                        left.cannot_fail() && right.cannot_fail()
+                    }
+                }
+            }
+            Bound::InList { expr, list, .. } => {
+                expr.cannot_fail() && list.iter().all(Bound::cannot_fail)
+            }
+            Bound::IsNull { expr, .. } => expr.cannot_fail(),
         }
-        Expr::Aggregate { .. } => Err(SqlError::Execution(
-            "aggregate used outside a projection".into(),
-        )),
     }
 }
 

@@ -5,6 +5,7 @@ use crate::dependency::{PartitionSet, QueryDependency};
 use crate::rewrite::{partitions_of_rows, read_partitions, restrict_to_valid};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use warp_sql::ast::{
     Assignment, ColumnConstraint, ColumnDef, Expr, SelectItem, SelectStatement, Statement,
 };
@@ -102,7 +103,9 @@ struct TableConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TimeTravelDb {
     db: Database,
-    configs: BTreeMap<String, TableConfig>,
+    /// Shared, so a statement holds its table's configuration without
+    /// copying the annotation and `CREATE TABLE` text.
+    configs: BTreeMap<String, Arc<TableConfig>>,
     current_gen: Generation,
     repair_gen: Option<Generation>,
     next_synthetic_row_id: i64,
@@ -224,19 +227,22 @@ impl TimeTravelDb {
             t.schema
                 .extend_unique_constraints(&[COL_END_TIME, COL_END_GEN]);
         }
+        // The row-ID and partition columns are what the application's
+        // queries — and every statement this layer issues itself — pin in
+        // their WHERE clauses, so those are the engine's indexed columns.
+        let t = self.db.table_mut(&table).expect("just created");
+        t.declare_index(&row_id_column)?;
         for col in &annotation.partition_columns {
-            if self.db.schema(&table).map(|s| s.has_column(col)) != Some(true) {
-                return Err(SqlError::NoSuchColumn(col.clone()));
-            }
+            t.declare_index(col)?;
         }
         self.configs.insert(
             norm(&table),
-            TableConfig {
+            Arc::new(TableConfig {
                 annotation,
                 row_id_column,
                 synthetic_row_id: synthetic,
                 create_sql: create_sql.to_string(),
-            },
+            }),
         );
         Ok(())
     }
@@ -288,9 +294,10 @@ impl TimeTravelDb {
         Ok(self.logged_select(&stmt, time, self.current_gen)?.result)
     }
 
-    fn config(&self, table: &str) -> SqlResult<&TableConfig> {
+    fn config(&self, table: &str) -> SqlResult<Arc<TableConfig>> {
         self.configs
             .get(&norm(table))
+            .cloned()
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))
     }
 
@@ -301,7 +308,7 @@ impl TimeTravelDb {
         gen: Generation,
     ) -> SqlResult<LoggedExecution> {
         let table = stmt.table_name().unwrap_or_default().to_string();
-        let cfg = self.config(&table)?.clone();
+        let cfg = self.config(&table)?;
         let partitions = read_partitions(stmt, &table, &cfg.annotation.partition_columns);
         let static_read = warp_sql::analysis::read_columns(stmt);
         let mut rewritten = stmt.clone();
@@ -328,7 +335,7 @@ impl TimeTravelDb {
         time: Timestamp,
         gen: Generation,
     ) -> SqlResult<LoggedExecution> {
-        let cfg = self.config(table)?.clone();
+        let cfg = self.config(table)?;
         let mut new_columns: Vec<String> = columns.to_vec();
         new_columns.extend(
             [COL_START_TIME, COL_END_TIME, COL_START_GEN, COL_END_GEN]
@@ -341,8 +348,7 @@ impl TimeTravelDb {
         let schema = self
             .db
             .schema(table)
-            .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?
-            .clone();
+            .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
         let empty_row = vec![Value::Null; schema.columns.len()];
         let mut new_values = Vec::with_capacity(values.len());
         let mut row_ids = Vec::with_capacity(values.len());
@@ -369,12 +375,12 @@ impl TimeTravelDb {
                             cfg.row_id_column
                         ))
                     })?;
-                row_ids.push(eval_expr(&row_exprs[idx], &schema, &empty_row)?);
+                row_ids.push(eval_expr(&row_exprs[idx], schema, &empty_row)?);
             }
             // Record partition-column values for the write dependency.
             let mut named = Vec::new();
             for (col, expr) in columns.iter().zip(row_exprs) {
-                named.push((col.clone(), eval_expr(expr, &schema, &empty_row)?));
+                named.push((col.clone(), eval_expr(expr, schema, &empty_row)?));
             }
             written_rows.push(named);
             new_values.push(row);
@@ -492,7 +498,7 @@ impl TimeTravelDb {
         time: Timestamp,
         gen: Generation,
     ) -> SqlResult<LoggedExecution> {
-        let cfg = self.config(table)?.clone();
+        let cfg = self.config(table)?;
         let update_stmt = Statement::Update {
             table: table.to_string(),
             assignments: assignments.to_vec(),
@@ -507,7 +513,6 @@ impl TimeTravelDb {
         #[cfg(debug_assertions)]
         assert_observed_subset("UPDATE", warp_sql::observer::take(), &static_read);
         let (columns, rows) = matched?;
-        let schema = self.db.schema(table).expect("table exists").clone();
         let mut row_ids = Vec::new();
         let mut written_rows: Vec<Vec<(String, Value)>> = Vec::new();
         for row in &rows {
@@ -546,7 +551,8 @@ impl TimeTravelDb {
                     .iter()
                     .any(|p| p.eq_ignore_ascii_case(&a.column))
                 {
-                    named_new.push((a.column.clone(), eval_expr(&a.value, &schema, row)?));
+                    let schema = self.db.schema(table).expect("table exists");
+                    named_new.push((a.column.clone(), eval_expr(&a.value, schema, row)?));
                 }
             }
             if !named_new.is_empty() {
@@ -618,7 +624,7 @@ impl TimeTravelDb {
         time: Timestamp,
         gen: Generation,
     ) -> SqlResult<LoggedExecution> {
-        let cfg = self.config(table)?.clone();
+        let cfg = self.config(table)?;
         let delete_stmt = Statement::Delete {
             table: table.to_string(),
             where_clause: where_clause.cloned(),
@@ -842,7 +848,7 @@ impl TimeTravelDb {
         to_time: Timestamp,
         gen: Generation,
     ) -> SqlResult<ColumnSet> {
-        let cfg = self.config(table)?.clone();
+        let cfg = self.config(table)?;
         let mut dirty = ColumnSet::empty();
         for row_id in row_ids {
             let (columns, versions) =
@@ -1023,7 +1029,7 @@ impl TimeTravelDb {
         row_ids: &[Value],
         gen: Generation,
     ) -> SqlResult<PartitionSet> {
-        let cfg = self.config(table)?.clone();
+        let cfg = self.config(table)?;
         if cfg.annotation.partition_columns.is_empty() {
             return Ok(PartitionSet::whole(table));
         }
@@ -1052,7 +1058,7 @@ impl TimeTravelDb {
     pub fn table_rows_snapshot(&self, table: &str) -> Vec<Vec<Value>> {
         self.db
             .table(table)
-            .map(|t| t.rows.clone())
+            .map(|t| t.rows().to_vec())
             .unwrap_or_default()
     }
 
@@ -1073,27 +1079,45 @@ impl TimeTravelDb {
             .db
             .table_mut(table)
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
-        let mut removed: Vec<Vec<Value>> = Vec::new();
-        for gone in remove {
-            if let Some(pos) = t.rows.iter().position(|r| r == gone) {
-                // Order-preserving removal. ORDER-BY-less result order is
-                // not part of result *semantics* (fingerprints treat such
-                // results as multisets), but keeping unrelated rows in place
-                // minimizes gratuitous storage-order churn from the merge.
-                t.rows.remove(pos);
-                if capture_on {
-                    removed.push(gone.clone());
-                }
-            }
-        }
+        check_arity(t, remove.iter().chain(add))?;
+        // Order-preserving removal. ORDER-BY-less result order is not part
+        // of result *semantics* (fingerprints treat such results as
+        // multisets), but keeping unrelated rows in place minimizes
+        // gratuitous storage-order churn from the merge.
+        let matched = t.remove_rows(remove);
+        let removed: Vec<Vec<Value>> = if capture_on {
+            matched.into_iter().cloned().collect()
+        } else {
+            Vec::new()
+        };
         for new in add {
-            t.rows.push(new.clone());
+            t.push_row(new.clone());
         }
         // Mirror the rows *actually* removed (requested removals that
         // matched nothing are not part of the physical effect) and added
         // into the delta tracker, so merged worker diffs land in the
         // master's repair delta like any other mutation.
         self.db.record_change(table, &removed, add);
+        Ok(())
+    }
+
+    /// Checks every table's derived indexes against its rows (see
+    /// [`warp_sql::Table::check_indexes`]) and that the row-ID and partition
+    /// columns are still the indexed ones. Tests call this after each bulk
+    /// loader and recovery path.
+    pub fn check_indexes(&self) -> Result<(), String> {
+        for (name, cfg) in &self.configs {
+            let t = self.db.table(name).ok_or(format!("{name}: no table"))?;
+            t.check_indexes().map_err(|e| format!("{name}.{e}"))?;
+            let indexed =
+                std::iter::once(&cfg.row_id_column).chain(&cfg.annotation.partition_columns);
+            for column in indexed {
+                let i = t.schema.column_index(column);
+                if i.and_then(|i| t.index_bucket(i, &Value::Null)).is_none() {
+                    return Err(format!("{name}.{column}: not indexed"));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -1109,9 +1133,9 @@ impl TimeTravelDb {
     }
 
     /// Replaces the stored version rows of a table wholesale (all rows, in
-    /// storage order, bookkeeping columns included). Used by checkpoint
-    /// restore; the caller is responsible for the rows matching the table's
-    /// schema.
+    /// storage order, bookkeeping columns included) and rebuilds its
+    /// indexes. Used by checkpoint restore; rows of the wrong width are
+    /// rejected, their values are taken as they come.
     pub fn replace_table_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> SqlResult<()> {
         self.config(table)?;
         let capture_on = self.db.change_capture_active();
@@ -1119,13 +1143,10 @@ impl TimeTravelDb {
             .db
             .table_mut(table)
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
-        let old = std::mem::replace(&mut t.rows, rows);
+        check_arity(t, &rows)?;
+        let old = t.replace_rows(rows);
         if capture_on {
-            let added = self
-                .db
-                .table(table)
-                .map(|t| t.rows.clone())
-                .unwrap_or_default();
+            let added = t.rows().to_vec();
             self.db.record_change(table, &old, &added);
         }
         Ok(())
@@ -1191,12 +1212,12 @@ impl TimeTravelDb {
             if partition_columns.is_empty() {
                 // Partition keys only exist for partitioned tables; an
                 // unpartitioned table can only be scoped whole.
-                dst.rows = src.rows.clone();
+                *dst = src.clone();
                 continue;
             }
             // Per column, the set of scoped partition values — so the row
             // filter below probes string sets directly instead of building
-            // a fresh PartitionKey (three allocations) per row scanned.
+            // a fresh PartitionKey (three allocations) per row checked.
             let col_values: Vec<(usize, std::collections::BTreeSet<&str>)> = partition_columns
                 .iter()
                 .filter_map(|c| src.schema.column_index(c).map(|i| (i, c)))
@@ -1210,21 +1231,37 @@ impl TimeTravelDb {
                     (i, values)
                 })
                 .collect();
-            dst.rows = src
-                .rows
-                .iter()
-                .filter(|row| {
-                    col_values.iter().any(|(i, values)| {
-                        row.get(*i)
-                            .map(|v| match v {
-                                Value::Text(s) => values.contains(s.as_str()),
-                                other => values.contains(other.as_display_string().as_str()),
-                            })
-                            .unwrap_or(false)
-                    })
+            // Candidates come from the partition columns' indexes — once
+            // per repair unit, so the cost follows the scope, not the table
+            // — and pass through the filter in storage order, as the rows
+            // of a whole-table filter would. A partition key holds a value's
+            // rendering; `Value::displaying` names the values behind it.
+            let mut positions: Vec<usize> = Vec::new();
+            for (i, values) in &col_values {
+                for value in values.iter().flat_map(|text| Value::displaying(text)) {
+                    let bucket = src
+                        .index_bucket(*i, &value)
+                        .expect("create_table indexes every partition column");
+                    positions.extend_from_slice(bucket);
+                }
+            }
+            positions.sort_unstable();
+            positions.dedup();
+            let in_scope = |row: &Vec<Value>| {
+                col_values.iter().any(|(i, values)| {
+                    row.get(*i)
+                        .map(|v| match v {
+                            Value::Text(s) => values.contains(s.as_str()),
+                            other => values.contains(other.as_display_string().as_str()),
+                        })
+                        .unwrap_or(false)
                 })
-                .cloned()
-                .collect();
+            };
+            for row in positions.into_iter().map(|pos| &src.rows()[pos]) {
+                if in_scope(row) {
+                    dst.push_row(row.clone());
+                }
+            }
         }
         TimeTravelDb {
             db,
@@ -1332,7 +1369,7 @@ impl TimeTravelDb {
                 stats.total_versions += t.len();
                 let end_time_idx = t.schema.column_index(COL_END_TIME);
                 let end_gen_idx = t.schema.column_index(COL_END_GEN);
-                for row in &t.rows {
+                for row in t.rows() {
                     let current_time = end_time_idx
                         .and_then(|i| row.get(i))
                         .and_then(|v| v.as_int())
@@ -1355,6 +1392,23 @@ impl TimeTravelDb {
 
 fn norm(name: &str) -> String {
     name.to_ascii_lowercase()
+}
+
+/// Rows arriving from outside the engine (a checkpoint, a replayed or merged
+/// diff) must have the table's width before they reach storage.
+fn check_arity<'r>(
+    t: &warp_sql::Table,
+    rows: impl IntoIterator<Item = &'r Vec<Value>>,
+) -> SqlResult<()> {
+    let width = t.schema.columns.len();
+    match rows.into_iter().find(|row| row.len() != width) {
+        None => Ok(()),
+        Some(row) => Err(SqlError::Execution(format!(
+            "row of {} values for the {width} columns of {}",
+            row.len(),
+            t.schema.name
+        ))),
+    }
 }
 
 /// Appends raw engine capture into a parked change map (both sides stay
@@ -1761,6 +1815,7 @@ mod tests {
             warp_sql::parse("UPDATE page SET body = 'repair-edit' WHERE page_id = 1").unwrap();
         db.execute_stmt_logged(&stmt, 60, gen).unwrap();
         db.abort_repair_generation().unwrap();
+        db.check_indexes().unwrap();
         let now = db
             .execute_logged("SELECT body FROM page WHERE page_id = 1", 70)
             .unwrap();
@@ -1816,6 +1871,7 @@ mod tests {
         assert!(before >= 6);
         let removed = db.garbage_collect(24).unwrap();
         assert!(removed > 0);
+        db.check_indexes().unwrap();
         let after = db.storage_stats();
         assert!(after.total_versions < before);
         assert_eq!(after.live_rows, 1);
@@ -1908,6 +1964,15 @@ mod tests {
         db.begin_repair_generation();
         db.apply_row_diff("page", &[real.clone(), phantom.clone()], &[phantom.clone()])
             .unwrap();
+        db.check_indexes().unwrap();
+        // The merged-in row is reachable through the index it landed in.
+        let stmt = warp_sql::parse("SELECT title FROM page WHERE page_id = 99").unwrap();
+        let found = db.execute_stmt_logged(&stmt, 20, 0).unwrap();
+        assert_eq!(found.result.rows, vec![vec![Value::text("Main")]]);
+        // Rows of the wrong width never reach storage.
+        assert!(db
+            .apply_row_diff("page", &[], &[vec![Value::Int(1)]])
+            .is_err());
         let delta = db.drain_repair_delta();
         let page = &delta["page"];
         // The phantom removal matched nothing, so the net effect is:
@@ -1930,6 +1995,7 @@ mod tests {
         let mut scope = BTreeMap::new();
         scope.insert("page".to_string(), RowScope::Partitions(keys));
         let clone = db.clone_subset(&scope);
+        clone.check_indexes().unwrap();
         let rows = clone.table_rows_snapshot("page");
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(2));
@@ -1937,10 +2003,78 @@ mod tests {
         let mut scope = BTreeMap::new();
         scope.insert("page".to_string(), RowScope::AllRows);
         assert_eq!(db.clone_subset(&scope).table_rows_snapshot("page").len(), 3);
+        let empty = db.clone_subset(&BTreeMap::new());
+        assert!(empty.table_rows_snapshot("page").is_empty());
+        // Tables cloned without rows keep their indexes for later inserts.
+        empty.check_indexes().unwrap();
+    }
+
+    /// A partition scope selects rows by the *rendered* partition value, so
+    /// NULL (rendered empty), numeric and boolean partition values must come
+    /// through the index exactly as they came through the whole-table filter,
+    /// in storage order.
+    #[test]
+    fn partition_scoped_clone_matches_rendered_values_of_any_type() {
+        let mut db = TimeTravelDb::new();
+        db.create_table(
+            "CREATE TABLE item (item_id INTEGER PRIMARY KEY, tag TEXT)",
+            TableAnnotation::new().row_id("item_id").partitions(["tag"]),
+        )
+        .unwrap();
+        db.execute_logged(
+            "INSERT INTO item (item_id, tag) VALUES (1, 7), (2, '7'), (3, NULL), (4, ''), \
+             (5, 2.5), (6, TRUE), (7, 'other'), (8, 1), (9, 1152921504606846976.0)",
+            10,
+        )
+        .unwrap();
+        let ids_for = |values: &[&str]| -> Vec<Value> {
+            let keys = values
+                .iter()
+                .map(|v| crate::PartitionKey {
+                    table: "item".into(),
+                    column: "tag".into(),
+                    value: (*v).to_string(),
+                })
+                .collect();
+            let mut scope = BTreeMap::new();
+            scope.insert("item".to_string(), RowScope::Partitions(keys));
+            let clone = db.clone_subset(&scope);
+            clone.check_indexes().unwrap();
+            let rows = clone.table_rows_snapshot("item");
+            rows.iter().map(|r| r[0].clone()).collect()
+        };
+        let ints = |ids: &[i64]| ids.iter().map(|i| Value::Int(*i)).collect::<Vec<_>>();
+        assert_eq!(ids_for(&["7"]), ints(&[1, 2]));
+        assert_eq!(ids_for(&[""]), ints(&[3, 4]));
+        assert_eq!(ids_for(&["2.5", "true"]), ints(&[5, 6]));
+        // `1` and TRUE share an index bucket but render differently.
+        assert_eq!(ids_for(&["1"]), ints(&[8]));
+        assert_eq!(ids_for(&["other", "7", "nothing"]), ints(&[1, 2, 7]));
+        // A large Float renders rounded digits (2^60 as ...847000).
+        assert_eq!(ids_for(&["1152921504606847000"]), ints(&[9]));
+    }
+
+    #[test]
+    fn replace_table_rows_rebuilds_the_indexes() {
+        let mut db = page_db();
+        db.execute_logged(
+            "INSERT INTO page (page_id, title, owner, body) VALUES \
+             (1, 'A', 'alice', 'x'), (2, 'B', 'bob', 'y')",
+            10,
+        )
+        .unwrap();
+        let mut rows = db.table_rows_snapshot("page");
+        rows.reverse();
+        rows[0][1] = Value::text("B2");
+        db.replace_table_rows("page", rows).unwrap();
+        db.check_indexes().unwrap();
+        let by_new = db.execute_logged("SELECT page_id FROM page WHERE title = 'B2'", 20);
+        assert_eq!(by_new.unwrap().result.rows, vec![vec![Value::Int(2)]]);
+        let by_old = db.execute_logged("SELECT page_id FROM page WHERE title = 'B'", 20);
+        assert!(by_old.unwrap().result.rows.is_empty());
         assert!(db
-            .clone_subset(&BTreeMap::new())
-            .table_rows_snapshot("page")
-            .is_empty());
+            .replace_table_rows("page", vec![vec![Value::Int(1)]])
+            .is_err());
     }
 
     #[test]
