@@ -1,8 +1,10 @@
 //! Criterion bench for the substrates: SQL execution, WASL interpretation,
 //! HTML parsing and three-way merge.
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use warp_browser::{parse_html, three_way_merge};
-use warp_script::{Interpreter, NullHost};
+use warp_script::{Host, Interpreter, NullHost, Program, ScriptResult, Value};
 use warp_sql::Database;
 
 fn bench_substrates(c: &mut Criterion) {
@@ -47,5 +49,83 @@ fn bench_substrates(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_substrates);
+/// A host for the wiki's `view.wasl` with nothing behind it: a logged-in
+/// user's request parameters and cookie, canned rows for the four queries the
+/// page issues, and `common.wasl` handed out compiled. What is left to time
+/// is the interpreter itself.
+struct CannedWiki {
+    common: Arc<Program>,
+    output: String,
+}
+
+impl Host for CannedWiki {
+    fn call_host(&mut self, name: &str, args: &[Value]) -> Option<ScriptResult<Value>> {
+        let row = |column: &str, value: Value| {
+            Value::Array(vec![Value::map([(column.to_string(), value)])])
+        };
+        Some(Ok(match name {
+            "echo" => {
+                for a in args {
+                    self.output.push_str(&a.display_str());
+                }
+                Value::Null
+            }
+            "param" => Value::str("Page1"),
+            "cookie" => Value::str("session-1"),
+            "db_query" => match args[0].display_str().as_ref() {
+                q if q.starts_with("SELECT body FROM page") => row(
+                    "body",
+                    Value::str("original content of page 1, <b>with markup</b>. ".repeat(8)),
+                ),
+                q if q.starts_with("SELECT user_name FROM session") => {
+                    row("user_name", Value::str("user1"))
+                }
+                q if q.starts_with("SELECT is_admin FROM wikiuser") => {
+                    row("is_admin", Value::Int(0))
+                }
+                q if q.starts_with("SELECT acl_id FROM acl") => row("acl_id", Value::Int(1)),
+                q => panic!("view.wasl issued an unexpected query: {q}"),
+            },
+            _ => return None,
+        }))
+    }
+
+    fn load_include(&mut self, filename: &str) -> Option<ScriptResult<Arc<Program>>> {
+        (filename == "common.wasl").then(|| Ok(Arc::clone(&self.common)))
+    }
+}
+
+/// The script layer's share of one wiki page view: `view.wasl` and
+/// `common.wasl`, compiled once as the source store does, run per request.
+/// One iteration is 1000 requests, so the per-request cost is the printed
+/// time / 1000.
+fn bench_script_request(c: &mut Criterion) {
+    let app = warp_apps::wiki_app(1, 1);
+    let compile = |file: &str| {
+        let (_, text) = app.sources.iter().find(|(name, _)| name == file).unwrap();
+        Arc::new(warp_script::parse_program(text).unwrap())
+    };
+    let view = compile("view.wasl");
+    let mut host = CannedWiki {
+        common: compile("common.wasl"),
+        output: String::new(),
+    };
+    let mut group = c.benchmark_group("script_request");
+    group.bench_function("wiki_view_x1000", |b| {
+        b.iter(|| {
+            let mut bytes = 0;
+            for _ in 0..1000 {
+                host.output.clear();
+                Interpreter::new()
+                    .run_program(&view, &mut host, BTreeMap::new())
+                    .unwrap();
+                bytes += host.output.len();
+            }
+            bytes
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_substrates, bench_script_request);
 criterion_main!(benches);

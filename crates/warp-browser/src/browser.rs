@@ -5,8 +5,9 @@ use crate::dom::Document;
 use crate::events::{EventKind, PageVisitRecord, RecordedRequest};
 use crate::html::parse_html;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use warp_http::{CookieJar, HttpRequest, HttpResponse, Method, Transport, WarpHeaders};
-use warp_script::{Host, Interpreter, ScriptResult, Value};
+use warp_script::{Host, Interpreter, Program, ScriptResult, Value};
 
 /// One page open in a browser frame (paper §5.1: a "page visit").
 #[derive(Debug)]
@@ -457,7 +458,7 @@ impl Host for PageScriptHost<'_> {
         }
     }
 
-    fn load_include(&mut self, _filename: &str) -> Option<String> {
+    fn load_include(&mut self, _filename: &str) -> Option<ScriptResult<Arc<Program>>> {
         None
     }
 }

@@ -10,11 +10,13 @@
 use crate::clock::LogicalClock;
 use crate::history::{ActionRecord, NondetRecord, QueryRecord};
 use crate::sourcefs::SourceStore;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::mem::Discriminant;
+use std::sync::{Arc, Mutex};
 use warp_http::{generate_session_id, HttpRequest, HttpResponse};
-use warp_script::{Host, Interpreter, ScriptError, ScriptResult, Value as SVal};
-use warp_sql::Value as DVal;
+use warp_script::{Host, Interpreter, Program, ScriptError, ScriptResult, Value as SVal};
+use warp_sql::{Statement, Value as DVal};
 use warp_ttdb::{RepairSession, TimeTravelDb};
 
 /// How an application run reaches the time-travel database.
@@ -106,33 +108,17 @@ pub struct AppRunResult {
 
 /// Runs one application request to completion.
 pub fn run_application(ctx: AppRunContext<'_>) -> AppRunResult {
-    let entry = ctx.entry_script.clone();
+    let entry = ctx.entry_script;
     let original_len = match &ctx.mode {
         ExecMode::Repair {
             original: Some(o), ..
         } => o.queries.len(),
         _ => 0,
     };
-    let mut host = AppHost {
-        request: ctx.request,
-        sources: ctx.sources,
-        action_time: ctx.action_time,
-        db: ctx.db,
-        mode: ctx.mode,
-        output: String::new(),
-        headers: Vec::new(),
-        set_cookies: Vec::new(),
-        status: 200,
-        redirect: None,
-        loaded_files: vec![entry.clone()],
-        queries: Vec::new(),
-        nondet: Vec::new(),
-        nondet_cursor: BTreeMap::new(),
-        used_original_queries: vec![false; original_len],
-        queries_reexecuted: 0,
-    };
-    let source = match host.source_for(&entry) {
-        Some(s) => s,
+    // The entry script's program is compiled once per source version (see
+    // `sourcefs`); a version that failed to compile fails the request here.
+    let program = match ctx.sources.program_at(&entry, ctx.action_time) {
+        Some(program) => program,
         None => {
             return AppRunResult {
                 response: HttpResponse::not_found(format!("no such script: {entry}")),
@@ -145,24 +131,41 @@ pub fn run_application(ctx: AppRunContext<'_>) -> AppRunResult {
             }
         }
     };
-    let mut interpreter = Interpreter::new();
-    let run = interpreter.eval_program(&source, &mut host);
+    let mut host = AppHost {
+        request: ctx.request,
+        sources: ctx.sources,
+        action_time: ctx.action_time,
+        db: ctx.db,
+        mode: ctx.mode,
+        output: String::new(),
+        headers: Vec::new(),
+        set_cookies: Vec::new(),
+        status: 200,
+        redirect: None,
+        loaded_files: vec![entry],
+        queries: Vec::new(),
+        nondet: Vec::new(),
+        nondet_cursor: BTreeMap::new(),
+        used_original_queries: vec![false; original_len],
+        original_write_shapes: vec![OnceCell::new(); original_len],
+        queries_reexecuted: 0,
+    };
+    let run = match program {
+        Ok(program) => Interpreter::new().run_program(program, &mut host, BTreeMap::new()),
+        Err(e) => Err(e.clone()),
+    };
     let script_error = run.err().map(|e| e.to_string());
-    let mut response = match (&script_error, host.redirect.clone()) {
+    let mut response = match (&script_error, host.redirect) {
         (Some(err), _) => HttpResponse::server_error(format!("application error: {err}")),
         (None, Some(location)) => HttpResponse::redirect(location),
         (None, None) => {
-            let mut r = HttpResponse::ok(host.output.clone());
+            let mut r = HttpResponse::ok(host.output);
             r.status = host.status;
             r
         }
     };
-    for (name, value) in &host.headers {
-        response.headers.insert(name.clone(), value.clone());
-    }
-    response
-        .set_cookies
-        .extend(host.set_cookies.iter().cloned());
+    response.headers.extend(host.headers);
+    response.set_cookies.extend(host.set_cookies);
     AppRunResult {
         response,
         loaded_files: host.loaded_files,
@@ -172,6 +175,17 @@ pub fn run_application(ctx: AppRunContext<'_>) -> AppRunResult {
         script_error,
         queries_reexecuted: host.queries_reexecuted,
     }
+}
+
+/// The statement kind and lower-cased table of a write, by which a
+/// re-executed write is matched to an original one whose text differs.
+type WriteShape = (Discriminant<Statement>, String);
+
+fn write_shape(stmt: &Statement) -> WriteShape {
+    (
+        std::mem::discriminant(stmt),
+        stmt.table_name().unwrap_or_default().to_ascii_lowercase(),
+    )
 }
 
 struct AppHost<'a> {
@@ -188,22 +202,18 @@ struct AppHost<'a> {
     loaded_files: Vec<String>,
     queries: Vec<QueryRecord>,
     nondet: Vec<NondetRecord>,
-    /// Per-function replay cursor into the original action's nondet log.
+    /// Per-function replay position: the index into the original action's
+    /// nondet log from which the next call of that function is looked for.
     nondet_cursor: BTreeMap<String, usize>,
     used_original_queries: Vec<bool>,
+    /// The [`WriteShape`] of each original query, parsed from its text the
+    /// first time a re-executed write is compared against it (`None` for
+    /// text that no longer parses).
+    original_write_shapes: Vec<OnceCell<Option<WriteShape>>>,
     queries_reexecuted: usize,
 }
 
 impl AppHost<'_> {
-    fn source_for(&self, filename: &str) -> Option<String> {
-        match self.mode {
-            ExecMode::Normal { .. } => self
-                .sources
-                .content_for_normal_execution(filename, self.action_time),
-            ExecMode::Repair { .. } => self.sources.content_for_repair(filename, self.action_time),
-        }
-    }
-
     fn record_nondet(&mut self, func: &str, args: &[SVal], result: SVal) -> SVal {
         self.nondet.push(NondetRecord {
             func: func.to_string(),
@@ -222,16 +232,15 @@ impl AppHost<'_> {
             ..
         } = &self.mode
         {
-            let cursor = self.nondet_cursor.entry(func.to_string()).or_insert(0);
-            let remaining = original
-                .nondet
-                .iter()
-                .filter(|n| n.func == func)
-                .nth(*cursor);
-            if let Some(n) = remaining {
-                *cursor += 1;
+            let from = self.nondet_cursor.entry(func.to_string()).or_insert(0);
+            let found = original.nondet[*from..].iter().position(|n| n.func == func);
+            if let Some(offset) = found {
+                let n = &original.nondet[*from + offset];
+                *from += offset + 1;
                 return Some(n.result.clone());
             }
+            // The original made no further call of `func`.
+            *from = original.nondet.len();
         }
         None
     }
@@ -298,18 +307,19 @@ impl AppHost<'_> {
                 // its original execution time and (for writes) the rows it
                 // originally modified.
                 let matched = match_original_query(
-                    original.as_deref(),
+                    *original,
                     &self.used_original_queries,
+                    &self.original_write_shapes,
                     sql,
                     &stmt,
                 );
                 let (time, original_rows) = match matched {
                     Some(idx) => {
                         self.used_original_queries[idx] = true;
-                        let q = &original.as_ref().expect("matched implies original").queries[idx];
-                        (q.time, q.written_row_ids.clone())
+                        let q = &original.expect("matched implies original").queries[idx];
+                        (q.time, q.written_row_ids.as_slice())
                     }
-                    None => (self.action_time, Vec::new()),
+                    None => (self.action_time, &[][..]),
                 };
                 self.queries_reexecuted += 1;
                 let result = if is_write {
@@ -318,7 +328,7 @@ impl AppHost<'_> {
                             .with(|db| session.execute_new_write(db, &stmt, time))
                     } else {
                         self.db
-                            .with(|db| session.reexecute_write(db, &stmt, time, &original_rows))
+                            .with(|db| session.reexecute_write(db, &stmt, time, original_rows))
                     }
                 } else {
                     self.db.with(|db| session.reexecute_read(db, &stmt, time))
@@ -328,28 +338,32 @@ impl AppHost<'_> {
         };
         let (out, time) =
             execution.map_err(|e| ScriptError::Host(format!("database error: {e}")))?;
-        let fingerprint = out.result.fingerprint();
         self.queries.push(QueryRecord {
             sql: sql.to_string(),
             time,
-            result_fingerprint: fingerprint,
+            result_fingerprint: out.result.fingerprint(),
             is_write,
             written_row_ids: out.dependency.written_row_ids.clone(),
-            dependency: out.dependency.clone(),
+            dependency: out.dependency,
         });
         if is_write {
-            Ok(SVal::Int(out.result.affected as i64))
-        } else {
-            let mut rows = Vec::with_capacity(out.result.rows.len());
-            for row in &out.result.rows {
-                let mut map = std::collections::BTreeMap::new();
-                for (col, val) in out.result.columns.iter().zip(row) {
-                    map.insert(col.clone(), sql_to_script(val));
-                }
-                rows.push(SVal::Map(map));
-            }
-            Ok(SVal::Array(rows))
+            return Ok(SVal::Int(out.result.affected as i64));
         }
+        // The result set is handed to the script by value; the column names
+        // key every row's map, so all rows but the last copy them.
+        let mut columns = out.result.columns;
+        let last = out.result.rows.len().saturating_sub(1);
+        let mut rows = Vec::with_capacity(out.result.rows.len());
+        for (i, row) in out.result.rows.into_iter().enumerate() {
+            let names = if i == last {
+                std::mem::take(&mut columns)
+            } else {
+                columns.clone()
+            };
+            let values = row.into_iter().map(sql_to_script);
+            rows.push(SVal::Map(names.into_iter().zip(values).collect()));
+        }
+        Ok(SVal::Array(rows))
     }
 }
 
@@ -358,12 +372,14 @@ impl AppHost<'_> {
 /// Exact SQL text matches are preferred; otherwise a write is matched to the
 /// first unused original write of the same kind against the same table (its
 /// text may legitimately differ — e.g. the patched application sanitised the
-/// content it stores).
+/// content it stores). `shapes` memoises the parse of each original query
+/// for the app run, so a run of many writes parses each at most once.
 fn match_original_query(
     original: Option<&ActionRecord>,
     used: &[bool],
+    shapes: &[OnceCell<Option<WriteShape>>],
     sql: &str,
-    stmt: &warp_sql::Statement,
+    stmt: &Statement,
 ) -> Option<usize> {
     let original = original?;
     // Pass 1: exact text match.
@@ -374,22 +390,15 @@ fn match_original_query(
     }
     // Pass 2 (writes only): same statement kind against the same table.
     if stmt.is_write() {
-        let kind = std::mem::discriminant(stmt);
-        let table = stmt.table_name().unwrap_or_default().to_ascii_lowercase();
+        let shape = write_shape(stmt);
         for (i, q) in original.queries.iter().enumerate() {
             if used[i] || !q.is_write {
                 continue;
             }
-            if let Ok(orig_stmt) = warp_sql::parse(&q.sql) {
-                if std::mem::discriminant(&orig_stmt) == kind
-                    && orig_stmt
-                        .table_name()
-                        .unwrap_or_default()
-                        .to_ascii_lowercase()
-                        == table
-                {
-                    return Some(i);
-                }
+            let original_shape =
+                shapes[i].get_or_init(|| warp_sql::parse(&q.sql).ok().map(|s| write_shape(&s)));
+            if original_shape.as_ref() == Some(&shape) {
+                return Some(i);
             }
         }
     }
@@ -401,7 +410,7 @@ impl Host for AppHost<'_> {
         match name {
             "echo" | "print" => {
                 for a in args {
-                    self.output.push_str(&a.to_display_string());
+                    self.output.push_str(&a.display_str());
                 }
                 Some(Ok(SVal::Null))
             }
@@ -495,22 +504,22 @@ impl Host for AppHost<'_> {
         }
     }
 
-    fn load_include(&mut self, filename: &str) -> Option<String> {
-        let content = self.source_for(filename)?;
+    fn load_include(&mut self, filename: &str) -> Option<ScriptResult<Arc<Program>>> {
+        let program = self.sources.program_at(filename, self.action_time)?;
         if !self.loaded_files.iter().any(|f| f == filename) {
             self.loaded_files.push(filename.to_string());
         }
-        Some(content)
+        Some(program.clone())
     }
 }
 
-fn sql_to_script(v: &DVal) -> SVal {
+fn sql_to_script(v: DVal) -> SVal {
     match v {
         DVal::Null => SVal::Null,
-        DVal::Bool(b) => SVal::Bool(*b),
-        DVal::Int(i) => SVal::Int(*i),
-        DVal::Float(f) => SVal::Float(*f),
-        DVal::Text(s) => SVal::Str(s.clone()),
+        DVal::Bool(b) => SVal::Bool(b),
+        DVal::Int(i) => SVal::Int(i),
+        DVal::Float(f) => SVal::Float(f),
+        DVal::Text(s) => SVal::Str(s),
     }
 }
 

@@ -1036,8 +1036,7 @@ impl ShardedEngine {
             let response = done.result.response.clone();
             self.server.record_served(
                 done.time,
-                &done.request,
-                &response,
+                done.request,
                 &done.entry,
                 done.result,
                 Some((gen, watermark)),

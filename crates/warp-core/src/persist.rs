@@ -926,6 +926,26 @@ fn dec_annotation(d: &mut Decoder) -> DecResult<TableAnnotation> {
     })
 }
 
+/// The encoded [`LogEvent::Action`] record of `action`, which the serving path
+/// builds straight from the action it just put in the history graph.
+pub(crate) fn encode_action_event(
+    gen: i64,
+    clock_after: i64,
+    rng_after: u64,
+    session_after: u64,
+    watermark_after: i64,
+    action: &ActionRecord,
+) -> (u8, Vec<u8>) {
+    let mut e = Encoder::new();
+    e.i64(gen);
+    e.i64(clock_after);
+    e.u64(rng_after);
+    e.u64(session_after);
+    e.i64(watermark_after);
+    enc_action(&mut e, action);
+    (KIND_ACTION, e.into_bytes())
+}
+
 impl LogEvent {
     /// `(record kind, encoded payload)` for the durable log.
     pub(crate) fn encode(&self) -> (u8, Vec<u8>) {
@@ -939,13 +959,14 @@ impl LogEvent {
                 watermark_after,
                 action,
             } => {
-                e.i64(*gen);
-                e.i64(*clock_after);
-                e.u64(*rng_after);
-                e.u64(*session_after);
-                e.i64(*watermark_after);
-                enc_action(&mut e, action);
-                KIND_ACTION
+                return encode_action_event(
+                    *gen,
+                    *clock_after,
+                    *rng_after,
+                    *session_after,
+                    *watermark_after,
+                    action,
+                )
             }
             LogEvent::ClientLog(record) => {
                 enc_page_visit(&mut e, record);

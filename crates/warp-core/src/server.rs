@@ -171,10 +171,9 @@ impl WarpServer {
             Some(script) => script,
             None => {
                 let response = HttpResponse::not_found(format!("no route for {}", request.path));
-                self.record(
+                self.record_served(
                     time,
-                    &request,
-                    &response,
+                    request,
                     "<unrouted>",
                     AppRunResult {
                         response: response.clone(),
@@ -185,11 +184,12 @@ impl WarpServer {
                         script_error: None,
                         queries_reexecuted: 0,
                     },
+                    None,
                 );
                 return response;
             }
         };
-        let result = run_application(AppRunContext {
+        let mut result = run_application(AppRunContext {
             request: &request,
             entry_script: entry.clone(),
             sources: &self.sources,
@@ -201,36 +201,25 @@ impl WarpServer {
                 session_counter: &mut self.session_counter,
             },
         });
-        let mut response = result.response.clone();
-        for c in invalidation_cookies {
-            response.set_cookies.push(c);
-        }
-        self.record(time, &request, &response, &entry, result);
+        result.response.set_cookies.extend(invalidation_cookies);
+        // The one copy of the response: the caller's. The action record
+        // keeps the original.
+        let response = result.response.clone();
+        self.record_served(time, request, &entry, result, None);
         response
     }
 
-    fn record(
-        &mut self,
-        time: i64,
-        request: &HttpRequest,
-        response: &HttpResponse,
-        entry: &str,
-        result: AppRunResult,
-    ) -> ActionId {
-        self.record_served(time, request, response, entry, result, None)
-    }
-
-    /// Records one served action in the history graph (and the durable log,
-    /// if any). The sharded engine calls this directly with `shard_meta =
-    /// Some((gen, watermark))` captured at epoch start, because during a
-    /// shard epoch `self.db` is checked out to the worker pool; it also
-    /// defers checkpointing to the next epoch barrier, where the database is
-    /// back in place.
+    /// Records one served action — the request, and the run's response,
+    /// loaded files, queries and nondeterminism — in the history graph (and
+    /// the durable log, if any). The sharded engine calls this directly with
+    /// `shard_meta = Some((gen, watermark))` captured at epoch start, because
+    /// during a shard epoch `self.db` is checked out to the worker pool; it
+    /// also defers checkpointing to the next epoch barrier, where the
+    /// database is back in place.
     pub(crate) fn record_served(
         &mut self,
         time: i64,
-        request: &HttpRequest,
-        response: &HttpResponse,
+        request: HttpRequest,
         entry: &str,
         result: AppRunResult,
         shard_meta: Option<(warp_ttdb::Generation, i64)>,
@@ -250,8 +239,8 @@ impl WarpServer {
         let id = self.history.record_action(ActionRecord {
             id: 0,
             time,
-            request: request.clone(),
-            response: response.clone(),
+            request,
+            response: result.response,
             client,
             entry_script: entry.to_string(),
             loaded_files: result.loaded_files,
@@ -259,12 +248,7 @@ impl WarpServer {
             nondet: result.nondet,
             cancelled: false,
         });
-        if self.store.is_some() {
-            let action = self
-                .history
-                .action(id)
-                .expect("action just recorded")
-                .clone();
+        if let Some(sink) = &mut self.store {
             let (gen, watermark) = match shard_meta {
                 Some(meta) => meta,
                 None => (
@@ -272,14 +256,15 @@ impl WarpServer {
                     self.db.synthetic_id_watermark(),
                 ),
             };
-            self.log_event(&crate::persist::LogEvent::Action {
+            let (kind, payload) = crate::persist::encode_action_event(
                 gen,
-                clock_after: self.clock.now(),
-                rng_after: self.rng_counter,
-                session_after: self.session_counter,
-                watermark_after: watermark,
-                action: Box::new(action),
-            });
+                self.clock.now(),
+                self.rng_counter,
+                self.session_counter,
+                watermark,
+                self.history.action(id).expect("action just recorded"),
+            );
+            sink.append(kind, payload);
             if shard_meta.is_none() {
                 self.maybe_checkpoint();
             }

@@ -6,8 +6,8 @@
 //! database partitions the request can possibly touch. This module derives
 //! that answer statically from the application source:
 //!
-//! 1. [`plan_entry`] parses the entry script (and every literally-named
-//!    include, transitively) into the WASL AST, rejects anything
+//! 1. [`plan_entry`] walks the compiled WASL program of the entry script
+//!    (and of every literally-named include, transitively), rejects anything
 //!    non-deterministic (`time`, `rand`, `session_start`), and extracts
 //!    every `db_query` call site whose SQL argument is a concatenation of
 //!    string literals and *sanitized request holes* —
@@ -214,7 +214,8 @@ struct QueryTemplate {
     holes: Vec<Hole>,
 }
 
-/// Parses `filename` and every literal include (transitively), collecting
+/// Walks the compiled program of `filename` (the one the request will run;
+/// see `sourcefs`) and of every literal include, transitively, collecting
 /// query templates; any non-analyzable construct aborts with a reason.
 fn collect_file(
     filename: &str,
@@ -226,11 +227,11 @@ fn collect_file(
     if !visited.insert(filename.to_string()) {
         return Ok(());
     }
-    let Some(content) = sources.content_for_normal_execution(filename, now) else {
-        return Err(format!("missing source: {filename}"));
+    let program = match sources.program_at(filename, now) {
+        None => return Err(format!("missing source: {filename}")),
+        Some(Err(e)) => return Err(format!("unparseable source {filename}: {e}")),
+        Some(Ok(program)) => program,
     };
-    let program = warp_script::parse_program(&content)
-        .map_err(|e| format!("unparseable source {filename}: {e}"))?;
     let mut includes = Vec::new();
     collect_stmts(&program.statements, &mut includes, templates)?;
     for include in includes {

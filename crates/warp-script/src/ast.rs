@@ -2,6 +2,7 @@
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A parsed WASL program: a list of top-level statements.
 ///
@@ -89,8 +90,10 @@ pub enum Stmt {
     Continue,
     /// `include "file";` — loads and executes another source file via the host.
     Include(Expr),
-    /// A function definition.
-    FnDef(FnDef),
+    /// A function definition. Shared, so hoisting a definition into the
+    /// interpreter's function table and calling it are reference-count
+    /// bumps rather than copies of the body.
+    FnDef(Arc<FnDef>),
 }
 
 /// The target of an assignment.

@@ -5,7 +5,9 @@ use crate::error::{ScriptError, ScriptResult};
 use crate::parser::parse_program;
 use crate::stdlib::call_builtin;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The boundary between WASL programs and the embedding system.
 ///
@@ -20,9 +22,12 @@ pub trait Host {
     /// interpreter reports an error.
     fn call_host(&mut self, name: &str, args: &[Value]) -> Option<ScriptResult<Value>>;
 
-    /// Resolves an `include "file";` statement to source text. Returning
-    /// `None` raises [`ScriptError::IncludeNotFound`].
-    fn load_include(&mut self, filename: &str) -> Option<String>;
+    /// Resolves an `include "file";` statement to the file's compiled
+    /// program. Returning `None` raises [`ScriptError::IncludeNotFound`];
+    /// `Some(Err(_))` is the error the file failed to compile with, raised
+    /// at the include. Handing out a shared program lets a host compile each
+    /// file once and serve every later include from that.
+    fn load_include(&mut self, filename: &str) -> Option<ScriptResult<Arc<Program>>>;
 }
 
 /// A [`Host`] with no effects, useful for tests and for evaluating pure
@@ -49,8 +54,9 @@ impl Host for NullHost {
         }
     }
 
-    fn load_include(&mut self, filename: &str) -> Option<String> {
-        self.includes.get(filename).cloned()
+    fn load_include(&mut self, filename: &str) -> Option<ScriptResult<Arc<Program>>> {
+        let src = self.includes.get(filename)?;
+        Some(parse_program(src).map(Arc::new))
     }
 }
 
@@ -155,7 +161,7 @@ struct Scope {
 }
 
 struct ExecState {
-    functions: HashMap<String, FnDef>,
+    functions: HashMap<String, Arc<FnDef>>,
     limits: Limits,
     steps: u64,
     call_depth: usize,
@@ -177,7 +183,7 @@ impl ExecState {
     fn hoist_functions(&mut self, stmts: &[Stmt]) {
         for s in stmts {
             if let Stmt::FnDef(def) = s {
-                self.functions.insert(def.name.clone(), def.clone());
+                self.functions.insert(def.name.clone(), Arc::clone(def));
             }
         }
     }
@@ -206,7 +212,14 @@ impl ExecState {
         self.tick()?;
         match stmt {
             Stmt::FnDef(def) => {
-                self.functions.insert(def.name.clone(), def.clone());
+                // Top-level definitions were hoisted when their file was
+                // loaded; re-bind only when a later include or a nested
+                // definition took the name since (the latest definition
+                // executed wins).
+                let bound = self.functions.get(&def.name);
+                if !bound.is_some_and(|b| Arc::ptr_eq(b, def)) {
+                    self.functions.insert(def.name.clone(), Arc::clone(def));
+                }
                 Ok(Flow::Normal)
             }
             Stmt::Let { name, value } => {
@@ -228,14 +241,14 @@ impl ExecState {
                 then_branch,
                 else_branch,
             } => {
-                if self.eval(cond, scope, host)?.is_truthy() {
+                if self.eval_ref(cond, scope, host)?.is_truthy() {
                     self.exec_block(then_branch, scope, host)
                 } else {
                     self.exec_block(else_branch, scope, host)
                 }
             }
             Stmt::While { cond, body } => {
-                while self.eval(cond, scope, host)?.is_truthy() {
+                while self.eval_ref(cond, scope, host)?.is_truthy() {
                     self.tick()?;
                     match self.exec_block(body, scope, host)? {
                         Flow::Break => break,
@@ -252,7 +265,7 @@ impl ExecState {
                 body,
             } => {
                 self.exec_stmt(init, scope, host)?;
-                while self.eval(cond, scope, host)?.is_truthy() {
+                while self.eval_ref(cond, scope, host)?.is_truthy() {
                     self.tick()?;
                     match self.exec_block(body, scope, host)? {
                         Flow::Break => break,
@@ -304,14 +317,13 @@ impl ExecState {
             Stmt::Break => Ok(Flow::Break),
             Stmt::Continue => Ok(Flow::Continue),
             Stmt::Include(e) => {
-                let filename = self.eval(e, scope, host)?.to_display_string();
+                let filename = self.eval_ref(e, scope, host)?.to_display_string();
                 if self.include_depth >= self.limits.max_include_depth {
                     return Err(ScriptError::Budget("include depth exceeded".into()));
                 }
-                let src = host
+                let program = host
                     .load_include(&filename)
-                    .ok_or(ScriptError::IncludeNotFound(filename.clone()))?;
-                let program = parse_program(&src)?;
+                    .ok_or(ScriptError::IncludeNotFound(filename))??;
                 self.hoist_functions(&program.statements);
                 self.include_depth += 1;
                 // Includes run in the current scope, like PHP `include`.
@@ -343,89 +355,109 @@ impl ExecState {
                 for idx in indexes {
                     keys.push(self.eval(idx, scope, host)?);
                 }
-                let current = scope.vars.get(base).cloned().unwrap_or(Value::Null);
-                let updated = set_path(current, &keys, value)?;
-                scope.vars.insert(base.clone(), updated);
+                // The container is taken out of the variable, updated and put
+                // back, not copied. An error leaves null behind, which no
+                // one can observe: errors abort the whole program.
+                let slot = scope.vars.entry(base.clone()).or_insert(Value::Null);
+                let current = std::mem::replace(slot, Value::Null);
+                *slot = set_path(current, &keys, value)?;
                 Ok(())
             }
         }
     }
 
-    fn eval(&mut self, expr: &Expr, scope: &mut Scope, host: &mut dyn Host) -> ScriptResult<Value> {
+    fn eval(&mut self, expr: &Expr, scope: &Scope, host: &mut dyn Host) -> ScriptResult<Value> {
+        Ok(self.eval_ref(expr, scope, host)?.into_owned())
+    }
+
+    /// Evaluates `expr`, borrowing the result where it already exists — a
+    /// literal in the program, a variable, or an element reached from a
+    /// variable by an index chain — so that `rows[0]["body"]` and
+    /// `len(rows)` copy the leaf they end on (or nothing) rather than the
+    /// whole of `rows`. Expressions cannot assign, so the scope stays
+    /// shared for the duration.
+    fn eval_ref<'a>(
+        &mut self,
+        expr: &'a Expr,
+        scope: &'a Scope,
+        host: &mut dyn Host,
+    ) -> ScriptResult<Cow<'a, Value>> {
         self.tick()?;
-        match expr {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Var(name) => Ok(scope.vars.get(name).cloned().unwrap_or(Value::Null)),
+        let owned = match expr {
+            Expr::Literal(v) => return Ok(Cow::Borrowed(v)),
+            Expr::Var(name) => {
+                return Ok(scope
+                    .vars
+                    .get(name)
+                    .map_or(Cow::Owned(Value::Null), Cow::Borrowed))
+            }
+            Expr::Index { base, index } => {
+                let b = self.eval_ref(base, scope, host)?;
+                let i = self.eval_ref(index, scope, host)?;
+                return Ok(match b {
+                    Cow::Borrowed(b) => b.index_ref(&i),
+                    Cow::Owned(b) => Cow::Owned(b.index(&i)),
+                });
+            }
             Expr::ArrayLit(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for i in items {
                     out.push(self.eval(i, scope, host)?);
                 }
-                Ok(Value::Array(out))
+                Value::Array(out)
             }
             Expr::MapLit(pairs) => {
                 let mut m = BTreeMap::new();
                 for (k, v) in pairs {
-                    let key = self.eval(k, scope, host)?.to_display_string();
+                    let key = self.eval_ref(k, scope, host)?.to_display_string();
                     let val = self.eval(v, scope, host)?;
                     m.insert(key, val);
                 }
-                Ok(Value::Map(m))
-            }
-            Expr::Index { base, index } => {
-                let b = self.eval(base, scope, host)?;
-                let i = self.eval(index, scope, host)?;
-                Ok(b.index(&i))
+                Value::Map(m)
             }
             Expr::Unary { op, operand } => {
-                let v = self.eval(operand, scope, host)?;
+                let v = self.eval_ref(operand, scope, host)?;
                 match op {
-                    UnOp::Not => Ok(Value::Bool(!v.is_truthy())),
-                    UnOp::Neg => match v {
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Ok(Value::Int(-other.as_int().unwrap_or(0))),
+                    UnOp::Not => Value::Bool(!v.is_truthy()),
+                    UnOp::Neg => match &*v {
+                        Value::Float(f) => Value::Float(-f),
+                        other => Value::Int(-other.as_int().unwrap_or(0)),
                     },
                 }
             }
             Expr::Binary { left, op, right } => {
+                let l = self.eval_ref(left, scope, host)?;
                 // Short-circuit logical operators.
-                if *op == BinOp::And {
-                    let l = self.eval(left, scope, host)?;
-                    if !l.is_truthy() {
-                        return Ok(Value::Bool(false));
+                match op {
+                    BinOp::And if !l.is_truthy() => Value::Bool(false),
+                    BinOp::Or if l.is_truthy() => Value::Bool(true),
+                    BinOp::And | BinOp::Or => {
+                        Value::Bool(self.eval_ref(right, scope, host)?.is_truthy())
                     }
-                    let r = self.eval(right, scope, host)?;
-                    return Ok(Value::Bool(r.is_truthy()));
-                }
-                if *op == BinOp::Or {
-                    let l = self.eval(left, scope, host)?;
-                    if l.is_truthy() {
-                        return Ok(Value::Bool(true));
+                    _ => {
+                        let r = self.eval_ref(right, scope, host)?;
+                        eval_binop(l, *op, &r)?
                     }
-                    let r = self.eval(right, scope, host)?;
-                    return Ok(Value::Bool(r.is_truthy()));
                 }
-                let l = self.eval(left, scope, host)?;
-                let r = self.eval(right, scope, host)?;
-                eval_binop(&l, *op, &r)
             }
             Expr::Call { name, args } => {
                 let mut arg_values = Vec::with_capacity(args.len());
                 for a in args {
-                    arg_values.push(self.eval(a, scope, host)?);
+                    arg_values.push(self.eval_ref(a, scope, host)?);
                 }
-                self.call_function(name, &arg_values, host)
+                self.call_function(name, arg_values, host)?
             }
-        }
+        };
+        Ok(Cow::Owned(owned))
     }
 
     fn call_function(
         &mut self,
         name: &str,
-        args: &[Value],
+        args: Vec<Cow<'_, Value>>,
         host: &mut dyn Host,
     ) -> ScriptResult<Value> {
-        if let Some(def) = self.functions.get(name).cloned() {
+        if let Some(def) = self.functions.get(name).map(Arc::clone) {
             if self.call_depth >= self.limits.max_call_depth {
                 return Err(ScriptError::Budget(format!(
                     "call depth exceeded in {name}"
@@ -434,10 +466,10 @@ impl ExecState {
             let mut local = Scope {
                 vars: BTreeMap::new(),
             };
-            for (i, p) in def.params.iter().enumerate() {
-                local
-                    .vars
-                    .insert(p.clone(), args.get(i).cloned().unwrap_or(Value::Null));
+            let mut args = args.into_iter();
+            for p in &def.params {
+                let arg = args.next().map_or(Value::Null, Cow::into_owned);
+                local.vars.insert(p.clone(), arg);
             }
             self.call_depth += 1;
             let flow = self.exec_block(&def.body, &mut local, host);
@@ -447,10 +479,11 @@ impl ExecState {
                 _ => Ok(Value::Null),
             };
         }
-        if let Some(result) = call_builtin(name, args) {
+        if let Some(result) = call_builtin(name, &args) {
             return result;
         }
-        if let Some(result) = host.call_host(name, args) {
+        let args: Vec<Value> = args.into_iter().map(Cow::into_owned).collect();
+        if let Some(result) = host.call_host(name, &args) {
             return result;
         }
         Err(ScriptError::Runtime(format!("undefined function: {name}")))
@@ -498,14 +531,19 @@ fn set_path(container: Value, keys: &[Value], value: Value) -> ScriptResult<Valu
     }
 }
 
-fn eval_binop(l: &Value, op: BinOp, r: &Value) -> ScriptResult<Value> {
+fn eval_binop(l: Cow<'_, Value>, op: BinOp, r: &Value) -> ScriptResult<Value> {
     use BinOp::*;
     match op {
-        Concat => Ok(Value::Str(format!(
-            "{}{}",
-            l.to_display_string(),
-            r.to_display_string()
-        ))),
+        Concat => {
+            // A left operand this expression owns (the usual `a . b . c`
+            // chain) is extended in place.
+            let mut s = match l {
+                Cow::Owned(Value::Str(s)) => s,
+                other => other.to_display_string(),
+            };
+            s.push_str(&r.display_str());
+            Ok(Value::Str(s))
+        }
         Eq => Ok(Value::Bool(l.loose_eq(r))),
         NotEq => Ok(Value::Bool(!l.loose_eq(r))),
         Lt | LtEq | Gt | GtEq => {
@@ -534,7 +572,7 @@ fn eval_binop(l: &Value, op: BinOp, r: &Value) -> ScriptResult<Value> {
             }))
         }
         Add | Sub | Mul | Div | Mod => {
-            if let (Value::Int(a), Value::Int(b)) = (l, r) {
+            if let (Value::Int(a), Value::Int(b)) = (&*l, r) {
                 return match op {
                     Add => Ok(Value::Int(a.wrapping_add(*b))),
                     Sub => Ok(Value::Int(a.wrapping_sub(*b))),
@@ -764,5 +802,135 @@ mod tests {
             .eval_program_with_globals("return _GET[\"q\"];", &mut host, globals)
             .unwrap();
         assert_eq!(v, Value::str("hi"));
+    }
+
+    /// The smallest step budget under which `src` runs to completion.
+    fn steps_needed(src: &str, host: &mut NullHost) -> u64 {
+        (1..)
+            .find(|&max_steps| {
+                let limits = Limits {
+                    max_steps,
+                    ..Limits::default()
+                };
+                Interpreter::with_limits(limits)
+                    .eval_program(src, host)
+                    .is_ok()
+            })
+            .expect("the program terminates")
+    }
+
+    fn host_with_lib() -> NullHost {
+        let mut host = NullHost::default();
+        host.includes.insert(
+            "lib.wasl".to_string(),
+            "fn helper(x) { return x * 2; } let libver = 3;".to_string(),
+        );
+        host
+    }
+
+    #[test]
+    fn step_counts_do_not_depend_on_how_values_are_read() {
+        // Counted with the interpreter that cloned every operand: reading
+        // through borrows must tick at the same points, or a budget would
+        // trip at a different place in a recorded run and its re-execution.
+        let programs = [
+            (
+                "let rows = [{\"body\": \"a\"}, {\"body\": \"b\"}]; return rows[1][\"body\"] . len(rows);",
+                17,
+            ),
+            ("include \"lib.wasl\"; return helper(libver);", 12),
+            (
+                "let t = 0; foreach ([1, 2, 3] as v) { if (v % 2 == 1 && !(v > 2)) { t = t + v; } } return -t;",
+                46,
+            ),
+            (
+                "let m = {}; m[\"a\"] = [1]; m[\"a\"][1] = 2; let i = 0; while (i < len(m[\"a\"])) { i = i + 1; } return m;",
+                43,
+            ),
+            (
+                "fn f(a, b) { return is_null(b) || a; } for (i = 0; i < 3; i = i + 1) { echo(f(i), \"x\"[0]); } return f(1);",
+                71,
+            ),
+            (
+                "fn f() { return 1; } include \"lib.wasl\"; fn helper(x) { return f() + x; } return helper(libver);",
+                16,
+            ),
+        ];
+        for (src, steps) in programs {
+            assert_eq!(steps_needed(src, &mut host_with_lib()), steps, "{src}");
+        }
+    }
+
+    #[test]
+    fn the_latest_definition_executed_wins() {
+        let run = |src: &str| {
+            Interpreter::new()
+                .eval_program(src, &mut host_with_lib())
+                .unwrap()
+        };
+        // Within one file the last definition is the hoisted one...
+        assert_eq!(
+            run("let early = f(); fn f() { return 1; } fn f() { return 2; } return [early, f()];"),
+            Value::Array(vec![Value::Int(2), Value::Int(2)])
+        );
+        // ...but executing a definition statement re-binds the name.
+        assert_eq!(
+            run("fn f() { return 1; } fn f() { return 2; } let late = f(); if (true) { fn f() { return 3; } } return [late, f()];"),
+            Value::Array(vec![Value::Int(2), Value::Int(3)])
+        );
+        // An include replaces the entry script's hoisted definition...
+        assert_eq!(
+            run("let before = helper(1); include \"lib.wasl\"; return [before, helper(1)]; fn helper(x) { return 0; }"),
+            Value::Array(vec![Value::Int(0), Value::Int(2)])
+        );
+        // ...until the entry script's own definition statement runs again.
+        assert_eq!(
+            run("include \"lib.wasl\"; let included = helper(1); fn helper(x) { return 0; } return [included, helper(1)];"),
+            Value::Array(vec![Value::Int(2), Value::Int(0)])
+        );
+        // Including a file twice re-binds its definitions each time.
+        assert_eq!(
+            run("include \"lib.wasl\"; fn helper(x) { return 0; } include \"lib.wasl\"; return helper(1);"),
+            Value::Int(2)
+        );
+    }
+
+    #[test]
+    fn a_definition_is_bound_to_the_shared_program_not_copied() {
+        let program = parse_program("fn f() { return 1; } return f();").unwrap();
+        let Stmt::FnDef(def) = &program.statements[0] else {
+            panic!("a definition");
+        };
+        let before = Arc::strong_count(def);
+        let mut host = NullHost::default();
+        let v = Interpreter::new()
+            .run_program(&program, &mut host, BTreeMap::new())
+            .unwrap();
+        assert_eq!(v, Value::Int(1));
+        // The run held references, not copies, and released them.
+        assert_eq!(Arc::strong_count(def), before);
+    }
+
+    #[test]
+    fn index_chains_and_builtins_see_the_values_in_place() {
+        assert_eq!(
+            run("let rows = [{\"a\": [10, 20]}]; return rows[0][\"a\"][1] + len(rows) + len(rows[0][\"a\"]);"),
+            Value::Int(23)
+        );
+        // Missing keys and out-of-range indexes read as null all the way down.
+        assert_eq!(
+            run("let rows = [{\"a\": 1}]; return is_null(rows[3][\"a\"]) && is_null(rows[0][\"b\"][0]);"),
+            Value::Bool(true)
+        );
+        // A chain rooted at a call result works on the owned value.
+        assert_eq!(
+            run("fn mk() { return [[1, 2], [3]]; } return mk()[0][1];"),
+            Value::Int(2)
+        );
+        // Concatenation extends the left operand; other operands are unchanged.
+        assert_eq!(
+            run("let a = \"x\"; let b = a . \"y\" . 1 . [2]; return a . \"|\" . b;"),
+            Value::str("x|xy1[2]")
+        );
     }
 }

@@ -4,6 +4,7 @@ use crate::ast::{AssignTarget, BinOp, Expr, FnDef, Program, Stmt, UnOp};
 use crate::error::{ScriptError, ScriptResult};
 use crate::lexer::{tokenize, Token};
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Parses a complete WASL program.
 ///
@@ -119,7 +120,7 @@ impl Parser {
             }
             self.expect_sym(")")?;
             let body = self.parse_block()?;
-            return Ok(Stmt::FnDef(FnDef { name, params, body }));
+            return Ok(Stmt::FnDef(Arc::new(FnDef { name, params, body })));
         }
         if self.accept_kw("let") {
             let name = self.expect_ident()?;

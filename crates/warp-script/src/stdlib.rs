@@ -6,11 +6,16 @@
 
 use crate::error::{ScriptError, ScriptResult};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+
+/// A builtin's arguments: borrowed from the caller's variables where they
+/// already exist there, so `len(rows)` does not copy `rows`.
+pub type Args<'a, 'v> = &'a [Cow<'v, Value>];
 
 /// Dispatches a builtin call. Returns `None` if `name` is not a builtin so
 /// the interpreter can fall through to host functions.
-pub fn call_builtin(name: &str, args: &[Value]) -> Option<ScriptResult<Value>> {
+pub fn call_builtin(name: &str, args: Args) -> Option<ScriptResult<Value>> {
     let result = match name {
         "len" | "count" | "strlen" => Some(builtin_len(args)),
         "substr" => Some(builtin_substr(args)),
@@ -74,25 +79,25 @@ pub fn call_builtin(name: &str, args: &[Value]) -> Option<ScriptResult<Value>> {
     result
 }
 
-fn with1(args: &[Value], f: impl Fn(&Value) -> Value) -> ScriptResult<Value> {
+fn with1(args: Args, f: impl Fn(&Value) -> Value) -> ScriptResult<Value> {
     match args.first() {
         Some(a) => Ok(f(a)),
         None => Err(ScriptError::Runtime("builtin expects 1 argument".into())),
     }
 }
 
-fn with2(args: &[Value], f: impl Fn(&Value, &Value) -> Value) -> ScriptResult<Value> {
+fn with2(args: Args, f: impl Fn(&Value, &Value) -> Value) -> ScriptResult<Value> {
     match (args.first(), args.get(1)) {
         (Some(a), Some(b)) => Ok(f(a, b)),
         _ => Err(ScriptError::Runtime("builtin expects 2 arguments".into())),
     }
 }
 
-fn builtin_len(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_len(args: Args) -> ScriptResult<Value> {
     with1(args, |a| Value::Int(a.len().unwrap_or(0) as i64))
 }
 
-fn builtin_substr(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_substr(args: Args) -> ScriptResult<Value> {
     let s = args
         .first()
         .map(|v| v.to_display_string())
@@ -110,7 +115,7 @@ fn builtin_substr(args: &[Value]) -> ScriptResult<Value> {
     Ok(Value::str(chars[start..end].iter().collect::<String>()))
 }
 
-fn builtin_str_replace(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_str_replace(args: Args) -> ScriptResult<Value> {
     if args.len() < 3 {
         return Err(ScriptError::Runtime(
             "str_replace expects (needle, replacement, haystack)".into(),
@@ -125,7 +130,7 @@ fn builtin_str_replace(args: &[Value]) -> ScriptResult<Value> {
     Ok(Value::Str(haystack.replace(&needle, &replacement)))
 }
 
-fn builtin_split(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_split(args: Args) -> ScriptResult<Value> {
     with2(args, |s, sep| {
         let s = s.to_display_string();
         let sep = sep.to_display_string();
@@ -138,7 +143,7 @@ fn builtin_split(args: &[Value]) -> ScriptResult<Value> {
     })
 }
 
-fn builtin_join(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_join(args: Args) -> ScriptResult<Value> {
     with2(args, |arr, sep| {
         let sep = sep.to_display_string();
         match arr {
@@ -151,27 +156,27 @@ fn builtin_join(args: &[Value]) -> ScriptResult<Value> {
     })
 }
 
-fn builtin_repeat(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_repeat(args: Args) -> ScriptResult<Value> {
     with2(args, |s, n| {
         let n = n.as_int().unwrap_or(0).max(0) as usize;
         Value::Str(s.to_display_string().repeat(n.min(1_000_000)))
     })
 }
 
-fn builtin_push(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_push(args: Args) -> ScriptResult<Value> {
     if args.len() < 2 {
         return Err(ScriptError::Runtime("push expects (array, value)".into()));
     }
-    let mut arr = match &args[0] {
+    let mut arr = match &*args[0] {
         Value::Array(a) => a.clone(),
         Value::Null => Vec::new(),
         other => vec![other.clone()],
     };
-    arr.push(args[1].clone());
+    arr.push(Value::clone(&args[1]));
     Ok(Value::Array(arr))
 }
 
-fn builtin_array_keys(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_array_keys(args: Args) -> ScriptResult<Value> {
     with1(args, |a| match a {
         Value::Map(m) => Value::Array(m.keys().map(|k| Value::str(k.clone())).collect()),
         Value::Array(arr) => Value::Array((0..arr.len() as i64).map(Value::Int).collect()),
@@ -179,7 +184,7 @@ fn builtin_array_keys(args: &[Value]) -> ScriptResult<Value> {
     })
 }
 
-fn builtin_array_values(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_array_values(args: Args) -> ScriptResult<Value> {
     with1(args, |a| match a {
         Value::Map(m) => Value::Array(m.values().cloned().collect()),
         Value::Array(arr) => Value::Array(arr.clone()),
@@ -187,28 +192,28 @@ fn builtin_array_values(args: &[Value]) -> ScriptResult<Value> {
     })
 }
 
-fn builtin_map_has(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_map_has(args: Args) -> ScriptResult<Value> {
     with2(args, |m, k| match m {
         Value::Map(m) => Value::Bool(m.contains_key(&k.to_display_string())),
         _ => Value::Bool(false),
     })
 }
 
-fn builtin_map_set(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_map_set(args: Args) -> ScriptResult<Value> {
     if args.len() < 3 {
         return Err(ScriptError::Runtime(
             "map_set expects (map, key, value)".into(),
         ));
     }
-    let mut m = match &args[0] {
+    let mut m = match &*args[0] {
         Value::Map(m) => m.clone(),
         _ => BTreeMap::new(),
     };
-    m.insert(args[1].to_display_string(), args[2].clone());
+    m.insert(args[1].to_display_string(), Value::clone(&args[2]));
     Ok(Value::Map(m))
 }
 
-fn builtin_map_remove(args: &[Value]) -> ScriptResult<Value> {
+fn builtin_map_remove(args: Args) -> ScriptResult<Value> {
     with2(args, |m, k| match m {
         Value::Map(m) => {
             let mut m = m.clone();
@@ -219,18 +224,14 @@ fn builtin_map_remove(args: &[Value]) -> ScriptResult<Value> {
     })
 }
 
-fn builtin_min_max(args: &[Value], is_min: bool) -> ScriptResult<Value> {
+fn builtin_min_max(args: Args, is_min: bool) -> ScriptResult<Value> {
     if args.len() < 2 {
         return Err(ScriptError::Runtime("min/max expect 2 arguments".into()));
     }
     let a = args[0].as_float().unwrap_or(0.0);
     let b = args[1].as_float().unwrap_or(0.0);
     let pick_first = if is_min { a <= b } else { a >= b };
-    Ok(if pick_first {
-        args[0].clone()
-    } else {
-        args[1].clone()
-    })
+    Ok(Value::clone(&args[if pick_first { 0 } else { 1 }]))
 }
 
 /// HTML-escapes `<`, `>`, `&`, `"` and `'`, exactly what PHP's
@@ -304,7 +305,8 @@ mod tests {
     use super::*;
 
     fn call(name: &str, args: &[Value]) -> Value {
-        call_builtin(name, args).unwrap().unwrap()
+        let args: Vec<_> = args.iter().map(Cow::Borrowed).collect();
+        call_builtin(name, &args).unwrap().unwrap()
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! WASL runtime values.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -81,12 +82,18 @@ impl Value {
     /// Renders the value as a string, PHP-style (arrays/maps get a compact
     /// JSON-ish rendering; this keeps `echo` deterministic).
     pub fn to_display_string(&self) -> String {
-        match self {
+        self.display_str().into_owned()
+    }
+
+    /// [`Value::to_display_string`] without the copy when the value already
+    /// is a string.
+    pub fn display_str(&self) -> Cow<'_, str> {
+        Cow::Owned(match self {
+            Value::Str(s) => return Cow::Borrowed(s),
             Value::Null => String::new(),
             Value::Bool(b) => if *b { "1" } else { "" }.to_string(),
             Value::Int(i) => i.to_string(),
             Value::Float(f) => f.to_string(),
-            Value::Str(s) => s.clone(),
             Value::Array(a) => {
                 let items: Vec<String> = a.iter().map(|v| v.to_display_string()).collect();
                 format!("[{}]", items.join(","))
@@ -98,7 +105,7 @@ impl Value {
                     .collect();
                 format!("{{{}}}", items.join(","))
             }
-        }
+        })
     }
 
     /// Returns the length of a string, array or map.
@@ -119,25 +126,32 @@ impl Value {
     /// Index into an array (by int) or map (by string), returning Null when
     /// the key is missing, PHP-style.
     pub fn index(&self, key: &Value) -> Value {
-        match (self, key) {
+        self.index_ref(key).into_owned()
+    }
+
+    /// [`Value::index`] that borrows the element out of an array or map
+    /// instead of copying it; the interpreter walks index chains through
+    /// this and clones only the leaf it ends on.
+    pub fn index_ref(&self, key: &Value) -> Cow<'_, Value> {
+        let found = match (self, key) {
             (Value::Array(a), k) => match k.as_int() {
-                Some(i) if i >= 0 && (i as usize) < a.len() => a[i as usize].clone(),
-                _ => Value::Null,
+                Some(i) if i >= 0 => a.get(i as usize),
+                _ => None,
             },
-            (Value::Map(m), k) => m
-                .get(&k.to_display_string())
-                .cloned()
-                .unwrap_or(Value::Null),
-            (Value::Str(s), k) => match k.as_int() {
-                Some(i) if i >= 0 => s
-                    .chars()
-                    .nth(i as usize)
-                    .map(|c| Value::Str(c.to_string()))
-                    .unwrap_or(Value::Null),
-                _ => Value::Null,
-            },
-            _ => Value::Null,
-        }
+            (Value::Map(m), k) => m.get(&*k.display_str()),
+            (Value::Str(s), k) => {
+                return Cow::Owned(match k.as_int() {
+                    Some(i) if i >= 0 => s
+                        .chars()
+                        .nth(i as usize)
+                        .map(|c| Value::Str(c.to_string()))
+                        .unwrap_or(Value::Null),
+                    _ => Value::Null,
+                })
+            }
+            _ => None,
+        };
+        found.map_or(Cow::Owned(Value::Null), Cow::Borrowed)
     }
 
     /// Loose equality used by `==`: numeric values compare numerically,
