@@ -573,7 +573,7 @@ mod tests {
         let touched: u64 = after_action
             .queries
             .iter()
-            .map(|q| q.written_row_ids.len() as u64)
+            .map(|q| q.written_row_ids().len() as u64)
             .sum();
         assert_eq!(touched, 0, "patched maintenance must not match any page");
     }

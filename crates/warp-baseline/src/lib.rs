@@ -102,7 +102,7 @@ pub fn analyze(
         for q in &action.queries {
             touched_tables.insert(q.dependency.table.clone());
             if q.is_write {
-                for row_id in &q.written_row_ids {
+                for row_id in q.written_row_ids() {
                     flagged.insert(row(&q.dependency.table, row_id));
                 }
             }
@@ -113,7 +113,7 @@ pub fn analyze(
             for other in server.history.actions() {
                 for q in &other.queries {
                     if q.is_write && touched_tables.contains(&q.dependency.table) {
-                        for row_id in &q.written_row_ids {
+                        for row_id in q.written_row_ids() {
                             flagged.insert(row(&q.dependency.table, row_id));
                         }
                     }

@@ -124,5 +124,40 @@ fn bench_ttdb(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ttdb, bench_scaling);
+/// Plan once: one statement shape executed from text with a thousand
+/// different literals — the tokenizer pass, the plan lookup and the
+/// execution, and no parse or analysis after the first text. The texts are
+/// built outside the timed loop; divide by the count for the per-query cost.
+fn bench_sql_plan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sql_plan");
+    let rows = 1_000;
+    let mut db = seeded_db(rows);
+    let mut time = rows + 1;
+    let reads: Vec<String> = (0..rows)
+        .map(|i| format!("SELECT body FROM page WHERE title = 'T{i}'"))
+        .collect();
+    group.bench_function("point_read_x1000", |b| {
+        b.iter(|| {
+            for sql in &reads {
+                black_box(db.execute_logged(sql, time).unwrap());
+            }
+        })
+    });
+    let updates: Vec<String> = (0..rows)
+        .map(|i| format!("UPDATE page SET body = 'edit of {i}' WHERE title = 'T{i}'"))
+        .collect();
+    // Each iteration updates the next hundred keys.
+    let mut windows = updates.chunks(100).cycle();
+    group.bench_function("versioned_update_x100", |b| {
+        b.iter(|| {
+            for sql in windows.next().expect("cycles") {
+                black_box(db.execute_logged(sql, time).unwrap());
+                time += 1;
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_ttdb, bench_scaling, bench_sql_plan);
 criterion_main!(benches);

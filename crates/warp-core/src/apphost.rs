@@ -12,12 +12,11 @@ use crate::history::{ActionRecord, NondetRecord, QueryRecord};
 use crate::sourcefs::SourceStore;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::mem::Discriminant;
 use std::sync::{Arc, Mutex};
 use warp_http::{generate_session_id, HttpRequest, HttpResponse};
 use warp_script::{Host, Interpreter, Program, ScriptError, ScriptResult, Value as SVal};
-use warp_sql::{Statement, Value as DVal};
-use warp_ttdb::{RepairSession, TimeTravelDb};
+use warp_sql::Value as DVal;
+use warp_ttdb::{Plan, RepairSession, TimeTravelDb};
 
 /// How an application run reaches the time-travel database.
 ///
@@ -147,7 +146,7 @@ pub fn run_application(ctx: AppRunContext<'_>) -> AppRunResult {
         nondet: Vec::new(),
         nondet_cursor: BTreeMap::new(),
         used_original_queries: vec![false; original_len],
-        original_write_shapes: vec![OnceCell::new(); original_len],
+        original_plans: vec![OnceCell::new(); original_len],
         queries_reexecuted: 0,
     };
     let run = match program {
@@ -177,17 +176,6 @@ pub fn run_application(ctx: AppRunContext<'_>) -> AppRunResult {
     }
 }
 
-/// The statement kind and lower-cased table of a write, by which a
-/// re-executed write is matched to an original one whose text differs.
-type WriteShape = (Discriminant<Statement>, String);
-
-fn write_shape(stmt: &Statement) -> WriteShape {
-    (
-        std::mem::discriminant(stmt),
-        stmt.table_name().unwrap_or_default().to_ascii_lowercase(),
-    )
-}
-
 struct AppHost<'a> {
     request: &'a HttpRequest,
     sources: &'a SourceStore,
@@ -206,10 +194,10 @@ struct AppHost<'a> {
     /// nondet log from which the next call of that function is looked for.
     nondet_cursor: BTreeMap<String, usize>,
     used_original_queries: Vec<bool>,
-    /// The [`WriteShape`] of each original query, parsed from its text the
-    /// first time a re-executed write is compared against it (`None` for
-    /// text that no longer parses).
-    original_write_shapes: Vec<OnceCell<Option<WriteShape>>>,
+    /// The plan of each original query, looked up from its text the first
+    /// time a re-executed write is compared against it (`None` for text
+    /// that no longer parses).
+    original_plans: Vec<OnceCell<Option<Arc<Plan>>>>,
     queries_reexecuted: usize,
 }
 
@@ -289,61 +277,63 @@ impl AppHost<'_> {
     }
 
     fn handle_query(&mut self, sql: &str) -> ScriptResult<SVal> {
-        let stmt = warp_sql::parse(sql)
-            .map_err(|e| ScriptError::Host(format!("SQL error in `{sql}`: {e}")))?;
-        let is_write = stmt.is_write();
+        let sql_error = |e| ScriptError::Host(format!("SQL error in `{sql}`: {e}"));
         let execution = match &mut self.mode {
-            ExecMode::Normal { clock, .. } => {
+            // One visit to the database (one lock, if it is shared): plan,
+            // take the query's time, execute. A text that does not parse
+            // takes no time.
+            ExecMode::Normal { clock, .. } => self.db.with(|db| {
+                let mut query = db.plan(sql).map_err(sql_error)?;
                 let time = clock.tick();
-                self.db
-                    .with(|db| {
-                        let gen = db.current_generation();
-                        db.execute_stmt_logged(&stmt, time, gen)
-                    })
-                    .map(|out| (out, time))
-            }
+                let gen = db.current_generation();
+                Ok((
+                    db.execute_planned(&mut query, time, gen),
+                    time,
+                    query.plan().is_write(),
+                ))
+            })?,
             ExecMode::Repair { session, original } => {
+                let mut query = self.db.with(|db| db.plan(sql)).map_err(sql_error)?;
+                let is_write = query.plan().is_write();
                 // Match this query against the original run's queries to find
                 // its original execution time and (for writes) the rows it
                 // originally modified.
                 let matched = match_original_query(
                     *original,
                     &self.used_original_queries,
-                    &self.original_write_shapes,
+                    &self.original_plans,
+                    &mut self.db,
                     sql,
-                    &stmt,
+                    query.plan(),
                 );
                 let (time, original_rows) = match matched {
                     Some(idx) => {
                         self.used_original_queries[idx] = true;
                         let q = &original.expect("matched implies original").queries[idx];
-                        (q.time, q.written_row_ids.as_slice())
+                        (q.time, q.written_row_ids())
                     }
                     None => (self.action_time, &[][..]),
                 };
                 self.queries_reexecuted += 1;
-                let result = if is_write {
-                    if original_rows.is_empty() && matched.is_none() {
-                        self.db
-                            .with(|db| session.execute_new_write(db, &stmt, time))
+                let result = self.db.with(|db| {
+                    if !is_write {
+                        session.reexecute_read(db, &mut query, time)
+                    } else if original_rows.is_empty() && matched.is_none() {
+                        session.execute_new_write(db, &mut query, time)
                     } else {
-                        self.db
-                            .with(|db| session.reexecute_write(db, &stmt, time, original_rows))
+                        session.reexecute_write(db, &mut query, time, original_rows)
                     }
-                } else {
-                    self.db.with(|db| session.reexecute_read(db, &stmt, time))
-                };
-                result.map(|out| (out, time))
+                });
+                (result, time, is_write)
             }
         };
-        let (out, time) =
-            execution.map_err(|e| ScriptError::Host(format!("database error: {e}")))?;
+        let (result, time, is_write) = execution;
+        let out = result.map_err(|e| ScriptError::Host(format!("database error: {e}")))?;
         self.queries.push(QueryRecord {
             sql: sql.to_string(),
             time,
             result_fingerprint: out.result.fingerprint(),
             is_write,
-            written_row_ids: out.dependency.written_row_ids.clone(),
             dependency: out.dependency,
         });
         if is_write {
@@ -372,14 +362,15 @@ impl AppHost<'_> {
 /// Exact SQL text matches are preferred; otherwise a write is matched to the
 /// first unused original write of the same kind against the same table (its
 /// text may legitimately differ — e.g. the patched application sanitised the
-/// content it stores). `shapes` memoises the parse of each original query
-/// for the app run, so a run of many writes parses each at most once.
+/// content it stores). `plans` memoises the plan of each original query for
+/// the app run, so a run of many writes looks each up at most once.
 fn match_original_query(
     original: Option<&ActionRecord>,
     used: &[bool],
-    shapes: &[OnceCell<Option<WriteShape>>],
+    plans: &[OnceCell<Option<Arc<Plan>>>],
+    db: &mut DbAccess<'_>,
     sql: &str,
-    stmt: &Statement,
+    plan: &Plan,
 ) -> Option<usize> {
     let original = original?;
     // Pass 1: exact text match.
@@ -389,15 +380,20 @@ fn match_original_query(
         }
     }
     // Pass 2 (writes only): same statement kind against the same table.
-    if stmt.is_write() {
-        let shape = write_shape(stmt);
+    if plan.is_write() {
         for (i, q) in original.queries.iter().enumerate() {
             if used[i] || !q.is_write {
                 continue;
             }
-            let original_shape =
-                shapes[i].get_or_init(|| warp_sql::parse(&q.sql).ok().map(|s| write_shape(&s)));
-            if original_shape.as_ref() == Some(&shape) {
+            let original_plan = plans[i].get_or_init(|| {
+                db.with(|db| db.plan(&q.sql))
+                    .ok()
+                    .map(|query| query.plan().clone())
+            });
+            if original_plan
+                .as_ref()
+                .is_some_and(|o| o.same_kind_and_table(plan))
+            {
                 return Some(i);
             }
         }
@@ -609,7 +605,7 @@ mod tests {
         assert!(out.queries[0].is_write);
         assert!(!out.queries[1].is_write);
         assert_eq!(
-            out.queries[0].written_row_ids,
+            out.queries[0].written_row_ids(),
             vec![warp_sql::Value::Int(1)]
         );
         assert!(out.queries[0].time < out.queries[1].time);

@@ -39,13 +39,13 @@
 //! No async runtime: plain `std` threads and mpsc channels, matching the
 //! repair scheduler's worker-pool style.
 
-use crate::apphost::{run_application, AppRunContext, AppRunResult, DbAccess, ExecMode};
+use crate::apphost::{run_application, AppRunContext, DbAccess, ExecMode};
 use crate::clock::LogicalClock;
 use crate::config::{AppConfig, ServerConfig};
 use crate::persist::RecoveryReport;
 use crate::repair::{RepairOutcome, RepairRequest};
 use crate::scheduler::RepairStrategy;
-use crate::server::WarpServer;
+use crate::server::{Served, WarpServer};
 use crate::shard::{classify, plan_entry, Route, RoutePlan, ShardSchema};
 use crate::sourcefs::SourceStore;
 use std::collections::{BTreeMap, VecDeque};
@@ -386,10 +386,7 @@ enum EngineMsg {
     /// engine only — workers send this back on the engine's own channel).
     ShardDone {
         seq: u64,
-        time: i64,
-        request: HttpRequest,
-        entry: String,
-        result: Box<AppRunResult>,
+        served: Box<Served>,
         reply: Sender<HttpResponse>,
     },
 }
@@ -692,29 +689,33 @@ fn classic_serve(
     request: HttpRequest,
     reply: Sender<HttpResponse>,
 ) {
-    let response = server.handle(request);
-    release_response(server, durable_acks, response, reply);
+    let served = server.execute(request);
+    record_and_release(server, durable_acks, served, None, reply);
 }
 
-/// Releases a response to its caller: under durable acks it is handed to
-/// the log writer, which fires the callback only after the action's record
-/// is durable — the engine moves on immediately, so durability waits happen
-/// off the serving path.
-fn release_response(
-    server: &WarpServer,
+/// Records a served action and releases its response to the caller: under
+/// durable acks the release rides to the log writer with the action's
+/// record — one message — and fires only after the record is durable; the
+/// engine moves on immediately, so durability waits happen off the serving
+/// path.
+fn record_and_release(
+    server: &mut WarpServer,
     durable_acks: bool,
-    response: HttpResponse,
+    served: Served,
+    shard_meta: Option<(Generation, i64)>,
     reply: Sender<HttpResponse>,
 ) {
+    // The one copy of the response: the caller's.
+    let response = served.result.response.clone();
+    let release = move || {
+        let _ = reply.send(response);
+    };
     if durable_acks {
-        if let Some(sink) = &server.store {
-            sink.notify_durable(move || {
-                let _ = reply.send(response);
-            });
-            return;
-        }
+        server.record_served(served, shard_meta, Some(Box::new(release)));
+    } else {
+        server.record_served(served, shard_meta, None);
+        release();
     }
-    let _ = reply.send(response);
 }
 
 /// Runs a queued repair to completion and reports the outcome (shared by
@@ -844,10 +845,7 @@ struct ShardJob {
 /// A finished shard execution parked in the reorder buffer until every
 /// earlier `seq` has been recorded.
 struct DoneAction {
-    time: i64,
-    request: HttpRequest,
-    entry: String,
-    result: AppRunResult,
+    served: Box<Served>,
     reply: Sender<HttpResponse>,
 }
 
@@ -888,10 +886,12 @@ fn shard_worker(jobs: Receiver<ShardJob>, engine: Sender<EngineMsg>) {
         if engine
             .send(EngineMsg::ShardDone {
                 seq,
-                time,
-                request,
-                entry,
-                result: Box::new(result),
+                served: Box::new(Served {
+                    time,
+                    request,
+                    entry,
+                    result,
+                }),
                 reply,
             })
             .is_err()
@@ -1033,15 +1033,13 @@ impl ShardedEngine {
             self.next_record += 1;
             self.in_flight -= 1;
             let (_, gen, watermark) = *self.epoch.as_ref().expect("epoch active");
-            let response = done.result.response.clone();
-            self.server.record_served(
-                done.time,
-                done.request,
-                &done.entry,
-                done.result,
+            record_and_release(
+                &mut self.server,
+                self.durable_acks,
+                *done.served,
                 Some((gen, watermark)),
+                done.reply,
             );
-            release_response(&self.server, self.durable_acks, response, done.reply);
         }
     }
 
@@ -1052,23 +1050,9 @@ impl ShardedEngine {
     fn barrier(&mut self, rx: &Receiver<EngineMsg>) {
         while self.in_flight > 0 {
             match rx.recv().expect("shard workers hold a sender") {
-                EngineMsg::ShardDone {
-                    seq,
-                    time,
-                    request,
-                    entry,
-                    result,
-                    reply,
-                } => self.record_ready(
-                    seq,
-                    DoneAction {
-                        time,
-                        request,
-                        entry,
-                        result: *result,
-                        reply,
-                    },
-                ),
+                EngineMsg::ShardDone { seq, served, reply } => {
+                    self.record_ready(seq, DoneAction { served, reply })
+                }
                 other => self.backlog.push_back(other),
             }
         }
@@ -1157,24 +1141,8 @@ fn sharded_engine_loop(
         };
         match msg {
             EngineMsg::Serve { request, reply } => engine.serve(request, reply, &rx),
-            EngineMsg::ShardDone {
-                seq,
-                time,
-                request,
-                entry,
-                result,
-                reply,
-            } => {
-                engine.record_ready(
-                    seq,
-                    DoneAction {
-                        time,
-                        request,
-                        entry,
-                        result: *result,
-                        reply,
-                    },
-                );
+            EngineMsg::ShardDone { seq, served, reply } => {
+                engine.record_ready(seq, DoneAction { served, reply });
                 // Checkpoints are barriers (they need the database home);
                 // take one between epochs when the log asks for it.
                 if engine.in_flight == 0

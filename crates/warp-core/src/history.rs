@@ -41,10 +41,16 @@ pub struct QueryRecord {
     pub result_fingerprint: u64,
     /// True if the query modified the database.
     pub is_write: bool,
-    /// Row IDs written (for two-phase re-execution and rollback).
-    pub written_row_ids: Vec<warp_sql::Value>,
     /// Partition-level dependencies.
     pub dependency: QueryDependency,
+}
+
+impl QueryRecord {
+    /// Row IDs written (for two-phase re-execution and rollback): the ones
+    /// the dependency record holds.
+    pub fn written_row_ids(&self) -> &[warp_sql::Value] {
+        &self.dependency.written_row_ids
+    }
 }
 
 /// Correlation of a server-side action with the browser that caused it.
@@ -104,7 +110,7 @@ impl ActionRecord {
     pub fn approximate_db_bytes(&self) -> usize {
         let mut total = 0;
         for q in &self.queries {
-            total += q.sql.len() + 24 + q.written_row_ids.len() * 8;
+            total += q.sql.len() + 24 + q.written_row_ids().len() * 8;
         }
         total
     }
@@ -632,7 +638,6 @@ mod tests {
                 time,
                 result_fingerprint: 1,
                 is_write: false,
-                written_row_ids: vec![],
                 dependency: QueryDependency::read("page", PartitionSet::whole("page")),
             }],
             nondet: vec![],
@@ -714,7 +719,6 @@ mod tests {
             time,
             result_fingerprint: 0,
             is_write: dep.is_write,
-            written_row_ids: dep.written_row_ids.clone(),
             dependency: dep,
         }];
         a

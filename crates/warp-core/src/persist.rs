@@ -196,8 +196,9 @@ pub(crate) struct CheckpointMarks {
 /// that produced it returns. The concurrent façade ([`crate::Warp`]) moves
 /// the store onto a background [`warp_store::GroupCommitWriter`] thread so
 /// appends leave the request path; durability is then signalled through
-/// [`LogSink::notify_durable`] callbacks, which the writer runs only after
-/// every record submitted before them has been appended.
+/// the callback of [`LogSink::append_acked`], which the writer runs only
+/// after the record and every record submitted before it have been
+/// appended.
 #[derive(Debug)]
 pub(crate) enum LogSink {
     /// Synchronous appends straight into the store.
@@ -230,30 +231,41 @@ impl LogSink {
     /// same contract asynchronously (it panics, and the next durability
     /// interaction with it propagates the failure).
     pub(crate) fn append(&mut self, kind: u8, payload: Vec<u8>) {
+        self.append_acked(kind, payload, None);
+    }
+
+    /// Appends one encoded record and runs `ack`, if any, once it — and
+    /// every record appended before it — is durable: at once for the inline
+    /// sink (appends are synchronous), after the covering batch commits for
+    /// the writer sink, which gets the record and its callback as one
+    /// message. This is how a served action's record reaches the log when
+    /// its response must wait for durability.
+    pub(crate) fn append_acked(
+        &mut self,
+        kind: u8,
+        payload: Vec<u8>,
+        ack: Option<Box<dyn FnOnce() + Send>>,
+    ) {
         match self {
             LogSink::Inline(store) => {
                 store
                     .append(kind, &payload)
                     .unwrap_or_else(|e| panic!("durable log append failed: {e}"));
+                if let Some(ack) = ack {
+                    ack();
+                }
             }
             LogSink::Writer {
                 writer,
                 since_checkpoint,
                 ..
             } => {
-                writer.submit(kind, payload);
+                match ack {
+                    Some(ack) => writer.submit_acked(kind, payload, ack),
+                    None => writer.submit(kind, payload),
+                }
                 *since_checkpoint += 1;
             }
-        }
-    }
-
-    /// Runs `f` once every record appended before this call is durable —
-    /// immediately for the inline sink (appends are synchronous), after the
-    /// covering batch commits for the writer sink.
-    pub(crate) fn notify_durable(&self, f: impl FnOnce() + Send + 'static) {
-        match self {
-            LogSink::Inline(_) => f(),
-            LogSink::Writer { writer, .. } => writer.notify_durable(f),
         }
     }
 
@@ -679,18 +691,25 @@ fn enc_query_record(e: &mut Encoder, q: &QueryRecord) {
     e.i64(q.time);
     e.u64(q.result_fingerprint);
     e.bool(q.is_write);
-    e.seq(&q.written_row_ids, enc_sql_value);
+    // The record format carries the written row IDs here and again inside
+    // the dependency.
+    e.seq(q.written_row_ids(), enc_sql_value);
     enc_dependency(e, &q.dependency);
 }
 
 fn dec_query_record(d: &mut Decoder) -> DecResult<QueryRecord> {
+    let (sql, time, result_fingerprint, is_write) = (d.str()?, d.i64()?, d.u64()?, d.bool()?);
+    let written_row_ids = d.seq(dec_sql_value)?;
+    let dependency = dec_dependency(d)?;
+    if written_row_ids != dependency.written_row_ids {
+        return Err(bad("a query record's two copies of its row IDs differ"));
+    }
     Ok(QueryRecord {
-        sql: d.str()?,
-        time: d.i64()?,
-        result_fingerprint: d.u64()?,
-        is_write: d.bool()?,
-        written_row_ids: d.seq(dec_sql_value)?,
-        dependency: dec_dependency(d)?,
+        sql,
+        time,
+        result_fingerprint,
+        is_write,
+        dependency,
     })
 }
 
@@ -1636,11 +1655,12 @@ fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
                 if !q.is_write {
                     continue;
                 }
-                let stmt = warp_sql::parse(&q.sql)
-                    .map_err(|e| corrupt(format!("replaying `{}`: {e}", q.sql)))?;
+                // Planned per shape, like the execution being replayed: a
+                // tail of one statement with many literals is parsed once.
                 server
                     .db
-                    .execute_stmt_logged(&stmt, q.time, gen)
+                    .plan(&q.sql)
+                    .and_then(|mut query| server.db.execute_planned(&mut query, q.time, gen))
                     .map_err(|e| corrupt(format!("replaying `{}`: {e}", q.sql)))?;
             }
             server.clock.fast_forward(clock_after);

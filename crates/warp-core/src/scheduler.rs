@@ -204,12 +204,11 @@ pub(crate) fn execute_actions(
             let t = Instant::now();
             for i in affected {
                 let q = &action.queries[i];
-                let stmt = match warp_sql::parse(&q.sql) {
-                    Ok(s) => s,
-                    Err(_) => continue,
+                let Ok(mut query) = db.plan(&q.sql) else {
+                    continue;
                 };
                 if q.is_write {
-                    match session.reexecute_write(db, &stmt, q.time, &q.written_row_ids) {
+                    match session.reexecute_write(db, &mut query, q.time, q.written_row_ids()) {
                         Ok(out) => {
                             if collect_dynamic {
                                 collect_deps(&mut run, std::iter::once(&out.dependency));
@@ -222,7 +221,7 @@ pub(crate) fn execute_actions(
                     }
                     run.stats.queries_reexecuted += 1;
                 } else {
-                    match session.reexecute_read(db, &stmt, q.time) {
+                    match session.reexecute_read(db, &mut query, q.time) {
                         Ok(out) => {
                             run.stats.queries_reexecuted += 1;
                             if out.result.fingerprint() != q.result_fingerprint {
@@ -266,8 +265,8 @@ pub(crate) fn execute_actions(
                 .copied()
                 .unwrap_or(false);
             if q.is_write && !matched {
-                let _ = session.rollback_rows(db, &q.dependency.table, &q.written_row_ids, q.time);
-                run.stats.rows_rolled_back += q.written_row_ids.len();
+                let _ = session.rollback_rows(db, &q.dependency.table, q.written_row_ids(), q.time);
+                run.stats.rows_rolled_back += q.written_row_ids().len();
                 session.note_modified_columns(
                     &q.dependency.write_partitions,
                     &q.dependency.write_columns,
@@ -490,8 +489,8 @@ fn cancel_action(
 ) {
     for q in &action.queries {
         if q.is_write {
-            let _ = session.rollback_rows(db, &q.dependency.table, &q.written_row_ids, q.time);
-            run.stats.rows_rolled_back += q.written_row_ids.len();
+            let _ = session.rollback_rows(db, &q.dependency.table, q.written_row_ids(), q.time);
+            run.stats.rows_rolled_back += q.written_row_ids().len();
             session
                 .note_modified_columns(&q.dependency.write_partitions, &q.dependency.write_columns);
             run.touched_tables.insert(q.dependency.table.clone());

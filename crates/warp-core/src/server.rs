@@ -84,6 +84,16 @@ pub struct WarpServer {
     pub(crate) maintenance: Option<warp_store::MaintenanceWorker>,
 }
 
+/// One request the application has run for, not yet recorded.
+pub(crate) struct Served {
+    /// The action's logical time.
+    pub(crate) time: i64,
+    pub(crate) request: HttpRequest,
+    /// The entry script the router resolved.
+    pub(crate) entry: String,
+    pub(crate) result: AppRunResult,
+}
+
 impl WarpServer {
     /// Installs an application and returns a server ready to handle requests.
     ///
@@ -154,7 +164,19 @@ impl WarpServer {
 
     /// Handles one HTTP request during normal execution and records the
     /// action in the history graph.
-    pub fn handle(&mut self, mut request: HttpRequest) -> HttpResponse {
+    pub fn handle(&mut self, request: HttpRequest) -> HttpResponse {
+        let served = self.execute(request);
+        // The one copy of the response: the caller's. The action record
+        // keeps the original.
+        let response = served.result.response.clone();
+        self.record_served(served, None, None);
+        response
+    }
+
+    /// Runs the application for one request, without recording anything:
+    /// the first half of [`WarpServer::handle`], which
+    /// [`WarpServer::record_served`] completes.
+    pub(crate) fn execute(&mut self, mut request: HttpRequest) -> Served {
         // Queued cookie invalidation: delete the client's cookies before the
         // application sees the request, and tell the browser to do the same.
         let mut invalidation_cookies = Vec::new();
@@ -167,27 +189,22 @@ impl WarpServer {
             }
         }
         let time = self.clock.tick();
-        let entry = match self.router.resolve(&request.path) {
-            Some(script) => script,
-            None => {
-                let response = HttpResponse::not_found(format!("no route for {}", request.path));
-                self.record_served(
-                    time,
-                    request,
-                    "<unrouted>",
-                    AppRunResult {
-                        response: response.clone(),
-                        loaded_files: Vec::new(),
-                        queries: Vec::new(),
-                        nondet: Vec::new(),
-                        used_original_queries: Vec::new(),
-                        script_error: None,
-                        queries_reexecuted: 0,
-                    },
-                    None,
-                );
-                return response;
-            }
+        let Some(entry) = self.router.resolve(&request.path) else {
+            let response = HttpResponse::not_found(format!("no route for {}", request.path));
+            return Served {
+                time,
+                request,
+                entry: "<unrouted>".to_string(),
+                result: AppRunResult {
+                    response,
+                    loaded_files: Vec::new(),
+                    queries: Vec::new(),
+                    nondet: Vec::new(),
+                    used_original_queries: Vec::new(),
+                    script_error: None,
+                    queries_reexecuted: 0,
+                },
+            };
         };
         let mut result = run_application(AppRunContext {
             request: &request,
@@ -202,11 +219,12 @@ impl WarpServer {
             },
         });
         result.response.set_cookies.extend(invalidation_cookies);
-        // The one copy of the response: the caller's. The action record
-        // keeps the original.
-        let response = result.response.clone();
-        self.record_served(time, request, &entry, result, None);
-        response
+        Served {
+            time,
+            request,
+            entry,
+            result,
+        }
     }
 
     /// Records one served action — the request, and the run's response,
@@ -216,14 +234,21 @@ impl WarpServer {
     /// during a shard epoch `self.db` is checked out to the worker pool; it
     /// also defers checkpointing to the next epoch barrier, where the
     /// database is back in place.
+    ///
+    /// `ack` runs once the action's record is durable — it rides to the log
+    /// writer with the record — or at once on a server without a log.
     pub(crate) fn record_served(
         &mut self,
-        time: i64,
-        request: HttpRequest,
-        entry: &str,
-        result: AppRunResult,
+        served: Served,
         shard_meta: Option<(warp_ttdb::Generation, i64)>,
+        ack: Option<Box<dyn FnOnce() + Send>>,
     ) -> ActionId {
+        let Served {
+            time,
+            request,
+            entry,
+            result,
+        } = served;
         let client = match (
             &request.warp.client_id,
             request.warp.visit_id,
@@ -242,32 +267,36 @@ impl WarpServer {
             request,
             response: result.response,
             client,
-            entry_script: entry.to_string(),
+            entry_script: entry,
             loaded_files: result.loaded_files,
             queries: result.queries,
             nondet: result.nondet,
             cancelled: false,
         });
-        if let Some(sink) = &mut self.store {
-            let (gen, watermark) = match shard_meta {
-                Some(meta) => meta,
-                None => (
-                    self.db.current_generation(),
-                    self.db.synthetic_id_watermark(),
-                ),
-            };
-            let (kind, payload) = crate::persist::encode_action_event(
-                gen,
-                self.clock.now(),
-                self.rng_counter,
-                self.session_counter,
-                watermark,
-                self.history.action(id).expect("action just recorded"),
-            );
-            sink.append(kind, payload);
-            if shard_meta.is_none() {
-                self.maybe_checkpoint();
+        let Some(sink) = &mut self.store else {
+            if let Some(ack) = ack {
+                ack();
             }
+            return id;
+        };
+        let (gen, watermark) = match shard_meta {
+            Some(meta) => meta,
+            None => (
+                self.db.current_generation(),
+                self.db.synthetic_id_watermark(),
+            ),
+        };
+        let (kind, payload) = crate::persist::encode_action_event(
+            gen,
+            self.clock.now(),
+            self.rng_counter,
+            self.session_counter,
+            watermark,
+            self.history.action(id).expect("action just recorded"),
+        );
+        sink.append_acked(kind, payload, ack);
+        if shard_meta.is_none() {
+            self.maybe_checkpoint();
         }
         id
     }

@@ -302,14 +302,14 @@ fn columns_of_expr(expr: &Expr, out: &mut ColumnSet) {
 }
 
 fn pinned_columns(where_clause: Option<&Expr>) -> BTreeSet<String> {
-    where_clause
-        .map(|w| {
-            w.required_equalities()
-                .into_iter()
-                .map(|(c, _)| c.to_ascii_lowercase())
-                .collect()
-        })
-        .unwrap_or_default()
+    let mut pinned = BTreeSet::new();
+    if let Some(w) = where_clause {
+        // A hole pins its column as a literal does: it stands for one.
+        w.each_required_equality(&mut |c, _| {
+            pinned.insert(c.to_ascii_lowercase());
+        });
+    }
+    pinned
 }
 
 /// Computes the conservative static footprint of a statement. `keys` decides

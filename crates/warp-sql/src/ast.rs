@@ -253,6 +253,11 @@ pub enum AggregateFunc {
 pub enum Expr {
     /// A literal value.
     Literal(Value),
+    /// A hole standing for a literal of the statement's text: the value is
+    /// the entry of that index in the parameter vector the statement is
+    /// executed with. Only statement templates ([`crate::parse_template`])
+    /// hold these; [`crate::parse`] never produces one.
+    Param(usize),
     /// A column reference.
     Column(String),
     /// A binary operation.
@@ -327,29 +332,34 @@ impl Expr {
     /// Collects the names of all columns referenced by this expression.
     pub fn referenced_columns(&self) -> Vec<String> {
         let mut cols = Vec::new();
-        self.walk_columns(&mut |c| cols.push(c.to_string()));
+        self.walk(&mut |e| {
+            if let Expr::Column(c) = e {
+                cols.push(c.to_string());
+            }
+        });
         cols
     }
 
-    fn walk_columns(&self, f: &mut impl FnMut(&str)) {
+    /// Visits this expression and every expression inside it, parents first.
+    pub fn walk<'e>(&'e self, f: &mut impl FnMut(&'e Expr)) {
+        f(self);
         match self {
-            Expr::Literal(_) => {}
-            Expr::Column(c) => f(c),
+            Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => {}
             Expr::Binary { left, right, .. } => {
-                left.walk_columns(f);
-                right.walk_columns(f);
+                left.walk(f);
+                right.walk(f);
             }
-            Expr::Unary { operand, .. } => operand.walk_columns(f),
+            Expr::Unary { operand, .. } => operand.walk(f),
             Expr::InList { expr, list, .. } => {
-                expr.walk_columns(f);
+                expr.walk(f);
                 for e in list {
-                    e.walk_columns(f);
+                    e.walk(f);
                 }
             }
-            Expr::IsNull { expr, .. } => expr.walk_columns(f),
+            Expr::IsNull { expr, .. } => expr.walk(f),
             Expr::Aggregate { arg, .. } => {
                 if let Some(a) = arg {
-                    a.walk_columns(f);
+                    a.walk(f);
                 }
             }
         }
@@ -358,17 +368,22 @@ impl Expr {
     /// Extracts `column = literal` equality constraints that are *required*
     /// for this expression to be true (i.e. conjuncts of the top-level AND
     /// chain). This is how the time-travel database determines which
-    /// partitions a query touches (§4.1 of the paper).
+    /// partitions a query touches (§4.1 of the paper). Equalities against a
+    /// hole are not included; see [`Expr::each_required_equality`].
     pub fn required_equalities(&self) -> Vec<(String, Value)> {
         let mut out = Vec::new();
-        self.each_required_equality(&mut |c, v| out.push((c.to_string(), v.clone())));
+        self.each_required_equality(&mut |c, operand| {
+            if let Operand::Literal(v) = operand {
+                out.push((c.to_string(), v.clone()));
+            }
+        });
         out
     }
 
-    /// Visits the constraints [`Expr::required_equalities`] returns, by
-    /// reference and in the same order. The executor picks its access path
-    /// from these on every statement.
-    pub fn each_required_equality<'e>(&'e self, f: &mut impl FnMut(&'e str, &'e Value)) {
+    /// Visits every required `column = literal` or `column = hole` equality
+    /// (the conjuncts of the top-level AND chain), by reference and in
+    /// source order.
+    pub fn each_required_equality<'e>(&'e self, f: &mut impl FnMut(&'e str, Operand<'e>)) {
         match self {
             Expr::Binary {
                 left,
@@ -384,40 +399,88 @@ impl Expr {
                 right,
             } => match (&**left, &**right) {
                 (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => {
-                    f(c, v);
+                    f(c, Operand::Literal(v));
+                }
+                (Expr::Column(c), Expr::Param(i)) | (Expr::Param(i), Expr::Column(c)) => {
+                    f(c, Operand::Param(*i));
                 }
                 _ => {}
             },
             _ => {}
         }
     }
+
+    /// This expression as SQL text, with each hole rendered as the literal
+    /// `params` holds for it (`?n` where it holds none).
+    pub fn display<'e>(&'e self, params: &'e [Value]) -> impl fmt::Display + 'e {
+        WithParams { expr: self, params }
+    }
+}
+
+/// The constant side of a required equality: a literal of the statement, or
+/// a hole to be filled from its parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Operand<'e> {
+    /// A literal in the statement.
+    Literal(&'e Value),
+    /// The hole of this index.
+    Param(usize),
+}
+
+/// An expression paired with the parameters that fill its holes, for
+/// rendering.
+struct WithParams<'e> {
+    expr: &'e Expr,
+    params: &'e [Value],
 }
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        self.display(&[]).fmt(f)
+    }
+}
+
+impl fmt::Display for WithParams<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sub = |expr| WithParams {
+            expr,
+            params: self.params,
+        };
+        match self.expr {
             Expr::Literal(v) => write!(f, "{}", v.to_sql_literal()),
+            Expr::Param(i) => match self.params.get(*i) {
+                Some(v) => write!(f, "{}", v.to_sql_literal()),
+                None => write!(f, "?{i}"),
+            },
             Expr::Column(c) => write!(f, "{c}"),
-            Expr::Binary { left, op, right } => write!(f, "({left} {} {right})", op.as_str()),
+            Expr::Binary { left, op, right } => {
+                write!(f, "({} {} {})", sub(left), op.as_str(), sub(right))
+            }
             Expr::Unary { op, operand } => match op {
-                UnaryOp::Not => write!(f, "(NOT {operand})"),
-                UnaryOp::Neg => write!(f, "(-{operand})"),
+                UnaryOp::Not => write!(f, "(NOT {})", sub(operand)),
+                UnaryOp::Neg => write!(f, "(-{})", sub(operand)),
             },
             Expr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let items: Vec<String> = list.iter().map(|e| e.to_string()).collect();
+                let items: Vec<String> = list.iter().map(|e| sub(e).to_string()).collect();
                 write!(
                     f,
-                    "({expr} {}IN ({}))",
+                    "({} {}IN ({}))",
+                    sub(expr),
                     if *negated { "NOT " } else { "" },
                     items.join(", ")
                 )
             }
             Expr::IsNull { expr, negated } => {
-                write!(f, "({expr} IS {}NULL)", if *negated { "NOT " } else { "" })
+                write!(
+                    f,
+                    "({} IS {}NULL)",
+                    sub(expr),
+                    if *negated { "NOT " } else { "" }
+                )
             }
             Expr::Aggregate { func, arg } => {
                 let name = match func {
@@ -427,7 +490,7 @@ impl fmt::Display for Expr {
                     AggregateFunc::Sum => "SUM",
                 };
                 match arg {
-                    Some(a) => write!(f, "{name}({a})"),
+                    Some(a) => write!(f, "{name}({})", sub(a)),
                     None => write!(f, "{name}(*)"),
                 }
             }
@@ -498,6 +561,38 @@ impl Statement {
             }
             _ => None,
         }
+    }
+
+    /// True if the statement is a template: some expression in it is a hole
+    /// ([`Expr::Param`]).
+    pub fn has_params(&self) -> bool {
+        let mut found = false;
+        let mut check = |e: &Expr| e.walk(&mut |e| found |= matches!(e, Expr::Param(_)));
+        match self {
+            Statement::Select(s) => {
+                for item in &s.items {
+                    if let SelectItem::Expr { expr, .. } = item {
+                        check(expr);
+                    }
+                }
+                s.where_clause.iter().for_each(&mut check);
+                s.order_by.iter().for_each(|o| check(&o.expr));
+            }
+            Statement::Insert { values, .. } => values.iter().flatten().for_each(check),
+            Statement::Update {
+                assignments,
+                where_clause,
+                ..
+            } => {
+                assignments.iter().for_each(|a| check(&a.value));
+                where_clause.iter().for_each(check);
+            }
+            Statement::Delete { where_clause, .. } => where_clause.iter().for_each(check),
+            Statement::CreateTable { .. }
+            | Statement::DropTable { .. }
+            | Statement::AlterTableAddColumn { .. } => {}
+        }
+        found
     }
 
     /// Returns a mutable reference to the statement's `WHERE` clause slot, if

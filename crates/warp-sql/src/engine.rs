@@ -2,12 +2,13 @@
 
 use crate::ast::{AggregateFunc, Expr, SelectItem, SelectStatement, Statement};
 use crate::error::{SqlError, SqlResult};
-use crate::expr::{eval_expr, Bound};
+use crate::expr::{eval_expr_with, Bound};
 use crate::parser::parse;
 use crate::schema::TableSchema;
 use crate::storage::{Candidates, Row, Table};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The result of executing a statement.
@@ -181,12 +182,12 @@ impl Database {
 
     /// Returns the schema of the named table, if it exists.
     pub fn schema(&self, table: &str) -> Option<&TableSchema> {
-        self.tables.get(&normalize(table)).map(|t| &t.schema)
+        self.tables.get(&*table_key(table)).map(|t| &t.schema)
     }
 
     /// Returns a reference to the named table, if it exists.
     pub fn table(&self, table: &str) -> Option<&Table> {
-        self.tables.get(&normalize(table))
+        self.tables.get(&*table_key(table))
     }
 
     /// Returns a mutable reference to the named table, if it exists.
@@ -196,7 +197,7 @@ impl Database {
     /// and its bulk row loaders; ordinary data access goes through
     /// [`Database::execute`].
     pub fn table_mut(&mut self, table: &str) -> Option<&mut Table> {
-        self.tables.get_mut(&normalize(table))
+        self.tables.get_mut(&*table_key(table))
     }
 
     /// Total approximate size of all stored data, in bytes.
@@ -235,6 +236,13 @@ impl Database {
 
     /// Executes an already-parsed statement.
     pub fn execute(&mut self, stmt: &Statement) -> SqlResult<QueryResult> {
+        self.execute_with(stmt, &[])
+    }
+
+    /// Executes a statement template ([`crate::parse_template`]) with
+    /// `params` filling its holes. The parameters are read by reference; the
+    /// statement is neither copied nor changed.
+    pub fn execute_with(&mut self, stmt: &Statement, params: &[Value]) -> SqlResult<QueryResult> {
         match stmt {
             Statement::CreateTable {
                 name,
@@ -242,8 +250,7 @@ impl Database {
                 constraints,
             } => self.create_table(name, columns.clone(), constraints.clone()),
             Statement::DropTable { name } => {
-                let key = normalize(name);
-                if self.tables.remove(&key).is_none() {
+                if self.tables.remove(&*table_key(name)).is_none() {
                     return Err(SqlError::NoSuchTable(name.clone()));
                 }
                 Ok(QueryResult::empty())
@@ -251,7 +258,7 @@ impl Database {
             Statement::AlterTableAddColumn { table, column } => {
                 let t = self
                     .tables
-                    .get_mut(&normalize(table))
+                    .get_mut(&*table_key(table))
                     .ok_or_else(|| SqlError::NoSuchTable(table.clone()))?;
                 let default = column.default.clone().unwrap_or(Value::Null);
                 t.schema.add_column(column.clone())?;
@@ -262,17 +269,17 @@ impl Database {
                 table,
                 columns,
                 values,
-            } => self.insert(table, columns, values),
-            Statement::Select(select) => self.select(select),
+            } => self.insert(table, columns, values, params),
+            Statement::Select(select) => self.select(select, params),
             Statement::Update {
                 table,
                 assignments,
                 where_clause,
-            } => self.update(table, assignments, where_clause.as_ref()),
+            } => self.update(table, assignments, where_clause.as_ref(), params),
             Statement::Delete {
                 table,
                 where_clause,
-            } => self.delete(table, where_clause.as_ref()),
+            } => self.delete(table, where_clause.as_ref(), params),
         }
     }
 
@@ -282,7 +289,7 @@ impl Database {
         columns: Vec<crate::ast::ColumnDef>,
         constraints: Vec<crate::ast::TableConstraint>,
     ) -> SqlResult<QueryResult> {
-        let key = normalize(name);
+        let key = table_key(name).into_owned();
         if self.tables.contains_key(&key) {
             return Err(SqlError::TableExists(name.to_string()));
         }
@@ -296,12 +303,13 @@ impl Database {
         table: &str,
         columns: &[String],
         values: &[Vec<Expr>],
+        params: &[Value],
     ) -> SqlResult<QueryResult> {
         // Evaluate value expressions against an empty row context first (they
         // may not reference columns), then validate and append.
         let t = self
             .tables
-            .get_mut(&normalize(table))
+            .get_mut(&*table_key(table))
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
         let schema = &t.schema;
         let mut col_indexes = Vec::with_capacity(columns.len());
@@ -320,7 +328,7 @@ impl Database {
                 .map(|c| c.default.clone().unwrap_or(Value::Null))
                 .collect();
             for (expr, &idx) in value_exprs.iter().zip(&col_indexes) {
-                row[idx] = eval_expr(expr, schema, &empty_row)?;
+                row[idx] = eval_expr_with(expr, schema, &empty_row, params)?;
             }
             check_not_null(schema, &row, table)?;
             new_rows.push(row);
@@ -348,16 +356,19 @@ impl Database {
         })
     }
 
-    fn select(&mut self, select: &SelectStatement) -> SqlResult<QueryResult> {
+    fn select(&mut self, select: &SelectStatement, params: &[Value]) -> SqlResult<QueryResult> {
         let t = self
             .tables
-            .get(&normalize(&select.table))
+            .get(&*table_key(&select.table))
             .ok_or_else(|| SqlError::NoSuchTable(select.table.clone()))?;
         let schema = &t.schema;
         // Filter.
-        let predicate = select.where_clause.as_ref().map(|w| Bound::bind(w, schema));
+        let predicate = select
+            .where_clause
+            .as_ref()
+            .map(|w| Bound::bind(w, schema, params));
         let mut matching: Vec<&Row> = Vec::new();
-        for pos in access_path(t, select.where_clause.as_ref(), predicate.as_ref()) {
+        for pos in access_path(t, predicate.as_ref()) {
             let row = &t.rows()[pos];
             if matches_where(predicate.as_ref(), row)? {
                 matching.push(row);
@@ -368,7 +379,7 @@ impl Database {
             let order_by: Vec<Bound> = select
                 .order_by
                 .iter()
-                .map(|ob| Bound::bind(&ob.expr, schema))
+                .map(|ob| Bound::bind(&ob.expr, schema, params))
                 .collect();
             let mut keyed: Vec<(Vec<Value>, &Row)> = Vec::with_capacity(matching.len());
             for row in matching {
@@ -408,8 +419,12 @@ impl Database {
                     items.push(None);
                 }
                 SelectItem::Expr { expr, alias } => {
-                    columns.push(alias.clone().unwrap_or_else(|| expr.to_string()));
-                    items.push(Some(Bound::bind(expr, schema)));
+                    columns.push(
+                        alias
+                            .clone()
+                            .unwrap_or_else(|| expr.display(params).to_string()),
+                    );
+                    items.push(Some(Bound::bind(expr, schema, params)));
                 }
             }
         }
@@ -443,15 +458,20 @@ impl Database {
         })
     }
 
-    fn update(
+    /// Executes `UPDATE table SET assignments WHERE where_clause` from its
+    /// parts, with `params` filling their holes — for a caller that applies
+    /// one assignment list under many predicates and would otherwise build
+    /// a statement for each.
+    pub fn update(
         &mut self,
         table: &str,
         assignments: &[crate::ast::Assignment],
         where_clause: Option<&Expr>,
+        params: &[Value],
     ) -> SqlResult<QueryResult> {
         let t = self
             .tables
-            .get_mut(&normalize(table))
+            .get_mut(&*table_key(table))
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
         let schema = &t.schema;
         let mut bound_assignments = Vec::with_capacity(assignments.len());
@@ -459,13 +479,13 @@ impl Database {
             let idx = schema
                 .column_index(&a.column)
                 .ok_or_else(|| SqlError::NoSuchColumn(a.column.clone()))?;
-            bound_assignments.push((idx, Bound::bind(&a.value, schema)));
+            bound_assignments.push((idx, Bound::bind(&a.value, schema, params)));
         }
         // Stage the new images of the touched rows (ascending positions)
         // first, so constraint failures leave the table untouched.
-        let predicate = where_clause.map(|w| Bound::bind(w, schema));
+        let predicate = where_clause.map(|w| Bound::bind(w, schema, params));
         let mut staged: Vec<(usize, Row)> = Vec::new();
-        for pos in access_path(t, where_clause, predicate.as_ref()) {
+        for pos in access_path(t, predicate.as_ref()) {
             let row = &t.rows()[pos];
             if matches_where(predicate.as_ref(), row)? {
                 let mut updated = row.clone();
@@ -502,15 +522,20 @@ impl Database {
         })
     }
 
-    fn delete(&mut self, table: &str, where_clause: Option<&Expr>) -> SqlResult<QueryResult> {
+    fn delete(
+        &mut self,
+        table: &str,
+        where_clause: Option<&Expr>,
+        params: &[Value],
+    ) -> SqlResult<QueryResult> {
         let t = self
             .tables
-            .get_mut(&normalize(table))
+            .get_mut(&*table_key(table))
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
-        let predicate = where_clause.map(|w| Bound::bind(w, &t.schema));
+        let predicate = where_clause.map(|w| Bound::bind(w, &t.schema, params));
         let mut doomed = Vec::new();
         let mut err = None;
-        for pos in access_path(t, where_clause, predicate.as_ref()) {
+        for pos in access_path(t, predicate.as_ref()) {
             match matches_where(predicate.as_ref(), &t.rows()[pos]) {
                 Ok(true) => doomed.push(pos),
                 Ok(false) => {}
@@ -539,8 +564,14 @@ impl Database {
     }
 }
 
-fn normalize(name: &str) -> String {
-    name.to_ascii_lowercase()
+/// The key a table is stored under: its name in lower case, copied only if
+/// it is not already.
+pub fn table_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 /// The capture slot of `table`, if change capture is on and the statement
@@ -553,7 +584,7 @@ fn capture_entry<'c>(
     capture
         .as_mut()
         .filter(|_| rows_changed > 0)
-        .map(|c| c.entry(normalize(table)).or_default())
+        .map(|c| c.entry(table_key(table).into_owned()).or_default())
 }
 
 fn matches_where(predicate: Option<&Bound>, row: &Row) -> SqlResult<bool> {
@@ -572,20 +603,14 @@ fn matches_where(predicate: Option<&Bound>, row: &Row) -> SqlResult<bool> {
 /// could fail on a row it would skip, every position is visited. Either
 /// way the caller evaluates the whole predicate on each candidate, so the
 /// matching rows and their order do not depend on the path taken.
-fn access_path<'t>(
-    t: &'t Table,
-    where_clause: Option<&Expr>,
-    predicate: Option<&Bound>,
-) -> Candidates<'t> {
+fn access_path<'t>(t: &'t Table, predicate: Option<&Bound>) -> Candidates<'t> {
     let mut pins = Vec::new();
-    if let (Some(w), Some(p)) = (where_clause, predicate) {
-        if p.cannot_fail() {
-            w.each_required_equality(&mut |column, value| {
-                if let (Some(idx), false) = (t.schema.column_index(column), value.is_null()) {
-                    pins.push((idx, value));
-                }
-            });
-        }
+    if let Some(p) = predicate.filter(|p| p.cannot_fail()) {
+        p.each_required_equality(&mut |idx, value| {
+            if !value.is_null() {
+                pins.push((idx, value));
+            }
+        });
     }
     t.candidates(pins)
 }

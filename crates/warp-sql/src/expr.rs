@@ -11,13 +11,24 @@ use std::borrow::Cow;
 ///
 /// Aggregates are rejected here; the executor handles them separately.
 pub fn eval_expr(expr: &Expr, schema: &TableSchema, row: &Row) -> SqlResult<Value> {
-    Ok(Bound::bind(expr, schema).eval(row)?.into_owned())
+    eval_expr_with(expr, schema, row, &[])
 }
 
-/// An expression bound to one schema: column names are resolved to row
-/// positions once, so evaluating it per row does no name lookups, and
-/// operands are passed by reference (a column or literal is only cloned if
-/// it *is* the result).
+/// [`eval_expr`] for an expression of a statement template: `params` fills
+/// its holes.
+pub fn eval_expr_with(
+    expr: &Expr,
+    schema: &TableSchema,
+    row: &Row,
+    params: &[Value],
+) -> SqlResult<Value> {
+    Ok(Bound::bind(expr, schema, params).eval(row)?.into_owned())
+}
+
+/// An expression bound to one schema and one parameter vector: column names
+/// are resolved to row positions and holes to their parameters once, so
+/// evaluating it per row does no lookups, and operands are passed by
+/// reference (a column or literal is only cloned if it *is* the result).
 #[derive(Debug)]
 pub(crate) enum Bound<'e> {
     Literal(&'e Value),
@@ -25,6 +36,9 @@ pub(crate) enum Bound<'e> {
     /// A column the schema lacks. Evaluating it is the error, so a statement
     /// that visits no row succeeds, as it always has.
     Missing(&'e str),
+    /// A hole the parameters do not cover; an error to evaluate, like a
+    /// missing column.
+    Unbound(usize),
     Unary {
         op: UnaryOp,
         operand: Box<Bound<'e>>,
@@ -50,11 +64,16 @@ pub(crate) enum Bound<'e> {
 }
 
 impl<'e> Bound<'e> {
-    /// Resolves `expr`'s column references against `schema`.
-    pub(crate) fn bind(expr: &'e Expr, schema: &TableSchema) -> Bound<'e> {
-        let bind = |e: &'e Expr| Box::new(Bound::bind(e, schema));
+    /// Resolves `expr`'s column references against `schema` and its holes
+    /// against `params`.
+    pub(crate) fn bind(expr: &'e Expr, schema: &TableSchema, params: &'e [Value]) -> Bound<'e> {
+        let bind = |e: &'e Expr| Box::new(Bound::bind(e, schema, params));
         match expr {
             Expr::Literal(v) => Bound::Literal(v),
+            Expr::Param(i) => match params.get(*i) {
+                Some(v) => Bound::Literal(v),
+                None => Bound::Unbound(*i),
+            },
             Expr::Column(name) => {
                 #[cfg(debug_assertions)]
                 crate::observer::record(name);
@@ -78,7 +97,10 @@ impl<'e> Bound<'e> {
                 negated,
             } => Bound::InList {
                 expr: bind(expr),
-                list: list.iter().map(|e| Bound::bind(e, schema)).collect(),
+                list: list
+                    .iter()
+                    .map(|e| Bound::bind(e, schema, params))
+                    .collect(),
                 negated: *negated,
             },
             Expr::IsNull { expr, negated } => Bound::IsNull {
@@ -101,6 +123,9 @@ impl<'e> Bound<'e> {
                 None => Cow::Owned(Value::Null),
             },
             Bound::Missing(name) => return Err(SqlError::NoSuchColumn((*name).to_string())),
+            Bound::Unbound(i) => {
+                return Err(SqlError::Execution(format!("no value for parameter ?{i}")))
+            }
             Bound::Unary { op, operand } => {
                 let v = operand.eval(row)?;
                 Cow::Owned(match op {
@@ -154,7 +179,7 @@ impl<'e> Bound<'e> {
     pub(crate) fn cannot_fail(&self) -> bool {
         match self {
             Bound::Literal(_) | Bound::Column(_) => true,
-            Bound::Missing(_) | Bound::Aggregate { .. } => false,
+            Bound::Missing(_) | Bound::Unbound(_) | Bound::Aggregate { .. } => false,
             Bound::Unary { op, operand } => match op {
                 UnaryOp::Not => operand.cannot_fail(),
                 UnaryOp::Neg => matches!(
@@ -175,6 +200,33 @@ impl<'e> Bound<'e> {
                 expr.cannot_fail() && list.iter().all(Bound::cannot_fail)
             }
             Bound::IsNull { expr, .. } => expr.cannot_fail(),
+        }
+    }
+
+    /// Visits every `column = literal` equality that is required for the
+    /// predicate to be true (the conjuncts of its top-level AND chain), as
+    /// the column's row position and the value, in source order. The
+    /// executor picks its access path from these on every statement.
+    pub(crate) fn each_required_equality(&self, f: &mut impl FnMut(usize, &'e Value)) {
+        match self {
+            Bound::Binary {
+                left,
+                op: BinaryOp::And,
+                right,
+            } => {
+                left.each_required_equality(f);
+                right.each_required_equality(f);
+            }
+            Bound::Binary {
+                left,
+                op: BinaryOp::Eq,
+                right,
+            } => match (&**left, &**right) {
+                (Bound::Column(idx), Bound::Literal(v))
+                | (Bound::Literal(v), Bound::Column(idx)) => f(*idx, v),
+                _ => {}
+            },
+            _ => {}
         }
     }
 }

@@ -20,7 +20,11 @@
 //!
 //! The public API is deliberately AST-centric: [`parse`] produces a
 //! [`Statement`] that callers (in particular `warp-ttdb`) may inspect and
-//! rewrite before handing it to [`Database::execute`].
+//! rewrite before handing it to [`Database::execute`]. A caller that sees
+//! the same statements again and again with different literals splits each
+//! text with [`prepare`] into its *shape* and its literals, keeps one
+//! [`parse_template`] result per shape, and runs it through
+//! [`Database::execute_with`].
 //!
 //! # Examples
 //!
@@ -53,12 +57,13 @@ pub use analysis::{
     analyze, lint_statement, ColumnSet, KeyCatalog, Lint, Precision, StatementFootprint,
 };
 pub use ast::{
-    Assignment, ColumnConstraint, ColumnDef, Expr, OrderBy, SelectItem, Statement, TableConstraint,
+    Assignment, ColumnConstraint, ColumnDef, Expr, Operand, OrderBy, SelectItem, Statement,
+    TableConstraint,
 };
 pub use engine::{Database, QueryResult, TableChanges};
 pub use error::{SqlError, SqlResult};
-pub use lexer::{tokenize, Token};
-pub use parser::parse;
+pub use lexer::{prepare, tokenize, Prepared, Token};
+pub use parser::{parse, parse_template};
 pub use schema::{ColumnType, TableSchema};
 pub use storage::{Row, Table};
 pub use value::Value;

@@ -5,7 +5,7 @@ use crate::ast::{
     SelectStatement, Statement, TableConstraint, UnaryOp,
 };
 use crate::error::{SqlError, SqlResult};
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{tokenize, tokenize_template, Token};
 use crate::schema::ColumnType;
 use crate::value::Value;
 
@@ -18,28 +18,84 @@ use crate::value::Value;
 /// assert_eq!(stmt.table_name(), Some("page"));
 /// ```
 pub fn parse(sql: &str) -> SqlResult<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let stmt = parser.parse_statement()?;
-    // Allow a trailing semicolon.
-    if parser.peek_symbol(";") {
-        parser.pos += 1;
+    Parser {
+        tokens: tokenize(sql)?,
+        holes: Vec::new(),
+        pos: 0,
+        params: 0,
     }
-    if parser.pos != parser.tokens.len() {
-        return Err(SqlError::Parse(format!(
-            "unexpected trailing tokens starting at {:?}",
-            parser.tokens[parser.pos]
-        )));
+    .parse_all()
+}
+
+/// Parses a single SQL statement into its *template*: the statement
+/// [`parse`] returns, with each literal that [`crate::prepare`] takes out of
+/// the text replaced by the [`Expr::Param`] of its index there. Executing
+/// the template with the text's literals as parameters is executing the
+/// statement. Every text of one shape has the same template; a text that
+/// [`parse`] rejects is rejected here with the same error.
+///
+/// # Examples
+///
+/// ```
+/// let sql = "SELECT body FROM page WHERE title = 'Main' LIMIT 1";
+/// let template = warp_sql::parse_template(sql).unwrap();
+/// assert_eq!(template.to_string(), "SELECT FROM page WHERE (title = ?0)");
+/// let other = "SELECT body FROM page WHERE title = 'Help' LIMIT 1";
+/// assert_eq!(warp_sql::parse_template(other).unwrap(), template);
+/// ```
+pub fn parse_template(sql: &str) -> SqlResult<Statement> {
+    let (tokens, holes) = tokenize_template(sql)?;
+    Parser {
+        tokens,
+        holes,
+        pos: 0,
+        params: 0,
     }
-    Ok(stmt)
+    .parse_all()
 }
 
 struct Parser {
     tokens: Vec<Token>,
+    /// For a template parse, the index of the hole each token is, if it is
+    /// one; empty otherwise.
+    holes: Vec<Option<usize>>,
     pos: usize,
+    /// How many holes became [`Expr::Param`]s.
+    params: usize,
 }
 
 impl Parser {
+    fn parse_all(mut self) -> SqlResult<Statement> {
+        let stmt = self.parse_statement()?;
+        // Allow a trailing semicolon.
+        if self.peek_symbol(";") {
+            self.pos += 1;
+        }
+        if self.pos != self.tokens.len() {
+            return Err(SqlError::Parse(format!(
+                "unexpected trailing tokens starting at {:?}",
+                self.tokens[self.pos]
+            )));
+        }
+        debug_assert_eq!(
+            self.params,
+            self.holes.iter().flatten().count(),
+            "every literal the shape takes out is a hole of the template"
+        );
+        Ok(stmt)
+    }
+
+    /// The expression for the literal token at `at`.
+    fn literal(&mut self, at: usize, value: Value) -> Expr {
+        match self.holes.get(at) {
+            Some(Some(hole)) => {
+                self.params += 1;
+                Expr::Param(*hole)
+            }
+            _ => Expr::Literal(value),
+        }
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -566,11 +622,12 @@ impl Parser {
             self.expect_symbol(")")?;
             return Ok(inner);
         }
+        let at = self.pos;
         let t = self.next()?;
         match t {
-            Token::IntLit(i) => Ok(Expr::Literal(Value::Int(i))),
-            Token::FloatLit(f) => Ok(Expr::Literal(Value::Float(f))),
-            Token::StringLit(s) => Ok(Expr::Literal(Value::Text(s))),
+            Token::IntLit(i) => Ok(self.literal(at, Value::Int(i))),
+            Token::FloatLit(f) => Ok(self.literal(at, Value::Float(f))),
+            Token::StringLit(s) => Ok(self.literal(at, Value::Text(s))),
             Token::Ident(name) => {
                 let lower = name.to_ascii_lowercase();
                 match lower.as_str() {
@@ -747,6 +804,69 @@ mod tests {
                 ));
             }
             other => panic!("expected update, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_template_with_its_literals_is_the_parsed_statement() {
+        for sql in [
+            "SELECT title, views + 1 FROM page WHERE owner = 'alice' AND views >= -10 LIMIT 5",
+            "SELECT * FROM t WHERE a IN (1, 2.5, 'x') AND b IS NOT NULL AND c LIKE '%'",
+            "INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'it''s')",
+            "UPDATE t SET body = body || '!', n = n * 2 + 1 WHERE id = 3",
+            "DELETE FROM t WHERE a = 1 OR b = 'x'",
+            "select a from t order by a \"limit\" 5",
+        ] {
+            let stmt = parse(sql).unwrap();
+            let template = parse_template(sql).unwrap();
+            let params = crate::prepare(sql).unwrap().params;
+            assert!(!stmt.has_params());
+            assert_eq!(template.has_params(), !params.is_empty(), "{sql}");
+            // Same statement kind, table and LIMIT; same text once the
+            // holes are filled.
+            assert_eq!(template.table_name(), stmt.table_name());
+            if let (Statement::Select(t), Statement::Select(s)) = (&template, &stmt) {
+                assert_eq!(t.limit, s.limit);
+            }
+            if let (Some(t), Some(s)) = (template.where_clause(), stmt.where_clause()) {
+                assert_eq!(t.display(&params).to_string(), s.to_string(), "{sql}");
+            }
+            // And the same rows, through the engine.
+            let mut a = crate::Database::new();
+            let mut b = crate::Database::new();
+            for db in [&mut a, &mut b] {
+                db.execute_sql(
+                    "CREATE TABLE t (id INTEGER, a INTEGER, b TEXT, c TEXT, n INTEGER, body TEXT)",
+                )
+                .unwrap();
+                db.execute_sql("CREATE TABLE page (title TEXT, owner TEXT, views INTEGER)")
+                    .unwrap();
+                db.execute_sql("INSERT INTO t (id, a, b, c, n, body) VALUES (3, 1, 'x', 'c', 2, 'hi'), (4, 2, 'y', 'd', 3, 'yo')").unwrap();
+                db.execute_sql(
+                    "INSERT INTO page (title, owner, views) VALUES ('Main', 'alice', 3)",
+                )
+                .unwrap();
+            }
+            assert_eq!(
+                format!("{:?}", a.execute(&stmt)),
+                format!("{:?}", b.execute_with(&template, &params)),
+                "{sql}"
+            );
+            assert_eq!(
+                format!("{:?}", a.table("t").unwrap().rows()),
+                format!("{:?}", b.table("t").unwrap().rows())
+            );
+        }
+        // Statements other than the four data statements have no holes.
+        let ddl = "CREATE TABLE t (a INTEGER DEFAULT 1, b TEXT DEFAULT 'x')";
+        assert_eq!(parse_template(ddl).unwrap(), parse(ddl).unwrap());
+        // A text `parse` rejects is rejected the same way.
+        for bad in [
+            "SELECT * FROM t LIMIT 'x'",
+            "SELECT * FROM t WHERE",
+            "SELECT 'open",
+        ] {
+            assert_eq!(parse_template(bad).unwrap_err(), parse(bad).unwrap_err());
         }
     }
 

@@ -10,7 +10,10 @@
 //! [`DurableStore::append_batch`] call, and only then runs the callbacks.
 //! A callback therefore fires strictly after every record submitted before
 //! it is durable — "acknowledged implies recoverable" is enforced by
-//! message order, not timing.
+//! message order, not timing. A served request's record and the callback
+//! that releases its response travel as *one* message
+//! ([`GroupCommitWriter::submit_acked`]), so the writer is woken once per
+//! request and never parks between the two.
 //!
 //! Batching policy: the writer flushes once [`BatchPolicy::max_batch`]
 //! records are pending, or as soon as the channel runs dry while a
@@ -80,9 +83,13 @@ pub struct WriterStats {
 }
 
 enum WriterMsg {
-    /// Append one record (asynchronously; durability is signalled by a later
-    /// `Notify`).
-    Record { kind: u8, payload: Vec<u8> },
+    /// Append one record (asynchronously). Durability is signalled by the
+    /// callback riding along, if any, or by a later `Notify`.
+    Record {
+        kind: u8,
+        payload: Vec<u8>,
+        notify: Option<Box<dyn FnOnce() + Send>>,
+    },
     /// Run this callback once every record submitted before it is durable.
     Notify(Box<dyn FnOnce() + Send>),
     /// Flush pending records, then write a *base* checkpoint (compacting
@@ -165,7 +172,23 @@ impl GroupCommitWriter {
 
     /// Submits one record for asynchronous append.
     pub fn submit(&self, kind: u8, payload: Vec<u8>) {
-        self.send(WriterMsg::Record { kind, payload });
+        self.send(WriterMsg::Record {
+            kind,
+            payload,
+            notify: None,
+        });
+    }
+
+    /// Submits one record and runs `f` once it — and everything submitted
+    /// before it — is durable: [`submit`](GroupCommitWriter::submit) then
+    /// [`notify_durable`](GroupCommitWriter::notify_durable), as a single
+    /// message.
+    pub fn submit_acked(&self, kind: u8, payload: Vec<u8>, f: impl FnOnce() + Send + 'static) {
+        self.send(WriterMsg::Record {
+            kind,
+            payload,
+            notify: Some(Box::new(f)),
+        });
     }
 
     /// Runs `f` once everything submitted before this call is durable.
@@ -290,8 +313,13 @@ fn writer_loop(
         notifies: &mut Vec<Box<dyn FnOnce() + Send>>,
     ) -> Option<WriterMsg> {
         match msg {
-            WriterMsg::Record { kind, payload } => {
+            WriterMsg::Record {
+                kind,
+                payload,
+                notify,
+            } => {
                 records.push((kind, payload));
+                notifies.extend(notify);
                 None
             }
             WriterMsg::Notify(f) => {
@@ -471,6 +499,55 @@ mod tests {
         assert_eq!(store.next_lsn(), 20);
         assert_eq!(stats.records, 20);
         assert!(stats.batches <= 20);
+    }
+
+    #[test]
+    fn an_acked_record_is_durable_with_its_predecessors_when_its_callback_fires() {
+        let mem = MemoryBackend::new();
+        let writer = GroupCommitWriter::spawn(store(&mem), BatchPolicy::default());
+        let observed = Arc::new(AtomicUsize::new(0));
+        for i in 0..20u8 {
+            // An unacked record (a client-log upload, say) before each
+            // acked one: the callback covers both.
+            writer.submit(2, vec![i]);
+            let mem = mem.clone();
+            let observed = observed.clone();
+            let expect = 2 * (i as usize + 1);
+            writer.submit_acked(1, vec![i], move || {
+                let (_, recovered) =
+                    DurableStore::open(Box::new(mem), StoreOptions::default()).unwrap();
+                assert!(
+                    recovered.records.len() >= expect,
+                    "ack fired with only {} of {expect} records durable",
+                    recovered.records.len()
+                );
+                observed.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        writer.flush();
+        assert_eq!(observed.load(Ordering::SeqCst), 20);
+        let (store, stats) = writer.close();
+        assert_eq!(store.next_lsn(), 40);
+        assert_eq!(stats.records, 40);
+    }
+
+    #[test]
+    fn a_lone_acked_record_is_flushed_without_waiting_out_the_batch_delay() {
+        let mem = MemoryBackend::new();
+        let writer = GroupCommitWriter::spawn(
+            store(&mem),
+            BatchPolicy {
+                max_batch: 64,
+                max_delay: Duration::from_secs(60),
+            },
+        );
+        let (tx, rx) = channel();
+        writer.submit_acked(1, b"a".to_vec(), move || {
+            let _ = tx.send(());
+        });
+        // Nothing else is coming: the writer must not sit out `max_delay`.
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the ack of a lone record fires at once");
     }
 
     #[test]

@@ -28,12 +28,16 @@
 //! Warp server calls [`TimeTravelDb::execute_logged`], which rewrites the
 //! application's query, executes it, and returns both the application-visible
 //! result and a [`QueryDependency`] record for the action history graph.
+//! The rewrite is planned once per statement *shape* — the query's text
+//! with its literals taken out — and shared by every execution of that
+//! shape, served, replayed or re-executed (see [`plan`]).
 //! During repair, [`repair::RepairSession`] provides rollback and
 //! re-execution primitives to the repair controller.
 
 pub mod annotations;
 pub mod delta;
 pub mod dependency;
+pub mod plan;
 pub mod repair;
 pub mod rewrite;
 pub mod versioned;
@@ -41,9 +45,10 @@ pub mod versioned;
 pub use annotations::TableAnnotation;
 pub use delta::{row_diff, RepairDelta, TableDelta};
 pub use dependency::{PartitionKey, PartitionSet, QueryDependency};
+pub use plan::{Plan, PlannedQuery};
 pub use repair::{DirtyRegion, RepairSession};
 pub use versioned::{
-    Generation, RowScope, StorageStats, TimeTravelDb, Timestamp, INF_GEN, INF_TIME,
+    Generation, LoggedExecution, RowScope, StorageStats, TimeTravelDb, Timestamp, INF_GEN, INF_TIME,
 };
 
 #[cfg(test)]

@@ -1,0 +1,317 @@
+//! Prepared plans: what executing a statement needs that follows from its
+//! *shape* alone.
+//!
+//! Application queries arrive as text, and the same few dozen statements
+//! arrive again and again with different literals — when served, when
+//! recovery or a standby replays them, when repair re-executes them.
+//! [`warp_sql::prepare`] splits a text into its shape and its literals
+//! without parsing it; per shape, the database keeps one [`Plan`]: the parsed
+//! statement with a hole where each literal was, its table's configuration,
+//! its static column footprint, which holes pin which partition columns, and
+//! the time-travel rewrite with the execution's time and generation as two
+//! more holes. An execution fills the holes by reference — it neither parses
+//! nor analyses nor copies the statement.
+//!
+//! The plan table is derived state: a pure function of the shapes seen and
+//! the tables' create-time annotations, so it is never persisted, compared
+//! or invalidated, and dropping it (garbage collection does) is always safe.
+//! A statement that arrives already parsed gets a one-off plan and runs
+//! through the same executor.
+
+use crate::rewrite::{and_valid, validity, Pins};
+use crate::versioned::{
+    TableConfig, COL_END_GEN, COL_END_TIME, COL_ROW_ID, COL_START_GEN, COL_START_TIME, INF_GEN,
+    INF_TIME,
+};
+use std::collections::BTreeMap;
+use std::mem::Discriminant;
+use std::sync::Arc;
+use warp_sql::ast::{Assignment, SelectItem, SelectStatement};
+use warp_sql::{ColumnSet, Expr, SqlError, Statement, Value};
+
+/// The plan of one statement shape. See the [module documentation](self).
+#[derive(Debug)]
+pub struct Plan {
+    kind: Discriminant<Statement>,
+    is_write: bool,
+    /// The table as the statement spells it (errors quote it verbatim).
+    pub(crate) table: String,
+    /// The table's lower-cased name.
+    pub(crate) table_key: String,
+    /// How many literals the shape has holes for. An execution's parameters
+    /// are those literals, then its time, then its generation (then, for an
+    /// `INSERT` into a table with synthetic row IDs, the IDs it allocates).
+    pub(crate) holes: usize,
+    pub(crate) body: Body,
+}
+
+/// The executable part of a [`Plan`], by statement kind.
+#[derive(Debug)]
+pub(crate) enum Body {
+    Select(SelectPlan),
+    Insert(InsertPlan),
+    Update(UpdatePlan),
+    Delete(DeletePlan),
+    /// Executing the statement is this error: runtime DDL, or a table that
+    /// does not exist (yet — such a plan is never kept).
+    Rejected(SqlError),
+}
+
+#[derive(Debug)]
+pub(crate) struct SelectPlan {
+    /// The statement restricted to the versions valid at the execution's
+    /// time and generation.
+    pub(crate) stmt: Statement,
+    pub(crate) pins: Pins,
+    pub(crate) read_columns: ColumnSet,
+}
+
+#[derive(Debug)]
+pub(crate) struct InsertPlan {
+    pub(crate) cfg: Arc<TableConfig>,
+    /// The application's column list and value rows, which the dependency
+    /// record is computed from.
+    pub(crate) columns: Vec<String>,
+    pub(crate) values: Vec<Vec<Expr>>,
+    /// Position of the natural row-ID column in `columns` (`None` for a
+    /// synthetic row ID, or when the statement does not supply it).
+    pub(crate) row_id_at: Option<usize>,
+    /// The statement with the versioning columns (and a synthetic row ID)
+    /// added to every row.
+    pub(crate) stmt: Statement,
+    pub(crate) read_columns: ColumnSet,
+}
+
+#[derive(Debug)]
+pub(crate) struct UpdatePlan {
+    pub(crate) cfg: Arc<TableConfig>,
+    /// Selects the whole row versions the statement matches.
+    pub(crate) matching: Statement,
+    /// The application's assignments.
+    pub(crate) assignments: Vec<Assignment>,
+    /// The same, plus moving the version's start to the execution's time:
+    /// what is applied to each matched version in place.
+    pub(crate) in_place: Vec<Assignment>,
+    pub(crate) pins: Pins,
+    pub(crate) read_columns: ColumnSet,
+    pub(crate) write_columns: ColumnSet,
+}
+
+#[derive(Debug)]
+pub(crate) struct DeletePlan {
+    pub(crate) cfg: Arc<TableConfig>,
+    /// Selects the whole row versions the statement matches.
+    pub(crate) matching: Statement,
+    /// Ends a version at the execution's time.
+    pub(crate) end_version: Vec<Assignment>,
+    pub(crate) pins: Pins,
+    pub(crate) read_columns: ColumnSet,
+}
+
+impl Plan {
+    /// Plans a statement whose `holes` literals have been replaced by
+    /// [`Expr::Param`]s `0..holes` (zero for a statement from
+    /// [`warp_sql::parse`]).
+    pub(crate) fn build(
+        stmt: Statement,
+        holes: usize,
+        configs: &BTreeMap<String, Arc<TableConfig>>,
+    ) -> Plan {
+        let table = stmt.table_name().unwrap_or_default().to_string();
+        let table_key = table.to_ascii_lowercase();
+        let kind = std::mem::discriminant(&stmt);
+        let is_write = stmt.is_write();
+        let is_dml = matches!(
+            stmt,
+            Statement::Select(_)
+                | Statement::Insert { .. }
+                | Statement::Update { .. }
+                | Statement::Delete { .. }
+        );
+        let body = if !is_dml {
+            Body::Rejected(SqlError::Execution(format!(
+                "applications may not issue DDL at runtime: {stmt}"
+            )))
+        } else {
+            match configs.get(&table_key) {
+                None => Body::Rejected(SqlError::NoSuchTable(table.clone())),
+                Some(cfg) => Body::build(stmt, holes, cfg),
+            }
+        };
+        Plan {
+            kind,
+            is_write,
+            table,
+            table_key,
+            holes,
+            body,
+        }
+    }
+
+    /// True if executing the statement can modify stored data.
+    pub fn is_write(&self) -> bool {
+        self.is_write
+    }
+
+    /// True if `other` plans the same kind of statement against the same
+    /// table — how a re-executed write is matched to an original one whose
+    /// text differs.
+    pub fn same_kind_and_table(&self, other: &Plan) -> bool {
+        self.kind == other.kind && self.table_key == other.table_key
+    }
+
+    /// True if the plan may be kept for the shape's next execution: it
+    /// depends on nothing that can change.
+    pub(crate) fn is_reusable(&self) -> bool {
+        !matches!(self.body, Body::Rejected(_))
+    }
+}
+
+impl Body {
+    fn build(stmt: Statement, holes: usize, cfg: &Arc<TableConfig>) -> Body {
+        let cfg = cfg.clone();
+        let partition_columns = &cfg.annotation.partition_columns;
+        // The footprint is the application statement's, before the rewrite
+        // adds bookkeeping columns to it.
+        let footprint = warp_sql::analyze(&stmt, &warp_sql::KeyCatalog::new());
+        let write_columns = footprint.effective_write_columns();
+        let read_columns = footprint.read_columns;
+        let pins = Pins::of(stmt.where_clause(), partition_columns);
+        let (time, gen) = (Expr::Param(holes), Expr::Param(holes + 1));
+        // The valid versions of `table` that `where_clause` matches, whole.
+        let matching = |table: &str, where_clause: Option<Expr>| {
+            Statement::Select(SelectStatement {
+                items: vec![SelectItem::Wildcard],
+                table: table.to_string(),
+                where_clause: Some(and_valid(where_clause, validity(time.clone(), gen.clone()))),
+                order_by: vec![],
+                limit: None,
+            })
+        };
+        match stmt {
+            Statement::Select(mut select) => {
+                select.where_clause = Some(and_valid(
+                    select.where_clause.take(),
+                    validity(time.clone(), gen.clone()),
+                ));
+                Body::Select(SelectPlan {
+                    stmt: Statement::Select(select),
+                    pins,
+                    read_columns,
+                })
+            }
+            Statement::Insert {
+                table,
+                columns,
+                values,
+            } => {
+                let mut all_columns = columns.clone();
+                all_columns.extend(
+                    [COL_START_TIME, COL_END_TIME, COL_START_GEN, COL_END_GEN].map(String::from),
+                );
+                if cfg.synthetic_row_id {
+                    all_columns.push(COL_ROW_ID.to_string());
+                }
+                let rows = values.iter().enumerate().map(|(k, row)| {
+                    let mut row = row.clone();
+                    row.extend([
+                        time.clone(),
+                        Expr::Literal(Value::Int(INF_TIME)),
+                        gen.clone(),
+                        Expr::Literal(Value::Int(INF_GEN)),
+                    ]);
+                    if cfg.synthetic_row_id {
+                        row.push(Expr::Param(holes + 2 + k));
+                    }
+                    row
+                });
+                let row_id_at = columns
+                    .iter()
+                    .position(|c| c.eq_ignore_ascii_case(&cfg.row_id_column))
+                    .filter(|_| !cfg.synthetic_row_id);
+                Body::Insert(InsertPlan {
+                    stmt: Statement::Insert {
+                        table,
+                        columns: all_columns,
+                        values: rows.collect(),
+                    },
+                    cfg,
+                    columns,
+                    values,
+                    row_id_at,
+                    read_columns,
+                })
+            }
+            Statement::Update {
+                table,
+                assignments,
+                where_clause,
+            } => {
+                let mut in_place = assignments.clone();
+                in_place.push(Assignment {
+                    column: COL_START_TIME.to_string(),
+                    value: time.clone(),
+                });
+                Body::Update(UpdatePlan {
+                    matching: matching(&table, where_clause),
+                    cfg,
+                    assignments,
+                    in_place,
+                    pins,
+                    read_columns,
+                    write_columns,
+                })
+            }
+            Statement::Delete {
+                table,
+                where_clause,
+            } => Body::Delete(DeletePlan {
+                matching: matching(&table, where_clause),
+                cfg,
+                end_version: vec![Assignment {
+                    column: COL_END_TIME.to_string(),
+                    value: time.clone(),
+                }],
+                pins,
+                read_columns,
+            }),
+            other => unreachable!("{other} is not a data statement"),
+        }
+    }
+}
+
+/// A statement ready to execute: the plan of its shape, and the parameters
+/// that fill the plan's holes for this text.
+#[derive(Debug, Clone)]
+pub struct PlannedQuery {
+    pub(crate) plan: Arc<Plan>,
+    /// See [`Plan::holes`] for the layout.
+    pub(crate) params: Vec<Value>,
+}
+
+impl PlannedQuery {
+    /// Pairs a plan with the literals of one text of its shape.
+    pub(crate) fn new(plan: Arc<Plan>, mut literals: Vec<Value>) -> PlannedQuery {
+        debug_assert_eq!(literals.len(), plan.holes);
+        // The slots an execution writes its time and generation to.
+        literals.extend([Value::Null, Value::Null]);
+        PlannedQuery {
+            plan,
+            params: literals,
+        }
+    }
+
+    /// The shared plan of the statement's shape.
+    pub fn plan(&self) -> &Arc<Plan> {
+        &self.plan
+    }
+
+    /// Sets the execution's time and generation, dropping whatever a
+    /// previous execution added after them.
+    pub(crate) fn at(&mut self, time: i64, gen: i64) {
+        let holes = self.plan.holes;
+        self.params.truncate(holes + 2);
+        self.params[holes] = Value::Int(time);
+        self.params[holes + 1] = Value::Int(gen);
+    }
+}

@@ -7,9 +7,10 @@
 //! implements the two-phase re-execution of multi-row write queries.
 
 use crate::dependency::{PartitionSet, QueryDependency};
+use crate::plan::PlannedQuery;
 use crate::versioned::{Generation, LoggedExecution, TimeTravelDb, Timestamp};
 use serde::{Deserialize, Serialize};
-use warp_sql::{ColumnSet, SqlResult, Statement, Value};
+use warp_sql::{ColumnSet, SqlResult, Value};
 
 /// One contiguous piece of repair-dirtied state: a set of partitions paired
 /// with the columns whose visible values changed inside those partitions.
@@ -157,11 +158,11 @@ impl RepairSession {
     pub fn reexecute_read(
         &mut self,
         db: &mut TimeTravelDb,
-        stmt: &Statement,
+        query: &mut PlannedQuery,
         original_time: Timestamp,
     ) -> SqlResult<LoggedExecution> {
         self.reexecuted_queries += 1;
-        db.execute_stmt_logged(stmt, original_time, self.generation)
+        db.execute_planned(query, original_time, self.generation)
     }
 
     /// Re-executes a *write* query at its original time inside the repair
@@ -175,23 +176,14 @@ impl RepairSession {
     pub fn reexecute_write(
         &mut self,
         db: &mut TimeTravelDb,
-        stmt: &Statement,
+        query: &mut PlannedQuery,
         original_time: Timestamp,
         original_row_ids: &[Value],
     ) -> SqlResult<LoggedExecution> {
         self.reexecuted_queries += 1;
-        let table = stmt
-            .table_name()
-            .ok_or_else(|| warp_sql::SqlError::Execution("write without a table".into()))?
-            .to_string();
         // Phase 1: find the rows matched by the new WHERE clause, evaluated
         // against the repaired state at the original time.
-        let new_row_ids = match stmt {
-            Statement::Update { where_clause, .. } | Statement::Delete { where_clause, .. } => {
-                self.matching_row_ids(db, &table, where_clause.as_ref(), original_time)?
-            }
-            _ => Vec::new(),
-        };
+        let new_row_ids = db.matching_row_ids(query, original_time, self.generation)?;
         // Phase 2: roll back the union of old and new row IDs.
         let mut union: Vec<Value> = original_row_ids.to_vec();
         for id in new_row_ids {
@@ -200,17 +192,13 @@ impl RepairSession {
             }
         }
         if !union.is_empty() {
-            db.rollback_rows(&table, &union, original_time, self.generation)?;
+            let table = query.plan().table.as_str();
+            db.rollback_rows(table, &union, original_time, self.generation)?;
             self.rolled_back_rows += union.len();
         }
         // Phase 3: execute the write at its original time in the repair
         // generation and record the partitions and columns it touched.
-        let out = db.execute_stmt_logged(stmt, original_time, self.generation)?;
-        self.note_modified_columns(
-            &out.dependency.write_partitions,
-            &out.dependency.write_columns,
-        );
-        Ok(out)
+        self.execute_write(db, query, original_time)
     }
 
     /// Applies a brand-new write (one that did not exist during the original
@@ -219,11 +207,22 @@ impl RepairSession {
     pub fn execute_new_write(
         &mut self,
         db: &mut TimeTravelDb,
-        stmt: &Statement,
+        query: &mut PlannedQuery,
         time: Timestamp,
     ) -> SqlResult<LoggedExecution> {
         self.reexecuted_queries += 1;
-        let out = db.execute_stmt_logged(stmt, time, self.generation)?;
+        self.execute_write(db, query, time)
+    }
+
+    /// Executes a write in the repair generation and records the partitions
+    /// and columns it touched.
+    fn execute_write(
+        &mut self,
+        db: &mut TimeTravelDb,
+        query: &mut PlannedQuery,
+        time: Timestamp,
+    ) -> SqlResult<LoggedExecution> {
+        let out = db.execute_planned(query, time, self.generation)?;
         self.note_modified_columns(
             &out.dependency.write_partitions,
             &out.dependency.write_columns,
@@ -251,36 +250,6 @@ impl RepairSession {
     pub fn dependency_affected(&self, dep: &QueryDependency) -> bool {
         self.is_affected_columns(&dep.read_partitions, &dep.read_columns)
             || self.is_affected_columns(&dep.write_partitions, &dep.write_columns)
-    }
-
-    fn matching_row_ids(
-        &self,
-        db: &mut TimeTravelDb,
-        table: &str,
-        where_clause: Option<&warp_sql::Expr>,
-        time: Timestamp,
-    ) -> SqlResult<Vec<Value>> {
-        let row_id_col = db
-            .row_id_column(table)
-            .ok_or_else(|| warp_sql::SqlError::NoSuchTable(table.to_string()))?
-            .to_string();
-        let select = Statement::Select(warp_sql::ast::SelectStatement {
-            items: vec![warp_sql::ast::SelectItem::Expr {
-                expr: warp_sql::Expr::Column(row_id_col),
-                alias: Some("rid".to_string()),
-            }],
-            table: table.to_string(),
-            where_clause: where_clause.cloned(),
-            order_by: vec![],
-            limit: None,
-        });
-        let out = db.execute_stmt_logged(&select, time, self.generation)?;
-        Ok(out
-            .result
-            .rows
-            .into_iter()
-            .filter_map(|mut r| r.pop())
-            .collect())
     }
 }
 
@@ -347,10 +316,11 @@ mod tests {
         let mut session = RepairSession::begin(&mut db);
         // During repair, the patched application no longer issues the attack
         // query; instead the legitimate edit of Help is re-executed as-is.
-        let stmt =
-            warp_sql::parse("UPDATE page SET body = 'better help' WHERE title = 'Help'").unwrap();
+        let mut query = db
+            .plan("UPDATE page SET body = 'better help' WHERE title = 'Help'")
+            .unwrap();
         let out = session
-            .reexecute_write(&mut db, &stmt, 30, &[Value::Int(2)])
+            .reexecute_write(&mut db, &mut query, 30, &[Value::Int(2)])
             .unwrap();
         assert_eq!(out.result.affected, 1);
         // Roll back the attack's effect on Main.
@@ -379,10 +349,12 @@ mod tests {
         let mut session = RepairSession::begin(&mut db);
         // A read that originally ran at time 20 must see the time-20 value of
         // Help even though Help changed later and was never rolled back.
-        let stmt = warp_sql::parse("SELECT body FROM page WHERE title = 'Help'").unwrap();
-        let out = session.reexecute_read(&mut db, &stmt, 20).unwrap();
+        let mut query = db
+            .plan("SELECT body FROM page WHERE title = 'Help'")
+            .unwrap();
+        let out = session.reexecute_read(&mut db, &mut query, 20).unwrap();
         assert_eq!(out.result.rows[0][0], Value::text("help"));
-        let out = session.reexecute_read(&mut db, &stmt, 50).unwrap();
+        let out = session.reexecute_read(&mut db, &mut query, 50).unwrap();
         assert_eq!(out.result.rows[0][0], Value::text("edited help"));
         assert_eq!(session.reexecuted_queries, 2);
     }
@@ -391,8 +363,10 @@ mod tests {
     fn abort_discards_repair_changes() {
         let mut db = seeded_db();
         let mut session = RepairSession::begin(&mut db);
-        let stmt = warp_sql::parse("UPDATE page SET body = 'x' WHERE title = 'Main'").unwrap();
-        session.execute_new_write(&mut db, &stmt, 50).unwrap();
+        let mut query = db
+            .plan("UPDATE page SET body = 'x' WHERE title = 'Main'")
+            .unwrap();
+        session.execute_new_write(&mut db, &mut query, 50).unwrap();
         session.abort(&mut db).unwrap();
         let body = db
             .execute_logged("SELECT body FROM page WHERE title = 'Main'", 100)

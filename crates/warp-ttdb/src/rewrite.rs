@@ -6,7 +6,8 @@ use crate::versioned::{
     Generation, Timestamp, COL_END_GEN, COL_END_TIME, COL_START_GEN, COL_START_TIME,
 };
 use std::collections::BTreeSet;
-use warp_sql::{Expr, Statement, Value};
+use warp_sql::ast::BinaryOp;
+use warp_sql::{Expr, Operand, Statement, Value};
 
 /// Builds the predicate selecting row versions valid at `time` in `gen`:
 /// `start_time <= T AND end_time > T AND start_gen <= G AND end_gen >= G`.
@@ -15,30 +16,24 @@ use warp_sql::{Expr, Statement, Value};
 /// exactly the moment a row was superseded sees the *new* version, never
 /// both.
 pub fn validity_predicate(time: Timestamp, gen: Generation) -> Expr {
-    let start_time_ok = Expr::Binary {
-        left: Box::new(Expr::Column(COL_START_TIME.into())),
-        op: warp_sql::ast::BinaryOp::LtEq,
-        right: Box::new(Expr::Literal(Value::Int(time))),
+    validity(
+        Expr::Literal(Value::Int(time)),
+        Expr::Literal(Value::Int(gen)),
+    )
+}
+
+/// [`validity_predicate`] over expressions: a plan passes the two holes its
+/// executions fill with their time and generation.
+pub(crate) fn validity(time: Expr, gen: Expr) -> Expr {
+    let cmp = |column: &str, op, bound: &Expr| Expr::Binary {
+        left: Box::new(Expr::Column(column.into())),
+        op,
+        right: Box::new(bound.clone()),
     };
-    let end_time_ok = Expr::Binary {
-        left: Box::new(Expr::Column(COL_END_TIME.into())),
-        op: warp_sql::ast::BinaryOp::Gt,
-        right: Box::new(Expr::Literal(Value::Int(time))),
-    };
-    let start_gen_ok = Expr::Binary {
-        left: Box::new(Expr::Column(COL_START_GEN.into())),
-        op: warp_sql::ast::BinaryOp::LtEq,
-        right: Box::new(Expr::Literal(Value::Int(gen))),
-    };
-    let end_gen_ok = Expr::Binary {
-        left: Box::new(Expr::Column(COL_END_GEN.into())),
-        op: warp_sql::ast::BinaryOp::GtEq,
-        right: Box::new(Expr::Literal(Value::Int(gen))),
-    };
-    start_time_ok
-        .and(end_time_ok)
-        .and(start_gen_ok)
-        .and(end_gen_ok)
+    cmp(COL_START_TIME, BinaryOp::LtEq, &time)
+        .and(cmp(COL_END_TIME, BinaryOp::Gt, &time))
+        .and(cmp(COL_START_GEN, BinaryOp::LtEq, &gen))
+        .and(cmp(COL_END_GEN, BinaryOp::GtEq, &gen))
 }
 
 /// Adds the validity predicate for `(time, gen)` to a statement's `WHERE`
@@ -46,11 +41,89 @@ pub fn validity_predicate(time: Timestamp, gen: Generation) -> Expr {
 /// `WHERE` slot are left untouched.
 pub fn restrict_to_valid(stmt: &mut Statement, time: Timestamp, gen: Generation) {
     if let Some(slot) = stmt.where_clause_mut() {
-        let validity = validity_predicate(time, gen);
-        *slot = Some(match slot.take() {
-            Some(existing) => existing.and(validity),
-            None => validity,
-        });
+        *slot = Some(and_valid(slot.take(), validity_predicate(time, gen)));
+    }
+}
+
+/// `where_clause AND validity`, or just `validity` without a clause.
+pub(crate) fn and_valid(where_clause: Option<Expr>, validity: Expr) -> Expr {
+    match where_clause {
+        Some(existing) => existing.and(validity),
+        None => validity,
+    }
+}
+
+/// The partitions a statement *reads*, as far as its `WHERE` clause decides
+/// them before its holes are filled (paper §4.1): the partition columns its
+/// required equalities pin, each to a literal or to a hole.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Pins {
+    /// No partition column is pinned (or the table has none, or the
+    /// statement has no `WHERE` clause): the statement depends on the whole
+    /// table.
+    Whole,
+    /// The pinned partition columns (lower-cased), in source order.
+    Columns(Vec<(String, Pin)>),
+}
+
+/// What a partition column is pinned to.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Pin {
+    Literal(Value),
+    Param(usize),
+}
+
+impl Pins {
+    /// Reads the pins off a `WHERE` clause.
+    pub(crate) fn of(where_clause: Option<&Expr>, partition_columns: &[String]) -> Pins {
+        let mut pins = Vec::new();
+        if let Some(w) = where_clause {
+            w.each_required_equality(&mut |col, operand| {
+                if partition_columns
+                    .iter()
+                    .any(|p| p.eq_ignore_ascii_case(col))
+                {
+                    let pin = match operand {
+                        Operand::Literal(v) => Pin::Literal(v.clone()),
+                        Operand::Param(i) => Pin::Param(i),
+                    };
+                    pins.push((col.to_ascii_lowercase(), pin));
+                }
+            });
+        }
+        if pins.is_empty() {
+            Pins::Whole
+        } else {
+            Pins::Columns(pins)
+        }
+    }
+
+    /// The partition set of one execution: `params` fills the holes.
+    /// `table` is the lower-cased table name.
+    pub(crate) fn resolve(&self, table: &str, params: &[Value]) -> PartitionSet {
+        let whole = || PartitionSet::Whole {
+            table: table.to_string(),
+        };
+        let Pins::Columns(pins) = self else {
+            return whole();
+        };
+        let mut keys = BTreeSet::new();
+        for (column, pin) in pins {
+            let value = match pin {
+                Pin::Literal(v) => v,
+                Pin::Param(i) => match params.get(*i) {
+                    Some(v) => v,
+                    // Unknown value: every partition.
+                    None => return whole(),
+                },
+            };
+            keys.insert(PartitionKey {
+                table: table.to_string(),
+                column: column.clone(),
+                value: value.as_display_string(),
+            });
+        }
+        PartitionSet::Keys(keys)
     }
 }
 
@@ -66,28 +139,7 @@ pub fn read_partitions(
     table: &str,
     partition_columns: &[String],
 ) -> PartitionSet {
-    if partition_columns.is_empty() {
-        return PartitionSet::whole(table);
-    }
-    let where_clause = match stmt.where_clause() {
-        Some(w) => w,
-        None => return PartitionSet::whole(table),
-    };
-    let equalities = where_clause.required_equalities();
-    let mut keys = BTreeSet::new();
-    for (col, value) in equalities {
-        if partition_columns
-            .iter()
-            .any(|p| p.eq_ignore_ascii_case(&col))
-        {
-            keys.insert(PartitionKey::new(table, &col, &value));
-        }
-    }
-    if keys.is_empty() {
-        PartitionSet::whole(table)
-    } else {
-        PartitionSet::Keys(keys)
-    }
+    Pins::of(stmt.where_clause(), partition_columns).resolve(&table.to_ascii_lowercase(), &[])
 }
 
 /// Computes the partitions touched by a set of concrete row values (used for

@@ -2,14 +2,16 @@
 
 use crate::annotations::TableAnnotation;
 use crate::dependency::{PartitionSet, QueryDependency};
-use crate::rewrite::{partitions_of_rows, read_partitions, restrict_to_valid};
+use crate::plan::{Body, DeletePlan, InsertPlan, Plan, PlannedQuery, SelectPlan, UpdatePlan};
+use crate::rewrite::{partitions_of_rows, restrict_to_valid};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use warp_sql::ast::{
     Assignment, ColumnConstraint, ColumnDef, Expr, SelectItem, SelectStatement, Statement,
 };
-use warp_sql::expr::eval_expr;
+use warp_sql::engine::table_key;
+use warp_sql::expr::eval_expr_with;
 use warp_sql::{ColumnSet, ColumnType, Database, QueryResult, SqlError, SqlResult, Value};
 
 /// Logical timestamps. The Warp server owns a monotonically increasing
@@ -83,12 +85,12 @@ impl RowScope {
 
 /// Per-table configuration resolved from the programmer's annotation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct TableConfig {
-    annotation: TableAnnotation,
+pub(crate) struct TableConfig {
+    pub(crate) annotation: TableAnnotation,
     /// The resolved row-ID column (natural or synthetic).
-    row_id_column: String,
+    pub(crate) row_id_column: String,
     /// True if Warp added the row-ID column itself.
-    synthetic_row_id: bool,
+    pub(crate) synthetic_row_id: bool,
     /// The application's original `CREATE TABLE` statement, kept so a
     /// recovered database can re-create the table identically.
     create_sql: String,
@@ -103,9 +105,14 @@ struct TableConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TimeTravelDb {
     db: Database,
-    /// Shared, so a statement holds its table's configuration without
-    /// copying the annotation and `CREATE TABLE` text.
+    /// Shared, so a plan holds its table's configuration without copying
+    /// the annotation and `CREATE TABLE` text.
     configs: BTreeMap<String, Arc<TableConfig>>,
+    /// The plan of every statement shape executed from text so far (see
+    /// [`crate::plan`]), keyed by [`warp_sql::Prepared::shape`]. Derived
+    /// state: never persisted or compared, emptied by
+    /// [`TimeTravelDb::garbage_collect`].
+    plans: HashMap<String, Arc<Plan>>,
     current_gen: Generation,
     repair_gen: Option<Generation>,
     next_synthetic_row_id: i64,
@@ -132,6 +139,7 @@ impl TimeTravelDb {
         TimeTravelDb {
             db: Database::new(),
             configs: BTreeMap::new(),
+            plans: HashMap::new(),
             current_gen: 0,
             repair_gen: None,
             next_synthetic_row_id: 1,
@@ -158,14 +166,14 @@ impl TimeTravelDb {
     /// The row-ID column of a table.
     pub fn row_id_column(&self, table: &str) -> Option<&str> {
         self.configs
-            .get(&norm(table))
+            .get(&*table_key(table))
             .map(|c| c.row_id_column.as_str())
     }
 
     /// The partition columns of a table.
     pub fn partition_columns(&self, table: &str) -> &[String] {
         self.configs
-            .get(&norm(table))
+            .get(&*table_key(table))
             .map(|c| c.annotation.partition_columns.as_slice())
             .unwrap_or(&[])
     }
@@ -236,7 +244,7 @@ impl TimeTravelDb {
             t.declare_index(col)?;
         }
         self.configs.insert(
-            norm(&table),
+            table_key(&table).into_owned(),
             Arc::new(TableConfig {
                 annotation,
                 row_id_column,
@@ -251,11 +259,12 @@ impl TimeTravelDb {
     /// time `time`, in the current generation, returning the result and the
     /// dependency record.
     pub fn execute_logged(&mut self, sql: &str, time: Timestamp) -> SqlResult<LoggedExecution> {
-        let stmt = warp_sql::parse(sql)?;
-        self.execute_stmt_logged(&stmt, time, self.current_gen)
+        let mut query = self.plan(sql)?;
+        self.execute_planned(&mut query, time, self.current_gen)
     }
 
-    /// Executes an already-parsed application statement at `(time, gen)`.
+    /// Executes an already-parsed application statement at `(time, gen)`,
+    /// through a plan built for this one execution.
     ///
     /// Normal execution passes the current generation; re-execution during
     /// repair passes the repair generation and the query's *original* time.
@@ -265,132 +274,187 @@ impl TimeTravelDb {
         time: Timestamp,
         gen: Generation,
     ) -> SqlResult<LoggedExecution> {
-        match stmt {
-            Statement::Select(_) => self.logged_select(stmt, time, gen),
-            Statement::Insert {
-                table,
-                columns,
-                values,
-            } => self.logged_insert(table, columns, values, time, gen),
-            Statement::Update {
-                table,
-                assignments,
-                where_clause,
-            } => self.logged_update(table, assignments, where_clause.as_ref(), time, gen),
-            Statement::Delete {
-                table,
-                where_clause,
-            } => self.logged_delete(table, where_clause.as_ref(), time, gen),
-            other => Err(SqlError::Execution(format!(
-                "applications may not issue DDL at runtime: {other}"
-            ))),
+        if stmt.has_params() {
+            return Err(SqlError::Execution(format!(
+                "a statement template cannot be executed without its parameters: {stmt}"
+            )));
         }
+        let plan = Plan::build(stmt.clone(), 0, &self.configs);
+        self.execute_planned(
+            &mut PlannedQuery::new(Arc::new(plan), Vec::new()),
+            time,
+            gen,
+        )
     }
 
     /// Runs a read-only query at a past time in the current generation
     /// (continuous versioning makes old values directly addressable).
     pub fn select_at(&mut self, sql: &str, time: Timestamp) -> SqlResult<QueryResult> {
-        let stmt = warp_sql::parse(sql)?;
-        Ok(self.logged_select(&stmt, time, self.current_gen)?.result)
+        let mut query = self.plan(sql)?;
+        if query.plan.is_write() {
+            return Err(SqlError::Execution(format!(
+                "select_at expects SELECT, got `{sql}`"
+            )));
+        }
+        Ok(self
+            .execute_planned(&mut query, time, self.current_gen)?
+            .result)
     }
 
     fn config(&self, table: &str) -> SqlResult<Arc<TableConfig>> {
         self.configs
-            .get(&norm(table))
+            .get(&*table_key(table))
             .cloned()
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))
     }
 
-    fn logged_select(
+    /// Splits an application query's text into its shape and its literals
+    /// and pairs the literals with the shape's plan, building (and keeping)
+    /// the plan if this is the first text of that shape. Fails only if the
+    /// text does not lex or parse — such a text is never planned — with the
+    /// error [`warp_sql::parse`] gives it; anything else wrong with the
+    /// statement is reported when it is executed.
+    pub fn plan(&mut self, sql: &str) -> SqlResult<PlannedQuery> {
+        let warp_sql::Prepared { shape, params } = warp_sql::prepare(sql)?;
+        let plan = match self.plans.get(&shape) {
+            Some(plan) => plan.clone(),
+            None => {
+                let template = warp_sql::parse_template(sql)?;
+                let plan = Arc::new(Plan::build(template, params.len(), &self.configs));
+                if plan.is_reusable() {
+                    self.plans.insert(shape, plan.clone());
+                }
+                plan
+            }
+        };
+        Ok(PlannedQuery::new(plan, params))
+    }
+
+    /// How many statement shapes currently have a plan.
+    pub fn planned_shapes(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// Executes a planned application query at `(time, gen)`.
+    ///
+    /// Normal execution passes the current generation; re-execution during
+    /// repair passes the repair generation and the query's *original* time.
+    /// The query can be executed again, at the same or another time.
+    pub fn execute_planned(
         &mut self,
-        stmt: &Statement,
+        query: &mut PlannedQuery,
         time: Timestamp,
         gen: Generation,
     ) -> SqlResult<LoggedExecution> {
-        let table = stmt.table_name().unwrap_or_default().to_string();
-        let cfg = self.config(&table)?;
-        let partitions = read_partitions(stmt, &table, &cfg.annotation.partition_columns);
-        let static_read = warp_sql::analysis::read_columns(stmt);
-        let mut rewritten = stmt.clone();
-        restrict_to_valid(&mut rewritten, time, gen);
+        query.at(time, gen);
+        let PlannedQuery { plan, params } = query;
+        match &plan.body {
+            Body::Select(select) => self.planned_select(plan, select, params),
+            Body::Insert(insert) => self.planned_insert(plan, insert, params),
+            Body::Update(update) => self.planned_update(plan, update, params, time, gen),
+            Body::Delete(delete) => self.planned_delete(plan, delete, params, gen),
+            Body::Rejected(e) => Err(e.clone()),
+        }
+    }
+
+    fn planned_select(
+        &mut self,
+        plan: &Plan,
+        select: &SelectPlan,
+        params: &[Value],
+    ) -> SqlResult<LoggedExecution> {
+        let SelectPlan {
+            stmt,
+            pins,
+            read_columns,
+        } = select;
+        let partitions = pins.resolve(&plan.table_key, params);
         #[cfg(debug_assertions)]
         warp_sql::observer::arm();
-        let executed = self.db.execute(&rewritten);
+        let executed = self.db.execute_with(stmt, params);
         #[cfg(debug_assertions)]
-        assert_observed_subset("SELECT", warp_sql::observer::take(), &static_read);
+        assert_observed_subset("SELECT", warp_sql::observer::take(), read_columns);
         let mut result = executed?;
         strip_warp_columns(&mut result);
         Ok(LoggedExecution {
             result,
-            dependency: QueryDependency::read(&table, partitions)
-                .with_columns(static_read, ColumnSet::empty()),
+            dependency: QueryDependency::read(&plan.table_key, partitions)
+                .with_columns(read_columns.clone(), ColumnSet::empty()),
         })
     }
 
-    fn logged_insert(
+    /// The row IDs of the versions an `UPDATE` or `DELETE` would modify at
+    /// `(time, gen)`, in storage order; none for any other statement.
+    pub(crate) fn matching_row_ids(
         &mut self,
-        table: &str,
-        columns: &[String],
-        values: &[Vec<Expr>],
+        query: &mut PlannedQuery,
         time: Timestamp,
         gen: Generation,
+    ) -> SqlResult<Vec<Value>> {
+        query.at(time, gen);
+        let (Body::Update(UpdatePlan { cfg, matching, .. })
+        | Body::Delete(DeletePlan { cfg, matching, .. })) = &query.plan.body
+        else {
+            return Ok(Vec::new());
+        };
+        let versions = self.db.execute_with(matching, &query.params)?;
+        Ok(versions
+            .rows
+            .iter()
+            .map(|row| col_val(&versions.columns, row, &cfg.row_id_column))
+            .collect())
+    }
+
+    fn planned_insert(
+        &mut self,
+        plan: &Plan,
+        insert: &InsertPlan,
+        params: &mut Vec<Value>,
     ) -> SqlResult<LoggedExecution> {
-        let cfg = self.config(table)?;
-        let mut new_columns: Vec<String> = columns.to_vec();
-        new_columns.extend(
-            [COL_START_TIME, COL_END_TIME, COL_START_GEN, COL_END_GEN]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        if cfg.synthetic_row_id {
-            new_columns.push(COL_ROW_ID.to_string());
-        }
+        let InsertPlan {
+            cfg,
+            columns,
+            values,
+            row_id_at,
+            stmt,
+            read_columns,
+        } = insert;
+        let table = plan.table.as_str();
         let schema = self
             .db
             .schema(table)
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
         let empty_row = vec![Value::Null; schema.columns.len()];
-        let mut new_values = Vec::with_capacity(values.len());
         let mut row_ids = Vec::with_capacity(values.len());
         let mut written_rows: Vec<Vec<(String, Value)>> = Vec::new();
         for row_exprs in values {
-            let mut row: Vec<Expr> = row_exprs.clone();
-            row.push(Expr::Literal(Value::Int(time)));
-            row.push(Expr::Literal(Value::Int(INF_TIME)));
-            row.push(Expr::Literal(Value::Int(gen)));
-            row.push(Expr::Literal(Value::Int(INF_GEN)));
             if cfg.synthetic_row_id {
                 let id = self.next_synthetic_row_id;
                 self.next_synthetic_row_id += 1;
-                row.push(Expr::Literal(Value::Int(id)));
+                // The plan's row reads its ID from the parameter pushed here.
+                params.push(Value::Int(id));
                 row_ids.push(Value::Int(id));
             } else {
                 // The natural row ID must be one of the inserted columns.
-                let idx = columns
-                    .iter()
-                    .position(|c| c.eq_ignore_ascii_case(&cfg.row_id_column))
-                    .ok_or_else(|| {
-                        SqlError::Execution(format!(
-                            "INSERT into {table} must supply row-ID column {}",
-                            cfg.row_id_column
-                        ))
-                    })?;
-                row_ids.push(eval_expr(&row_exprs[idx], schema, &empty_row)?);
+                let idx = row_id_at.ok_or_else(|| {
+                    SqlError::Execution(format!(
+                        "INSERT into {table} must supply row-ID column {}",
+                        cfg.row_id_column
+                    ))
+                })?;
+                row_ids.push(eval_expr_with(&row_exprs[idx], schema, &empty_row, params)?);
             }
             // Record partition-column values for the write dependency.
             let mut named = Vec::new();
             for (col, expr) in columns.iter().zip(row_exprs) {
-                named.push((col.clone(), eval_expr(expr, schema, &empty_row)?));
+                named.push((
+                    col.clone(),
+                    eval_expr_with(expr, schema, &empty_row, params)?,
+                ));
             }
             written_rows.push(named);
-            new_values.push(row);
         }
-        let insert = Statement::Insert {
-            table: table.to_string(),
-            columns: new_columns,
-            values: new_values,
-        };
-        let result = self.db.execute(&insert)?;
+        let result = self.db.execute_with(stmt, params)?;
         let write_partitions = partitions_of_rows(
             table,
             &cfg.annotation.partition_columns,
@@ -399,14 +463,6 @@ impl TimeTravelDb {
         // Static footprint: value expressions are the only reads; the write
         // set is `All` because an INSERT changes row membership, which every
         // reader of the table implicitly depends on.
-        let mut static_read = ColumnSet::empty();
-        for row_exprs in values {
-            for expr in row_exprs {
-                for col in expr.referenced_columns() {
-                    static_read.insert(&col);
-                }
-            }
-        }
         Ok(LoggedExecution {
             result,
             dependency: QueryDependency::write(
@@ -415,23 +471,22 @@ impl TimeTravelDb {
                 write_partitions,
                 row_ids,
             )
-            .with_columns(static_read, ColumnSet::All),
+            .with_columns(read_columns.clone(), ColumnSet::All),
         })
     }
 
-    /// Materialises the row versions matching `where_clause` that are valid
-    /// at `(time, gen)`, returned as full rows plus the schema column names.
-    fn matching_versions(
+    /// Materialises the row versions of `table` that are valid at
+    /// `(time, gen)`, returned as full rows plus the schema column names.
+    fn valid_versions(
         &mut self,
         table: &str,
-        where_clause: Option<&Expr>,
         time: Timestamp,
         gen: Generation,
     ) -> SqlResult<(Vec<String>, Vec<Vec<Value>>)> {
         let mut select = Statement::Select(SelectStatement {
             items: vec![SelectItem::Wildcard],
             table: table.to_string(),
-            where_clause: where_clause.cloned(),
+            where_clause: None,
             order_by: vec![],
             limit: None,
         });
@@ -490,29 +545,31 @@ impl TimeTravelDb {
         Ok(())
     }
 
-    fn logged_update(
+    fn planned_update(
         &mut self,
-        table: &str,
-        assignments: &[Assignment],
-        where_clause: Option<&Expr>,
+        plan: &Plan,
+        update: &UpdatePlan,
+        params: &[Value],
         time: Timestamp,
         gen: Generation,
     ) -> SqlResult<LoggedExecution> {
-        let cfg = self.config(table)?;
-        let update_stmt = Statement::Update {
-            table: table.to_string(),
-            assignments: assignments.to_vec(),
-            where_clause: where_clause.cloned(),
-        };
-        let read_parts = read_partitions(&update_stmt, table, &cfg.annotation.partition_columns);
-        let static_read = warp_sql::analysis::read_columns(&update_stmt);
-        let static_write = warp_sql::analysis::write_columns(&update_stmt);
+        let UpdatePlan {
+            cfg,
+            matching,
+            assignments,
+            in_place,
+            pins,
+            read_columns,
+            write_columns,
+        } = update;
+        let table = plan.table.as_str();
+        let read_parts = pins.resolve(&plan.table_key, params);
         #[cfg(debug_assertions)]
         warp_sql::observer::arm();
-        let matched = self.matching_versions(table, where_clause, time, gen);
+        let matched = self.db.execute_with(matching, params);
         #[cfg(debug_assertions)]
-        assert_observed_subset("UPDATE", warp_sql::observer::take(), &static_read);
-        let (columns, rows) = matched?;
+        assert_observed_subset("UPDATE", warp_sql::observer::take(), read_columns);
+        let QueryResult { columns, rows, .. } = matched?;
         let mut row_ids = Vec::new();
         let mut written_rows: Vec<Vec<(String, Value)>> = Vec::new();
         for row in &rows {
@@ -520,18 +577,7 @@ impl TimeTravelDb {
             // After preservation the version belongs to the repair generation;
             // keep a view of the row that reflects its on-disk state so the
             // version-identity predicates below still match it.
-            let mut row_now = row.clone();
-            if gen > self.current_gen {
-                let sg = col_val(&columns, row, COL_START_GEN).as_int().unwrap_or(0);
-                if sg <= self.current_gen {
-                    if let Some(i) = columns
-                        .iter()
-                        .position(|c| c.eq_ignore_ascii_case(COL_START_GEN))
-                    {
-                        row_now[i] = Value::Int(gen);
-                    }
-                }
-            }
+            let row_now = self.claimed_for(gen, &columns, row);
             let start_gen_now = col_val(&columns, &row_now, COL_START_GEN)
                 .as_int()
                 .unwrap_or(0);
@@ -552,7 +598,10 @@ impl TimeTravelDb {
                     .any(|p| p.eq_ignore_ascii_case(&a.column))
                 {
                     let schema = self.db.schema(table).expect("table exists");
-                    named_new.push((a.column.clone(), eval_expr(&a.value, schema, row)?));
+                    named_new.push((
+                        a.column.clone(),
+                        eval_expr_with(&a.value, schema, row, params)?,
+                    ));
                 }
             }
             if !named_new.is_empty() {
@@ -588,17 +637,7 @@ impl TimeTravelDb {
             // 2. Apply the application's assignments to the current version
             //    in place, moving its start_time forward to `time`.
             let ident = version_identity(&columns, &row_now);
-            let mut new_assignments = assignments.to_vec();
-            new_assignments.push(Assignment {
-                column: COL_START_TIME.to_string(),
-                value: Expr::Literal(Value::Int(time)),
-            });
-            let update = Statement::Update {
-                table: table.to_string(),
-                assignments: new_assignments,
-                where_clause: Some(ident),
-            };
-            self.db.execute(&update)?;
+            self.db.update(table, in_place, Some(&ident), params)?;
         }
         let write_partitions = partitions_of_rows(
             table,
@@ -613,46 +652,56 @@ impl TimeTravelDb {
                 ordered: false,
             },
             dependency: QueryDependency::write(table, read_parts, write_partitions, row_ids)
-                .with_columns(static_read, static_write),
+                .with_columns(read_columns.clone(), write_columns.clone()),
         })
     }
 
-    fn logged_delete(
+    /// `row` as it is stored once [`TimeTravelDb::preserve_for_current_gen`]
+    /// has run for `gen`: a version the current generation could see has
+    /// been claimed for the repair generation.
+    fn claimed_for(&self, gen: Generation, columns: &[String], row: &[Value]) -> Vec<Value> {
+        let mut row_now = row.to_vec();
+        if gen > self.current_gen {
+            let sg = col_val(columns, row, COL_START_GEN).as_int().unwrap_or(0);
+            if sg <= self.current_gen {
+                if let Some(i) = columns
+                    .iter()
+                    .position(|c| c.eq_ignore_ascii_case(COL_START_GEN))
+                {
+                    row_now[i] = Value::Int(gen);
+                }
+            }
+        }
+        row_now
+    }
+
+    fn planned_delete(
         &mut self,
-        table: &str,
-        where_clause: Option<&Expr>,
-        time: Timestamp,
+        plan: &Plan,
+        delete: &DeletePlan,
+        params: &[Value],
         gen: Generation,
     ) -> SqlResult<LoggedExecution> {
-        let cfg = self.config(table)?;
-        let delete_stmt = Statement::Delete {
-            table: table.to_string(),
-            where_clause: where_clause.cloned(),
-        };
-        let read_parts = read_partitions(&delete_stmt, table, &cfg.annotation.partition_columns);
-        let static_read = warp_sql::analysis::read_columns(&delete_stmt);
+        let DeletePlan {
+            cfg,
+            matching,
+            end_version,
+            pins,
+            read_columns,
+        } = delete;
+        let table = plan.table.as_str();
+        let read_parts = pins.resolve(&plan.table_key, params);
         #[cfg(debug_assertions)]
         warp_sql::observer::arm();
-        let matched = self.matching_versions(table, where_clause, time, gen);
+        let matched = self.db.execute_with(matching, params);
         #[cfg(debug_assertions)]
-        assert_observed_subset("DELETE", warp_sql::observer::take(), &static_read);
-        let (columns, rows) = matched?;
+        assert_observed_subset("DELETE", warp_sql::observer::take(), read_columns);
+        let QueryResult { columns, rows, .. } = matched?;
         let mut row_ids = Vec::new();
         let mut written_rows: Vec<Vec<(String, Value)>> = Vec::new();
         for row in &rows {
             self.preserve_for_current_gen(table, &columns, row, gen)?;
-            let mut row_now = row.clone();
-            if gen > self.current_gen {
-                let sg = col_val(&columns, row, COL_START_GEN).as_int().unwrap_or(0);
-                if sg <= self.current_gen {
-                    if let Some(i) = columns
-                        .iter()
-                        .position(|c| c.eq_ignore_ascii_case(COL_START_GEN))
-                    {
-                        row_now[i] = Value::Int(gen);
-                    }
-                }
-            }
+            let row_now = self.claimed_for(gen, &columns, row);
             row_ids.push(col_val(&columns, row, &cfg.row_id_column));
             let mut named = Vec::new();
             for col in &cfg.annotation.partition_columns {
@@ -661,15 +710,7 @@ impl TimeTravelDb {
             written_rows.push(named);
             // Deleting a row just ends its current version at `time`.
             let ident = version_identity(&columns, &row_now);
-            let update = Statement::Update {
-                table: table.to_string(),
-                assignments: vec![Assignment {
-                    column: COL_END_TIME.to_string(),
-                    value: Expr::Literal(Value::Int(time)),
-                }],
-                where_clause: Some(ident),
-            };
-            self.db.execute(&update)?;
+            self.db.update(table, end_version, Some(&ident), params)?;
         }
         let write_partitions = partitions_of_rows(
             table,
@@ -684,7 +725,7 @@ impl TimeTravelDb {
                 ordered: false,
             },
             dependency: QueryDependency::write(table, read_parts, write_partitions, row_ids)
-                .with_columns(static_read, ColumnSet::All),
+                .with_columns(read_columns.clone(), ColumnSet::All),
         })
     }
 
@@ -1171,7 +1212,7 @@ impl TimeTravelDb {
     /// a full clone, and the footprint-escape fallback cannot see the
     /// divergence (the colliding row is never a recorded dependency).
     pub fn partition_clone_safe(&self, table: &str) -> bool {
-        let Some(cfg) = self.configs.get(&norm(table)) else {
+        let Some(cfg) = self.configs.get(&*table_key(table)) else {
             return false;
         };
         let partition_columns = &cfg.annotation.partition_columns;
@@ -1266,6 +1307,9 @@ impl TimeTravelDb {
         TimeTravelDb {
             db,
             configs: self.configs.clone(),
+            // The tables and their annotations are the same, so the plans
+            // are: the clone starts warm and shares them.
+            plans: self.plans.clone(),
             current_gen: self.current_gen,
             repair_gen: self.repair_gen,
             next_synthetic_row_id: self.next_synthetic_row_id,
@@ -1297,11 +1341,11 @@ impl TimeTravelDb {
         let mut out = String::new();
         let tables: Vec<String> = self.configs.keys().cloned().collect();
         for table in tables {
-            let (columns, rows) =
-                match self.matching_versions(&table, None, INF_TIME - 1, self.current_gen) {
-                    Ok(v) => v,
-                    Err(_) => continue,
-                };
+            let (columns, rows) = match self.valid_versions(&table, INF_TIME - 1, self.current_gen)
+            {
+                Ok(v) => v,
+                Err(_) => continue,
+            };
             let keep: Vec<usize> = columns
                 .iter()
                 .enumerate()
@@ -1336,6 +1380,9 @@ impl TimeTravelDb {
     /// visible in the current generation. Run in sync with action-history
     /// garbage collection (paper §4.2).
     pub fn garbage_collect(&mut self, before_time: Timestamp) -> SqlResult<usize> {
+        // The history that survives holds, in full, every query text whose
+        // shape is worth a plan; the next execution of each rebuilds it.
+        self.plans.clear();
         let tables: Vec<String> = self.configs.keys().cloned().collect();
         let mut removed = 0usize;
         for table in tables {
@@ -1388,10 +1435,6 @@ impl TimeTravelDb {
         }
         stats
     }
-}
-
-fn norm(name: &str) -> String {
-    name.to_ascii_lowercase()
 }
 
 /// Rows arriving from outside the engine (a checkpoint, a replayed or merged
@@ -1740,6 +1783,94 @@ mod tests {
         let mut db = page_db();
         assert!(db.execute_logged("DROP TABLE page", 10).is_err());
         assert!(db.execute_logged("CREATE TABLE x (a TEXT)", 10).is_err());
+    }
+
+    #[test]
+    fn texts_of_one_shape_share_one_plan() {
+        let mut db = page_db();
+        db.execute_logged(
+            "INSERT INTO page (page_id, title, owner, body) VALUES (1, 'Main', 'alice', 'v1'), (2, 'Help', 'bob', 'h1')",
+            10,
+        )
+        .unwrap();
+        let main = db
+            .plan("SELECT body FROM page WHERE title = 'Main'")
+            .unwrap();
+        let help = db
+            .plan("select body from page where title = 'Help'")
+            .unwrap();
+        let again = db
+            .plan("SELECT  body FROM page WHERE title='Help' -- same")
+            .unwrap();
+        assert!(!Arc::ptr_eq(main.plan(), help.plan()), "spelling is shape");
+        assert!(Arc::ptr_eq(main.plan(), again.plan()));
+        assert_eq!(db.planned_shapes(), 3);
+        // The plans are derived state: a clone shares them, collection
+        // drops them, the next text rebuilds them.
+        let twin = db.clone();
+        assert!(Arc::ptr_eq(
+            &twin.plans[&"SELECT body FROM page WHERE title = ?s".to_string()],
+            main.plan()
+        ));
+        db.garbage_collect(0).unwrap();
+        assert_eq!(db.planned_shapes(), 0);
+        let rebuilt = db
+            .plan("SELECT body FROM page WHERE title = 'Main'")
+            .unwrap();
+        assert!(!Arc::ptr_eq(main.plan(), rebuilt.plan()));
+        assert_eq!(db.planned_shapes(), 1);
+        // A text that does not parse, runtime DDL and a missing table plan
+        // nothing.
+        assert!(db.plan("SELECT body FROM page WHERE").is_err());
+        assert!(db.execute_logged("DROP TABLE page", 20).is_err());
+        assert!(db.execute_logged("SELECT a FROM nosuch", 20).is_err());
+        assert_eq!(db.planned_shapes(), 1);
+    }
+
+    #[test]
+    fn a_planned_query_executes_again_at_another_time() {
+        let mut db = page_db();
+        db.execute_logged(
+            "INSERT INTO page (page_id, title, owner, body) VALUES (1, 'Main', 'alice', 'v1')",
+            10,
+        )
+        .unwrap();
+        db.execute_logged("UPDATE page SET body = 'v2' WHERE title = 'Main'", 20)
+            .unwrap();
+        let mut read = db
+            .plan("SELECT body FROM page WHERE title = 'Main'")
+            .unwrap();
+        let gen = db.current_generation();
+        for (time, body) in [(15, "v1"), (25, "v2"), (12, "v1")] {
+            let out = db.execute_planned(&mut read, time, gen).unwrap();
+            assert_eq!(out.result.rows[0][0], Value::text(body));
+            assert_eq!(
+                out.dependency.read_partitions,
+                crate::rewrite::read_partitions(
+                    &warp_sql::parse("SELECT body FROM page WHERE title = 'Main'").unwrap(),
+                    "page",
+                    &["title".to_string(), "owner".to_string()],
+                )
+            );
+        }
+        // An INSERT allocating synthetic row IDs takes fresh ones each time.
+        db.create_table("CREATE TABLE log (msg TEXT)", TableAnnotation::new())
+            .unwrap();
+        let mut insert = db
+            .plan("INSERT INTO log (msg) VALUES ('a'), ('b')")
+            .unwrap();
+        let first = db.execute_planned(&mut insert, 30, gen).unwrap();
+        let second = db.execute_planned(&mut insert, 31, gen).unwrap();
+        assert_eq!(
+            first.dependency.written_row_ids,
+            vec![Value::Int(1), Value::Int(2)]
+        );
+        assert_eq!(
+            second.dependency.written_row_ids,
+            vec![Value::Int(3), Value::Int(4)]
+        );
+        let all = db.execute_logged("SELECT msg FROM log", 40).unwrap();
+        assert_eq!(all.result.rows.len(), 4);
     }
 
     #[test]
