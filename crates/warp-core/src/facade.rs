@@ -308,10 +308,7 @@ impl WarpBuilder {
             // cannot hand out once it owns the store.
             server.start_maintenance();
         }
-        match self.shipper {
-            None => server.enable_group_commit(durability.batch_policy()),
-            Some(hook) => server.enable_group_commit_with_shipper(durability.batch_policy(), hook),
-        }
+        server.enable_group_commit(durability.batch_policy(), self.shipper);
         let (tx, rx) = channel();
         // Liveness token: the sharded engine cannot rely on channel
         // disconnect to notice that every public handle is gone (its own

@@ -33,10 +33,36 @@
 //!   replayed history).
 //! * `LogEvent::CreateTable` — a table installed after initial deployment.
 //!
+//! # What is checkpointed
+//!
+//! A checkpoint chain is one *base* payload and the *delta* payloads cut
+//! since. `warp-store` frames, names and CRCs the blobs and treats the
+//! payloads as opaque; their two layouts are defined here, each as a data
+//! type with one writer and one reader. Both start with `FORMAT_VERSION`.
+//!
+//! | layout | small state | history section | table section | writer | reader |
+//! |---|---|---|---|---|---|
+//! | base | the ten header fields | every action, every client log | per table: head, every stored version row | `BaseCheckpoint::encode` | `BaseCheckpoint::decode` |
+//! | delta | the ten header fields | floor, actions above it, IDs cancelled below it, client logs uploaded since | per changed or new table: head, rows removed, rows added | `DeltaCheckpoint::encode` | `DeltaCheckpoint::decode` |
+//!
+//! The small state (`SmallState`: clock, RNG, session, generation,
+//! synthetic-ID watermark, pending repair, cookie invalidations, conflicts,
+//! source versions, client-log quota) and the table head (`TableHead`: name,
+//! `CREATE TABLE`, annotation, column names) are the same in both. Sequences
+//! are a `u32` count and the elements ([`Encoder::seq`]), so every count read
+//! back is checked against the bytes that remain.
+//!
+//! Everything else moves values, not bytes: the live server and a standby
+//! `capture` a payload from borrowed state ([`WarpServer::checkpoint`],
+//! [`WarpServer::checkpoint_incremental`]); recovery `install`s a decoded base
+//! and `apply`s each decoded delta; the maintenance worker's folder
+//! (`fold_checkpoint_chain`) has a decoded base `absorb` each decoded delta
+//! and encodes the result.
+//!
 //! # Recovery
 //!
 //! [`WarpServer::open`] installs the application fresh (schema, seeds,
-//! sources — all deterministic), restores the newest checkpoint if one
+//! sources — all deterministic), restores the newest checkpoint chain if one
 //! exists, then replays the log tail. Recovery therefore assumes the same
 //! [`AppConfig`] the original server ran with, which is the same contract a
 //! real deployment has with its schema migrations.
@@ -47,7 +73,8 @@ use crate::history::{ActionId, ActionRecord, ClientRef, HistoryGraph, NondetReco
 use crate::repair::RepairRequest;
 use crate::server::WarpServer;
 use crate::sourcefs::Patch;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use warp_browser::{ConflictReason, EventKind, PageVisitRecord, RecordedEvent, RecordedRequest};
 use warp_http::{CookieJar, HttpRequest, HttpResponse, Method, WarpHeaders};
 use warp_script::Value as ScriptValue;
@@ -172,9 +199,9 @@ fn corrupt(msg: impl Into<String>) -> StoreError {
 pub(crate) struct CheckpointMarks {
     /// History length at the last checkpoint; `actions()[floor..]` are new.
     pub actions_floor: usize,
-    /// Actions below the floor whose `cancelled` flag flipped since (repair
-    /// commits mutate history in place).
-    pub cancelled: Vec<ActionId>,
+    /// Actions whose `cancelled` flag flipped since (repair commits mutate
+    /// history in place); the ones below the floor ride in the next delta.
+    pub cancelled: BTreeSet<ActionId>,
     /// `(client_id, visit_id)` of client logs uploaded since.
     pub new_logs: Vec<(String, u64)>,
     /// Tables installed since — their schema must ride in the next delta,
@@ -183,6 +210,22 @@ pub(crate) struct CheckpointMarks {
     /// The next automatic checkpoint must be a full base. Set when action
     /// IDs are renumbered (GC), which invalidates the floor/ID bookkeeping.
     pub needs_base: bool,
+}
+
+impl CheckpointMarks {
+    /// Marks what `event` obliges the next checkpoint to carry. Every event
+    /// passes through here on its way to the log, on the live server
+    /// ([`WarpServer::log_event`]) and on a standby
+    /// ([`WarpServer::apply_replicated`]) alike.
+    pub(crate) fn note(&mut self, event: &LogEvent) {
+        match event {
+            LogEvent::CreateTable { sql, .. } => self.new_tables.extend(created_table_name(sql)),
+            LogEvent::ClientLog(log) => self.new_logs.push((log.client_id.clone(), log.visit_id)),
+            LogEvent::RepairCommit(commit) => self.cancelled.extend(&commit.cancelled),
+            LogEvent::Gc { .. } => self.needs_base = true,
+            LogEvent::Action { .. } | LogEvent::RepairBegin(_) | LogEvent::RepairAbort { .. } => {}
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1078,554 +1121,467 @@ impl LogEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoints: the complete server state in one blob
+// Checkpoint payloads (the module documentation tabulates the two layouts)
 // ---------------------------------------------------------------------------
 
-fn encode_checkpoint(server: &WarpServer) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u32(FORMAT_VERSION);
-    e.i64(server.clock.now());
-    e.u64(server.rng_counter);
-    e.u64(server.session_counter);
-    e.i64(server.db.current_generation());
-    e.i64(server.db.synthetic_id_watermark());
-    // An unresumed interrupted repair must survive the checkpoint: writing
-    // the checkpoint compacts away the RepairBegin record that marks it.
-    e.option(server.pending_repair.as_ref(), enc_repair_request);
-    let invalidations: Vec<String> = server
-        .pending_cookie_invalidations
-        .iter()
-        .cloned()
-        .collect();
-    e.seq(&invalidations, |e, s| e.str(s));
-    e.seq(server.conflicts.all(), enc_conflict);
-    e.seq(
-        &server.sources.export_versions(),
-        |e, (name, time, content, retro)| {
-            e.str(name);
-            e.i64(*time);
-            e.str(content);
-            e.bool(*retro);
-        },
-    );
-    // History: quota, actions, then uploaded client logs.
-    e.u64(server.history.client_log_quota_bytes as u64);
-    e.seq(server.history.actions(), enc_action);
-    let mut logs: Vec<&PageVisitRecord> = Vec::new();
-    for client in server.history.client_ids() {
-        logs.extend(server.history.client_visits(&client));
-    }
-    e.u32(logs.len() as u32);
-    for log in logs {
-        enc_page_visit(&mut e, log);
-    }
-    // Database: per table, the create statement, annotation, schema column
-    // names (validated on restore) and every stored version row.
-    let tables = server.db.table_create_statements();
-    e.u32(tables.len() as u32);
-    for (name, create_sql, annotation) in &tables {
-        e.str(name);
-        e.str(create_sql);
-        enc_annotation(&mut e, annotation);
-        let columns: Vec<String> = server
-            .db
-            .raw()
-            .schema(name)
-            .map(|s| s.columns.iter().map(|c| c.name.clone()).collect())
-            .unwrap_or_default();
-        e.seq(&columns, |e, c| e.str(c));
-        let rows = server.db.table_rows_snapshot(name);
-        e.seq(&rows, |e, row| enc_row(e, row));
-    }
-    e.into_bytes()
-}
-
-fn restore_checkpoint(server: &mut WarpServer, payload: &[u8]) -> StoreResult<()> {
-    let mut d = Decoder::new(payload);
+/// The version stamp a checkpoint payload starts with.
+fn dec_format_version(d: &mut Decoder) -> DecResult<()> {
     let version = d.u32()?;
     if version != FORMAT_VERSION {
-        return Err(corrupt(format!(
+        return Err(bad(format!(
             "checkpoint format version {version} (this build reads {FORMAT_VERSION})"
         )));
     }
-    let clock = d.i64()?;
-    server.rng_counter = d.u64()?;
-    server.session_counter = d.u64()?;
-    let current_gen = d.i64()?;
-    let watermark = d.i64()?;
-    server.pending_repair = d.option(dec_repair_request)?;
-    let invalidations = d.seq(|d| d.str())?;
-    let conflicts = d.seq(dec_conflict)?;
-    let sources = d.seq(|d| Ok((d.str()?, d.i64()?, d.str()?, d.bool()?)))?;
-    server.sources = crate::sourcefs::SourceStore::import_versions(sources);
-    let quota = d.u64()? as usize;
-    let actions = d.seq(dec_action)?;
-    let mut history = HistoryGraph::new();
-    history.client_log_quota_bytes = quota;
-    for action in actions {
-        let expected = action.id;
-        let assigned = history.record_action(action);
-        if assigned != expected {
-            return Err(corrupt(format!(
-                "checkpoint action {expected} restored with ID {assigned}"
-            )));
-        }
-    }
-    let n_logs = d.u32()?;
-    for _ in 0..n_logs {
-        history.upload_client_log(dec_page_visit(&mut d)?);
-    }
-    server.history = history;
-    let n_tables = d.u32()?;
-    for _ in 0..n_tables {
-        let name = d.str()?;
-        let create_sql = d.str()?;
-        let annotation = dec_annotation(&mut d)?;
-        let columns = d.seq(|d| d.str())?;
-        let rows = d.seq(dec_row)?;
-        if server.db.row_id_column(&name).is_none() {
-            server
-                .db
-                .create_table(&create_sql, annotation)
-                .map_err(|e| corrupt(format!("re-creating table {name}: {e}")))?;
-        }
-        let actual: Vec<String> = server
-            .db
-            .raw()
-            .schema(&name)
-            .map(|s| s.columns.iter().map(|c| c.name.clone()).collect())
-            .unwrap_or_default();
-        if actual != columns {
-            return Err(corrupt(format!(
-                "table {name}: checkpoint columns {columns:?} do not match the installed schema \
-                 {actual:?} (recovery requires the AppConfig the data was written with)"
-            )));
-        }
-        server
-            .db
-            .replace_table_rows(&name, rows)
-            .map_err(|e| corrupt(format!("restoring rows of {name}: {e}")))?;
-    }
-    d.finish()?;
-    server.clock.fast_forward(clock);
-    server.db.force_current_generation(current_gen);
-    server.db.raise_synthetic_id_watermark(watermark);
-    server.pending_cookie_invalidations = invalidations.into_iter().collect();
-    server.conflicts = crate::conflict::ConflictQueue::new();
-    for c in conflicts {
-        server.conflicts.push(c);
-    }
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Delta checkpoints: what changed since the previous chain link
-// ---------------------------------------------------------------------------
-//
-// A delta checkpoint carries the *small* server state wholesale (counters,
-// pending repair, conflicts, cookie invalidations, source versions — all
-// O(1) or bounded by active repairs, not by database size) and the *large*
-// state incrementally: new actions above the history floor, cancelled-flag
-// flips below it, client logs uploaded since, and per-table row-version
-// changes from the database's mutation tracker. Encoding cost is therefore
-// O(rows and actions changed since the last checkpoint), which is what lets
-// the chain keep checkpoint latency flat as the database grows.
-
-/// Encodes a delta checkpoint payload. Drains the database's checkpoint
-/// tracker; the caller resets [`CheckpointMarks`] only once the store
-/// accepts the write (a declined write means nothing changed — the drained
-/// delta and the marks were all empty).
-fn encode_checkpoint_delta(server: &mut WarpServer) -> Vec<u8> {
-    let delta = server.db.drain_checkpoint_delta();
-    let floor = server.ckpt_marks.actions_floor.min(server.history.len());
-    let mut e = Encoder::new();
-    e.u32(FORMAT_VERSION);
-    e.i64(server.clock.now());
-    e.u64(server.rng_counter);
-    e.u64(server.session_counter);
-    e.i64(server.db.current_generation());
-    e.i64(server.db.synthetic_id_watermark());
-    e.option(server.pending_repair.as_ref(), enc_repair_request);
-    let invalidations: Vec<String> = server
-        .pending_cookie_invalidations
-        .iter()
-        .cloned()
-        .collect();
-    e.seq(&invalidations, |e, s| e.str(s));
-    e.seq(server.conflicts.all(), enc_conflict);
-    e.seq(
-        &server.sources.export_versions(),
-        |e, (name, time, content, retro)| {
-            e.str(name);
-            e.i64(*time);
-            e.str(content);
-            e.bool(*retro);
-        },
-    );
-    e.u64(server.history.client_log_quota_bytes as u64);
-    // History: the floor anchors ID continuity (validated on apply, like
-    // per-record action IDs), new actions sit above it, cancellations
-    // reference below it.
-    e.u64(floor as u64);
-    e.seq(&server.history.actions()[floor..], enc_action);
-    let cancelled: std::collections::BTreeSet<ActionId> = server
-        .ckpt_marks
-        .cancelled
-        .iter()
-        .copied()
-        .filter(|&id| (id as usize) < floor)
-        .collect();
-    let cancelled: Vec<ActionId> = cancelled.into_iter().collect();
-    e.seq(&cancelled, |e, id| e.u64(*id));
-    // Client logs: fetch the current record per uploaded (client, visit) —
-    // a later upload for the same visit replaces the earlier one, and the
-    // quota may have evicted some entirely.
-    let mut log_keys: Vec<(String, u64)> = server.ckpt_marks.new_logs.clone();
-    log_keys.sort();
-    log_keys.dedup();
-    let logs: Vec<&PageVisitRecord> = log_keys
-        .iter()
-        .filter_map(|(c, v)| server.history.client_log(c, *v))
-        .collect();
-    e.u32(logs.len() as u32);
-    for log in &logs {
-        enc_page_visit(&mut e, log);
-    }
-    // Tables: every table with row changes, plus tables installed since the
-    // last checkpoint even when untouched — a fold must not lose their
-    // schema once the CreateTable log record is compacted away.
-    let schemas = server.db.table_create_statements();
-    let mut names: std::collections::BTreeSet<&str> = delta.keys().map(|s| s.as_str()).collect();
-    names.extend(server.ckpt_marks.new_tables.iter().map(|s| s.as_str()));
-    let included: Vec<&(String, String, TableAnnotation)> = schemas
-        .iter()
-        .filter(|(name, _, _)| names.contains(name.as_str()))
-        .collect();
-    e.u32(included.len() as u32);
-    let empty = warp_ttdb::TableDelta::default();
-    for (name, create_sql, annotation) in included {
-        e.str(name);
-        e.str(create_sql);
-        enc_annotation(&mut e, annotation);
-        let columns: Vec<String> = server
-            .db
-            .raw()
-            .schema(name)
-            .map(|s| s.columns.iter().map(|c| c.name.clone()).collect())
-            .unwrap_or_default();
-        e.seq(&columns, |e, c| e.str(c));
-        let d = delta.get(name).unwrap_or(&empty);
-        e.seq(&d.remove, |e, row| enc_row(e, row));
-        e.seq(&d.add, |e, row| enc_row(e, row));
-    }
-    e.into_bytes()
+/// The table an application's `CREATE TABLE` statement names.
+fn created_table_name(create_sql: &str) -> Option<String> {
+    let stmt = warp_sql::parse(create_sql).ok()?;
+    stmt.table_name().map(|n| n.to_string())
 }
 
-/// Applies one delta checkpoint payload to a server that already restored
-/// the base (and any earlier deltas) of the same chain.
-fn apply_checkpoint_delta(server: &mut WarpServer, payload: &[u8]) -> StoreResult<()> {
-    let mut d = Decoder::new(payload);
-    let version = d.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(corrupt(format!(
-            "delta checkpoint format version {version} (this build reads {FORMAT_VERSION})"
-        )));
-    }
-    let clock = d.i64()?;
-    server.rng_counter = d.u64()?;
-    server.session_counter = d.u64()?;
-    let current_gen = d.i64()?;
-    let watermark = d.i64()?;
-    server.pending_repair = d.option(dec_repair_request)?;
-    let invalidations = d.seq(|d| d.str())?;
-    let conflicts = d.seq(dec_conflict)?;
-    let sources = d.seq(|d| Ok((d.str()?, d.i64()?, d.str()?, d.bool()?)))?;
-    server.sources = crate::sourcefs::SourceStore::import_versions(sources);
-    server.history.client_log_quota_bytes = d.u64()? as usize;
-    let floor = d.u64()? as usize;
-    if server.history.len() != floor {
-        return Err(corrupt(format!(
-            "delta checkpoint continues a history of {floor} actions, found {}; the chain \
-             links do not fit together",
-            server.history.len()
-        )));
-    }
-    for action in d.seq(dec_action)? {
-        let expected = action.id;
-        let assigned = server.history.record_action(action);
-        if assigned != expected {
-            return Err(corrupt(format!(
-                "delta checkpoint action {expected} restored with ID {assigned}"
-            )));
-        }
-    }
-    for id in d.seq(|d| d.u64())? {
-        match server.history.action_mut(id) {
-            Some(a) => a.cancelled = true,
-            None => {
-                return Err(corrupt(format!(
-                    "delta checkpoint cancels unknown action {id}"
-                )))
-            }
-        }
-    }
-    let n_logs = d.u32()?;
-    for _ in 0..n_logs {
-        server.history.upload_client_log(dec_page_visit(&mut d)?);
-    }
-    let n_tables = d.u32()?;
-    for _ in 0..n_tables {
-        let name = d.str()?;
-        let create_sql = d.str()?;
-        let annotation = dec_annotation(&mut d)?;
-        let columns = d.seq(|d| d.str())?;
-        let remove = d.seq(dec_row)?;
-        let add = d.seq(dec_row)?;
-        if server.db.row_id_column(&name).is_none() {
-            server
-                .db
-                .create_table(&create_sql, annotation)
-                .map_err(|e| corrupt(format!("re-creating table {name}: {e}")))?;
-        }
-        let actual: Vec<String> = server
-            .db
-            .raw()
-            .schema(&name)
-            .map(|s| s.columns.iter().map(|c| c.name.clone()).collect())
-            .unwrap_or_default();
-        if actual != columns {
-            return Err(corrupt(format!(
-                "table {name}: delta checkpoint columns {columns:?} do not match the installed \
-                 schema {actual:?} (recovery requires the AppConfig the data was written with)"
-            )));
-        }
-        server
-            .db
-            .apply_row_diff(&name, &remove, &add)
-            .map_err(|e| corrupt(format!("applying delta checkpoint to {name}: {e}")))?;
-    }
-    d.finish()?;
-    server.clock.fast_forward(clock);
-    server.db.force_current_generation(current_gen);
-    server.db.raise_synthetic_id_watermark(watermark);
-    server.pending_cookie_invalidations = invalidations.into_iter().collect();
-    server.conflicts = crate::conflict::ConflictQueue::new();
-    for c in conflicts {
-        server.conflicts.push(c);
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Payload-level chain folding (the maintenance worker's folder)
-// ---------------------------------------------------------------------------
-//
-// The background maintenance worker compacts a long chain by folding base +
-// deltas into one new base *without* a server: the payloads are decoded
-// structurally, the deltas applied image-to-image, and the result re-encoded
-// in exactly the base format `restore_checkpoint` reads. Folding in payload
-// space (rather than booting a throwaway server) keeps the worker free of
-// any `AppConfig` and makes the fold a pure function of the blobs.
-
-/// One table of a decoded checkpoint image.
-struct ImageTable {
-    name: String,
-    create_sql: String,
-    annotation: TableAnnotation,
-    columns: Vec<String>,
-    rows: Vec<Vec<SqlValue>>,
-}
-
-/// A base checkpoint payload, decoded into its sections.
-struct CheckpointImage {
+/// The small server state both layouts carry wholesale: counters, pending
+/// repair, cookie invalidations, conflicts, source versions and the client-log
+/// quota — O(1) or bounded by active repairs, never by database size.
+struct SmallState<'a> {
     clock: i64,
     rng: u64,
     session: u64,
     current_gen: i64,
     watermark: i64,
-    pending_repair: Option<RepairRequest>,
+    /// An unresumed interrupted repair must survive a checkpoint: writing a
+    /// base compacts away the `RepairBegin` record that marks it.
+    pending_repair: Option<Cow<'a, RepairRequest>>,
     invalidations: Vec<String>,
-    conflicts: Vec<Conflict>,
+    conflicts: Cow<'a, [Conflict]>,
+    /// `(file, time, content, retroactive)` per source version.
     sources: Vec<(String, i64, String, bool)>,
     quota: u64,
-    actions: Vec<ActionRecord>,
-    logs: Vec<PageVisitRecord>,
-    tables: Vec<ImageTable>,
 }
 
-fn decode_checkpoint_image(payload: &[u8]) -> DecResult<CheckpointImage> {
-    let mut d = Decoder::new(payload);
-    let version = d.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(bad(format!("checkpoint format version {version}")));
-    }
-    let clock = d.i64()?;
-    let rng = d.u64()?;
-    let session = d.u64()?;
-    let current_gen = d.i64()?;
-    let watermark = d.i64()?;
-    let pending_repair = d.option(dec_repair_request)?;
-    let invalidations = d.seq(|d| d.str())?;
-    let conflicts = d.seq(dec_conflict)?;
-    let sources = d.seq(|d| Ok((d.str()?, d.i64()?, d.str()?, d.bool()?)))?;
-    let quota = d.u64()?;
-    let actions = d.seq(dec_action)?;
-    let n_logs = d.u32()?;
-    let mut logs = Vec::with_capacity(n_logs as usize);
-    for _ in 0..n_logs {
-        logs.push(dec_page_visit(&mut d)?);
-    }
-    let n_tables = d.u32()?;
-    let mut tables = Vec::with_capacity(n_tables as usize);
-    for _ in 0..n_tables {
-        tables.push(ImageTable {
-            name: d.str()?,
-            create_sql: d.str()?,
-            annotation: dec_annotation(&mut d)?,
-            columns: d.seq(|d| d.str())?,
-            rows: d.seq(dec_row)?,
-        });
-    }
-    d.finish()?;
-    Ok(CheckpointImage {
-        clock,
-        rng,
-        session,
-        current_gen,
-        watermark,
-        pending_repair,
-        invalidations,
-        conflicts,
-        sources,
-        quota,
-        actions,
-        logs,
-        tables,
-    })
-}
-
-/// Re-encodes an image in the base checkpoint format — the inverse of
-/// [`decode_checkpoint_image`] and byte-compatible with what
-/// [`restore_checkpoint`] reads.
-fn encode_checkpoint_image(img: &CheckpointImage) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u32(FORMAT_VERSION);
-    e.i64(img.clock);
-    e.u64(img.rng);
-    e.u64(img.session);
-    e.i64(img.current_gen);
-    e.i64(img.watermark);
-    e.option(img.pending_repair.as_ref(), enc_repair_request);
-    e.seq(&img.invalidations, |e, s| e.str(s));
-    e.seq(&img.conflicts, enc_conflict);
-    e.seq(&img.sources, |e, (name, time, content, retro)| {
-        e.str(name);
-        e.i64(*time);
-        e.str(content);
-        e.bool(*retro);
-    });
-    e.u64(img.quota);
-    e.seq(&img.actions, enc_action);
-    e.u32(img.logs.len() as u32);
-    for log in &img.logs {
-        enc_page_visit(&mut e, log);
-    }
-    e.u32(img.tables.len() as u32);
-    for t in &img.tables {
-        e.str(&t.name);
-        e.str(&t.create_sql);
-        enc_annotation(&mut e, &t.annotation);
-        e.seq(&t.columns, |e, c| e.str(c));
-        e.seq(&t.rows, |e, row| enc_row(e, row));
-    }
-    e.into_bytes()
-}
-
-/// Applies one delta payload to a decoded image — the payload-space twin of
-/// [`apply_checkpoint_delta`], with identical semantics (order-preserving
-/// first-match row removal, replace-or-append client logs by visit).
-fn apply_delta_to_image(img: &mut CheckpointImage, payload: &[u8]) -> DecResult<()> {
-    let mut d = Decoder::new(payload);
-    let version = d.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(bad(format!("delta checkpoint format version {version}")));
-    }
-    img.clock = d.i64()?;
-    img.rng = d.u64()?;
-    img.session = d.u64()?;
-    img.current_gen = d.i64()?;
-    img.watermark = d.i64()?;
-    img.pending_repair = d.option(dec_repair_request)?;
-    img.invalidations = d.seq(|d| d.str())?;
-    img.conflicts = d.seq(dec_conflict)?;
-    img.sources = d.seq(|d| Ok((d.str()?, d.i64()?, d.str()?, d.bool()?)))?;
-    img.quota = d.u64()?;
-    let floor = d.u64()? as usize;
-    if img.actions.len() != floor {
-        return Err(bad(format!(
-            "delta continues {floor} actions, image has {}",
-            img.actions.len()
-        )));
-    }
-    img.actions.extend(d.seq(dec_action)?);
-    for id in d.seq(|d| d.u64())? {
-        img.actions
-            .get_mut(id as usize)
-            .ok_or_else(|| bad(format!("delta cancels unknown action {id}")))?
-            .cancelled = true;
-    }
-    let n_logs = d.u32()?;
-    for _ in 0..n_logs {
-        let log = dec_page_visit(&mut d)?;
-        match img
-            .logs
-            .iter_mut()
-            .find(|l| l.client_id == log.client_id && l.visit_id == log.visit_id)
-        {
-            Some(existing) => *existing = log,
-            None => img.logs.push(log),
+impl<'a> SmallState<'a> {
+    fn capture(server: &'a WarpServer) -> Self {
+        SmallState {
+            clock: server.clock.now(),
+            rng: server.rng_counter,
+            session: server.session_counter,
+            current_gen: server.db.current_generation(),
+            watermark: server.db.synthetic_id_watermark(),
+            pending_repair: server.pending_repair.as_ref().map(Cow::Borrowed),
+            invalidations: server
+                .pending_cookie_invalidations
+                .iter()
+                .cloned()
+                .collect(),
+            conflicts: Cow::Borrowed(server.conflicts.all()),
+            sources: server.sources.export_versions(),
+            quota: server.history.client_log_quota_bytes as u64,
         }
     }
-    let n_tables = d.u32()?;
-    for _ in 0..n_tables {
-        let name = d.str()?;
-        let create_sql = d.str()?;
-        let annotation = dec_annotation(&mut d)?;
-        let columns = d.seq(|d| d.str())?;
-        let remove = d.seq(dec_row)?;
-        let add = d.seq(dec_row)?;
-        match img.tables.iter_mut().find(|t| t.name == name) {
-            Some(t) => {
-                for gone in &remove {
-                    if let Some(pos) = t.rows.iter().position(|r| r == gone) {
-                        t.rows.remove(pos);
-                    }
-                }
-                t.rows.extend(add);
-            }
-            None => img.tables.push(ImageTable {
+
+    fn enc(&self, e: &mut Encoder) {
+        e.i64(self.clock);
+        e.u64(self.rng);
+        e.u64(self.session);
+        e.i64(self.current_gen);
+        e.i64(self.watermark);
+        e.option(self.pending_repair.as_deref(), enc_repair_request);
+        e.seq(&self.invalidations, |e, s| e.str(s));
+        e.seq(&self.conflicts, enc_conflict);
+        e.seq(&self.sources, |e, (name, time, content, retro)| {
+            e.str(name);
+            e.i64(*time);
+            e.str(content);
+            e.bool(*retro);
+        });
+        e.u64(self.quota);
+    }
+
+    fn dec(d: &mut Decoder) -> DecResult<SmallState<'static>> {
+        Ok(SmallState {
+            clock: d.i64()?,
+            rng: d.u64()?,
+            session: d.u64()?,
+            current_gen: d.i64()?,
+            watermark: d.i64()?,
+            pending_repair: d.option(dec_repair_request)?.map(Cow::Owned),
+            invalidations: d.seq(|d| d.str())?,
+            conflicts: Cow::Owned(d.seq(dec_conflict)?),
+            sources: d.seq(|d| Ok((d.str()?, d.i64()?, d.str()?, d.bool()?)))?,
+            quota: d.u64()?,
+        })
+    }
+
+    /// Overwrites the server's small state. The quota lands on the current
+    /// history graph, so install before uploading the payload's client logs.
+    fn install(self, server: &mut WarpServer) {
+        server.clock.fast_forward(self.clock);
+        server.rng_counter = self.rng;
+        server.session_counter = self.session;
+        server.db.force_current_generation(self.current_gen);
+        server.db.raise_synthetic_id_watermark(self.watermark);
+        server.pending_repair = self.pending_repair.map(Cow::into_owned);
+        server.pending_cookie_invalidations = self.invalidations.into_iter().collect();
+        server.conflicts = crate::conflict::ConflictQueue::new();
+        for c in self.conflicts.into_owned() {
+            server.conflicts.push(c);
+        }
+        server.sources = crate::sourcefs::SourceStore::import_versions(self.sources);
+        server.history.client_log_quota_bytes = self.quota as usize;
+    }
+}
+
+/// What a checkpoint says about a table besides its rows.
+struct TableHead {
+    name: String,
+    create_sql: String,
+    annotation: TableAnnotation,
+    /// Schema column names, checked against the installed schema on restore.
+    columns: Vec<String>,
+}
+
+fn schema_columns(server: &WarpServer, table: &str) -> Vec<String> {
+    server
+        .db
+        .raw()
+        .schema(table)
+        .map(|s| s.columns.iter().map(|c| c.name.clone()).collect())
+        .unwrap_or_default()
+}
+
+impl TableHead {
+    /// The head of every installed table, in table-name order.
+    fn capture(server: &WarpServer) -> Vec<TableHead> {
+        let tables = server.db.table_create_statements();
+        tables
+            .into_iter()
+            .map(|(name, create_sql, annotation)| TableHead {
+                columns: schema_columns(server, &name),
                 name,
                 create_sql,
                 annotation,
-                columns,
-                rows: add,
-            }),
+            })
+            .collect()
+    }
+
+    fn enc(&self, e: &mut Encoder) {
+        e.str(&self.name);
+        e.str(&self.create_sql);
+        enc_annotation(e, &self.annotation);
+        e.seq(&self.columns, |e, c| e.str(c));
+    }
+
+    fn dec(d: &mut Decoder) -> DecResult<TableHead> {
+        Ok(TableHead {
+            name: d.str()?,
+            create_sql: d.str()?,
+            annotation: dec_annotation(d)?,
+            columns: d.seq(|d| d.str())?,
+        })
+    }
+
+    /// Creates the table if the installed application lacks it, then checks
+    /// that the schema the rows were written under is the installed one.
+    fn install(&self, server: &mut WarpServer) -> StoreResult<()> {
+        let name = &self.name;
+        if server.db.row_id_column(name).is_none() {
+            server
+                .db
+                .create_table(&self.create_sql, self.annotation.clone())
+                .map_err(|e| corrupt(format!("re-creating table {name}: {e}")))?;
+        }
+        let actual = schema_columns(server, name);
+        if actual != self.columns {
+            return Err(corrupt(format!(
+                "table {name}: checkpoint columns {:?} do not match the installed schema \
+                 {actual:?} (recovery requires the AppConfig the data was written with)",
+                self.columns
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Appends recovered actions to the history graph, which must assign each the
+/// ID it was recorded under — or the payload does not continue this history.
+fn restore_actions(
+    history: &mut HistoryGraph,
+    actions: impl IntoIterator<Item = ActionRecord>,
+) -> StoreResult<()> {
+    for action in actions {
+        let expected = action.id;
+        let assigned = history.record_action(action);
+        if assigned != expected {
+            return Err(corrupt(format!(
+                "action {expected} recovered as action {assigned}"
+            )));
         }
     }
-    d.finish()?;
     Ok(())
 }
 
-/// Folds a base checkpoint payload and its delta payloads (oldest first)
-/// into a single equivalent base payload. `None` when any payload fails to
-/// decode — the maintenance worker then leaves the chain alone rather than
-/// writing a wrong base over a recoverable one.
-pub(crate) fn fold_checkpoint_chain(base: &[u8], deltas: &[Vec<u8>]) -> Option<Vec<u8>> {
-    let mut img = decode_checkpoint_image(base).ok()?;
-    for delta in deltas {
-        apply_delta_to_image(&mut img, delta).ok()?;
+/// The base layout: the complete server state.
+struct BaseCheckpoint<'a> {
+    small: SmallState<'a>,
+    actions: Cow<'a, [ActionRecord]>,
+    logs: Vec<Cow<'a, PageVisitRecord>>,
+    /// Per table, every stored version row in storage order.
+    tables: Vec<(TableHead, Cow<'a, [Vec<SqlValue>]>)>,
+}
+
+impl<'a> BaseCheckpoint<'a> {
+    fn capture(server: &'a WarpServer) -> Self {
+        let history = &server.history;
+        let logs = history
+            .client_ids()
+            .iter()
+            .flat_map(|client| history.client_visits(client))
+            .map(Cow::Borrowed)
+            .collect();
+        let tables = TableHead::capture(server)
+            .into_iter()
+            .map(|head| {
+                let rows = server.db.raw().table(&head.name).map(|t| t.rows());
+                (head, Cow::Borrowed(rows.unwrap_or_default()))
+            })
+            .collect();
+        BaseCheckpoint {
+            small: SmallState::capture(server),
+            actions: Cow::Borrowed(history.actions()),
+            logs,
+            tables,
+        }
     }
-    Some(encode_checkpoint_image(&img))
+
+    fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.u32(FORMAT_VERSION);
+        self.small.enc(&mut e);
+        e.seq(&self.actions, enc_action);
+        e.seq(&self.logs, |e, log| enc_page_visit(e, log));
+        e.seq(&self.tables, |e, (head, rows)| {
+            head.enc(e);
+            e.seq(rows, |e, row| enc_row(e, row));
+        });
+        e.into_bytes()
+    }
+
+    fn decode(payload: &[u8]) -> DecResult<BaseCheckpoint<'static>> {
+        let mut d = Decoder::new(payload);
+        dec_format_version(&mut d)?;
+        let base = BaseCheckpoint {
+            small: SmallState::dec(&mut d)?,
+            actions: Cow::Owned(d.seq(dec_action)?),
+            logs: d.seq(|d| Ok(Cow::Owned(dec_page_visit(d)?)))?,
+            tables: d.seq(|d| Ok((TableHead::dec(d)?, Cow::Owned(d.seq(dec_row)?))))?,
+        };
+        d.finish()?;
+        Ok(base)
+    }
+
+    /// Replaces the state of a freshly installed server with this one.
+    fn install(self, server: &mut WarpServer) -> StoreResult<()> {
+        server.history = HistoryGraph::new();
+        self.small.install(server);
+        restore_actions(&mut server.history, self.actions.into_owned())?;
+        for log in self.logs {
+            server.history.upload_client_log(log.into_owned());
+        }
+        for (head, rows) in self.tables {
+            head.install(server)?;
+            server
+                .db
+                .replace_table_rows(&head.name, rows.into_owned())
+                .map_err(|e| corrupt(format!("restoring rows of {}: {e}", head.name)))?;
+        }
+        Ok(())
+    }
+
+    /// Applies a delta to this image, as [`DeltaCheckpoint::apply`] applies it
+    /// to a server: a client log replaces the one of the same visit, a removed
+    /// row takes out its first match and leaves the other rows in place.
+    fn absorb(&mut self, delta: DeltaCheckpoint<'a>) -> DecResult<()> {
+        if self.actions.len() as u64 != delta.floor {
+            return Err(bad(format!(
+                "delta continues {} actions, image has {}",
+                delta.floor,
+                self.actions.len()
+            )));
+        }
+        self.small = delta.small;
+        let actions = self.actions.to_mut();
+        actions.extend(delta.new_actions.into_owned());
+        for id in delta.cancelled {
+            actions
+                .get_mut(id as usize)
+                .ok_or_else(|| bad(format!("delta cancels unknown action {id}")))?
+                .cancelled = true;
+        }
+        for log in delta.logs {
+            let same_visit = self
+                .logs
+                .iter_mut()
+                .find(|l| l.client_id == log.client_id && l.visit_id == log.visit_id);
+            match same_visit {
+                Some(existing) => *existing = log,
+                None => self.logs.push(log),
+            }
+        }
+        for (head, diff) in delta.tables {
+            match self.tables.iter_mut().find(|(h, _)| h.name == head.name) {
+                Some((_, rows)) => {
+                    let rows = rows.to_mut();
+                    for gone in &diff.remove {
+                        if let Some(pos) = rows.iter().position(|r| r == gone) {
+                            rows.remove(pos);
+                        }
+                    }
+                    rows.extend(diff.add);
+                }
+                None => self.tables.push((head, Cow::Owned(diff.add))),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The delta layout: the small state wholesale, the large state as what
+/// changed since the previous chain link. Encoding cost is O(rows and actions
+/// changed), which keeps checkpoint latency flat as the database grows.
+struct DeltaCheckpoint<'a> {
+    small: SmallState<'a>,
+    /// History length at the previous link. It anchors ID continuity (checked
+    /// on apply, like per-record action IDs): new actions sit above it,
+    /// cancellations reference below it.
+    floor: u64,
+    new_actions: Cow<'a, [ActionRecord]>,
+    cancelled: Vec<ActionId>,
+    logs: Vec<Cow<'a, PageVisitRecord>>,
+    tables: Vec<(TableHead, warp_ttdb::TableDelta)>,
+}
+
+impl<'a> DeltaCheckpoint<'a> {
+    /// `rows` is the database's drained checkpoint tracker; the caller resets
+    /// [`CheckpointMarks`] only once the store accepts the write (a declined
+    /// write means nothing changed — the tracker and the marks were empty).
+    fn capture(server: &'a WarpServer, mut rows: warp_ttdb::RepairDelta) -> Self {
+        let marks = &server.ckpt_marks;
+        let floor = marks.actions_floor.min(server.history.len());
+        // The current record per uploaded (client, visit): a later upload for
+        // the same visit replaced the earlier one, and the quota may have
+        // evicted some entirely.
+        let log_keys: BTreeSet<&(String, u64)> = marks.new_logs.iter().collect();
+        let logs = log_keys
+            .into_iter()
+            .filter_map(|(client, visit)| server.history.client_log(client, *visit))
+            .map(Cow::Borrowed)
+            .collect();
+        // Every table with row changes, plus tables installed since the last
+        // checkpoint even when untouched — a fold must not lose their schema
+        // once the CreateTable log record is compacted away.
+        let tables = TableHead::capture(server)
+            .into_iter()
+            .filter_map(|head| {
+                let diff = rows.remove(&head.name);
+                (diff.is_some() || marks.new_tables.contains(&head.name))
+                    .then(|| (head, diff.unwrap_or_default()))
+            })
+            .collect();
+        DeltaCheckpoint {
+            small: SmallState::capture(server),
+            floor: floor as u64,
+            new_actions: Cow::Borrowed(&server.history.actions()[floor..]),
+            cancelled: marks
+                .cancelled
+                .range(..floor as ActionId)
+                .copied()
+                .collect(),
+            logs,
+            tables,
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.u32(FORMAT_VERSION);
+        self.small.enc(&mut e);
+        e.u64(self.floor);
+        e.seq(&self.new_actions, enc_action);
+        e.seq(&self.cancelled, |e, id| e.u64(*id));
+        e.seq(&self.logs, |e, log| enc_page_visit(e, log));
+        e.seq(&self.tables, |e, (head, diff)| {
+            head.enc(e);
+            e.seq(&diff.remove, |e, row| enc_row(e, row));
+            e.seq(&diff.add, |e, row| enc_row(e, row));
+        });
+        e.into_bytes()
+    }
+
+    fn decode(payload: &[u8]) -> DecResult<DeltaCheckpoint<'static>> {
+        let mut d = Decoder::new(payload);
+        dec_format_version(&mut d)?;
+        let delta = DeltaCheckpoint {
+            small: SmallState::dec(&mut d)?,
+            floor: d.u64()?,
+            new_actions: Cow::Owned(d.seq(dec_action)?),
+            cancelled: d.seq(|d| d.u64())?,
+            logs: d.seq(|d| Ok(Cow::Owned(dec_page_visit(d)?)))?,
+            tables: d.seq(|d| {
+                let head = TableHead::dec(d)?;
+                let (remove, add) = (d.seq(dec_row)?, d.seq(dec_row)?);
+                Ok((head, warp_ttdb::TableDelta { remove, add }))
+            })?,
+        };
+        d.finish()?;
+        Ok(delta)
+    }
+
+    /// Applies the delta to a server that already holds the base (and any
+    /// earlier deltas) of the same chain.
+    fn apply(self, server: &mut WarpServer) -> StoreResult<()> {
+        if server.history.len() as u64 != self.floor {
+            return Err(corrupt(format!(
+                "delta checkpoint continues a history of {} actions, found {}; the chain links \
+                 do not fit together",
+                self.floor,
+                server.history.len()
+            )));
+        }
+        self.small.install(server);
+        restore_actions(&mut server.history, self.new_actions.into_owned())?;
+        for id in self.cancelled {
+            server
+                .history
+                .action_mut(id)
+                .ok_or_else(|| corrupt(format!("delta checkpoint cancels unknown action {id}")))?
+                .cancelled = true;
+        }
+        for log in self.logs {
+            server.history.upload_client_log(log.into_owned());
+        }
+        for (head, diff) in self.tables {
+            head.install(server)?;
+            server
+                .db
+                .apply_row_diff(&head.name, &diff.remove, &diff.add)
+                .map_err(|e| corrupt(format!("applying delta checkpoint to {}: {e}", head.name)))?;
+        }
+        Ok(())
+    }
+}
+
+/// Folds a base checkpoint payload and its delta payloads (oldest first)
+/// into a single equivalent base payload, without a server: the maintenance
+/// worker needs no `AppConfig`, and the fold is a pure function of the blobs.
+/// `None` when any payload fails to decode — the worker then leaves the chain
+/// alone rather than writing a wrong base over a recoverable one.
+pub(crate) fn fold_checkpoint_chain(base: &[u8], deltas: &[Vec<u8>]) -> Option<Vec<u8>> {
+    let mut image = BaseCheckpoint::decode(base).ok()?;
+    for delta in deltas {
+        image.absorb(DeltaCheckpoint::decode(delta).ok()?).ok()?;
+    }
+    Some(image.encode())
 }
 
 // ---------------------------------------------------------------------------
@@ -1667,14 +1623,7 @@ fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
             server.rng_counter = rng_after;
             server.session_counter = session_after;
             server.db.raise_synthetic_id_watermark(watermark_after);
-            let expected = action.id;
-            let assigned = server.history.record_action(*action);
-            if assigned != expected {
-                return Err(corrupt(format!(
-                    "log action {expected} replayed as action {assigned}; the log does not \
-                     continue the recovered history"
-                )));
-            }
+            restore_actions(&mut server.history, [*action])?;
         }
         LogEvent::ClientLog(record) => server.history.upload_client_log(record),
         LogEvent::RepairBegin(request) => server.pending_repair = Some(request),
@@ -1719,8 +1668,8 @@ fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
             server.garbage_collect_unlogged(before_time);
         }
         LogEvent::CreateTable { sql, annotation } => {
-            let stmt = warp_sql::parse(&sql).map_err(|e| corrupt(format!("replaying DDL: {e}")))?;
-            let name = stmt.table_name().unwrap_or_default().to_string();
+            let name = created_table_name(&sql)
+                .ok_or_else(|| corrupt(format!("replaying DDL: `{sql}` names no table")))?;
             if server.db.row_id_column(&name).is_none() {
                 server
                     .db
@@ -1760,12 +1709,12 @@ impl WarpServer {
             pending_repair: false,
         };
         if let Some(payload) = &recovered.checkpoint {
-            restore_checkpoint(&mut server, payload)?;
+            BaseCheckpoint::decode(payload)?.install(&mut server)?;
         }
         // Fold the delta chain onto the base, oldest link first, then replay
         // the log tail at or after the chain tip.
         for payload in &recovered.deltas {
-            apply_checkpoint_delta(&mut server, payload)?;
+            DeltaCheckpoint::decode(payload)?.apply(&mut server)?;
         }
         for (lsn, kind, payload) in &recovered.records {
             let event = LogEvent::decode(*kind, payload)
@@ -1777,10 +1726,7 @@ impl WarpServer {
         // records row changes so the next automatic checkpoint can be a
         // delta instead of a whole-state write.
         server.db.enable_checkpoint_capture();
-        server.ckpt_marks = CheckpointMarks {
-            actions_floor: server.history.len(),
-            ..CheckpointMarks::default()
-        };
+        server.reset_checkpoint_marks();
         server.store = Some(LogSink::Inline(store));
         Ok((server, report))
     }
@@ -1793,32 +1739,20 @@ impl WarpServer {
     /// can no longer write its log must not keep serving silently.
     pub(crate) fn log_event(&mut self, event: &LogEvent) {
         if let Some(sink) = &mut self.store {
+            self.ckpt_marks.note(event);
             let (kind, payload) = event.encode();
             sink.append(kind, payload);
         }
     }
 
     /// Moves the durable store onto a background group-commit writer thread
-    /// governed by `policy`. No-op for in-memory servers or when the writer
-    /// is already active. Used by the [`crate::Warp`] engine; the classic
-    /// synchronous [`WarpServer`] keeps the inline sink.
-    pub(crate) fn enable_group_commit(&mut self, policy: warp_store::BatchPolicy) {
-        self.enable_group_commit_inner(policy, None);
-    }
-
-    /// Like [`enable_group_commit`](WarpServer::enable_group_commit), but
-    /// attaches a replication hook to the writer thread: every durable
-    /// batch is handed to `shipper` before its durability callbacks run
-    /// (the log-shipping entry point; see [`crate::WarpBuilder::ship_log_to`]).
-    pub(crate) fn enable_group_commit_with_shipper(
-        &mut self,
-        policy: warp_store::BatchPolicy,
-        shipper: Box<dyn warp_store::ShipperHook>,
-    ) {
-        self.enable_group_commit_inner(policy, Some(shipper));
-    }
-
-    fn enable_group_commit_inner(
+    /// governed by `policy`. With a `shipper`, every durable batch is handed
+    /// to it before the batch's durability callbacks run (the log-shipping
+    /// entry point; see [`crate::WarpBuilder::ship_log_to`]). No-op for
+    /// in-memory servers or when the writer is already active. Used by the
+    /// [`crate::Warp`] engine; the classic synchronous [`WarpServer`] keeps
+    /// the inline sink.
+    pub(crate) fn enable_group_commit(
         &mut self,
         policy: warp_store::BatchPolicy,
         shipper: Option<Box<dyn warp_store::ShipperHook>>,
@@ -1873,7 +1807,7 @@ impl WarpServer {
         if self.store.is_none() {
             return;
         }
-        let payload = encode_checkpoint(self);
+        let payload = BaseCheckpoint::capture(self).encode();
         let sink = self.store.as_mut().expect("checked above");
         sink.write_checkpoint(payload);
         self.reset_checkpoint_marks();
@@ -1891,15 +1825,13 @@ impl WarpServer {
         let Some(sink) = self.store.as_ref() else {
             return;
         };
-        if self.ckpt_marks.needs_base || !sink.has_checkpoint() {
+        let fold_inline = self.maintenance.is_none() && sink.should_fold();
+        if self.ckpt_marks.needs_base || !sink.has_checkpoint() || fold_inline {
             self.checkpoint();
             return;
         }
-        if self.maintenance.is_none() && sink.should_fold() {
-            self.checkpoint();
-            return;
-        }
-        let payload = encode_checkpoint_delta(self);
+        let rows = self.db.drain_checkpoint_delta();
+        let payload = DeltaCheckpoint::capture(self, rows).encode();
         let sink = self.store.as_mut().expect("checked above");
         if sink.write_delta_checkpoint(payload) {
             self.reset_checkpoint_marks();
@@ -2037,30 +1969,7 @@ impl WarpServer {
     pub fn apply_replicated(&mut self, kind: u8, payload: &[u8]) -> StoreResult<()> {
         let event = LogEvent::decode(kind, payload)
             .map_err(|e| corrupt(format!("replicated record: {e}")))?;
-        // Mirror the live path's incremental-checkpoint bookkeeping: a
-        // delta checkpoint on the standby must carry cancelled flags, new
-        // client logs and new tables, and a GC forces the next checkpoint
-        // to be a full base (action IDs were renumbered).
-        match &event {
-            LogEvent::ClientLog(log) => self
-                .ckpt_marks
-                .new_logs
-                .push((log.client_id.clone(), log.visit_id)),
-            LogEvent::RepairCommit(commit) => self
-                .ckpt_marks
-                .cancelled
-                .extend(commit.cancelled.iter().copied()),
-            LogEvent::Gc { .. } => self.ckpt_marks.needs_base = true,
-            LogEvent::CreateTable { sql, .. } => {
-                if let Some(name) = warp_sql::parse(sql)
-                    .ok()
-                    .and_then(|stmt| stmt.table_name().map(|n| n.to_string()))
-                {
-                    self.ckpt_marks.new_tables.push(name);
-                }
-            }
-            _ => {}
-        }
+        self.ckpt_marks.note(&event);
         if let Some(sink) = &mut self.store {
             sink.append(kind, payload.to_vec());
         }
@@ -2342,48 +2251,202 @@ mod tests {
         assert!(r.body.contains("rev 6"));
     }
 
+    fn visit_request(client: &str, visit: u64, body: &str) -> warp_http::HttpRequest {
+        let mut req =
+            warp_http::HttpRequest::post("/edit.wasl", [("title", "Main"), ("body", body)]);
+        req.warp.client_id = Some(client.into());
+        req.warp.visit_id = Some(visit);
+        req.warp.request_id = Some(0);
+        req
+    }
+
+    fn undo_visit(server: &mut WarpServer, client: &str, visit: u64) {
+        let outcome = server.repair_with(
+            RepairRequest::UndoVisit {
+                client_id: client.into(),
+                visit_id: visit,
+                initiated_by_admin: true,
+            },
+            crate::scheduler::RepairStrategy::Sequential,
+        );
+        assert!(!outcome.aborted);
+    }
+
+    /// A log of the visit with one input event, so that two uploads for the
+    /// same visit differ.
+    fn typed_log(client: &str, visit: u64) -> PageVisitRecord {
+        let mut log = PageVisitRecord::new(client, visit, "/edit.wasl");
+        log.push_event(
+            EventKind::Input,
+            "body",
+            Some("x".into()),
+            Some(String::new()),
+        );
+        log
+    }
+
+    /// Manual checkpoints only, so each test decides what a chain link holds.
+    fn manual() -> warp_store::StoreOptions {
+        warp_store::StoreOptions {
+            checkpoint_interval: 0,
+            ..warp_store::StoreOptions::default()
+        }
+    }
+
     #[test]
     fn folding_the_chain_in_payload_space_matches_applying_the_deltas() {
-        let mem = MemoryBackend::new();
-        let options = warp_store::StoreOptions {
-            checkpoint_interval: 2,
-            fold_after_deltas: 100,
-            ..warp_store::StoreOptions::default()
+        // `tiny_app` plus scripts that delete and re-create the page.
+        let app = || {
+            let mut config = tiny_app();
+            config.add_source(
+                "delete.wasl",
+                "db_query(\"DELETE FROM page WHERE title = 'Main'\"); echo(\"deleted\");",
+            );
+            config.add_source(
+                "create.wasl",
+                "db_query(\"INSERT INTO page (page_id, title, body) VALUES (1, 'Main', 'reborn')\"); \
+                 echo(\"created\");",
+            );
+            config
         };
-        let mut server = open_with(&mem, options).0;
-        for i in 0..3 {
-            edit(&mut server, &format!("rev {i}"));
-        }
-        // The upload is the interval's second record, so the delta cut here
-        // carries the client log.
-        server.upload_client_logs(vec![warp_browser::PageVisitRecord::new(
-            "c1",
-            1,
-            "/view.wasl",
-        )]);
-        for i in 3..7 {
-            edit(&mut server, &format!("rev {i}"));
-        }
+        let mem = MemoryBackend::new();
+        let (mut server, _) = WarpServer::open(
+            ServerConfig::new(app())
+                .with_backend(Box::new(mem.clone()))
+                .with_store_options(manual()),
+        )
+        .expect("open persistent server");
+        server.handle(visit_request("mallory", 7, "undo me"));
+        edit(&mut server, "rev 0");
+        server.upload_client_logs(vec![PageVisitRecord::new("mallory", 7, "/edit.wasl")]);
+        server.checkpoint();
+        // Delta 1: new actions and a client log.
+        edit(&mut server, "rev 1");
+        server.upload_client_logs(vec![PageVisitRecord::new("c1", 1, "/view.wasl")]);
+        server.checkpoint_incremental();
+        // Delta 2: a table installed and no row changed.
+        server.install_table(
+            "CREATE TABLE note (note_id INTEGER PRIMARY KEY, text TEXT)",
+            TableAnnotation::new().row_id("note_id"),
+        );
+        server.checkpoint_incremental();
+        // Delta 3: a second upload for a visit the base already holds, a
+        // repair whose cancellation lands below the floor, and a row removed
+        // and added again.
+        server.upload_client_logs(vec![typed_log("mallory", 7)]);
+        undo_visit(&mut server, "mallory", 7);
+        server.send(warp_http::HttpRequest::post("/delete.wasl", []));
+        server.send(warp_http::HttpRequest::post("/create.wasl", []));
+        server.checkpoint_incremental();
         drop(server);
         let (_, recovered) =
-            DurableStore::open(Box::new(mem.clone()), options).expect("reopen raw store");
+            DurableStore::open(Box::new(mem.clone()), manual()).expect("reopen raw store");
         let base = recovered.checkpoint.expect("a base on disk");
-        assert!(!recovered.deltas.is_empty(), "deltas on disk");
+        let deltas: Vec<DeltaCheckpoint> = recovered
+            .deltas
+            .iter()
+            .map(|d| DeltaCheckpoint::decode(d).expect("delta decodes"))
+            .collect();
+        // The chain holds the cases it is meant to.
+        assert_eq!(deltas.len(), 3);
+        assert!(
+            matches!(&deltas[1].tables[..], [(head, diff)] if head.name == "note" && diff.is_empty())
+        );
+        assert_eq!(deltas[2].logs.len(), 1);
+        assert_eq!(deltas[2].cancelled, vec![0]);
+        assert!(matches!(&deltas[2].tables[..], [(head, diff)]
+            if head.name == "page" && !diff.remove.is_empty() && !diff.add.is_empty()));
+
         let folded =
             fold_checkpoint_chain(&base, &recovered.deltas).expect("chain payloads decode");
         // Restoring the folded base must land exactly where restoring the
         // base and then applying each delta lands.
-        let mut via_fold = WarpServer::new(tiny_app());
-        restore_checkpoint(&mut via_fold, &folded).expect("restore folded base");
-        let mut via_chain = WarpServer::new(tiny_app());
-        restore_checkpoint(&mut via_chain, &base).expect("restore base");
-        for delta in &recovered.deltas {
-            apply_checkpoint_delta(&mut via_chain, delta).expect("apply delta");
+        let restore = |payload: &[u8]| {
+            let mut server = WarpServer::new(app());
+            let base = BaseCheckpoint::decode(payload).expect("base decodes");
+            base.install(&mut server).expect("restore base");
+            server
+        };
+        let via_fold = restore(&folded);
+        let mut via_chain = restore(&base);
+        for delta in deltas {
+            delta.apply(&mut via_chain).expect("apply delta");
         }
-        assert_eq!(via_fold.history.len(), via_chain.history.len());
-        assert_eq!(via_fold.db.canonical_dump(), via_chain.db.canonical_dump());
-        assert_eq!(via_fold.clock.now(), via_chain.clock.now());
-        assert!(via_fold.history.client_log("c1", 1).is_some());
+        assert!(
+            BaseCheckpoint::capture(&via_fold).encode()
+                == BaseCheckpoint::capture(&via_chain).encode(),
+            "the fold and the chain restore different servers"
+        );
+    }
+
+    /// FNV-1a, 64 bit.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The payload bytes of a fixed history, pinned at the commit before the
+    /// layouts became data types: a change to either layout must bump
+    /// `FORMAT_VERSION`, not slip through.
+    #[test]
+    fn checkpoint_payload_bytes_are_pinned() {
+        let mem = MemoryBackend::new();
+        let mut server = open_with(&mem, manual()).0;
+        server.handle(visit_request("mallory", 7, "by mallory"));
+        edit(&mut server, "rev 0");
+        server.upload_client_logs(vec![PageVisitRecord::new("mallory", 7, "/edit.wasl")]);
+        server.checkpoint();
+        edit(&mut server, "rev 1");
+        server.install_table(
+            "CREATE TABLE note (note_id INTEGER PRIMARY KEY, text TEXT)",
+            TableAnnotation::new().row_id("note_id"),
+        );
+        server.upload_client_logs(vec![typed_log("mallory", 7)]);
+        undo_visit(&mut server, "mallory", 7);
+        server.checkpoint_incremental();
+        drop(server);
+        let (_, recovered) =
+            DurableStore::open(Box::new(mem.clone()), manual()).expect("reopen raw store");
+        let base = recovered.checkpoint.expect("a base on disk");
+        let [delta] = &recovered.deltas[..] else {
+            panic!("one delta on disk, found {}", recovered.deltas.len());
+        };
+        assert_eq!((base.len(), fnv1a(&base)), (1653, 0x403c_99e6_ead0_a52c));
+        assert_eq!((delta.len(), fnv1a(delta)), (1969, 0xf317_3692_ac80_ce04));
+        // Each layout's decoder and encoder are inverses.
+        assert!(BaseCheckpoint::decode(&base).unwrap().encode() == base);
+        assert!(DeltaCheckpoint::decode(delta).unwrap().encode() == *delta);
+    }
+
+    #[test]
+    fn a_corrupt_client_log_count_is_an_error_not_an_allocation() {
+        let mem = MemoryBackend::new();
+        let mut server = open_with(&mem, manual()).0;
+        edit(&mut server, "rev 0");
+        server.upload_client_logs(vec![PageVisitRecord::new("count-marker", 1, "/view.wasl")]);
+        server.checkpoint();
+        drop(server);
+        let (mut store, recovered) =
+            DurableStore::open(Box::new(mem.clone()), manual()).expect("reopen raw store");
+        let mut base = recovered.checkpoint.expect("a base on disk");
+        // The log is the payload's only one and starts with its client ID, so
+        // the count sits before that string's length prefix.
+        let marker = base
+            .windows(12)
+            .position(|w| w == b"count-marker")
+            .expect("the log's client ID");
+        let count = marker - 8..marker - 4;
+        assert_eq!(base[count.clone()], 1u32.to_le_bytes());
+        base[count].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(fold_checkpoint_chain(&base, &[]).is_none());
+        store
+            .write_checkpoint(&base)
+            .expect("write the patched base");
+        drop(store);
+        let reopened =
+            WarpServer::open(ServerConfig::new(tiny_app()).with_backend(Box::new(mem.clone())));
+        assert!(reopened.is_err(), "a corrupt count must fail recovery");
     }
 
     #[test]

@@ -319,12 +319,6 @@ impl WarpServer {
                         })
                         .collect(),
                 };
-                // Cancellation flips flags on actions *below* the next
-                // delta checkpoint's floor; mark them so the delta carries
-                // the flips.
-                self.ckpt_marks
-                    .cancelled
-                    .extend(run.cancelled.iter().copied());
                 self.log_event(&crate::persist::LogEvent::RepairCommit(
                     crate::persist::RepairCommitRecord {
                         patch,

@@ -145,17 +145,6 @@ impl WarpServer {
         self.db
             .create_table(create_sql, annotation.clone())
             .unwrap_or_else(|e| panic!("installing table failed: {e}"));
-        if self.store.is_some() {
-            // The next delta checkpoint must carry the table's schema even
-            // if no rows change, or compacting away this CreateTable record
-            // would lose the table.
-            if let Some(name) = warp_sql::parse(create_sql)
-                .ok()
-                .and_then(|stmt| stmt.table_name().map(|n| n.to_string()))
-            {
-                self.ckpt_marks.new_tables.push(name);
-            }
-        }
         self.log_event(&crate::persist::LogEvent::CreateTable {
             sql: create_sql.to_string(),
             annotation,
@@ -307,9 +296,6 @@ impl WarpServer {
         for log in logs {
             if self.store.is_some() {
                 self.log_event(&crate::persist::LogEvent::ClientLog(log.clone()));
-                self.ckpt_marks
-                    .new_logs
-                    .push((log.client_id.clone(), log.visit_id));
             }
             self.history.upload_client_log(log);
         }
@@ -348,10 +334,6 @@ impl WarpServer {
         let removed = self.garbage_collect_unlogged(before_time);
         if self.store.is_some() {
             self.log_event(&crate::persist::LogEvent::Gc { before_time });
-            // GC renumbers action IDs, which invalidates the incremental
-            // bookkeeping — the checkpoint that follows must be (and is) a
-            // full base; the flag guards any path that could defer it.
-            self.ckpt_marks.needs_base = true;
             self.checkpoint();
             // The administrator just declared pre-cutoff history
             // disposable: the cold archive tier has no reader left either.

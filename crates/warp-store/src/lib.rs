@@ -52,8 +52,7 @@
 //! re-encoded as compressed cold blobs that repair can still replay via
 //! [`DurableStore::replay_cold`]). The base blob is always fsynced —
 //! content and directory entry — *before* anything it subsumes is
-//! deleted. Legacy whole-state `ckpt-` blobs from older stores are read
-//! as chain bases.
+//! deleted.
 //!
 //! # Crash recovery
 //!

@@ -5,9 +5,8 @@
 //! Recovery folds the newest valid chain; a torn or corrupt link makes
 //! recovery fall back to the next older candidate, which stays sound
 //! because delta checkpoints never delete log segments — only a base
-//! checkpoint compacts. Legacy whole-state `ckpt-` blobs are still read
-//! as chain bases. Segments subsumed by a base can optionally be kept as
-//! compressed cold blobs (`cold-*.zseg`), still replayable for repair.
+//! checkpoint compacts. Segments subsumed by a base can optionally be kept
+//! as compressed cold blobs (`cold-*.zseg`), still replayable for repair.
 
 use crate::backend::StorageBackend;
 use crate::codec::{crc32, Crc32};
@@ -16,8 +15,6 @@ use crate::{StoreError, StoreResult};
 
 /// Magic prefix of every log segment.
 const SEGMENT_MAGIC: &[u8; 8] = b"WARPSEG1";
-/// Magic prefix of legacy whole-state checkpoint blobs.
-const CHECKPOINT_MAGIC: &[u8; 8] = b"WARPCKP1";
 /// Magic prefix of base checkpoint blobs (chain roots).
 const BASE_MAGIC: &[u8; 8] = b"WARPCKB1";
 /// Magic prefix of delta checkpoint blobs (chain links).
@@ -119,10 +116,6 @@ fn segment_name(first_lsn: u64) -> String {
     format!("seg-{first_lsn:020}.log")
 }
 
-fn checkpoint_name(lsn: u64) -> String {
-    format!("ckpt-{lsn:020}.bin")
-}
-
 pub(crate) fn base_name(lsn: u64) -> String {
     format!("ckpt-base-{lsn:020}.bin")
 }
@@ -153,24 +146,17 @@ fn parse_cold_name(name: &str) -> Option<(u64, u64)> {
 pub(crate) enum CkptKind {
     /// `ckpt-delta-` chain link.
     Delta,
-    /// Legacy whole-state `ckpt-` blob, read as a base.
-    Legacy,
     /// `ckpt-base-` chain root.
     Base,
 }
 
-/// Parses any checkpoint blob name. Order matters: the legacy `ckpt-`
-/// prefix also prefixes the chain names, but its numeric parse rejects
-/// `base-…`/`delta-…` remainders.
+/// Parses any checkpoint blob name.
 pub(crate) fn parse_checkpoint_blob_name(name: &str) -> Option<(u64, CkptKind)> {
     if let Some(lsn) = parse_name(name, "ckpt-base-", ".bin") {
         return Some((lsn, CkptKind::Base));
     }
     if let Some(lsn) = parse_name(name, "ckpt-delta-", ".bin") {
         return Some((lsn, CkptKind::Delta));
-    }
-    if let Some(lsn) = parse_name(name, "ckpt-", ".bin") {
-        return Some((lsn, CkptKind::Legacy));
     }
     None
 }
@@ -258,23 +244,6 @@ fn decode_chain_blob(blob: &[u8], expected_lsn: u64, magic: &[u8; 8]) -> Option<
     Some((parent, payload.to_vec()))
 }
 
-fn decode_checkpoint(blob: &[u8], expected_lsn: u64) -> Option<Vec<u8>> {
-    if blob.len() < 28 || &blob[..8] != CHECKPOINT_MAGIC {
-        return None;
-    }
-    let lsn = u64::from_le_bytes(blob[8..16].try_into().ok()?);
-    let crc = u32::from_le_bytes(blob[16..20].try_into().ok()?);
-    let len = u32::from_le_bytes(blob[20..24].try_into().ok()?) as usize;
-    if lsn != expected_lsn || blob.len() != 24 + len {
-        return None;
-    }
-    let payload = &blob[24..];
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some(payload.to_vec())
-}
-
 /// Reads the blob for one chain link and validates it; `Ok(None)` means
 /// missing or invalid. The returned parent is `None` for bases.
 fn read_valid_link(
@@ -285,14 +254,12 @@ fn read_valid_link(
     let name = match kind {
         CkptKind::Base => base_name(lsn),
         CkptKind::Delta => delta_name(lsn),
-        CkptKind::Legacy => checkpoint_name(lsn),
     };
     let Some(blob) = backend.read(&name)? else {
         return Ok(None);
     };
     Ok(match kind {
         CkptKind::Base => decode_chain_blob(&blob, lsn, BASE_MAGIC).map(|(_, p)| (None, p)),
-        CkptKind::Legacy => decode_checkpoint(&blob, lsn).map(|p| (None, p)),
         CkptKind::Delta => {
             decode_chain_blob(&blob, lsn, DELTA_MAGIC).map(|(parent, p)| (Some(parent), p))
         }
@@ -305,7 +272,7 @@ fn read_any_valid_link(
     backend: &dyn StorageBackend,
     lsn: u64,
 ) -> StoreResult<Option<(Option<u64>, Vec<u8>)>> {
-    for kind in [CkptKind::Base, CkptKind::Legacy, CkptKind::Delta] {
+    for kind in [CkptKind::Base, CkptKind::Delta] {
         if let Some(link) = read_valid_link(backend, lsn, kind)? {
             return Ok(Some(link));
         }
@@ -364,7 +331,7 @@ pub(crate) fn scan_chain(backend: &dyn StorageBackend) -> StoreResult<Option<Cha
         .filter_map(|n| parse_checkpoint_blob_name(n))
         .collect();
     // Newest tip wins; at equal LSN a base subsumes a delta (CkptKind's
-    // derive order ranks Delta < Legacy < Base).
+    // derive order ranks Delta < Base).
     candidates.sort_by_key(|&(lsn, kind)| (lsn, kind as u8));
     for &(lsn, kind) in candidates.iter().rev() {
         if let Some(chain) = try_resolve_chain(backend, lsn, kind)? {
@@ -1153,9 +1120,7 @@ mod tests {
         // A checkpoint blob that fails its CRC: recovery falls back to the
         // full log.
         let mut handle = mem.clone();
-        handle
-            .write_atomic(&checkpoint_name(1), b"garbage")
-            .unwrap();
+        handle.write_atomic(&base_name(1), b"garbage").unwrap();
         let (_, recovered) = open_mem(&mem, options);
         assert!(recovered.checkpoint.is_none());
         assert_eq!(recovered.records, vec![(0, 7, b"only record".to_vec())]);
@@ -1178,32 +1143,6 @@ mod tests {
         store.write_checkpoint(b"S").unwrap();
         assert!(!store.checkpoint_due());
         assert_eq!(store.tail_len(), 0);
-    }
-
-    #[test]
-    fn legacy_whole_state_checkpoints_still_recover() {
-        let mem = MemoryBackend::new();
-        let (mut store, _) = open_mem(&mem, StoreOptions::default());
-        store.append(1, b"old").unwrap();
-        // Hand-write a legacy-format blob, as a pre-chain store would have.
-        let payload = b"LEGACY";
-        let mut blob = Vec::new();
-        blob.extend_from_slice(CHECKPOINT_MAGIC);
-        blob.extend_from_slice(&1u64.to_le_bytes());
-        blob.extend_from_slice(&crc32(payload).to_le_bytes());
-        blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        blob.extend_from_slice(payload);
-        let mut handle = mem.clone();
-        handle.write_atomic(&checkpoint_name(1), &blob).unwrap();
-        store.append(1, b"after").unwrap();
-        drop(store);
-        let (store, recovered) = open_mem(&mem, StoreOptions::default());
-        assert_eq!(recovered.checkpoint.as_deref(), Some(b"LEGACY".as_slice()));
-        assert_eq!(recovered.checkpoint_lsn, 1);
-        assert!(recovered.deltas.is_empty());
-        assert_eq!(recovered.records, vec![(1, 1, b"after".to_vec())]);
-        // A delta can chain onto a legacy base.
-        assert!(store.has_checkpoint());
     }
 
     #[test]

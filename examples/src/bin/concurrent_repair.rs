@@ -1,9 +1,11 @@
 //! Repair generations (paper §4.3) and partitioned parallel repair through
-//! the concurrent façade: the wiki keeps serving requests from the
-//! pre-repair state while a repair builds the next generation, and
-//! independent dependency partitions of the history are re-executed
-//! concurrently on a worker pool. The repair itself is first-class — a
-//! [`warp_core::RepairHandle`] whose status is polled while it runs.
+//! the concurrent façade: a repair builds the next generation and switches
+//! to it atomically, and independent dependency partitions of the history
+//! are re-executed concurrently on a worker pool. Serving does not overlap
+//! the repair: requests that arrive while it runs queue behind it and see
+//! the repaired state (`warp-perf` measures `repair_stall_ms` ≈ `repair_s`).
+//! The repair itself is first-class — a [`warp_core::RepairHandle`] whose
+//! status is polled while it runs.
 
 use warp_apps::wiki::{wiki_app, wiki_search_patch};
 use warp_core::{RepairRequest, Warp};
@@ -12,8 +14,8 @@ use warp_http::HttpRequest;
 fn main() {
     warp_examples::handle_help(
         "concurrent_repair",
-        "Repair generations + partitioned parallel repair: the wiki keeps serving requests \
-         while independent partitions are repaired concurrently.",
+        "Repair generations + partitioned parallel repair: independent partitions are \
+         repaired concurrently; requests queue behind the repair and see the repaired state.",
         None,
     );
     let warp = Warp::builder()
@@ -29,10 +31,9 @@ fn main() {
         warp.serve(HttpRequest::get(&format!("/view.wasl?title=Page{i}")));
     }
     let gen_before = warp.with_server(|s| s.db.current_generation());
-    // Normal operation continues while the repair generation is built; the
-    // repair runs the partitioned engine configured on the builder, so the
-    // independent search actions are re-executed concurrently on 2 workers
-    // and merged.
+    // Requests submitted from here on wait for the repair. It runs the
+    // partitioned engine configured on the builder, so the independent
+    // search actions are re-executed concurrently on 2 workers and merged.
     let handle = warp.repair(RepairRequest::RetroactivePatch {
         patch: wiki_search_patch(),
         from_time: 0,
