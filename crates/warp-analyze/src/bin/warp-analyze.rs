@@ -10,28 +10,19 @@
 //! findings absent from the baseline, so CI can gate on *new* violations
 //! while the corpus's intentionally-vulnerable pages stay documented.
 
-use warp_analyze::{corpus_footprints, corpus_lints, new_findings, SiteAnalysis};
-use warp_apps::blog::{blog_app, BlogBug};
-use warp_apps::gallery::{gallery_app, GalleryBug};
-use warp_apps::wiki::wiki_app;
-use warp_core::AppConfig;
-
-fn corpus() -> Vec<AppConfig> {
-    vec![
-        wiki_app(2, 2),
-        blog_app(BlogBug::LostVotes, 1),
-        gallery_app(GalleryBug::RemovingPermissions, 1),
-    ]
-}
+use warp_analyze::{corpus, corpus_footprints, corpus_lints, new_findings};
 
 fn usage() {
-    println!("usage: warp-analyze (--footprints | --lint [--baseline PATH])");
+    println!(
+        "usage: warp-analyze (--footprints | --lint [--baseline PATH | --write-baseline PATH])"
+    );
     println!();
     println!("Static analysis over the wiki/blog/gallery WASL query corpus.");
-    println!("--footprints     print each query's conservative column footprint");
-    println!("--lint           print lint findings (exit 1 if any)");
-    println!("--baseline PATH  with --lint: only findings missing from PATH fail;");
-    println!("                 regenerate PATH with `--lint --write-baseline PATH`");
+    println!("--footprints           print each query's conservative column footprint");
+    println!("--lint                 print lint findings (exit 1 if any)");
+    println!("--baseline PATH        with --lint: only findings missing from PATH fail");
+    println!("--write-baseline PATH  with --lint: write the findings to PATH as the new");
+    println!("                       baseline and exit 0");
 }
 
 fn main() {
@@ -54,17 +45,10 @@ fn main() {
 fn footprints() {
     for config in corpus() {
         println!("== {} ==", config.name);
-        for (site, analysis) in corpus_footprints(&config) {
-            match analysis {
-                SiteAnalysis::Footprint(fp) => {
-                    println!("{}:{}: {fp}", site.file, site.line);
-                }
-                SiteAnalysis::Unparseable(e) => {
-                    println!(
-                        "{}:{}: unparseable template `{}` ({e})",
-                        site.file, site.line, site.template
-                    );
-                }
+        for (site, footprint) in corpus_footprints(&config) {
+            match footprint {
+                Ok(fp) => println!("{}:{}: {fp}", site.file, site.line),
+                Err(e) => println!("{}:{}: no statement template: {e}", site.file, site.line),
             }
         }
         println!();

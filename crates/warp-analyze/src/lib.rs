@@ -2,10 +2,12 @@
 //!
 //! WASL applications build SQL by string concatenation (`"SELECT ... '" .
 //! sql_escape(x) . "'"`), exactly like the PHP applications the paper
-//! retrofits. This crate extracts every `db_query(...)` call site from an
-//! application's sources, reconstructs a parseable SQL *template* for each
-//! (concatenated expressions are replaced by placeholder values), and runs
-//! two analyses over the result:
+//! retrofits. This crate reads every `db_query(...)` call site off an
+//! application's *compiled* programs ([`warp_core::sites()`] — the walk the
+//! shard router uses), turns each into the statement template its requests
+//! will execute ([`warp_core::site_template`], then
+//! [`warp_sql::parse_template`] — what the server's plan table holds), and
+//! runs two analyses over the result:
 //!
 //! * **Footprints** ([`corpus_footprints`]): the conservative
 //!   column-granularity [`warp_sql::StatementFootprint`] of each template —
@@ -14,30 +16,49 @@
 //!   pruning (`SELECT *`, unbounded row sets) before an intrusion happens.
 //! * **Lints** ([`corpus_lints`]): precision-defeating and
 //!   injection-adjacent query shapes. Statement-level rules come from
-//!   [`warp_sql::lint_statement`] (`select-star`, `unbounded-write`);
-//!   this crate adds the WASL-level `unescaped-concat` rule for SQL built
-//!   from expressions that pass through neither `sql_escape(...)` nor
-//!   `int(...)`.
+//!   [`warp_sql::lint_statement`] (`select-star`, `unbounded-write`); the
+//!   WASL-level `unescaped-concat` rule reports SQL built from values that
+//!   pass through neither `sql_escape(...)` nor `int(...)`
+//!   ([`warp_core::sites::Sites::is_sanitized`]).
 //!
 //! The `warp-analyze` binary wires both over the canonical wiki/blog/
-//! gallery corpus, with a committed baseline file so CI fails only on
+//! gallery [`corpus`], with a committed baseline file so CI fails only on
 //! *new* lint findings (the wiki ships intentionally vulnerable variants
 //! of its search and maintenance pages — those findings are expected).
 
-use warp_sql::{analyze, lint_statement, KeyCatalog, StatementFootprint};
+use warp_apps::blog::{blog_app, BlogBug};
+use warp_apps::gallery::{gallery_app, GalleryBug};
+use warp_apps::wiki::wiki_app;
+use warp_core::sites::{sites, Part};
+use warp_core::{site_template, AppConfig, SourceStore};
+use warp_sql::{analyze, lint_statement, KeyCatalog, Statement, StatementFootprint};
 
-/// One `db_query(...)` call site extracted from a WASL source file.
+/// The canonical applications the binary (and the committed lint baseline)
+/// cover.
+pub fn corpus() -> Vec<AppConfig> {
+    vec![
+        wiki_app(2, 2),
+        blog_app(BlogBug::LostVotes, 1),
+        gallery_app(GalleryBug::RemovingPermissions, 1),
+    ]
+}
+
+/// One `db_query(...)` call site of a WASL source file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySite {
     /// Source filename the call appears in.
     pub file: String,
-    /// 1-based line of the `db_query(` token.
+    /// 1-based line of the `db_query` token.
     pub line: usize,
-    /// The raw WASL argument expression, verbatim.
-    pub raw: String,
-    /// The reconstructed SQL template (placeholders substituted).
+    /// The SQL text a request sends, with a placeholder in each hole
+    /// ([`warp_core::SiteTemplate::sql`]); empty if the site has no such
+    /// text.
     pub template: String,
-    /// Concatenated expression segments that are not escape-wrapped.
+    /// The statement template every request of the site executes, or why
+    /// the site has none: its SQL is computed rather than written, a value
+    /// is concatenated outside a literal, or the text does not parse.
+    pub statement: Result<Statement, String>,
+    /// The concatenated expressions that are not sanitized, as source text.
     pub unescaped: Vec<String>,
 }
 
@@ -64,250 +85,10 @@ impl Finding {
     }
 }
 
-/// Variables a file binds to a quote-safe value: `let x = ...` where the
-/// right-hand side passes through `int(...)` (numeric coercion) or
-/// `sql_escape(...)`. Concatenating such a variable cannot inject SQL, so
-/// the `unescaped-concat` rule skips it. One flat set per file is enough
-/// for WASL's corpus style (the buggy and fixed variants of a page are
-/// separate files); rebinding a safe name to a raw value later in the same
-/// file would be missed, which errs on the quiet side for a lint whose
-/// findings are baselined anyway.
-fn safe_vars(source: &str) -> std::collections::BTreeSet<String> {
-    let mut safe = std::collections::BTreeSet::new();
-    for statement in source.split(';') {
-        let Some((lhs, rhs)) = statement.split_once('=') else {
-            continue;
-        };
-        let lhs = lhs.trim();
-        let Some(name) = lhs.strip_prefix("let ") else {
-            continue;
-        };
-        let name = name.trim();
-        if name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-            && (rhs.contains("int(") || rhs.contains("sql_escape("))
-        {
-            safe.insert(name.to_string());
-        }
-    }
-    safe
-}
-
-/// A source file's worth of extracted query sites.
-pub fn extract_sites(file: &str, source: &str) -> Vec<QuerySite> {
-    let mut sites = Vec::new();
-    let bytes = source.as_bytes();
-    let safe = safe_vars(source);
-    let mut i = 0;
-    while let Some(pos) = source[i..].find("db_query(") {
-        let start = i + pos;
-        let arg_start = start + "db_query(".len();
-        let Some(arg_end) = matching_paren(source, arg_start) else {
-            break;
-        };
-        let raw = source[arg_start..arg_end].to_string();
-        let line = 1 + bytes[..start].iter().filter(|&&b| b == b'\n').count();
-        let segments = split_concat(&raw);
-        let (template, unescaped) = build_template(&segments, &safe);
-        sites.push(QuerySite {
-            file: file.to_string(),
-            line,
-            raw,
-            template,
-            unescaped,
-        });
-        i = arg_end;
-    }
-    sites
-}
-
-/// Finds the index of the `)` closing the paren that *precedes* `from`
-/// (i.e. `from` points just past an opening paren), respecting WASL string
-/// literals and their escapes.
-fn matching_paren(source: &str, from: usize) -> Option<usize> {
-    let mut depth = 1usize;
-    let mut in_string = false;
-    let mut chars = source[from..].char_indices();
-    while let Some((off, c)) = chars.next() {
-        if in_string {
-            match c {
-                '\\' => {
-                    chars.next();
-                }
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '(' => depth += 1,
-            ')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(from + off);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// One segment of a WASL concatenation chain.
-#[derive(Debug, Clone, PartialEq)]
-enum Segment {
-    /// A string literal, with escapes resolved.
-    Literal(String),
-    /// Any other expression, verbatim.
-    Expr(String),
-}
-
-/// Splits a WASL expression on top-level `.` (the concatenation operator):
-/// not inside a string literal, not inside parentheses or brackets.
-fn split_concat(raw: &str) -> Vec<Segment> {
-    let mut segments = Vec::new();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut piece = String::new();
-    let mut chars = raw.chars().peekable();
-    while let Some(c) = chars.next() {
-        if in_string {
-            piece.push(c);
-            match c {
-                '\\' => {
-                    if let Some(escaped) = chars.next() {
-                        piece.push(escaped);
-                    }
-                }
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                piece.push(c);
-            }
-            '(' | '[' => {
-                depth += 1;
-                piece.push(c);
-            }
-            ')' | ']' => {
-                depth = depth.saturating_sub(1);
-                piece.push(c);
-            }
-            '.' if depth == 0 => {
-                push_segment(&mut segments, &piece);
-                piece.clear();
-            }
-            _ => piece.push(c),
-        }
-    }
-    push_segment(&mut segments, &piece);
-    segments
-}
-
-fn push_segment(segments: &mut Vec<Segment>, piece: &str) {
-    let piece = piece.trim();
-    if piece.is_empty() {
-        return;
-    }
-    if piece.starts_with('"') && piece.ends_with('"') && piece.len() >= 2 {
-        segments.push(Segment::Literal(unescape(&piece[1..piece.len() - 1])));
-    } else {
-        segments.push(Segment::Expr(piece.to_string()));
-    }
-}
-
-/// Resolves WASL string escapes (`\"`, `\\`, `\n`, `\t`).
-fn unescape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-/// True if a concatenated expression cannot inject SQL: its value passes
-/// through `sql_escape(...)` (quote doubling) or `int(...)` (numeric
-/// coercion), or every identifier in it is a file-local variable bound to
-/// such a value (so arithmetic like `next + 1` over coerced values stays
-/// quiet).
-fn is_escaped_expr(expr: &str, safe: &std::collections::BTreeSet<String>) -> bool {
-    let expr = expr.trim();
-    if expr.contains("sql_escape(") || expr.contains("int(") {
-        return true;
-    }
-    let mut idents = Vec::new();
-    let mut current = String::new();
-    for c in expr.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            current.push(c);
-        } else if !current.is_empty() {
-            idents.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        idents.push(current);
-    }
-    !idents.is_empty()
-        && idents
-            .iter()
-            .all(|id| id.chars().all(|c| c.is_ascii_digit()) || safe.contains(id))
-}
-
-/// Reconstructs a parseable SQL template from a concatenation chain:
-/// literal segments verbatim; expression segments become `x` when the
-/// template is inside a SQL string literal at that point, `0` otherwise
-/// (a placeholder in a numeric position). Returns the template and the
-/// unescaped expression segments.
-fn build_template(
-    segments: &[Segment],
-    safe: &std::collections::BTreeSet<String>,
-) -> (String, Vec<String>) {
-    let mut template = String::new();
-    let mut unescaped = Vec::new();
-    for segment in segments {
-        match segment {
-            Segment::Literal(text) => template.push_str(text),
-            Segment::Expr(expr) => {
-                let in_sql_string = template.matches('\'').count() % 2 == 1;
-                template.push_str(if in_sql_string { "x" } else { "0" });
-                if !is_escaped_expr(expr, safe) {
-                    unescaped.push(expr.clone());
-                }
-            }
-        }
-    }
-    (template, unescaped)
-}
-
-/// A query site's static footprint, or why it has none.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SiteAnalysis {
-    /// The template parsed; here is its conservative footprint.
-    Footprint(Box<StatementFootprint>),
-    /// The template did not parse (dynamic SQL beyond the reconstruction,
-    /// or vendor-specific syntax). Repair falls back to row/partition
-    /// granularity for such queries.
-    Unparseable(String),
-}
-
 /// Builds the key catalog for an application: every `CREATE TABLE` in the
 /// config observed for PRIMARY KEY / UNIQUE columns, plus the annotated
 /// row-ID column of each table (the time-travel layer keys rollback on it).
-pub fn app_key_catalog(config: &warp_core::AppConfig) -> KeyCatalog {
+pub fn app_key_catalog(config: &AppConfig) -> KeyCatalog {
     let mut keys = KeyCatalog::new();
     for (create, annotation) in &config.tables {
         if let Ok(stmt) = warp_sql::parse(create) {
@@ -322,63 +103,88 @@ pub fn app_key_catalog(config: &warp_core::AppConfig) -> KeyCatalog {
     keys
 }
 
-/// Extracts every query site from an application's sources.
-pub fn app_sites(config: &warp_core::AppConfig) -> Vec<QuerySite> {
-    let mut sites = Vec::new();
+/// Every query site of an application's sources, in file and source order.
+/// A file that does not compile has none: it cannot run a query either.
+pub fn app_sites(config: &AppConfig) -> Vec<QuerySite> {
+    let mut compiled = SourceStore::new();
+    let mut found = Vec::new();
     for (file, source) in &config.sources {
-        sites.extend(extract_sites(file, source));
+        compiled.install(file, source);
+        let Some(Ok(program)) = compiled.program_at(file, 0) else {
+            continue;
+        };
+        let in_file = sites(program);
+        for site in &in_file.queries {
+            let (template, statement) = match site_template(&site.parts) {
+                Err(e) => (String::new(), Err(e.to_string())),
+                Ok(template) => {
+                    let statement = warp_sql::parse_template(&template.sql)
+                        .map_err(|e| format!("template `{}` does not parse: {e}", template.sql));
+                    (template.sql, statement)
+                }
+            };
+            let unescaped = site.parts.iter().filter_map(|part| match part {
+                Part::Hole { operand, .. } if !in_file.is_sanitized(part) => {
+                    Some(operand.to_string())
+                }
+                _ => None,
+            });
+            found.push(QuerySite {
+                file: file.clone(),
+                line: site.line as usize,
+                template,
+                statement,
+                unescaped: unescaped.collect(),
+            });
+        }
     }
-    sites
+    found
 }
 
-/// Computes the static footprint of every query site in an application.
-pub fn corpus_footprints(config: &warp_core::AppConfig) -> Vec<(QuerySite, SiteAnalysis)> {
+/// Computes the static footprint of every query site in an application,
+/// or why the site has none (see [`QuerySite::statement`]; repair falls back
+/// to row/partition granularity for such queries).
+pub fn corpus_footprints(
+    config: &AppConfig,
+) -> Vec<(QuerySite, Result<StatementFootprint, String>)> {
     let keys = app_key_catalog(config);
     app_sites(config)
         .into_iter()
         .map(|site| {
-            let analysis = match warp_sql::parse(&site.template) {
-                Ok(stmt) => SiteAnalysis::Footprint(Box::new(analyze(&stmt, &keys))),
-                Err(e) => SiteAnalysis::Unparseable(e.to_string()),
-            };
-            (site, analysis)
+            let statement = site.statement.as_ref().map_err(String::clone);
+            let footprint = statement.map(|stmt| analyze(stmt, &keys));
+            (site, footprint)
         })
         .collect()
 }
 
 /// Lints every query site in an application: the WASL-level
 /// `unescaped-concat` rule plus the statement-level rules from
-/// [`warp_sql::lint_statement`]. An unparseable template is itself a
-/// finding (`unparseable-template`) — such queries silently defeat the
-/// column-level analysis.
-pub fn corpus_lints(config: &warp_core::AppConfig) -> Vec<Finding> {
+/// [`warp_sql::lint_statement`]. A site without a statement template is
+/// itself a finding (`unparseable-template`) — such queries silently defeat
+/// the column-level analysis.
+pub fn corpus_lints(config: &AppConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
     for site in app_sites(config) {
-        for expr in &site.unescaped {
+        let mut report = |rule: &str, message: String| {
             findings.push(Finding {
                 file: site.file.clone(),
                 line: site.line,
-                rule: "unescaped-concat".to_string(),
-                message: format!("SQL concatenates unescaped expression `{expr}`"),
-            });
+                rule: rule.to_string(),
+                message,
+            })
+        };
+        for expr in &site.unescaped {
+            report(
+                "unescaped-concat",
+                format!("SQL concatenates unescaped expression `{expr}`"),
+            );
         }
-        match warp_sql::parse(&site.template) {
-            Ok(stmt) => {
-                for lint in lint_statement(&stmt) {
-                    findings.push(Finding {
-                        file: site.file.clone(),
-                        line: site.line,
-                        rule: lint.rule.to_string(),
-                        message: lint.message,
-                    });
-                }
-            }
-            Err(e) => findings.push(Finding {
-                file: site.file.clone(),
-                line: site.line,
-                rule: "unparseable-template".to_string(),
-                message: format!("template `{}` does not parse: {e}", site.template),
-            }),
+        match &site.statement {
+            Ok(stmt) => lint_statement(stmt)
+                .into_iter()
+                .for_each(|lint| report(lint.rule, lint.message)),
+            Err(e) => report("unparseable-template", e.clone()),
         }
     }
     findings.sort();
@@ -407,12 +213,23 @@ pub fn new_findings(findings: &[Finding], baseline: &str) -> Vec<Finding> {
 mod tests {
     use super::*;
 
+    /// The sites of one source file.
+    fn sites_of(source: &str) -> Vec<QuerySite> {
+        let mut config = AppConfig::new("test");
+        config.add_source("f.wasl", source);
+        app_sites(&config)
+    }
+
     #[test]
     fn extracts_and_reconstructs_escaped_query() {
         let source = r#"let rows = db_query("SELECT body FROM page WHERE title = '" . sql_escape(title) . "'"); echo(rows);"#;
-        let sites = extract_sites("view.wasl", source);
+        let sites = sites_of(source);
         assert_eq!(sites.len(), 1);
         assert_eq!(sites[0].template, "SELECT body FROM page WHERE title = 'x'");
+        assert_eq!(
+            sites[0].statement,
+            Ok(warp_sql::parse_template(&sites[0].template).unwrap())
+        );
         assert!(sites[0].unescaped.is_empty());
         assert_eq!(sites[0].line, 1);
     }
@@ -420,21 +237,21 @@ mod tests {
     #[test]
     fn flags_unescaped_concatenation() {
         let source = r#"db_query("SELECT title FROM page WHERE body LIKE '%" . q . "%'");"#;
-        let sites = extract_sites("search.wasl", source);
+        let sites = sites_of(source);
         assert_eq!(sites[0].unescaped, vec!["q".to_string()]);
         assert_eq!(
             sites[0].template,
-            "SELECT title FROM page WHERE body LIKE '%x%'"
+            "SELECT title FROM page WHERE body LIKE '%1%'"
         );
     }
 
     #[test]
     fn numeric_position_gets_numeric_placeholder() {
         let source = r#"db_query("INSERT INTO acl (acl_id, title) VALUES (" . next . ", '" . sql_escape(t) . "')");"#;
-        let sites = extract_sites("acl.wasl", source);
+        let sites = sites_of(source);
         assert_eq!(
             sites[0].template,
-            "INSERT INTO acl (acl_id, title) VALUES (0, 'x')"
+            "INSERT INTO acl (acl_id, title) VALUES (1, 'x')"
         );
         assert_eq!(sites[0].unescaped, vec!["next".to_string()]);
     }
@@ -444,24 +261,51 @@ mod tests {
         let source = "let post = int(param(\"post\"));\n\
                       let next = int(maxid[0][0]) + 1;\n\
                       db_query(\"UPDATE post SET votes = \" . next . \" WHERE post_id = \" . post);";
-        let sites = extract_sites("vote.wasl", source);
+        let sites = sites_of(source);
         assert!(sites[0].unescaped.is_empty(), "{:?}", sites[0].unescaped);
         assert_eq!(
             sites[0].template,
-            "UPDATE post SET votes = 0 WHERE post_id = 0"
+            "UPDATE post SET votes = 1 WHERE post_id = 1"
         );
         // The buggy variant binds the same name to raw input — flagged.
         let buggy = "let post = param(\"post\");\n\
                      db_query(\"SELECT title FROM post WHERE post_id = \" . post);";
-        let sites = extract_sites("read.wasl", buggy);
-        assert_eq!(sites[0].unescaped, vec!["post".to_string()]);
+        assert_eq!(sites_of(buggy)[0].unescaped, vec!["post".to_string()]);
+    }
+
+    #[test]
+    fn a_callee_merely_named_like_a_sanitizer_launders_nothing() {
+        for callee in ["hint", "print", "sprint", "my_sql_escape"] {
+            let source = format!(
+                "let q = {callee}(param(\"q\")); db_query(\"SELECT a FROM t WHERE x = '\" . q . \"'\");"
+            );
+            assert_eq!(sites_of(&source)[0].unescaped, ["q"], "{callee}");
+        }
+    }
+
+    #[test]
+    fn strings_and_comments_that_mention_db_query_are_not_sites() {
+        let source =
+            "echo(\"docs: call db_query(sql) to run SQL\"); // db_query(\"DROP TABLE t\");\n\
+                      db_query(\"SELECT a FROM t\");";
+        let sites = sites_of(source);
+        assert_eq!(sites.len(), 1, "{sites:?}");
+        assert_eq!(sites[0].line, 2);
+    }
+
+    #[test]
+    fn a_float_literal_is_text_not_a_concatenation() {
+        let source = r#"db_query("SELECT a FROM t WHERE r > " . 1.5 . " AND x = 1");"#;
+        let sites = sites_of(source);
+        assert_eq!(sites[0].template, "SELECT a FROM t WHERE r > 1.5 AND x = 1");
+        assert!(sites[0].unescaped.is_empty());
     }
 
     #[test]
     fn respects_nested_parens_and_strings() {
         let source =
             r#"db_query("SELECT a FROM t WHERE x = '" . sql_escape(param("q.y(z")) . "'");"#;
-        let sites = extract_sites("f.wasl", source);
+        let sites = sites_of(source);
         assert_eq!(sites.len(), 1);
         assert_eq!(sites[0].template, "SELECT a FROM t WHERE x = 'x'");
         assert!(sites[0].unescaped.is_empty());
@@ -471,21 +315,67 @@ mod tests {
     fn multiple_sites_get_line_numbers() {
         let source =
             "echo(1);\ndb_query(\"SELECT a FROM t\");\necho(2);\ndb_query(\"DELETE FROM t\");";
-        let sites = extract_sites("two.wasl", source);
+        let sites = sites_of(source);
         assert_eq!(sites.len(), 2);
         assert_eq!(sites[0].line, 2);
         assert_eq!(sites[1].line, 4);
     }
 
     #[test]
+    fn a_site_without_one_statement_is_a_finding() {
+        let mut config = AppConfig::new("lint-test");
+        config.add_source("computed.wasl", "db_query(sql);");
+        config.add_source(
+            "table.wasl",
+            r#"db_query("SELECT a FROM t" . int(param("n")));"#,
+        );
+        config.add_source("syntax.wasl", r#"db_query("SELECT FROM WHERE");"#);
+        let findings = corpus_lints(&config);
+        let unparseable: Vec<&str> = findings
+            .iter()
+            .filter(|f| f.rule == "unparseable-template")
+            .map(|f| f.file.as_str())
+            .collect();
+        assert_eq!(unparseable, ["computed.wasl", "syntax.wasl", "table.wasl"]);
+    }
+
+    #[test]
     fn statement_lints_surface_through_corpus() {
-        let mut config = warp_core::AppConfig::new("lint-test");
+        let mut config = AppConfig::new("lint-test");
         config.add_source("bad.wasl", r#"db_query("SELECT * FROM t");"#);
         config.add_source("worse.wasl", r#"db_query("DELETE FROM t");"#);
         let findings = corpus_lints(&config);
         let rules: Vec<&str> = findings.iter().map(|f| f.rule.as_str()).collect();
         assert!(rules.contains(&"select-star"), "{findings:?}");
         assert!(rules.contains(&"unbounded-write"), "{findings:?}");
+    }
+
+    /// The gate CI runs through the binary, as a test: the canonical
+    /// corpus has exactly the committed findings, and every one of its
+    /// sites has a statement template.
+    #[test]
+    fn the_corpus_matches_the_committed_baseline() {
+        let baseline: Vec<&str> = include_str!("../../../lint_baseline.txt")
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect();
+        let mut findings: Vec<String> = corpus()
+            .iter()
+            .flat_map(corpus_lints)
+            .map(|f| f.baseline_key())
+            .collect();
+        findings.sort();
+        assert_eq!(findings, baseline);
+        let footprints: Vec<_> = corpus().iter().flat_map(corpus_footprints).collect();
+        assert_eq!(footprints.len(), 25);
+        for (site, footprint) in &footprints {
+            assert!(
+                footprint.is_ok(),
+                "{}:{}: {footprint:?}",
+                site.file,
+                site.line
+            );
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::persist::RecoveryReport;
 use crate::repair::{RepairOutcome, RepairRequest};
 use crate::scheduler::RepairStrategy;
 use crate::server::{Served, WarpServer};
-use crate::shard::{classify, plan_entry, Route, RoutePlan, ShardSchema};
+use crate::shard::{classify, plan_entry, stayed_on_shard, Route, RoutePlan};
 use crate::sourcefs::SourceStore;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -846,7 +846,8 @@ struct DoneAction {
     reply: Sender<HttpResponse>,
 }
 
-fn shard_worker(jobs: Receiver<ShardJob>, engine: Sender<EngineMsg>) {
+/// Worker `shard` of `shards`: executes the requests routed to it.
+fn shard_worker(shard: usize, shards: usize, jobs: Receiver<ShardJob>, engine: Sender<EngineMsg>) {
     while let Ok(job) = jobs.recv() {
         let ShardJob {
             seq,
@@ -876,6 +877,15 @@ fn shard_worker(jobs: Receiver<ShardJob>, engine: Sender<EngineMsg>) {
         debug_assert!(
             result.nondet.is_empty() && rng_counter == 0 && session_counter == 0,
             "the shard router must escalate nondeterministic entries"
+        );
+        debug_assert!(
+            stayed_on_shard(
+                &result.queries,
+                shard,
+                shards,
+                &epoch.db.lock().expect("shard db lock poisoned")
+            ),
+            "{entry} left shard {shard} of {shards}: the route plan must cover what runs"
         );
         // Release the epoch BEFORE handing the result back, so a barrier's
         // `Arc::try_unwrap` succeeds once every result is recorded.
@@ -909,9 +919,6 @@ struct ShardedEngine {
     /// captured when the database was checked out (constant for the epoch:
     /// repairs are barriers and sharded inserts carry explicit row ids).
     epoch: Option<(Arc<ShardEpoch>, Generation, i64)>,
-    /// Schema snapshot the router plans against; captured while the
-    /// database is home, invalidated at every barrier.
-    schema: Option<ShardSchema>,
     /// Per-entry route plans, invalidated at every barrier (source changes
     /// and DDL all pass through barriers).
     plans: BTreeMap<String, RoutePlan>,
@@ -964,23 +971,19 @@ impl ShardedEngine {
         }
     }
 
-    /// The cached route plan for an entry script, planning it now if new.
-    /// Planning reads the schema snapshot, which is captured while the
-    /// database is home (before the first checkout of an epoch).
+    /// The cached route plan for an entry script, planning it now if new —
+    /// against the database where it is: at home, or checked out to the
+    /// active epoch.
     fn plan_for(&mut self, entry: &str) -> RoutePlan {
-        if self.schema.is_none() {
-            debug_assert!(self.epoch.is_none(), "schema outlives its epoch");
-            self.schema = Some(ShardSchema::capture(&self.server.db));
-        }
         if let Some(plan) = self.plans.get(entry) {
             return plan.clone();
         }
-        let plan = plan_entry(
-            entry,
-            &self.server.sources,
-            self.server.clock.now(),
-            self.schema.as_ref().expect("captured above"),
-        );
+        let mut checked_out = self
+            .epoch
+            .as_ref()
+            .map(|(epoch, _, _)| epoch.db.lock().expect("shard db lock poisoned"));
+        let db = checked_out.as_deref_mut().unwrap_or(&mut self.server.db);
+        let plan = plan_entry(entry, &self.server.sources, self.server.clock.now(), db);
         self.plans.insert(entry.to_string(), plan.clone());
         plan
     }
@@ -1069,7 +1072,6 @@ impl ShardedEngine {
             };
             self.server.db = db;
             self.plans.clear();
-            self.schema = None;
             // Checkpointing was deferred while the database was checked out.
             self.server.maybe_checkpoint();
         }
@@ -1095,7 +1097,7 @@ fn sharded_engine_loop(
         let engine = engine_tx.clone();
         std::thread::Builder::new()
             .name(format!("warp-shard-{i}"))
-            .spawn(move || shard_worker(job_rx, engine))
+            .spawn(move || shard_worker(i, shards, job_rx, engine))
             .expect("spawning a shard worker thread");
         workers.push(job_tx);
     }
@@ -1107,7 +1109,6 @@ fn sharded_engine_loop(
         workers,
         rr_next: 0,
         epoch: None,
-        schema: None,
         plans: BTreeMap::new(),
         next_seq: 0,
         next_record: 0,

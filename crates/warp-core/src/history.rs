@@ -115,14 +115,6 @@ impl ActionRecord {
         total
     }
 
-    /// The union of partitions read by this action's queries.
-    pub fn read_partitions(&self) -> Vec<&PartitionSet> {
-        self.queries
-            .iter()
-            .map(|q| &q.dependency.read_partitions)
-            .collect()
-    }
-
     /// The normalized partition footprint of this action: every non-empty
     /// partition set its queries read or wrote. A write whose recorded
     /// partitions are empty but that touched rows (e.g. an INSERT that never

@@ -78,8 +78,12 @@ pub use persist::RecoveryReport;
 pub use repair::{RepairOutcome, RepairRequest};
 pub use scheduler::RepairStrategy;
 pub use server::WarpServer;
+pub use shard::{site_template, SiteTemplate, TemplateParam};
 pub use sourcefs::{Patch, SourceStore};
 pub use stats::{LoggingStats, RepairStats};
+// Re-export the call-site analysis that `site_template` takes its input
+// from, so analysis tools need not depend on `warp-script` directly.
+pub use warp_script::sites;
 // Re-export the storage subsystem so applications and binaries can
 // configure backends without depending on `warp-store` directly.
 pub use warp_store::{

@@ -4,20 +4,22 @@
 //! non-conflicting requests on N shard workers concurrently. For that to be
 //! safe, the engine must know — *before* executing a request — which
 //! database partitions the request can possibly touch. This module derives
-//! that answer statically from the application source:
+//! that answer from the one static analysis of a query (site → template →
+//! plan; see the analyse-once rule in `docs/ARCHITECTURE.md`):
 //!
-//! 1. [`plan_entry`] walks the compiled WASL program of the entry script
-//!    (and of every literally-named include, transitively), rejects anything
-//!    non-deterministic (`time`, `rand`, `session_start`), and extracts
-//!    every `db_query` call site whose SQL argument is a concatenation of
-//!    string literals and *sanitized request holes* —
-//!    `sql_escape(param("x"))` in string position or `int(param("x"))` in
-//!    integer position.
-//! 2. Each template is instantiated with sentinel values, parsed with
-//!    `warp-sql`, and analyzed against the table annotations
-//!    ([`ShardSchema`]): reads must pin their partition columns, writes must
-//!    additionally be partition-clone-safe, never move rows across
-//!    partitions, and always supply an explicit row ID.
+//! 1. [`plan_entry`] takes the [`warp_script::sites()`] of the entry script's
+//!    compiled program and of every literally-named include, transitively.
+//!    It rejects anything non-deterministic (`time`, `rand`,
+//!    `session_start`) and every `db_query` whose argument is not literal
+//!    SQL text around *sanitized request holes* — `sql_escape(param("x"))`
+//!    or `int(param("x"))`.
+//! 2. [`site_template`] renders each site to the text a request would send
+//!    and says which of its literals is which hole. The database plans that
+//!    text as it plans a served query, and [`warp_ttdb::Plan::shard_pins`]
+//!    says which literals pin partition columns and whether that confines
+//!    the statement. A pinned literal that *is* a hole routes by the request
+//!    parameter, one that is fixed text by its value; one that only
+//!    contains a hole has no value known before the request runs.
 //! 3. At serve time, [`classify`] substitutes the request's actual
 //!    parameters into the surviving bindings, producing the set of
 //!    [`PartitionKey`]s the request can touch. If they all hash to one shard
@@ -27,48 +29,18 @@
 //! Every rejection is conservative: an imprecise footprint never routes to
 //! a shard, it escalates. The canonical-dump equivalence tests in
 //! `tests/tests/serving.rs` hold the whole pipeline to byte-identical
-//! results against sequential serving.
+//! results against sequential serving, and debug builds check every shard
+//! execution against its prediction ([`stayed_on_shard`]).
 
+use crate::history::QueryRecord;
 use crate::sourcefs::SourceStore;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use warp_http::HttpRequest;
-use warp_script::{BinOp, Expr as WaslExpr, Stmt as WaslStmt, Value as WaslValue};
-use warp_sql::{Statement, Value as SqlValue};
-use warp_ttdb::rewrite::read_partitions;
+use warp_script::sites::{Part, Sanitizer};
+use warp_script::{Expr as WaslExpr, Value as WaslValue};
+use warp_sql::{SqlError, SqlResult, Value as SqlValue};
+use warp_ttdb::rewrite::Pin;
 use warp_ttdb::{PartitionKey, PartitionSet, TimeTravelDb};
-
-/// Static, per-table metadata the router needs, snapshotted from the live
-/// database at an epoch boundary (the database itself is checked out to the
-/// shard workers while an epoch runs).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ShardSchema {
-    tables: BTreeMap<String, TableShardInfo>,
-}
-
-#[derive(Debug, Clone)]
-struct TableShardInfo {
-    partition_columns: Vec<String>,
-    row_id_column: Option<String>,
-    clone_safe: bool,
-}
-
-impl ShardSchema {
-    /// Captures the routing-relevant schema of every table.
-    pub(crate) fn capture(db: &TimeTravelDb) -> Self {
-        let mut tables = BTreeMap::new();
-        for name in db.table_names() {
-            tables.insert(
-                name.to_ascii_lowercase(),
-                TableShardInfo {
-                    partition_columns: db.partition_columns(&name).to_vec(),
-                    row_id_column: db.row_id_column(&name).map(|c| c.to_string()),
-                    clone_safe: db.partition_clone_safe(&name),
-                },
-            );
-        }
-        ShardSchema { tables }
-    }
-}
 
 /// How one partition-column value of a query is produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,25 +64,22 @@ pub(crate) struct Binding {
 
 /// The routing decision for one entry script, computed once per epoch and
 /// cached by the engine.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub(crate) enum RoutePlan {
     /// Every query the entry can issue resolves to partitions derivable
     /// from source literals and request parameters.
     Shardable { bindings: Vec<Binding> },
     /// The entry must run on the serialized global lane; the string names
-    /// the first reason found (for diagnostics and tests).
+    /// the first reason found. Nothing branches on it (escalation is
+    /// escalation); `Debug` prints it.
     Global(String),
 }
 
-impl RoutePlan {
-    /// Why the entry escalates to the global lane, if it does. Production
-    /// code never branches on the reason (escalation is escalation); it
-    /// exists for tests and debugging.
-    #[allow(dead_code)]
-    pub(crate) fn global_reason(&self) -> Option<&str> {
+impl std::fmt::Debug for RoutePlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RoutePlan::Global(reason) => Some(reason),
-            RoutePlan::Shardable { .. } => None,
+            RoutePlan::Shardable { bindings } => write!(f, "Shardable {bindings:?}"),
+            RoutePlan::Global(reason) => write!(f, "Global: {reason}"),
         }
     }
 }
@@ -132,26 +101,18 @@ pub(crate) enum Route {
 const NONDET_FUNCS: [&str; 3] = ["time", "rand", "session_start"];
 
 /// Builds the route plan for `entry` by static analysis of its source (as
-/// visible to normal execution at time `now`) against `schema`.
+/// visible to normal execution at time `now`) against the tables of `db`,
+/// which plans the entry's query shapes on the way.
 pub(crate) fn plan_entry(
     entry: &str,
     sources: &SourceStore,
     now: i64,
-    schema: &ShardSchema,
+    db: &mut TimeTravelDb,
 ) -> RoutePlan {
-    let mut templates = Vec::new();
-    let mut visited = BTreeSet::new();
-    if let Err(reason) = collect_file(entry, sources, now, &mut visited, &mut templates) {
-        return RoutePlan::Global(reason);
+    match entry_bindings(entry, sources, now, db) {
+        Ok(bindings) => RoutePlan::Shardable { bindings },
+        Err(reason) => RoutePlan::Global(reason),
     }
-    let mut bindings = Vec::new();
-    for template in &templates {
-        match analyze_template(template, schema) {
-            Ok(b) => bindings.extend(b),
-            Err(reason) => return RoutePlan::Global(reason),
-        }
-    }
-    RoutePlan::Shardable { bindings }
 }
 
 /// Classifies one request under a previously-computed plan.
@@ -168,12 +129,12 @@ pub(crate) fn classify(plan: &RoutePlan, request: &HttpRequest, shards: usize) -
                 Some(raw) => SqlValue::Text(raw.to_string()),
                 None => return Route::Global,
             },
-            BindingValue::IntParam(p) => {
-                match request.param(p).and_then(|raw| raw.parse::<i64>().ok()) {
-                    Some(n) => SqlValue::Int(n),
-                    None => return Route::Global,
-                }
-            }
+            // A negative number is a minus sign and a literal: another
+            // statement shape than the one planned, pinning nothing.
+            BindingValue::IntParam(p) => match request.param(p).map(str::parse::<i64>) {
+                Some(Ok(n)) if n >= 0 => SqlValue::Int(n),
+                _ => return Route::Global,
+            },
         };
         let key = PartitionKey::new(&binding.table, &binding.column, &value);
         let shard = key.shard(shards);
@@ -189,403 +150,202 @@ pub(crate) fn classify(plan: &RoutePlan, request: &HttpRequest, shards: usize) -
     }
 }
 
-// ---------------------------------------------------------------------------
-// Source analysis
-// ---------------------------------------------------------------------------
-
-/// The kind of value a request hole injects into the SQL text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HoleKind {
-    EscapedStr,
-    Int,
+/// True if what a request's queries recorded stayed within `shard`: every
+/// partition they read or wrote is one the shard owns, and a table they
+/// depended on as a whole has no partitions (no shard writes those). The
+/// engine asserts this of every shard execution in debug builds — the
+/// router's prediction must cover what actually ran.
+pub(crate) fn stayed_on_shard(
+    queries: &[QueryRecord],
+    shard: usize,
+    shards: usize,
+    db: &TimeTravelDb,
+) -> bool {
+    queries
+        .iter()
+        .flat_map(|q| {
+            [
+                &q.dependency.read_partitions,
+                &q.dependency.write_partitions,
+            ]
+        })
+        .all(|set| match set {
+            PartitionSet::Keys(keys) => keys.iter().all(|key| key.shard(shards) == shard),
+            PartitionSet::Whole { table } => db.partition_columns(table).is_empty(),
+        })
 }
 
-#[derive(Debug, Clone)]
-struct Hole {
-    param: String,
-    kind: HoleKind,
-}
-
-/// One `db_query` call site: literal SQL fragments interleaved with request
-/// holes (`fragments.len() == holes.len() + 1`).
-#[derive(Debug, Clone)]
-struct QueryTemplate {
-    fragments: Vec<String>,
-    holes: Vec<Hole>,
-}
-
-/// Walks the compiled program of `filename` (the one the request will run;
-/// see `sourcefs`) and of every literal include, transitively, collecting
-/// query templates; any non-analyzable construct aborts with a reason.
-fn collect_file(
-    filename: &str,
+/// The bindings of every query `entry` and its includes can issue, or the
+/// first reason one of them cannot be confined to a shard.
+fn entry_bindings(
+    entry: &str,
     sources: &SourceStore,
     now: i64,
-    visited: &mut BTreeSet<String>,
-    templates: &mut Vec<QueryTemplate>,
-) -> Result<(), String> {
-    if !visited.insert(filename.to_string()) {
-        return Ok(());
+    db: &mut TimeTravelDb,
+) -> Result<Vec<Binding>, String> {
+    let mut bindings = Vec::new();
+    let mut visited = BTreeSet::new();
+    let mut pending = vec![entry.to_string()];
+    while let Some(filename) = pending.pop() {
+        if !visited.insert(filename.clone()) {
+            continue;
+        }
+        // The compiled program the request will run (see `sourcefs`).
+        let program = match sources.program_at(&filename, now) {
+            None => return Err(format!("missing source: {filename}")),
+            Some(Err(e)) => return Err(format!("unparseable source {filename}: {e}")),
+            Some(Ok(program)) => program,
+        };
+        let found = warp_script::sites(program);
+        if let Some(name) = NONDET_FUNCS.iter().find(|f| found.calls.contains(*f)) {
+            return Err(format!("nondeterministic call: {name}()"));
+        }
+        for site in &found.queries {
+            bindings.extend(site_bindings(&site.parts, db)?);
+        }
+        for include in found.includes {
+            pending.push(include.ok_or("non-literal include path")?.to_string());
+        }
     }
-    let program = match sources.program_at(filename, now) {
-        None => return Err(format!("missing source: {filename}")),
-        Some(Err(e)) => return Err(format!("unparseable source {filename}: {e}")),
-        Some(Ok(program)) => program,
-    };
-    let mut includes = Vec::new();
-    collect_stmts(&program.statements, &mut includes, templates)?;
-    for include in includes {
-        collect_file(&include, sources, now, visited, templates)?;
-    }
-    Ok(())
+    Ok(bindings)
 }
 
-fn collect_stmts(
-    stmts: &[WaslStmt],
-    includes: &mut Vec<String>,
-    templates: &mut Vec<QueryTemplate>,
-) -> Result<(), String> {
-    for stmt in stmts {
-        match stmt {
-            WaslStmt::Let { value, .. } | WaslStmt::Expr(value) => {
-                collect_expr(value, templates)?;
-            }
-            WaslStmt::Assign { target, value } => {
-                if let warp_script::ast::AssignTarget::Index { indexes, .. } = target {
-                    for index in indexes {
-                        collect_expr(index, templates)?;
+/// The partition bindings of one query site, or the reason it cannot run
+/// on a shard.
+fn site_bindings(parts: &[Part<'_>], db: &mut TimeTravelDb) -> Result<Vec<Binding>, String> {
+    let holes = parts
+        .iter()
+        .filter(|part| matches!(part, Part::Hole { .. }))
+        .map(request_parameter)
+        .collect::<Option<Vec<BindingValue>>>()
+        .ok_or("db_query argument is not a literal/param template")?;
+    let unparseable = |e: SqlError| format!("unparseable query template: {e}");
+    let template = site_template(parts).map_err(unparseable)?;
+    let query = db.plan(&template.sql).map_err(unparseable)?;
+    let pins = query.plan().shard_pins(db)?;
+    pins.into_iter()
+        .map(|(table, column, pin)| {
+            let value = match pin {
+                Pin::Literal(v) => BindingValue::Fixed(v.as_display_string()),
+                Pin::Param(i) => match &template.params[i] {
+                    TemplateParam::Fixed(v) => BindingValue::Fixed(v.as_display_string()),
+                    TemplateParam::Hole(hole) => holes[*hole].clone(),
+                    TemplateParam::Mixed => {
+                        return Err(format!(
+                            "{table}.{column} is pinned to text around a request parameter"
+                        ))
                     }
-                }
-                collect_expr(value, templates)?;
-            }
-            WaslStmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                collect_expr(cond, templates)?;
-                collect_stmts(then_branch, includes, templates)?;
-                collect_stmts(else_branch, includes, templates)?;
-            }
-            WaslStmt::While { cond, body } => {
-                collect_expr(cond, templates)?;
-                collect_stmts(body, includes, templates)?;
-            }
-            WaslStmt::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                collect_stmts(std::slice::from_ref(init), includes, templates)?;
-                collect_expr(cond, templates)?;
-                collect_stmts(std::slice::from_ref(step), includes, templates)?;
-                collect_stmts(body, includes, templates)?;
-            }
-            WaslStmt::Foreach {
-                collection, body, ..
-            } => {
-                collect_expr(collection, templates)?;
-                collect_stmts(body, includes, templates)?;
-            }
-            WaslStmt::Return(Some(value)) => collect_expr(value, templates)?,
-            WaslStmt::Return(None) | WaslStmt::Break | WaslStmt::Continue => {}
-            WaslStmt::Include(expr) => match expr {
-                WaslExpr::Literal(WaslValue::Str(file)) => includes.push(file.clone()),
-                _ => return Err("non-literal include path".to_string()),
-            },
-            WaslStmt::FnDef(def) => collect_stmts(&def.body, includes, templates)?,
-        }
-    }
-    Ok(())
+                },
+            };
+            Ok(Binding {
+                table,
+                column,
+                value,
+            })
+        })
+        .collect()
 }
 
-/// Visits one expression tree: rejects nondeterminism, extracts `db_query`
-/// templates, and recurses into every operand.
-fn collect_expr(expr: &WaslExpr, templates: &mut Vec<QueryTemplate>) -> Result<(), String> {
-    match expr {
-        WaslExpr::Call { name, args } => {
-            if NONDET_FUNCS.contains(&name.as_str()) {
-                return Err(format!("nondeterministic call: {name}()"));
-            }
-            if name == "db_query" {
-                let Some(arg) = args.first() else {
-                    return Err("db_query with no argument".to_string());
-                };
-                let Some(template) = template_of(arg) else {
-                    return Err("db_query argument is not a literal/param template".to_string());
-                };
-                templates.push(template);
-                return Ok(());
-            }
-            for arg in args {
-                collect_expr(arg, templates)?;
-            }
-        }
-        WaslExpr::Binary { left, right, .. } => {
-            collect_expr(left, templates)?;
-            collect_expr(right, templates)?;
-        }
-        WaslExpr::Unary { operand, .. } => collect_expr(operand, templates)?,
-        WaslExpr::Index { base, index } => {
-            collect_expr(base, templates)?;
-            collect_expr(index, templates)?;
-        }
-        WaslExpr::ArrayLit(items) => {
-            for item in items {
-                collect_expr(item, templates)?;
-            }
-        }
-        WaslExpr::MapLit(pairs) => {
-            for (k, v) in pairs {
-                collect_expr(k, templates)?;
-                collect_expr(v, templates)?;
-            }
-        }
-        WaslExpr::Literal(_) | WaslExpr::Var(_) => {}
-    }
-    Ok(())
-}
-
-/// Decomposes a `db_query` SQL argument into a template, if it is a concat
-/// chain of string/int literals and sanitized request holes.
-fn template_of(expr: &WaslExpr) -> Option<QueryTemplate> {
-    let mut leaves = Vec::new();
-    flatten_concat(expr, &mut leaves);
-    let mut fragments = vec![String::new()];
-    let mut holes = Vec::new();
-    for leaf in leaves {
-        match leaf {
-            WaslExpr::Literal(WaslValue::Str(s)) => {
-                fragments.last_mut().expect("non-empty").push_str(s);
-            }
-            WaslExpr::Literal(WaslValue::Int(i)) => {
-                fragments
-                    .last_mut()
-                    .expect("non-empty")
-                    .push_str(&i.to_string());
-            }
-            WaslExpr::Call { name, args } if name == "sql_escape" || name == "int" => {
-                let param = param_name(args)?;
-                holes.push(Hole {
-                    param,
-                    kind: if name == "sql_escape" {
-                        HoleKind::EscapedStr
-                    } else {
-                        HoleKind::Int
-                    },
-                });
-                fragments.push(String::new());
-            }
-            _ => return None,
-        }
-    }
-    Some(QueryTemplate { fragments, holes })
-}
-
-fn flatten_concat<'e>(expr: &'e WaslExpr, out: &mut Vec<&'e WaslExpr>) {
-    if let WaslExpr::Binary {
-        left,
-        op: BinOp::Concat,
-        right,
-    } = expr
-    {
-        flatten_concat(left, out);
-        flatten_concat(right, out);
-    } else {
-        out.push(expr);
-    }
-}
-
-/// Matches the `param("name")` call inside a sanitizer hole.
-fn param_name(args: &[WaslExpr]) -> Option<String> {
-    match args {
-        [WaslExpr::Call { name, args }] if name == "param" => match args.as_slice() {
-            [WaslExpr::Literal(WaslValue::Str(p))] => Some(p.clone()),
-            _ => None,
-        },
+/// The request parameter a hole injects, if the hole is
+/// `sql_escape(param("p"))` or `int(param("p"))`.
+fn request_parameter(hole: &Part<'_>) -> Option<BindingValue> {
+    let Part::Hole {
+        sanitizer: Some(sanitizer),
+        operand: WaslExpr::Call { name, args, .. },
+    } = hole
+    else {
+        return None;
+    };
+    match (&**name, args.as_slice()) {
+        ("param", [WaslExpr::Literal(WaslValue::Str(p))]) => Some(match sanitizer {
+            Sanitizer::SqlEscape => BindingValue::StrParam(p.clone()),
+            Sanitizer::Int => BindingValue::IntParam(p.clone()),
+        }),
         _ => None,
     }
 }
 
-// ---------------------------------------------------------------------------
-// Template analysis
-// ---------------------------------------------------------------------------
-
-/// Sentinel values are chosen to be impossible in real data and to survive
-/// both `sql_escape` (no quotes) and SQL parsing unchanged.
-fn str_sentinel(i: usize) -> String {
-    format!("WARPSHARDSENTINEL{i}Q")
+/// The SQL text of a `db_query` site, as the database will see it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SiteTemplate {
+    /// The site's text with a placeholder in each hole: `x` for a
+    /// `sql_escape` hole, `1` for any other.
+    pub sql: String,
+    /// [`warp_sql::Prepared::shape`] of `sql` — and of the text of every
+    /// request, as long as a value that no sanitizer wraps is benign.
+    pub shape: String,
+    /// Where each of [`warp_sql::Prepared::params`] of `sql` comes from.
+    pub params: Vec<TemplateParam>,
 }
 
-const INT_SENTINEL_BASE: i64 = 8_878_000_000_000;
-
-fn int_sentinel(i: usize) -> i64 {
-    INT_SENTINEL_BASE + i as i64
+/// The origin of one literal of a [`SiteTemplate`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum TemplateParam {
+    /// Source text only: every request sends this value.
+    Fixed(SqlValue),
+    /// Exactly the site's hole of this index (counting holes only).
+    Hole(usize),
+    /// Text around one or more holes: the value depends on the request but
+    /// is none of its holes.
+    Mixed,
 }
 
-/// Renders the template with sentinels standing in for the request holes.
-fn render_with_sentinels(template: &QueryTemplate) -> String {
-    let mut sql = template.fragments[0].clone();
-    for (i, hole) in template.holes.iter().enumerate() {
-        match hole.kind {
-            HoleKind::EscapedStr => sql.push_str(&str_sentinel(i)),
-            HoleKind::Int => sql.push_str(&int_sentinel(i).to_string()),
+/// Turns the parts of a query site ([`warp_script::sites()`]) into the text
+/// a request will send, split as a served query is — by
+/// [`warp_sql::prepare`] — into shape and literals.
+/// [`warp_sql::parse_template`] of [`SiteTemplate::sql`], or a database's
+/// plan for it, is then the statement every request of the site executes.
+///
+/// The lexer decides which literal a hole fills, not a search for the
+/// placeholder. A literal whose value is the one-character placeholder holds
+/// one hole or none, and nothing else (but leading zeros, which no number
+/// minds); the text is rendered again with another value in every hole, and
+/// the literal is the hole whose placeholder it is both times. Fails if the
+/// text does not lex or the two renderings differ in shape: a hole then is
+/// no literal, and the site no one statement.
+pub fn site_template(parts: &[Part<'_>]) -> SqlResult<SiteTemplate> {
+    let (mut sql, mut again) = (String::new(), String::new());
+    // What stands for each hole in `sql` and in `again`.
+    let mut placeholders = Vec::new();
+    for part in parts {
+        let hole = placeholders.len();
+        let (first, second) = match part {
+            Part::Text(text) => (text.clone(), text.clone()),
+            Part::Hole {
+                sanitizer: Some(Sanitizer::SqlEscape),
+                ..
+            } => ("x".to_string(), format!("y{hole}")),
+            Part::Hole { .. } => ("1".to_string(), (hole + 2).to_string()),
+        };
+        sql.push_str(&first);
+        again.push_str(&second);
+        if matches!(part, Part::Hole { .. }) {
+            placeholders.push((first, second));
         }
-        sql.push_str(&template.fragments[i + 1]);
     }
-    sql
-}
-
-/// Analyzes one template against the schema; returns the partition bindings
-/// the query pins, or the reason it cannot run on a shard.
-fn analyze_template(
-    template: &QueryTemplate,
-    schema: &ShardSchema,
-) -> Result<Vec<Binding>, String> {
-    let rendered = render_with_sentinels(template);
-    let stmt =
-        warp_sql::parse(&rendered).map_err(|e| format!("unparseable query template: {e}"))?;
-    let Some(table) = stmt.table_name() else {
-        return Err("query without a table".to_string());
-    };
-    let table = table.to_ascii_lowercase();
-    let Some(info) = schema.tables.get(&table) else {
-        return Err(format!("unknown table: {table}"));
-    };
-    // Maps a pinned partition value back to the hole that produced it.
-    let resolve = |value: &str| -> BindingValue {
-        for (i, hole) in template.holes.iter().enumerate() {
-            let is_sentinel = match hole.kind {
-                HoleKind::EscapedStr => value == str_sentinel(i),
-                HoleKind::Int => value == int_sentinel(i).to_string(),
-            };
-            if is_sentinel {
-                return match hole.kind {
-                    HoleKind::EscapedStr => BindingValue::StrParam(hole.param.clone()),
-                    HoleKind::Int => BindingValue::IntParam(hole.param.clone()),
-                };
+    let (first, second) = (warp_sql::prepare(&sql)?, warp_sql::prepare(&again)?);
+    if first.shape != second.shape {
+        return Err(SqlError::Parse(format!(
+            "a value concatenated into `{sql}` is not confined to a literal"
+        )));
+    }
+    let params = std::iter::zip(first.params, second.params)
+        .map(|(a, b)| {
+            if a == b {
+                return TemplateParam::Fixed(a);
             }
-        }
-        BindingValue::Fixed(value.to_string())
-    };
-    let where_bindings = |stmt: &Statement| -> Result<Vec<Binding>, String> {
-        match read_partitions(stmt, &table, &info.partition_columns) {
-            PartitionSet::Keys(keys) => Ok(keys
+            let shown = (a.as_display_string(), b.as_display_string());
+            placeholders
                 .iter()
-                .map(|key| Binding {
-                    table: key.table.clone(),
-                    column: key.column.clone(),
-                    value: resolve(&key.value),
-                })
-                .collect()),
-            PartitionSet::Whole { .. } => {
-                Err(format!("query does not pin a partition column of {table}"))
-            }
-        }
-    };
-    match &stmt {
-        Statement::Select(_) => {
-            if info.partition_columns.is_empty() {
-                // Reads of unpartitioned tables are safe on any shard: every
-                // write to such a table escalates to the global lane, so no
-                // shard can observe a concurrent in-flight write.
-                Ok(Vec::new())
-            } else {
-                where_bindings(&stmt)
-            }
-        }
-        Statement::Update {
-            assignments, table, ..
-        } => {
-            require_write_safe(info, table)?;
-            for assignment in assignments {
-                let col = assignment.column.to_ascii_lowercase();
-                if info
-                    .partition_columns
-                    .iter()
-                    .any(|p| p.eq_ignore_ascii_case(&col))
-                {
-                    return Err(format!("UPDATE moves rows across partitions of {table}"));
-                }
-                if info
-                    .row_id_column
-                    .as_deref()
-                    .is_some_and(|r| r.eq_ignore_ascii_case(&col))
-                {
-                    return Err(format!("UPDATE rewrites the row id of {table}"));
-                }
-            }
-            where_bindings(&stmt)
-        }
-        Statement::Delete { table, .. } => {
-            require_write_safe(info, table)?;
-            where_bindings(&stmt)
-        }
-        Statement::Insert {
-            table,
-            columns,
-            values,
-        } => {
-            require_write_safe(info, table)?;
-            let position = |col: &str| columns.iter().position(|c| c.eq_ignore_ascii_case(col));
-            let Some(row_id) = info.row_id_column.as_deref() else {
-                return Err(format!("table {table} has no row id column"));
-            };
-            let Some(row_id_pos) = position(row_id) else {
-                return Err(format!(
-                    "INSERT into {table} without an explicit row id (synthetic ids serialize)"
-                ));
-            };
-            let mut bindings = Vec::new();
-            for row in values {
-                match row.get(row_id_pos) {
-                    Some(warp_sql::Expr::Literal(v)) if *v != SqlValue::Null => {}
-                    _ => {
-                        return Err(format!("INSERT into {table} with a non-literal row id"));
-                    }
-                }
-                for pcol in &info.partition_columns {
-                    let Some(pos) = position(pcol) else {
-                        return Err(format!(
-                            "INSERT into {table} does not set partition column {pcol}"
-                        ));
-                    };
-                    match row.get(pos) {
-                        Some(warp_sql::Expr::Literal(v)) => bindings.push(Binding {
-                            table: table.to_ascii_lowercase(),
-                            column: pcol.to_ascii_lowercase(),
-                            value: resolve(&v.as_display_string()),
-                        }),
-                        _ => {
-                            return Err(format!(
-                                "INSERT into {table} with a non-literal partition value"
-                            ));
-                        }
-                    }
-                }
-            }
-            Ok(bindings)
-        }
-        Statement::CreateTable { .. }
-        | Statement::DropTable { .. }
-        | Statement::AlterTableAddColumn { .. } => Err("DDL statement".to_string()),
-    }
-}
-
-/// Writes may run on a shard only against partitioned, clone-safe tables
-/// (every UNIQUE constraint includes a partition column, so uniqueness
-/// violations can only happen within one shard's partitions).
-fn require_write_safe(info: &TableShardInfo, table: &str) -> Result<(), String> {
-    if info.partition_columns.is_empty() {
-        return Err(format!("write to unpartitioned table {table}"));
-    }
-    if !info.clone_safe {
-        return Err(format!(
-            "table {table} has a unique constraint outside its partition columns"
-        ));
-    }
-    Ok(())
+                .position(|hole| *hole == shown)
+                .map_or(TemplateParam::Mixed, TemplateParam::Hole)
+        })
+        .collect();
+    Ok(SiteTemplate {
+        sql,
+        shape: first.shape,
+        params,
+    })
 }
 
 #[cfg(test)]
@@ -593,7 +353,7 @@ mod tests {
     use super::*;
     use warp_ttdb::TableAnnotation;
 
-    fn schema() -> ShardSchema {
+    fn database() -> TimeTravelDb {
         let mut db = TimeTravelDb::new();
         // The canonical wiki schema: page_id's PRIMARY KEY does not include
         // the partition column, so writes are NOT clone-safe (two shards
@@ -619,7 +379,15 @@ mod tests {
             TableAnnotation::new().row_id("key_id"),
         )
         .unwrap();
-        ShardSchema::capture(&db)
+        // Two partition columns: a row belongs to a partition of each.
+        db.create_table(
+            "CREATE TABLE memo (memo_id INTEGER, topic TEXT, owner TEXT, body TEXT)",
+            TableAnnotation::new()
+                .row_id("memo_id")
+                .partitions(["topic", "owner"]),
+        )
+        .unwrap();
+        db
     }
 
     fn sources_with(entry: &str, content: &str) -> SourceStore {
@@ -629,7 +397,12 @@ mod tests {
     }
 
     fn plan(content: &str) -> RoutePlan {
-        plan_entry("x.wasl", &sources_with("x.wasl", content), 10, &schema())
+        plan_entry(
+            "x.wasl",
+            &sources_with("x.wasl", content),
+            10,
+            &mut database(),
+        )
     }
 
     #[test]
@@ -659,7 +432,9 @@ mod tests {
     #[test]
     fn unpinned_read_escalates() {
         let p = plan("let rows = db_query(\"SELECT body FROM page\"); echo(len(rows));");
-        let reason = p.global_reason().expect("escalates");
+        let RoutePlan::Global(reason) = &p else {
+            panic!("expected escalation, got {p:?}");
+        };
         assert!(
             reason.contains("does not pin"),
             "unexpected reason: {reason}"
@@ -779,13 +554,13 @@ mod tests {
         let mut sources = SourceStore::new();
         sources.install("entry.wasl", "include \"lib.wasl\"; echo(\"hi\");");
         sources.install("lib.wasl", "fn f() { return rand(); }");
-        let p = plan_entry("entry.wasl", &sources, 10, &schema());
+        let p = plan_entry("entry.wasl", &sources, 10, &mut database());
         assert!(matches!(p, RoutePlan::Global(_)));
 
         let mut sources = SourceStore::new();
         sources.install("entry.wasl", "include \"lib.wasl\"; echo(\"hi\");");
         sources.install("lib.wasl", "fn f(x) { return x + 1; }");
-        let p = plan_entry("entry.wasl", &sources, 10, &schema());
+        let p = plan_entry("entry.wasl", &sources, 10, &mut database());
         assert!(matches!(p, RoutePlan::Shardable { .. }));
     }
 
@@ -819,5 +594,88 @@ mod tests {
         assert!(matches!(classify(&p, &co, 4), Route::Shard(_)));
         let cross = HttpRequest::get(&format!("/x.wasl?a=t0&b={diff}"));
         assert_eq!(classify(&p, &cross, 4), Route::Global);
+    }
+
+    #[test]
+    fn a_hole_inside_a_longer_literal_escalates() {
+        // The pinned value is `pre-<title>` resp. `1<n>`: neither the
+        // request parameter nor fixed text, so no shard is known to own it.
+        for src in [
+            "db_query(\"SELECT body FROM page WHERE title = 'pre-\" . sql_escape(param(\"title\")) . \"'\");",
+            "db_query(\"SELECT body FROM note WHERE topic = 1\" . int(param(\"n\")));",
+            "db_query(\"SELECT body FROM note WHERE topic = \" . int(param(\"n\")) . \"0\");",
+            "db_query(\"SELECT body FROM note WHERE topic = \" . int(param(\"n\")) . int(param(\"m\")));",
+        ] {
+            let p = plan(src);
+            assert!(matches!(p, RoutePlan::Global(_)), "{src} planned {p:?}");
+        }
+        // Fixed text that only looks like a placeholder stays fixed text.
+        let p = plan("db_query(\"SELECT body FROM page WHERE title = 'x' AND body = '\" . sql_escape(param(\"b\")) . \"'\");");
+        let RoutePlan::Shardable { bindings } = &p else {
+            panic!("expected shardable, got {p:?}");
+        };
+        assert_eq!(bindings[0].value, BindingValue::Fixed("x".to_string()));
+        assert_eq!(bindings.len(), 1);
+    }
+
+    #[test]
+    fn a_hole_outside_a_literal_escalates() {
+        // The table, or the LIMIT, varies with the request: no one shape.
+        for src in [
+            "db_query(\"SELECT body FROM note\" . int(param(\"n\")) . \" WHERE topic = 'a'\");",
+            "db_query(\"SELECT body FROM note WHERE topic = 'a' LIMIT \" . int(param(\"n\")));",
+        ] {
+            let p = plan(src);
+            assert!(matches!(p, RoutePlan::Global(_)), "{src} planned {p:?}");
+        }
+    }
+
+    #[test]
+    fn a_write_must_pin_every_partition_column() {
+        // The rows an UPDATE or DELETE writes carry both of memo's
+        // partition columns; pinning one leaves the other's shard open.
+        for src in [
+            "db_query(\"UPDATE memo SET body = 'x' WHERE topic = '\" . sql_escape(param(\"topic\")) . \"'\");",
+            "db_query(\"DELETE FROM memo WHERE owner = '\" . sql_escape(param(\"owner\")) . \"'\");",
+        ] {
+            let p = plan(src);
+            assert!(matches!(p, RoutePlan::Global(_)), "{src} planned {p:?}");
+        }
+        let p = plan(
+            "db_query(\"UPDATE memo SET body = 'x' WHERE topic = '\" . sql_escape(param(\"topic\")) . \"' AND owner = '\" . sql_escape(param(\"owner\")) . \"'\");",
+        );
+        assert!(matches!(p, RoutePlan::Shardable { ref bindings } if bindings.len() == 2));
+        // A read needs one: whoever writes a row of that partition pins it.
+        let p = plan(
+            "db_query(\"SELECT body FROM memo WHERE topic = '\" . sql_escape(param(\"topic\")) . \"'\");",
+        );
+        assert!(matches!(p, RoutePlan::Shardable { ref bindings } if bindings.len() == 1));
+    }
+
+    #[test]
+    fn a_negative_integer_escalates_at_classify_time() {
+        // `note_id = -5` is a minus sign and a literal — not the planned
+        // shape, and not a pin.
+        let db = &mut database();
+        db.create_table(
+            "CREATE TABLE tally (tally_id INTEGER, bucket INTEGER)",
+            TableAnnotation::new()
+                .row_id("tally_id")
+                .partitions(["bucket"]),
+        )
+        .unwrap();
+        let sources = sources_with(
+            "x.wasl",
+            "db_query(\"SELECT tally_id FROM tally WHERE bucket = \" . int(param(\"b\")));",
+        );
+        let p = plan_entry("x.wasl", &sources, 10, db);
+        assert!(matches!(
+            classify(&p, &HttpRequest::get("/x.wasl?b=5"), 4),
+            Route::Shard(_)
+        ));
+        assert_eq!(
+            classify(&p, &HttpRequest::get("/x.wasl?b=-5"), 4),
+            Route::Global
+        );
     }
 }

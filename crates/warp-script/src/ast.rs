@@ -2,6 +2,7 @@
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::sync::Arc;
 
 /// A parsed WASL program: a list of top-level statements.
@@ -173,10 +174,12 @@ pub enum Expr {
     },
     /// A call to a user function, builtin or host function.
     Call {
-        /// Function name.
-        name: String,
+        /// Function name (boxed, so the line fits without growing `Expr`).
+        name: Box<str>,
         /// Argument expressions.
         args: Vec<Expr>,
+        /// 1-based source line of the function name.
+        line: u32,
     },
     /// A binary operation.
     Binary {
@@ -197,72 +200,166 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Convenience constructor for string literals.
-    pub fn lit_str(s: impl Into<String>) -> Expr {
-        Expr::Literal(Value::Str(s.into()))
-    }
-
-    /// Convenience constructor for integer literals.
-    pub fn lit_int(i: i64) -> Expr {
-        Expr::Literal(Value::Int(i))
-    }
-
-    /// Collects the names of all functions called anywhere in this expression.
-    pub fn called_functions(&self, out: &mut Vec<String>) {
+    /// Calls `f` on this expression and on every expression inside it,
+    /// outermost first and in source order.
+    pub fn walk<'e>(&'e self, f: &mut impl FnMut(&'e Expr)) {
+        f(self);
         match self {
-            Expr::Call { name, args } => {
-                out.push(name.clone());
-                for a in args {
-                    a.called_functions(out);
-                }
-            }
-            Expr::Binary { left, right, .. } => {
-                left.called_functions(out);
-                right.called_functions(out);
-            }
-            Expr::Unary { operand, .. } => operand.called_functions(out),
-            Expr::Index { base, index } => {
-                base.called_functions(out);
-                index.called_functions(out);
-            }
-            Expr::ArrayLit(items) => {
-                for i in items {
-                    i.called_functions(out);
-                }
+            Expr::Call { args: items, .. } | Expr::ArrayLit(items) => {
+                items.iter().for_each(|item| item.walk(f));
             }
             Expr::MapLit(pairs) => {
                 for (k, v) in pairs {
-                    k.called_functions(out);
-                    v.called_functions(out);
+                    k.walk(f);
+                    v.walk(f);
                 }
             }
+            Expr::Index { base: a, index: b }
+            | Expr::Binary {
+                left: a, right: b, ..
+            } => {
+                a.walk(f);
+                b.walk(f);
+            }
+            Expr::Unary { operand, .. } => operand.walk(f),
             Expr::Literal(_) | Expr::Var(_) => {}
+        }
+    }
+}
+
+impl BinOp {
+    /// Every operator, for finding the one a token spells.
+    pub(crate) const ALL: [BinOp; 14] = {
+        use BinOp::*;
+        [
+            Or, And, Eq, NotEq, Lt, LtEq, Gt, GtEq, Concat, Add, Sub, Mul, Div, Mod,
+        ]
+    };
+
+    /// The operator's source spelling and how tightly it binds, loosest
+    /// first: what the parser reads and `Display` writes.
+    pub(crate) fn spelling(self) -> (&'static str, u8) {
+        match self {
+            BinOp::Or => ("||", 1),
+            BinOp::And => ("&&", 2),
+            BinOp::Eq => ("==", 3),
+            BinOp::NotEq => ("!=", 3),
+            BinOp::Lt => ("<", 4),
+            BinOp::LtEq => ("<=", 4),
+            BinOp::Gt => (">", 4),
+            BinOp::GtEq => (">=", 4),
+            BinOp::Concat => (".", 5),
+            BinOp::Add => ("+", 6),
+            BinOp::Sub => ("-", 6),
+            BinOp::Mul => ("*", 7),
+            BinOp::Div => ("/", 7),
+            BinOp::Mod => ("%", 7),
+        }
+    }
+}
+
+/// The expression as WASL source that parses back to it (as long as its
+/// strings hold no control characters but `\n`, `\t` and `\r`): operands are
+/// parenthesised only where precedence requires.
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // An operand of an operator binding at `level`: parenthesised if
+        // it is an operator binding less tightly (level 8 is a unary
+        // operator's operand, 9 the base of an index).
+        let operand = |f: &mut fmt::Formatter<'_>, e: &Expr, level: u8| match e {
+            Expr::Binary { op, .. } if op.spelling().1 < level => write!(f, "({e})"),
+            Expr::Unary { .. } if level > 8 => write!(f, "({e})"),
+            _ => write!(f, "{e}"),
+        };
+        let list = |items: &[Expr]| {
+            let items: Vec<String> = items.iter().map(Expr::to_string).collect();
+            items.join(", ")
+        };
+        match self {
+            // Rust escapes a string's quotes, backslashes and line breaks
+            // the way WASL reads them.
+            Expr::Literal(Value::Str(s)) => write!(f, "{s:?}"),
+            Expr::Literal(Value::Null) => f.write_str("null"),
+            Expr::Literal(Value::Bool(b)) => write!(f, "{b}"),
+            // `{:?}` keeps the `.0` that makes a whole float lex as one.
+            Expr::Literal(Value::Float(x)) => write!(f, "{x:?}"),
+            // Only scalars are literals in source.
+            Expr::Literal(v) => f.write_str(&v.display_str()),
+            Expr::Var(name) => f.write_str(name),
+            Expr::ArrayLit(items) => write!(f, "[{}]", list(items)),
+            Expr::MapLit(pairs) => {
+                let pairs: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+                write!(f, "{{{}}}", pairs.join(", "))
+            }
+            Expr::Index { base, index } => {
+                operand(f, base, 9)?;
+                write!(f, "[{index}]")
+            }
+            Expr::Call { name, args, .. } => write!(f, "{name}({})", list(args)),
+            Expr::Binary { left, op, right } => {
+                let (symbol, level) = op.spelling();
+                // Operators group to the left.
+                operand(f, left, level)?;
+                write!(f, " {symbol} ")?;
+                operand(f, right, level + 1)
+            }
+            Expr::Unary { op, operand: e } => {
+                f.write_str(match op {
+                    UnOp::Not => "!",
+                    UnOp::Neg => "-",
+                })?;
+                operand(f, e, 8)
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::parse_program;
+    use crate::Stmt;
 
     #[test]
-    fn called_functions_walks_nested_expressions() {
-        let e = Expr::Binary {
-            left: Box::new(Expr::Call {
-                name: "f".into(),
-                args: vec![Expr::lit_int(1)],
-            }),
-            op: BinOp::Concat,
-            right: Box::new(Expr::Index {
-                base: Box::new(Expr::Call {
-                    name: "g".into(),
-                    args: vec![],
-                }),
-                index: Box::new(Expr::lit_int(0)),
-            }),
+    fn display_prints_source_that_parses_back() {
+        for src in [
+            "f(1, \"a\\\"b\\n\")[0][\"k\"]",
+            "a . b + 1 . (c . d)",
+            "(a + b) * -c - (d - e)",
+            "!(a == b || c) && [1, 2.5, null] != {\"k\": true}",
+            "(-a)[0] . -(1 + 2)",
+        ] {
+            let parse = |text: &str| match parse_program(&format!("return {text};")) {
+                Ok(program) => match &program.statements[0] {
+                    Stmt::Return(Some(e)) => e.clone(),
+                    other => panic!("{other:?}"),
+                },
+                Err(e) => panic!("{text}: {e}"),
+            };
+            let expr = parse(src);
+            assert_eq!(expr.to_string(), src);
+            assert_eq!(parse(&expr.to_string()), expr);
+        }
+    }
+
+    /// The interpreter walks these nodes on every request.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_call_s_line_does_not_grow_the_node() {
+        assert_eq!(std::mem::size_of::<super::Expr>(), 48);
+    }
+
+    #[test]
+    fn walk_visits_outermost_first_in_source_order() {
+        let program = parse_program("f(g(1) . h(), [k(2)], {\"a\": m()})[n()];").unwrap();
+        let Stmt::Expr(e) = &program.statements[0] else {
+            panic!()
         };
         let mut calls = Vec::new();
-        e.called_functions(&mut calls);
-        assert_eq!(calls, vec!["f".to_string(), "g".to_string()]);
+        e.walk(&mut |e| {
+            if let super::Expr::Call { name, .. } = e {
+                calls.push(&**name);
+            }
+        });
+        assert_eq!(calls, ["f", "g", "h", "k", "m", "n"]);
     }
 }

@@ -440,7 +440,7 @@ impl ExecState {
                     }
                 }
             }
-            Expr::Call { name, args } => {
+            Expr::Call { name, args, .. } => {
                 let mut arg_values = Vec::with_capacity(args.len());
                 for a in args {
                     arg_values.push(self.eval_ref(a, scope, host)?);

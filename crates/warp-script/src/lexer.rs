@@ -29,17 +29,20 @@ impl Token {
     }
 }
 
-/// Tokenizes WASL source.
+/// Tokenizes WASL source: the tokens, and the 1-based source line each
+/// starts on.
 ///
 /// Strings are double-quoted with `\"`, `\\`, `\n`, `\t` escapes. Comments
 /// are `//` to end of line and `/* ... */` blocks.
-pub fn tokenize(src: &str) -> ScriptResult<Vec<Token>> {
+pub fn tokenize(src: &str) -> ScriptResult<(Vec<Token>, Vec<u32>)> {
     let chars: Vec<char> = src.chars().collect();
-    let mut tokens = Vec::new();
+    let mut tokens: Vec<(Token, u32)> = Vec::new();
+    let mut line = 1;
     let mut i = 0;
     while i < chars.len() {
         let c = chars[i];
         if c.is_whitespace() {
+            line += u32::from(c == '\n');
             i += 1;
             continue;
         }
@@ -52,6 +55,7 @@ pub fn tokenize(src: &str) -> ScriptResult<Vec<Token>> {
         if c == '/' && i + 1 < chars.len() && chars[i + 1] == '*' {
             i += 2;
             while i + 1 < chars.len() && !(chars[i] == '*' && chars[i + 1] == '/') {
+                line += u32::from(chars[i] == '\n');
                 i += 1;
             }
             if i + 1 >= chars.len() {
@@ -62,6 +66,7 @@ pub fn tokenize(src: &str) -> ScriptResult<Vec<Token>> {
         }
         if c == '"' {
             let mut s = String::new();
+            let start_line = line;
             i += 1;
             loop {
                 if i >= chars.len() {
@@ -77,6 +82,7 @@ pub fn tokenize(src: &str) -> ScriptResult<Vec<Token>> {
                             return Err(ScriptError::Lex("dangling escape".into()));
                         }
                         let e = chars[i + 1];
+                        line += u32::from(e == '\n');
                         s.push(match e {
                             'n' => '\n',
                             't' => '\t',
@@ -88,12 +94,13 @@ pub fn tokenize(src: &str) -> ScriptResult<Vec<Token>> {
                         i += 2;
                     }
                     other => {
+                        line += u32::from(other == '\n');
                         s.push(other);
                         i += 1;
                     }
                 }
             }
-            tokens.push(Token::Str(s));
+            tokens.push((Token::Str(s), start_line));
             continue;
         }
         if c.is_ascii_digit() {
@@ -111,14 +118,15 @@ pub fn tokenize(src: &str) -> ScriptResult<Vec<Token>> {
             }
             let text: String = chars[start..i].iter().collect();
             if is_float {
-                tokens.push(Token::Float(text.parse().map_err(|_| {
-                    ScriptError::Lex(format!("bad float literal {text}"))
-                })?));
+                let f = text
+                    .parse()
+                    .map_err(|_| ScriptError::Lex(format!("bad float literal {text}")))?;
+                tokens.push((Token::Float(f), line));
             } else {
-                tokens
-                    .push(Token::Int(text.parse().map_err(|_| {
-                        ScriptError::Lex(format!("bad int literal {text}"))
-                    })?));
+                let n = text
+                    .parse()
+                    .map_err(|_| ScriptError::Lex(format!("bad int literal {text}")))?;
+                tokens.push((Token::Int(n), line));
             }
             continue;
         }
@@ -130,23 +138,23 @@ pub fn tokenize(src: &str) -> ScriptResult<Vec<Token>> {
             }
             let text: String = chars[start..i].iter().collect();
             // A leading `$` (PHP habit) is tolerated and stripped.
-            tokens.push(Token::Ident(text.trim_start_matches('$').to_string()));
+            tokens.push((Token::Ident(text.trim_start_matches('$').to_string()), line));
             continue;
         }
         let two: String = chars[i..(i + 2).min(chars.len())].iter().collect();
         if ["==", "!=", "<=", ">=", "&&", "||"].contains(&two.as_str()) {
-            tokens.push(Token::Sym(two));
+            tokens.push((Token::Sym(two), line));
             i += 2;
             continue;
         }
         if "(){}[],;=<>+-*/%.!:".contains(c) {
-            tokens.push(Token::Sym(c.to_string()));
+            tokens.push((Token::Sym(c.to_string()), line));
             i += 1;
             continue;
         }
         return Err(ScriptError::Lex(format!("unexpected character {c:?}")));
     }
-    Ok(tokens)
+    Ok(tokens.into_iter().unzip())
 }
 
 #[cfg(test)]
@@ -158,7 +166,8 @@ mod tests {
         let toks = tokenize(
             "// line comment\nlet x = \"a\\\"b\\n\"; /* block */ if (x != 2.5) { echo(x); }",
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(toks
             .iter()
             .any(|t| matches!(t, Token::Str(s) if s == "a\"b\n")));
@@ -171,13 +180,13 @@ mod tests {
 
     #[test]
     fn strips_php_style_dollar() {
-        let toks = tokenize("$user = 1;").unwrap();
+        let toks = tokenize("$user = 1;").unwrap().0;
         assert!(toks[0].is_kw("user"));
     }
 
     #[test]
     fn dot_is_a_symbol_not_part_of_floats_without_digits() {
-        let toks = tokenize("a . b . 1.5").unwrap();
+        let toks = tokenize("a . b . 1.5").unwrap().0;
         let syms = toks.iter().filter(|t| t.is_sym(".")).count();
         assert_eq!(syms, 2);
     }
@@ -190,7 +199,7 @@ mod tests {
 
     #[test]
     fn two_char_operators() {
-        let toks = tokenize("a && b || c == d >= e").unwrap();
+        let toks = tokenize("a && b || c == d >= e").unwrap().0;
         assert!(toks.iter().any(|t| t.is_sym("&&")));
         assert!(toks.iter().any(|t| t.is_sym("||")));
         assert!(toks.iter().any(|t| t.is_sym("==")));

@@ -56,6 +56,7 @@ pub mod error;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
+pub mod sites;
 pub mod stdlib;
 pub mod value;
 
@@ -64,6 +65,7 @@ pub use error::{ScriptError, ScriptResult};
 pub use interp::{Host, Interpreter, NullHost};
 pub use lexer::{tokenize, Token};
 pub use parser::parse_program;
+pub use sites::sites;
 pub use value::Value;
 
 #[cfg(test)]

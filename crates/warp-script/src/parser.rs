@@ -15,8 +15,12 @@ use std::sync::Arc;
 /// assert_eq!(program.statements.len(), 2);
 /// ```
 pub fn parse_program(src: &str) -> ScriptResult<Program> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let (tokens, lines) = tokenize(src)?;
+    let mut p = Parser {
+        tokens,
+        lines,
+        pos: 0,
+    };
     let mut statements = Vec::new();
     while p.pos < p.tokens.len() {
         statements.push(p.parse_stmt()?);
@@ -26,6 +30,8 @@ pub fn parse_program(src: &str) -> ScriptResult<Program> {
 
 struct Parser {
     tokens: Vec<Token>,
+    /// The source line of each token.
+    lines: Vec<u32>,
     pos: usize,
 }
 
@@ -286,127 +292,18 @@ impl Parser {
         Ok(Some((indexes, consumed)))
     }
 
-    // Precedence: || < && < ==/!= < comparisons < . < +- < */% < unary < postfix < primary
+    // Precedence: binary operators by [`BinOp::spelling`] < unary < postfix < primary
     fn parse_expr(&mut self) -> ScriptResult<Expr> {
-        self.parse_or()
+        self.parse_binary(0)
     }
 
-    fn parse_or(&mut self) -> ScriptResult<Expr> {
-        let mut left = self.parse_and()?;
-        while self.accept_sym("||") {
-            let right = self.parse_and()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op: BinOp::Or,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_and(&mut self) -> ScriptResult<Expr> {
-        let mut left = self.parse_equality()?;
-        while self.accept_sym("&&") {
-            let right = self.parse_equality()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op: BinOp::And,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_equality(&mut self) -> ScriptResult<Expr> {
-        let mut left = self.parse_comparison()?;
-        loop {
-            let op = if self.accept_sym("==") {
-                BinOp::Eq
-            } else if self.accept_sym("!=") {
-                BinOp::NotEq
-            } else {
-                break;
-            };
-            let right = self.parse_comparison()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_comparison(&mut self) -> ScriptResult<Expr> {
-        let mut left = self.parse_concat()?;
-        loop {
-            let op = if self.accept_sym("<=") {
-                BinOp::LtEq
-            } else if self.accept_sym(">=") {
-                BinOp::GtEq
-            } else if self.accept_sym("<") {
-                BinOp::Lt
-            } else if self.accept_sym(">") {
-                BinOp::Gt
-            } else {
-                break;
-            };
-            let right = self.parse_concat()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_concat(&mut self) -> ScriptResult<Expr> {
-        let mut left = self.parse_additive()?;
-        while self.accept_sym(".") {
-            let right = self.parse_additive()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op: BinOp::Concat,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_additive(&mut self) -> ScriptResult<Expr> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = if self.accept_sym("+") {
-                BinOp::Add
-            } else if self.accept_sym("-") {
-                BinOp::Sub
-            } else {
-                break;
-            };
-            let right = self.parse_multiplicative()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_multiplicative(&mut self) -> ScriptResult<Expr> {
+    /// Parses a chain of binary operators that bind at `level` or tighter
+    /// (precedence climbing; every operator groups to the left).
+    fn parse_binary(&mut self, level: u8) -> ScriptResult<Expr> {
         let mut left = self.parse_unary()?;
-        loop {
-            let op = if self.accept_sym("*") {
-                BinOp::Mul
-            } else if self.accept_sym("/") {
-                BinOp::Div
-            } else if self.accept_sym("%") {
-                BinOp::Mod
-            } else {
-                break;
-            };
-            let right = self.parse_unary()?;
+        while let Some((op, binds)) = self.peek_binop().filter(|(_, binds)| *binds >= level) {
+            self.pos += 1;
+            let right = self.parse_binary(binds + 1)?;
             left = Expr::Binary {
                 left: Box::new(left),
                 op,
@@ -414,6 +311,17 @@ impl Parser {
             };
         }
         Ok(left)
+    }
+
+    /// The binary operator the next token spells, and how tightly it binds.
+    fn peek_binop(&self) -> Option<(BinOp, u8)> {
+        let Some(Token::Sym(sym)) = self.peek() else {
+            return None;
+        };
+        BinOp::ALL.iter().find_map(|op| {
+            let (spelling, binds) = op.spelling();
+            (spelling == sym).then_some((*op, binds))
+        })
     }
 
     fn parse_unary(&mut self) -> ScriptResult<Expr> {
@@ -486,6 +394,7 @@ impl Parser {
             self.expect_sym("}")?;
             return Ok(Expr::MapLit(pairs));
         }
+        let at = self.pos;
         match self.next()? {
             Token::Int(i) => Ok(Expr::Literal(Value::Int(i))),
             Token::Float(f) => Ok(Expr::Literal(Value::Float(f))),
@@ -506,7 +415,11 @@ impl Parser {
                             }
                         }
                         self.expect_sym(")")?;
-                        Ok(Expr::Call { name, args })
+                        Ok(Expr::Call {
+                            name: name.into(),
+                            args,
+                            line: self.lines[at],
+                        })
                     } else {
                         Ok(Expr::Var(name))
                     }
@@ -636,6 +549,40 @@ mod tests {
                 ..
             } => {}
             other => panic!("expected == at top, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_precedence_level_nests_and_groups_to_the_left() {
+        /// The expression with every operation parenthesised.
+        fn grouped(e: &Expr) -> String {
+            match e {
+                Expr::Binary { left, op, right } => {
+                    format!("({} {} {})", grouped(left), op.spelling().0, grouped(right))
+                }
+                Expr::Unary { operand, .. } => format!("(-{})", grouped(operand)),
+                other => other.to_string(),
+            }
+        }
+        for (src, tree) in [
+            (
+                "a || b && c == d < e . f + g * -h",
+                "(a || (b && (c == (d < (e . (f + (g * (-h))))))))",
+            ),
+            (
+                "a * b + c . d > e != f && g || h",
+                "(((((((a * b) + c) . d) > e) != f) && g) || h)",
+            ),
+            ("a - b - c + d", "(((a - b) - c) + d)"),
+            ("a / b % c * d", "(((a / b) % c) * d)"),
+            ("a <= b >= c", "((a <= b) >= c)"),
+            ("a . b . (c . d)", "((a . b) . (c . d))"),
+        ] {
+            let p = parse_program(&format!("return {src};")).unwrap();
+            let Stmt::Return(Some(e)) = &p.statements[0] else {
+                panic!("{src}");
+            };
+            assert_eq!(grouped(e), tree, "{src}");
         }
     }
 

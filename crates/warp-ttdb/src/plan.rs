@@ -18,10 +18,10 @@
 //! A statement that arrives already parsed gets a one-off plan and runs
 //! through the same executor.
 
-use crate::rewrite::{and_valid, validity, Pins};
+use crate::rewrite::{and_valid, validity, Pin, Pins};
 use crate::versioned::{
-    TableConfig, COL_END_GEN, COL_END_TIME, COL_ROW_ID, COL_START_GEN, COL_START_TIME, INF_GEN,
-    INF_TIME,
+    TableConfig, TimeTravelDb, COL_END_GEN, COL_END_TIME, COL_ROW_ID, COL_START_GEN,
+    COL_START_TIME, INF_GEN, INF_TIME,
 };
 use std::collections::BTreeMap;
 use std::mem::Discriminant;
@@ -164,6 +164,104 @@ impl Plan {
     /// depends on nothing that can change.
     pub(crate) fn is_reusable(&self) -> bool {
         !matches!(self.body, Body::Rejected(_))
+    }
+
+    /// The partitions an execution of this shape is confined to — each as
+    /// table, partition column (both lower-cased) and what the shape pins
+    /// the column to — if there are such: executions confined to disjoint
+    /// partitions may then run concurrently against `db`, which planned the
+    /// shape. Otherwise, the reason there are none.
+    ///
+    /// A read is confined to the partitions its `WHERE` clause pins, and a
+    /// read of a table without partition columns to none: no write to such
+    /// a table is confined, so it does not change under the read. A write
+    /// must fix *every* partition column of the rows it writes — a row
+    /// belongs to a partition per column — in its `WHERE` clause or, an
+    /// `INSERT`, by a literal in each row; its table must be
+    /// [clone-safe](TimeTravelDb::partition_clone_safe), so that uniqueness
+    /// can only be violated within a partition; and it may not choose row
+    /// IDs freely: an `UPDATE` assigns neither to the row ID nor to a
+    /// partition column, an `INSERT` gives a literal natural row ID
+    /// (synthetic ones come from one counter that concurrent executions
+    /// would race for).
+    pub fn shard_pins(&self, db: &TimeTravelDb) -> Result<Vec<(String, String, Pin)>, String> {
+        let table = &self.table;
+        let no = |why: &str| Err(format!("{why} {table}"));
+        let partition_columns = db.partition_columns(table);
+        let is_partition = |column: &str| {
+            partition_columns
+                .iter()
+                .any(|p| p.eq_ignore_ascii_case(column))
+        };
+        let mut pins = Vec::new();
+        match &self.body {
+            Body::Rejected(e) => return Err(e.to_string()),
+            Body::Select(SelectPlan { pins: pinned, .. })
+            | Body::Update(UpdatePlan { pins: pinned, .. })
+            | Body::Delete(DeletePlan { pins: pinned, .. }) => {
+                if let Pins::Columns(pinned) = pinned {
+                    pins.clone_from(pinned);
+                }
+            }
+            Body::Insert(insert) => {
+                for row in &insert.values {
+                    let values = insert.columns.iter().zip(row);
+                    for (column, value) in values.filter(|(column, _)| is_partition(column)) {
+                        let pin = match value {
+                            Expr::Param(i) => Pin::Param(*i),
+                            Expr::Literal(v) => Pin::Literal(v.clone()),
+                            _ => return no("INSERT computes a partition value of"),
+                        };
+                        pins.push((column.to_ascii_lowercase(), pin));
+                    }
+                }
+            }
+        }
+        if !self.is_write && pins.is_empty() && !partition_columns.is_empty() {
+            return no("query does not pin a partition column of");
+        }
+        if self.is_write {
+            if partition_columns.is_empty() {
+                return no("write to unpartitioned table");
+            }
+            if !db.partition_clone_safe(table) {
+                return no("a unique constraint lies outside the partition columns of");
+            }
+            let fixed = |p: &String| {
+                pins.iter()
+                    .any(|(column, _)| p.eq_ignore_ascii_case(column))
+            };
+            if !partition_columns.iter().all(fixed) {
+                return no("write does not fix every partition column of");
+            }
+        }
+        match &self.body {
+            Body::Update(update) => {
+                let row_id = &update.cfg.row_id_column;
+                for Assignment { column, .. } in &update.assignments {
+                    if is_partition(column) || column.eq_ignore_ascii_case(row_id) {
+                        return no("UPDATE assigns to a partition or row-ID column of");
+                    }
+                }
+            }
+            Body::Insert(insert) => {
+                let Some(row_id_at) = insert.row_id_at else {
+                    return no("INSERT without an explicit row ID (synthetic IDs serialize) into");
+                };
+                for row in &insert.values {
+                    match row.get(row_id_at) {
+                        Some(Expr::Param(_)) => {}
+                        Some(Expr::Literal(v)) if *v != Value::Null => {}
+                        _ => return no("INSERT with a non-literal row ID into"),
+                    }
+                }
+            }
+            _ => {}
+        }
+        Ok(pins
+            .into_iter()
+            .map(|(column, pin)| (self.table_key.clone(), column, pin))
+            .collect())
     }
 }
 

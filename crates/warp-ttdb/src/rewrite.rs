@@ -66,10 +66,13 @@ pub(crate) enum Pins {
     Columns(Vec<(String, Pin)>),
 }
 
-/// What a partition column is pinned to.
+/// What a statement shape pins a partition column to.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Pin {
+pub enum Pin {
+    /// A literal that is part of the shape.
     Literal(Value),
+    /// The hole of this index: the text's literal of that position in
+    /// [`warp_sql::Prepared::params`].
     Param(usize),
 }
 
@@ -127,21 +130,6 @@ impl Pins {
     }
 }
 
-/// Computes the partitions a statement *reads*, from the equality conjuncts
-/// of its `WHERE` clause (paper §4.1).
-///
-/// If the statement pins at least one partition column to a literal value,
-/// the result is the set of those `(column, value)` partitions; otherwise the
-/// statement conservatively depends on the whole table. A statement with no
-/// `WHERE` clause always depends on the whole table.
-pub fn read_partitions(
-    stmt: &Statement,
-    table: &str,
-    partition_columns: &[String],
-) -> PartitionSet {
-    Pins::of(stmt.where_clause(), partition_columns).resolve(&table.to_ascii_lowercase(), &[])
-}
-
 /// Computes the partitions touched by a set of concrete row values (used for
 /// the *write* side of dependencies, where the exact rows are known).
 pub fn partitions_of_rows<'a>(
@@ -196,11 +184,18 @@ mod tests {
         assert!(stmt.where_clause().is_none());
     }
 
+    /// The partitions `sql` reads: its pins, resolved without parameters.
+    fn reads(sql: &str, partition_columns: &[String]) -> PartitionSet {
+        Pins::of(parse(sql).unwrap().where_clause(), partition_columns).resolve("page", &[])
+    }
+
     #[test]
     fn read_partitions_from_pinned_columns() {
         let cols = vec!["title".to_string(), "owner".to_string()];
-        let stmt = parse("SELECT * FROM page WHERE title = 'Main' AND views > 3").unwrap();
-        match read_partitions(&stmt, "page", &cols) {
+        match reads(
+            "SELECT * FROM page WHERE title = 'Main' AND views > 3",
+            &cols,
+        ) {
             PartitionSet::Keys(keys) => {
                 assert_eq!(keys.len(), 1);
                 assert!(keys
@@ -214,27 +209,18 @@ mod tests {
     #[test]
     fn unpinned_or_disjunctive_queries_read_the_whole_table() {
         let cols = vec!["title".to_string()];
-        let stmt = parse("SELECT * FROM page WHERE views > 3").unwrap();
-        assert!(matches!(
-            read_partitions(&stmt, "page", &cols),
-            PartitionSet::Whole { .. }
-        ));
-        let stmt = parse("SELECT * FROM page WHERE title = 'A' OR title = 'B'").unwrap();
-        assert!(matches!(
-            read_partitions(&stmt, "page", &cols),
-            PartitionSet::Whole { .. }
-        ));
-        let stmt = parse("SELECT * FROM page").unwrap();
-        assert!(matches!(
-            read_partitions(&stmt, "page", &cols),
-            PartitionSet::Whole { .. }
-        ));
+        for sql in [
+            "SELECT * FROM page WHERE views > 3",
+            "SELECT * FROM page WHERE title = 'A' OR title = 'B'",
+            "SELECT * FROM page",
+        ] {
+            assert_eq!(reads(sql, &cols), PartitionSet::whole("page"));
+        }
         // No partition columns configured: always whole-table.
-        let stmt = parse("SELECT * FROM page WHERE title = 'Main'").unwrap();
-        assert!(matches!(
-            read_partitions(&stmt, "page", &[]),
-            PartitionSet::Whole { .. }
-        ));
+        assert_eq!(
+            reads("SELECT * FROM page WHERE title = 'Main'", &[]),
+            PartitionSet::whole("page")
+        );
     }
 
     #[test]

@@ -1846,10 +1846,13 @@ mod tests {
             assert_eq!(out.result.rows[0][0], Value::text(body));
             assert_eq!(
                 out.dependency.read_partitions,
-                crate::rewrite::read_partitions(
-                    &warp_sql::parse("SELECT body FROM page WHERE title = 'Main'").unwrap(),
-                    "page",
-                    &["title".to_string(), "owner".to_string()],
+                PartitionSet::Keys(
+                    [crate::PartitionKey::new(
+                        "page",
+                        "title",
+                        &Value::text("Main")
+                    )]
+                    .into()
                 )
             );
         }

@@ -15,8 +15,10 @@ use warp_apps::scenario::{run_scenario_on, ScenarioConfig};
 use warp_apps::wiki::wiki_app;
 use warp_apps::workload::{run_background_workload, WorkloadConfig};
 use warp_apps::AttackKind;
+use warp_core::sites::sites;
 use warp_core::{
-    AppConfig, Durability, MemoryBackend, ServerConfig, StoreOptions, Warp, WarpServer,
+    site_template, ActionRecord, AppConfig, Durability, MemoryBackend, ServerConfig, StoreOptions,
+    Warp, WarpServer,
 };
 use warp_http::HttpRequest;
 use warp_replica::{channel_pair, LogShipper, Standby};
@@ -820,16 +822,9 @@ proptest! {
     }
 }
 
-/// Every query text the three applications issue under their workloads.
-fn recorded_queries() -> Vec<(&'static str, Vec<String>)> {
-    let texts = |server: &WarpServer| -> Vec<String> {
-        server
-            .history
-            .actions()
-            .iter()
-            .flat_map(|a| a.queries.iter().map(|q| q.sql.clone()))
-            .collect()
-    };
+/// The three applications after their workloads, the wiki also after each
+/// of three attacks and its repair.
+fn workload_servers() -> Vec<(&'static str, Vec<WarpServer>)> {
     let mut wiki = WarpServer::new(wiki_app(6, 6));
     run_background_workload(
         &mut wiki,
@@ -841,7 +836,7 @@ fn recorded_queries() -> Vec<(&'static str, Vec<String>)> {
         },
         1,
     );
-    let mut attacked: Vec<String> = Vec::new();
+    let mut attacked = Vec::new();
     for attack in [
         AttackKind::StoredXss,
         AttackKind::SqlInjection,
@@ -850,7 +845,7 @@ fn recorded_queries() -> Vec<(&'static str, Vec<String>)> {
         let config = ScenarioConfig::small(attack);
         let mut server = WarpServer::new(warp_apps::scenario::scenario_app(&config));
         run_scenario_on(&config, &mut server);
-        attacked.extend(texts(&server));
+        attacked.push(server);
     }
     let mut blog = WarpServer::new(blog_app(BlogBug::LostVotes, 4));
     let mut gallery = WarpServer::new(gallery_app(GalleryBug::RemovingPermissions, 4));
@@ -878,36 +873,76 @@ fn recorded_queries() -> Vec<(&'static str, Vec<String>)> {
         });
     }
     vec![
-        ("wiki", texts(&wiki)),
+        ("wiki", vec![wiki]),
         ("wiki-attacks", attacked),
-        ("blog", texts(&blog)),
-        ("gallery", texts(&gallery)),
+        ("blog", vec![blog]),
+        ("gallery", vec![gallery]),
     ]
 }
 
-/// Every recorded `db_query` text tokenizes as it did, and — since plans
-/// pay off only where shapes repeat — nearly every query of a workload
-/// meets a shape that is already planned.
-#[test]
-fn recorded_query_texts_tokenize_like_the_reference_and_repeat_their_shapes() {
-    for (workload, texts) in recorded_queries() {
-        assert!(texts.len() > 50, "{workload}: {} queries", texts.len());
-        let mut shapes = BTreeSet::new();
-        let mut hits = 0usize;
-        for sql in &texts {
-            assert_tokenizes_like_the_reference(sql);
-            if !shapes.insert(warp_sql::prepare(sql).expect("recorded text lexes").shape) {
-                hits += 1;
+/// The shape of every `db_query` site of the files `action` loaded that has
+/// one: what static analysis says the action's queries look like.
+fn site_shapes(server: &WarpServer, action: &ActionRecord) -> BTreeSet<String> {
+    let mut shapes = BTreeSet::new();
+    for file in &action.loaded_files {
+        let Some(Ok(program)) = server.sources.program_at(file, action.time) else {
+            panic!("{file} ran, so it compiled");
+        };
+        for site in sites(program).queries {
+            if let Ok(template) = site_template(&site.parts) {
+                shapes.insert(template.shape);
             }
         }
-        let share = hits as f64 / texts.len() as f64;
+    }
+    shapes
+}
+
+/// Every recorded `db_query` text tokenizes as it did; has the shape static
+/// analysis gives a call site of a file its action loaded, so what the
+/// router and the lints conclude from the site holds for the query — but
+/// for the injected one, which is another shape, not another parameter; and,
+/// since plans pay off only where shapes repeat, nearly every query of a
+/// workload meets a shape that is already planned.
+#[test]
+fn recorded_query_texts_tokenize_like_the_reference_and_repeat_their_sites_shapes() {
+    let mut of_no_site = Vec::new();
+    for (workload, servers) in workload_servers() {
+        let mut shapes = BTreeSet::new();
+        let (mut queries, mut hits) = (0usize, 0usize);
+        for server in &servers {
+            for action in server.history.actions() {
+                let of_sites = site_shapes(server, action);
+                for query in &action.queries {
+                    assert_tokenizes_like_the_reference(&query.sql);
+                    let shape = warp_sql::prepare(&query.sql)
+                        .expect("recorded text lexes")
+                        .shape;
+                    if !of_sites.contains(&shape) {
+                        of_no_site.push((workload, query.sql.clone()));
+                    }
+                    queries += 1;
+                    if !shapes.insert(shape) {
+                        hits += 1;
+                    }
+                }
+            }
+        }
+        assert!(queries > 50, "{workload}: {queries} queries");
+        let share = hits as f64 / queries as f64;
         println!(
-            "{workload}: {} queries, {} distinct shapes, {:.1} % already planned",
-            texts.len(),
+            "{workload}: {queries} queries, {} distinct shapes, {:.1} % already planned",
             shapes.len(),
             100.0 * share
         );
         assert!(shapes.len() <= 40, "{workload}: {} shapes", shapes.len());
         assert!(share > 0.8, "{workload}: hit share {share}");
     }
+    assert_eq!(
+        of_no_site,
+        [(
+            "wiki-attacks",
+            "UPDATE page SET body = 'INFECTED BY XSS' WHERE title = 'zzz' OR title LIKE '%'"
+                .to_string()
+        )]
+    );
 }

@@ -54,6 +54,14 @@ fn app() -> AppConfig {
     // Nondeterminism: must escalate so the engine's recorded counters stay
     // the single source of randomness.
     config.add_source("lucky.wasl", "echo(\"lucky \" . rand());");
+    // The request parameter is only part of the pinned literal (`t` . n):
+    // the partition is neither the parameter's nor a fixed one, so the
+    // router must escalate rather than guess an owner.
+    config.add_source(
+        "stamp.wasl",
+        "db_query(\"UPDATE note SET body = '\" . sql_escape(param(\"body\")) . \"' WHERE topic = 't\" \
+         . sql_escape(param(\"n\")) . \"'\"); echo(\"stamped\");",
+    );
     config
 }
 
@@ -76,13 +84,14 @@ fn request_for(op: u32, i: usize) -> HttpRequest {
             ],
         ),
         2 | 3 => HttpRequest::get(&format!("/read.wasl?topic={topic}")),
-        _ => {
-            if op.is_multiple_of(2) {
-                HttpRequest::get("/scan.wasl")
-            } else {
-                HttpRequest::get("/lucky.wasl")
-            }
-        }
+        _ => match (op / 5) % 3 {
+            0 => HttpRequest::get("/scan.wasl"),
+            1 => HttpRequest::get("/lucky.wasl"),
+            _ => HttpRequest::get(&format!(
+                "/stamp.wasl?n={}&body=stamp-{i}",
+                (op / 15) % TOPICS as u32
+            )),
+        },
     }
 }
 
