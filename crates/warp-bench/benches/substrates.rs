@@ -1,11 +1,13 @@
 //! Criterion bench for the substrates: SQL execution, WASL interpretation,
-//! HTML parsing and three-way merge.
-use criterion::{criterion_group, criterion_main, Criterion};
+//! HTML parsing, three-way merge, and the log's checksum and ship-frame
+//! codecs.
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use warp_browser::{parse_html, three_way_merge};
 use warp_script::{Host, Interpreter, NullHost, Program, ScriptResult, Value};
 use warp_sql::Database;
+use warp_store::{crc32, ShipFrame};
 
 fn bench_substrates(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrates");
@@ -127,5 +129,58 @@ fn bench_script_request(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_substrates, bench_script_request);
+/// The checksum under every segment record, checkpoint link and ship frame,
+/// and the frame codec on both ends of the replication stream. One iteration
+/// moves [`LOG_VOLUME`] bytes, so throughput is 64 MiB / the printed time:
+/// `crc32` at the sizes of a small record, a typical request record and a
+/// whole segment; `ShipFrame::Records` at a catch-up frame of 1 024 typical
+/// records (encode copies and checksums each payload once; decode checksums
+/// the body and slices it).
+fn bench_log_bytes(c: &mut Criterion) {
+    const LOG_VOLUME: usize = 64 << 20;
+    let noise: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    let mut group = c.benchmark_group("log_bytes_64MiB");
+    for (label, len) in [("64B", 64), ("1300B", 1300), ("1MiB", 1 << 20)] {
+        group.bench_function(format!("crc32_{label}"), |b| {
+            b.iter(|| {
+                let mut sum = 0u32;
+                for _ in 0..LOG_VOLUME / len {
+                    sum ^= crc32(black_box(&noise[..len]));
+                }
+                sum
+            })
+        });
+    }
+    let records: Vec<(u8, &[u8])> = noise.chunks(1300).take(1024).map(|p| (1, p)).collect();
+    let frame = ShipFrame::Records {
+        first_lsn: 7,
+        records,
+    };
+    let encoded = frame.encode();
+    let frames = LOG_VOLUME / encoded.len();
+    group.bench_function("ship_frame_records_encode", |b| {
+        b.iter(|| {
+            (0..frames)
+                .map(|_| black_box(&frame).encode().len())
+                .sum::<usize>()
+        })
+    });
+    group.bench_function("ship_frame_records_decode", |b| {
+        b.iter(|| {
+            (0..frames)
+                .filter(|_| ShipFrame::decode(black_box(&encoded)).is_some())
+                .count()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_substrates,
+    bench_script_request,
+    bench_log_bytes
+);
 criterion_main!(benches);

@@ -21,8 +21,8 @@
 //! its quiescent ratio, or the incremental checkpoint losing its required
 //! advantage over the whole-state encode at the largest database size,
 //! and with `--replication BENCH_replication.json` on the standby's
-//! steady-state lag p99 exceeding its bound or warm promotion losing its
-//! required advantage over cold log-replay at the largest history.
+//! steady-state lag p99 exceeding its bound or failover to the warm standby
+//! losing its required advantage over cold log-replay at the largest history.
 //!
 //! Exit code 2 means a report was missing or incomplete — the gate never
 //! passes silently on missing data.
@@ -81,7 +81,7 @@ fn usage() {
     println!("                 {STORAGE_MIN_CKPT_ADVANTAGE}x cheaper than whole-state at the largest database size");
     println!("--replication PATH [ADVANTAGE]  also fail if standby lag p99 exceeds {REPLICATION_MAX_LAG_P99} records, or");
     println!(
-        "                 promoting the warm standby is less than ADVANTAGE (default \
+        "                 failing over to the warm standby is less than ADVANTAGE (default \
          {REPLICATION_MIN_FAILOVER_ADVANTAGE}) x faster than cold log-replay"
     );
     println!(
@@ -488,7 +488,7 @@ fn main() {
         }
     }
 
-    // Gate 7 (optional): replication — standby lag and warm-promotion
+    // Gate 7 (optional): replication — standby lag and the warm failover's
     // advantage over cold log-replay.
     if let Some(path) = &args.replication {
         let records = match load_replication_records(path) {
@@ -502,7 +502,7 @@ fn main() {
             Ok(verdict) => {
                 println!(
                     "bench_gate: replication: lag p99 {:.1} records \
-                     (limit {REPLICATION_MAX_LAG_P99}); at {} actions: promote {:.2} ms, \
+                     (limit {REPLICATION_MAX_LAG_P99}); at {} actions: failover {:.2} ms, \
                      cold replay {:.2} ms (advantage {:.1}x, floor {}x)",
                     verdict.lag_p99_records,
                     verdict.history_actions,
@@ -521,13 +521,13 @@ fn main() {
                 }
                 if verdict.pass {
                     println!(
-                        "bench_gate: PASS — standby lag bounded and warm promotion beats \
+                        "bench_gate: PASS — standby lag bounded and warm failover beats \
                          cold log-replay"
                     );
                 } else {
                     println!(
                         "bench_gate: FAIL — standby lag p99 exceeded its bound or warm \
-                         promotion lost its advantage over cold log-replay"
+                         failover lost its advantage over cold log-replay"
                     );
                     failed = true;
                 }

@@ -1078,9 +1078,9 @@ pub fn evaluate_storage_gate(
 ///   the shipped log under the table11 serving workload. Lag is measured
 ///   in *records*: the primary's durable LSN minus the standby's applied
 ///   LSN, sampled once per pump iteration.
-/// * `kind == "failover"` — promoting a warm standby after the primary
-///   dies, against cold log-replay over the primary's full (never
-///   checkpointed) log at the same history size.
+/// * `kind == "failover"` — failing over to a warm standby after the
+///   primary dies, against cold log-replay over the primary's full (never
+///   checkpointed) log at the same history size, both to the first answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicationBenchRecord {
     /// Which binary produced the record (`table13_replication`).
@@ -1101,16 +1101,17 @@ pub struct ReplicationBenchRecord {
     pub lag_max_records: f64,
     /// Failover records: actions in the replicated history.
     pub history_actions: usize,
-    /// Failover records: log records the standby applied before the kill.
+    /// Failover records: log records the promoted standby holds.
     pub replicated_records: u64,
-    /// Failover records: wall-clock promote time (ms) — crash recovery
-    /// over the standby's warm, checkpointed store.
+    /// Failover records: wall-clock failover (ms), from the primary's
+    /// death to the first answered request — the standby drains what the
+    /// stream still holds, is promoted in place, and serves.
     pub failover_ms: f64,
-    /// Failover records: log records the promote replayed (the tail past
-    /// the standby's own checkpoint chain).
+    /// Failover records: log records applied during that drain (what the
+    /// standby was behind by when the primary died).
     pub failover_replayed: u64,
     /// Failover records: wall-clock cold open (ms) — replaying the
-    /// primary's full log from scratch.
+    /// primary's full log from scratch — plus the same first request.
     pub cold_ms: f64,
     /// Failover records: log records the cold open replayed.
     pub cold_replayed: u64,
@@ -1202,10 +1203,11 @@ pub fn append_replication_records(
 /// which breaks both bounded-staleness reads and fast failover.
 pub const REPLICATION_MAX_LAG_P99: f64 = 1024.0;
 
-/// Minimum factor by which promoting a warm standby must beat cold
-/// log-replay at the largest measured history. The standby checkpointed as
-/// it applied, so promotion replays only the tail past its chain; cold
-/// open replays the primary's whole (never checkpointed) log.
+/// Minimum factor by which failing over to a warm standby must beat cold
+/// log-replay at the largest measured history, both timed to the first
+/// answered request. The standby only has to apply the stretch it was
+/// behind by — promotion itself replays nothing — while the cold open
+/// replays the primary's whole (never checkpointed) log.
 pub const REPLICATION_MIN_FAILOVER_ADVANTAGE: f64 = 3.0;
 
 /// Cold-open time (ms) under which the failover-advantage check is
@@ -1220,7 +1222,7 @@ pub struct ReplicationGateVerdict {
     pub lag_p99_records: f64,
     /// History size (actions) of the largest failover measurement.
     pub history_actions: usize,
-    /// Promote time at that size (ms).
+    /// Warm failover time at that size (ms).
     pub failover_ms: f64,
     /// Cold log-replay time at that size (ms).
     pub cold_ms: f64,
@@ -1235,7 +1237,7 @@ pub struct ReplicationGateVerdict {
 /// Evaluates the replication gate over `BENCH_replication.json`:
 /// steady-state lag p99 must stay under [`REPLICATION_MAX_LAG_P99`]
 /// records (best-of across lag records), and at the largest measured
-/// history, promoting the warm standby must be at least `min_advantage`
+/// history, failing over to the warm standby must be at least `min_advantage`
 /// (CI runs [`REPLICATION_MIN_FAILOVER_ADVANTAGE`]) times faster than cold
 /// log-replay (skipped when the cold open is under
 /// [`REPLICATION_COLD_FLOOR_MS`]). Returns an error when either

@@ -81,8 +81,9 @@ pub fn parse_html(input: &str) -> Document {
                 continue;
             }
         }
-        // Text run.
-        let next_tag = find_char(&chars, i, '<').unwrap_or(chars.len());
+        // Text run. A `<` that opened no tag above is text itself, so the
+        // search for the next tag starts after it (and always advances).
+        let next_tag = find_char(&chars, i + 1, '<').unwrap_or(chars.len());
         let text: String = chars[i..next_tag].iter().collect();
         if !text.trim().is_empty() {
             append_to_top(&mut stack, DomNode::Text(decode_entities(&text)));
@@ -272,6 +273,12 @@ mod tests {
         let doc = parse_html("<div><p>one<p>two</div></span>");
         assert!(doc.text_content().contains("one"));
         assert!(doc.text_content().contains("two"));
+    }
+
+    #[test]
+    fn a_stray_less_than_is_text_not_an_endless_tag() {
+        let doc = parse_html("<div><<\"a < b<</div><");
+        assert_eq!(doc.text_content(), "<<\"a < b<<");
     }
 
     #[test]

@@ -312,6 +312,24 @@ impl LogSink {
         }
     }
 
+    /// Appends a batch of already-encoded records, borrowed from wherever
+    /// they arrived: one backend write on the inline sink (the standby's),
+    /// one submission per record through the writer.
+    pub(crate) fn append_batch(&mut self, records: &[(u8, &[u8])]) {
+        match self {
+            LogSink::Inline(store) => {
+                store
+                    .append_batch(records)
+                    .unwrap_or_else(|e| panic!("durable log append failed: {e}"));
+            }
+            LogSink::Writer { .. } => {
+                for (kind, payload) in records {
+                    self.append(*kind, payload.to_vec());
+                }
+            }
+        }
+    }
+
     /// Blocks until everything appended so far is durable (no-op inline).
     pub(crate) fn flush(&self) {
         if let LogSink::Writer { writer, .. } = self {
@@ -1716,17 +1734,21 @@ impl WarpServer {
         for payload in &recovered.deltas {
             DeltaCheckpoint::decode(payload)?.apply(&mut server)?;
         }
+        // Arm the incremental-checkpoint tracker at the chain tip: from here
+        // on the database records row changes so the next automatic
+        // checkpoint can be a delta instead of a whole-state write. The tail
+        // replays *after* the arming because no link of the chain covers it
+        // yet — the next delta must carry its actions and rows, exactly as
+        // it does on a standby that applied the same records live.
+        server.db.enable_checkpoint_capture();
+        server.reset_checkpoint_marks();
         for (lsn, kind, payload) in &recovered.records {
             let event = LogEvent::decode(*kind, payload)
                 .map_err(|e| corrupt(format!("log record {lsn}: {e}")))?;
+            server.ckpt_marks.note(&event);
             apply_event(&mut server, event)?;
         }
         report.pending_repair = server.pending_repair.is_some();
-        // Arm the incremental-checkpoint tracker: from here on the database
-        // records row changes so the next automatic checkpoint can be a
-        // delta instead of a whole-state write.
-        server.db.enable_checkpoint_capture();
-        server.reset_checkpoint_marks();
         server.store = Some(LogSink::Inline(store));
         Ok((server, report))
     }
@@ -1952,28 +1974,36 @@ impl WarpServer {
         self.store.as_ref().map(|s| s.durable_lsn()).unwrap_or(0)
     }
 
-    /// Applies one replicated log record — the standby apply path used by
-    /// `warp-replica`. The record is appended to this server's own durable
-    /// log (keeping its LSNs aligned with the primary's), its effects are
-    /// applied exactly as crash recovery would apply them, and the
-    /// incremental-checkpoint bookkeeping the live path would have kept is
-    /// maintained — so the standby builds its *own* checkpoint chain and a
-    /// later promotion replays only a short tail. Takes a checkpoint when
-    /// the configured interval elapses.
+    /// Applies a batch of replicated log records — one shipped frame — on
+    /// the standby apply path used by `warp-replica`. The whole batch is
+    /// appended to this server's own durable log in one write (keeping its
+    /// LSNs aligned with the primary's), then each record's effects are
+    /// applied exactly as crash recovery would apply them, with the
+    /// incremental-checkpoint bookkeeping the live path would have kept —
+    /// so the standby builds its *own* checkpoint chain, and the server is
+    /// at every batch boundary the one [`WarpServer::open`] would rebuild
+    /// from its store. Takes a checkpoint when the configured interval has
+    /// elapsed by the end of the batch.
     ///
     /// # Errors
     ///
-    /// Fails when the record does not decode or does not continue this
-    /// server's history — the replication stream and the local state have
-    /// diverged, which is a bug, not a recoverable condition.
-    pub fn apply_replicated(&mut self, kind: u8, payload: &[u8]) -> StoreResult<()> {
-        let event = LogEvent::decode(kind, payload)
+    /// Fails when a record does not decode (nothing of the batch is logged
+    /// or applied) or does not continue this server's history — the
+    /// replication stream and the local state have diverged, which is a
+    /// bug, not a recoverable condition.
+    pub fn apply_replicated(&mut self, records: &[(u8, &[u8])]) -> StoreResult<()> {
+        let events = records
+            .iter()
+            .map(|(kind, payload)| LogEvent::decode(*kind, payload))
+            .collect::<Result<Vec<_>, _>>()
             .map_err(|e| corrupt(format!("replicated record: {e}")))?;
-        self.ckpt_marks.note(&event);
         if let Some(sink) = &mut self.store {
-            sink.append(kind, payload.to_vec());
+            sink.append_batch(records);
         }
-        apply_event(self, event)?;
+        for event in events {
+            self.ckpt_marks.note(&event);
+            apply_event(self, event)?;
+        }
         self.maybe_checkpoint();
         Ok(())
     }
@@ -2249,6 +2279,36 @@ mod tests {
         assert_eq!(recovered.db.canonical_dump(), expected_dump);
         let r = recovered.send(warp_http::HttpRequest::get("/view.wasl?title=Main"));
         assert!(r.body.contains("rev 6"));
+    }
+
+    /// A log tail replayed by recovery is covered by no chain link yet, so
+    /// the next delta checkpoint must carry it: a second crash after that
+    /// delta recovers everything, tail included.
+    #[test]
+    fn a_delta_cut_after_recovery_carries_the_replayed_tail() {
+        let mem = MemoryBackend::new();
+        let options = warp_store::StoreOptions {
+            checkpoint_interval: 2,
+            fold_after_deltas: 100,
+            ..warp_store::StoreOptions::default()
+        };
+        let mut server = open_with(&mem, options).0;
+        for i in 0..7 {
+            edit(&mut server, &format!("rev {i}"));
+        }
+        drop(server); // crash with one record past the chain tip
+        let (mut recovered, report) = open_with(&mem, options);
+        assert_eq!(report.records_replayed, 1);
+        let (_, deltas_before, _) = count_blobs(&mem);
+        for i in 7..10 {
+            edit(&mut recovered, &format!("rev {i}"));
+        }
+        assert!(count_blobs(&mem).1 > deltas_before, "a delta was cut");
+        let dump = recovered.db.canonical_dump();
+        drop(recovered); // crash again
+        let (mut again, _) = open_with(&mem, options);
+        assert_eq!(again.history.len(), 10);
+        assert_eq!(again.db.canonical_dump(), dump);
     }
 
     fn visit_request(client: &str, visit: u64, body: &str) -> warp_http::HttpRequest {

@@ -17,12 +17,14 @@
 //!   requests from the live segments (or with a full store copy once a
 //!   base checkpoint compacted the gap away), and heartbeats its durable
 //!   watermark while idle.
-//! * [`Standby`] — the replica side. Applies the stream record by record
+//! * [`Standby`] — the replica side. Applies the stream frame by frame
 //!   ([`warp_core::WarpServer::apply_replicated`]), detects torn frames
 //!   and gaps and resyncs from its durable watermark, serves reads at an
 //!   explicit staleness bound ([`Standby::read_at_most_behind`]), and
-//!   promotes ([`Standby::promote`]) by running ordinary crash recovery
-//!   over its own — already warm, already checkpointed — store.
+//!   promotes ([`Standby::promote`]) by handing over its warm server in
+//!   place — the log was applied once, as it arrived; nothing reopens or
+//!   replays. Ordinary crash recovery is for a standby that dies itself:
+//!   it re-attaches over its own store.
 //! * [`ReplicaTransport`] — the pluggable link: [`channel_pair`] for
 //!   in-process wiring, [`StreamTransport`] for a length-prefixed byte
 //!   stream over anything socket-shaped (the failover example runs it

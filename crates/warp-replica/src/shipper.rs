@@ -5,8 +5,9 @@ use crate::transport::{Received, ReplicaTransport};
 use std::time::Duration;
 use warp_store::{DurableStore, ShipFrame, ShipperHook};
 
-/// Catch-up reads are chunked into frames of at most this many records,
-/// so a standby resyncing a long gap never receives one giant frame.
+/// Catch-up frames hold at most this many records (and never span a
+/// segment), so a standby resyncing a long gap never receives one giant
+/// frame.
 const CATCHUP_CHUNK: usize = 1024;
 
 /// Ships every durable batch to one standby over a
@@ -22,7 +23,7 @@ const CATCHUP_CHUNK: usize = 1024;
 /// * Nothing ships until the standby's hello — a
 ///   [`ShipFrame::Restart`] carrying its durable watermark — arrives.
 /// * A restart from LSN `f` is served from the live segments
-///   ([`DurableStore::read_records_from`]) when they still cover `f`, or
+///   ([`DurableStore::scan_records_from`]) when they still cover `f`, or
 ///   by a full [`ShipFrame::Bootstrap`] copy when a base checkpoint
 ///   already compacted the gap away.
 /// * Once caught up, every durable batch ships as a
@@ -34,15 +35,17 @@ const CATCHUP_CHUNK: usize = 1024;
 ///   out whenever the durable LSN moved, keeping the standby's lag
 ///   measurable with no record traffic.
 ///
-/// A dead transport (peer gone) stops shipping but never disturbs the
-/// primary: the hook goes quiet and the writer keeps committing.
+/// A dead transport (peer gone) or a failed resync read stops shipping but
+/// never disturbs the primary: the hook goes quiet and the writer keeps
+/// committing.
 pub struct LogShipper {
     transport: Box<dyn ReplicaTransport>,
     /// The next LSN the standby expects, once its hello arrived.
     peer_next: Option<u64>,
     /// The durable LSN last advertised via a watermark heartbeat.
     advertised: Option<u64>,
-    /// The transport died; the shipper is permanently quiet.
+    /// The transport died or a resync read failed; the shipper is
+    /// permanently quiet.
     dead: bool,
 }
 
@@ -59,14 +62,15 @@ impl LogShipper {
     }
 
     fn send(&mut self, frame: &ShipFrame) -> bool {
-        if self.dead {
-            return false;
-        }
-        if !self.transport.send(frame.encode()) {
-            self.dead = true;
-            self.peer_next = None;
+        if !self.dead && !self.transport.send(frame.encode()) {
+            self.go_quiet();
         }
         !self.dead
+    }
+
+    fn go_quiet(&mut self) {
+        self.dead = true;
+        self.peer_next = None;
     }
 
     /// Drains queued control frames (restarts) without blocking.
@@ -82,8 +86,7 @@ impl LogShipper {
                 }
                 Received::Idle => return,
                 Received::Closed => {
-                    self.dead = true;
-                    self.peer_next = None;
+                    self.go_quiet();
                     return;
                 }
             }
@@ -91,44 +94,46 @@ impl LogShipper {
     }
 
     /// Answers a restart request: catch the standby up from `from` to the
-    /// current durable LSN, from the segments when they still cover the
-    /// gap, by a full store copy when they no longer do.
+    /// current durable LSN — framed segment by segment, straight out of
+    /// each segment's bytes, while the segments still cover the gap; by a
+    /// full store copy when they no longer do. A read error ends shipping,
+    /// like a dead transport: the standby is this store's reader, not a
+    /// reason to stop the primary.
     fn serve_restart(&mut self, store: &mut DurableStore, from: u64) {
-        let served = store
-            .read_records_from(from)
-            .unwrap_or_else(|e| panic!("replication resync read failed: {e}"));
-        match served {
-            Some(records) => {
-                let mut next = from;
-                for chunk in records.chunks(CATCHUP_CHUNK) {
-                    let frame = ShipFrame::Records {
-                        first_lsn: chunk[0].0,
-                        records: chunk.iter().map(|(_, k, p)| (*k, p.clone())).collect(),
-                    };
-                    if !self.send(&frame) {
-                        return;
-                    }
-                    next = chunk.last().expect("non-empty chunk").0 + 1;
-                }
-                self.peer_next = Some(next.max(from));
-            }
-            None => {
+        let streamed = store.scan_records_from(from, |first_lsn, records| {
+            records.chunks(CATCHUP_CHUNK).enumerate().all(|(i, chunk)| {
+                self.send(&ShipFrame::Records {
+                    first_lsn: first_lsn + (i * CATCHUP_CHUNK) as u64,
+                    records: chunk.to_vec(),
+                })
+            })
+        });
+        match streamed {
+            Ok(true) => {}
+            Ok(false) => {
                 // The segments no longer reach back to `from`: ship the
                 // whole store. The copy is consistent because this thread
                 // owns the store — nothing commits mid-copy.
-                let blobs = store
-                    .export_blobs()
-                    .unwrap_or_else(|e| panic!("replication bootstrap read failed: {e}"));
-                let frame = ShipFrame::Bootstrap {
+                let Ok(blobs) = store.export_blobs() else {
+                    return self.go_quiet();
+                };
+                let blobs = blobs
+                    .iter()
+                    .map(|(name, bytes)| (name.as_str(), bytes.as_slice()))
+                    .collect();
+                self.send(&ShipFrame::Bootstrap {
                     blobs,
                     next_lsn: store.next_lsn(),
-                };
-                if self.send(&frame) {
-                    self.peer_next = Some(store.next_lsn());
-                }
+                });
             }
+            Err(_) => return self.go_quiet(),
         }
-        // The catch-up already tells the standby where the primary is.
+        if self.dead {
+            return;
+        }
+        // Nothing commits while this thread reads, so the standby now has
+        // (or has in flight) everything below the durable LSN.
+        self.peer_next = Some(store.next_lsn().max(from));
         self.advertised = Some(store.next_lsn());
     }
 
@@ -159,7 +164,7 @@ impl ShipperHook for LogShipper {
         if first_lsn == next {
             let frame = ShipFrame::Records {
                 first_lsn,
-                records: records.to_vec(),
+                records: records.iter().map(|(k, p)| (*k, p.as_slice())).collect(),
             };
             if self.send(&frame) {
                 self.peer_next = Some(first_lsn + records.len() as u64);

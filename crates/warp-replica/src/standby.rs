@@ -20,12 +20,16 @@ pub struct Pumped {
 /// A warm standby replica of one Warp deployment.
 ///
 /// The standby owns its *own* store over its own backend and a live
-/// [`WarpServer`] kept warm by applying every shipped record exactly as
+/// [`WarpServer`] kept warm by applying every shipped frame exactly as
 /// crash recovery would ([`WarpServer::apply_replicated`]): re-executed
 /// writes, fast-forwarded counters, repair commits and cancellation
-/// flags. Each applied record is also appended to the standby's log, and
-/// the standby runs its own checkpoint cadence over it — so promotion
-/// replays only a short tail, not the whole history.
+/// flags. A frame's records are read as slices of the received bytes,
+/// appended to the standby's log in one write and then applied; the
+/// standby runs its own checkpoint cadence over that log. The warm server
+/// therefore *is*, at every frame boundary, the server crash recovery
+/// would rebuild from the standby's store — which is why promotion is a
+/// hand-over ([`Standby::promote`]) and not a second recovery, and why a
+/// standby that itself crashes simply re-attaches over the same backend.
 ///
 /// Stream discipline: the standby says hello (and recovers from any torn
 /// or lost frame) with a [`ShipFrame::Restart`] carrying its durable
@@ -88,7 +92,14 @@ impl Standby {
                 return Ok(summary);
             }
             match self.transport.recv(wait) {
-                Received::Frame(bytes) => self.handle_frame(&bytes, &mut summary)?,
+                Received::Frame(bytes) => {
+                    if !self.handle_frame(&bytes, &mut summary)? {
+                        // Torn in transit or out of sequence: drop it and
+                        // restart from the last record durably applied.
+                        // Nothing bad reached the store.
+                        self.request_restart();
+                    }
+                }
                 Received::Idle => return Ok(summary),
                 Received::Closed => {
                     self.closed = true;
@@ -100,29 +111,24 @@ impl Standby {
         }
     }
 
-    fn handle_frame(&mut self, bytes: &[u8], summary: &mut Pumped) -> ReplicaResult<()> {
+    /// Applies one received frame. `false` means the frame was unusable —
+    /// it failed its CRC, or it skips records (a frame went missing) — and
+    /// nothing of it was applied.
+    fn handle_frame(&mut self, bytes: &[u8], summary: &mut Pumped) -> ReplicaResult<bool> {
         let Some(frame) = ShipFrame::decode(bytes) else {
-            // Torn in transit: drop it and restart from the last record
-            // durably applied. Nothing bad reached the store.
-            self.request_restart();
-            return Ok(());
+            return Ok(false);
         };
         match frame {
             ShipFrame::Records { first_lsn, records } => {
                 let expect = self.server.durable_lsn();
                 if first_lsn > expect {
-                    // A frame went missing: resync rather than apply a
-                    // stream that skips records.
-                    self.request_restart();
-                    return Ok(());
+                    return Ok(false);
                 }
                 // Overlap (a resync re-served records we already have) is
-                // trimmed; the rest applies in order.
-                let skip = (expect - first_lsn) as usize;
-                for (kind, payload) in records.iter().skip(skip) {
-                    self.server.apply_replicated(*kind, payload)?;
-                    summary.applied += 1;
-                }
+                // trimmed; the rest applies in order, as one batch.
+                let skip = ((expect - first_lsn) as usize).min(records.len());
+                self.server.apply_replicated(&records[skip..])?;
+                summary.applied += records.len() - skip;
                 let end = first_lsn + records.len() as u64;
                 self.primary_durable = self.primary_durable.max(end);
             }
@@ -130,23 +136,23 @@ impl Standby {
                 self.primary_durable = self.primary_durable.max(durable_lsn);
             }
             ShipFrame::Bootstrap { blobs, next_lsn } => {
-                self.rebuild_from(blobs)?;
+                self.rebuild_from(&blobs)?;
                 self.primary_durable = self.primary_durable.max(next_lsn);
             }
             // Wrong direction; a self-connected loopback is a bug, not
             // corruption.
             ShipFrame::Restart { .. } => {}
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Replaces the standby's store wholesale with a shipped copy of the
     /// primary's and re-opens the warm server over it.
-    fn rebuild_from(&mut self, blobs: Vec<(String, Vec<u8>)>) -> ReplicaResult<()> {
+    fn rebuild_from(&mut self, blobs: &[(&str, &[u8])]) -> ReplicaResult<()> {
         for name in self.backend.list()? {
             self.backend.delete(&name)?;
         }
-        for (name, bytes) in &blobs {
+        for (name, bytes) in blobs {
             self.backend.write_atomic(name, bytes)?;
         }
         self.backend.sync()?;
@@ -215,27 +221,39 @@ impl Standby {
         Ok(f(&mut self.server))
     }
 
-    /// Promotes this standby into a full primary: detaches from the
-    /// stream, discards the warm apply server, and runs normal crash
-    /// recovery over the standby's own store — fast, because the standby
-    /// checkpointed as it applied, so only a short tail replays. The
-    /// returned [`WarpServer`] serves and *repairs*: replicated repair
-    /// commits, cancellation flags and pending-repair markers all
-    /// survived the failover in the standby's log.
-    pub fn promote(self) -> ReplicaResult<(WarpServer, RecoveryReport)> {
-        let Standby {
-            app,
-            options,
-            backend,
-            server,
-            transport,
-            ..
-        } = self;
-        drop(transport);
-        drop(server);
-        let config = ServerConfig::new(app)
-            .with_backend(backend)
-            .with_store_options(options);
-        Ok(WarpServer::open(config)?)
+    /// Promotes this standby into a full primary, in place: every whole,
+    /// in-sequence frame the transport already holds is applied (so nothing
+    /// the primary acknowledged is lost to a caller that promotes without
+    /// a last [`pump`](Standby::pump); the first torn or out-of-sequence
+    /// frame ends the drain, and nobody is asked to resend), the stream is
+    /// dropped, and the warm server is handed over as it stands. No store
+    /// is reopened and no record replays: the server already applied every
+    /// record through the recovery path, logs to the standby's own store
+    /// and has its checkpoint tracker armed, and its plan and program
+    /// caches arrive warm. The report says what a recovery's would —
+    /// `recovered` if any replicated state is held, `pending_repair` if a
+    /// repair was interrupted mid-stream — with `records_replayed` zero.
+    ///
+    /// The returned [`WarpServer`] serves and *repairs*: replicated repair
+    /// commits, cancellation flags and pending-repair markers are all in
+    /// it, and in the standby's log should it crash in turn.
+    pub fn promote(mut self) -> ReplicaResult<(WarpServer, RecoveryReport)> {
+        let mut drained = Pumped::default();
+        while !self.closed {
+            match self.transport.recv(Duration::ZERO) {
+                Received::Frame(bytes) => {
+                    if !self.handle_frame(&bytes, &mut drained)? {
+                        break;
+                    }
+                }
+                Received::Idle | Received::Closed => break,
+            }
+        }
+        let report = RecoveryReport {
+            recovered: self.server.durable_lsn() > 0,
+            pending_repair: self.server.pending_repair().is_some(),
+            ..RecoveryReport::default()
+        };
+        Ok((self.server, report))
     }
 }

@@ -33,6 +33,14 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// Creates an empty encoder with room for `capacity` bytes, for callers
+    /// that know the encoded size and want the buffer allocated once.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Encoder {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -190,10 +198,15 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads a length-prefixed byte blob as a slice of the input.
+    pub fn slice(&mut self) -> CodecResult<&'a [u8]> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
     /// Reads a length-prefixed byte blob.
     pub fn bytes(&mut self) -> CodecResult<Vec<u8>> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        Ok(self.slice()?.to_vec())
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -236,7 +249,7 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// The standard CRC-32 (IEEE 802.3) lookup table, built at compile time.
+/// The standard CRC-32 (IEEE 802.3) byte table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -255,6 +268,25 @@ const CRC_TABLE: [u32; 256] = {
         i += 1;
     }
     table
+};
+
+/// The slicing-by-8 tables: `CRC_SLICES[k][b]` is the CRC state that byte
+/// `b` becomes after `k` further zero bytes, so eight input bytes fold into
+/// the state with eight independent lookups instead of a chain of eight
+/// dependent ones. Row 0 is [`CRC_TABLE`]; same polynomial, same checksums.
+const CRC_SLICES: [[u32; 256]; 8] = {
+    let mut slices = [CRC_TABLE; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = slices[k - 1][i];
+            slices[k][i] = (prev >> 8) ^ CRC_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    slices
 };
 
 /// Computes the CRC-32 (IEEE) checksum of a byte slice.
@@ -281,7 +313,19 @@ impl Crc32 {
     /// Folds `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
         let mut crc = self.state;
-        for &b in data {
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = CRC_SLICES[7][(lo & 0xFF) as usize]
+                ^ CRC_SLICES[6][((lo >> 8) & 0xFF) as usize]
+                ^ CRC_SLICES[5][((lo >> 16) & 0xFF) as usize]
+                ^ CRC_SLICES[4][(lo >> 24) as usize]
+                ^ CRC_SLICES[3][w[4] as usize]
+                ^ CRC_SLICES[2][w[5] as usize]
+                ^ CRC_SLICES[1][w[6] as usize]
+                ^ CRC_SLICES[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
             crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
         }
         self.state = crc;
@@ -378,5 +422,71 @@ mod tests {
             assert_eq!(crc.finish(), crc32(data), "split at {split}");
         }
         assert_eq!(Crc32::default().finish(), 0);
+    }
+
+    /// The byte-at-a-time CRC-32 the slicing kernel replaced, kept as the
+    /// reference it must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// A deterministic byte stream (xorshift64*), so failures reproduce.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slicing_equals_bytewise_at_every_short_length_and_alignment() {
+        let buf = noise(7, 64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slicing_equals_bytewise_on_long_random_inputs() {
+        let buf = noise(11, 1 << 20);
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf));
+        let lens = noise(13, 3 * 24);
+        for triple in lens.chunks_exact(3) {
+            let len = u32::from_le_bytes([triple[0], triple[1], triple[2], 0]) as usize % buf.len();
+            let start = (buf.len() - len) / 3;
+            let data = &buf[start..start + len];
+            assert_eq!(crc32(data), crc32_bytewise(data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn streamed_slicing_equals_bytewise_under_every_split() {
+        let data = noise(17, 41);
+        let expected = crc32_bytewise(&data);
+        for a in 0..=data.len() {
+            for b in a..=data.len() {
+                let mut crc = Crc32::new();
+                crc.update(&data[..a]);
+                crc.update(&data[a..b]);
+                crc.update(&data[b..]);
+                assert_eq!(crc.finish(), expected, "splits at {a} and {b}");
+            }
+        }
     }
 }

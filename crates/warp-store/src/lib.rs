@@ -78,7 +78,7 @@ pub mod writer;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use codec::{crc32, CodecError, Crc32, Decoder, Encoder};
-pub use log::{DurableStore, NumberedRecord, Recovered, StoreOptions, KILL_AFTER_CKPT_WRITE_ENV};
+pub use log::{DurableStore, Recovered, StoreOptions, KILL_AFTER_CKPT_WRITE_ENV};
 pub use maintenance::{ChainFolder, MaintenanceConfig, MaintenanceStats, MaintenanceWorker};
 pub use ship::{ShipFrame, ShipperHook, FRAME_HEADER, MAX_FRAME_BODY};
 pub use writer::{BatchPolicy, GroupCommitWriter, WriterStats};

@@ -83,11 +83,6 @@ pub struct Recovered {
     pub torn_tail: bool,
 }
 
-/// A `(lsn, kind, payload)` triple as re-read from the live segments by
-/// [`DurableStore::read_records_from`] — the shape a log-shipping resync
-/// serves to a standby.
-pub type NumberedRecord = (u64, u8, Vec<u8>);
-
 /// A segmented, checksummed, append-only record log with incremental
 /// checkpoint chains, over any [`StorageBackend`]. See the crate docs for
 /// the layout and recovery semantics.
@@ -161,11 +156,11 @@ pub(crate) fn parse_checkpoint_blob_name(name: &str) -> Option<(u64, CkptKind)> 
     None
 }
 
-/// One record parsed out of a segment.
-enum Scan {
+/// One record parsed out of a segment; the payload stays a slice of it.
+enum Scan<'a> {
     Record {
         kind: u8,
-        payload: Vec<u8>,
+        payload: &'a [u8],
         end: usize,
     },
     /// The bytes at `valid_end..` are torn or corrupt.
@@ -175,7 +170,7 @@ enum Scan {
     End,
 }
 
-fn scan_record(blob: &[u8], pos: usize) -> Scan {
+fn scan_record(blob: &[u8], pos: usize) -> Scan<'_> {
     if pos >= blob.len() {
         return Scan::End;
     }
@@ -194,7 +189,7 @@ fn scan_record(blob: &[u8], pos: usize) -> Scan {
     }
     Scan::Record {
         kind: body[0],
-        payload: body[1..].to_vec(),
+        payload: &body[1..],
         end: body_start + len,
     }
 }
@@ -415,7 +410,7 @@ impl DurableStore {
                 match scan_record(&blob, pos) {
                     Scan::Record { kind, payload, end } => {
                         if lsn >= checkpoint_lsn {
-                            records.push((lsn, kind, payload));
+                            records.push((lsn, kind, payload.to_vec()));
                         }
                         lsn += 1;
                         pos = end;
@@ -463,7 +458,7 @@ impl DurableStore {
 
     /// Appends one record and returns its LSN.
     pub fn append(&mut self, kind: u8, payload: &[u8]) -> StoreResult<u64> {
-        self.append_batch(&[(kind, payload.to_vec())])
+        self.append_batch(&[(kind, payload)])
     }
 
     /// Appends a batch of records with a *single* backend write and returns
@@ -474,8 +469,9 @@ impl DurableStore {
     /// [`StoreOptions::segment_bytes`] — the next append rolls — so a batch
     /// is never split across a segment boundary. Frame encoding reuses one
     /// scratch buffer across calls; the hot path allocates nothing per
-    /// record.
-    pub fn append_batch(&mut self, records: &[(u8, Vec<u8>)]) -> StoreResult<u64> {
+    /// record, and payloads may be owned or borrowed — a standby appends a
+    /// received frame's records as slices of the frame.
+    pub fn append_batch<P: AsRef<[u8]>>(&mut self, records: &[(u8, P)]) -> StoreResult<u64> {
         let first_lsn = self.next_lsn;
         if records.is_empty() {
             return Ok(first_lsn);
@@ -492,6 +488,7 @@ impl DurableStore {
         let mut frames = std::mem::take(&mut self.scratch);
         frames.clear();
         for (kind, payload) in records {
+            let payload = payload.as_ref();
             frames.extend_from_slice(&((1 + payload.len()) as u32).to_le_bytes());
             let mut crc = Crc32::new();
             crc.update(std::slice::from_ref(kind));
@@ -629,7 +626,7 @@ impl DurableStore {
             loop {
                 match scan_record(&raw, pos) {
                     Scan::Record { kind, payload, end } => {
-                        records.push((lsn, kind, payload));
+                        records.push((lsn, kind, payload.to_vec()));
                         lsn += 1;
                         pos = end;
                     }
@@ -707,18 +704,29 @@ impl DurableStore {
         self.backend.total_bytes()
     }
 
-    /// Re-reads every record with LSN ≥ `from` out of the live segments —
-    /// the log-shipping resync path: a standby that lost frames asks to
-    /// restart from its durable watermark, and the shipper serves the gap
-    /// from here. Returns `Ok(None)` when the segments can no longer serve
-    /// `from` (a base checkpoint compacted them away); the caller falls
-    /// back to a full bootstrap. `from ≥ next_lsn` yields an empty batch.
+    /// Streams every record with LSN ≥ `from` out of the live segments, one
+    /// segment at a time — the log-shipping resync path: a standby that
+    /// lost frames asks to restart from its durable watermark, and the
+    /// shipper frames the gap from here. `visit` gets each segment's
+    /// records as `(kind, payload)` slices of the segment just read, with
+    /// the LSN of the first; returning `false` stops the scan (the peer is
+    /// gone). Segments wholly below `from` are not read at all.
+    ///
+    /// Returns `Ok(false)` when the segments cannot serve the stream — a
+    /// base checkpoint compacted `from` away, or the log has a hole above
+    /// it (a tail torn below the chain tip resumes in a fresh segment); the
+    /// caller falls back to a full bootstrap, even if some segments were
+    /// already visited. `from ≥ next_lsn` visits nothing.
     ///
     /// Only call on a quiescent store (the group-commit writer thread owns
     /// the store, so its shipper hook reads a consistent log).
-    pub fn read_records_from(&self, from: u64) -> StoreResult<Option<Vec<NumberedRecord>>> {
+    pub fn scan_records_from(
+        &self,
+        from: u64,
+        mut visit: impl FnMut(u64, &[(u8, &[u8])]) -> bool,
+    ) -> StoreResult<bool> {
         if from >= self.next_lsn {
-            return Ok(Some(Vec::new()));
+            return Ok(true);
         }
         let names = self.backend.list()?;
         let mut seg_lsns: Vec<u64> = names
@@ -728,11 +736,15 @@ impl DurableStore {
         seg_lsns.sort_unstable();
         // The segments serve `from` only if some segment starts at or
         // below it; anything older was compacted by a base checkpoint.
-        if seg_lsns.first().is_none_or(|&first| first > from) {
-            return Ok(None);
+        let covering = seg_lsns.partition_point(|&first| first <= from);
+        if covering == 0 {
+            return Ok(false);
         }
-        let mut records = Vec::new();
-        for &first_lsn in &seg_lsns {
+        let mut next = seg_lsns[covering - 1];
+        for &first_lsn in &seg_lsns[covering - 1..] {
+            if first_lsn != next {
+                return Ok(false);
+            }
             let name = segment_name(first_lsn);
             let blob = self
                 .backend
@@ -741,15 +753,15 @@ impl DurableStore {
             if blob.len() < SEGMENT_MAGIC.len() || &blob[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
                 return Err(StoreError::Corrupt(format!("segment {name}: bad magic")));
             }
-            let mut lsn = first_lsn;
+            let mut records = Vec::new();
             let mut pos = SEGMENT_MAGIC.len();
             loop {
                 match scan_record(&blob, pos) {
                     Scan::Record { kind, payload, end } => {
-                        if lsn >= from {
-                            records.push((lsn, kind, payload));
+                        if next >= from {
+                            records.push((kind, payload));
                         }
-                        lsn += 1;
+                        next += 1;
                         pos = end;
                     }
                     Scan::End => break,
@@ -762,8 +774,11 @@ impl DurableStore {
                     }
                 }
             }
+            if !records.is_empty() && !visit(next - records.len() as u64, &records) {
+                break;
+            }
         }
-        Ok(Some(records))
+        Ok(true)
     }
 
     /// A consistent copy of every blob in the backend, for bootstrapping a
@@ -976,7 +991,7 @@ mod tests {
         assert_eq!(first, 1);
         assert_eq!(store.next_lsn(), 4);
         // An empty batch is a no-op that still reports the next LSN.
-        assert_eq!(store.append_batch(&[]).unwrap(), 4);
+        assert_eq!(store.append_batch::<&[u8]>(&[]).unwrap(), 4);
         let (_, recovered) = open_mem(&mem, StoreOptions::default());
         assert_eq!(
             recovered.records,
@@ -1020,6 +1035,100 @@ mod tests {
         let (_, recovered) = open_mem(&mem, options);
         assert_eq!(recovered.records.len(), 9);
         assert_eq!(recovered.records[8], (8, 9, b"next".to_vec()));
+    }
+
+    type Numbered = Vec<(u64, u8, Vec<u8>)>;
+
+    /// Collects what [`DurableStore::scan_records_from`] visits, as
+    /// `(lsn, kind, payload)`, with the number of visits.
+    fn scan_from(store: &DurableStore, from: u64) -> Option<(Numbered, usize)> {
+        let mut seen = Vec::new();
+        let mut visits = 0;
+        let served = store
+            .scan_records_from(from, |first_lsn, records| {
+                visits += 1;
+                for (i, (kind, payload)) in records.iter().enumerate() {
+                    seen.push((first_lsn + i as u64, *kind, payload.to_vec()));
+                }
+                true
+            })
+            .unwrap();
+        served.then_some((seen, visits))
+    }
+
+    #[test]
+    fn scan_from_streams_the_gap_one_segment_at_a_time() {
+        let mem = MemoryBackend::new();
+        let options = StoreOptions {
+            segment_bytes: 64,
+            checkpoint_interval: 0,
+            ..StoreOptions::default()
+        };
+        let (mut store, _) = open_mem(&mem, options);
+        for i in 0..20u8 {
+            store.append(i, &[i; 16]).unwrap();
+        }
+        let segments = mem
+            .list()
+            .unwrap()
+            .iter()
+            .filter(|n| n.starts_with("seg-"))
+            .count();
+        let (all, visits) = scan_from(&store, 0).unwrap();
+        assert_eq!(visits, segments);
+        assert_eq!(all.len(), 20);
+        for (i, (lsn, kind, payload)) in all.iter().enumerate() {
+            assert_eq!((*lsn, *kind), (i as u64, i as u8));
+            assert_eq!(payload, &vec![i as u8; 16]);
+        }
+        // A mid-segment start trims that segment and skips the ones below.
+        let (tail, visits) = scan_from(&store, 13).unwrap();
+        assert_eq!(tail, all[13..]);
+        assert!(visits < segments);
+        // Caught up already: served, nothing to visit.
+        assert_eq!(scan_from(&store, 20), Some((Vec::new(), 0)));
+        // The visitor can stop the scan.
+        let mut visits = 0;
+        let served = store.scan_records_from(0, |_, _| {
+            visits += 1;
+            false
+        });
+        assert!(served.unwrap());
+        assert_eq!(visits, 1);
+    }
+
+    #[test]
+    fn scan_from_refuses_what_the_segments_no_longer_hold() {
+        let mem = MemoryBackend::new();
+        let options = StoreOptions {
+            segment_bytes: 1 << 20,
+            checkpoint_interval: 0,
+            ..StoreOptions::default()
+        };
+        let (mut store, _) = open_mem(&mem, options);
+        store.append(1, b"one").unwrap();
+        store.append(1, b"two").unwrap();
+        store.write_checkpoint(b"BASE@2").unwrap();
+        store.append(1, b"three").unwrap();
+        store.append(1, b"four").unwrap();
+        // Compacted away by the base.
+        assert_eq!(scan_from(&store, 1), None);
+        assert_eq!(scan_from(&store, 2).unwrap().0.len(), 2);
+        store.write_delta_checkpoint(b"D@4").unwrap();
+        drop(store);
+        // Tear record four: the delta still covers it, so the store resumes
+        // at LSN 4 in a fresh segment and the log has a hole at LSN 3.
+        let name = segment_name(2);
+        let full = mem.read(&name).unwrap().unwrap().len();
+        mem.truncate_blob(&name, full - 2);
+        let (mut store, _) = open_mem(&mem, options);
+        store.append(1, b"five").unwrap();
+        assert_eq!(scan_from(&store, 2), None, "a hole above `from`");
+        assert_eq!(scan_from(&store, 3), None, "`from` inside the hole");
+        assert_eq!(
+            scan_from(&store, 4).unwrap().0,
+            vec![(4, 1, b"five".to_vec())]
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! writer thread itself. The hook has `&mut DurableStore` access between
 //! batches, which is what makes resync cheap and race-free: when a standby
 //! asks to restart from its durable watermark, the hook re-reads the gap
-//! straight out of the live segments ([`DurableStore::read_records_from`]),
+//! straight out of the live segments ([`DurableStore::scan_records_from`]),
 //! or falls back to copying the whole store
 //! ([`DurableStore::export_blobs`]) when a base checkpoint already
 //! compacted the requested records away.
@@ -31,7 +31,7 @@
 //! length or CRC check decodes to `None` — the receiver treats that as a
 //! torn stream and requests a restart from its watermark.
 
-use crate::codec::{crc32, Decoder, Encoder};
+use crate::codec::{crc32, CodecError, Decoder, Encoder};
 use crate::log::DurableStore;
 
 /// Byte count of the `[len][crc]` frame header.
@@ -46,16 +46,20 @@ const TAG_WATERMARK: u8 = 2;
 const TAG_RESTART: u8 = 3;
 const TAG_BOOTSTRAP: u8 = 4;
 
-/// One message on the replication stream, in either direction.
+/// One message on the replication stream, in either direction. Record
+/// payloads and bootstrap blobs are *borrowed*: the sender frames them
+/// straight out of the segment (or batch) that holds them, and a decoded
+/// frame points into the received bytes — neither end copies a payload to
+/// build or to read a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShipFrame {
+pub enum ShipFrame<'a> {
     /// Shipper → standby: a durable batch. `first_lsn` is the LSN of
     /// `records[0]`; the rest follow consecutively.
     Records {
         /// LSN of the first record in the batch.
         first_lsn: u64,
         /// The `(kind, payload)` records, exactly as appended.
-        records: Vec<(u8, Vec<u8>)>,
+        records: Vec<(u8, &'a [u8])>,
     },
     /// Shipper → standby: heartbeat carrying the primary's durable LSN,
     /// so lag is measurable even when no records flow.
@@ -76,17 +80,37 @@ pub enum ShipFrame {
     /// `next_lsn`.
     Bootstrap {
         /// Every blob in the primary's backend at the copy instant.
-        blobs: Vec<(String, Vec<u8>)>,
+        blobs: Vec<(&'a str, &'a [u8])>,
         /// The primary's next LSN at the copy instant; streaming resumes
         /// here.
         next_lsn: u64,
     },
 }
 
-impl ShipFrame {
-    /// Encodes the frame, header included, ready for any transport.
+impl<'a> ShipFrame<'a> {
+    /// Encodes the frame, header included, ready for any transport. The
+    /// frame is built in one exactly-sized buffer: each payload byte is
+    /// copied into it once and checksummed once.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        // Tag, one u64, and for the sequences a count plus a length prefix
+        // (and a kind byte) per element.
+        let body_len = 1
+            + 8
+            + match self {
+                ShipFrame::Records { records, .. } => {
+                    4 + records.iter().map(|(_, p)| 1 + 4 + p.len()).sum::<usize>()
+                }
+                ShipFrame::Bootstrap { blobs, .. } => {
+                    4 + blobs
+                        .iter()
+                        .map(|(n, b)| 4 + n.len() + 4 + b.len())
+                        .sum::<usize>()
+                }
+                ShipFrame::Watermark { .. } | ShipFrame::Restart { .. } => 0,
+            };
+        let mut enc = Encoder::with_capacity(FRAME_HEADER + body_len);
+        // The header is filled in once the body it describes is in place.
+        enc.u64(0);
         match self {
             ShipFrame::Records { first_lsn, records } => {
                 enc.u8(TAG_RECORDS);
@@ -113,17 +137,17 @@ impl ShipFrame {
                 });
             }
         }
-        let body = enc.into_bytes();
-        let mut frame = Vec::with_capacity(FRAME_HEADER + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
+        let mut frame = enc.into_bytes();
+        let (header, body) = frame.split_at_mut(FRAME_HEADER);
+        header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(body).to_le_bytes());
         frame
     }
 
-    /// Decodes one whole frame (header included). `None` means torn or
-    /// corrupt — wrong length, bad CRC, or an undecodable body.
-    pub fn decode(frame: &[u8]) -> Option<ShipFrame> {
+    /// Decodes one whole frame (header included); record payloads and blobs
+    /// stay slices of `frame`. `None` means torn or corrupt — wrong length,
+    /// bad CRC, or an undecodable body.
+    pub fn decode(frame: &'a [u8]) -> Option<ShipFrame<'a>> {
         if frame.len() < FRAME_HEADER {
             return None;
         }
@@ -140,13 +164,7 @@ impl ShipFrame {
         let frame = match dec.u8().ok()? {
             TAG_RECORDS => {
                 let first_lsn = dec.u64().ok()?;
-                let records = dec
-                    .seq(|d| {
-                        let kind = d.u8()?;
-                        let payload = d.bytes()?;
-                        Ok((kind, payload))
-                    })
-                    .ok()?;
+                let records = dec.seq(|d| Ok((d.u8()?, d.slice()?))).ok()?;
                 ShipFrame::Records { first_lsn, records }
             }
             TAG_WATERMARK => ShipFrame::Watermark {
@@ -159,9 +177,9 @@ impl ShipFrame {
                 let next_lsn = dec.u64().ok()?;
                 let blobs = dec
                     .seq(|d| {
-                        let name = d.str()?;
-                        let bytes = d.bytes()?;
-                        Ok((name, bytes))
+                        let name = std::str::from_utf8(d.slice()?)
+                            .map_err(|e| CodecError(format!("invalid UTF-8 blob name: {e}")))?;
+                        Ok((name, d.slice()?))
                     })
                     .ok()?;
                 ShipFrame::Bootstrap { blobs, next_lsn }
@@ -199,37 +217,127 @@ pub trait ShipperHook: Send {
 mod tests {
     use super::*;
 
-    #[test]
-    fn frames_round_trip() {
-        let frames = vec![
+    fn sample_frames() -> Vec<ShipFrame<'static>> {
+        vec![
             ShipFrame::Records {
                 first_lsn: 42,
-                records: vec![(1, b"alpha".to_vec()), (7, Vec::new())],
+                records: vec![(1, b"alpha"), (7, b""), (4, &[0xff; 9])],
             },
             ShipFrame::Watermark { durable_lsn: 99 },
             ShipFrame::Restart { from: 0 },
             ShipFrame::Bootstrap {
-                blobs: vec![("seg-0.log".into(), vec![1, 2, 3])],
+                blobs: vec![("seg-0.log", &[1, 2, 3])],
                 next_lsn: 17,
             },
-        ];
-        for frame in frames {
+        ]
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        for frame in sample_frames() {
             let bytes = frame.encode();
             assert_eq!(ShipFrame::decode(&bytes), Some(frame));
         }
     }
 
+    /// The bytes the owned-`Vec` encoder this one replaced produced for the
+    /// same frames: borrowing the payloads changed no byte on the wire.
+    #[test]
+    fn borrowed_encoding_is_byte_equal_to_the_owned_one() {
+        let frames = sample_frames();
+        let records: &[u8] = &[
+            42, 0, 0, 0, 64, 195, 181, 137, 1, 42, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 5, 0, 0, 0,
+            97, 108, 112, 104, 97, 7, 0, 0, 0, 0, 4, 9, 0, 0, 0, 255, 255, 255, 255, 255, 255, 255,
+            255, 255,
+        ];
+        let bootstrap: &[u8] = &[
+            33, 0, 0, 0, 94, 186, 0, 103, 4, 17, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 115,
+            101, 103, 45, 48, 46, 108, 111, 103, 3, 0, 0, 0, 1, 2, 3,
+        ];
+        assert_eq!(frames[0].encode(), records);
+        assert_eq!(frames[3].encode(), bootstrap);
+        // The buffer was sized exactly: no reallocation copied the body.
+        let encoded = frames[0].encode();
+        assert_eq!(encoded.capacity(), encoded.len());
+    }
+
     #[test]
     fn torn_and_corrupt_frames_decode_to_none() {
-        let bytes = ShipFrame::Watermark { durable_lsn: 5 }.encode();
-        for cut in 0..bytes.len() {
-            assert_eq!(ShipFrame::decode(&bytes[..cut]), None, "cut at {cut}");
+        for frame in sample_frames() {
+            let bytes = frame.encode();
+            for cut in 0..bytes.len() {
+                assert_eq!(ShipFrame::decode(&bytes[..cut]), None, "cut at {cut}");
+            }
+            // Every single-bit flip — in the length, the CRC, the tag, a
+            // count, a payload — is caught, and none panics the decoder.
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(ShipFrame::decode(&flipped), None, "bit {bit} flipped");
+            }
+            let mut extended = bytes;
+            extended.push(0);
+            assert_eq!(ShipFrame::decode(&extended), None);
         }
-        let mut flipped = bytes.clone();
-        *flipped.last_mut().unwrap() ^= 0xff;
-        assert_eq!(ShipFrame::decode(&flipped), None);
-        let mut extended = bytes;
-        extended.push(0);
-        assert_eq!(ShipFrame::decode(&extended), None);
+    }
+
+    /// A body that passes the CRC but lies about its contents (a count or a
+    /// length larger than the bytes that follow) is rejected, not trusted.
+    #[test]
+    fn well_checksummed_garbage_bodies_decode_to_none() {
+        let bodies: [&[u8]; 4] = [
+            &[TAG_RECORDS, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff],
+            &[
+                TAG_RECORDS,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                1,
+                0,
+                0,
+                0,
+                9,
+                0xff,
+                0xff,
+                0xff,
+                0x7f,
+            ],
+            &[
+                TAG_BOOTSTRAP,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                1,
+                0,
+                0,
+                0,
+                1,
+                0,
+                0,
+                0,
+                0xff,
+                0,
+                0,
+                0,
+                0,
+            ],
+            &[9, 1, 2, 3],
+        ];
+        for body in bodies {
+            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&crc32(body).to_le_bytes());
+            frame.extend_from_slice(body);
+            assert_eq!(ShipFrame::decode(&frame), None, "body {body:?}");
+        }
     }
 }

@@ -205,18 +205,19 @@ fn phase_failover(dir: &str) -> bool {
         return false;
     }
 
-    // Promote: ordinary crash recovery over the standby's own warm store.
+    // Promote: the standby's warm server is handed over as it stands — no
+    // store is reopened, no record replays.
     let started = Instant::now();
     let (mut promoted, report) = standby.promote().expect("promote");
     println!(
-        "promoted in {:?}: checkpoint={} records_replayed={} actions={}",
+        "promoted in place in {:?}: records_replayed={} actions={} durable_lsn={}",
         started.elapsed(),
-        report.from_checkpoint,
         report.records_replayed,
-        promoted.history.len()
+        promoted.history.len(),
+        promoted.durable_lsn()
     );
-    if !report.recovered || promoted.history.is_empty() {
-        eprintln!("FAIL: promotion recovered nothing");
+    if !report.recovered || report.records_replayed != 0 || promoted.history.is_empty() {
+        eprintln!("FAIL: promotion did not hand over the replicated state");
         return false;
     }
     // The attack must have replicated: the scripted defacement of Secret
