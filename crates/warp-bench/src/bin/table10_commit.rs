@@ -4,19 +4,15 @@
 //! database grows; the `snapshot` reference path is measured alongside to
 //! show the O(database) cost it replaced.
 fn main() {
-    let args = warp_bench::cli::bench_args(
+    let args = warp_bench::cli::args(
         "table10_commit",
         "Measures how long building and logging a repair commit record \
          takes as the database grows 10x while the repair footprint stays \
          fixed, for the mutation-tracked delta path (production) and the \
          snapshot-diff reference path.",
-        "ROWS",
-        400,
+        Some(("ROWS", 400)),
+        &["--json"],
     );
-    let records = warp_bench::table10_commit(args.scale);
-    if let Some(path) = args.json {
-        warp_bench::report::append_commit_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing commit report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
-    }
+    let rows = warp_bench::table10_commit(args.scale);
+    warp_bench::cli::write_report(args.json, &rows);
 }

@@ -3,19 +3,15 @@
 //! across the `relaxed`/`group`/`immediate` durability tiers and 1/4/8
 //! client threads.
 fn main() {
-    let args = warp_bench::cli::bench_args(
+    let args = warp_bench::cli::args(
         "table11_serve",
         "Measures the concurrent serving façade: throughput and latency per \
          durability tier (relaxed, group commit, immediate) and client-thread \
          count. Group commit must hold its throughput close to the relaxed \
          tier while acknowledging only durable requests.",
-        "REQUESTS_PER_THREAD",
-        120,
+        Some(("REQUESTS_PER_THREAD", 120)),
+        &["--json"],
     );
-    let records = warp_bench::table11_serve(args.scale);
-    if let Some(path) = args.json {
-        warp_bench::report::append_serve_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing serve report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
-    }
+    let rows = warp_bench::table11_serve(args.scale);
+    warp_bench::cli::write_report(args.json, &rows);
 }

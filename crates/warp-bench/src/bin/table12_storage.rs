@@ -4,7 +4,7 @@
 //! wall-clock cost of incremental (delta) vs whole-state (base)
 //! checkpoints as the database grows 10×.
 fn main() {
-    let args = warp_bench::cli::bench_args(
+    let args = warp_bench::cli::args(
         "table12_storage",
         "Measures the storage subsystem under the incremental checkpoint \
          chain: sustained group-commit serving p99 with a concurrent \
@@ -13,13 +13,9 @@ fn main() {
          The CI gate holds maintained p99 within 2x of quiescent and \
          demands the delta checkpoint stay at least 5x cheaper than the \
          whole-state encode at the largest size.",
-        "REQUESTS_PER_THREAD",
-        120,
+        Some(("REQUESTS_PER_THREAD", 120)),
+        &["--json"],
     );
-    let records = warp_bench::table12_storage(args.scale);
-    if let Some(path) = args.json {
-        warp_bench::report::append_storage_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing storage report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
-    }
+    let rows = warp_bench::table12_storage(args.scale);
+    warp_bench::cli::write_report(args.json, &rows);
 }

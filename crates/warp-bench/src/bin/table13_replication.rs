@@ -4,7 +4,7 @@
 //! standby in place, serve — against cold log-replay over the primary's
 //! full history.
 fn main() {
-    let args = warp_bench::cli::bench_args(
+    let args = warp_bench::cli::args(
         "table13_replication",
         "Measures log-shipping replication: standby lag (in log records) \
          while client threads hammer the primary, and the time from the \
@@ -13,13 +13,9 @@ fn main() {
          the primary's full log. The standby only applies the stretch it \
          was behind by, so failover should beat cold replay by a margin \
          that grows with the history.",
-        "ACTIONS",
-        400,
+        Some(("ACTIONS", 400)),
+        &["--json"],
     );
-    let records = warp_bench::table13_replication(args.scale);
-    if let Some(path) = args.json {
-        warp_bench::report::append_replication_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing replication report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
-    }
+    let rows = warp_bench::table13_replication(args.scale);
+    warp_bench::cli::write_report(args.json, &rows);
 }

@@ -1,10 +1,10 @@
 //! Regenerates Table 3 (and the Table 7 counters): attack recovery outcomes.
 fn main() {
-    let users = warp_bench::cli::scale_arg(
+    let args = warp_bench::cli::args(
         "table3_recovery",
         "Regenerates Table 3 (and the Table 7 counters): attack recovery outcomes.",
-        "USERS",
-        12,
+        Some(("USERS", 12)),
+        &[],
     );
-    warp_bench::table3_and_7(users, false);
+    warp_bench::table3_and_7(args.scale, false);
 }

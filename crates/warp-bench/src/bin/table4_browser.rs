@@ -1,10 +1,10 @@
 //! Regenerates Table 4: browser re-execution effectiveness.
 fn main() {
-    let victims = warp_bench::cli::scale_arg(
+    let args = warp_bench::cli::args(
         "table4_browser",
         "Regenerates Table 4: browser re-execution effectiveness.",
-        "VICTIMS",
-        8,
+        Some(("VICTIMS", 8)),
+        &[],
     );
-    warp_bench::table4_browser(victims);
+    warp_bench::table4_browser(args.scale);
 }

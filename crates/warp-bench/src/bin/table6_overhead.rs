@@ -1,10 +1,10 @@
 //! Regenerates Table 6: logging overhead and storage per page visit.
 fn main() {
-    let visits = warp_bench::cli::scale_arg(
+    let args = warp_bench::cli::args(
         "table6_overhead",
         "Regenerates Table 6: logging overhead and storage per page visit.",
-        "VISITS",
-        200,
+        Some(("VISITS", 200)),
+        &[],
     );
-    warp_bench::table6_overhead(visits);
+    warp_bench::table6_overhead(args.scale);
 }

@@ -1,28 +1,22 @@
 //! Regenerates Table 7: repair performance, including the victims-at-start variant.
 fn main() {
-    let args = warp_bench::cli::bench_args(
+    let args = warp_bench::cli::args(
         "table7_repair_100",
         "Regenerates Table 7: repair performance, including the victims-at-start variant. \
          With --workers, also times sequential vs partitioned parallel repair. With \
          --frontier, also measures column-aware vs partition-grained frontier pruning.",
-        "USERS",
-        20,
+        Some(("USERS", 20)),
+        &["--workers", "--json", "--frontier"],
     );
     warp_bench::table3_and_7(args.scale, false);
     warp_bench::table3_and_7(args.scale, true);
     if args.workers.is_some() || args.json.is_some() {
         let workers = args.workers.unwrap_or(4);
-        let records = warp_bench::repair_benchmark("table7_repair_100", &[args.scale], workers);
-        if let Some(path) = args.json {
-            warp_bench::report::append_records(&path, &records)
-                .unwrap_or_else(|e| panic!("writing benchmark report: {e}"));
-            println!("wrote {} records to {}", records.len(), path.display());
-        }
+        let rows = warp_bench::repair_benchmark("table7_repair_100", &[args.scale], workers);
+        warp_bench::cli::write_report(args.json, &rows);
     }
-    if let Some(path) = args.frontier {
-        let records = warp_bench::frontier_benchmark("table7_repair_100", args.scale);
-        warp_bench::report::append_frontier_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing frontier report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
+    if args.frontier.is_some() {
+        let rows = warp_bench::frontier_benchmark("table7_repair_100", args.scale);
+        warp_bench::cli::write_report(args.frontier, &rows);
     }
 }

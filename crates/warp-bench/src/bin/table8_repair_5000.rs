@@ -1,31 +1,25 @@
 //! Regenerates Table 8: repair scaling with workload size.
 fn main() {
-    let args = warp_bench::cli::bench_args(
+    let args = warp_bench::cli::args(
         "table8_repair_5000",
         "Regenerates Table 8: repair scaling with workload size. \
          With --workers, also times sequential vs partitioned parallel repair. With \
          --frontier, also measures column-aware vs partition-grained frontier pruning.",
-        "MAX_USERS",
-        40,
+        Some(("MAX_USERS", 40)),
+        &["--workers", "--json", "--frontier"],
     );
     warp_bench::table8_scaling(&[args.scale / 4, args.scale]);
     if args.workers.is_some() || args.json.is_some() {
         let workers = args.workers.unwrap_or(4);
-        let records = warp_bench::repair_benchmark(
+        let rows = warp_bench::repair_benchmark(
             "table8_repair_5000",
             &[args.scale / 4, args.scale],
             workers,
         );
-        if let Some(path) = args.json {
-            warp_bench::report::append_records(&path, &records)
-                .unwrap_or_else(|e| panic!("writing benchmark report: {e}"));
-            println!("wrote {} records to {}", records.len(), path.display());
-        }
+        warp_bench::cli::write_report(args.json, &rows);
     }
-    if let Some(path) = args.frontier {
-        let records = warp_bench::frontier_benchmark("table8_repair_5000", args.scale);
-        warp_bench::report::append_frontier_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing frontier report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
+    if args.frontier.is_some() {
+        let rows = warp_bench::frontier_benchmark("table8_repair_5000", args.scale);
+        warp_bench::cli::write_report(args.frontier, &rows);
     }
 }

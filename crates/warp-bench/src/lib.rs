@@ -1,11 +1,15 @@
 //! `warp-bench` — harnesses that regenerate every table of the paper's
-//! evaluation (§8).
+//! evaluation (§8), plus five tables of its own (9–13).
 //!
 //! Each `table*` function prints one table in the same shape the paper
 //! reports it; the `src/bin/table*.rs` binaries are thin wrappers so each
 //! table can be regenerated with `cargo run -p warp-bench --bin table3_recovery`
-//! (etc.). Criterion benches under `benches/` measure the wall-clock numbers
-//! (logging overhead, repair time, substrate costs).
+//! (etc.). Every binary parses its command line through [`cli::args`]. The
+//! timing tables also return their measurements as rows of a
+//! machine-readable report ([`report`]), which the binaries append to a
+//! `BENCH_*.json` file under `--json PATH` and `bench_gate` judges with the
+//! gates of [`report::GATES`]. Criterion benches under `benches/` measure
+//! the wall-clock numbers (logging overhead, repair time, substrate costs).
 //!
 //! Scale note: the paper's workloads use 100 and 5,000 users on a dedicated
 //! testbed. The binaries accept a user count (first CLI argument) and
@@ -16,6 +20,7 @@
 pub mod json;
 pub mod report;
 
+use json::Json;
 use std::collections::BTreeSet;
 use std::time::Instant;
 use warp_apps::attacks::AttackKind;
@@ -467,24 +472,32 @@ pub fn table8_scaling(user_counts: &[usize]) {
     }
 }
 
+/// Runs per measured configuration. The best run is reported: single
+/// samples on shared CI runners are noisy enough to trip a regression gate
+/// on a descheduling hiccup.
+const REPEATS: usize = 3;
+
+/// The first of `runs` with the smallest `key`.
+fn best_by<T>(runs: impl IntoIterator<Item = T>, key: impl Fn(&T) -> f64) -> T {
+    runs.into_iter()
+        .min_by(|a, b| key(a).total_cmp(&key(b)))
+        .expect("at least one run")
+}
+
 /// Times sequential vs partitioned repair on the Table 7/8 attack scenarios
-/// and returns one [`report::RepairBenchRecord`] per engine run. The printed
+/// and returns one `BENCH_repair.json` row per engine run. The printed
 /// table reports the repair wall clock (`RepairStats::time_total`), the
 /// re-execution counters and the partition statistics, so the
 /// order-of-magnitude claim of §8 — repair cost tracks the attack's
 /// footprint, not history size — is visible directly.
-pub fn repair_benchmark(
-    workload: &str,
-    user_counts: &[usize],
-    workers: usize,
-) -> Vec<report::RepairBenchRecord> {
+pub fn repair_benchmark(workload: &str, user_counts: &[usize], workers: usize) -> Vec<Json> {
     let attacks = [
         AttackKind::ReflectedXss,
         AttackKind::StoredXss,
         AttackKind::SqlInjection,
         AttackKind::AclError,
     ];
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
     println!("=== {workload} repair timing: sequential vs partitioned ({workers} workers) ===");
     println!(
         "{:<16} {:>6} {:>8} {:>11} {:>11} {:>8} {:>8} {:>12} {:>5}",
@@ -498,19 +511,9 @@ pub fn repair_benchmark(
         "repaired",
         "esc"
     );
-    // Each engine is timed over several runs and the fastest is reported:
-    // single samples on shared CI runners are noisy enough to trip the
-    // regression gate on a descheduling hiccup.
-    const REPEATS: usize = 3;
     let best_of = |config: &ScenarioConfig| {
-        let mut best = run_scenario(config);
-        for _ in 1..REPEATS {
-            let next = run_scenario(config);
-            if next.outcome.stats.time_total < best.outcome.stats.time_total {
-                best = next;
-            }
-        }
-        best
+        let runs = (0..REPEATS).map(|_| run_scenario(config));
+        best_by(runs, |r| r.outcome.stats.time_total.as_secs_f64())
     };
     for kind in attacks {
         for &users in user_counts {
@@ -535,23 +538,36 @@ pub fn repair_benchmark(
                 par.outcome.stats.escalations,
             );
             for result in [&seq, &par] {
-                records.push(report::RepairBenchRecord {
-                    workload: workload.to_string(),
-                    scenario: kind.name().to_string(),
-                    users,
-                    workers: result.outcome.stats.workers,
-                    repair_ms: result.outcome.stats.time_total.as_secs_f64() * 1000.0,
-                    total_actions: result.total_actions,
-                    app_runs_reexecuted: result.outcome.stats.app_runs_reexecuted,
-                    queries_reexecuted: result.outcome.stats.queries_reexecuted,
-                    partitions_total: result.outcome.stats.partitions_total,
-                    partitions_repaired: result.outcome.stats.partitions_repaired,
-                    escalations: result.outcome.stats.escalations,
-                });
+                let stats = &result.outcome.stats;
+                rows.push(report::row([
+                    ("workload", Json::Str(workload.to_string())),
+                    ("scenario", Json::Str(kind.name().to_string())),
+                    ("users", Json::Num(users as f64)),
+                    ("workers", Json::Num(stats.workers as f64)),
+                    (
+                        "repair_ms",
+                        Json::Num(stats.time_total.as_secs_f64() * 1000.0),
+                    ),
+                    ("total_actions", Json::Num(result.total_actions as f64)),
+                    (
+                        "app_runs_reexecuted",
+                        Json::Num(stats.app_runs_reexecuted as f64),
+                    ),
+                    (
+                        "queries_reexecuted",
+                        Json::Num(stats.queries_reexecuted as f64),
+                    ),
+                    ("partitions_total", Json::Num(stats.partitions_total as f64)),
+                    (
+                        "partitions_repaired",
+                        Json::Num(stats.partitions_repaired as f64),
+                    ),
+                    ("escalations", Json::Num(stats.escalations as f64)),
+                ]));
             }
         }
     }
-    records
+    rows
 }
 
 /// The wiki used by the persistence benchmark (self-contained so the
@@ -604,11 +620,11 @@ fn recovery_bench_traffic<H: WarpHost>(server: &mut H, steps: usize) {
 /// Regenerates "Table 9" (an addition over the paper): durable-log append
 /// overhead vs pure in-memory serving, and recovery time vs history length,
 /// for the memory and file storage backends, with and without a checkpoint.
-/// Returns the machine-readable records for `BENCH_recovery.json`.
-pub fn table9_recovery(scale: usize) -> Vec<report::RecoveryBenchRecord> {
+/// Returns the rows for `BENCH_recovery.json`.
+pub fn table9_recovery(scale: usize) -> Vec<Json> {
     use warp_core::{FileBackend, MemoryBackend, StorageBackend, StoreOptions};
     let scale = scale.max(6);
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
     println!("=== Table 9 (persistence): logging overhead and recovery time ===");
     println!(
         "{:<8} {:>8} {:>12} {:>12} {:>10} {:>12} {:>6} {:>12}",
@@ -695,22 +711,22 @@ pub fn table9_recovery(scale: usize) -> Vec<report::RecoveryBenchRecord> {
                     if report.from_checkpoint { "yes" } else { "no" },
                     store_bytes,
                 );
-                records.push(report::RecoveryBenchRecord {
-                    workload: "table9_recovery".to_string(),
-                    backend: backend_name.to_string(),
-                    actions,
-                    serve_ms,
-                    baseline_ms,
-                    overhead_percent,
-                    recover_ms,
-                    from_checkpoint: report.from_checkpoint,
-                    store_bytes,
-                });
+                rows.push(report::row([
+                    ("workload", Json::Str("table9_recovery".into())),
+                    ("backend", Json::Str(backend_name.into())),
+                    ("actions", Json::Num(actions as f64)),
+                    ("serve_ms", Json::Num(serve_ms)),
+                    ("baseline_ms", Json::Num(baseline_ms)),
+                    ("overhead_percent", Json::Num(overhead_percent)),
+                    ("recover_ms", Json::Num(recover_ms)),
+                    ("from_checkpoint", Json::Bool(report.from_checkpoint)),
+                    ("store_bytes", Json::Num(store_bytes as f64)),
+                ]));
             }
         }
     }
     let _ = std::fs::remove_dir_all(&file_dir);
-    records
+    rows
 }
 
 /// The application for the commit-cost benchmark: a small `page` table the
@@ -789,8 +805,8 @@ fn commit_bench_traffic<H: WarpHost>(server: &mut H) {
 /// (production) must stay roughly flat — it only touches the rows the
 /// repair changed — while the `snapshot` reference path grows with the
 /// database, because it snapshots and compares every table. Returns the
-/// machine-readable records for `BENCH_commit.json`.
-pub fn table10_commit(scale: usize) -> Vec<report::CommitBenchRecord> {
+/// rows for `BENCH_commit.json`.
+pub fn table10_commit(scale: usize) -> Vec<Json> {
     use warp_core::{MemoryBackend, StoreOptions};
     let scale = scale.max(50);
     let options = StoreOptions {
@@ -809,15 +825,12 @@ pub fn table10_commit(scale: usize) -> Vec<report::CommitBenchRecord> {
         "{:<10} {:>12} {:>10} {:>12} {:>12} {:>8} {:>12}",
         "mode", "archive", "db rows", "commit (ms)", "repair (ms)", "dirty", "dirty rows"
     );
-    // Best-of-N to shed scheduler noise; each run gets a fresh server
-    // (repair mutates it).
-    const REPEATS: usize = 3;
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
     for mult in [1usize, 3, 10] {
         let archive_rows = scale * mult;
         for mode in ["delta", "snapshot"] {
-            let mut best: Option<report::CommitBenchRecord> = None;
-            for _ in 0..REPEATS {
+            // Each run gets a fresh server: repair mutates it.
+            let runs = (0..REPEATS).map(|_| {
                 let (mut server, _) = Warp::builder()
                     .app(commit_bench_app(archive_rows))
                     .backend(Box::new(MemoryBackend::new()))
@@ -841,47 +854,122 @@ pub fn table10_commit(scale: usize) -> Vec<report::CommitBenchRecord> {
                     outcome.stats.dirty_rows > 0,
                     "the fixed footprint must dirty some rows"
                 );
-                let record = report::CommitBenchRecord {
-                    workload: "table10_commit".to_string(),
-                    mode: mode.to_string(),
-                    db_rows,
-                    commit_ms: outcome.stats.time_commit.as_secs_f64() * 1e3,
-                    repair_ms,
-                    dirty_tables: outcome.stats.dirty_tables,
-                    dirty_rows: outcome.stats.dirty_rows,
-                };
-                let better = best
-                    .as_ref()
-                    .map(|b| record.commit_ms < b.commit_ms)
-                    .unwrap_or(true);
-                if better {
-                    best = Some(record);
-                }
-            }
-            let record = best.expect("at least one repeat ran");
+                let commit_ms = outcome.stats.time_commit.as_secs_f64() * 1e3;
+                (db_rows, commit_ms, repair_ms, outcome.stats)
+            });
+            let (db_rows, commit_ms, repair_ms, stats) = best_by(runs, |r| r.1);
             println!(
                 "{:<10} {:>12} {:>10} {:>12.3} {:>12.2} {:>8} {:>12}",
-                record.mode,
+                mode,
                 archive_rows,
-                record.db_rows,
-                record.commit_ms,
-                record.repair_ms,
-                record.dirty_tables,
-                record.dirty_rows,
+                db_rows,
+                commit_ms,
+                repair_ms,
+                stats.dirty_tables,
+                stats.dirty_rows,
             );
-            records.push(record);
+            rows.push(report::row([
+                ("workload", Json::Str("table10_commit".into())),
+                ("mode", Json::Str(mode.into())),
+                ("db_rows", Json::Num(db_rows as f64)),
+                ("commit_ms", Json::Num(commit_ms)),
+                ("repair_ms", Json::Num(repair_ms)),
+                ("dirty_tables", Json::Num(stats.dirty_tables as f64)),
+                ("dirty_rows", Json::Num(stats.dirty_rows as f64)),
+            ]));
         }
     }
-    records
+    rows
 }
 
-/// CPUs available to this process — recorded into serving records so the
-/// shard-scaling gate can tell "sharding broke" from "the host had one
-/// core" when judging speedup.
-fn host_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// The `p` quantile of ascending `sorted` samples, by nearest rank.
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    sorted[((sorted.len() as f64 - 1.0) * p).round() as usize]
+}
+
+/// Throughput and per-request latency of one serving run.
+struct Served {
+    requests: usize,
+    rps: f64,
+    p50_us: f64,
+    p99_us: f64,
+}
+
+/// Client threads sending timed requests to one `Warp`, started by
+/// [`serve_clients`]. A caller can poll [`Clients::finished`] while they
+/// run — table 13 pumps its standby meanwhile — then [`Clients::join`]s.
+struct Clients {
+    start: Instant,
+    threads: Vec<std::thread::JoinHandle<Vec<f64>>>,
+}
+
+/// Starts `threads` client threads against `warp`. Client `c` sends
+/// `request(c, i)` for each `i` in `0..per_thread`, one at a time, timing
+/// each round trip.
+fn serve_clients<F>(warp: &Warp, threads: usize, per_thread: usize, request: F) -> Clients
+where
+    F: Fn(usize, usize) -> HttpRequest + Send + Sync + 'static,
+{
+    let request = std::sync::Arc::new(request);
+    let start = Instant::now();
+    let threads = (0..threads)
+        .map(|client| {
+            let (warp, request) = (warp.clone(), request.clone());
+            std::thread::spawn(move || {
+                let mut latencies = Vec::with_capacity(per_thread);
+                for i in 0..per_thread {
+                    let request = request(client, i);
+                    let t0 = Instant::now();
+                    let response = warp.serve(request);
+                    latencies.push(t0.elapsed().as_secs_f64() * 1e6);
+                    assert_ne!(response.status, 503, "engine must stay up");
+                }
+                latencies
+            })
+        })
+        .collect();
+    Clients { start, threads }
+}
+
+impl Clients {
+    /// True once every client has sent all its requests.
+    fn finished(&self) -> bool {
+        self.threads.iter().all(|t| t.is_finished())
+    }
+
+    /// Waits for every client and measures the run.
+    fn join(self) -> Served {
+        let mut latencies = Vec::new();
+        for thread in self.threads {
+            latencies.extend(thread.join().expect("serve thread"));
+        }
+        let elapsed = self.start.elapsed().as_secs_f64();
+        latencies.sort_by(f64::total_cmp);
+        Served {
+            requests: latencies.len(),
+            rps: latencies.len() as f64 / elapsed.max(1e-9),
+            p50_us: percentile(&latencies, 0.50),
+            p99_us: percentile(&latencies, 0.99),
+        }
+    }
+}
+
+/// Request `i` of client `client` in the serving workload of tables 11–13
+/// on [`recovery_bench_app`]: two edits, then a read. Each client stays on
+/// its own page, so the workload is interleaving-independent.
+fn wiki_request(client: usize, i: usize) -> HttpRequest {
+    let page = client % 8;
+    if i % 3 == 2 {
+        HttpRequest::get(&format!("/view.wasl?title=Page{page}"))
+    } else {
+        HttpRequest::post(
+            "/edit.wasl",
+            [
+                ("title", format!("Page{page}").as_str()),
+                ("body", format!("thread {client} rev {i}").as_str()),
+            ],
+        )
+    }
 }
 
 /// Topics for the shard-scaling sweep, chosen deterministically so that at
@@ -952,15 +1040,17 @@ fn shard_bench_app(topics: &[String]) -> warp_core::AppConfig {
 /// backend write per action and shows what group commit buys.
 ///
 /// A second sweep ("Table 11b") serves the conflict-free clone-safe
-/// workload at 1/2/4/8 engine shards; its records carry
+/// workload at 1/2/4/8 engine shards; its rows carry
 /// [`report::SHARD_WORKLOAD`] and feed the shard-scaling gate (4 shards
 /// must reach [`report::SHARD_MIN_SPEEDUP`]x single-shard throughput on
-/// hosts with enough CPUs). Returns the machine-readable records for
-/// `BENCH_serve.json`.
-pub fn table11_serve(scale: usize) -> Vec<report::ServeBenchRecord> {
+/// hosts with enough CPUs). Returns the rows for `BENCH_serve.json`, each
+/// the best of three runs by throughput.
+pub fn table11_serve(scale: usize) -> Vec<Json> {
     use warp_core::{Durability, MemoryBackend, StoreOptions};
     let per_thread = scale.max(40);
-    let cpus = host_cpus();
+    // Recorded so the shard-scaling gate can tell "sharding broke" from
+    // "the host had one core" when judging speedup.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let options = StoreOptions {
         segment_bytes: 1024 * 1024,
         checkpoint_interval: 0,
@@ -979,94 +1069,44 @@ pub fn table11_serve(scale: usize) -> Vec<report::ServeBenchRecord> {
         "{:<10} {:>8} {:>10} {:>12} {:>10} {:>10} {:>9} {:>9}",
         "tier", "threads", "requests", "rps", "p50 (us)", "p99 (us)", "batches", "max batch"
     );
-    // Best-of-N by throughput to shed scheduler noise on shared runners.
-    const REPEATS: usize = 3;
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
     for durability in tiers {
         for threads in [1usize, 4, 8] {
-            let mut best: Option<report::ServeBenchRecord> = None;
-            for _ in 0..REPEATS {
+            let runs = (0..REPEATS).map(|_| {
                 let warp = Warp::builder()
                     .app(recovery_bench_app())
                     .backend(Box::new(MemoryBackend::new()))
                     .store_options(options)
                     .durability(durability)
                     .start();
-                let t = Instant::now();
-                let workers: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let warp = warp.clone();
-                        std::thread::spawn(move || {
-                            let mut latencies = Vec::with_capacity(per_thread);
-                            for i in 0..per_thread {
-                                // Each thread stays on its own page so the
-                                // workload is interleaving-independent.
-                                let page = t % 8;
-                                let request = if i % 3 == 2 {
-                                    HttpRequest::get(&format!("/view.wasl?title=Page{page}"))
-                                } else {
-                                    HttpRequest::post(
-                                        "/edit.wasl",
-                                        [
-                                            ("title", format!("Page{page}").as_str()),
-                                            ("body", format!("thread {t} rev {i}").as_str()),
-                                        ],
-                                    )
-                                };
-                                let t0 = Instant::now();
-                                let response = warp.serve(request);
-                                latencies.push(t0.elapsed().as_secs_f64() * 1e6);
-                                assert_ne!(response.status, 503, "engine must stay up");
-                            }
-                            latencies
-                        })
-                    })
-                    .collect();
-                let mut latencies: Vec<f64> = Vec::new();
-                for worker in workers {
-                    latencies.extend(worker.join().expect("serve thread"));
-                }
-                let elapsed = t.elapsed().as_secs_f64();
-                let writer = warp.writer_stats();
-                latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-                let percentile = |p: f64| -> f64 {
-                    let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-                    latencies[idx]
-                };
-                let record = report::ServeBenchRecord {
-                    workload: "table11_serve".to_string(),
-                    durability: durability.name().to_string(),
-                    threads,
-                    requests: latencies.len(),
-                    throughput_rps: latencies.len() as f64 / elapsed.max(1e-9),
-                    p50_us: percentile(0.50),
-                    p99_us: percentile(0.99),
-                    writer_batches: writer.batches,
-                    largest_batch: writer.largest_batch,
-                    shards: 1,
-                    host_cpus: cpus,
-                };
-                let better = best
-                    .as_ref()
-                    .map(|b| record.throughput_rps > b.throughput_rps)
-                    .unwrap_or(true);
-                if better {
-                    best = Some(record);
-                }
-            }
-            let record = best.expect("at least one repeat ran");
+                let served = serve_clients(&warp, threads, per_thread, wiki_request).join();
+                (served, warp.writer_stats())
+            });
+            let (served, writer) = best_by(runs, |r| -r.0.rps);
             println!(
                 "{:<10} {:>8} {:>10} {:>12.0} {:>10.1} {:>10.1} {:>9} {:>9}",
-                record.durability,
-                record.threads,
-                record.requests,
-                record.throughput_rps,
-                record.p50_us,
-                record.p99_us,
-                record.writer_batches,
-                record.largest_batch,
+                durability.name(),
+                threads,
+                served.requests,
+                served.rps,
+                served.p50_us,
+                served.p99_us,
+                writer.batches,
+                writer.largest_batch,
             );
-            records.push(record);
+            rows.push(report::row([
+                ("workload", Json::Str("table11_serve".into())),
+                ("durability", Json::Str(durability.name().into())),
+                ("threads", Json::Num(threads as f64)),
+                ("requests", Json::Num(served.requests as f64)),
+                ("throughput_rps", Json::Num(served.rps)),
+                ("p50_us", Json::Num(served.p50_us)),
+                ("p99_us", Json::Num(served.p99_us)),
+                ("writer_batches", Json::Num(writer.batches as f64)),
+                ("largest_batch", Json::Num(writer.largest_batch as f64)),
+                ("shards", Json::Num(1.0)),
+                ("host_cpus", Json::Num(cpus as f64)),
+            ]));
         }
     }
 
@@ -1074,7 +1114,7 @@ pub fn table11_serve(scale: usize) -> Vec<report::ServeBenchRecord> {
     // every topic routes to a fixed shard, and no request escalates — the
     // sweep isolates what partition sharding buys over funneling all script
     // execution through one engine thread.
-    let topics = shard_bench_topics();
+    let topics = std::sync::Arc::new(shard_bench_topics());
     let threads = topics.len();
     println!();
     println!(
@@ -1086,83 +1126,50 @@ pub fn table11_serve(scale: usize) -> Vec<report::ServeBenchRecord> {
         "shards", "requests", "rps", "p50 (us)", "p99 (us)"
     );
     for shards in [1usize, 2, 4, 8] {
-        let mut best: Option<report::ServeBenchRecord> = None;
-        for _ in 0..REPEATS {
+        let runs = (0..REPEATS).map(|_| {
             let warp = Warp::builder()
                 .app(shard_bench_app(&topics))
                 .engine_shards(shards)
                 .start();
-            let t = Instant::now();
-            let workers: Vec<_> = topics
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(client, topic)| {
-                    let warp = warp.clone();
-                    std::thread::spawn(move || {
-                        let mut latencies = Vec::with_capacity(per_thread);
-                        for i in 0..per_thread {
-                            let request = if i % 4 == 3 {
-                                HttpRequest::get(&format!("/read.wasl?topic={topic}"))
-                            } else {
-                                HttpRequest::post(
-                                    "/edit.wasl",
-                                    [
-                                        ("topic", topic.as_str()),
-                                        ("body", format!("client {client} rev {i}").as_str()),
-                                    ],
-                                )
-                            };
-                            let t0 = Instant::now();
-                            let response = warp.serve(request);
-                            latencies.push(t0.elapsed().as_secs_f64() * 1e6);
-                            assert_ne!(response.status, 503, "engine must stay up");
-                        }
-                        latencies
-                    })
-                })
-                .collect();
-            let mut latencies: Vec<f64> = Vec::new();
-            for worker in workers {
-                latencies.extend(worker.join().expect("serve thread"));
-            }
-            let elapsed = t.elapsed().as_secs_f64();
-            latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-            let percentile = |p: f64| -> f64 {
-                let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-                latencies[idx]
+            let topics = topics.clone();
+            let request = move |client: usize, i: usize| {
+                let topic = &topics[client];
+                if i % 4 == 3 {
+                    HttpRequest::get(&format!("/read.wasl?topic={topic}"))
+                } else {
+                    HttpRequest::post(
+                        "/edit.wasl",
+                        [
+                            ("topic", topic.as_str()),
+                            ("body", format!("client {client} rev {i}").as_str()),
+                        ],
+                    )
+                }
             };
-            let record = report::ServeBenchRecord {
-                workload: report::SHARD_WORKLOAD.to_string(),
-                durability: Durability::Relaxed.name().to_string(),
-                threads,
-                requests: latencies.len(),
-                throughput_rps: latencies.len() as f64 / elapsed.max(1e-9),
-                p50_us: percentile(0.50),
-                p99_us: percentile(0.99),
-                // No storage backend: the sweep measures execution
-                // parallelism, not the log writer.
-                writer_batches: 0,
-                largest_batch: 0,
-                shards,
-                host_cpus: cpus,
-            };
-            let better = best
-                .as_ref()
-                .map(|b| record.throughput_rps > b.throughput_rps)
-                .unwrap_or(true);
-            if better {
-                best = Some(record);
-            }
-        }
-        let record = best.expect("at least one repeat ran");
+            serve_clients(&warp, threads, per_thread, request).join()
+        });
+        let served = best_by(runs, |s| -s.rps);
         println!(
             "{:<8} {:>10} {:>12.0} {:>10.1} {:>10.1}",
-            record.shards, record.requests, record.throughput_rps, record.p50_us, record.p99_us,
+            shards, served.requests, served.rps, served.p50_us, served.p99_us,
         );
-        records.push(record);
+        rows.push(report::row([
+            ("workload", Json::Str(report::SHARD_WORKLOAD.into())),
+            ("durability", Json::Str(Durability::Relaxed.name().into())),
+            ("threads", Json::Num(threads as f64)),
+            ("requests", Json::Num(served.requests as f64)),
+            ("throughput_rps", Json::Num(served.rps)),
+            ("p50_us", Json::Num(served.p50_us)),
+            ("p99_us", Json::Num(served.p99_us)),
+            // No storage backend: the sweep measures execution
+            // parallelism, not the log writer.
+            ("writer_batches", Json::Num(0.0)),
+            ("largest_batch", Json::Num(0.0)),
+            ("shards", Json::Num(shards as f64)),
+            ("host_cpus", Json::Num(cpus as f64)),
+        ]));
     }
-    records
+    rows
 }
 
 /// Regenerates "Table 12" (an addition over the paper): the storage
@@ -1182,13 +1189,12 @@ pub fn table11_serve(scale: usize) -> Vec<report::ServeBenchRecord> {
 ///   at least [`report::STORAGE_MIN_CKPT_ADVANTAGE`] times cheaper at the
 ///   largest size.
 ///
-/// Returns the machine-readable records for `BENCH_storage.json`.
-pub fn table12_storage(scale: usize) -> Vec<report::StorageBenchRecord> {
+/// Returns the rows for `BENCH_storage.json`.
+pub fn table12_storage(scale: usize) -> Vec<Json> {
     use warp_core::{Durability, MemoryBackend, ServerConfig, StoreOptions, WarpServer};
     const THREADS: usize = 4;
-    const REPEATS: usize = 3;
     let per_thread = scale.max(120);
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
 
     // Part A: sustained serving, quiescent vs concurrent maintenance. The
     // tiny checkpoint interval is deliberately punishing — a delta cut
@@ -1206,8 +1212,7 @@ pub fn table12_storage(scale: usize) -> Vec<report::StorageBenchRecord> {
         "maintenance", "threads", "requests", "rps", "p50 (us)", "p99 (us)", "folds"
     );
     for maintenance in [false, true] {
-        let mut best: Option<report::StorageBenchRecord> = None;
-        for _ in 0..REPEATS {
+        let runs = (0..REPEATS).map(|_| {
             let (warp, _) = Warp::builder()
                 .app(recovery_bench_app())
                 .backend(Box::new(MemoryBackend::new()))
@@ -1219,85 +1224,37 @@ pub fn table12_storage(scale: usize) -> Vec<report::StorageBenchRecord> {
                 .background_maintenance(maintenance)
                 .build()
                 .expect("open persistent server");
-            let t = Instant::now();
-            let workers: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let warp = warp.clone();
-                    std::thread::spawn(move || {
-                        let mut latencies = Vec::with_capacity(per_thread);
-                        for i in 0..per_thread {
-                            let page = t % 8;
-                            let request = if i % 3 == 2 {
-                                HttpRequest::get(&format!("/view.wasl?title=Page{page}"))
-                            } else {
-                                HttpRequest::post(
-                                    "/edit.wasl",
-                                    [
-                                        ("title", format!("Page{page}").as_str()),
-                                        ("body", format!("thread {t} rev {i}").as_str()),
-                                    ],
-                                )
-                            };
-                            let t0 = Instant::now();
-                            let response = warp.serve(request);
-                            latencies.push(t0.elapsed().as_secs_f64() * 1e6);
-                            assert_ne!(response.status, 503, "engine must stay up");
-                        }
-                        latencies
-                    })
-                })
-                .collect();
-            let mut latencies: Vec<f64> = Vec::new();
-            for worker in workers {
-                latencies.extend(worker.join().expect("serve thread"));
-            }
-            let elapsed = t.elapsed().as_secs_f64();
+            let served = serve_clients(&warp, THREADS, per_thread, wiki_request).join();
             let folds = warp.with_server(|s| s.maintenance_stats().map(|m| m.folds).unwrap_or(0));
-            let store_bytes = warp.with_server(|s| s.store_bytes());
-            latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-            let percentile = |p: f64| -> f64 {
-                let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-                latencies[idx]
-            };
-            let record = report::StorageBenchRecord {
-                workload: "table12_storage".to_string(),
-                kind: "serve".to_string(),
-                maintenance,
-                threads: THREADS,
-                requests: latencies.len(),
-                throughput_rps: latencies.len() as f64 / elapsed.max(1e-9),
-                p50_us: percentile(0.50),
-                p99_us: percentile(0.99),
-                folds,
-                mode: String::new(),
-                db_rows: 0,
-                checkpoint_ms: 0.0,
-                store_bytes,
-            };
-            let better = best
-                .as_ref()
-                .map(|b| record.throughput_rps > b.throughput_rps)
-                .unwrap_or(true);
-            if better {
-                best = Some(record);
-            }
-        }
-        let record = best.expect("at least one repeat ran");
+            (served, folds, warp.with_server(|s| s.store_bytes()))
+        });
+        let (served, folds, store_bytes) = best_by(runs, |r| -r.0.rps);
         println!(
             "{:<12} {:>8} {:>10} {:>12.0} {:>10.1} {:>10.1} {:>7}",
-            if record.maintenance {
+            if maintenance {
                 "concurrent"
             } else {
                 "quiescent"
             },
-            record.threads,
-            record.requests,
-            record.throughput_rps,
-            record.p50_us,
-            record.p99_us,
-            record.folds,
+            THREADS,
+            served.requests,
+            served.rps,
+            served.p50_us,
+            served.p99_us,
+            folds,
         );
-        records.push(record);
+        rows.push(report::row([
+            ("workload", Json::Str("table12_storage".into())),
+            ("kind", Json::Str("serve".into())),
+            ("maintenance", Json::Bool(maintenance)),
+            ("threads", Json::Num(THREADS as f64)),
+            ("requests", Json::Num(served.requests as f64)),
+            ("throughput_rps", Json::Num(served.rps)),
+            ("p50_us", Json::Num(served.p50_us)),
+            ("p99_us", Json::Num(served.p99_us)),
+            ("folds", Json::Num(folds as f64)),
+            ("store_bytes", Json::Num(store_bytes as f64)),
+        ]));
     }
 
     // Part B: checkpoint latency vs database size. The archive table grows
@@ -1328,71 +1285,50 @@ pub fn table12_storage(scale: usize) -> Vec<report::StorageBenchRecord> {
     };
     for mult in [1usize, 3, 10] {
         let archive_rows = base_rows * mult;
-        let mut best_whole: Option<report::StorageBenchRecord> = None;
-        let mut best_incremental: Option<report::StorageBenchRecord> = None;
-        for _ in 0..REPEATS {
-            let (mut server, _) = WarpServer::open(
-                ServerConfig::new(commit_bench_app(archive_rows))
-                    .with_backend(Box::new(MemoryBackend::new()))
-                    .with_store_options(ckpt_options),
-            )
-            .expect("open persistent server");
-            for i in 0..12 {
-                edit(&mut server, i);
-            }
-            let db_rows = server.db.storage_stats().total_versions;
-            let t = Instant::now();
-            server.checkpoint();
-            let whole_ms = t.elapsed().as_secs_f64() * 1e3;
-            // The same fixed footprint again, captured by the mutation
-            // tracker, then cut as a delta against the base above.
-            for i in 12..24 {
-                edit(&mut server, i);
-            }
-            let t = Instant::now();
-            server.checkpoint_incremental();
-            let incremental_ms = t.elapsed().as_secs_f64() * 1e3;
-            let store_bytes = server.store_bytes();
-            let record = |mode: &str, checkpoint_ms: f64| report::StorageBenchRecord {
-                workload: "table12_storage".to_string(),
-                kind: "checkpoint".to_string(),
-                maintenance: false,
-                threads: 0,
-                requests: 0,
-                throughput_rps: 0.0,
-                p50_us: 0.0,
-                p99_us: 0.0,
-                folds: 0,
-                mode: mode.to_string(),
-                db_rows,
-                checkpoint_ms,
-                store_bytes,
-            };
-            let keep_min = |best: &mut Option<report::StorageBenchRecord>,
-                            candidate: report::StorageBenchRecord| {
-                let better = best
-                    .as_ref()
-                    .map(|b| candidate.checkpoint_ms < b.checkpoint_ms)
-                    .unwrap_or(true);
-                if better {
-                    *best = Some(candidate);
+        // Each run times both modes: `[whole_state, incremental]` ms.
+        let runs: Vec<(usize, [f64; 2], u64)> = (0..REPEATS)
+            .map(|_| {
+                let (mut server, _) = WarpServer::open(
+                    ServerConfig::new(commit_bench_app(archive_rows))
+                        .with_backend(Box::new(MemoryBackend::new()))
+                        .with_store_options(ckpt_options),
+                )
+                .expect("open persistent server");
+                for i in 0..12 {
+                    edit(&mut server, i);
                 }
-            };
-            keep_min(&mut best_whole, record("whole_state", whole_ms));
-            keep_min(&mut best_incremental, record("incremental", incremental_ms));
-        }
-        for record in [
-            best_whole.expect("at least one repeat ran"),
-            best_incremental.expect("at least one repeat ran"),
-        ] {
+                let db_rows = server.db.storage_stats().total_versions;
+                let t = Instant::now();
+                server.checkpoint();
+                let whole_ms = t.elapsed().as_secs_f64() * 1e3;
+                // The same fixed footprint again, captured by the mutation
+                // tracker, then cut as a delta against the base above.
+                for i in 12..24 {
+                    edit(&mut server, i);
+                }
+                let t = Instant::now();
+                server.checkpoint_incremental();
+                let incremental_ms = t.elapsed().as_secs_f64() * 1e3;
+                (db_rows, [whole_ms, incremental_ms], server.store_bytes())
+            })
+            .collect();
+        for (m, mode) in ["whole_state", "incremental"].into_iter().enumerate() {
+            let &(db_rows, ms, store_bytes) = best_by(&runs, |r| r.1[m]);
             println!(
                 "{:<12} {:>10} {:>10} {:>14.3} {:>12}",
-                record.mode, archive_rows, record.db_rows, record.checkpoint_ms, record.store_bytes,
+                mode, archive_rows, db_rows, ms[m], store_bytes,
             );
-            records.push(record);
+            rows.push(report::row([
+                ("workload", Json::Str("table12_storage".into())),
+                ("kind", Json::Str("checkpoint".into())),
+                ("mode", Json::Str(mode.into())),
+                ("db_rows", Json::Num(db_rows as f64)),
+                ("checkpoint_ms", Json::Num(ms[m])),
+                ("store_bytes", Json::Num(store_bytes as f64)),
+            ]));
         }
     }
-    records
+    rows
 }
 
 /// The corrected `deface.wasl` used by the frontier benchmark's repair:
@@ -1484,8 +1420,8 @@ fn frontier_traffic<H: WarpHost>(server: &mut H, users: usize, style_readers: us
 /// `view.wasl` read of Page0, because those share the page's partition even
 /// though they read a disjoint column. Both final states must be
 /// byte-identical — pruning may only skip re-executions that cannot change
-/// the outcome. Returns the records for `BENCH_frontier.json`.
-pub fn frontier_benchmark(workload: &str, users: usize) -> Vec<report::FrontierBenchRecord> {
+/// the outcome. Returns the rows for `BENCH_frontier.json`.
+pub fn frontier_benchmark(workload: &str, users: usize) -> Vec<Json> {
     // Below ~12 users the fixed cost of the repair itself (the deface
     // re-run and the style readers, revisited in both modes) dominates and
     // the pruning ratio drops under the gate's 5x bar.
@@ -1497,7 +1433,7 @@ pub fn frontier_benchmark(workload: &str, users: usize) -> Vec<report::FrontierB
         "{:<18} {:>6} {:>8} {:>12} {:>12} {:>12}",
         "mode", "users", "actions", "reexec runs", "reexec qs", "repair (ms)"
     );
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
     for mode in ["column_aware", "partition_grained"] {
         let oblivious = mode == "partition_grained";
         let mut warp = Warp::builder().app(frontier_bench_app(users)).start();
@@ -1512,28 +1448,35 @@ pub fn frontier_benchmark(workload: &str, users: usize) -> Vec<report::FrontierB
             .join();
         assert!(!outcome.aborted, "frontier benchmark repair must commit");
         let dump = warp.with_server(|s| s.db.canonical_dump());
-        let record = report::FrontierBenchRecord {
-            workload: workload.to_string(),
-            users,
-            mode: mode.to_string(),
-            repair_ms: outcome.stats.time_total.as_secs_f64() * 1e3,
-            total_actions,
-            reexecuted_actions: outcome.stats.app_runs_reexecuted,
-            reexecuted_queries: outcome.stats.queries_reexecuted,
-            dump_checksum: report::fnv1a_hex(&dump),
-        };
+        let stats = &outcome.stats;
+        let repair_ms = stats.time_total.as_secs_f64() * 1e3;
         println!(
             "{:<18} {:>6} {:>8} {:>12} {:>12} {:>12.2}",
-            record.mode,
-            record.users,
-            record.total_actions,
-            record.reexecuted_actions,
-            record.reexecuted_queries,
-            record.repair_ms,
+            mode,
+            users,
+            total_actions,
+            stats.app_runs_reexecuted,
+            stats.queries_reexecuted,
+            repair_ms,
         );
-        records.push(record);
+        rows.push(report::row([
+            ("workload", Json::Str(workload.to_string())),
+            ("users", Json::Num(users as f64)),
+            ("mode", Json::Str(mode.into())),
+            ("repair_ms", Json::Num(repair_ms)),
+            ("total_actions", Json::Num(total_actions as f64)),
+            (
+                "reexecuted_actions",
+                Json::Num(stats.app_runs_reexecuted as f64),
+            ),
+            (
+                "reexecuted_queries",
+                Json::Num(stats.queries_reexecuted as f64),
+            ),
+            ("dump_checksum", Json::Str(report::fnv1a_hex(&dump))),
+        ]));
     }
-    records
+    rows
 }
 
 /// Regenerates "Table 13" (a replication addition over the paper):
@@ -1546,8 +1489,8 @@ pub fn frontier_benchmark(workload: &str, users: usize) -> Vec<report::FrontierB
 /// what the stream still holds, is promoted in place and serves; the cold
 /// side opens the primary's store and serves. Promotion itself replays
 /// nothing, so the gap to cold replay is what the warm standby buys.
-/// Returns the machine-readable records for `BENCH_replication.json`.
-pub fn table13_replication(scale: usize) -> Vec<report::ReplicationBenchRecord> {
+/// Returns the rows for `BENCH_replication.json`.
+pub fn table13_replication(scale: usize) -> Vec<Json> {
     use warp_core::{Durability, MemoryBackend, ServerConfig, StoreOptions, WarpServer};
     use warp_replica::{channel_pair, LogShipper, Standby};
 
@@ -1569,7 +1512,7 @@ pub fn table13_replication(scale: usize) -> Vec<report::ReplicationBenchRecord> 
         max_batch: 64,
         max_delay: std::time::Duration::from_micros(500),
     };
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
 
     // Part 1: lag distribution. Client threads hammer the primary with the
     // table11 workload while the main thread pumps the standby, sampling
@@ -1592,29 +1535,7 @@ pub fn table13_replication(scale: usize) -> Vec<report::ReplicationBenchRecord> 
         .durability(group)
         .ship_log_to(Box::new(LogShipper::new(to_standby)))
         .start();
-    let workers: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let warp = warp.clone();
-            std::thread::spawn(move || {
-                for i in 0..per_thread {
-                    let page = t % 8;
-                    let request = if i % 3 == 2 {
-                        HttpRequest::get(&format!("/view.wasl?title=Page{page}"))
-                    } else {
-                        HttpRequest::post(
-                            "/edit.wasl",
-                            [
-                                ("title", format!("Page{page}").as_str()),
-                                ("body", format!("thread {t} rev {i}").as_str()),
-                            ],
-                        )
-                    };
-                    let response = warp.serve(request);
-                    assert_ne!(response.status, 503, "engine must stay up");
-                }
-            })
-        })
-        .collect();
+    let clients = serve_clients(&warp, THREADS, per_thread, wiki_request);
     let mut lags: Vec<f64> = Vec::new();
     loop {
         standby
@@ -1622,13 +1543,11 @@ pub fn table13_replication(scale: usize) -> Vec<report::ReplicationBenchRecord> 
             .expect("pump");
         let durable = warp.durable_lsn();
         lags.push(durable.saturating_sub(standby.applied_lsn()) as f64);
-        if workers.iter().all(|w| w.is_finished()) {
+        if clients.finished() {
             break;
         }
     }
-    for worker in workers {
-        worker.join().expect("serve thread");
-    }
+    let served = clients.join();
     warp.flush();
     let target = warp.durable_lsn();
     let deadline = Instant::now() + std::time::Duration::from_secs(30);
@@ -1640,45 +1559,35 @@ pub fn table13_replication(scale: usize) -> Vec<report::ReplicationBenchRecord> 
     }
     drop(warp);
     drop(standby);
-    lags.sort_by(|a, b| a.partial_cmp(b).expect("finite lags"));
-    let percentile = |p: f64| -> f64 {
-        let idx = ((lags.len() as f64 - 1.0) * p).round() as usize;
-        lags[idx]
-    };
-    let lag_record = report::ReplicationBenchRecord {
-        workload: "table13_replication".to_string(),
-        kind: "lag".to_string(),
-        threads: THREADS,
-        requests: THREADS * per_thread,
-        samples: lags.len(),
-        lag_p50_records: percentile(0.50),
-        lag_p99_records: percentile(0.99),
-        lag_max_records: *lags.last().expect("at least one sample"),
-        history_actions: 0,
-        replicated_records: 0,
-        failover_ms: 0.0,
-        failover_replayed: 0,
-        cold_ms: 0.0,
-        cold_replayed: 0,
-    };
+    lags.sort_by(f64::total_cmp);
+    let (lag_p50, lag_p99) = (percentile(&lags, 0.50), percentile(&lags, 0.99));
+    let lag_max = *lags.last().expect("at least one sample");
     println!(
         "{:<10} {:>8} {:>8} {:>14} {:>14} {:>14}",
         "threads", "requests", "samples", "lag p50 (rec)", "lag p99 (rec)", "lag max (rec)"
     );
     println!(
         "{:<10} {:>8} {:>8} {:>14.1} {:>14.1} {:>14.1}",
-        lag_record.threads,
-        lag_record.requests,
-        lag_record.samples,
-        lag_record.lag_p50_records,
-        lag_record.lag_p99_records,
-        lag_record.lag_max_records,
+        THREADS,
+        served.requests,
+        lags.len(),
+        lag_p50,
+        lag_p99,
+        lag_max,
     );
-    records.push(lag_record);
+    rows.push(report::row([
+        ("workload", Json::Str("table13_replication".into())),
+        ("kind", Json::Str("lag".into())),
+        ("threads", Json::Num(THREADS as f64)),
+        ("requests", Json::Num(served.requests as f64)),
+        ("samples", Json::Num(lags.len() as f64)),
+        ("lag_p50_records", Json::Num(lag_p50)),
+        ("lag_p99_records", Json::Num(lag_p99)),
+        ("lag_max_records", Json::Num(lag_max)),
+    ]));
 
     // Part 2: failover vs cold log-replay, at two history sizes. Best-of-N
     // to shed scheduler noise; the two servers must agree byte for byte.
-    const REPEATS: usize = 3;
     // Requests the primary acknowledges after the standby's last pump: the
     // lag the standby has to make up once the primary is gone.
     const BEHIND: usize = 64;
@@ -1691,8 +1600,7 @@ pub fn table13_replication(scale: usize) -> Vec<report::ReplicationBenchRecord> 
         "actions", "records", "failover (ms)", "drained", "cold (ms)", "cold replayed"
     );
     for actions in [base, base * 4] {
-        let mut best: Option<report::ReplicationBenchRecord> = None;
-        for _ in 0..REPEATS {
+        let runs = (0..REPEATS).map(|_| {
             let primary_backend = MemoryBackend::new();
             let (to_standby, to_primary) = channel_pair();
             let mut standby = Standby::attach(
@@ -1771,166 +1679,136 @@ pub fn table13_replication(scale: usize) -> Vec<report::ReplicationBenchRecord> 
                 cold.db.canonical_dump(),
                 "warm promotion and cold replay must agree byte for byte"
             );
-            let record = report::ReplicationBenchRecord {
-                workload: "table13_replication".to_string(),
-                kind: "failover".to_string(),
-                threads: 0,
-                requests: 0,
-                samples: 0,
-                lag_p50_records: 0.0,
-                lag_p99_records: 0.0,
-                lag_max_records: 0.0,
-                history_actions: promoted.history.len(),
-                replicated_records: replicated,
+            let history = promoted.history.len();
+            let cold_replayed = cold_report.records_replayed as u64;
+            (
+                history,
+                replicated,
                 failover_ms,
-                failover_replayed: drained,
+                drained,
                 cold_ms,
-                cold_replayed: cold_report.records_replayed as u64,
-            };
-            let better = best
-                .as_ref()
-                .map(|b| record.failover_ms < b.failover_ms)
-                .unwrap_or(true);
-            if better {
-                best = Some(record);
-            }
-        }
-        let record = best.expect("at least one repeat ran");
+                cold_replayed,
+            )
+        });
+        let (history, replicated, failover_ms, drained, cold_ms, cold_replayed) =
+            best_by(runs, |r| r.2);
         println!(
             "{:<10} {:>9} {:>13.2} {:>13} {:>11.2} {:>13}",
-            record.history_actions,
-            record.replicated_records,
-            record.failover_ms,
-            record.failover_replayed,
-            record.cold_ms,
-            record.cold_replayed,
+            history, replicated, failover_ms, drained, cold_ms, cold_replayed,
         );
-        records.push(record);
+        rows.push(report::row([
+            ("workload", Json::Str("table13_replication".into())),
+            ("kind", Json::Str("failover".into())),
+            ("history_actions", Json::Num(history as f64)),
+            ("replicated_records", Json::Num(replicated as f64)),
+            ("failover_ms", Json::Num(failover_ms)),
+            ("failover_replayed", Json::Num(drained as f64)),
+            ("cold_ms", Json::Num(cold_ms)),
+            ("cold_replayed", Json::Num(cold_replayed as f64)),
+        ]));
     }
-    records
+    rows
 }
 
-/// Shared argument handling for the `table*` report binaries so every one
-/// of them supports `--help` (exercised by `tests/bin_smoke.rs`, which keeps
-/// the report binaries from silently rotting).
+/// The command line of the report binaries. Each binary declares the
+/// optional scale and the flags it takes; every one answers `--help`, and
+/// anything else it cannot parse is a usage error with exit status 2
+/// (exercised by `tests/bin_smoke.rs`, which keeps the report binaries from
+/// silently rotting).
 pub mod cli {
-    use std::str::FromStr;
+    use crate::json::Json;
+    use std::path::PathBuf;
 
-    fn print_help(bin: &str, about: &str, scale_arg: Option<&str>) {
-        match scale_arg {
-            Some(name) => println!("usage: {bin} [{name}]"),
-            None => println!("usage: {bin}"),
-        }
-        println!("\n{about}");
-        if let Some(name) = scale_arg {
-            println!("\n{name} scales the workload; the default finishes in seconds.");
-        }
-    }
+    /// Every flag a binary can declare: name, value, help.
+    const FLAGS: [(&str, &str, &str); 3] = [
+        ("--workers", "N", "time sequential vs partitioned repair"),
+        ("--json", "PATH", "append the rows to the report at PATH"),
+        ("--frontier", "PATH", "also run the frontier benchmark"),
+    ];
 
-    /// Handles `--help`/`-h` for a binary that takes no arguments.
-    pub fn handle_help(bin: &str, about: &str) {
-        if std::env::args().any(|a| a == "--help" || a == "-h") {
-            print_help(bin, about, None);
-            std::process::exit(0);
-        }
-    }
-
-    /// Handles `--help`/`-h` and parses the optional scale argument
-    /// (falling back to `default` when absent or unparseable).
-    pub fn scale_arg<T: FromStr>(bin: &str, about: &str, arg_name: &str, default: T) -> T {
-        if std::env::args().any(|a| a == "--help" || a == "-h") {
-            print_help(bin, about, Some(arg_name));
-            std::process::exit(0);
-        }
-        std::env::args()
-            .nth(1)
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Arguments of the repair benchmark binaries (`table7_repair_100`,
-    /// `table8_repair_5000`): an optional positional scale plus the timing
-    /// flags.
-    pub struct BenchArgs {
-        /// The workload scale (user count).
+    /// A parsed command line.
+    pub struct Args {
+        /// The workload scale (the declared default when none was given).
         pub scale: usize,
-        /// `--workers N`: also time sequential vs partitioned repair with
-        /// `N` worker threads.
+        /// `--workers N`.
         pub workers: Option<usize>,
-        /// `--json PATH`: append the timing records to the machine-readable
-        /// report at `PATH` (implies `--workers 4` unless given).
-        pub json: Option<std::path::PathBuf>,
-        /// `--frontier PATH`: also run the column-aware vs partition-grained
-        /// frontier benchmark and append its records to the report at `PATH`.
-        pub frontier: Option<std::path::PathBuf>,
+        /// `--json PATH`.
+        pub json: Option<PathBuf>,
+        /// `--frontier PATH`.
+        pub frontier: Option<PathBuf>,
     }
 
-    /// Handles `--help`/`-h` and parses the scale plus
-    /// `--workers`/`--json`/`--frontier`.
-    pub fn bench_args(bin: &str, about: &str, arg_name: &str, default: usize) -> BenchArgs {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("usage: {bin} [{arg_name}] [--workers N] [--json PATH] [--frontier PATH]");
-            println!("\n{about}");
-            println!("\n{arg_name} scales the workload; the default finishes in seconds.");
-            println!("--workers N  also time sequential vs partitioned repair (N threads)");
-            println!("--json PATH  append timing records to the BENCH_repair.json report");
-            println!("--frontier PATH  also run the column-aware vs partition-grained");
-            println!("                 frontier benchmark into the BENCH_frontier.json report");
+    /// Parses the command line of binary `bin`, described by `about`.
+    /// `scale` names the optional positional scale and its default (`None`:
+    /// the binary takes no positional argument); `flags` lists the flags it
+    /// takes. `--help` prints usage and exits 0. A scale that is not a
+    /// number, an extra argument or an undeclared flag exits 2.
+    pub fn args(bin: &str, about: &str, scale: Option<(&str, usize)>, flags: &[&str]) -> Args {
+        let declared: Vec<_> = FLAGS.iter().filter(|f| flags.contains(&f.0)).collect();
+        let mut usage = format!("usage: {bin}");
+        if let Some((name, _)) = scale {
+            usage += &format!(" [{name}]");
+        }
+        for (flag, value, _) in &declared {
+            usage += &format!(" [{flag} {value}]");
+        }
+        let raw: Vec<String> = std::env::args().skip(1).collect();
+        if raw.iter().any(|a| a == "--help" || a == "-h") {
+            println!("{usage}\n\n{about}");
+            if let Some((name, _)) = scale {
+                println!("\n{name} scales the workload; the default finishes in seconds.");
+            }
+            for (flag, value, help) in &declared {
+                println!("{flag} {value}  {help}");
+            }
             std::process::exit(0);
         }
-        let usage_error = |message: String| -> ! {
+        let fail = |message: String| -> ! {
             eprintln!("{bin}: {message}");
-            eprintln!("usage: {bin} [{arg_name}] [--workers N] [--json PATH] [--frontier PATH]");
+            eprintln!("{usage}");
             std::process::exit(2);
         };
-        let mut parsed = BenchArgs {
-            scale: default,
+        let number = |name: &str, text: &str| -> usize {
+            let parsed = text.parse();
+            parsed.unwrap_or_else(|_| fail(format!("{name} takes a number, got `{text}`")))
+        };
+        let mut args = Args {
+            scale: scale.map_or(0, |(_, default)| default),
             workers: None,
             json: None,
             frontier: None,
         };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--workers" => {
-                    let value = args
-                        .get(i + 1)
-                        .unwrap_or_else(|| usage_error("--workers requires a number".into()));
-                    parsed.workers = Some(value.parse().unwrap_or_else(|_| {
-                        usage_error(format!("--workers takes a number, got `{value}`"))
-                    }));
-                    i += 2;
+        let mut scale_given = false;
+        let mut raw = raw.into_iter();
+        while let Some(arg) = raw.next() {
+            if arg.starts_with('-') {
+                if !declared.iter().any(|f| f.0 == arg) {
+                    fail(format!("unknown flag `{arg}`"));
                 }
-                "--json" => {
-                    let value = args
-                        .get(i + 1)
-                        .unwrap_or_else(|| usage_error("--json requires a path".into()));
-                    parsed.json = Some(std::path::PathBuf::from(value));
-                    i += 2;
+                let value = raw
+                    .next()
+                    .unwrap_or_else(|| fail(format!("{arg} requires a value")));
+                match arg.as_str() {
+                    "--workers" => args.workers = Some(number(&arg, &value)),
+                    "--json" => args.json = Some(value.into()),
+                    _ => args.frontier = Some(value.into()),
                 }
-                "--frontier" => {
-                    let value = args
-                        .get(i + 1)
-                        .unwrap_or_else(|| usage_error("--frontier requires a path".into()));
-                    parsed.frontier = Some(std::path::PathBuf::from(value));
-                    i += 2;
-                }
-                flag if flag.starts_with('-') => {
-                    usage_error(format!("unknown flag `{flag}`"));
-                }
-                other => {
-                    // The positional scale; non-numeric values fall back to
-                    // the default, matching `scale_arg`'s behavior for the
-                    // other table binaries.
-                    if let Ok(scale) = other.parse() {
-                        parsed.scale = scale;
-                    }
-                    i += 1;
-                }
+            } else if let (Some((name, _)), false) = (scale, scale_given) {
+                args.scale = number(name, &arg);
+                scale_given = true;
+            } else {
+                fail(format!("unexpected argument `{arg}`"));
             }
         }
-        parsed
+        args
+    }
+
+    /// Appends `rows` to the report at `path`, when one was given.
+    pub fn write_report(path: Option<PathBuf>, rows: &[Json]) {
+        if let Some(path) = path {
+            crate::report::append(&path, rows).unwrap_or_else(|e| panic!("{e}"));
+            println!("wrote {} records to {}", rows.len(), path.display());
+        }
     }
 }
 

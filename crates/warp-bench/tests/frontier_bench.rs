@@ -1,17 +1,18 @@
-//! The frontier benchmark must produce records that pass its own CI gate:
+//! The frontier benchmark must produce rows that pass its own CI gate:
 //! ≥ 5x fewer re-executed history nodes column-aware vs partition-grained,
 //! with byte-identical canonical dumps.
 
-use warp_bench::report::{evaluate_frontier_gate, FRONTIER_MIN_RATIO};
+use warp_bench::report::GATES;
 
 #[test]
 fn frontier_benchmark_passes_its_own_gate() {
-    let records = warp_bench::frontier_benchmark("frontier_smoke", 8);
-    assert_eq!(records.len(), 2);
-    let verdict = evaluate_frontier_gate(&records).expect("both modes recorded");
+    let rows = warp_bench::frontier_benchmark("frontier_smoke", 8);
+    assert_eq!(rows.len(), 2);
+    let gate = GATES.iter().find(|g| g.name == "frontier").expect("gate");
+    let verdict = (gate.check)(&rows).expect("both modes recorded");
     assert!(
         verdict.pass,
-        "frontier gate must pass at smoke scale: worst ratio {:.1} (limit {FRONTIER_MIN_RATIO}), dumps match: {}",
-        verdict.worst_ratio, verdict.dumps_match
+        "frontier gate must pass at smoke scale: {}",
+        verdict.summary
     );
 }

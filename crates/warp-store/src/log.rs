@@ -130,6 +130,17 @@ fn parse_name(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .ok()
 }
 
+/// The first LSN of every `seg-` segment in the backend, ascending.
+fn segment_lsns(backend: &dyn StorageBackend) -> StoreResult<Vec<u64>> {
+    let mut lsns: Vec<u64> = backend
+        .list()?
+        .iter()
+        .filter_map(|n| parse_name(n, "seg-", ".log"))
+        .collect();
+    lsns.sort_unstable();
+    Ok(lsns)
+}
+
 fn parse_cold_name(name: &str) -> Option<(u64, u64)> {
     let middle = name.strip_prefix("cold-")?.strip_suffix(".zseg")?;
     let (first, end) = middle.split_once('-')?;
@@ -374,12 +385,7 @@ impl DurableStore {
         // Scan segments in LSN order. Segments older than the chain tip
         // survive delta checkpoints (only bases compact), so records below
         // the tip are skipped rather than returned.
-        let names = store.backend.list()?;
-        let mut seg_lsns: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_name(n, "seg-", ".log"))
-            .collect();
-        seg_lsns.sort_unstable();
+        let seg_lsns = segment_lsns(store.backend.as_ref())?;
         let mut records = Vec::new();
         let mut torn_tail = false;
         let mut next_lsn = checkpoint_lsn;
@@ -580,12 +586,7 @@ impl DurableStore {
     /// compressed cold blob. Idempotent: rewriting an existing cold blob
     /// produces identical content.
     fn cold_store_segments(&mut self, below: u64) -> StoreResult<()> {
-        let names = self.backend.list()?;
-        let mut seg_lsns: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_name(n, "seg-", ".log"))
-            .collect();
-        seg_lsns.sort_unstable();
+        let seg_lsns = segment_lsns(self.backend.as_ref())?;
         for (i, &first) in seg_lsns.iter().enumerate() {
             let end = seg_lsns.get(i + 1).copied().unwrap_or(self.next_lsn);
             if end > below {
@@ -728,12 +729,7 @@ impl DurableStore {
         if from >= self.next_lsn {
             return Ok(true);
         }
-        let names = self.backend.list()?;
-        let mut seg_lsns: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_name(n, "seg-", ".log"))
-            .collect();
-        seg_lsns.sort_unstable();
+        let seg_lsns = segment_lsns(self.backend.as_ref())?;
         // The segments serve `from` only if some segment starts at or
         // below it; anything older was compacted by a base checkpoint.
         let covering = seg_lsns.partition_point(|&first| first <= from);
@@ -885,12 +881,7 @@ pub(crate) fn retire_covered_segments(
     base_lsn: u64,
     cold_retention: bool,
 ) -> StoreResult<(u64, u64)> {
-    let names = backend.list()?;
-    let mut seg_lsns: Vec<u64> = names
-        .iter()
-        .filter_map(|n| parse_name(n, "seg-", ".log"))
-        .collect();
-    seg_lsns.sort_unstable();
+    let seg_lsns = segment_lsns(backend)?;
     let mut cold_stored = 0u64;
     let mut deleted = 0u64;
     let mut doomed = Vec::new();
