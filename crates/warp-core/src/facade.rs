@@ -34,7 +34,15 @@
 //! * Repairs are first-class: [`Warp::repair`] returns a [`RepairHandle`]
 //!   for status polling and outcome joining, and
 //!   [`Warp::resume_pending_repair`] re-runs a crash-interrupted repair
-//!   found during recovery.
+//!   found during recovery. A repair does not stop the site: the engine
+//!   owns it as a [`RepairRun`] and steps it one repair unit per worker
+//!   batch at a time, on clones of the database, serving queued requests
+//!   in the current generation between steps. Those requests are logged as
+//!   ordinary actions and join the repair where they meet what it
+//!   modified; the engine pauses only for the commit, which switches
+//!   generations. Any message other than a request — [`Warp::with_server`],
+//!   a checkpoint, another repair, [`Warp::close`] — first drives the
+//!   running repair through its commit.
 //!
 //! No async runtime: plain `std` threads and mpsc channels, matching the
 //! repair scheduler's worker-pool style.
@@ -43,7 +51,7 @@ use crate::apphost::{run_application, AppRunContext, DbAccess, ExecMode};
 use crate::clock::LogicalClock;
 use crate::config::{AppConfig, ServerConfig};
 use crate::persist::RecoveryReport;
-use crate::repair::{RepairOutcome, RepairRequest};
+use crate::repair::{RepairOutcome, RepairRequest, RepairRun};
 use crate::scheduler::RepairStrategy;
 use crate::server::{Served, WarpServer};
 use crate::shard::{classify, plan_entry, stayed_on_shard, Route, RoutePlan};
@@ -398,7 +406,10 @@ pub enum RepairStatus {
     /// Waiting for the engine to pick it up (requests ahead of it in the
     /// queue are still being served).
     Queued,
-    /// The engine is executing it.
+    /// The engine is executing it: started, and stepping between served
+    /// requests until its commit. Any administrative message sent now
+    /// ([`Warp::with_server`], [`Warp::checkpoint`], another repair,
+    /// [`Warp::close`]) waits for that commit.
     Running,
     /// Finished; the outcome is ready to join.
     Completed,
@@ -443,9 +454,10 @@ impl RepairHandle {
     ///
     /// # Panics
     ///
-    /// Panics if the engine stopped (e.g. [`Warp::close`] on another
-    /// handle) before the repair completed — otherwise a polling loop
-    /// would spin forever on a repair that can no longer finish.
+    /// Panics if the engine died (an engine panic) before the repair
+    /// completed — otherwise a polling loop would spin forever on a repair
+    /// that can no longer finish. [`Warp::close`] is not such a stop: it
+    /// commits a running repair before the engine exits.
     pub fn try_outcome(&mut self) -> Option<&RepairOutcome> {
         if self.received.is_none() {
             match self.rx.try_recv() {
@@ -463,7 +475,8 @@ impl RepairHandle {
     ///
     /// # Panics
     ///
-    /// Panics if the engine stopped before the repair completed.
+    /// Panics if the engine died (an engine panic) before the repair
+    /// completed; [`Warp::close`] commits a running repair first.
     pub fn join(mut self) -> RepairOutcome {
         match self.received.take() {
             Some(outcome) => outcome,
@@ -564,9 +577,15 @@ impl Warp {
     }
 
     /// Starts a repair with the builder-configured strategy and returns a
-    /// handle for status polling and outcome joining. The engine executes
-    /// the repair in queue order; requests submitted after this call are
-    /// served against the repaired state.
+    /// handle for status polling and outcome joining. The engine starts the
+    /// repair in queue order and keeps serving while it runs: requests
+    /// submitted after this call are answered from the current generation
+    /// — the state *before* the repair — until the repair commits, and are
+    /// then folded into the repair wherever they met what it modified, so
+    /// the committed state is the one they would have produced after it.
+    /// Requests submitted after [`RepairHandle::join`] returns see the
+    /// repaired state. A repair of at most one dependency unit, and a
+    /// [`RepairStrategy::Sequential`] one, runs in one piece at the commit.
     pub fn repair(&self, request: RepairRequest) -> RepairHandle {
         self.repair_with_strategy(request, None)
     }
@@ -649,8 +668,11 @@ impl Warp {
 
     /// Stops the engine and returns the underlying [`WarpServer`] with
     /// everything flushed to the durable log and the store folded back to
-    /// the synchronous sink. Outstanding clones of this handle keep
-    /// working as dead handles: [`Warp::serve`] returns 503.
+    /// the synchronous sink. A repair still running is committed first, so
+    /// the returned server holds its effects and its handle's
+    /// [`RepairHandle::join`] returns the outcome. Outstanding clones of
+    /// this handle keep working as dead handles: [`Warp::serve`] returns
+    /// 503.
     ///
     /// # Panics
     ///
@@ -715,50 +737,129 @@ fn record_and_release(
     }
 }
 
-/// Runs a queued repair to completion and reports the outcome (shared by
-/// both engine flavors; the sharded engine barriers first).
-fn run_repair_msg(
-    server: &mut WarpServer,
-    durable_acks: bool,
-    strategy: RepairStrategy,
-    request: RepairRequest,
-    state: &AtomicU8,
+/// Requests the engine serves at most between two steps of a repair, so a
+/// steady stream of traffic cannot starve the repair.
+const SERVES_PER_STEP: usize = 64;
+
+/// A repair the engine is running, with its handle's plumbing. Between the
+/// run's steps the engine serves queued requests in the current
+/// generation; any other message first drives the run through its commit.
+struct ActiveRepair {
+    run: RepairRun,
+    state: Arc<AtomicU8>,
     outcome: Sender<RepairOutcome>,
-) {
-    state.store(STATUS_RUNNING, Ordering::Release);
-    let result = server.repair_with(request, strategy);
-    if durable_acks {
-        // The commit/abort record must be durable before the outcome is
-        // reported.
-        server.flush_durable();
-    }
-    state.store(STATUS_COMPLETED, Ordering::Release);
-    let _ = outcome.send(result);
+    /// Requests served since the last step.
+    served: usize,
 }
 
-/// Resumes the crash-interrupted repair, if one is pending.
-fn run_resume_msg(
+impl ActiveRepair {
+    fn new(run: RepairRun, state: Arc<AtomicU8>, outcome: Sender<RepairOutcome>) -> Self {
+        state.store(STATUS_RUNNING, Ordering::Release);
+        ActiveRepair {
+            run,
+            state,
+            outcome,
+            served: 0,
+        }
+    }
+
+    /// The next queued message, if the repair may yield to one now.
+    fn poll(&self, rx: &Receiver<EngineMsg>) -> Option<EngineMsg> {
+        if self.served >= SERVES_PER_STEP {
+            return None;
+        }
+        rx.try_recv().ok()
+    }
+
+    /// Drives the run through its commit and reports the outcome.
+    fn finish(self, server: &mut WarpServer, durable_acks: bool) {
+        let result = self.run.commit(server);
+        if durable_acks {
+            // The commit/abort record must be durable before the outcome is
+            // reported.
+            server.flush_durable();
+        }
+        self.state.store(STATUS_COMPLETED, Ordering::Release);
+        let _ = self.outcome.send(result);
+    }
+}
+
+/// What the engine does next while a repair runs: commit it once no step
+/// is left, yield to a queued message, or run the next step. Returns the
+/// message to handle, if any.
+fn drive_repair(
+    repair: &mut Option<ActiveRepair>,
     server: &mut WarpServer,
     durable_acks: bool,
-    strategy: RepairStrategy,
-    state: &AtomicU8,
-    outcome: Sender<RepairOutcome>,
-    accepted: Sender<bool>,
-) {
-    if server.pending_repair().is_none() {
-        let _ = accepted.send(false);
-        return;
+    rx: &Receiver<EngineMsg>,
+) -> Option<EngineMsg> {
+    let active = repair.as_mut()?;
+    if active.run.is_ready() {
+        repair
+            .take()
+            .expect("checked above")
+            .finish(server, durable_acks);
+        return None;
     }
-    let _ = accepted.send(true);
-    state.store(STATUS_RUNNING, Ordering::Release);
-    let result = server
-        .resume_pending_repair(strategy)
-        .expect("pending repair checked above");
-    if durable_acks {
-        server.flush_durable();
+    let msg = active.poll(rx);
+    if msg.is_none() {
+        active.served = 0;
+        active.run.step(server);
     }
-    state.store(STATUS_COMPLETED, Ordering::Release);
-    let _ = outcome.send(result);
+    msg
+}
+
+/// Handles one message on the engine's server while `repair` may be
+/// active: a request is served in the current generation (unless the run
+/// has to commit first to keep its synthetic-ID headroom); anything else
+/// commits the run first, so `with_server`, checkpoints, GC, client-log
+/// uploads, a second repair and `close` keep their ordering. Returns the
+/// close reply, if the message was a `Close`.
+fn handle_msg(
+    server: &mut WarpServer,
+    durable_acks: bool,
+    default_strategy: RepairStrategy,
+    repair: &mut Option<ActiveRepair>,
+    msg: EngineMsg,
+) -> Option<Sender<Box<WarpServer>>> {
+    let serving = matches!(msg, EngineMsg::Serve { .. });
+    match repair.as_mut() {
+        Some(active) if serving && !active.run.must_commit(server) => active.served += 1,
+        _ => {
+            if let Some(active) = repair.take() {
+                active.finish(server, durable_acks);
+            }
+        }
+    }
+    match msg {
+        EngineMsg::Serve { request, reply } => {
+            classic_serve(server, durable_acks, request, reply);
+        }
+        EngineMsg::With(f) => f(server),
+        EngineMsg::Repair {
+            request,
+            strategy,
+            state,
+            outcome,
+        } => {
+            let run = RepairRun::start(server, request, strategy.unwrap_or(default_strategy));
+            *repair = Some(ActiveRepair::new(run, state, outcome));
+        }
+        EngineMsg::ResumeRepair {
+            state,
+            outcome,
+            accepted,
+        } => {
+            // The check and the start are one step on the engine thread, so
+            // concurrent resumers cannot run the repair twice.
+            let run = RepairRun::resume(server, default_strategy);
+            let _ = accepted.send(run.is_some());
+            *repair = run.map(|run| ActiveRepair::new(run, state, outcome));
+        }
+        EngineMsg::Close { reply } => return Some(reply),
+        EngineMsg::ShardDone { .. } => unreachable!("recorded by the sharded engine"),
+    }
+    None
 }
 
 fn engine_loop(
@@ -768,49 +869,35 @@ fn engine_loop(
     rx: Receiver<EngineMsg>,
 ) {
     let durable_acks = durability.acks_after_durability() && server.is_persistent();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            EngineMsg::Serve { request, reply } => {
-                classic_serve(&mut server, durable_acks, request, reply);
+    let mut repair: Option<ActiveRepair> = None;
+    loop {
+        let msg = if repair.is_some() {
+            match drive_repair(&mut repair, &mut server, durable_acks, &rx) {
+                Some(msg) => msg,
+                None => continue,
             }
-            EngineMsg::With(f) => f(&mut server),
-            EngineMsg::Repair {
-                request,
-                strategy,
-                state,
-                outcome,
-            } => run_repair_msg(
-                &mut server,
-                durable_acks,
-                strategy.unwrap_or(default_strategy),
-                request,
-                &state,
-                outcome,
-            ),
-            EngineMsg::ResumeRepair {
-                state,
-                outcome,
-                accepted,
-            } => run_resume_msg(
-                &mut server,
-                durable_acks,
-                default_strategy,
-                &state,
-                outcome,
-                accepted,
-            ),
-            EngineMsg::Close { reply } => {
-                server.disable_group_commit();
-                let _ = reply.send(Box::new(server));
-                return;
+        } else {
+            match rx.recv() {
+                Ok(msg) => msg,
+                // Every handle dropped: dropping the server flushes and
+                // stops the group-commit writer, so nothing submitted is
+                // lost.
+                Err(_) => return,
             }
-            EngineMsg::ShardDone { .. } => {
-                unreachable!("classic engine has no shard workers")
-            }
+        };
+        let close = handle_msg(
+            &mut server,
+            durable_acks,
+            default_strategy,
+            &mut repair,
+            msg,
+        );
+        if let Some(reply) = close {
+            server.disable_group_commit();
+            let _ = reply.send(Box::new(server));
+            return;
         }
     }
-    // Every handle dropped: dropping the server flushes and stops the
-    // group-commit writer, so nothing submitted is lost.
 }
 
 // ---------------------------------------------------------------------------
@@ -1116,9 +1203,16 @@ fn sharded_engine_loop(
         pending: BTreeMap::new(),
         backlog: VecDeque::new(),
     };
+    let mut repair: Option<ActiveRepair> = None;
     let close_reply = loop {
         let msg = match engine.backlog.pop_front() {
             Some(msg) => msg,
+            None if repair.is_some() => {
+                match drive_repair(&mut repair, &mut engine.server, durable_acks, &rx) {
+                    Some(msg) => msg,
+                    None => continue,
+                }
+            }
             // The workers' engine senders mask channel disconnect, so idle
             // ticks watch the liveness token to notice that every public
             // handle is gone.
@@ -1138,7 +1232,12 @@ fn sharded_engine_loop(
             },
         };
         match msg {
-            EngineMsg::Serve { request, reply } => engine.serve(request, reply, &rx),
+            // While a repair runs the database stays home (the run clones
+            // it, and its commit writes it), so requests take the global
+            // lane.
+            EngineMsg::Serve { request, reply } if repair.is_none() => {
+                engine.serve(request, reply, &rx)
+            }
             EngineMsg::ShardDone { seq, served, reply } => {
                 engine.record_ready(seq, DoneAction { served, reply });
                 // Checkpoints are barriers (they need the database home);
@@ -1153,44 +1252,18 @@ fn sharded_engine_loop(
                     engine.barrier(&rx);
                 }
             }
-            EngineMsg::With(f) => {
+            msg => {
+                // Everything else is a barrier: shard work drains first.
                 engine.barrier(&rx);
-                f(&mut engine.server);
-            }
-            EngineMsg::Repair {
-                request,
-                strategy,
-                state,
-                outcome,
-            } => {
-                engine.barrier(&rx);
-                run_repair_msg(
-                    &mut engine.server,
-                    durable_acks,
-                    strategy.unwrap_or(default_strategy),
-                    request,
-                    &state,
-                    outcome,
-                );
-            }
-            EngineMsg::ResumeRepair {
-                state,
-                outcome,
-                accepted,
-            } => {
-                engine.barrier(&rx);
-                run_resume_msg(
+                if let Some(reply) = handle_msg(
                     &mut engine.server,
                     durable_acks,
                     default_strategy,
-                    &state,
-                    outcome,
-                    accepted,
-                );
-            }
-            EngineMsg::Close { reply } => {
-                engine.barrier(&rx);
-                break Some(reply);
+                    &mut repair,
+                    msg,
+                ) {
+                    break Some(reply);
+                }
             }
         }
     };

@@ -194,6 +194,10 @@ pub struct HistoryGraph {
     client_logs: BTreeMap<String, BTreeMap<u64, PageVisitRecord>>,
     /// Per-client storage quota in bytes for uploaded logs (paper §5.2).
     pub client_log_quota_bytes: usize,
+    /// Recorded queries across every action, kept as actions arrive (and
+    /// rebuilt with them by GC), so a repair reads its totals without a
+    /// history scan.
+    queries_total: usize,
 }
 
 impl HistoryGraph {
@@ -235,8 +239,19 @@ impl HistoryGraph {
                 .push(id);
         }
         self.index_partitions(id, &action);
+        self.queries_total += action.queries.len();
         self.actions.push(action);
         id
+    }
+
+    /// Queries recorded across every action (cancelled ones included).
+    pub fn queries_total(&self) -> usize {
+        self.queries_total
+    }
+
+    /// Distinct page visits the recorded actions belong to.
+    pub fn page_visits_total(&self) -> usize {
+        self.by_visit.len()
     }
 
     /// Unions the arriving action with every earlier action the batch
@@ -814,5 +829,33 @@ mod tests {
         assert_eq!(g.len(), 2);
         assert_eq!(g.actions_loading_file("a.wasl", 0).len(), 1);
         assert_eq!(g.actions_loading_file("b.wasl", 0).len(), 1);
+    }
+
+    #[test]
+    fn running_totals_equal_a_history_scan_before_and_after_gc() {
+        fn scanned(g: &HistoryGraph) -> (usize, usize) {
+            let queries = g.actions().iter().map(|a| a.queries.len()).sum();
+            let visits = g
+                .actions()
+                .iter()
+                .filter_map(|a| a.client.as_ref().map(|c| (c.client_id.clone(), c.visit_id)))
+                .collect::<BTreeSet<_>>()
+                .len();
+            (queries, visits)
+        }
+        let mut g = HistoryGraph::new();
+        for i in 0..12u64 {
+            let client = (i % 3 != 0).then_some(("client", i / 4, i));
+            let mut a = action(10 * i as i64, &["view.wasl"], client);
+            let extra = a.queries[0].clone();
+            a.queries.extend(std::iter::repeat_n(extra, i as usize % 3));
+            let id = g.record_action(a);
+            if i == 5 {
+                g.action_mut(id).unwrap().cancelled = true;
+            }
+        }
+        assert_eq!((g.queries_total(), g.page_visits_total()), scanned(&g));
+        assert!(g.garbage_collect(45) > 0);
+        assert_eq!((g.queries_total(), g.page_visits_total()), scanned(&g));
     }
 }

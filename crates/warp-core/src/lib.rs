@@ -14,7 +14,10 @@
 //! * The repair controller ([`repair`]) implements rollback-and-re-execute
 //!   repair: retroactive patching (§3), partition-based selective query
 //!   re-execution over the time-travel database (§4), DOM-level browser
-//!   re-execution (§5), conflict queueing, and user-initiated undo.
+//!   re-execution (§5), conflict queueing, and user-initiated undo. A
+//!   repair is a [`RepairRun`] — started, stepped, committed — so the
+//!   engine keeps serving while it runs and pauses only to switch
+//!   generations (§4.3).
 //! * [`history`] also stores the per-client browser logs (with quotas) and
 //!   the storage accounting reported in the paper's Table 6; [`stats`]
 //!   collects the repair-time breakdown reported in Tables 7 and 8.
@@ -75,7 +78,7 @@ pub use conflict::{Conflict, ConflictKind};
 pub use facade::{Durability, RepairHandle, RepairStatus, Warp, WarpBuilder, WarpHost};
 pub use history::{ActionId, ActionRecord, HistoryGraph, NondetRecord, QueryRecord};
 pub use persist::RecoveryReport;
-pub use repair::{RepairOutcome, RepairRequest};
+pub use repair::{RepairOutcome, RepairRequest, RepairRun};
 pub use scheduler::RepairStrategy;
 pub use server::WarpServer;
 pub use shard::{site_template, SiteTemplate, TemplateParam};

@@ -1880,11 +1880,12 @@ impl WarpServer {
     /// incremental one on the automatic cadence; see
     /// [`WarpServer::checkpoint_incremental`].
     pub(crate) fn maybe_checkpoint(&mut self) {
-        if self
-            .store
-            .as_ref()
-            .map(|s| s.checkpoint_due())
-            .unwrap_or(false)
+        if !self.repair_in_flight
+            && self
+                .store
+                .as_ref()
+                .map(|s| s.checkpoint_due())
+                .unwrap_or(false)
         {
             self.checkpoint_incremental();
         }
@@ -1961,8 +1962,7 @@ impl WarpServer {
         &mut self,
         strategy: crate::scheduler::RepairStrategy,
     ) -> Option<crate::repair::RepairOutcome> {
-        let request = self.pending_repair.take()?;
-        Some(self.repair_with(request, strategy))
+        crate::repair::RepairRun::resume(self, strategy).map(|run| run.commit(self))
     }
 
     /// The durable LSN watermark: the next LSN the log will assign, with

@@ -16,14 +16,19 @@
 //!    sequential engine (one pass over the whole history, in place) and each
 //!    per-partition worker (a pass over one group, against a cloned
 //!    database).
-//! 3. `run_partitioned` re-executes the seeded groups concurrently on a
-//!    scoped `std::thread` worker pool, detects cross-partition conflicts
-//!    (re-execution that touched partitions outside its own group), escalates
-//!    by merging the conflicting groups and re-running them, and finally
-//!    applies each batch's mutation-tracked delta — the exact row versions
-//!    its repair removed and added, drained from the clone's delta tracker —
-//!    back onto the master database. No snapshots or whole-table diffs are
-//!    taken anywhere: merge cost is O(rows changed).
+//! 3. `PartitionedRepair` re-executes the seeded groups as a stepper: each
+//!    step advances every worker batch by one repair unit, on the batch's
+//!    clone of the database, concurrently on a scoped `std::thread` pool, so
+//!    the engine can serve requests between steps. A round that finishes
+//!    checks for cross-partition conflicts (re-execution that touched
+//!    partitions outside its own group) and escalates by merging the
+//!    conflicting groups and re-running them. At commit, actions served
+//!    since the plan join the units whose modified partitions they meet
+//!    (those units re-run with them), and each unit's mutation-tracked
+//!    delta — the exact row versions its repair removed and added, drained
+//!    from its clone — is applied back onto the master database. No
+//!    snapshots or whole-table diffs are taken anywhere: merge cost is
+//!    O(rows changed).
 //!
 //! Per-partition re-execution stays equivalent to the global time order
 //! because groups are closed under the recorded dependency relation, and any
@@ -83,6 +88,16 @@ impl RepairStrategy {
             | RepairStrategy::PartitionedFullClone { workers } => (*workers).max(1),
         }
     }
+
+    /// How the partitioned engine's batches clone the master database;
+    /// `None` for the sequential engine.
+    pub(crate) fn clone_scope(&self) -> Option<CloneScope> {
+        match self {
+            RepairStrategy::Sequential => None,
+            RepairStrategy::Partitioned { .. } => Some(CloneScope::Footprint),
+            RepairStrategy::PartitionedFullClone { .. } => Some(CloneScope::Full),
+        }
+    }
 }
 
 /// How worker batches clone the master database.
@@ -111,7 +126,7 @@ pub(crate) struct RepairEnv<'a> {
 /// conflict queue, cookie invalidations) are collected here and applied by
 /// the controller after the pass, so passes can run against clones.
 #[derive(Default)]
-pub(crate) struct RepairRun {
+pub(crate) struct RepairPass {
     pub stats: RepairStats,
     pub conflicts: Vec<Conflict>,
     pub cancelled: BTreeSet<ActionId>,
@@ -126,6 +141,8 @@ pub(crate) struct RepairRun {
     pub rolled_back_rows: usize,
     /// Partitions the pass's session modified.
     pub modified: Vec<PartitionSet>,
+    /// Page visits the pass replayed in the server-side browser.
+    pub replayed_visits: BTreeSet<(String, u64)>,
 }
 
 /// A transport handed to the server-side re-execution browser. Requests the
@@ -159,8 +176,8 @@ pub(crate) fn execute_actions(
     seed_reexecute: &BTreeSet<ActionId>,
     seed_cancel: &BTreeSet<ActionId>,
     collect_dynamic: bool,
-) -> RepairRun {
-    let mut run = RepairRun::default();
+) -> RepairPass {
+    let mut run = RepairPass::default();
     let mut to_reexecute: BTreeSet<ActionId> = order
         .iter()
         .filter(|id| seed_reexecute.contains(id))
@@ -404,11 +421,12 @@ pub(crate) fn execute_actions(
     run.stats.rows_rolled_back = run.stats.rows_rolled_back.max(session.rolled_back_rows);
     run.rolled_back_rows = session.rolled_back_rows;
     run.modified = session.modified_partitions().to_vec();
+    run.replayed_visits = reexecuted_visits;
     run
 }
 
 fn collect_deps<'a>(
-    run: &mut RepairRun,
+    run: &mut RepairPass,
     deps: impl Iterator<Item = &'a warp_ttdb::QueryDependency>,
 ) {
     for dep in deps {
@@ -485,7 +503,7 @@ fn cancel_action(
     db: &mut TimeTravelDb,
     session: &mut RepairSession,
     action: &ActionRecord,
-    run: &mut RepairRun,
+    run: &mut RepairPass,
 ) {
     for q in &action.queries {
         if q.is_write {
@@ -504,7 +522,7 @@ fn cancel_action(
 /// `None` when the client uploaded no log for that visit.
 fn replay_client_visit(
     env: &RepairEnv<'_>,
-    run: &mut RepairRun,
+    run: &mut RepairPass,
     client_id: &str,
     visit_id: u64,
     new_response: &HttpResponse,
@@ -579,17 +597,9 @@ impl UnionFind {
     }
 }
 
-/// The partition graph: independent dependency groups of the history.
-pub(crate) struct PartitionPlan<'h> {
-    /// Action IDs per group, each sorted by `(time, id)`. Groups are ordered
-    /// by their smallest member action ID, so numbering is deterministic.
-    pub groups: Vec<Vec<ActionId>>,
-    /// Static footprint per group: the normalized partition sets of every
-    /// recorded query of the group's actions, borrowed from the history.
-    pub footprints: Vec<Vec<Cow<'h, PartitionSet>>>,
-}
-
-/// Builds the partition graph over all live (non-cancelled) actions:
+/// Builds the partition graph over all live (non-cancelled) actions and
+/// returns its independent dependency groups, each sorted by `(time, id)`
+/// and ordered by smallest member action ID, so numbering is deterministic:
 ///
 /// * actions of one page visit are linked (browser replay spans the visit);
 /// * for every partition with at least one writer, all of its readers and
@@ -602,23 +612,13 @@ pub(crate) struct PartitionPlan<'h> {
 /// The link structure itself is maintained *incrementally* by the history
 /// graph as actions are recorded ([`HistoryGraph::partition_components`]),
 /// so planning a repair no longer rescans every recorded query — it only
-/// reads off the components and concatenates their footprints.
-pub(crate) fn plan_partitions(history: &HistoryGraph) -> PartitionPlan<'_> {
-    let components = history.partition_components();
-    let mut groups = Vec::with_capacity(components.len());
-    let mut footprints = Vec::with_capacity(components.len());
-    for mut ids in components {
-        ids.sort_by_key(|&id| (history.action(id).map(|a| a.time).unwrap_or(0), id));
-        let mut footprint = Vec::new();
-        for &id in &ids {
-            if let Some(action) = history.action(id) {
-                footprint.extend(action.partition_footprint());
-            }
-        }
-        groups.push(ids);
-        footprints.push(footprint);
+/// reads off the components.
+pub(crate) fn plan_partitions(history: &HistoryGraph) -> Vec<Vec<ActionId>> {
+    let mut groups = history.partition_components();
+    for ids in &mut groups {
+        sort_by_time(history, ids);
     }
-    PartitionPlan { groups, footprints }
+    groups
 }
 
 /// The partitions one repaired cluster modified, flattened so the
@@ -658,6 +658,48 @@ impl<'a> ModifiedIndex<'a> {
         index
     }
 
+    /// Calls `visit` for every recorded action whose partition footprint
+    /// overlaps the modified set (an action may come more than once): the
+    /// actions `overlaps_any(action.partition_footprint())` holds for, read
+    /// off the history's partition index instead of probing every
+    /// footprint.
+    fn touching(&self, history: &HistoryGraph, mut visit: impl FnMut(ActionId)) {
+        let index = history.partition_index();
+        for &table in &self.tables {
+            let Some(usage) = index.get(table) else {
+                continue;
+            };
+            // A whole-table footprint meets any modification of its table,
+            // and a whole-table modification meets every key of it.
+            let keys = self
+                .whole
+                .contains(table)
+                .then(|| usage.keys.values())
+                .into_iter()
+                .flatten();
+            usage
+                .whole_readers
+                .iter()
+                .chain(&usage.whole_writers)
+                .chain(keys.flat_map(|hub| hub.readers.iter().chain(&hub.writers)))
+                .for_each(|&id| visit(id));
+        }
+        for key in &self.keys {
+            if self.whole.contains(key.table.as_str()) {
+                continue;
+            }
+            let hub = index
+                .get(&key.table)
+                .and_then(|usage| usage.keys.get(&(key.column.clone(), key.value.clone())));
+            if let Some(hub) = hub {
+                hub.readers
+                    .iter()
+                    .chain(&hub.writers)
+                    .for_each(|&id| visit(id));
+            }
+        }
+    }
+
     fn overlaps_any<B: Borrow<PartitionSet>>(&self, sets: &[B]) -> bool {
         sets.iter().any(|set| match set.borrow() {
             PartitionSet::Whole { table } => self.tables.contains(table.as_str()),
@@ -690,18 +732,6 @@ fn widen_scope(scope: &mut BTreeMap<String, RowScope>, partitions: &PartitionSet
     }
 }
 
-/// Merges scope `b` into scope `a` (AllRows absorbs partition lists).
-fn union_scopes(a: &mut BTreeMap<String, RowScope>, b: &BTreeMap<String, RowScope>) {
-    for (table, s) in b {
-        match a.entry(table.clone()) {
-            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().union_with(s),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(s.clone());
-            }
-        }
-    }
-}
-
 /// True if every partition the set covers lies inside the scope a bounded
 /// clone was built from. An out-of-scope partition means the clone was
 /// missing rows the re-execution may have needed.
@@ -720,346 +750,637 @@ fn scope_contains(scope: &BTreeMap<String, RowScope>, partitions: &PartitionSet)
 // The parallel driver
 // ---------------------------------------------------------------------------
 
-/// Synthetic row-ID range reserved per worker batch, so inserts re-executed
-/// on different workers cannot allocate colliding IDs.
-const SYNTHETIC_ID_STRIDE: i64 = 1_000_000;
+/// Synthetic row-ID range reserved per worker batch (and per unit re-run at
+/// commit), so inserts re-executed on different clones cannot allocate
+/// colliding IDs. The first range starts one stride above the master's
+/// watermark: the stride below it is left to foreground inserts served while
+/// a stepped repair runs.
+pub(crate) const SYNTHETIC_ID_STRIDE: i64 = 1_000_000;
+
+/// The repair seeds: actions to re-execute with patched code, and actions to
+/// cancel outright.
+#[derive(Debug, Default)]
+pub(crate) struct Seeds {
+    pub reexecute: BTreeSet<ActionId>,
+    pub cancel: BTreeSet<ActionId>,
+}
+
+impl Seeds {
+    fn contains(&self, id: &ActionId) -> bool {
+        self.reexecute.contains(id) || self.cancel.contains(id)
+    }
+}
 
 /// What the partitioned engine produced. The repair generation has been
 /// begun on the master database (and the merged diffs applied to it, unless
 /// the repair is aborting); the controller finalizes or aborts it.
 pub(crate) struct PartitionedResult {
     /// The merged outcome of every repaired partition.
-    pub run: RepairRun,
+    pub run: RepairPass,
     pub partitions_total: usize,
     pub partitions_repaired: usize,
     pub escalations: usize,
     /// Rounds that had to be re-run on full clones because a batch touched
     /// a table outside its bounded-clone footprint.
     pub bounded_fallbacks: usize,
+    /// Actions recorded after the plan was made that the repair folded in.
+    pub joined: usize,
 }
 
-/// One worker batch's results plus the mutation delta its clone tracked.
-/// The clone itself is dropped as soon as its delta is drained — the merge
-/// needs only the O(rows changed) delta, never the cloned tables.
-struct RoundBatch {
-    /// `(cluster index, run)` for each cluster this batch processed.
-    runs: Vec<(usize, RepairRun)>,
-    /// The per-table row sets the batch's repair removed/added on its
-    /// clone, drained from the clone's delta tracker; empty for an
-    /// in-place round (the master database tracked those directly).
-    deltas: RepairDelta,
-    /// The synthetic-ID watermark the clone started from.
-    id_watermark_start: i64,
-    /// The synthetic-ID watermark after the batch ran.
-    id_watermark_end: i64,
+/// What one repair unit produced: its pass, the mutation delta drained from
+/// its clone right after it ran (empty in place, where the master database
+/// tracks its own), and the synthetic-ID range it allocated from.
+struct UnitResult {
+    pass: RepairPass,
+    delta: RepairDelta,
+    /// First ID of the range the unit's clone allocated from.
+    id_start: i64,
+    /// The clone's watermark after the unit ran.
+    id_end: i64,
 }
 
-/// Runs the partitioned repair: plan, re-execute seeded groups concurrently,
-/// escalate on cross-partition conflicts, and merge the per-partition row
-/// diffs into `db`. The merge is skipped when the repair will abort
-/// (non-admin with conflicts), leaving the master database untouched.
-pub(crate) fn run_partitioned(
-    env: &RepairEnv<'_>,
-    db: &mut TimeTravelDb,
-    seed_reexecute: &BTreeSet<ActionId>,
-    seed_cancel: &BTreeSet<ActionId>,
+/// One worker batch of a round: its units run one per step, in order, on
+/// one clone of the master database.
+struct Batch {
+    units: Vec<usize>,
+    /// Units of `units` already run.
+    done: usize,
+    /// Cloned at the batch's first step, dropped after its last unit.
+    clone: Option<TimeTravelDb>,
+    /// The row scope the clone was built from (`None`: a whole clone).
+    scope: Option<BTreeMap<String, RowScope>>,
+    id_start: i64,
+}
+
+/// One round of the partitioned engine: the seeded clusters of dependency
+/// groups, each repaired as one unit.
+struct Round {
+    /// Base group indices per cluster, smallest (the union-find root) first.
+    clusters: Vec<Vec<usize>>,
+    /// Action IDs per unit, sorted by `(time, id)`.
+    units: Vec<Vec<ActionId>>,
+    /// Batch clones carry only their units' dependency footprint. Cleared
+    /// when a batch escapes it: the round then re-runs on whole clones.
+    bounded: bool,
+    batches: Vec<Batch>,
+    results: Vec<Option<UnitResult>>,
+}
+
+/// The partitioned repair engine, as a stepper.
+///
+/// A plan splits the history into dependency groups; each round repairs the
+/// seeded clusters of groups as units. Off the master database, each
+/// [`PartitionedRepair::step`] advances every worker batch by one unit on
+/// the batch's clone, so the caller can serve requests between steps. Once
+/// every unit of a round ran, a round that escaped its bounded clones
+/// re-runs on whole clones, and a round whose re-execution touched another
+/// group's partitions merges the groups and re-runs (escalation). In place
+/// (at most one unit, run at the commit barrier), a step repairs the unit
+/// directly on the master database. [`PartitionedRepair::finish`] merges
+/// the unit deltas into the master inside one repair generation.
+pub(crate) struct PartitionedRepair {
+    /// The history's dependency groups at plan time, each sorted by
+    /// `(time, id)`; groups are ordered by their smallest member.
+    groups: Vec<Vec<ActionId>>,
+    /// The group of each action ID at plan time (`usize::MAX`: none — a
+    /// cancelled action, or one recorded after the plan).
+    group_of: Vec<usize>,
+    seeded: Vec<bool>,
+    clusters: UnionFind,
     workers: usize,
-    initiated_by_admin: bool,
+    /// OS threads a step may use: the worker count, capped at the
+    /// machine's parallelism.
+    threads: usize,
     clone_scope: CloneScope,
-) -> PartitionedResult {
-    let plan = plan_partitions(env.history);
-    let n_groups = plan.groups.len();
-    let mut cluster_uf = UnionFind::new(n_groups);
-    let seeded: Vec<bool> = plan
-        .groups
-        .iter()
-        .map(|g| {
-            g.iter()
-                .any(|id| seed_reexecute.contains(id) || seed_cancel.contains(id))
-        })
-        .collect();
-    let mut escalations = 0usize;
-    let mut bounded_fallbacks = 0usize;
+    in_place: bool,
+    /// First ID of batch 0's synthetic-ID range.
+    id_base: i64,
+    /// Ranges handed to units re-run at commit so far.
+    reruns: i64,
+    escalations: usize,
+    bounded_fallbacks: usize,
+    round: Round,
+    done: bool,
+}
 
-    let (batches, clusters, in_place) = loop {
-        // Materialize the current seeded clusters (merged base groups).
+impl PartitionedRepair {
+    /// Plans the repair over the history as it is now. With at most one
+    /// unit to repair, the repair runs in place on the master database;
+    /// otherwise every unit runs on a clone.
+    pub(crate) fn plan(
+        history: &HistoryGraph,
+        db: &TimeTravelDb,
+        seeds: &Seeds,
+        workers: usize,
+        clone_scope: CloneScope,
+    ) -> Self {
+        let groups = plan_partitions(history);
+        let seeded: Vec<bool> = groups
+            .iter()
+            .map(|g| g.iter().any(|id| seeds.contains(id)))
+            .collect();
+        // Merging only ever shrinks the seeded clusters, so a plan that
+        // starts with at most one stays in place.
+        let in_place = seeded.iter().filter(|&&s| s).count() <= 1;
+        let mut group_of = vec![usize::MAX; history.len()];
+        for (g, ids) in groups.iter().enumerate() {
+            for &id in ids {
+                group_of[id as usize] = g;
+            }
+        }
+        let workers = workers.max(1);
+        // More runnable threads than cores buys nothing for CPU-bound
+        // re-execution and costs cache locality.
+        let threads = std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+            .min(workers);
+        let mut repair = PartitionedRepair {
+            clusters: UnionFind::new(groups.len()),
+            groups,
+            group_of,
+            seeded,
+            workers,
+            threads,
+            clone_scope,
+            in_place,
+            id_base: db.synthetic_id_watermark() + SYNTHETIC_ID_STRIDE,
+            reruns: 0,
+            escalations: 0,
+            bounded_fallbacks: 0,
+            round: Round {
+                clusters: Vec::new(),
+                units: Vec::new(),
+                bounded: false,
+                batches: Vec::new(),
+                results: Vec::new(),
+            },
+            done: false,
+        };
+        repair.round = repair.new_round(history, true);
+        repair
+    }
+
+    /// True if the repair runs in place on the master database (so as one
+    /// step at the commit barrier).
+    pub(crate) fn in_place(&self) -> bool {
+        self.in_place
+    }
+
+    /// True once every round is clean: nothing is left but [`finish`].
+    ///
+    /// [`finish`]: PartitionedRepair::finish
+    pub(crate) fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// The escalation and fallback counters so far.
+    pub(crate) fn counters(&self) -> (usize, usize) {
+        (self.escalations, self.bounded_fallbacks)
+    }
+
+    /// Materializes the current seeded clusters as a round. With
+    /// `bounded`, batch clones carry only their units' footprints.
+    fn new_round(&mut self, history: &HistoryGraph, bounded: bool) -> Round {
         let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for g in 0..n_groups {
-            let root = cluster_uf.find(g);
-            by_root.entry(root).or_default().push(g);
+        for g in 0..self.groups.len() {
+            by_root.entry(self.clusters.find(g)).or_default().push(g);
         }
         let clusters: Vec<Vec<usize>> = by_root
             .into_values()
-            .filter(|gs| gs.iter().any(|&g| seeded[g]))
-            .collect();
-        let root_to_cluster: BTreeMap<usize, usize> = clusters
-            .iter()
-            .enumerate()
-            .map(|(ci, gs)| (gs[0], ci))
+            .filter(|gs| gs.iter().any(|&g| self.seeded[g]))
             .collect();
         let units: Vec<Vec<ActionId>> = clusters
             .iter()
             .map(|gs| {
                 let mut ids: Vec<ActionId> = gs
                     .iter()
-                    .flat_map(|&g| plan.groups[g].iter().copied())
+                    .flat_map(|&g| self.groups[g].iter().copied())
                     .collect();
-                ids.sort_by_key(|&id| (env.history.action(id).map(|a| a.time).unwrap_or(0), id));
+                sort_by_time(history, &mut ids);
                 ids
             })
             .collect();
+        // In place there are no batches: the one unit runs on the master.
+        let n_batches = if self.in_place {
+            0
+        } else {
+            self.workers.min(units.len())
+        };
+        let batch_units = deal_units(&units, n_batches);
+        let batches = batch_units
+            .into_iter()
+            .enumerate()
+            .map(|(bi, units)| Batch {
+                units,
+                done: 0,
+                clone: None,
+                scope: None,
+                id_start: self.id_base + bi as i64 * SYNTHETIC_ID_STRIDE,
+            })
+            .collect();
+        let mut results = Vec::new();
+        results.resize_with(units.len(), || None);
+        Round {
+            clusters,
+            units,
+            bounded: bounded && self.clone_scope == CloneScope::Footprint,
+            batches,
+            results,
+        }
+    }
 
-        // With at most one repair unit there is nothing to isolate: run it
-        // in place on the master database and skip the clone/diff machinery
-        // entirely. If its re-execution escalates, the repair generation is
-        // aborted (discarding every in-place change) and the merged cluster
-        // is re-run.
-        let in_place = units.len() <= 1;
-        let batches = if in_place {
+    /// Runs one step: in place, the whole (single-unit) round on the master
+    /// database; otherwise the next unit of every batch, each on its
+    /// batch's clone, concurrently on up to `workers` threads. A step that
+    /// completes a round also settles it — fallback, escalation, or done.
+    /// Returns true while steps remain.
+    pub(crate) fn step(
+        &mut self,
+        env: &RepairEnv<'_>,
+        db: &mut TimeTravelDb,
+        seeds: &Seeds,
+    ) -> bool {
+        if self.done {
+            return false;
+        }
+        if self.in_place {
             let mut session = RepairSession::begin_precise(db);
             session.set_column_oblivious(env.column_oblivious);
-            let runs = match units.first() {
-                Some(unit) => vec![(
-                    0usize,
-                    execute_actions(env, db, session, unit, seed_reexecute, seed_cancel, true),
-                )],
-                None => Vec::new(),
-            };
-            vec![RoundBatch {
-                runs,
-                deltas: RepairDelta::new(),
-                id_watermark_start: db.synthetic_id_watermark(),
-                id_watermark_end: db.synthetic_id_watermark(),
-            }]
-        } else {
-            // The dependency-footprint row scope of each repair unit: with
-            // bounded-memory clones a worker batch copies only these tables
-            // — and within a table whose footprint is partition keys, only
-            // the row versions in those partitions.
-            let unit_scopes: Option<Vec<BTreeMap<String, RowScope>>> =
-                (clone_scope == CloneScope::Footprint).then(|| {
-                    clusters
-                        .iter()
-                        .map(|gs| {
-                            let mut scope = BTreeMap::new();
-                            for p in gs.iter().flat_map(|&g| plan.footprints[g].iter()) {
-                                widen_scope(&mut scope, p);
-                            }
-                            // Partition-filtered rows are only sound for
-                            // tables whose every unique constraint includes
-                            // a partition column (colliding rows then always
-                            // share a partition and are cloned together);
-                            // anything else is widened to the whole table so
-                            // re-executed uniqueness checks see every row
-                            // they would see on a full clone.
-                            for (table, table_scope) in scope.iter_mut() {
-                                if matches!(table_scope, RowScope::Partitions(_))
-                                    && !db.partition_clone_safe(table)
-                                {
-                                    *table_scope = RowScope::AllRows;
-                                }
-                            }
-                            scope
-                        })
-                        .collect()
+            if let Some(unit) = self.round.units.first() {
+                let pass = execute_actions(
+                    env,
+                    db,
+                    session,
+                    unit,
+                    &seeds.reexecute,
+                    &seeds.cancel,
+                    true,
+                );
+                let watermark = db.synthetic_id_watermark();
+                self.round.results[0] = Some(UnitResult {
+                    pass,
+                    delta: RepairDelta::new(),
+                    id_start: watermark,
+                    id_end: watermark,
                 });
-            let mut batches = run_round(
-                env,
-                db,
-                &units,
-                seed_reexecute,
-                seed_cancel,
-                workers,
-                unit_scopes.as_deref(),
-            );
-            // A batch that touched state outside its footprint scope
-            // executed against a clone missing rows it may have needed, so
-            // its results cannot be trusted: discard the round and re-run
-            // it on full clones (the synthetic-ID ranges restart from the
-            // same base, so the re-run allocates exactly what a full-clone
-            // round would have).
-            if unit_scopes
-                .as_deref()
-                .is_some_and(|scopes| round_escaped_footprint(&batches, scopes))
-            {
-                bounded_fallbacks += 1;
-                batches = run_round(env, db, &units, seed_reexecute, seed_cancel, workers, None);
             }
-            batches
-        };
-
-        // Escalation check: did any cluster's re-execution modify partitions
-        // that another group (repaired or not) depends on? Recorded
-        // footprints cannot overlap across groups by construction, so this
-        // only fires when patched code or fresh browser requests touched
-        // state outside their own partition.
-        let mut cluster_run: Vec<Option<&RepairRun>> = vec![None; clusters.len()];
-        for batch in &batches {
-            for (ci, run) in &batch.runs {
-                cluster_run[*ci] = Some(run);
-            }
+        } else if self.advance_batches(env, db, seeds) {
+            // A batch touched state outside its footprint scope: it ran
+            // against a clone missing rows it may have needed, so discard
+            // the round and re-run it on whole clones (the synthetic-ID
+            // ranges restart from the same base, so the re-run allocates
+            // exactly what a whole-clone round would have).
+            self.bounded_fallbacks += 1;
+            self.round = self.new_round(env.history, false);
+            return true;
         }
-        let mut merges: Vec<(usize, usize)> = Vec::new();
-        for ci in 0..clusters.len() {
-            let Some(run) = cluster_run[ci] else { continue };
-            if run.modified.is_empty() {
-                continue;
-            }
-            let my_root = cluster_uf.find(clusters[ci][0]);
-            let modified = ModifiedIndex::new(&run.modified);
-            for other in 0..n_groups {
-                let other_root = cluster_uf.find(other);
-                if other_root == my_root {
-                    continue;
-                }
-                let mut affected = modified.overlaps_any(&plan.footprints[other]);
-                if !affected {
-                    // A repaired cluster's *dynamic* reads and writes also
-                    // count as its footprint.
-                    if let Some(&oc) = root_to_cluster.get(&other_root) {
-                        if let Some(other_run) = cluster_run[oc] {
-                            affected = modified.overlaps_any(&other_run.dynamic_deps);
-                        }
-                    }
-                }
-                if affected {
-                    merges.push((clusters[ci][0], other));
-                }
-            }
+        if self.round.batches.iter().any(|b| b.done < b.units.len()) {
+            return true;
         }
+        let merges = self.escalations_needed(env.history);
         if merges.is_empty() {
-            break (batches, clusters, in_place);
+            self.done = true;
+            return false;
         }
-        if in_place {
+        if self.in_place {
             // Discard the in-place changes before re-running the merged
             // cluster against pristine state.
             let _ = db.abort_repair_generation();
         }
-        escalations += 1;
+        self.escalations += 1;
         for (a, b) in merges {
-            cluster_uf.union(a, b);
+            self.clusters.union(a, b);
         }
         // Merged clusters are re-run from fresh state; previous results are
         // discarded wholesale so every cluster's view stays consistent.
-    };
-
-    // Aggregate per-cluster outcomes in deterministic cluster order, so the
-    // merged result is identical for every worker count.
-    let mut ordered: Vec<Option<&RepairRun>> = vec![None; clusters.len()];
-    for batch in &batches {
-        for (ci, run) in &batch.runs {
-            ordered[*ci] = Some(run);
-        }
+        let bounded = self.round.bounded;
+        self.round = self.new_round(env.history, bounded);
+        true
     }
-    let mut merged = RepairRun::default();
-    for (ci, run) in ordered.iter().enumerate() {
-        let Some(run) = run else { continue };
-        merged.stats.page_visits_reexecuted += run.stats.page_visits_reexecuted;
-        merged.stats.app_runs_reexecuted += run.stats.app_runs_reexecuted;
-        merged.stats.queries_reexecuted += run.stats.queries_reexecuted;
-        merged.stats.rows_rolled_back += run.stats.rows_rolled_back;
-        merged.stats.actions_cancelled += run.stats.actions_cancelled;
-        merged.stats.time_db += run.stats.time_db;
-        merged.stats.time_app += run.stats.time_app;
-        merged.stats.time_browser += run.stats.time_browser;
-        merged
-            .conflicts
-            .extend(run.conflicts.iter().cloned().map(|c| c.with_partition(ci)));
-        merged.cancelled.extend(run.cancelled.iter().copied());
-        merged.reexecuted.extend(run.reexecuted.iter().copied());
-        merged
-            .cookie_invalidations
-            .extend(run.cookie_invalidations.iter().cloned());
-        merged.rolled_back_rows += run.rolled_back_rows;
-    }
-    merged.stats.conflicts = merged.conflicts.len();
 
-    // Merge phase: apply the per-batch mutation deltas to the master
-    // database, all inside one repair generation that the controller
-    // finalizes atomically. Each batch's delta was tracked against the
-    // master state its clone was taken from, and batches touch disjoint
-    // partitions, so the deltas compose by direct application — no
-    // snapshots and no table diffs anywhere on this path. Skipped entirely
-    // when the repair is going to abort, leaving the master database
-    // untouched. An in-place round already executed against the master
-    // inside the repair generation, so there is nothing to merge (and an
-    // abort by the controller discards its changes).
-    let t_merge = Instant::now();
-    let aborting = !initiated_by_admin && !merged.conflicts.is_empty();
-    if !in_place {
-        db.begin_repair_generation();
-        if !aborting {
-            for batch in &batches {
-                for (table, delta) in &batch.deltas {
-                    let _ = db.apply_row_diff(table, &delta.remove, &delta.add);
+    /// Advances every unfinished batch of the round by one unit. Returns
+    /// true if a unit escaped its batch's bounded clone.
+    fn advance_batches(&mut self, env: &RepairEnv<'_>, db: &TimeTravelDb, seeds: &Seeds) -> bool {
+        let Round {
+            clusters,
+            units,
+            bounded,
+            batches,
+            results,
+        } = &mut self.round;
+        let groups = &self.groups;
+        let bounded = *bounded;
+        let advance = |batch: &mut Batch| -> (usize, UnitResult, bool) {
+            let u = batch.units[batch.done];
+            batch.done += 1;
+            if batch.clone.is_none() {
+                batch.scope = bounded.then(|| {
+                    batch_scope(
+                        env.history,
+                        db,
+                        batch
+                            .units
+                            .iter()
+                            .flat_map(|&u| clusters[u].iter().flat_map(|&g| groups[g].iter())),
+                    )
+                });
+                let mut clone = match &batch.scope {
+                    Some(scope) => db.clone_subset(scope),
+                    None => db.clone(),
+                };
+                clone.raise_synthetic_id_watermark(batch.id_start);
+                batch.clone = Some(clone);
+            }
+            let clone = batch.clone.as_mut().expect("cloned above");
+            let result = run_unit(env, clone, &units[u], seeds, batch.id_start);
+            let escaped = batch
+                .scope
+                .as_ref()
+                .is_some_and(|scope| pass_escaped(&result.pass, scope));
+            if batch.done == batch.units.len() {
+                // The merge needs only the drained deltas, never the clone.
+                batch.clone = None;
+            }
+            (u, result, escaped)
+        };
+        let work: Vec<&mut Batch> = batches
+            .iter_mut()
+            .filter(|b| b.done < b.units.len())
+            .collect();
+        let n_threads = self.threads.min(work.len()).max(1);
+        let ran: Vec<(usize, UnitResult, bool)> = if n_threads == 1 {
+            work.into_iter().map(advance).collect()
+        } else {
+            // Stream `t` takes batches `t, t + n_threads, …`; the calling
+            // thread works stream 0 itself instead of sleeping on the others.
+            let mut streams: Vec<Vec<&mut Batch>> = (0..n_threads).map(|_| Vec::new()).collect();
+            for (i, batch) in work.into_iter().enumerate() {
+                streams[i % n_threads].push(batch);
+            }
+            let advance = &advance;
+            std::thread::scope(|scope| {
+                let mut streams = streams.into_iter();
+                let own = streams.next().expect("at least one stream");
+                let handles: Vec<_> = streams
+                    .map(|stream| {
+                        scope.spawn(move || stream.into_iter().map(advance).collect::<Vec<_>>())
+                    })
+                    .collect();
+                let mut ran: Vec<_> = own.into_iter().map(advance).collect();
+                for handle in handles {
+                    ran.extend(handle.join().expect("repair worker panicked"));
                 }
-                if batch.id_watermark_end > batch.id_watermark_start {
-                    // A batch overrunning its reserved ID range would collide
-                    // with the next batch's synthetic row IDs — corrupt the
-                    // merge loudly rather than silently.
-                    assert!(
-                        batch.id_watermark_end - batch.id_watermark_start < SYNTHETIC_ID_STRIDE,
-                        "repair batch allocated more than {SYNTHETIC_ID_STRIDE} synthetic row IDs"
-                    );
-                    db.raise_synthetic_id_watermark(batch.id_watermark_end);
+                ran
+            })
+        };
+        let mut escaped = false;
+        for (u, result, out) in ran {
+            escaped |= out;
+            results[u] = Some(result);
+        }
+        escaped
+    }
+
+    /// The escalation check: pairs of (cluster root, group) to merge because
+    /// a repaired cluster modified partitions another group (repaired or
+    /// not) depends on. Recorded footprints cannot overlap across groups by
+    /// construction, so this only fires when patched code or fresh browser
+    /// requests touched state outside their own partition.
+    fn escalations_needed(&mut self, history: &HistoryGraph) -> Vec<(usize, usize)> {
+        let PartitionedRepair {
+            group_of,
+            clusters,
+            round,
+            ..
+        } = self;
+        let mut merges = Vec::new();
+        for (ci, result) in round.results.iter().enumerate() {
+            let Some(result) = result else { continue };
+            if result.pass.modified.is_empty() {
+                continue;
+            }
+            let root = round.clusters[ci][0];
+            let my_root = clusters.find(root);
+            let modified = ModifiedIndex::new(&result.pass.modified);
+            modified.touching(history, |id| {
+                let g = group_of.get(id as usize).copied().unwrap_or(usize::MAX);
+                if g != usize::MAX && clusters.find(g) != my_root {
+                    merges.push((root, g));
+                }
+            });
+            // A repaired cluster's *dynamic* reads and writes also count as
+            // its footprint.
+            for (oc, other) in round.results.iter().enumerate() {
+                let other_root = round.clusters[oc][0];
+                if other
+                    .as_ref()
+                    .is_some_and(|o| modified.overlaps_any(&o.pass.dynamic_deps))
+                    && clusters.find(other_root) != my_root
+                {
+                    merges.push((root, other_root));
                 }
             }
         }
+        merges
     }
-    merged.stats.time_ctrl += t_merge.elapsed();
 
-    PartitionedResult {
-        run: merged,
-        partitions_total: n_groups,
-        partitions_repaired: clusters.iter().map(|gs| gs.len()).sum(),
-        escalations,
-        bounded_fallbacks,
-    }
-}
-
-/// True if any batch of the round touched partitions (or whole tables)
-/// outside the footprint scope its bounded clone was built from.
-fn round_escaped_footprint(
-    batches: &[RoundBatch],
-    unit_scopes: &[BTreeMap<String, RowScope>],
-) -> bool {
-    batches.iter().any(|batch| {
-        let mut scope: BTreeMap<String, RowScope> = BTreeMap::new();
-        for (u, _) in &batch.runs {
-            union_scopes(&mut scope, &unit_scopes[*u]);
+    /// Folds the actions recorded since the plan (IDs at or above `floor`)
+    /// into the run: an action that meets a unit's modified partitions —
+    /// through its partition footprint, or by belonging to a page visit the
+    /// unit replayed — joins that unit, and the unit re-runs on a fresh
+    /// clone with the joined actions in time order (its old delta dropped).
+    /// Re-runs repeat until no further action joins. Returns false when the
+    /// fold needs more than that — an action meets two units, or a re-run
+    /// escalates — and the caller must re-plan the repair over the whole
+    /// history instead.
+    pub(crate) fn fold_in(
+        &mut self,
+        env: &RepairEnv<'_>,
+        db: &TimeTravelDb,
+        seeds: &Seeds,
+        floor: ActionId,
+    ) -> bool {
+        let history = env.history;
+        if history.len() as ActionId <= floor {
+            return true;
         }
-        batch.runs.iter().any(|(_, run)| {
-            run.dynamic_deps
+        let mut owner: BTreeMap<ActionId, usize> = BTreeMap::new();
+        loop {
+            let indexes: Vec<ModifiedIndex<'_>> = self
+                .round
+                .results
                 .iter()
-                .chain(run.modified.iter())
-                .any(|p| !scope_contains(&scope, p))
-                || run.touched_tables.iter().any(|t| !scope.contains_key(t))
-        })
-    })
+                .map(|r| ModifiedIndex::new(r.as_ref().map_or(&[][..], |r| &r.pass.modified)))
+                .collect();
+            let mut grew: BTreeMap<usize, Vec<ActionId>> = BTreeMap::new();
+            for action in history.actions().iter().skip(floor as usize) {
+                let footprint: Vec<Cow<'_, PartitionSet>> = action.partition_footprint().collect();
+                let visit = action
+                    .client
+                    .as_ref()
+                    .map(|c| (c.client_id.clone(), c.visit_id));
+                let meets = (0..indexes.len()).filter(|&u| {
+                    indexes[u].overlaps_any(&footprint)
+                        || visit.as_ref().is_some_and(|v| {
+                            self.round.results[u]
+                                .as_ref()
+                                .is_some_and(|r| r.pass.replayed_visits.contains(v))
+                        })
+                });
+                for u in meets {
+                    match owner.get(&action.id) {
+                        Some(&o) if o == u => {}
+                        Some(_) => return false,
+                        None => {
+                            owner.insert(action.id, u);
+                            grew.entry(u).or_default().push(action.id);
+                        }
+                    }
+                }
+            }
+            drop(indexes);
+            if grew.is_empty() {
+                break;
+            }
+            for (u, joined) in grew {
+                self.rerun(env, db, seeds, u, joined);
+            }
+        }
+        owner.is_empty() || self.escalations_needed(history).is_empty()
+    }
+
+    /// Re-runs unit `u` on a fresh clone of the master database with the
+    /// `joined` actions added to its order.
+    fn rerun(
+        &mut self,
+        env: &RepairEnv<'_>,
+        db: &TimeTravelDb,
+        seeds: &Seeds,
+        u: usize,
+        joined: Vec<ActionId>,
+    ) {
+        let unit = &mut self.round.units[u];
+        unit.extend(joined);
+        sort_by_time(env.history, unit);
+        let id_start =
+            self.id_base + (self.round.batches.len() as i64 + self.reruns) * SYNTHETIC_ID_STRIDE;
+        self.reruns += 1;
+        let run_on = |mut clone: TimeTravelDb| {
+            clone.raise_synthetic_id_watermark(id_start);
+            run_unit(env, &mut clone, &self.round.units[u], seeds, id_start)
+        };
+        let scope = self
+            .round
+            .bounded
+            .then(|| batch_scope(env.history, db, self.round.units[u].iter()));
+        let mut result = run_on(match &scope {
+            Some(scope) => db.clone_subset(scope),
+            None => db.clone(),
+        });
+        if scope.is_some_and(|scope| pass_escaped(&result.pass, &scope)) {
+            self.bounded_fallbacks += 1;
+            result = run_on(db.clone());
+        }
+        self.round.results[u] = Some(result);
+    }
+
+    /// Aggregates the per-unit outcomes and merges them into the master
+    /// database: all inside one repair generation that the controller
+    /// finalizes atomically (an in-place repair already executed inside
+    /// it). Each unit's delta was tracked against the master state its
+    /// clone was taken from, and units touch disjoint partitions, so the
+    /// deltas compose by direct application — no snapshots and no table
+    /// diffs anywhere on this path. Skipped when the repair is going to
+    /// abort (non-admin with conflicts), leaving the master untouched.
+    /// `floor` is the first action ID recorded after the plan.
+    pub(crate) fn finish(
+        self,
+        db: &mut TimeTravelDb,
+        initiated_by_admin: bool,
+        floor: ActionId,
+    ) -> PartitionedResult {
+        // Aggregate in deterministic cluster order, so the merged result is
+        // identical for every worker count.
+        let mut merged = RepairPass::default();
+        for (ci, result) in self.round.results.iter().enumerate() {
+            let Some(UnitResult { pass: run, .. }) = result else {
+                continue;
+            };
+            merged.stats.page_visits_reexecuted += run.stats.page_visits_reexecuted;
+            merged.stats.app_runs_reexecuted += run.stats.app_runs_reexecuted;
+            merged.stats.queries_reexecuted += run.stats.queries_reexecuted;
+            merged.stats.rows_rolled_back += run.stats.rows_rolled_back;
+            merged.stats.actions_cancelled += run.stats.actions_cancelled;
+            merged.stats.time_db += run.stats.time_db;
+            merged.stats.time_app += run.stats.time_app;
+            merged.stats.time_browser += run.stats.time_browser;
+            merged
+                .conflicts
+                .extend(run.conflicts.iter().cloned().map(|c| c.with_partition(ci)));
+            merged.cancelled.extend(run.cancelled.iter().copied());
+            merged.reexecuted.extend(run.reexecuted.iter().copied());
+            merged
+                .cookie_invalidations
+                .extend(run.cookie_invalidations.iter().cloned());
+            merged.rolled_back_rows += run.rolled_back_rows;
+        }
+        merged.stats.conflicts = merged.conflicts.len();
+
+        let t_merge = Instant::now();
+        let aborting = !initiated_by_admin && !merged.conflicts.is_empty();
+        if !self.in_place {
+            assert!(
+                db.synthetic_id_watermark() <= self.id_base,
+                "foreground inserts reached the repair's synthetic-ID ranges"
+            );
+            db.begin_repair_generation();
+            if !aborting {
+                for result in self.round.results.iter().flatten() {
+                    for (table, delta) in &result.delta {
+                        let _ = db.apply_row_diff(table, &delta.remove, &delta.add);
+                    }
+                    if result.id_end > result.id_start {
+                        // A clone overrunning its reserved ID range would
+                        // collide with the next range's synthetic row IDs —
+                        // corrupt the merge loudly rather than silently.
+                        assert!(
+                            result.id_end - result.id_start < SYNTHETIC_ID_STRIDE,
+                            "repair batch allocated more than {SYNTHETIC_ID_STRIDE} synthetic row IDs"
+                        );
+                        db.raise_synthetic_id_watermark(result.id_end);
+                    }
+                }
+            }
+        }
+        merged.stats.time_ctrl += t_merge.elapsed();
+
+        PartitionedResult {
+            run: merged,
+            partitions_total: self.groups.len(),
+            partitions_repaired: self.round.clusters.iter().map(|gs| gs.len()).sum(),
+            escalations: self.escalations,
+            bounded_fallbacks: self.bounded_fallbacks,
+            joined: self
+                .round
+                .units
+                .iter()
+                .flatten()
+                .filter(|&&id| id >= floor)
+                .count(),
+        }
+    }
 }
 
-/// Executes one round: distributes the repair units (clusters) over worker
-/// batches (longest-processing-time-first for balance), clones the master
-/// database once per batch, and runs every batch on its own scoped thread.
-///
-/// With `unit_scopes`, each batch's clone carries row data only for its
-/// units' dependency footprints — whole tables where the footprint is
-/// whole-table, just the footprint partitions otherwise (bounded-memory
-/// clones); `None` clones the whole database.
-fn run_round(
-    env: &RepairEnv<'_>,
-    db: &TimeTravelDb,
-    units: &[Vec<ActionId>],
-    seed_reexecute: &BTreeSet<ActionId>,
-    seed_cancel: &BTreeSet<ActionId>,
-    workers: usize,
-    unit_scopes: Option<&[BTreeMap<String, RowScope>]>,
-) -> Vec<RoundBatch> {
-    if units.is_empty() {
-        return Vec::new();
-    }
-    let n_batches = workers.max(1).min(units.len());
+/// Deals units to `n_batches` worker batches, longest first, each to the
+/// least-loaded batch. Batch *structure* (and with it clone count,
+/// synthetic-ID ranges and result shape) depends only on the requested
+/// worker count, so outcomes are hardware-independent.
+fn deal_units(units: &[Vec<ActionId>], n_batches: usize) -> Vec<Vec<usize>> {
     let mut batch_units: Vec<Vec<usize>> = vec![Vec::new(); n_batches];
+    if n_batches == 0 {
+        return batch_units;
+    }
     let mut batch_load: Vec<usize> = vec![0; n_batches];
     let mut order: Vec<usize> = (0..units.len()).collect();
     order.sort_by_key(|&u| (usize::MAX - units[u].len(), u));
@@ -1070,87 +1391,77 @@ fn run_round(
         batch_units[target].push(u);
         batch_load[target] += units[u].len();
     }
-    let base_watermark = db.synthetic_id_watermark();
+    batch_units
+}
 
-    // Batch *structure* (and with it clone count, synthetic-ID ranges and
-    // result shape) depends only on the requested worker count, so outcomes
-    // are hardware-independent. The number of OS threads is additionally
-    // capped at the machine's parallelism — more runnable threads than cores
-    // buys nothing for CPU-bound re-execution and costs cache locality.
-    let n_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n_batches)
-        .max(1);
-    let run_batch = |bi: usize, unit_ids: &[usize]| {
-        let mut clone = match unit_scopes {
-            Some(scopes) => {
-                let mut scope = BTreeMap::new();
-                for &u in unit_ids {
-                    union_scopes(&mut scope, &scopes[u]);
-                }
-                db.clone_subset(&scope)
-            }
-            None => db.clone(),
-        };
-        let start = base_watermark + (bi as i64) * SYNTHETIC_ID_STRIDE;
-        clone.raise_synthetic_id_watermark(start);
-        let mut runs = Vec::with_capacity(unit_ids.len());
-        for &u in unit_ids {
-            let mut session = RepairSession::begin_precise(&mut clone);
-            session.set_column_oblivious(env.column_oblivious);
-            let run = execute_actions(
-                env,
-                &mut clone,
-                session,
-                &units[u],
-                seed_reexecute,
-                seed_cancel,
-                true,
-            );
-            runs.push((u, run));
+/// Sorts action IDs into repair order: by time, then ID.
+pub(crate) fn sort_by_time(history: &HistoryGraph, ids: &mut [ActionId]) {
+    ids.sort_by_key(|&id| (history.action(id).map(|a| a.time).unwrap_or(0), id));
+}
+
+/// The dependency-footprint row scope of a set of actions: a bounded clone
+/// for them copies only these tables — and within a table whose footprint
+/// is partition keys, only the row versions in those partitions.
+fn batch_scope<'a>(
+    history: &HistoryGraph,
+    db: &TimeTravelDb,
+    actions: impl Iterator<Item = &'a ActionId>,
+) -> BTreeMap<String, RowScope> {
+    let mut scope = BTreeMap::new();
+    for action in actions.filter_map(|&id| history.action(id)) {
+        for p in action.partition_footprint() {
+            widen_scope(&mut scope, &p);
         }
-        // Drain the clone's tracked mutation delta and drop the clone: the
-        // merge needs only what changed, never the cloned tables.
-        RoundBatch {
-            runs,
-            deltas: clone.drain_repair_delta(),
-            id_watermark_start: start,
-            id_watermark_end: clone.synthetic_id_watermark(),
-        }
-    };
-    if n_threads == 1 {
-        return batch_units
-            .iter()
-            .enumerate()
-            .map(|(bi, ids)| run_batch(bi, ids))
-            .collect();
     }
-    let mut results: Vec<Option<RoundBatch>> = Vec::new();
-    results.resize_with(n_batches, || None);
-    // Stream `t` takes batches `t, t + n_threads, …`; the calling thread
-    // works stream 0 itself instead of sleeping on the others.
-    let stream = |t: usize| -> Vec<(usize, RoundBatch)> {
-        (t..n_batches)
-            .step_by(n_threads)
-            .map(|bi| (bi, run_batch(bi, &batch_units[bi])))
-            .collect()
-    };
-    std::thread::scope(|scope| {
-        let stream = &stream;
-        let handles: Vec<_> = (1..n_threads)
-            .map(|t| scope.spawn(move || stream(t)))
-            .collect();
-        for (bi, batch) in stream(0) {
-            results[bi] = Some(batch);
+    // Partition-filtered rows are only sound for tables whose every unique
+    // constraint includes a partition column (colliding rows then always
+    // share a partition and are cloned together); anything else is widened
+    // to the whole table so re-executed uniqueness checks see every row
+    // they would see on a full clone.
+    for (table, table_scope) in scope.iter_mut() {
+        if matches!(table_scope, RowScope::Partitions(_)) && !db.partition_clone_safe(table) {
+            *table_scope = RowScope::AllRows;
         }
-        for handle in handles {
-            for (bi, batch) in handle.join().expect("repair worker panicked") {
-                results[bi] = Some(batch);
-            }
-        }
-    });
-    results.into_iter().flatten().collect()
+    }
+    scope
+}
+
+/// Repairs one unit on a clone and drains the clone's delta right after,
+/// so every unit's delta stands alone.
+fn run_unit(
+    env: &RepairEnv<'_>,
+    clone: &mut TimeTravelDb,
+    unit: &[ActionId],
+    seeds: &Seeds,
+    id_start: i64,
+) -> UnitResult {
+    let mut session = RepairSession::begin_precise(clone);
+    session.set_column_oblivious(env.column_oblivious);
+    let pass = execute_actions(
+        env,
+        clone,
+        session,
+        unit,
+        &seeds.reexecute,
+        &seeds.cancel,
+        true,
+    );
+    UnitResult {
+        pass,
+        delta: clone.drain_repair_delta(),
+        id_start,
+        id_end: clone.synthetic_id_watermark(),
+    }
+}
+
+/// True if a pass touched partitions (or whole tables) outside the scope
+/// its bounded clone was built from.
+fn pass_escaped(pass: &RepairPass, scope: &BTreeMap<String, RowScope>) -> bool {
+    pass.dynamic_deps
+        .iter()
+        .chain(pass.modified.iter())
+        .any(|p| !scope_contains(scope, p))
+        || pass.touched_tables.iter().any(|t| !scope.contains_key(t))
 }
 
 #[cfg(test)]
@@ -1304,10 +1615,10 @@ mod tests {
             "/post.wasl",
             [("topic", "t3"), ("body", "z")],
         ));
-        let plan = plan_partitions(&server.history);
+        let groups = plan_partitions(&server.history);
         // {post t0, read t0} | {read t1} | {post t2} | {post t3}
-        assert_eq!(plan.groups.len(), 4);
-        assert_eq!(plan.groups[0], vec![0, 1]);
+        assert_eq!(groups.len(), 4);
+        assert_eq!(groups[0], vec![0, 1]);
 
         // A whole-table scan that coexists with writers collapses everything
         // it can see into one group.
@@ -1326,9 +1637,9 @@ mod tests {
             [("topic", "t1"), ("body", "y")],
         ));
         server.handle(HttpRequest::get("/scan.wasl"));
-        let plan = plan_partitions(&server.history);
+        let groups = plan_partitions(&server.history);
         assert_eq!(
-            plan.groups.len(),
+            groups.len(),
             1,
             "whole-table reader joins every written partition"
         );
@@ -1380,6 +1691,43 @@ mod tests {
         );
         assert_eq!(seq_out.reexecuted_actions, par_out.reexecuted_actions);
         assert_equivalent(&seq, &par, "escalation");
+
+        // The same redirect with a single seeded unit: the repair runs in
+        // place on the master database, escalates there, and re-runs the
+        // merged unit in place.
+        let build = || {
+            let mut server = WarpServer::new(notes_app(3));
+            use warp_http::HttpRequest;
+            server.handle(HttpRequest::post(
+                "/post.wasl",
+                [("topic", "t0"), ("body", "a")],
+            ));
+            server.handle(HttpRequest::get("/read.wasl?topic=t1"));
+            server
+        };
+        let request = || RepairRequest::RetroactivePatch {
+            patch: Patch::new(
+                "post.wasl",
+                "let t = param(\"topic\"); if (t == \"t0\") { t = \"t1\"; } \
+                 db_query(\"UPDATE note SET body = '\" . sql_escape(param(\"body\")) . \"' \
+                 WHERE topic = '\" . sql_escape(t) . \"'\"); echo(\"ok\");",
+                "redirect t0 writes to t1",
+            ),
+            from_time: 0,
+        };
+        let mut seq = build();
+        let seq_out = seq.repair(request());
+        let mut par = build();
+        let run = crate::RepairRun::start(
+            &mut par,
+            request(),
+            RepairStrategy::Partitioned { workers: 2 },
+        );
+        assert!(run.is_ready(), "one unit runs in place, at the commit");
+        let par_out = run.commit(&mut par);
+        assert_eq!(par_out.stats.escalations, 1);
+        assert_eq!(seq_out.reexecuted_actions, par_out.reexecuted_actions);
+        assert_equivalent(&seq, &par, "in-place escalation");
     }
 
     #[test]

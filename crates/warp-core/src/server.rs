@@ -75,6 +75,10 @@ pub struct WarpServer {
     /// An interrupted repair detected during recovery (a logged
     /// `RepairBegin` with no commit or abort).
     pub(crate) pending_repair: Option<crate::repair::RepairRequest>,
+    /// True between a [`crate::RepairRun`]'s start and its commit:
+    /// automatic checkpoints are held back, because one cut now would hold
+    /// the patched sources and no pending repair.
+    pub(crate) repair_in_flight: bool,
     /// Bookkeeping for incremental checkpoints: what changed in the history
     /// graph since the last checkpoint (row changes are tracked inside the
     /// database; see [`crate::persist::CheckpointMarks`]).
@@ -134,6 +138,7 @@ impl WarpServer {
             session_counter: 0,
             store: None,
             pending_repair: None,
+            repair_in_flight: false,
             ckpt_marks: crate::persist::CheckpointMarks::default(),
             maintenance: None,
         }

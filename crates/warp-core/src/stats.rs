@@ -83,6 +83,12 @@ pub struct RepairStats {
     /// dirty tables — the size of the repair's physical write set, which
     /// is also what the commit record costs to build and log.
     pub dirty_rows: usize,
+    /// Requests the server answered between the repair's start and its
+    /// commit (0 when nothing was served while it ran).
+    pub served_during: usize,
+    /// Of those, the actions folded into the repair because they met what
+    /// it modified.
+    pub joined: usize,
     /// Wall-clock time spent initialising repair (finding candidate actions).
     #[serde(skip)]
     pub time_init: Duration,

@@ -3,7 +3,7 @@
 //! * `quickstart` — install a tiny app, serve requests, retroactively patch it.
 //! * `attack_recovery` — the full stored-XSS attack and recovery walkthrough.
 //! * `admin_undo` — undoing an administrator's mistaken permission grant.
-//! * `concurrent_repair` — a partitioned parallel repair through the façade; requests queue behind it.
+//! * `concurrent_repair` — a partitioned parallel repair through the façade; the site keeps serving while it runs.
 
 /// Handles `--help`/`-h` for the example binaries (exercised by
 /// `tests/bin_smoke.rs` so the examples can't silently rot).
