@@ -1,8 +1,8 @@
-//! Regenerates the Table 1 analog: lines of code per component.
+//! Regenerates the Table 1 analog: lines of Rust per crate, without tests and in total.
 fn main() {
     warp_bench::cli::args(
         "loc_report",
-        "Regenerates the Table 1 analog: lines of code per component.",
+        "Regenerates the Table 1 analog: lines of Rust per crate, without tests and in total.",
         None,
         &[],
     );

@@ -34,48 +34,63 @@ use warp_browser::{replay_visit, Browser, ReplayConfig};
 use warp_core::{RepairRequest, Warp, WarpHost};
 use warp_http::{HttpRequest, Transport};
 
-/// Prints Table 1's analog: lines of code per component of this repository.
+/// Prints Table 1's analog: lines of Rust per crate of this repository,
+/// counting every `.rs` file under each `crates/*/src` (binaries included)
+/// twice — without its tests (the lines before the file's first top-level
+/// `#[cfg(test)]`) and in total — then the sums over all crates.
 pub fn table1_loc() {
-    println!("=== Table 1 (analog): lines of Rust per component ===");
-    let components = [
-        ("warp-sql (SQL engine substrate)", "crates/warp-sql/src"),
-        ("warp-script (WASL interpreter)", "crates/warp-script/src"),
-        ("warp-http (HTTP substrate)", "crates/warp-http/src"),
-        ("warp-browser (browser + replay)", "crates/warp-browser/src"),
-        ("warp-ttdb (time-travel database)", "crates/warp-ttdb/src"),
-        (
-            "warp-core (repair controller + managers)",
-            "crates/warp-core/src",
-        ),
-        (
-            "warp-apps (wiki/blog/gallery + workloads)",
-            "crates/warp-apps/src",
-        ),
-        (
-            "warp-baseline (taint-tracking baseline)",
-            "crates/warp-baseline/src",
-        ),
-    ];
-    for (name, path) in components {
-        let lines = count_lines(path);
-        println!("{name:<45} {lines:>7} lines");
+    println!("=== Table 1 (analog): lines of Rust per crate (crates/*/src) ===");
+    println!("{:<16} {:>9} {:>7}", "crate", "non-test", "total");
+    let mut crates: Vec<String> = std::fs::read_dir(repo_root().join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .collect();
+    crates.sort();
+    let (mut non_test_sum, mut total_sum) = (0, 0);
+    for name in crates {
+        let (non_test, total) = count_lines(&format!("crates/{name}/src"));
+        if total == 0 {
+            continue;
+        }
+        println!("{name:<16} {non_test:>9} {total:>7}");
+        non_test_sum += non_test;
+        total_sum += total;
     }
+    println!("{:<16} {non_test_sum:>9} {total_sum:>7}", "all crates");
 }
 
-fn count_lines(relative: &str) -> usize {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dir = root.join(relative);
-    let mut total = 0;
-    if let Ok(entries) = std::fs::read_dir(&dir) {
-        for entry in entries.flatten() {
-            if entry.path().extension().map(|e| e == "rs").unwrap_or(false) {
-                if let Ok(content) = std::fs::read_to_string(entry.path()) {
-                    total += content.lines().filter(|l| !l.trim().is_empty()).count();
+/// Lines of every `.rs` file under `relative` (a path from the repository
+/// root), recursively: those before each file's first top-level
+/// `#[cfg(test)]`, and all of them.
+fn count_lines(relative: &str) -> (usize, usize) {
+    fn walk(dir: &std::path::Path, counts: &mut (usize, usize)) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for path in entries.flatten().map(|entry| entry.path()) {
+            if path.is_dir() {
+                walk(&path, counts);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                if let Ok(content) = std::fs::read_to_string(&path) {
+                    let lines: Vec<&str> = content.lines().collect();
+                    counts.0 += lines
+                        .iter()
+                        .position(|l| l.starts_with("#[cfg(test)]"))
+                        .unwrap_or(lines.len());
+                    counts.1 += lines.len();
                 }
             }
         }
     }
-    total
+    let mut counts = (0, 0);
+    walk(&repo_root().join(relative), &mut counts);
+    counts
+}
+
+fn repo_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Prints Table 2: the attack scenarios, their CVE analogs and fixes.
@@ -1854,6 +1869,8 @@ mod tests {
 
     #[test]
     fn loc_counting_finds_sources() {
-        assert!(count_lines("crates/warp-sql/src") > 100);
+        let (non_test, total) = count_lines("crates/warp-sql/src");
+        assert!(non_test > 100);
+        assert!(total > non_test, "warp-sql has test modules");
     }
 }

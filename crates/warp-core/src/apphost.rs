@@ -20,11 +20,11 @@ use warp_ttdb::{Plan, RepairSession, TimeTravelDb};
 
 /// How an application run reaches the time-travel database.
 ///
-/// The classic serving path and all repair paths own the database outright
-/// (`Exclusive`). Engine shards executing non-conflicting requests in
-/// parallel share one database behind a mutex (`Shared`) and hold the lock
-/// only for the duration of each individual query — script interpretation,
-/// the dominant cost, runs outside the lock.
+/// The engine thread's global lane and all repair paths own the database
+/// outright (`Exclusive`). Engine shards executing non-conflicting requests
+/// in parallel share one database behind a mutex (`Shared`) and hold the
+/// lock only for the duration of each individual query — script
+/// interpretation, the dominant cost, runs outside the lock.
 pub enum DbAccess<'a> {
     /// Sole ownership of the database for the whole run.
     Exclusive(&'a mut TimeTravelDb),

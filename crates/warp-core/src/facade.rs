@@ -13,18 +13,19 @@
 //! * The **engine** is one background thread owning a [`WarpServer`]. It
 //!   processes messages in arrival order, so the recorded history is a
 //!   single serializable timeline no matter how many front-end threads are
-//!   pushing requests.
-//! * With [`WarpBuilder::engine_shards`], the engine adds a pool of **shard
-//!   workers** and becomes a router: each request's partition footprint is
-//!   predicted statically (see `crate::shard`), requests whose partitions
-//!   all hash to one shard execute on that shard's worker concurrently with
-//!   other shards, and everything else — imprecise footprints,
-//!   cross-partition requests, repairs, administrative closures — escalates
-//!   to the serialized **global lane**, which first drains every shard to a
-//!   barrier. Action ids and times are still assigned at the single engine
-//!   thread and results are recorded in dispatch order, so the history
-//!   stays byte-for-byte the serializable timeline the classic engine
-//!   produces.
+//!   pushing requests. At one shard (the default) it runs every request
+//!   itself, on the **global lane**.
+//! * With [`WarpBuilder::engine_shards`] above one, the same engine adds a
+//!   pool of **shard workers** and becomes a router: each request's
+//!   partition footprint is predicted statically (see `crate::shard`),
+//!   requests whose partitions all hash to one shard execute on that
+//!   shard's worker concurrently with other shards, and everything else —
+//!   imprecise footprints, cross-partition requests, repairs,
+//!   administrative closures — escalates to the global lane, which first
+//!   drains every shard to a barrier. Action ids and times are still
+//!   assigned at the single engine thread and results are recorded in
+//!   dispatch order, so the history stays byte-for-byte the serializable
+//!   timeline one shard produces.
 //! * The **group-commit writer** (in `warp-store`) owns the durable log.
 //!   Under [`Durability::Group`] and [`Durability::Immediate`], a response
 //!   is released to the caller only after its log record is durable —
@@ -206,14 +207,15 @@ impl WarpBuilder {
 
     /// Shard normal execution across `shards` engine worker threads.
     ///
-    /// `0` or `1` (the default) keeps the classic single-threaded engine.
-    /// With more shards, each request whose statically-predicted partition
-    /// footprint lands on one shard executes on that shard's worker,
-    /// concurrently with other shards; requests with imprecise or
-    /// cross-shard footprints (and all repairs and administrative calls)
-    /// escalate to a serialized global lane that first drains every shard
-    /// to a barrier. The recorded action history is identical to the
-    /// single-shard engine's, whatever the shard count:
+    /// `0` or `1` (the default) runs every request on the engine thread:
+    /// no worker thread is spawned and no request is routed. With more
+    /// shards, each request whose statically-predicted partition footprint
+    /// lands on one shard executes on that shard's worker, concurrently
+    /// with other shards; requests with imprecise or cross-shard footprints
+    /// (and all repairs and administrative calls) escalate to a serialized
+    /// global lane that first drains every shard to a barrier. The recorded
+    /// action history is identical to the one-shard engine's, whatever the
+    /// shard count:
     ///
     /// ```
     /// use warp_core::{AppConfig, Warp};
@@ -236,8 +238,8 @@ impl WarpBuilder {
     /// }
     ///
     /// let sharded = Warp::builder().app(app()).engine_shards(4).start();
-    /// let classic = Warp::builder().app(app()).start();
-    /// for (warp, label) in [(&sharded, "sharded"), (&classic, "classic")] {
+    /// let one_shard = Warp::builder().app(app()).start();
+    /// for (warp, label) in [(&sharded, "sharded"), (&one_shard, "one-shard")] {
     ///     for i in 0..8 {
     ///         let target = format!("/post.wasl?id={i}&topic=t{}&body={label}-{i}", i % 3);
     ///         assert!(warp.serve(HttpRequest::get(&target)).body.contains("ok"));
@@ -248,7 +250,7 @@ impl WarpBuilder {
     /// let dump = |w: &Warp| w.with_server(|s| s.db.canonical_dump());
     /// assert_eq!(
     ///     dump(&sharded).replace("sharded", "x"),
-    ///     dump(&classic).replace("classic", "x"),
+    ///     dump(&one_shard).replace("one-shard", "x"),
     /// );
     /// assert_eq!(sharded.with_server(|s| s.history.len()), 8);
     /// ```
@@ -308,7 +310,7 @@ impl WarpBuilder {
         if let Some(backend) = self.backend {
             config = config.with_backend(backend);
         }
-        let shards = self.engine_shards.max(1);
+        let shards = self.engine_shards;
         let (mut server, report) = WarpServer::open(config)?;
         if self.background_maintenance {
             // Must start while the store is still inline: the worker needs
@@ -318,21 +320,16 @@ impl WarpBuilder {
         }
         server.enable_group_commit(durability.batch_policy(), self.shipper);
         let (tx, rx) = channel();
-        // Liveness token: the sharded engine cannot rely on channel
-        // disconnect to notice that every public handle is gone (its own
-        // workers hold senders), so it watches this Arc instead.
+        // Liveness token: shard workers hold engine senders, so the engine
+        // cannot rely on channel disconnect alone to notice that every
+        // public handle is gone; it watches this Arc too.
         let alive = Arc::new(());
         let watch = Arc::downgrade(&alive);
-        let worker_tx = tx.clone();
+        let engine_tx = tx.clone();
         let engine = std::thread::Builder::new()
             .name("warp-engine".into())
             .spawn(move || {
-                if shards <= 1 {
-                    drop(worker_tx);
-                    engine_loop(server, durability, strategy, rx)
-                } else {
-                    sharded_engine_loop(server, durability, strategy, rx, worker_tx, shards, watch)
-                }
+                Engine::new(server, durability, strategy, shards, engine_tx).run(rx, watch)
             })
             .expect("spawning the warp engine thread");
         // The engine thread is detached: it exits when every handle is
@@ -371,7 +368,8 @@ enum EngineMsg {
     /// Run a closure against the engine's server (serialized like any other
     /// message). The closure sends its own result.
     With(Box<dyn FnOnce(&mut WarpServer) + Send>),
-    /// Run a repair to completion.
+    /// Start a repair; the engine steps it between requests until its
+    /// commit.
     Repair {
         request: RepairRequest,
         strategy: Option<RepairStrategy>,
@@ -387,8 +385,9 @@ enum EngineMsg {
     /// Stop the engine and hand the server back (writer flushed and folded
     /// back into the inline sink).
     Close { reply: Sender<Box<WarpServer>> },
-    /// A shard worker finished executing a dispatched request (sharded
-    /// engine only — workers send this back on the engine's own channel).
+    /// A shard worker finished executing a dispatched request (only with
+    /// more than one shard — workers send this back on the engine's own
+    /// channel).
     ShardDone {
         seq: u64,
         served: Box<Served>,
@@ -499,7 +498,7 @@ pub struct Warp {
     /// durability (everything but [`Durability::Relaxed`]). Administrative
     /// writes routed through the handle honor the same contract.
     durable_acks: bool,
-    /// Liveness token watched by the sharded engine (whose workers hold
+    /// Liveness token watched by the engine (whose shard workers hold
     /// channel senders, masking disconnect): when the last public handle
     /// drops, the engine drains and exits.
     _alive: Arc<()>,
@@ -699,47 +698,13 @@ fn engine_stopped_response() -> HttpResponse {
     response
 }
 
-/// Serves one request on the engine thread (the classic path and the
-/// sharded engine's global lane) and releases the response per the
-/// durability contract.
-fn classic_serve(
-    server: &mut WarpServer,
-    durable_acks: bool,
-    request: HttpRequest,
-    reply: Sender<HttpResponse>,
-) {
-    let served = server.execute(request);
-    record_and_release(server, durable_acks, served, None, reply);
-}
-
-/// Records a served action and releases its response to the caller: under
-/// durable acks the release rides to the log writer with the action's
-/// record — one message — and fires only after the record is durable; the
-/// engine moves on immediately, so durability waits happen off the serving
-/// path.
-fn record_and_release(
-    server: &mut WarpServer,
-    durable_acks: bool,
-    served: Served,
-    shard_meta: Option<(Generation, i64)>,
-    reply: Sender<HttpResponse>,
-) {
-    // The one copy of the response: the caller's.
-    let response = served.result.response.clone();
-    let release = move || {
-        let _ = reply.send(response);
-    };
-    if durable_acks {
-        server.record_served(served, shard_meta, Some(Box::new(release)));
-    } else {
-        server.record_served(served, shard_meta, None);
-        release();
-    }
-}
-
 /// Requests the engine serves at most between two steps of a repair, so a
 /// steady stream of traffic cannot starve the repair.
 const SERVES_PER_STEP: usize = 64;
+
+/// How long an idle engine waits for a message before it checks whether
+/// every public handle is gone.
+const IDLE_POLL: Duration = Duration::from_millis(25);
 
 /// A repair the engine is running, with its handle's plumbing. Between the
 /// run's steps the engine serves queued requests in the current
@@ -762,147 +727,7 @@ impl ActiveRepair {
             served: 0,
         }
     }
-
-    /// The next queued message, if the repair may yield to one now.
-    fn poll(&self, rx: &Receiver<EngineMsg>) -> Option<EngineMsg> {
-        if self.served >= SERVES_PER_STEP {
-            return None;
-        }
-        rx.try_recv().ok()
-    }
-
-    /// Drives the run through its commit and reports the outcome.
-    fn finish(self, server: &mut WarpServer, durable_acks: bool) {
-        let result = self.run.commit(server);
-        if durable_acks {
-            // The commit/abort record must be durable before the outcome is
-            // reported.
-            server.flush_durable();
-        }
-        self.state.store(STATUS_COMPLETED, Ordering::Release);
-        let _ = self.outcome.send(result);
-    }
 }
-
-/// What the engine does next while a repair runs: commit it once no step
-/// is left, yield to a queued message, or run the next step. Returns the
-/// message to handle, if any.
-fn drive_repair(
-    repair: &mut Option<ActiveRepair>,
-    server: &mut WarpServer,
-    durable_acks: bool,
-    rx: &Receiver<EngineMsg>,
-) -> Option<EngineMsg> {
-    let active = repair.as_mut()?;
-    if active.run.is_ready() {
-        repair
-            .take()
-            .expect("checked above")
-            .finish(server, durable_acks);
-        return None;
-    }
-    let msg = active.poll(rx);
-    if msg.is_none() {
-        active.served = 0;
-        active.run.step(server);
-    }
-    msg
-}
-
-/// Handles one message on the engine's server while `repair` may be
-/// active: a request is served in the current generation (unless the run
-/// has to commit first to keep its synthetic-ID headroom); anything else
-/// commits the run first, so `with_server`, checkpoints, GC, client-log
-/// uploads, a second repair and `close` keep their ordering. Returns the
-/// close reply, if the message was a `Close`.
-fn handle_msg(
-    server: &mut WarpServer,
-    durable_acks: bool,
-    default_strategy: RepairStrategy,
-    repair: &mut Option<ActiveRepair>,
-    msg: EngineMsg,
-) -> Option<Sender<Box<WarpServer>>> {
-    let serving = matches!(msg, EngineMsg::Serve { .. });
-    match repair.as_mut() {
-        Some(active) if serving && !active.run.must_commit(server) => active.served += 1,
-        _ => {
-            if let Some(active) = repair.take() {
-                active.finish(server, durable_acks);
-            }
-        }
-    }
-    match msg {
-        EngineMsg::Serve { request, reply } => {
-            classic_serve(server, durable_acks, request, reply);
-        }
-        EngineMsg::With(f) => f(server),
-        EngineMsg::Repair {
-            request,
-            strategy,
-            state,
-            outcome,
-        } => {
-            let run = RepairRun::start(server, request, strategy.unwrap_or(default_strategy));
-            *repair = Some(ActiveRepair::new(run, state, outcome));
-        }
-        EngineMsg::ResumeRepair {
-            state,
-            outcome,
-            accepted,
-        } => {
-            // The check and the start are one step on the engine thread, so
-            // concurrent resumers cannot run the repair twice.
-            let run = RepairRun::resume(server, default_strategy);
-            let _ = accepted.send(run.is_some());
-            *repair = run.map(|run| ActiveRepair::new(run, state, outcome));
-        }
-        EngineMsg::Close { reply } => return Some(reply),
-        EngineMsg::ShardDone { .. } => unreachable!("recorded by the sharded engine"),
-    }
-    None
-}
-
-fn engine_loop(
-    mut server: WarpServer,
-    durability: Durability,
-    default_strategy: RepairStrategy,
-    rx: Receiver<EngineMsg>,
-) {
-    let durable_acks = durability.acks_after_durability() && server.is_persistent();
-    let mut repair: Option<ActiveRepair> = None;
-    loop {
-        let msg = if repair.is_some() {
-            match drive_repair(&mut repair, &mut server, durable_acks, &rx) {
-                Some(msg) => msg,
-                None => continue,
-            }
-        } else {
-            match rx.recv() {
-                Ok(msg) => msg,
-                // Every handle dropped: dropping the server flushes and
-                // stops the group-commit writer, so nothing submitted is
-                // lost.
-                Err(_) => return,
-            }
-        };
-        let close = handle_msg(
-            &mut server,
-            durable_acks,
-            default_strategy,
-            &mut repair,
-            msg,
-        );
-        if let Some(reply) = close {
-            server.disable_group_commit();
-            let _ = reply.send(Box::new(server));
-            return;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The sharded engine
-// ---------------------------------------------------------------------------
 
 /// The state a shard epoch shares with its workers: the database (checked
 /// out of the engine's server for the epoch's duration), the logical clock
@@ -923,13 +748,6 @@ struct ShardJob {
     request: HttpRequest,
     entry: String,
     epoch: Arc<ShardEpoch>,
-    reply: Sender<HttpResponse>,
-}
-
-/// A finished shard execution parked in the reorder buffer until every
-/// earlier `seq` has been recorded.
-struct DoneAction {
-    served: Box<Served>,
     reply: Sender<HttpResponse>,
 }
 
@@ -995,10 +813,22 @@ fn shard_worker(shard: usize, shards: usize, jobs: Receiver<ShardJob>, engine: S
     }
 }
 
-struct ShardedEngine {
+/// The engine thread: the single sequencing point of the deployment. It
+/// assigns every action's id and time and appends every log record, so the
+/// history is one serializable timeline. With more than one shard it also
+/// routes: a request whose partition footprint lands on one shard runs on
+/// that shard's worker against a shared database epoch, and everything else
+/// takes the **global lane** — it drains every shard to a barrier and runs
+/// on the engine thread. With one shard there is no worker and nothing is
+/// routed: every request takes the global lane.
+struct Engine {
     server: WarpServer,
     durable_acks: bool,
-    shards: usize,
+    /// The strategy for repairs that name none.
+    default_strategy: RepairStrategy,
+    /// The running repair, if any.
+    repair: Option<ActiveRepair>,
+    /// One job queue per shard worker; empty at one shard.
     workers: Vec<Sender<ShardJob>>,
     /// Round-robin cursor for [`Route::Any`] requests.
     rr_next: usize,
@@ -1012,49 +842,294 @@ struct ShardedEngine {
     next_seq: u64,
     next_record: u64,
     in_flight: usize,
-    pending: BTreeMap<u64, DoneAction>,
+    /// Finished shard executions parked until every earlier `seq` is
+    /// recorded.
+    pending: BTreeMap<u64, (Box<Served>, Sender<HttpResponse>)>,
     /// Messages that arrived while a barrier was draining, replayed FIFO.
     backlog: VecDeque<EngineMsg>,
 }
 
-impl ShardedEngine {
-    /// Routes one request: shardable footprints dispatch to their owner
-    /// worker, everything else drains to a barrier and runs on the global
-    /// lane (the classic serve path).
+impl Engine {
+    /// Takes over the server and, with more than one shard, spawns the
+    /// shard workers, each holding a clone of `engine_tx`.
+    fn new(
+        server: WarpServer,
+        durability: Durability,
+        default_strategy: RepairStrategy,
+        shards: usize,
+        engine_tx: Sender<EngineMsg>,
+    ) -> Self {
+        let mut workers = Vec::new();
+        // At `0` or `1` shards there is nothing to run concurrently.
+        if shards > 1 {
+            for i in 0..shards {
+                let (job_tx, job_rx) = channel::<ShardJob>();
+                let engine = engine_tx.clone();
+                std::thread::Builder::new()
+                    .name(format!("warp-shard-{i}"))
+                    .spawn(move || shard_worker(i, shards, job_rx, engine))
+                    .expect("spawning a shard worker thread");
+                workers.push(job_tx);
+            }
+        }
+        Engine {
+            durable_acks: durability.acks_after_durability() && server.is_persistent(),
+            server,
+            default_strategy,
+            repair: None,
+            workers,
+            rr_next: 0,
+            epoch: None,
+            plans: BTreeMap::new(),
+            next_seq: 0,
+            next_record: 0,
+            in_flight: 0,
+            pending: BTreeMap::new(),
+            backlog: VecDeque::new(),
+        }
+    }
+
+    /// Handles messages until [`Warp::close`], or until every public handle
+    /// is gone. Shard workers hold engine senders, which mask channel
+    /// disconnect, so an idle engine also watches the liveness token.
+    fn run(mut self, rx: Receiver<EngineMsg>, alive: Weak<()>) {
+        let close_reply = loop {
+            let msg = match self.backlog.pop_front() {
+                Some(msg) => msg,
+                None if self.repair.is_some() => match self.drive_repair(&rx) {
+                    Some(msg) => msg,
+                    None => continue,
+                },
+                None => match rx.recv_timeout(IDLE_POLL) {
+                    Ok(msg) => msg,
+                    Err(RecvTimeoutError::Timeout)
+                        if alive.strong_count() > 0 || self.in_flight > 0 =>
+                    {
+                        continue
+                    }
+                    Err(_) => {
+                        self.barrier(&rx);
+                        break None;
+                    }
+                },
+            };
+            if let Some(reply) = self.handle(msg, &rx) {
+                break Some(reply);
+            }
+        };
+        let Engine {
+            mut server,
+            workers,
+            ..
+        } = self;
+        // Dropping the job senders stops the workers.
+        drop(workers);
+        if let Some(reply) = close_reply {
+            server.disable_group_commit();
+            let _ = reply.send(Box::new(server));
+        }
+        // Otherwise dropping the server flushes and stops the group-commit
+        // writer, so nothing submitted is lost.
+    }
+
+    /// Handles one message. A request is routed (or, while a repair runs,
+    /// served on the global lane in the current generation, unless the run
+    /// has to commit first to keep its synthetic-ID headroom); a shard
+    /// result is recorded in timeline order. Everything else is a barrier
+    /// that also commits the running repair first, so `with_server`,
+    /// checkpoints, GC, client-log uploads, a second repair and `close` keep
+    /// their ordering. Returns the close reply, if the message was a
+    /// `Close`.
+    fn handle(
+        &mut self,
+        msg: EngineMsg,
+        rx: &Receiver<EngineMsg>,
+    ) -> Option<Sender<Box<WarpServer>>> {
+        match msg {
+            EngineMsg::Serve { request, reply } => {
+                if let Some(active) = self.repair.as_mut() {
+                    // The run clones the database and its commit writes it,
+                    // so the database stays home: the global lane.
+                    if !active.run.must_commit(&self.server) {
+                        active.served += 1;
+                        self.serve_global(request, reply);
+                        return None;
+                    }
+                    self.commit_repair();
+                }
+                self.serve(request, reply, rx);
+            }
+            EngineMsg::ShardDone { seq, served, reply } => {
+                self.record_ready(seq, served, reply);
+                // Checkpoints are barriers (they need the database home);
+                // take one between epochs when the log asks for it.
+                if self.in_flight == 0
+                    && self
+                        .server
+                        .store
+                        .as_ref()
+                        .is_some_and(|sink| sink.checkpoint_due())
+                {
+                    self.barrier(rx);
+                }
+            }
+            EngineMsg::With(f) => {
+                self.quiesce(rx);
+                f(&mut self.server);
+            }
+            EngineMsg::Repair {
+                request,
+                strategy,
+                state,
+                outcome,
+            } => {
+                self.quiesce(rx);
+                let strategy = strategy.unwrap_or(self.default_strategy);
+                let run = RepairRun::start(&mut self.server, request, strategy);
+                self.repair = Some(ActiveRepair::new(run, state, outcome));
+            }
+            EngineMsg::ResumeRepair {
+                state,
+                outcome,
+                accepted,
+            } => {
+                self.quiesce(rx);
+                // The check and the start are one step on the engine thread,
+                // so concurrent resumers cannot run the repair twice.
+                let run = RepairRun::resume(&mut self.server, self.default_strategy);
+                let _ = accepted.send(run.is_some());
+                self.repair = run.map(|run| ActiveRepair::new(run, state, outcome));
+            }
+            EngineMsg::Close { reply } => {
+                self.quiesce(rx);
+                return Some(reply);
+            }
+        }
+        None
+    }
+
+    /// What the engine does next while a repair runs: commit it once no
+    /// step is left, yield to a queued message, or run the next step.
+    /// Returns the message to handle, if any.
+    fn drive_repair(&mut self, rx: &Receiver<EngineMsg>) -> Option<EngineMsg> {
+        let active = self.repair.as_mut()?;
+        if active.run.is_ready() {
+            self.commit_repair();
+            return None;
+        }
+        let msg = if active.served < SERVES_PER_STEP {
+            rx.try_recv().ok()
+        } else {
+            None
+        };
+        if msg.is_none() {
+            active.served = 0;
+            active.run.step(&mut self.server);
+        }
+        msg
+    }
+
+    /// Drives the running repair, if any, through its commit and reports
+    /// the outcome.
+    fn commit_repair(&mut self) {
+        let Some(active) = self.repair.take() else {
+            return;
+        };
+        let result = active.run.commit(&mut self.server);
+        if self.durable_acks {
+            // The commit/abort record must be durable before the outcome is
+            // reported.
+            self.server.flush_durable();
+        }
+        active.state.store(STATUS_COMPLETED, Ordering::Release);
+        let _ = active.outcome.send(result);
+    }
+
+    /// The serialization point for everything but a request: shard work
+    /// drains, then the running repair commits.
+    fn quiesce(&mut self, rx: &Receiver<EngineMsg>) {
+        self.barrier(rx);
+        self.commit_repair();
+    }
+
+    /// Routes one request: a shardable footprint dispatches to its owner
+    /// worker, everything else drains to a barrier and takes the global
+    /// lane.
     fn serve(
         &mut self,
         request: HttpRequest,
         reply: Sender<HttpResponse>,
         rx: &Receiver<EngineMsg>,
     ) {
-        let entry = self.server.router.resolve(&request.path);
-        // Clients with a queued cookie invalidation need the classic
-        // pre-processing in `WarpServer::handle`; unrouted paths record a
-        // 404 through the same path.
-        let classic_only = entry.is_none()
-            || request
-                .warp
-                .client_id
-                .as_ref()
-                .is_some_and(|c| self.server.pending_cookie_invalidations.contains(c));
-        let route = match (classic_only, &entry) {
-            (false, Some(entry)) => {
-                let plan = self.plan_for(entry);
-                classify(&plan, &request, self.shards)
-            }
-            _ => Route::Global,
-        };
-        match route {
-            Route::Global => {
+        match self.shard_for(&request) {
+            Some((entry, shard)) => self.dispatch(shard, entry, request, reply),
+            None => {
                 self.barrier(rx);
-                classic_serve(&mut self.server, self.durable_acks, request, reply);
+                self.serve_global(request, reply);
             }
-            Route::Shard(shard) => self.dispatch(shard, entry.expect("routed"), request, reply),
+        }
+    }
+
+    /// The entry script and the shard worker a request can run on, or
+    /// `None` if it takes the global lane. With one shard nothing is routed.
+    fn shard_for(&mut self, request: &HttpRequest) -> Option<(String, usize)> {
+        if self.workers.is_empty() {
+            return None;
+        }
+        // Unrouted paths record a 404 on the global lane, and clients with
+        // a queued cookie invalidation need `WarpServer::handle`'s
+        // pre-processing there.
+        let entry = self.server.router.resolve(&request.path)?;
+        let invalidated = request
+            .warp
+            .client_id
+            .as_ref()
+            .is_some_and(|c| self.server.pending_cookie_invalidations.contains(c));
+        if invalidated {
+            return None;
+        }
+        let plan = self.plan_for(&entry);
+        let shards = self.workers.len();
+        let shard = match classify(&plan, request, shards) {
+            Route::Global => return None,
+            Route::Shard(shard) => shard,
             Route::Any => {
                 let shard = self.rr_next;
-                self.rr_next = (self.rr_next + 1) % self.shards;
-                self.dispatch(shard, entry.expect("routed"), request, reply);
+                self.rr_next = (shard + 1) % shards;
+                shard
             }
+        };
+        Some((entry, shard))
+    }
+
+    /// Serves one request on the engine thread, with the database home.
+    fn serve_global(&mut self, request: HttpRequest, reply: Sender<HttpResponse>) {
+        let served = self.server.execute(request);
+        self.record(served, None, reply);
+    }
+
+    /// Records a served action and releases its response to the caller:
+    /// under durable acks the release rides to the log writer with the
+    /// action's record — one message — and fires only after the record is
+    /// durable; the engine moves on immediately, so durability waits happen
+    /// off the serving path.
+    fn record(
+        &mut self,
+        served: Served,
+        shard_meta: Option<(Generation, i64)>,
+        reply: Sender<HttpResponse>,
+    ) {
+        // The one copy of the response: the caller's.
+        let response = served.result.response.clone();
+        let release = move || {
+            let _ = reply.send(response);
+        };
+        if self.durable_acks {
+            self.server
+                .record_served(served, shard_meta, Some(Box::new(release)));
+        } else {
+            self.server.record_served(served, shard_meta, None);
+            release();
         }
     }
 
@@ -1114,31 +1189,26 @@ impl ShardedEngine {
 
     /// Parks a finished execution and records the contiguous prefix of the
     /// timeline, releasing each response per the durability contract.
-    fn record_ready(&mut self, seq: u64, done: DoneAction) {
-        self.pending.insert(seq, done);
-        while let Some(done) = self.pending.remove(&self.next_record) {
+    fn record_ready(&mut self, seq: u64, served: Box<Served>, reply: Sender<HttpResponse>) {
+        self.pending.insert(seq, (served, reply));
+        while let Some((served, reply)) = self.pending.remove(&self.next_record) {
             self.next_record += 1;
             self.in_flight -= 1;
             let (_, gen, watermark) = *self.epoch.as_ref().expect("epoch active");
-            record_and_release(
-                &mut self.server,
-                self.durable_acks,
-                *done.served,
-                Some((gen, watermark)),
-                done.reply,
-            );
+            self.record(*served, Some((gen, watermark)), reply);
         }
     }
 
     /// Drains every in-flight shard execution, reclaims the database, and
     /// invalidates the router caches. Messages arriving mid-drain are
     /// backlogged in order. This is the serialization point the global lane
-    /// and every administrative operation go through.
+    /// and every administrative operation go through; with no epoch out
+    /// (always, at one shard) it does nothing.
     fn barrier(&mut self, rx: &Receiver<EngineMsg>) {
         while self.in_flight > 0 {
             match rx.recv().expect("shard workers hold a sender") {
                 EngineMsg::ShardDone { seq, served, reply } => {
-                    self.record_ready(seq, DoneAction { served, reply })
+                    self.record_ready(seq, served, reply)
                 }
                 other => self.backlog.push_back(other),
             }
@@ -1163,123 +1233,6 @@ impl ShardedEngine {
             self.server.maybe_checkpoint();
         }
     }
-}
-
-/// The sharded engine loop: `shards` workers execute partition-disjoint
-/// requests concurrently against a shared database epoch; the engine thread
-/// remains the single sequencing point (action ids, times, log records).
-fn sharded_engine_loop(
-    server: WarpServer,
-    durability: Durability,
-    default_strategy: RepairStrategy,
-    rx: Receiver<EngineMsg>,
-    engine_tx: Sender<EngineMsg>,
-    shards: usize,
-    alive: Weak<()>,
-) {
-    let durable_acks = durability.acks_after_durability() && server.is_persistent();
-    let mut workers = Vec::with_capacity(shards);
-    for i in 0..shards {
-        let (job_tx, job_rx) = channel::<ShardJob>();
-        let engine = engine_tx.clone();
-        std::thread::Builder::new()
-            .name(format!("warp-shard-{i}"))
-            .spawn(move || shard_worker(i, shards, job_rx, engine))
-            .expect("spawning a shard worker thread");
-        workers.push(job_tx);
-    }
-    drop(engine_tx);
-    let mut engine = ShardedEngine {
-        server,
-        durable_acks,
-        shards,
-        workers,
-        rr_next: 0,
-        epoch: None,
-        plans: BTreeMap::new(),
-        next_seq: 0,
-        next_record: 0,
-        in_flight: 0,
-        pending: BTreeMap::new(),
-        backlog: VecDeque::new(),
-    };
-    let mut repair: Option<ActiveRepair> = None;
-    let close_reply = loop {
-        let msg = match engine.backlog.pop_front() {
-            Some(msg) => msg,
-            None if repair.is_some() => {
-                match drive_repair(&mut repair, &mut engine.server, durable_acks, &rx) {
-                    Some(msg) => msg,
-                    None => continue,
-                }
-            }
-            // The workers' engine senders mask channel disconnect, so idle
-            // ticks watch the liveness token to notice that every public
-            // handle is gone.
-            None => match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => {
-                    if alive.strong_count() == 0 && engine.in_flight == 0 {
-                        engine.barrier(&rx);
-                        break None;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    engine.barrier(&rx);
-                    break None;
-                }
-            },
-        };
-        match msg {
-            // While a repair runs the database stays home (the run clones
-            // it, and its commit writes it), so requests take the global
-            // lane.
-            EngineMsg::Serve { request, reply } if repair.is_none() => {
-                engine.serve(request, reply, &rx)
-            }
-            EngineMsg::ShardDone { seq, served, reply } => {
-                engine.record_ready(seq, DoneAction { served, reply });
-                // Checkpoints are barriers (they need the database home);
-                // take one between epochs when the log asks for it.
-                if engine.in_flight == 0
-                    && engine
-                        .server
-                        .store
-                        .as_ref()
-                        .is_some_and(|sink| sink.checkpoint_due())
-                {
-                    engine.barrier(&rx);
-                }
-            }
-            msg => {
-                // Everything else is a barrier: shard work drains first.
-                engine.barrier(&rx);
-                if let Some(reply) = handle_msg(
-                    &mut engine.server,
-                    durable_acks,
-                    default_strategy,
-                    &mut repair,
-                    msg,
-                ) {
-                    break Some(reply);
-                }
-            }
-        }
-    };
-    let ShardedEngine {
-        mut server,
-        workers,
-        ..
-    } = engine;
-    // Dropping the job senders stops the workers.
-    drop(workers);
-    if let Some(reply) = close_reply {
-        server.disable_group_commit();
-        let _ = reply.send(Box::new(server));
-    }
-    // Otherwise dropping the server flushes and stops the group-commit
-    // writer, so nothing submitted is lost.
 }
 
 /// Uniform access to a serving Warp deployment, implemented by both the
@@ -1408,127 +1361,191 @@ mod tests {
         assert_eq!(warp.with_server(|s| s.history.len()), 32);
     }
 
+    /// The shard counts the façade tests drive: one (no worker) and four.
+    const SHARD_COUNTS: [usize; 2] = [1, 4];
+
     #[test]
     fn group_commit_acks_are_durable() {
-        let backend = MemoryBackend::new();
-        let (warp, report) = Warp::builder()
-            .app(tiny_app())
-            .backend(Box::new(backend.clone()))
-            .durability(Durability::Group {
-                max_batch: 16,
-                max_delay: Duration::from_micros(200),
-            })
-            .build()
-            .unwrap();
-        assert!(!report.recovered);
-        for i in 0..10 {
-            warp.serve(edit(i % 4, &format!("rev {i}")));
+        for shards in SHARD_COUNTS {
+            let backend = MemoryBackend::new();
+            let (warp, report) = Warp::builder()
+                .app(tiny_app())
+                .backend(Box::new(backend.clone()))
+                .durability(Durability::Group {
+                    max_batch: 16,
+                    max_delay: Duration::from_micros(200),
+                })
+                .engine_shards(shards)
+                .build()
+                .unwrap();
+            assert!(!report.recovered);
+            for i in 0..10 {
+                warp.serve(edit(i % 4, &format!("rev {i}")));
+            }
+            // Every request above was acknowledged, so a crash right now
+            // must lose nothing. The image is taken BEFORE the handle is
+            // dropped — dropping flushes the writer, which would mask an
+            // ack-before-durable regression.
+            let image = backend.snapshot();
+            drop(warp);
+            let (warp, report) = Warp::builder()
+                .app(tiny_app())
+                .backend(Box::new(image))
+                .engine_shards(shards)
+                .build()
+                .unwrap();
+            assert!(report.recovered);
+            assert_eq!(warp.with_server(|s| s.history.len()), 10, "{shards} shards");
+            let r = warp.serve(HttpRequest::get("/view.wasl?title=Page1"));
+            assert!(r.body.contains("rev 9"), "{shards} shards: {}", r.body);
         }
-        // Every request above was acknowledged, so a crash right now must
-        // lose nothing. The image is taken BEFORE the handle is dropped —
-        // dropping flushes the writer, which would mask an
-        // ack-before-durable regression.
-        let image = backend.snapshot();
-        drop(warp);
-        let (warp, report) = Warp::builder()
-            .app(tiny_app())
-            .backend(Box::new(image))
-            .build()
-            .unwrap();
-        assert!(report.recovered);
-        assert_eq!(warp.with_server(|s| s.history.len()), 10);
-        let r = warp.serve(HttpRequest::get("/view.wasl?title=Page1"));
-        assert!(r.body.contains("rev 9"), "{}", r.body);
     }
 
     #[test]
     fn relaxed_tier_becomes_durable_on_flush() {
-        let backend = MemoryBackend::new();
-        let warp = Warp::builder()
-            .app(tiny_app())
-            .backend(Box::new(backend.clone()))
-            .durability(Durability::Relaxed)
-            .start();
-        for i in 0..6 {
-            warp.serve(edit(i % 4, &format!("rev {i}")));
+        for shards in SHARD_COUNTS {
+            let backend = MemoryBackend::new();
+            let warp = Warp::builder()
+                .app(tiny_app())
+                .backend(Box::new(backend.clone()))
+                .durability(Durability::Relaxed)
+                .engine_shards(shards)
+                .start();
+            for i in 0..6 {
+                warp.serve(edit(i % 4, &format!("rev {i}")));
+            }
+            warp.flush();
+            drop(warp);
+            let (warp, _) = Warp::builder()
+                .app(tiny_app())
+                .backend(Box::new(backend))
+                .engine_shards(shards)
+                .build()
+                .unwrap();
+            assert_eq!(warp.with_server(|s| s.history.len()), 6, "{shards} shards");
         }
-        warp.flush();
-        drop(warp);
-        let (warp, _) = Warp::builder()
-            .app(tiny_app())
-            .backend(Box::new(backend))
-            .build()
-            .unwrap();
-        assert_eq!(warp.with_server(|s| s.history.len()), 6);
     }
 
     #[test]
     fn repair_handle_reports_status_and_outcome() {
-        let warp = Warp::builder().app(tiny_app()).start();
-        warp.serve(edit(1, "<script>evil</script>"));
-        let patch = crate::sourcefs::Patch::new(
-            "view.wasl",
-            "let rows = db_query(\"SELECT body FROM page WHERE title = '\" . sql_escape(param(\"title\")) . \"'\"); \
-             if (len(rows) == 0) { echo(\"missing\"); } else { echo(htmlspecialchars(rows[0][\"body\"])); }",
-            "sanitise output",
-        );
-        let handle = warp.repair(RepairRequest::RetroactivePatch {
-            patch,
-            from_time: 0,
-        });
-        let outcome = handle.join();
-        assert!(!outcome.aborted);
-        let r = warp.serve(HttpRequest::get("/view.wasl?title=Page1"));
-        assert!(r.body.contains("&lt;script&gt;"), "{}", r.body);
+        for shards in SHARD_COUNTS {
+            let warp = Warp::builder()
+                .app(tiny_app())
+                .engine_shards(shards)
+                .start();
+            warp.serve(edit(1, "<script>evil</script>"));
+            let patch = crate::sourcefs::Patch::new(
+                "view.wasl",
+                "let rows = db_query(\"SELECT body FROM page WHERE title = '\" . sql_escape(param(\"title\")) . \"'\"); \
+                 if (len(rows) == 0) { echo(\"missing\"); } else { echo(htmlspecialchars(rows[0][\"body\"])); }",
+                "sanitise output",
+            );
+            let handle = warp.repair(RepairRequest::RetroactivePatch {
+                patch,
+                from_time: 0,
+            });
+            let outcome = handle.join();
+            assert!(!outcome.aborted, "{shards} shards");
+            let r = warp.serve(HttpRequest::get("/view.wasl?title=Page1"));
+            assert!(
+                r.body.contains("&lt;script&gt;"),
+                "{shards} shards: {}",
+                r.body
+            );
+        }
     }
 
     #[test]
     fn resume_pending_repair_through_the_handle() {
-        let backend = MemoryBackend::new();
-        let warp = Warp::builder()
-            .app(tiny_app())
-            .backend(Box::new(backend.clone()))
-            .start();
-        warp.serve(edit(1, "broken"));
-        // Forge the crash window: RepairBegin in the log, no commit.
-        let patch = crate::sourcefs::Patch::new("edit.wasl", "echo(\"noop\");", "noop");
-        warp.with_server(move |server| {
-            server.log_event(&crate::persist::LogEvent::RepairBegin(
-                RepairRequest::RetroactivePatch {
-                    patch,
-                    from_time: 0,
-                },
-            ));
-            server.flush_durable();
-        });
-        drop(warp); // crash
+        for shards in SHARD_COUNTS {
+            let backend = MemoryBackend::new();
+            let warp = Warp::builder()
+                .app(tiny_app())
+                .backend(Box::new(backend.clone()))
+                .engine_shards(shards)
+                .start();
+            warp.serve(edit(1, "broken"));
+            // Forge the crash window: RepairBegin in the log, no commit.
+            let patch = crate::sourcefs::Patch::new("edit.wasl", "echo(\"noop\");", "noop");
+            warp.with_server(move |server| {
+                server.log_event(&crate::persist::LogEvent::RepairBegin(
+                    RepairRequest::RetroactivePatch {
+                        patch,
+                        from_time: 0,
+                    },
+                ));
+                server.flush_durable();
+            });
+            drop(warp); // crash
 
-        let (warp, report) = Warp::builder()
-            .app(tiny_app())
-            .backend(Box::new(backend))
-            .build()
-            .unwrap();
-        assert!(report.pending_repair);
-        assert!(warp.pending_repair().is_some());
-        let handle = warp.resume_pending_repair().expect("a repair to resume");
-        let _ = handle.join();
-        assert!(warp.pending_repair().is_none());
-        assert!(
-            warp.resume_pending_repair().is_none(),
-            "a second resume finds nothing"
-        );
+            let (warp, report) = Warp::builder()
+                .app(tiny_app())
+                .backend(Box::new(backend))
+                .engine_shards(shards)
+                .build()
+                .unwrap();
+            assert!(report.pending_repair, "{shards} shards");
+            assert!(warp.pending_repair().is_some());
+            let handle = warp.resume_pending_repair().expect("a repair to resume");
+            let _ = handle.join();
+            assert!(warp.pending_repair().is_none());
+            assert!(
+                warp.resume_pending_repair().is_none(),
+                "a second resume finds nothing"
+            );
+        }
     }
 
     #[test]
     fn close_returns_the_engine_server_and_dead_handles_get_503() {
-        let warp = Warp::builder().app(tiny_app()).start();
-        warp.serve(edit(2, "kept"));
-        let clone = warp.clone();
-        let mut server = warp.close();
-        assert_eq!(server.history.len(), 1);
-        assert!(server.db.canonical_dump().contains("kept"));
-        let r = clone.serve(HttpRequest::get("/view.wasl?title=Page2"));
-        assert_eq!(r.status, 503);
+        for shards in SHARD_COUNTS {
+            let warp = Warp::builder()
+                .app(tiny_app())
+                .engine_shards(shards)
+                .start();
+            warp.serve(edit(2, "kept"));
+            let clone = warp.clone();
+            let mut server = warp.close();
+            assert_eq!(server.history.len(), 1, "{shards} shards");
+            assert!(server.db.canonical_dump().contains("kept"));
+            let r = clone.serve(HttpRequest::get("/view.wasl?title=Page2"));
+            assert_eq!(r.status, 503);
+        }
+    }
+
+    #[test]
+    fn one_shard_spawns_no_worker_and_routes_nothing() {
+        for shards in [0, 1, 4] {
+            let (tx, rx) = channel();
+            let server = WarpServer::new(tiny_app());
+            let mut engine = Engine::new(
+                server,
+                Durability::Relaxed,
+                RepairStrategy::Sequential,
+                shards,
+                tx,
+            );
+            let (reply, response) = channel();
+            let request = HttpRequest::get("/view.wasl?title=Page0");
+            assert!(engine
+                .handle(EngineMsg::Serve { request, reply }, &rx)
+                .is_none());
+            if shards > 1 {
+                // Routed to a worker, which answers on the engine channel.
+                assert_eq!(engine.workers.len(), shards);
+                assert_eq!(engine.plans.len(), 1);
+                let done = rx.recv().expect("a shard result");
+                engine.handle(done, &rx);
+            } else {
+                // The engine's own sender was the only one: no worker holds
+                // a clone, so no worker thread exists.
+                assert!(engine.workers.is_empty());
+                assert!(matches!(rx.try_recv(), Err(TryRecvError::Disconnected)));
+                assert!(engine.plans.is_empty(), "nothing is routed");
+            }
+            assert!(response.recv().unwrap().body.contains("seed 0"));
+            assert_eq!(engine.server.history.len(), 1);
+        }
     }
 
     #[test]

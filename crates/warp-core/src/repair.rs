@@ -627,6 +627,60 @@ mod tests {
     }
 
     #[test]
+    fn a_real_changed_by_less_than_one_reexecutes_its_reader() {
+        let mut config = AppConfig::new("prices");
+        config.add_table(
+            "CREATE TABLE item (item_id INTEGER PRIMARY KEY, name TEXT, price REAL)",
+            TableAnnotation::new()
+                .row_id("item_id")
+                .partitions(["name"]),
+        );
+        config.add_table(
+            "CREATE TABLE quote (quote_id INTEGER PRIMARY KEY, price REAL)",
+            TableAnnotation::new().row_id("quote_id"),
+        );
+        config.seed("INSERT INTO item (item_id, name, price) VALUES (1, 'tea', 1.0)");
+        let reprice = |price: &str| {
+            format!(
+                "db_query(\"UPDATE item SET price = {price} WHERE name = 'tea'\"); echo(\"ok\");"
+            )
+        };
+        config.add_source("reprice.wasl", reprice("1.25"));
+        // The reader answers with the price and keeps a quote derived from
+        // it; the quote is how the re-executed run's result shows.
+        config.add_source(
+            "quote.wasl",
+            "let price = db_query(\"SELECT price FROM item WHERE name = 'tea'\")[0][\"price\"]; \
+             db_query(\"INSERT INTO quote (quote_id, price) VALUES (1, \" . price . \")\"); \
+             echo(\"price \" . price);",
+        );
+        config.add_source(
+            "quotes.wasl",
+            "echo(\"quote \" . db_query(\"SELECT price FROM quote\")[0][\"price\"]);",
+        );
+        let mut server = WarpServer::new(config);
+        server.handle(HttpRequest::get("/reprice.wasl"));
+        let read = server.handle(HttpRequest::get("/quote.wasl"));
+        assert!(read.body.contains("price 1.25"), "{}", read.body);
+        let reader = server.history.actions()[1].id;
+
+        // The patched writer moves the price by less than 1: the reader's
+        // query returns a different result, so the reader must re-run.
+        let outcome = server.repair(RepairRequest::RetroactivePatch {
+            patch: Patch::new("reprice.wasl", reprice("1.75"), "fix the price"),
+            from_time: 0,
+        });
+        assert!(!outcome.aborted);
+        assert!(
+            outcome.reexecuted_actions.contains(&reader),
+            "{:?}",
+            outcome.reexecuted_actions
+        );
+        let quote = server.handle(HttpRequest::get("/quotes.wasl"));
+        assert!(quote.body.contains("quote 1.75"), "{}", quote.body);
+    }
+
+    #[test]
     fn unaffected_actions_are_not_reexecuted() {
         let mut server = WarpServer::new(vulnerable_wiki());
         // Plenty of traffic that never touches the vulnerable code path's

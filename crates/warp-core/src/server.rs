@@ -26,9 +26,10 @@ use warp_ttdb::{StorageStats, TableAnnotation, TimeTravelDb};
 /// and durable log behind one application. Applications should build a
 /// [`crate::Warp`] handle with [`crate::Warp::builder()`] and serve through
 /// it — the handle is cloneable and callable from many threads, and it owns
-/// an engine thread (plus, with
-/// [`crate::WarpBuilder::engine_shards`], a pool of shard workers) running
-/// against this struct. Constructing a `WarpServer` directly
+/// one engine thread running against this struct (plus, with
+/// [`crate::WarpBuilder::engine_shards`] above one, a pool of shard
+/// workers; at one shard the engine thread runs every request itself).
+/// Constructing a `WarpServer` directly
 /// ([`WarpServer::new`] / [`WarpServer::open`]) is deprecated: it is the
 /// synchronous single-caller path, equivalent to a `Warp` built with
 /// [`crate::Durability::Immediate`] and one shard, minus the concurrency —
@@ -312,11 +313,9 @@ impl WarpServer {
         let mut stats = self.history.logging_stats();
         // Database version storage beyond live rows is attributable to Warp.
         let db_stats: StorageStats = self.db.storage_stats();
-        let live = db_stats.live_rows.max(1);
         let extra_versions = db_stats.total_versions.saturating_sub(db_stats.live_rows);
         let avg_row_bytes = db_stats.approximate_bytes / db_stats.total_versions.max(1);
         stats.db_bytes += extra_versions * avg_row_bytes;
-        let _ = live;
         stats
     }
 

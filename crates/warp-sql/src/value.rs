@@ -105,10 +105,12 @@ impl Value {
     /// agree with `Eq` and so cannot tell `TRUE` from `1`, this is tagged
     /// by type: values an application can tell apart fingerprint apart.
     /// Fingerprints are persisted with every logged query and compared
-    /// during repair, so this encoding is a format — it is what `Hash`
-    /// produced before the storage indexes needed `Hash` to follow `Eq`
-    /// (a Float still goes in truncated, as it always has), and it must not
-    /// drift with `Hash` again.
+    /// during repair, so this encoding is a format, and it must not drift
+    /// with `Hash`. An integral Float in `i64` range goes in as the Int it
+    /// renders as; any other Float has a tag of its own and goes in bit for
+    /// bit, so 1.25 and 1.75 fingerprint apart. (Logs written when every
+    /// Float went in truncated need no format bump: a fingerprint that no
+    /// longer matches only makes repair re-execute more.)
     pub fn fingerprint_into<H: std::hash::Hasher>(&self, state: &mut H) {
         use std::hash::Hash;
         match self {
@@ -121,9 +123,13 @@ impl Value {
                 2u8.hash(state);
                 i.hash(state);
             }
-            Value::Float(f) => {
+            Value::Float(f) if *f == f.trunc() && *f >= -I64_LIMIT && *f < I64_LIMIT => {
                 2u8.hash(state);
                 (*f as i64).hash(state);
+            }
+            Value::Float(f) => {
+                4u8.hash(state);
+                f.to_bits().hash(state);
             }
             Value::Text(s) => {
                 3u8.hash(state);
@@ -483,6 +489,10 @@ mod tests {
         assert_ne!(fp(&Value::Int(1)), fp(&Value::text("1")));
         // An integral Float renders as the Int and fingerprints as it.
         assert_eq!(fp(&Value::Float(2.0)), fp(&Value::Int(2)));
+        // A fraction is not truncated away.
+        assert_ne!(fp(&Value::Float(1.25)), fp(&Value::Float(1.75)));
+        assert_ne!(fp(&Value::Float(1.25)), fp(&Value::Int(1)));
+        assert_ne!(fp(&Value::Float(1.75)), fp(&Value::Int(1)));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! `engine_shards(n)`, requests whose predicted partition footprint lands on
 //! one shard run concurrently, everything imprecise escalates to the global
 //! lane — and the recorded history and database must stay byte-identical to
-//! the classic single-shard engine, whatever the shard count.
+//! the sequential server's, whatever the shard count (at `0` or `1` the
+//! engine runs every request itself).
 
 use proptest::prelude::*;
 use std::sync::mpsc::channel;
@@ -99,8 +100,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The acceptance criterion: random multi-partition histories with
-    /// cross-shard and escalating requests interleaved, served at 1, 2, 4
-    /// and 8 shards, end in canonical dumps (and response transcripts)
+    /// cross-shard and escalating requests interleaved, served at 0, 1, 2,
+    /// 4 and 8 shards, end in canonical dumps (and response transcripts)
     /// byte-identical to the sequential server's.
     #[test]
     fn sharded_serving_equals_sequential_at_every_shard_count(
@@ -114,7 +115,7 @@ proptest! {
             .collect();
         let reference_dump = reference.db.canonical_dump();
 
-        for shards in [1usize, 2, 4, 8] {
+        for shards in [0usize, 1, 2, 4, 8] {
             let warp = Warp::builder().app(app()).engine_shards(shards).start();
             let bodies: Vec<String> = ops
                 .iter()
