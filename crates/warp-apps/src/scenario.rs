@@ -41,17 +41,6 @@ impl ScenarioConfig {
             repair_workers: 0,
         }
     }
-
-    /// The repair strategy this configuration selects.
-    pub fn repair_strategy(&self) -> RepairStrategy {
-        if self.repair_workers == 0 {
-            RepairStrategy::Sequential
-        } else {
-            RepairStrategy::Partitioned {
-                workers: self.repair_workers,
-            }
-        }
-    }
 }
 
 /// What the scenario produced, before and after repair.
@@ -148,7 +137,7 @@ pub fn run_scenario_on<H: WarpHost>(config: &ScenarioConfig, server: &mut H) -> 
 
     // Initiate repair: retroactive patch, or admin-initiated undo. Through
     // a `Warp` host this goes over the first-class repair-handle path.
-    let strategy = config.repair_strategy();
+    let strategy = RepairStrategy::with_workers(config.repair_workers);
     let outcome = match wiki_patch(config.attack) {
         Some(patch) => server.host_repair(
             RepairRequest::RetroactivePatch {

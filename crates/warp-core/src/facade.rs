@@ -288,23 +288,12 @@ impl WarpBuilder {
         self
     }
 
-    /// The repair strategy the configured worker count selects.
-    fn repair_strategy(&self) -> RepairStrategy {
-        if self.repair_workers == 0 {
-            RepairStrategy::Sequential
-        } else {
-            RepairStrategy::Partitioned {
-                workers: self.repair_workers,
-            }
-        }
-    }
-
     /// Opens the deployment: installs the app, recovers persisted state if
     /// a backend holds any, spawns the engine thread, and returns the
     /// handle plus what recovery found (including a pending interrupted
     /// repair — see [`Warp::resume_pending_repair`]).
     pub fn build(self) -> StoreResult<(Warp, RecoveryReport)> {
-        let strategy = self.repair_strategy();
+        let strategy = RepairStrategy::with_workers(self.repair_workers);
         let durability = self.durability;
         let mut config = ServerConfig::new(self.app).with_store_options(self.store_options);
         if let Some(backend) = self.backend {

@@ -72,6 +72,7 @@ pub mod server;
 pub(crate) mod shard;
 pub mod sourcefs;
 pub mod stats;
+mod wire;
 
 pub use config::{AppConfig, ServerConfig};
 pub use conflict::{Conflict, ConflictKind};

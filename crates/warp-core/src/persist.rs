@@ -48,9 +48,18 @@
 //! The small state (`SmallState`: clock, RNG, session, generation,
 //! synthetic-ID watermark, pending repair, cookie invalidations, conflicts,
 //! source versions, client-log quota) and the table head (`TableHead`: name,
-//! `CREATE TABLE`, annotation, column names) are the same in both. Sequences
-//! are a `u32` count and the elements ([`Encoder::seq`]), so every count read
-//! back is checked against the bytes that remain.
+//! `CREATE TABLE`, annotation, column names) are the same in both.
+//!
+//! # Where the layouts live
+//!
+//! Every persisted type states its byte layout once, as a `Wire` impl
+//! (`crate::wire`): the records' own types (`ActionRecord`, `Conflict`,
+//! client logs, SQL and script values, …) in `wire.rs`, and the log-record
+//! and checkpoint types of this module below, each a `wire_struct!` or
+//! `wire_variants!` list of its fields in order. A log record's kind byte is
+//! its `LogEvent` variant's tag; a checkpoint payload is `FORMAT_VERSION`
+//! and then its layout. Sequences are a `u32` count and the elements, so
+//! every count read back is checked against the bytes that remain.
 //!
 //! Everything else moves values, not bytes: the live server and a standby
 //! `capture` a payload from borrowed state ([`WarpServer::checkpoint`],
@@ -68,20 +77,18 @@
 //! real deployment has with its schema migrations.
 
 use crate::config::{AppConfig, ServerConfig};
-use crate::conflict::{Conflict, ConflictKind};
-use crate::history::{ActionId, ActionRecord, ClientRef, HistoryGraph, NondetRecord, QueryRecord};
+use crate::conflict::Conflict;
+use crate::history::{ActionId, ActionRecord, HistoryGraph};
 use crate::repair::RepairRequest;
 use crate::server::WarpServer;
 use crate::sourcefs::Patch;
+use crate::wire::{bad, wire_struct, wire_variants, Variants, Wire};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
-use warp_browser::{ConflictReason, EventKind, PageVisitRecord, RecordedEvent, RecordedRequest};
-use warp_http::{CookieJar, HttpRequest, HttpResponse, Method, WarpHeaders};
-use warp_script::Value as ScriptValue;
-use warp_sql::ColumnSet;
+use std::collections::BTreeSet;
+use warp_browser::PageVisitRecord;
 use warp_sql::Value as SqlValue;
 use warp_store::{CodecError, Decoder, DurableStore, Encoder, StoreError, StoreResult};
-use warp_ttdb::{PartitionKey, PartitionSet, QueryDependency, TableAnnotation};
+use warp_ttdb::TableAnnotation;
 
 /// Version stamp of the checkpoint payload and record encodings. Bump on
 /// any incompatible change; recovery refuses newer formats loudly instead
@@ -100,20 +107,7 @@ const KIND_CREATE_TABLE: u8 = 7;
 #[derive(Debug, Clone)]
 pub(crate) enum LogEvent {
     /// A handled request, with the counter state after it.
-    Action {
-        /// Generation the action executed in.
-        gen: i64,
-        /// Logical clock after the action completed.
-        clock_after: i64,
-        /// RNG counter after the action.
-        rng_after: u64,
-        /// Session counter after the action.
-        session_after: u64,
-        /// Synthetic row-ID watermark after the action.
-        watermark_after: i64,
-        /// The recorded action.
-        action: Box<ActionRecord>,
-    },
+    Action(Box<ActionEvent<'static>>),
     /// An uploaded client browser log.
     ClientLog(PageVisitRecord),
     /// A repair started (crash marker; carries the request for redo).
@@ -223,7 +217,7 @@ impl CheckpointMarks {
             LogEvent::ClientLog(log) => self.new_logs.push((log.client_id.clone(), log.visit_id)),
             LogEvent::RepairCommit(commit) => self.cancelled.extend(&commit.cancelled),
             LogEvent::Gc { .. } => self.needs_base = true,
-            LogEvent::Action { .. } | LogEvent::RepairBegin(_) | LogEvent::RepairAbort { .. } => {}
+            LogEvent::Action(_) | LogEvent::RepairBegin(_) | LogEvent::RepairAbort { .. } => {}
         }
     }
 }
@@ -462,548 +456,43 @@ impl LogSink {
 }
 
 // ---------------------------------------------------------------------------
-// Encoders / decoders for the persisted types
+// Log records (the layouts of their fields live in `wire.rs`)
 // ---------------------------------------------------------------------------
 
 type DecResult<T> = Result<T, CodecError>;
 
-fn bad(msg: impl Into<String>) -> CodecError {
-    CodecError(msg.into())
+/// The payload of a [`LogEvent::Action`] record: the generation the action
+/// executed in, the logical clock, RNG counter, session counter and
+/// synthetic row-ID watermark after it, and the action. The serving path
+/// writes it from a borrowed action, the one it just put in the history
+/// graph; decoding owns it.
+#[derive(Debug, Clone)]
+pub(crate) struct ActionEvent<'a> {
+    pub gen: i64,
+    pub clock_after: i64,
+    pub rng_after: u64,
+    pub session_after: u64,
+    pub watermark_after: i64,
+    pub action: Cow<'a, ActionRecord>,
 }
 
-fn enc_string_map(e: &mut Encoder, map: &BTreeMap<String, String>) {
-    e.u32(map.len() as u32);
-    for (k, v) in map {
-        e.str(k);
-        e.str(v);
+wire_struct! {
+    ActionEvent<'_> { gen, clock_after, rng_after, session_after, watermark_after, action }
+    RepairCommitRecord {
+        patch, cancelled, conflicts, cookie_invalidations, current_gen, watermark, table_diffs,
     }
 }
 
-fn dec_string_map(d: &mut Decoder) -> DecResult<BTreeMap<String, String>> {
-    let n = d.u32()?;
-    let mut map = BTreeMap::new();
-    for _ in 0..n {
-        let k = d.str()?;
-        let v = d.str()?;
-        map.insert(k, v);
+wire_variants! {
+    LogEvent "log record kind" {
+        KIND_ACTION => Action(event),
+        KIND_CLIENT_LOG => ClientLog(record),
+        KIND_REPAIR_BEGIN => RepairBegin(request),
+        KIND_REPAIR_COMMIT => RepairCommit(commit),
+        KIND_REPAIR_ABORT => RepairAbort { patch, cookie_invalidations },
+        KIND_GC => Gc { before_time },
+        KIND_CREATE_TABLE => CreateTable { sql, annotation },
     }
-    Ok(map)
-}
-
-fn enc_sql_value(e: &mut Encoder, v: &SqlValue) {
-    match v {
-        SqlValue::Null => e.u8(0),
-        SqlValue::Bool(b) => {
-            e.u8(1);
-            e.bool(*b);
-        }
-        SqlValue::Int(i) => {
-            e.u8(2);
-            e.i64(*i);
-        }
-        SqlValue::Float(f) => {
-            e.u8(3);
-            e.f64(*f);
-        }
-        SqlValue::Text(s) => {
-            e.u8(4);
-            e.str(s);
-        }
-    }
-}
-
-fn dec_sql_value(d: &mut Decoder) -> DecResult<SqlValue> {
-    Ok(match d.u8()? {
-        0 => SqlValue::Null,
-        1 => SqlValue::Bool(d.bool()?),
-        2 => SqlValue::Int(d.i64()?),
-        3 => SqlValue::Float(d.f64()?),
-        4 => SqlValue::Text(d.str()?),
-        t => return Err(bad(format!("unknown SQL value tag {t}"))),
-    })
-}
-
-fn enc_row(e: &mut Encoder, row: &[SqlValue]) {
-    e.seq(row, enc_sql_value);
-}
-
-fn dec_row(d: &mut Decoder) -> DecResult<Vec<SqlValue>> {
-    d.seq(dec_sql_value)
-}
-
-fn enc_script_value(e: &mut Encoder, v: &ScriptValue) {
-    match v {
-        ScriptValue::Null => e.u8(0),
-        ScriptValue::Bool(b) => {
-            e.u8(1);
-            e.bool(*b);
-        }
-        ScriptValue::Int(i) => {
-            e.u8(2);
-            e.i64(*i);
-        }
-        ScriptValue::Float(f) => {
-            e.u8(3);
-            e.f64(*f);
-        }
-        ScriptValue::Str(s) => {
-            e.u8(4);
-            e.str(s);
-        }
-        ScriptValue::Array(items) => {
-            e.u8(5);
-            e.seq(items, enc_script_value);
-        }
-        ScriptValue::Map(map) => {
-            e.u8(6);
-            e.u32(map.len() as u32);
-            for (k, v) in map {
-                e.str(k);
-                enc_script_value(e, v);
-            }
-        }
-    }
-}
-
-fn dec_script_value(d: &mut Decoder) -> DecResult<ScriptValue> {
-    Ok(match d.u8()? {
-        0 => ScriptValue::Null,
-        1 => ScriptValue::Bool(d.bool()?),
-        2 => ScriptValue::Int(d.i64()?),
-        3 => ScriptValue::Float(d.f64()?),
-        4 => ScriptValue::Str(d.str()?),
-        5 => ScriptValue::Array(d.seq(dec_script_value)?),
-        6 => {
-            let n = d.u32()?;
-            let mut map = BTreeMap::new();
-            for _ in 0..n {
-                let k = d.str()?;
-                let v = dec_script_value(d)?;
-                map.insert(k, v);
-            }
-            ScriptValue::Map(map)
-        }
-        t => return Err(bad(format!("unknown script value tag {t}"))),
-    })
-}
-
-fn enc_method(e: &mut Encoder, m: &Method) {
-    e.u8(match m {
-        Method::Get => 0,
-        Method::Post => 1,
-    });
-}
-
-fn dec_method(d: &mut Decoder) -> DecResult<Method> {
-    Ok(match d.u8()? {
-        0 => Method::Get,
-        1 => Method::Post,
-        t => return Err(bad(format!("unknown HTTP method tag {t}"))),
-    })
-}
-
-fn enc_request(e: &mut Encoder, r: &HttpRequest) {
-    enc_method(e, &r.method);
-    e.str(&r.path);
-    enc_string_map(e, &r.query);
-    enc_string_map(e, &r.form);
-    enc_string_map(e, &r.headers);
-    let cookies: Vec<(String, String)> = r
-        .cookies
-        .iter()
-        .map(|(k, v)| (k.clone(), v.clone()))
-        .collect();
-    e.seq(&cookies, |e, (k, v)| {
-        e.str(k);
-        e.str(v);
-    });
-    e.option(r.warp.client_id.as_ref(), |e, s| e.str(s));
-    e.option(r.warp.visit_id.as_ref(), |e, v| e.u64(*v));
-    e.option(r.warp.request_id.as_ref(), |e, v| e.u64(*v));
-}
-
-fn dec_request(d: &mut Decoder) -> DecResult<HttpRequest> {
-    let method = dec_method(d)?;
-    let path = d.str()?;
-    let query = dec_string_map(d)?;
-    let form = dec_string_map(d)?;
-    let headers = dec_string_map(d)?;
-    let pairs = d.seq(|d| Ok((d.str()?, d.str()?)))?;
-    let mut cookies = CookieJar::new();
-    for (k, v) in pairs {
-        cookies.set(k, v);
-    }
-    let warp = WarpHeaders {
-        client_id: d.option(|d| d.str())?,
-        visit_id: d.option(|d| d.u64())?,
-        request_id: d.option(|d| d.u64())?,
-    };
-    let mut request = match method {
-        Method::Get => HttpRequest::get(&path),
-        Method::Post => HttpRequest::post(&path, []),
-    };
-    request.query = query;
-    request.form = form;
-    request.headers = headers;
-    request.cookies = cookies;
-    request.warp = warp;
-    Ok(request)
-}
-
-fn enc_response(e: &mut Encoder, r: &HttpResponse) {
-    e.u32(r.status as u32);
-    enc_string_map(e, &r.headers);
-    e.seq(&r.set_cookies, |e, s| e.str(s));
-    e.str(&r.body);
-}
-
-fn dec_response(d: &mut Decoder) -> DecResult<HttpResponse> {
-    let status = d.u32()? as u16;
-    let headers = dec_string_map(d)?;
-    let set_cookies = d.seq(|d| d.str())?;
-    let body = d.str()?;
-    let mut r = HttpResponse::ok(body);
-    r.status = status;
-    r.headers = headers;
-    r.set_cookies = set_cookies;
-    Ok(r)
-}
-
-fn enc_partition_set(e: &mut Encoder, p: &PartitionSet) {
-    match p {
-        PartitionSet::Whole { table } => {
-            e.u8(0);
-            e.str(table);
-        }
-        PartitionSet::Keys(keys) => {
-            e.u8(1);
-            let keys: Vec<&PartitionKey> = keys.iter().collect();
-            e.seq(&keys, |e, k| {
-                e.str(&k.table);
-                e.str(&k.column);
-                e.str(&k.value);
-            });
-        }
-    }
-}
-
-fn dec_partition_set(d: &mut Decoder) -> DecResult<PartitionSet> {
-    Ok(match d.u8()? {
-        0 => PartitionSet::Whole { table: d.str()? },
-        1 => {
-            let keys = d.seq(|d| {
-                Ok(PartitionKey {
-                    table: d.str()?,
-                    column: d.str()?,
-                    value: d.str()?,
-                })
-            })?;
-            PartitionSet::Keys(keys.into_iter().collect())
-        }
-        t => return Err(bad(format!("unknown partition set tag {t}"))),
-    })
-}
-
-fn enc_column_set(e: &mut Encoder, c: &ColumnSet) {
-    match c {
-        ColumnSet::All => e.u8(0),
-        ColumnSet::Named(names) => {
-            e.u8(1);
-            let names: Vec<&String> = names.iter().collect();
-            e.seq(&names, |e, n| e.str(n));
-        }
-    }
-}
-
-fn dec_column_set(d: &mut Decoder) -> DecResult<ColumnSet> {
-    Ok(match d.u8()? {
-        0 => ColumnSet::All,
-        1 => ColumnSet::Named(d.seq(|d| d.str())?.into_iter().collect()),
-        t => return Err(bad(format!("unknown column set tag {t}"))),
-    })
-}
-
-fn enc_dependency(e: &mut Encoder, dep: &QueryDependency) {
-    e.str(&dep.table);
-    e.bool(dep.is_read);
-    e.bool(dep.is_write);
-    enc_partition_set(e, &dep.read_partitions);
-    enc_partition_set(e, &dep.write_partitions);
-    e.seq(&dep.written_row_ids, enc_sql_value);
-    enc_column_set(e, &dep.read_columns);
-    enc_column_set(e, &dep.write_columns);
-}
-
-fn dec_dependency(d: &mut Decoder) -> DecResult<QueryDependency> {
-    Ok(QueryDependency {
-        table: d.str()?,
-        is_read: d.bool()?,
-        is_write: d.bool()?,
-        read_partitions: dec_partition_set(d)?,
-        write_partitions: dec_partition_set(d)?,
-        written_row_ids: d.seq(dec_sql_value)?,
-        read_columns: dec_column_set(d)?,
-        write_columns: dec_column_set(d)?,
-    })
-}
-
-fn enc_query_record(e: &mut Encoder, q: &QueryRecord) {
-    e.str(&q.sql);
-    e.i64(q.time);
-    e.u64(q.result_fingerprint);
-    e.bool(q.is_write);
-    // The record format carries the written row IDs here and again inside
-    // the dependency.
-    e.seq(q.written_row_ids(), enc_sql_value);
-    enc_dependency(e, &q.dependency);
-}
-
-fn dec_query_record(d: &mut Decoder) -> DecResult<QueryRecord> {
-    let (sql, time, result_fingerprint, is_write) = (d.str()?, d.i64()?, d.u64()?, d.bool()?);
-    let written_row_ids = d.seq(dec_sql_value)?;
-    let dependency = dec_dependency(d)?;
-    if written_row_ids != dependency.written_row_ids {
-        return Err(bad("a query record's two copies of its row IDs differ"));
-    }
-    Ok(QueryRecord {
-        sql,
-        time,
-        result_fingerprint,
-        is_write,
-        dependency,
-    })
-}
-
-fn enc_nondet(e: &mut Encoder, n: &NondetRecord) {
-    e.str(&n.func);
-    e.seq(&n.args, enc_script_value);
-    enc_script_value(e, &n.result);
-}
-
-fn dec_nondet(d: &mut Decoder) -> DecResult<NondetRecord> {
-    Ok(NondetRecord {
-        func: d.str()?,
-        args: d.seq(dec_script_value)?,
-        result: dec_script_value(d)?,
-    })
-}
-
-fn enc_action(e: &mut Encoder, a: &ActionRecord) {
-    e.u64(a.id);
-    e.i64(a.time);
-    enc_request(e, &a.request);
-    enc_response(e, &a.response);
-    e.option(a.client.as_ref(), |e, c| {
-        e.str(&c.client_id);
-        e.u64(c.visit_id);
-        e.u64(c.request_id);
-    });
-    e.str(&a.entry_script);
-    e.seq(&a.loaded_files, |e, f| e.str(f));
-    e.seq(&a.queries, enc_query_record);
-    e.seq(&a.nondet, enc_nondet);
-    e.bool(a.cancelled);
-}
-
-fn dec_action(d: &mut Decoder) -> DecResult<ActionRecord> {
-    Ok(ActionRecord {
-        id: d.u64()?,
-        time: d.i64()?,
-        request: dec_request(d)?,
-        response: dec_response(d)?,
-        client: d.option(|d| {
-            Ok(ClientRef {
-                client_id: d.str()?,
-                visit_id: d.u64()?,
-                request_id: d.u64()?,
-            })
-        })?,
-        entry_script: d.str()?,
-        loaded_files: d.seq(|d| d.str())?,
-        queries: d.seq(dec_query_record)?,
-        nondet: d.seq(dec_nondet)?,
-        cancelled: d.bool()?,
-    })
-}
-
-fn enc_recorded_event(e: &mut Encoder, ev: &RecordedEvent) {
-    e.u32(ev.seq);
-    e.u8(match ev.kind {
-        EventKind::Input => 0,
-        EventKind::Click => 1,
-        EventKind::Submit => 2,
-    });
-    e.str(&ev.target);
-    e.option(ev.value.as_ref(), |e, s| e.str(s));
-    e.option(ev.base_value.as_ref(), |e, s| e.str(s));
-}
-
-fn dec_recorded_event(d: &mut Decoder) -> DecResult<RecordedEvent> {
-    Ok(RecordedEvent {
-        seq: d.u32()?,
-        kind: match d.u8()? {
-            0 => EventKind::Input,
-            1 => EventKind::Click,
-            2 => EventKind::Submit,
-            t => return Err(bad(format!("unknown event kind tag {t}"))),
-        },
-        target: d.str()?,
-        value: d.option(|d| d.str())?,
-        base_value: d.option(|d| d.str())?,
-    })
-}
-
-fn enc_page_visit(e: &mut Encoder, v: &PageVisitRecord) {
-    e.str(&v.client_id);
-    e.u64(v.visit_id);
-    e.str(&v.url);
-    e.option(v.caused_by_visit.as_ref(), |e, c| e.u64(*c));
-    e.bool(v.in_frame);
-    e.seq(&v.events, enc_recorded_event);
-    e.seq(&v.requests, |e, r| {
-        e.u64(r.request_id);
-        enc_method(e, &r.method);
-        e.str(&r.path);
-        enc_string_map(e, &r.params);
-    });
-}
-
-fn dec_page_visit(d: &mut Decoder) -> DecResult<PageVisitRecord> {
-    let client_id = d.str()?;
-    let visit_id = d.u64()?;
-    let url = d.str()?;
-    let mut record = PageVisitRecord::new(&client_id, visit_id, &url);
-    record.caused_by_visit = d.option(|d| d.u64())?;
-    record.in_frame = d.bool()?;
-    record.events = d.seq(dec_recorded_event)?;
-    record.requests = d.seq(|d| {
-        Ok(RecordedRequest {
-            request_id: d.u64()?,
-            method: dec_method(d)?,
-            path: d.str()?,
-            params: dec_string_map(d)?,
-        })
-    })?;
-    Ok(record)
-}
-
-fn enc_patch(e: &mut Encoder, p: &Patch) {
-    e.str(&p.filename);
-    e.str(&p.patched_source);
-    e.str(&p.description);
-}
-
-fn dec_patch(d: &mut Decoder) -> DecResult<Patch> {
-    Ok(Patch {
-        filename: d.str()?,
-        patched_source: d.str()?,
-        description: d.str()?,
-    })
-}
-
-fn enc_repair_request(e: &mut Encoder, r: &RepairRequest) {
-    match r {
-        RepairRequest::RetroactivePatch { patch, from_time } => {
-            e.u8(0);
-            enc_patch(e, patch);
-            e.i64(*from_time);
-        }
-        RepairRequest::UndoVisit {
-            client_id,
-            visit_id,
-            initiated_by_admin,
-        } => {
-            e.u8(1);
-            e.str(client_id);
-            e.u64(*visit_id);
-            e.bool(*initiated_by_admin);
-        }
-    }
-}
-
-fn dec_repair_request(d: &mut Decoder) -> DecResult<RepairRequest> {
-    Ok(match d.u8()? {
-        0 => RepairRequest::RetroactivePatch {
-            patch: dec_patch(d)?,
-            from_time: d.i64()?,
-        },
-        1 => RepairRequest::UndoVisit {
-            client_id: d.str()?,
-            visit_id: d.u64()?,
-            initiated_by_admin: d.bool()?,
-        },
-        t => return Err(bad(format!("unknown repair request tag {t}"))),
-    })
-}
-
-fn enc_conflict(e: &mut Encoder, c: &Conflict) {
-    e.str(&c.client_id);
-    e.u64(c.visit_id);
-    e.str(&c.url);
-    match &c.kind {
-        ConflictKind::BrowserReplay(reason) => {
-            e.u8(0);
-            match reason {
-                ConflictReason::NoClientLog => e.u8(0),
-                ConflictReason::MissingTarget(s) => {
-                    e.u8(1);
-                    e.str(s);
-                }
-                ConflictReason::TextMergeConflict(s) => {
-                    e.u8(2);
-                    e.str(s);
-                }
-                ConflictReason::FramingDenied => e.u8(3),
-            }
-        }
-        ConflictKind::ActionCancelled => e.u8(1),
-        ConflictKind::ReexecutionFailed(msg) => {
-            e.u8(2);
-            e.str(msg);
-        }
-    }
-    e.bool(c.resolved);
-    e.option(c.partition.as_ref(), |e, p| e.u64(*p as u64));
-}
-
-fn dec_conflict(d: &mut Decoder) -> DecResult<Conflict> {
-    let client_id = d.str()?;
-    let visit_id = d.u64()?;
-    let url = d.str()?;
-    let kind = match d.u8()? {
-        0 => ConflictKind::BrowserReplay(match d.u8()? {
-            0 => ConflictReason::NoClientLog,
-            1 => ConflictReason::MissingTarget(d.str()?),
-            2 => ConflictReason::TextMergeConflict(d.str()?),
-            3 => ConflictReason::FramingDenied,
-            t => return Err(bad(format!("unknown conflict reason tag {t}"))),
-        }),
-        1 => ConflictKind::ActionCancelled,
-        2 => ConflictKind::ReexecutionFailed(d.str()?),
-        t => return Err(bad(format!("unknown conflict kind tag {t}"))),
-    };
-    let resolved = d.bool()?;
-    let partition = d.option(|d| d.u64())?.map(|p| p as usize);
-    Ok(Conflict {
-        client_id,
-        visit_id,
-        url,
-        kind,
-        resolved,
-        partition,
-    })
-}
-
-fn enc_annotation(e: &mut Encoder, a: &TableAnnotation) {
-    e.option(a.row_id_column.as_ref(), |e, s| e.str(s));
-    e.seq(&a.partition_columns, |e, s| e.str(s));
-}
-
-fn dec_annotation(d: &mut Decoder) -> DecResult<TableAnnotation> {
-    Ok(TableAnnotation {
-        row_id_column: d.option(|d| d.str())?,
-        partition_columns: d.seq(|d| d.str())?,
-    })
 }
 
 /// The encoded [`LogEvent::Action`] record of `action`, which the serving path
@@ -1016,13 +505,16 @@ pub(crate) fn encode_action_event(
     watermark_after: i64,
     action: &ActionRecord,
 ) -> (u8, Vec<u8>) {
+    let event = ActionEvent {
+        gen,
+        clock_after,
+        rng_after,
+        session_after,
+        watermark_after,
+        action: Cow::Borrowed(action),
+    };
     let mut e = Encoder::new();
-    e.i64(gen);
-    e.i64(clock_after);
-    e.u64(rng_after);
-    e.u64(session_after);
-    e.i64(watermark_after);
-    enc_action(&mut e, action);
+    event.put(&mut e);
     (KIND_ACTION, e.into_bytes())
 }
 
@@ -1030,109 +522,14 @@ impl LogEvent {
     /// `(record kind, encoded payload)` for the durable log.
     pub(crate) fn encode(&self) -> (u8, Vec<u8>) {
         let mut e = Encoder::new();
-        let kind = match self {
-            LogEvent::Action {
-                gen,
-                clock_after,
-                rng_after,
-                session_after,
-                watermark_after,
-                action,
-            } => {
-                return encode_action_event(
-                    *gen,
-                    *clock_after,
-                    *rng_after,
-                    *session_after,
-                    *watermark_after,
-                    action,
-                )
-            }
-            LogEvent::ClientLog(record) => {
-                enc_page_visit(&mut e, record);
-                KIND_CLIENT_LOG
-            }
-            LogEvent::RepairBegin(request) => {
-                enc_repair_request(&mut e, request);
-                KIND_REPAIR_BEGIN
-            }
-            LogEvent::RepairCommit(commit) => {
-                e.option(commit.patch.as_ref(), |e, (patch, from)| {
-                    enc_patch(e, patch);
-                    e.i64(*from);
-                });
-                e.seq(&commit.cancelled, |e, id| e.u64(*id));
-                e.seq(&commit.conflicts, enc_conflict);
-                e.seq(&commit.cookie_invalidations, |e, s| e.str(s));
-                e.i64(commit.current_gen);
-                e.i64(commit.watermark);
-                e.seq(&commit.table_diffs, |e, (table, remove, add)| {
-                    e.str(table);
-                    e.seq(remove, |e, row| enc_row(e, row));
-                    e.seq(add, |e, row| enc_row(e, row));
-                });
-                KIND_REPAIR_COMMIT
-            }
-            LogEvent::RepairAbort {
-                patch,
-                cookie_invalidations,
-            } => {
-                e.option(patch.as_ref(), |e, (patch, from)| {
-                    enc_patch(e, patch);
-                    e.i64(*from);
-                });
-                e.seq(cookie_invalidations, |e, s| e.str(s));
-                KIND_REPAIR_ABORT
-            }
-            LogEvent::Gc { before_time } => {
-                e.i64(*before_time);
-                KIND_GC
-            }
-            LogEvent::CreateTable { sql, annotation } => {
-                e.str(sql);
-                enc_annotation(&mut e, annotation);
-                KIND_CREATE_TABLE
-            }
-        };
+        let kind = self.put_variant(&mut e, false);
         (kind, e.into_bytes())
     }
 
     /// Decodes one log record.
     pub(crate) fn decode(kind: u8, payload: &[u8]) -> DecResult<LogEvent> {
         let mut d = Decoder::new(payload);
-        let event = match kind {
-            KIND_ACTION => LogEvent::Action {
-                gen: d.i64()?,
-                clock_after: d.i64()?,
-                rng_after: d.u64()?,
-                session_after: d.u64()?,
-                watermark_after: d.i64()?,
-                action: Box::new(dec_action(&mut d)?),
-            },
-            KIND_CLIENT_LOG => LogEvent::ClientLog(dec_page_visit(&mut d)?),
-            KIND_REPAIR_BEGIN => LogEvent::RepairBegin(dec_repair_request(&mut d)?),
-            KIND_REPAIR_COMMIT => LogEvent::RepairCommit(RepairCommitRecord {
-                patch: d.option(|d| Ok((dec_patch(d)?, d.i64()?)))?,
-                cancelled: d.seq(|d| d.u64())?,
-                conflicts: d.seq(dec_conflict)?,
-                cookie_invalidations: d.seq(|d| d.str())?,
-                current_gen: d.i64()?,
-                watermark: d.i64()?,
-                table_diffs: d.seq(|d| Ok((d.str()?, d.seq(dec_row)?, d.seq(dec_row)?)))?,
-            }),
-            KIND_REPAIR_ABORT => LogEvent::RepairAbort {
-                patch: d.option(|d| Ok((dec_patch(d)?, d.i64()?)))?,
-                cookie_invalidations: d.seq(|d| d.str())?,
-            },
-            KIND_GC => LogEvent::Gc {
-                before_time: d.i64()?,
-            },
-            KIND_CREATE_TABLE => LogEvent::CreateTable {
-                sql: d.str()?,
-                annotation: dec_annotation(&mut d)?,
-            },
-            t => return Err(bad(format!("unknown log record kind {t}"))),
-        };
+        let event = LogEvent::get_variant(kind, &mut d)?;
         d.finish()?;
         Ok(event)
     }
@@ -1142,16 +539,32 @@ impl LogEvent {
 // Checkpoint payloads (the module documentation tabulates the two layouts)
 // ---------------------------------------------------------------------------
 
-/// The version stamp a checkpoint payload starts with.
-fn dec_format_version(d: &mut Decoder) -> DecResult<()> {
-    let version = d.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(bad(format!(
-            "checkpoint format version {version} (this build reads {FORMAT_VERSION})"
-        )));
+/// A checkpoint layout: its payload is `FORMAT_VERSION`, then the layout.
+trait Payload: Wire {
+    fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        FORMAT_VERSION.put(&mut e);
+        self.put(&mut e);
+        e.into_bytes()
     }
-    Ok(())
+
+    /// Reads a payload `encode` wrote, refusing other format versions.
+    fn decode(payload: &[u8]) -> DecResult<Self> {
+        let mut d = Decoder::new(payload);
+        let version = u32::get(&mut d)?;
+        if version != FORMAT_VERSION {
+            return Err(bad(format!(
+                "checkpoint format version {version} (this build reads {FORMAT_VERSION})"
+            )));
+        }
+        let layout = Self::get(&mut d)?;
+        d.finish()?;
+        Ok(layout)
+    }
 }
+
+impl Payload for BaseCheckpoint<'_> {}
+impl Payload for DeltaCheckpoint<'_> {}
 
 /// The table an application's `CREATE TABLE` statement names.
 fn created_table_name(create_sql: &str) -> Option<String> {
@@ -1171,7 +584,7 @@ struct SmallState<'a> {
     /// An unresumed interrupted repair must survive a checkpoint: writing a
     /// base compacts away the `RepairBegin` record that marks it.
     pending_repair: Option<Cow<'a, RepairRequest>>,
-    invalidations: Vec<String>,
+    invalidations: Cow<'a, BTreeSet<String>>,
     conflicts: Cow<'a, [Conflict]>,
     /// `(file, time, content, retroactive)` per source version.
     sources: Vec<(String, i64, String, bool)>,
@@ -1187,48 +600,11 @@ impl<'a> SmallState<'a> {
             current_gen: server.db.current_generation(),
             watermark: server.db.synthetic_id_watermark(),
             pending_repair: server.pending_repair.as_ref().map(Cow::Borrowed),
-            invalidations: server
-                .pending_cookie_invalidations
-                .iter()
-                .cloned()
-                .collect(),
+            invalidations: Cow::Borrowed(&server.pending_cookie_invalidations),
             conflicts: Cow::Borrowed(server.conflicts.all()),
             sources: server.sources.export_versions(),
             quota: server.history.client_log_quota_bytes as u64,
         }
-    }
-
-    fn enc(&self, e: &mut Encoder) {
-        e.i64(self.clock);
-        e.u64(self.rng);
-        e.u64(self.session);
-        e.i64(self.current_gen);
-        e.i64(self.watermark);
-        e.option(self.pending_repair.as_deref(), enc_repair_request);
-        e.seq(&self.invalidations, |e, s| e.str(s));
-        e.seq(&self.conflicts, enc_conflict);
-        e.seq(&self.sources, |e, (name, time, content, retro)| {
-            e.str(name);
-            e.i64(*time);
-            e.str(content);
-            e.bool(*retro);
-        });
-        e.u64(self.quota);
-    }
-
-    fn dec(d: &mut Decoder) -> DecResult<SmallState<'static>> {
-        Ok(SmallState {
-            clock: d.i64()?,
-            rng: d.u64()?,
-            session: d.u64()?,
-            current_gen: d.i64()?,
-            watermark: d.i64()?,
-            pending_repair: d.option(dec_repair_request)?.map(Cow::Owned),
-            invalidations: d.seq(|d| d.str())?,
-            conflicts: Cow::Owned(d.seq(dec_conflict)?),
-            sources: d.seq(|d| Ok((d.str()?, d.i64()?, d.str()?, d.bool()?)))?,
-            quota: d.u64()?,
-        })
     }
 
     /// Overwrites the server's small state. The quota lands on the current
@@ -1240,7 +616,7 @@ impl<'a> SmallState<'a> {
         server.db.force_current_generation(self.current_gen);
         server.db.raise_synthetic_id_watermark(self.watermark);
         server.pending_repair = self.pending_repair.map(Cow::into_owned);
-        server.pending_cookie_invalidations = self.invalidations.into_iter().collect();
+        server.pending_cookie_invalidations = self.invalidations.into_owned();
         server.conflicts = crate::conflict::ConflictQueue::new();
         for c in self.conflicts.into_owned() {
             server.conflicts.push(c);
@@ -1281,22 +657,6 @@ impl TableHead {
                 annotation,
             })
             .collect()
-    }
-
-    fn enc(&self, e: &mut Encoder) {
-        e.str(&self.name);
-        e.str(&self.create_sql);
-        enc_annotation(e, &self.annotation);
-        e.seq(&self.columns, |e, c| e.str(c));
-    }
-
-    fn dec(d: &mut Decoder) -> DecResult<TableHead> {
-        Ok(TableHead {
-            name: d.str()?,
-            create_sql: d.str()?,
-            annotation: dec_annotation(d)?,
-            columns: d.seq(|d| d.str())?,
-        })
     }
 
     /// Creates the table if the installed application lacks it, then checks
@@ -1370,32 +730,6 @@ impl<'a> BaseCheckpoint<'a> {
             logs,
             tables,
         }
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.u32(FORMAT_VERSION);
-        self.small.enc(&mut e);
-        e.seq(&self.actions, enc_action);
-        e.seq(&self.logs, |e, log| enc_page_visit(e, log));
-        e.seq(&self.tables, |e, (head, rows)| {
-            head.enc(e);
-            e.seq(rows, |e, row| enc_row(e, row));
-        });
-        e.into_bytes()
-    }
-
-    fn decode(payload: &[u8]) -> DecResult<BaseCheckpoint<'static>> {
-        let mut d = Decoder::new(payload);
-        dec_format_version(&mut d)?;
-        let base = BaseCheckpoint {
-            small: SmallState::dec(&mut d)?,
-            actions: Cow::Owned(d.seq(dec_action)?),
-            logs: d.seq(|d| Ok(Cow::Owned(dec_page_visit(d)?)))?,
-            tables: d.seq(|d| Ok((TableHead::dec(d)?, Cow::Owned(d.seq(dec_row)?))))?,
-        };
-        d.finish()?;
-        Ok(base)
     }
 
     /// Replaces the state of a freshly installed server with this one.
@@ -1479,6 +813,16 @@ struct DeltaCheckpoint<'a> {
     tables: Vec<(TableHead, warp_ttdb::TableDelta)>,
 }
 
+wire_struct! {
+    SmallState<'_> {
+        clock, rng, session, current_gen, watermark, pending_repair, invalidations, conflicts,
+        sources, quota,
+    }
+    TableHead { name, create_sql, annotation, columns }
+    BaseCheckpoint<'_> { small, actions, logs, tables }
+    DeltaCheckpoint<'_> { small, floor, new_actions, cancelled, logs, tables }
+}
+
 impl<'a> DeltaCheckpoint<'a> {
     /// `rows` is the database's drained checkpoint tracker; the caller resets
     /// [`CheckpointMarks`] only once the store accepts the write (a declined
@@ -1518,41 +862,6 @@ impl<'a> DeltaCheckpoint<'a> {
             logs,
             tables,
         }
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.u32(FORMAT_VERSION);
-        self.small.enc(&mut e);
-        e.u64(self.floor);
-        e.seq(&self.new_actions, enc_action);
-        e.seq(&self.cancelled, |e, id| e.u64(*id));
-        e.seq(&self.logs, |e, log| enc_page_visit(e, log));
-        e.seq(&self.tables, |e, (head, diff)| {
-            head.enc(e);
-            e.seq(&diff.remove, |e, row| enc_row(e, row));
-            e.seq(&diff.add, |e, row| enc_row(e, row));
-        });
-        e.into_bytes()
-    }
-
-    fn decode(payload: &[u8]) -> DecResult<DeltaCheckpoint<'static>> {
-        let mut d = Decoder::new(payload);
-        dec_format_version(&mut d)?;
-        let delta = DeltaCheckpoint {
-            small: SmallState::dec(&mut d)?,
-            floor: d.u64()?,
-            new_actions: Cow::Owned(d.seq(dec_action)?),
-            cancelled: d.seq(|d| d.u64())?,
-            logs: d.seq(|d| Ok(Cow::Owned(dec_page_visit(d)?)))?,
-            tables: d.seq(|d| {
-                let head = TableHead::dec(d)?;
-                let (remove, add) = (d.seq(dec_row)?, d.seq(dec_row)?);
-                Ok((head, warp_ttdb::TableDelta { remove, add }))
-            })?,
-        };
-        d.finish()?;
-        Ok(delta)
     }
 
     /// Applies the delta to a server that already holds the base (and any
@@ -1608,14 +917,15 @@ pub(crate) fn fold_checkpoint_chain(base: &[u8], deltas: &[Vec<u8>]) -> Option<V
 
 fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
     match event {
-        LogEvent::Action {
-            gen,
-            clock_after,
-            rng_after,
-            session_after,
-            watermark_after,
-            action,
-        } => {
+        LogEvent::Action(event) => {
+            let ActionEvent {
+                gen,
+                clock_after,
+                rng_after,
+                session_after,
+                watermark_after,
+                action,
+            } = *event;
             // Mirror the cookie-invalidation consumption `handle` performed.
             if let Some(client) = &action.client {
                 server
@@ -1641,7 +951,7 @@ fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
             server.rng_counter = rng_after;
             server.session_counter = session_after;
             server.db.raise_synthetic_id_watermark(watermark_after);
-            restore_actions(&mut server.history, [*action])?;
+            restore_actions(&mut server.history, [action.into_owned()])?;
         }
         LogEvent::ClientLog(record) => server.history.upload_client_log(record),
         LogEvent::RepairBegin(request) => server.pending_repair = Some(request),
@@ -2035,9 +1345,15 @@ impl From<AppConfig> for ServerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::{ClientRef, NondetRecord, QueryRecord};
+    use std::collections::BTreeMap;
+    use warp_browser::{ConflictReason, EventKind, RecordedRequest};
     use warp_http::Transport;
+    use warp_script::Value as ScriptValue;
+    use warp_sql::ColumnSet;
     use warp_store::MemoryBackend;
     use warp_ttdb::TableAnnotation;
+    use warp_ttdb::{PartitionKey, PartitionSet, QueryDependency};
 
     fn tiny_app() -> AppConfig {
         let mut config = AppConfig::new("tiny");
@@ -2079,19 +1395,17 @@ mod tests {
         req.cookies.set("sid", "abc");
         server.handle(req);
         let action = server.history.actions()[0].clone();
-        let event = LogEvent::Action {
+        let event = LogEvent::Action(Box::new(ActionEvent {
             gen: 0,
             clock_after: server.clock.now(),
             rng_after: 7,
             session_after: 8,
             watermark_after: server.db.synthetic_id_watermark(),
-            action: Box::new(action.clone()),
-        };
+            action: Cow::Owned(action.clone()),
+        }));
         let (kind, payload) = event.encode();
         match LogEvent::decode(kind, &payload).unwrap() {
-            LogEvent::Action {
-                action: decoded, ..
-            } => assert_eq!(*decoded, action),
+            LogEvent::Action(decoded) => assert_eq!(*decoded.action, action),
             other => panic!("wrong event: {other:?}"),
         }
     }
@@ -2446,11 +1760,8 @@ mod tests {
         })
     }
 
-    /// The payload bytes of a fixed history, pinned at the commit before the
-    /// layouts became data types: a change to either layout must bump
-    /// `FORMAT_VERSION`, not slip through.
-    #[test]
-    fn checkpoint_payload_bytes_are_pinned() {
+    /// The base and delta payloads of a fixed history.
+    fn pinned_chain() -> (Vec<u8>, Vec<u8>) {
         let mem = MemoryBackend::new();
         let mut server = open_with(&mem, manual()).0;
         server.handle(visit_request("mallory", 7, "by mallory"));
@@ -2472,11 +1783,293 @@ mod tests {
         let [delta] = &recovered.deltas[..] else {
             panic!("one delta on disk, found {}", recovered.deltas.len());
         };
+        (base, delta.clone())
+    }
+
+    /// The payload bytes of [`pinned_chain`], pinned at the commit before the
+    /// layouts became data types: a change to either layout must bump
+    /// `FORMAT_VERSION`, not slip through.
+    #[test]
+    fn checkpoint_payload_bytes_are_pinned() {
+        let (base, delta) = pinned_chain();
         assert_eq!((base.len(), fnv1a(&base)), (1653, 0x403c_99e6_ead0_a52c));
-        assert_eq!((delta.len(), fnv1a(delta)), (1969, 0xf317_3692_ac80_ce04));
+        assert_eq!((delta.len(), fnv1a(&delta)), (1969, 0xf317_3692_ac80_ce04));
         // Each layout's decoder and encoder are inverses.
         assert!(BaseCheckpoint::decode(&base).unwrap().encode() == base);
-        assert!(DeltaCheckpoint::decode(delta).unwrap().encode() == *delta);
+        assert!(DeltaCheckpoint::decode(&delta).unwrap().encode() == delta);
+    }
+
+    /// One record of every log kind (two repair requests, one per variant),
+    /// reaching every tag of every persisted enum: all five SQL and seven
+    /// script value tags (a `Float` of each, a script array and map), both
+    /// methods, both partition and column sets, all event kinds, conflict
+    /// kinds and conflict reasons, cookies and every `WarpHeaders` field.
+    fn pinned_records() -> Vec<(u8, Vec<u8>)> {
+        use crate::conflict::ConflictKind as K;
+        use warp_http::Method;
+        let sql_values = vec![
+            SqlValue::Null,
+            SqlValue::Bool(true),
+            SqlValue::Int(-7),
+            SqlValue::Float(1.25),
+            SqlValue::Text("row".into()),
+        ];
+        let mut map = BTreeMap::new();
+        map.insert("k".to_string(), ScriptValue::Float(-0.5));
+        map.insert("n".to_string(), ScriptValue::Null);
+        let script_values = vec![
+            ScriptValue::Bool(false),
+            ScriptValue::Int(42),
+            ScriptValue::Str("s".into()),
+            ScriptValue::Array(vec![ScriptValue::Int(1), ScriptValue::Map(map)]),
+        ];
+        let mut request =
+            warp_http::HttpRequest::post("/edit.wasl", [("title", "Main"), ("body", "x")]);
+        request.query.insert("q".into(), "1".into());
+        request
+            .headers
+            .insert("Referer".into(), "/view.wasl".into());
+        request.cookies.set("sid", "abc");
+        request.cookies.set("theme", "dark");
+        request.warp.client_id = Some("c1".into());
+        request.warp.visit_id = Some(3);
+        request.warp.request_id = Some(0);
+        let mut response = warp_http::HttpResponse::ok("<p>saved</p>");
+        response.status = 302;
+        response.headers.insert("Location".into(), "/".into());
+        response.set_cookies.push("sid=abc".into());
+        let keys = [("page", "title", "Main"), ("page", "title", "Other")]
+            .iter()
+            .map(|(t, c, v)| PartitionKey {
+                table: (*t).into(),
+                column: (*c).into(),
+                value: (*v).into(),
+            })
+            .collect();
+        let dependency = QueryDependency {
+            table: "page".into(),
+            is_read: true,
+            is_write: true,
+            read_partitions: PartitionSet::Whole {
+                table: "page".into(),
+            },
+            write_partitions: PartitionSet::Keys(keys),
+            written_row_ids: sql_values.clone(),
+            read_columns: ColumnSet::All,
+            write_columns: ColumnSet::Named(["body".to_string(), "title".to_string()].into()),
+        };
+        let action = ActionRecord {
+            id: 5,
+            time: 17,
+            request,
+            response,
+            client: Some(ClientRef {
+                client_id: "c1".into(),
+                visit_id: 3,
+                request_id: 0,
+            }),
+            entry_script: "edit.wasl".into(),
+            loaded_files: vec!["edit.wasl".into(), "lib.wasl".into()],
+            queries: vec![QueryRecord {
+                sql: "UPDATE page SET body = 'x' WHERE title = 'Main'".into(),
+                time: 16,
+                result_fingerprint: 0xdead_beef,
+                is_write: true,
+                dependency,
+            }],
+            nondet: vec![NondetRecord {
+                func: "rand".into(),
+                args: script_values,
+                result: ScriptValue::Float(0.75),
+            }],
+            cancelled: true,
+        };
+        let mut log = PageVisitRecord::new("c1", 3, "/edit.wasl?title=Main");
+        log.caused_by_visit = Some(2);
+        log.in_frame = true;
+        log.push_event(EventKind::Input, "body", Some("x".into()), Some("y".into()));
+        log.push_event(EventKind::Click, "save", None, None);
+        log.push_event(EventKind::Submit, "form", Some("f".into()), None);
+        log.requests.push(RecordedRequest {
+            request_id: 0,
+            method: Method::Get,
+            path: "/view.wasl".into(),
+            params: [("title".to_string(), "Main".to_string())].into(),
+        });
+        let patch = Patch::new("view.wasl", "echo(\"fixed\");", "CVE-0");
+        let conflict = |kind, partition: Option<usize>| Conflict {
+            client_id: "c1".into(),
+            visit_id: 3,
+            url: "/view.wasl".into(),
+            kind,
+            resolved: partition.is_some(),
+            partition,
+        };
+        let conflicts = vec![
+            conflict(K::BrowserReplay(ConflictReason::NoClientLog), None),
+            conflict(
+                K::BrowserReplay(ConflictReason::MissingTarget("t".into())),
+                Some(2),
+            ),
+            conflict(
+                K::BrowserReplay(ConflictReason::TextMergeConflict("m".into())),
+                None,
+            ),
+            conflict(K::BrowserReplay(ConflictReason::FramingDenied), Some(0)),
+            conflict(K::ActionCancelled, None),
+            conflict(K::ReexecutionFailed("boom".into()), Some(9)),
+        ];
+        let events = [
+            LogEvent::ClientLog(log),
+            LogEvent::RepairBegin(RepairRequest::RetroactivePatch {
+                patch: patch.clone(),
+                from_time: 4,
+            }),
+            LogEvent::RepairBegin(RepairRequest::UndoVisit {
+                client_id: "c1".into(),
+                visit_id: 3,
+                initiated_by_admin: true,
+            }),
+            LogEvent::RepairCommit(RepairCommitRecord {
+                patch: Some((patch, 4)),
+                cancelled: vec![1, 5],
+                conflicts,
+                cookie_invalidations: vec!["c1".into()],
+                current_gen: 2,
+                watermark: -100,
+                table_diffs: vec![("page".into(), vec![sql_values.clone()], vec![sql_values])],
+            }),
+            LogEvent::RepairAbort {
+                patch: None,
+                cookie_invalidations: vec!["c2".into(), "c3".into()],
+            },
+            LogEvent::Gc { before_time: 12 },
+            LogEvent::CreateTable {
+                sql: "CREATE TABLE note (note_id INTEGER PRIMARY KEY, text TEXT)".into(),
+                annotation: TableAnnotation::new()
+                    .row_id("note_id")
+                    .partitions(["text"]),
+            },
+        ];
+        let mut records = vec![encode_action_event(1, 18, 7, 8, -3, &action)];
+        records.extend(events.iter().map(LogEvent::encode));
+        records
+    }
+
+    /// The log-record bytes of [`pinned_records`], pinned at the commit
+    /// before the layouts became `Wire` impls: a change to any record layout
+    /// must bump `FORMAT_VERSION`, not slip through.
+    #[test]
+    fn log_record_bytes_are_pinned() {
+        let records = pinned_records();
+        let pins: Vec<(u8, usize, u64)> = records
+            .iter()
+            .map(|(kind, payload)| (*kind, payload.len(), fnv1a(payload)))
+            .collect();
+        assert_eq!(
+            pins,
+            vec![
+                (KIND_ACTION, 647, 0x6102_3839_0b50_11a3),
+                (KIND_CLIENT_LOG, 161, 0xc177_31e2_eec3_cb82),
+                (KIND_REPAIR_BEGIN, 49, 0xb48e_7cad_8b4d_b065),
+                (KIND_REPAIR_BEGIN, 16, 0x46b2_3156_4514_3ef0),
+                (KIND_REPAIR_COMMIT, 417, 0x1803_308d_76e6_3898),
+                (KIND_REPAIR_ABORT, 17, 0xae17_9eb8_cac9_b88e),
+                (KIND_GC, 8, 0x24b3_1456_53d7_6249),
+                (KIND_CREATE_TABLE, 86, 0x75c7_6c97_3727_0767),
+            ]
+        );
+        // Each record's decoder and encoder are inverses.
+        for (kind, payload) in &records {
+            let event = LogEvent::decode(*kind, payload).expect("a pinned record decodes");
+            assert!(event.encode() == (*kind, payload.clone()), "kind {kind}");
+        }
+    }
+
+    /// A status that does not fit a `u16` is corrupt: 65 736 was read back
+    /// as `65_736 as u16`, status 200.
+    #[test]
+    fn an_out_of_range_status_is_an_error() {
+        let (kind, mut payload) = pinned_records().swap_remove(0);
+        // The response's status (302), then its one header, `Location`.
+        let status: Vec<u8> = [302u32, 1, 8]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let at = payload
+            .windows(status.len() + 8)
+            .position(|w| w.starts_with(&status) && w.ends_with(b"Location"))
+            .expect("the response status");
+        payload[at..at + 4].copy_from_slice(&65_736u32.to_le_bytes());
+        assert!(LogEvent::decode(kind, &payload).is_err());
+        payload[at..at + 4].copy_from_slice(&u32::from(u16::MAX).to_le_bytes());
+        assert!(LogEvent::decode(kind, &payload).is_ok());
+    }
+
+    /// Every decoder of a persisted payload — each log record kind, both
+    /// checkpoint layouts and the chain fold — returns on any input: random
+    /// bytes, every truncation and single-byte mutations of the pinned
+    /// payloads. A truncated payload is always an error.
+    #[test]
+    fn decoding_arbitrary_bytes_returns_instead_of_panicking() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut noise = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (base, delta) = pinned_chain();
+        let decode_everything = |bytes: &[u8]| {
+            for kind in 0..=KIND_CREATE_TABLE + 1 {
+                let _ = LogEvent::decode(kind, bytes);
+            }
+            let _ = BaseCheckpoint::decode(bytes);
+            let _ = DeltaCheckpoint::decode(bytes);
+            let _ = fold_checkpoint_chain(bytes, &[]);
+            let _ = fold_checkpoint_chain(&base, &[bytes.to_vec()]);
+        };
+        for _ in 0..500 {
+            let len = (noise() % 96) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| noise() as u8).collect();
+            decode_everything(&bytes);
+        }
+        // Each pinned payload, cut short and with one byte changed.
+        enum Layout {
+            Record(u8),
+            Base,
+            Delta,
+        }
+        let mut payloads: Vec<(Layout, Vec<u8>)> = pinned_records()
+            .into_iter()
+            .map(|(kind, payload)| (Layout::Record(kind), payload))
+            .collect();
+        payloads.push((Layout::Base, base.clone()));
+        payloads.push((Layout::Delta, delta.clone()));
+        let decode = |layout: &Layout, bytes: &[u8]| match layout {
+            Layout::Record(kind) => LogEvent::decode(*kind, bytes).is_ok(),
+            Layout::Base => {
+                BaseCheckpoint::decode(bytes).is_ok()
+                    | fold_checkpoint_chain(bytes, std::slice::from_ref(&delta)).is_some()
+            }
+            Layout::Delta => {
+                DeltaCheckpoint::decode(bytes).is_ok()
+                    | fold_checkpoint_chain(&base, &[bytes.to_vec()]).is_some()
+            }
+        };
+        for (layout, payload) in &payloads {
+            for cut in 0..payload.len() {
+                assert!(!decode(layout, &payload[..cut]), "a cut at {cut} decodes");
+            }
+            let mut mutated = payload.clone();
+            for at in 0..payload.len() {
+                for value in [!payload[at], noise() as u8] {
+                    mutated[at] = value;
+                    decode(layout, &mutated);
+                }
+                mutated[at] = payload[at];
+            }
+        }
     }
 
     #[test]

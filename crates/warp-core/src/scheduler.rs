@@ -80,6 +80,15 @@ pub enum RepairStrategy {
 }
 
 impl RepairStrategy {
+    /// The strategy a repair worker count selects: `0` runs the sequential
+    /// engine, `n` the partitioned one on `n` workers.
+    pub fn with_workers(workers: usize) -> Self {
+        match workers {
+            0 => RepairStrategy::Sequential,
+            workers => RepairStrategy::Partitioned { workers },
+        }
+    }
+
     /// The worker count this strategy reports in [`RepairStats::workers`].
     pub fn worker_count(&self) -> usize {
         match self {

@@ -28,65 +28,11 @@ pub type Row = Vec<Value>;
 /// unmodified PostgreSQL; it declares the row-ID and partition columns,
 /// which is what its rewritten queries pin.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(try_from = "TableImage", into = "TableImage")]
 pub struct Table {
     /// The table's schema.
     pub schema: TableSchema,
     rows: Vec<Row>,
     indexes: Vec<ColumnIndex>,
-}
-
-/// What a [`Table`] serialises as: its schema, its rows and the *columns*
-/// its indexes are declared over. The buckets are derived state and are
-/// rebuilt on the way back in, so a serialised table can neither carry a
-/// stale index nor come back without one it had declared.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct TableImage {
-    schema: TableSchema,
-    rows: Vec<Row>,
-    indexed_columns: Vec<usize>,
-}
-
-impl From<Table> for TableImage {
-    fn from(table: Table) -> Self {
-        TableImage {
-            indexed_columns: table.indexes.iter().map(|ix| ix.column).collect(),
-            schema: table.schema,
-            rows: table.rows,
-        }
-    }
-}
-
-impl TryFrom<TableImage> for Table {
-    type Error = SqlError;
-
-    fn try_from(image: TableImage) -> SqlResult<Self> {
-        let width = image.schema.columns.len();
-        if let Some(row) = image.rows.iter().find(|row| row.len() != width) {
-            return Err(SqlError::Execution(format!(
-                "row of {} values for the {width} columns of {}",
-                row.len(),
-                image.schema.name
-            )));
-        }
-        if let Some(column) = image.indexed_columns.iter().find(|c| **c >= width) {
-            return Err(SqlError::Execution(format!(
-                "index over column {column} of the {width} columns of {}",
-                image.schema.name
-            )));
-        }
-        let mut indexes: Vec<ColumnIndex> = Vec::new();
-        for column in image.indexed_columns {
-            if !indexes.iter().any(|ix| ix.column == column) {
-                indexes.push(ColumnIndex::build(column, &image.rows));
-            }
-        }
-        Ok(Table {
-            schema: image.schema,
-            rows: image.rows,
-            indexes,
-        })
-    }
 }
 
 /// The equality index of one column: for each distinct value (under
@@ -543,28 +489,6 @@ mod tests {
         assert!(e.is_empty());
         e.push_row(vec![Value::Int(5), Value::text("x")]);
         assert_eq!(e.index_bucket(1, &Value::text("x")), Some(&[0][..]));
-    }
-
-    #[test]
-    fn the_serialised_image_carries_index_columns_not_buckets() {
-        let t = indexed_table();
-        let image = TableImage::from(t.clone());
-        assert_eq!(image.indexed_columns, vec![0, 1]);
-        let back = Table::try_from(image.clone()).unwrap();
-        assert_eq!(back.rows(), t.rows());
-        assert_eq!(back.index_bucket(0, &Value::Int(1)), Some(&[0, 2, 4][..]));
-        assert_eq!(
-            back.index_bucket(1, &Value::text("a")),
-            Some(&[0, 3, 4][..])
-        );
-        back.check_indexes().unwrap();
-        // An image that could not have come from a table is refused.
-        let mut ragged = image.clone();
-        ragged.rows[1].pop();
-        assert!(Table::try_from(ragged).is_err());
-        let mut wild = image;
-        wild.indexed_columns.push(2);
-        assert!(Table::try_from(wild).is_err());
     }
 
     #[test]

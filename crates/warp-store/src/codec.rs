@@ -1,10 +1,11 @@
 //! A small self-describing binary codec and a CRC32 implementation.
 //!
 //! The workspace's `serde` is an offline shim with no wire format, so the
-//! storage subsystem defines its own: fixed-width little-endian integers,
-//! length-prefixed strings and byte blobs, and explicit tags for options
-//! and enums. `warp-core` builds its record and checkpoint encodings from
-//! these primitives.
+//! storage subsystem defines its own primitives: fixed-width little-endian
+//! integers, and length-prefixed strings, byte blobs and sequences.
+//! `warp-core` builds its record and checkpoint encodings from these
+//! primitives through `warp_core::wire`, where each persisted type states
+//! its layout once.
 
 /// A decode failure: the bytes did not match the expected shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,17 +96,6 @@ impl Encoder {
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
-    }
-
-    /// Writes an optional value: a presence byte, then the value.
-    pub fn option<T>(&mut self, v: Option<&T>, mut f: impl FnMut(&mut Self, &T)) {
-        match v {
-            Some(inner) => {
-                self.bool(true);
-                f(self, inner);
-            }
-            None => self.bool(false),
-        }
     }
 
     /// Writes a sequence: a u32 count, then each element.
@@ -213,18 +203,6 @@ impl<'a> Decoder<'a> {
     pub fn str(&mut self) -> CodecResult<String> {
         let bytes = self.bytes()?;
         String::from_utf8(bytes).map_err(|e| CodecError(format!("invalid UTF-8 string: {e}")))
-    }
-
-    /// Reads an optional value written by [`Encoder::option`].
-    pub fn option<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Self) -> CodecResult<T>,
-    ) -> CodecResult<Option<T>> {
-        if self.bool()? {
-            Ok(Some(f(self)?))
-        } else {
-            Ok(None)
-        }
     }
 
     /// Reads a sequence written by [`Encoder::seq`].
@@ -358,8 +336,6 @@ mod tests {
         e.f64(1.5);
         e.str("héllo");
         e.bytes(&[1, 2, 3]);
-        e.option(Some(&9u64), |e, v| e.u64(*v));
-        e.option(None::<&u64>, |e, v| e.u64(*v));
         e.seq(&[10i64, 20, 30], |e, v| e.i64(*v));
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
@@ -371,8 +347,6 @@ mod tests {
         assert_eq!(d.f64().unwrap(), 1.5);
         assert_eq!(d.str().unwrap(), "héllo");
         assert_eq!(d.bytes().unwrap(), vec![1, 2, 3]);
-        assert_eq!(d.option(|d| d.u64()).unwrap(), Some(9));
-        assert_eq!(d.option(|d| d.u64()).unwrap(), None);
         assert_eq!(d.seq(|d| d.i64()).unwrap(), vec![10, 20, 30]);
         d.finish().unwrap();
     }
