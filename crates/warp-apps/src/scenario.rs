@@ -349,6 +349,55 @@ mod tests {
         assert_eq!(shim.history.len(), facade_server.history.len());
     }
 
+    /// The injected write rolled back every page; the victims' later views
+    /// read pages it rolled back, so the repair re-executes each of them
+    /// and replays the visits, under either engine.
+    #[test]
+    fn sql_injection_repair_reexecutes_every_victim_view() {
+        let repair = |workers: usize| {
+            let mut config = ScenarioConfig::small(AttackKind::SqlInjection);
+            config.repair_workers = workers;
+            let mut warp = Warp::builder()
+                .app(scenario_app(&config))
+                .repair_workers(workers)
+                .start();
+            let result = run_scenario_on(&config, &mut warp);
+            let views: Vec<_> = warp.with_host(|s| {
+                let by_victim = |a: &&warp_core::ActionRecord| {
+                    a.client
+                        .as_ref()
+                        .is_some_and(|c| c.client_id.starts_with("victim"))
+                };
+                s.history
+                    .actions()
+                    .iter()
+                    .filter(|a| a.request.path == "/view.wasl")
+                    .filter(by_victim)
+                    .map(|a| a.id)
+                    .collect()
+            });
+            (result, views)
+        };
+        let (seq, views) = repair(0);
+        assert!(seq.attack_succeeded && seq.repaired);
+        assert!(!views.is_empty());
+        for id in &views {
+            assert!(
+                seq.outcome.reexecuted_actions.contains(id),
+                "victim view {id} not re-executed: {:?}",
+                seq.outcome.reexecuted_actions
+            );
+        }
+        assert!(seq.outcome.stats.page_visits_reexecuted > 0);
+        let (par, _) = repair(2);
+        assert!(par.repaired);
+        assert_eq!(
+            seq.outcome.reexecuted_actions,
+            par.outcome.reexecuted_actions
+        );
+        assert_eq!(seq.outcome.cancelled_actions, par.outcome.cancelled_actions);
+    }
+
     #[test]
     fn parallel_repair_scenario_matches_sequential() {
         let seq_cfg = ScenarioConfig::small(AttackKind::StoredXss);

@@ -121,6 +121,27 @@ fn bench_ttdb(c: &mut Criterion) {
             session.finalize(&mut db);
         })
     });
+    // The SQL-injection repair's shape: 251 rows of three versions each,
+    // every one rolled back past its first update inside a repair
+    // generation. The databases are built before the timed loop and the
+    // used ones kept until after it, so only the rollback is timed.
+    let rows = 251;
+    let (mut template, _) = versioned_db(rows, 3);
+    let session = RepairSession::begin_precise(&mut template);
+    let ids: Vec<Value> = (0..rows).map(Value::Int).collect();
+    let mut ready: Vec<_> = (0..8)
+        .map(|_| (template.clone(), session.clone()))
+        .collect();
+    let mut used = Vec::new();
+    group.bench_function("rollback_251_rows_x3_versions", |b| {
+        b.iter(|| {
+            let (mut db, mut session) = ready.pop().expect("a database prepared per iteration");
+            session
+                .rollback_rows(&mut db, "page", &ids, rows + 1)
+                .unwrap();
+            used.push(db);
+        })
+    });
     group.finish();
 }
 

@@ -202,12 +202,12 @@ pub(crate) fn execute_actions(
 
     for &id in order {
         let action = match env.history.action(id) {
-            Some(a) if !a.cancelled => a.clone(),
+            Some(a) if !a.cancelled => a,
             _ => continue,
         };
         if to_cancel.contains(&id) {
             let t = Instant::now();
-            cancel_action(db, &mut session, &action, &mut run);
+            cancel_action(db, &mut session, action, &mut run);
             run.stats.time_db += t.elapsed();
             continue;
         }
@@ -265,11 +265,8 @@ pub(crate) fn execute_actions(
         }
         // Full application re-execution.
         let t_app = Instant::now();
-        let effective_request = request_overrides
-            .get(&id)
-            .cloned()
-            .unwrap_or_else(|| action.request.clone());
-        let result = reexecute_action(env, db, &mut session, &action, &effective_request);
+        let effective_request = request_overrides.get(&id).unwrap_or(&action.request);
+        let result = reexecute_action(env, db, &mut session, action, effective_request);
         run.reexecuted.insert(id);
         run.stats.app_runs_reexecuted += 1;
         run.stats.queries_reexecuted += result.queries_reexecuted;
@@ -319,7 +316,7 @@ pub(crate) fn execute_actions(
         }
         // Browser re-execution for the page visit that received the changed
         // response (paper §5).
-        let Some(client) = action.client.clone() else {
+        let Some(client) = &action.client else {
             continue;
         };
         let visit_key = (client.client_id.clone(), client.visit_id);
@@ -536,7 +533,7 @@ fn replay_client_visit(
     visit_id: u64,
     new_response: &HttpResponse,
 ) -> Option<ReplayOutcome> {
-    let record = env.history.client_log(client_id, visit_id)?.clone();
+    let record = env.history.client_log(client_id, visit_id)?;
     // The re-execution browser gets the cookies the original request to this
     // visit carried.
     let cookies = env
@@ -549,7 +546,7 @@ fn replay_client_visit(
     let mut transport = CollectingTransport::default();
     let config = env.replay_config;
     let outcome = replay_visit(
-        &record,
+        record,
         new_response,
         cookies.clone(),
         &mut transport,

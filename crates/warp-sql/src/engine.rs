@@ -228,6 +228,36 @@ impl Database {
         }
     }
 
+    /// Appends `row` (already in schema order and width) to `table` as a
+    /// one-row `INSERT` would: the same NOT NULL and uniqueness checks, and
+    /// the same change capture.
+    pub fn insert_row(&mut self, table: &str, row: Row) -> SqlResult<()> {
+        let t = table_of(&mut self.tables, table)?;
+        check_not_null(&t.schema, &row, table)?;
+        append_rows(t, &mut self.capture, table, vec![row]).map(drop)
+    }
+
+    /// Overwrites the rows at the `staged` positions (ascending, distinct)
+    /// with their new images as an `UPDATE` matching exactly those rows
+    /// would: every image is checked for NOT NULL and uniqueness against
+    /// the table as it will be before anything changes, and the swap is
+    /// captured. Returns how many rows changed.
+    pub fn replace_rows_at(&mut self, table: &str, staged: Vec<(usize, Row)>) -> SqlResult<u64> {
+        let t = table_of(&mut self.tables, table)?;
+        for (_, row) in &staged {
+            check_not_null(&t.schema, row, table)?;
+        }
+        replace_staged(t, &mut self.capture, table, staged)
+    }
+
+    /// Removes the rows at `positions` (ascending, distinct) as a `DELETE`
+    /// matching exactly those rows would: every other row keeps its order,
+    /// and the removal is captured. Returns how many rows went.
+    pub fn remove_rows_at(&mut self, table: &str, positions: &[usize]) -> SqlResult<u64> {
+        let t = table_of(&mut self.tables, table)?;
+        Ok(remove_captured(t, &mut self.capture, table, positions))
+    }
+
     /// Parses and executes a single SQL statement.
     pub fn execute_sql(&mut self, sql: &str) -> SqlResult<QueryResult> {
         let stmt = parse(sql)?;
@@ -307,10 +337,7 @@ impl Database {
     ) -> SqlResult<QueryResult> {
         // Evaluate value expressions against an empty row context first (they
         // may not reference columns), then validate and append.
-        let t = self
-            .tables
-            .get_mut(&*table_key(table))
-            .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
+        let t = table_of(&mut self.tables, table)?;
         let schema = &t.schema;
         let mut col_indexes = Vec::with_capacity(columns.len());
         for c in columns {
@@ -333,25 +360,11 @@ impl Database {
             check_not_null(schema, &row, table)?;
             new_rows.push(row);
         }
-        // Uniqueness checks consider both existing rows and the batch itself.
-        let constraints = unique_constraint_columns(schema);
-        for (i, row) in new_rows.iter().enumerate() {
-            check_unique(t, &constraints, row, None, &[])?;
-            for earlier in &new_rows[..i] {
-                check_rows_distinct(&constraints, earlier, row, table)?;
-            }
-        }
-        let n = new_rows.len() as u64;
-        if let Some(entry) = capture_entry(&mut self.capture, table, new_rows.len()) {
-            entry.added.extend(new_rows.iter().cloned());
-        }
-        for row in new_rows {
-            t.push_row(row);
-        }
+        let affected = append_rows(t, &mut self.capture, table, new_rows)?;
         Ok(QueryResult {
             columns: vec![],
             rows: vec![],
-            affected: n,
+            affected,
             ordered: false,
         })
     }
@@ -469,10 +482,7 @@ impl Database {
         where_clause: Option<&Expr>,
         params: &[Value],
     ) -> SqlResult<QueryResult> {
-        let t = self
-            .tables
-            .get_mut(&*table_key(table))
-            .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
+        let t = table_of(&mut self.tables, table)?;
         let schema = &t.schema;
         let mut bound_assignments = Vec::with_capacity(assignments.len());
         for a in assignments {
@@ -496,24 +506,7 @@ impl Database {
                 staged.push((pos, updated));
             }
         }
-        // Re-validate uniqueness over the updated table contents.
-        let constraints = unique_constraint_columns(schema);
-        for (pos, updated) in &staged {
-            check_unique(t, &constraints, updated, Some(*pos), &staged)?;
-        }
-        let affected = staged.len() as u64;
-        let mut capture = capture_entry(&mut self.capture, table, staged.len());
-        if let Some(entry) = &mut capture {
-            entry
-                .added
-                .extend(staged.iter().map(|(_, row)| row.clone()));
-        }
-        for (pos, updated) in staged {
-            let old = t.replace_row(pos, updated);
-            if let Some(entry) = &mut capture {
-                entry.removed.push(old);
-            }
-        }
+        let affected = replace_staged(t, &mut self.capture, table, staged)?;
         Ok(QueryResult {
             columns: vec![],
             rows: vec![],
@@ -528,10 +521,7 @@ impl Database {
         where_clause: Option<&Expr>,
         params: &[Value],
     ) -> SqlResult<QueryResult> {
-        let t = self
-            .tables
-            .get_mut(&*table_key(table))
-            .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
+        let t = table_of(&mut self.tables, table)?;
         let predicate = where_clause.map(|w| Bound::bind(w, &t.schema, params));
         let mut doomed = Vec::new();
         let mut err = None;
@@ -547,11 +537,7 @@ impl Database {
         }
         // Rows that matched before the predicate failed are dropped all the
         // same, and capture must reflect what actually happened.
-        let removed = t.remove_positions(&doomed);
-        let affected = removed.len() as u64;
-        if let Some(entry) = capture_entry(&mut self.capture, table, removed.len()) {
-            entry.removed.extend(removed);
-        }
+        let affected = remove_captured(t, &mut self.capture, table, &doomed);
         if let Some(e) = err {
             return Err(e);
         }
@@ -585,6 +571,81 @@ fn capture_entry<'c>(
         .as_mut()
         .filter(|_| rows_changed > 0)
         .map(|c| c.entry(table_key(table).into_owned()).or_default())
+}
+
+fn table_of<'t>(tables: &'t mut BTreeMap<String, Table>, table: &str) -> SqlResult<&'t mut Table> {
+    tables
+        .get_mut(&*table_key(table))
+        .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))
+}
+
+/// Appends `new_rows` (evaluated and NOT NULL-checked) once each is known
+/// not to collide with a stored row or an earlier row of the batch.
+fn append_rows(
+    t: &mut Table,
+    capture: &mut Option<BTreeMap<String, TableChanges>>,
+    table: &str,
+    new_rows: Vec<Row>,
+) -> SqlResult<u64> {
+    let constraints = unique_constraint_columns(&t.schema);
+    for (i, row) in new_rows.iter().enumerate() {
+        check_unique(t, &constraints, row, None, &[])?;
+        for earlier in &new_rows[..i] {
+            check_rows_distinct(&constraints, earlier, row, table)?;
+        }
+    }
+    if let Some(entry) = capture_entry(capture, table, new_rows.len()) {
+        entry.added.extend(new_rows.iter().cloned());
+    }
+    let n = new_rows.len() as u64;
+    for row in new_rows {
+        t.push_row(row);
+    }
+    Ok(n)
+}
+
+/// Swaps the `staged` new images (ascending positions, NOT NULL-checked)
+/// in place once uniqueness holds over the updated table contents; a
+/// failure leaves every row untouched.
+fn replace_staged(
+    t: &mut Table,
+    capture: &mut Option<BTreeMap<String, TableChanges>>,
+    table: &str,
+    staged: Vec<(usize, Row)>,
+) -> SqlResult<u64> {
+    let constraints = unique_constraint_columns(&t.schema);
+    for (pos, updated) in &staged {
+        check_unique(t, &constraints, updated, Some(*pos), &staged)?;
+    }
+    let affected = staged.len() as u64;
+    let mut capture = capture_entry(capture, table, staged.len());
+    if let Some(entry) = &mut capture {
+        entry
+            .added
+            .extend(staged.iter().map(|(_, row)| row.clone()));
+    }
+    for (pos, updated) in staged {
+        let old = t.replace_row(pos, updated);
+        if let Some(entry) = &mut capture {
+            entry.removed.push(old);
+        }
+    }
+    Ok(affected)
+}
+
+/// Removes the rows at `positions` (ascending, distinct) and captures them.
+fn remove_captured(
+    t: &mut Table,
+    capture: &mut Option<BTreeMap<String, TableChanges>>,
+    table: &str,
+    positions: &[usize],
+) -> u64 {
+    let removed = t.remove_positions(positions);
+    let affected = removed.len() as u64;
+    if let Some(entry) = capture_entry(capture, table, removed.len()) {
+        entry.removed.extend(removed);
+    }
+    affected
 }
 
 fn matches_where(predicate: Option<&Bound>, row: &Row) -> SqlResult<bool> {

@@ -162,6 +162,18 @@ impl Table {
         Some(index.buckets.get(value).map_or(&[], Vec::as_slice))
     }
 
+    /// The ascending positions of the rows whose `column` equals `value`
+    /// under `Value`'s `Eq` (so a NULL `value` finds the NULLs): the
+    /// column's bucket, filtered, or a scan when it is not indexed.
+    pub fn positions_of<'a>(
+        &'a self,
+        column: usize,
+        value: &'a Value,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.candidates([(column, value)])
+            .filter(move |&pos| self.rows[pos][column] == *value)
+    }
+
     /// The positions that can hold a row equal to every `(column, value)`
     /// pin: the smallest bucket among the pinned indexed columns, or a full
     /// scan when none is indexed. The caller still checks each candidate.

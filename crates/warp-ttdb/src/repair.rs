@@ -127,8 +127,8 @@ impl RepairSession {
             .any(|m| m.partitions.intersects(partitions) && m.columns.intersects(columns))
     }
 
-    /// Rolls back the given rows to just before `to_time` and records their
-    /// partitions as modified.
+    /// Rolls back the given rows to just before `to_time` and records the
+    /// region it dirtied as modified.
     pub fn rollback_rows(
         &mut self,
         db: &mut TimeTravelDb,
@@ -137,18 +137,20 @@ impl RepairSession {
         to_time: Timestamp,
     ) -> SqlResult<()> {
         // Rolling back rows may change any partition those rows (in any of
-        // their versions) belonged to. In precise mode the partitions are
-        // derived from the stored versions before the rollback mutates them;
-        // the classic mode conservatively marks the whole table instead.
-        let touched = if self.precise_rollback {
-            Some(db.row_partitions(table, row_ids, self.generation)?)
-        } else {
-            None
-        };
-        let dirty_columns = db.rollback_rows(table, row_ids, to_time, self.generation)?;
+        // their versions) belonged to. In precise mode those are the
+        // partitions the rollback reports; the classic mode conservatively
+        // marks the whole table instead.
+        let DirtyRegion {
+            partitions,
+            columns,
+        } = db.rollback_rows(table, row_ids, to_time, self.generation)?;
         self.rolled_back_rows += row_ids.len();
-        let partitions = touched.unwrap_or_else(|| PartitionSet::whole(table));
-        self.note_modified_columns(&partitions, &dirty_columns);
+        let partitions = if self.precise_rollback {
+            partitions
+        } else {
+            PartitionSet::whole(table)
+        };
+        self.note_modified_columns(&partitions, &columns);
         Ok(())
     }
 
@@ -171,7 +173,8 @@ impl RepairSession {
     /// 1. Evaluate the (possibly new) `WHERE` clause to find the rows the
     ///    query would now modify.
     /// 2. Roll back both the originally modified rows and the newly matched
-    ///    rows to just before the query's original time.
+    ///    rows to just before the query's original time, marking what the
+    ///    rollback dirtied as [`RepairSession::rollback_rows`] does.
     /// 3. Execute the write.
     pub fn reexecute_write(
         &mut self,
@@ -192,9 +195,7 @@ impl RepairSession {
             }
         }
         if !union.is_empty() {
-            let table = query.plan().table.as_str();
-            db.rollback_rows(table, &union, original_time, self.generation)?;
-            self.rolled_back_rows += union.len();
+            self.rollback_rows(db, &query.plan().table, &union, original_time)?;
         }
         // Phase 3: execute the write at its original time in the repair
         // generation and record the partitions and columns it touched.
@@ -336,6 +337,45 @@ mod tests {
             .execute_logged("SELECT body FROM page WHERE title = 'Help'", 100)
             .unwrap();
         assert_eq!(help.result.rows[0][0], Value::text("better help"));
+    }
+
+    #[test]
+    fn rows_a_narrowed_write_rolls_back_dirty_their_readers() {
+        for precise in [false, true] {
+            let mut db = seeded_db();
+            // The injected WHERE made the write hit every page.
+            let attack = db
+                .execute_logged(
+                    "UPDATE page SET body = 'X' WHERE title = 'Main' OR title LIKE '%'",
+                    20,
+                )
+                .unwrap();
+            let mut session = if precise {
+                RepairSession::begin_precise(&mut db)
+            } else {
+                RepairSession::begin(&mut db)
+            };
+            // The patched write matches only Main; Help is rolled back.
+            let mut query = db
+                .plan("UPDATE page SET body = 'X' WHERE title = 'Main'")
+                .unwrap();
+            session
+                .reexecute_write(&mut db, &mut query, 20, &attack.dependency.written_row_ids)
+                .unwrap();
+            assert_eq!(session.rolled_back_rows, 2);
+            let reader = |title: &str, column: &str| {
+                QueryDependency::read("page", keys("page", "title", &[title]))
+                    .with_columns(ColumnSet::named([column]), ColumnSet::empty())
+            };
+            assert!(session.dependency_affected(&reader("Help", "body")));
+            // Only the body changed, and only the classic mode widens the
+            // rollback to the whole table.
+            assert!(!session.dependency_affected(&reader("Help", "title")));
+            assert_eq!(
+                session.dependency_affected(&reader("Other", "body")),
+                !precise
+            );
+        }
     }
 
     #[test]

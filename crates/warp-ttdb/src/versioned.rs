@@ -14,6 +14,8 @@ use warp_sql::engine::table_key;
 use warp_sql::expr::eval_expr_with;
 use warp_sql::{ColumnSet, ColumnType, Database, QueryResult, SqlError, SqlResult, Value};
 
+mod rollback;
+
 /// Logical timestamps. The Warp server owns a monotonically increasing
 /// logical clock and stamps every action with it.
 pub type Timestamp = i64;
@@ -872,225 +874,6 @@ impl TimeTravelDb {
         if self.repair_gen.is_none() {
             self.db.discard_change_capture();
         }
-    }
-
-    /// Rolls back the listed rows of `table` to their state just before
-    /// `to_time`, within the repair generation `gen` (paper §4.2).
-    ///
-    /// Returns the *dirty column set* of the rollback: the application
-    /// columns whose visible values actually changed for any affected row.
-    /// The set escalates to [`ColumnSet::All`] whenever row membership
-    /// changed (a row created after `to_time` disappears, or a deleted row
-    /// is resurrected), since membership affects every reader.
-    pub fn rollback_rows(
-        &mut self,
-        table: &str,
-        row_ids: &[Value],
-        to_time: Timestamp,
-        gen: Generation,
-    ) -> SqlResult<ColumnSet> {
-        let cfg = self.config(table)?;
-        let mut dirty = ColumnSet::empty();
-        for row_id in row_ids {
-            let (columns, versions) =
-                self.versions_of_row(table, &cfg.row_id_column, row_id, gen)?;
-            // Versions created at or after `to_time` disappear from the
-            // repair generation (but stay visible to the current generation
-            // if they predate the repair).
-            let mut best_keep: Option<Vec<Value>> = None;
-            let mut wiped: Vec<Vec<Value>> = Vec::new();
-            let mut wiped_was_current = false;
-            for v in &versions {
-                let start = col_val(&columns, v, COL_START_TIME).as_int().unwrap_or(0);
-                if start >= to_time {
-                    if col_val(&columns, v, COL_END_TIME).as_int() == Some(INF_TIME) {
-                        wiped_was_current = true;
-                    }
-                    wiped.push(v.clone());
-                    let start_gen = col_val(&columns, v, COL_START_GEN).as_int().unwrap_or(0);
-                    let ident = version_identity(&columns, v);
-                    if start_gen <= self.current_gen && gen > self.current_gen {
-                        // Preserve for the current generation only.
-                        let update = Statement::Update {
-                            table: table.to_string(),
-                            assignments: vec![Assignment {
-                                column: COL_END_GEN.to_string(),
-                                value: Expr::Literal(Value::Int(self.current_gen)),
-                            }],
-                            where_clause: Some(ident),
-                        };
-                        self.db.execute(&update)?;
-                    } else {
-                        let delete = Statement::Delete {
-                            table: table.to_string(),
-                            where_clause: Some(ident),
-                        };
-                        self.db.execute(&delete)?;
-                    }
-                } else {
-                    let end = col_val(&columns, v, COL_END_TIME).as_int().unwrap_or(0);
-                    let best_end = best_keep
-                        .as_ref()
-                        .map(|b| col_val(&columns, b, COL_END_TIME).as_int().unwrap_or(0))
-                        .unwrap_or(i64::MIN);
-                    if end > best_end {
-                        best_keep = Some(v.clone());
-                    }
-                }
-            }
-            // Account the columns this rollback visibly changed.
-            match &best_keep {
-                None => {
-                    if !wiped.is_empty() {
-                        // The row did not exist before `to_time`: rolling it
-                        // back deletes it (membership change).
-                        dirty = ColumnSet::All;
-                    }
-                }
-                Some(baseline) => {
-                    let baseline_end = col_val(&columns, baseline, COL_END_TIME)
-                        .as_int()
-                        .unwrap_or(0);
-                    if baseline_end != INF_TIME && !wiped_was_current {
-                        // The row was deleted and the rollback resurrects it
-                        // (membership change).
-                        dirty = ColumnSet::All;
-                    }
-                    if !dirty.is_all() {
-                        for v in &wiped {
-                            for (i, name) in columns.iter().enumerate() {
-                                if name.to_ascii_lowercase().starts_with("warp_") {
-                                    continue;
-                                }
-                                if v.get(i) != baseline.get(i) {
-                                    dirty.insert(name);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            // The surviving version with the largest end_time becomes current
-            // again in the repair generation.
-            if let Some(v) = best_keep {
-                let end = col_val(&columns, &v, COL_END_TIME).as_int().unwrap_or(0);
-                if end != INF_TIME {
-                    let start_gen = col_val(&columns, &v, COL_START_GEN).as_int().unwrap_or(0);
-                    if gen > self.current_gen && start_gen <= self.current_gen {
-                        // Keep the historical version for the current
-                        // generation; give the repair generation its own
-                        // current copy.
-                        let ident = version_identity(&columns, &v);
-                        let update = Statement::Update {
-                            table: table.to_string(),
-                            assignments: vec![Assignment {
-                                column: COL_END_GEN.to_string(),
-                                value: Expr::Literal(Value::Int(self.current_gen)),
-                            }],
-                            where_clause: Some(ident),
-                        };
-                        self.db.execute(&update)?;
-                        let mut copy_cols = columns.clone();
-                        let mut copy_vals: Vec<Expr> =
-                            v.iter().cloned().map(Expr::Literal).collect();
-                        set_col(
-                            &mut copy_cols,
-                            &mut copy_vals,
-                            COL_END_TIME,
-                            Value::Int(INF_TIME),
-                        );
-                        set_col(
-                            &mut copy_cols,
-                            &mut copy_vals,
-                            COL_START_GEN,
-                            Value::Int(gen),
-                        );
-                        set_col(
-                            &mut copy_cols,
-                            &mut copy_vals,
-                            COL_END_GEN,
-                            Value::Int(INF_GEN),
-                        );
-                        let insert = Statement::Insert {
-                            table: table.to_string(),
-                            columns: copy_cols,
-                            values: vec![copy_vals],
-                        };
-                        self.db.execute(&insert)?;
-                    } else {
-                        let ident = version_identity(&columns, &v);
-                        let update = Statement::Update {
-                            table: table.to_string(),
-                            assignments: vec![Assignment {
-                                column: COL_END_TIME.to_string(),
-                                value: Expr::Literal(Value::Int(INF_TIME)),
-                            }],
-                            where_clause: Some(ident),
-                        };
-                        self.db.execute(&update)?;
-                    }
-                }
-            }
-        }
-        Ok(dirty)
-    }
-
-    /// All stored versions of a logical row that are visible in `gen`.
-    fn versions_of_row(
-        &mut self,
-        table: &str,
-        row_id_column: &str,
-        row_id: &Value,
-        gen: Generation,
-    ) -> SqlResult<(Vec<String>, Vec<Vec<Value>>)> {
-        let where_clause = Expr::col_eq(row_id_column, row_id.clone()).and(Expr::Binary {
-            left: Box::new(Expr::Column(COL_END_GEN.into())),
-            op: warp_sql::ast::BinaryOp::GtEq,
-            right: Box::new(Expr::Literal(Value::Int(gen))),
-        });
-        let select = Statement::Select(SelectStatement {
-            items: vec![SelectItem::Wildcard],
-            table: table.to_string(),
-            where_clause: Some(where_clause),
-            order_by: vec![],
-            limit: None,
-        });
-        let result = self.db.execute(&select)?;
-        Ok((result.columns, result.rows))
-    }
-
-    /// The partitions that the stored versions of the given rows belong to
-    /// (every version visible in `gen`, so both the current and the restored
-    /// values are covered). Tables without partition columns report the whole
-    /// table. Used by precise rollback tracking in the partitioned repair
-    /// engine.
-    pub fn row_partitions(
-        &mut self,
-        table: &str,
-        row_ids: &[Value],
-        gen: Generation,
-    ) -> SqlResult<PartitionSet> {
-        let cfg = self.config(table)?;
-        if cfg.annotation.partition_columns.is_empty() {
-            return Ok(PartitionSet::whole(table));
-        }
-        let mut named_rows: Vec<Vec<(String, Value)>> = Vec::new();
-        for row_id in row_ids {
-            let (columns, versions) =
-                self.versions_of_row(table, &cfg.row_id_column, row_id, gen)?;
-            for v in &versions {
-                let mut named = Vec::new();
-                for col in &cfg.annotation.partition_columns {
-                    named.push((col.clone(), col_val(&columns, v, col)));
-                }
-                named_rows.push(named);
-            }
-        }
-        Ok(partitions_of_rows(
-            table,
-            &cfg.annotation.partition_columns,
-            named_rows.iter().map(|r| r.as_slice()),
-        ))
     }
 
     /// A raw snapshot of every stored version row of a table (bookkeeping
