@@ -142,6 +142,26 @@ fn bench_ttdb(c: &mut Criterion) {
             used.push(db);
         })
     });
+    // A repair generation's writes: each of 100 updates claims a version
+    // the current generation still sees, appends the current generation's
+    // copy and a history copy, and rewrites the claimed version. The texts
+    // and databases are built before the timed loop, as above.
+    let (mut template, time) = versioned_db(100, 1);
+    let gen = template.begin_repair_generation();
+    let updates: Vec<String> = (0..100)
+        .map(|i| format!("UPDATE page SET body = 'repaired {i}' WHERE title = 'T{i}'"))
+        .collect();
+    let mut ready: Vec<_> = (0..8).map(|_| template.clone()).collect();
+    group.bench_function("repair_gen_update_x100", |b| {
+        b.iter(|| {
+            let mut db = ready.pop().expect("a database prepared per iteration");
+            for sql in &updates {
+                let mut query = db.plan(sql).unwrap();
+                black_box(db.execute_planned(&mut query, time, gen).unwrap());
+            }
+            used.push(db);
+        })
+    });
     group.finish();
 }
 

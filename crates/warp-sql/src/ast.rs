@@ -594,18 +594,6 @@ impl Statement {
         }
         found
     }
-
-    /// Returns a mutable reference to the statement's `WHERE` clause slot, if
-    /// the statement kind supports one. Used by the query rewriter.
-    pub fn where_clause_mut(&mut self) -> Option<&mut Option<Expr>> {
-        match self {
-            Statement::Select(s) => Some(&mut s.where_clause),
-            Statement::Update { where_clause, .. } | Statement::Delete { where_clause, .. } => {
-                Some(where_clause)
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

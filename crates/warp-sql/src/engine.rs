@@ -243,11 +243,49 @@ impl Database {
     /// the table as it will be before anything changes, and the swap is
     /// captured. Returns how many rows changed.
     pub fn replace_rows_at(&mut self, table: &str, staged: Vec<(usize, Row)>) -> SqlResult<u64> {
+        self.check_rows_at(table, &staged, &[])?;
         let t = table_of(&mut self.tables, table)?;
-        for (_, row) in &staged {
+        Ok(swap_staged(t, &mut self.capture, table, staged))
+    }
+
+    /// Checks what [`Database::replace_rows_at`] would check of the `staged`
+    /// images — NOT NULL, and uniqueness against the table as it will be —
+    /// once the rows at `removed` (ascending, distinct, none of them staged)
+    /// are gone as well, and changes nothing. A caller that must rewrite
+    /// several tables all or nothing checks each before it mutates any.
+    pub fn check_rows_at(
+        &self,
+        table: &str,
+        staged: &[(usize, Row)],
+        removed: &[usize],
+    ) -> SqlResult<()> {
+        let t = self
+            .table(table)
+            .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
+        for (_, row) in staged {
             check_not_null(&t.schema, row, table)?;
         }
-        replace_staged(t, &mut self.capture, table, staged)
+        check_staged_unique(t, staged, removed)
+    }
+
+    /// The ascending positions of the rows of `table` that `where_clause`
+    /// (every row without one), with `params` filling its holes, holds for:
+    /// the loop `SELECT`, `UPDATE` and `DELETE` find their rows with, for a
+    /// caller that rewrites what it finds by position. A predicate that
+    /// fails on a row is the error.
+    pub fn positions_matching(
+        &self,
+        table: &str,
+        where_clause: Option<&Expr>,
+        params: &[Value],
+    ) -> SqlResult<Vec<usize>> {
+        let t = self
+            .table(table)
+            .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
+        let predicate = where_clause.map(|w| Bound::bind(w, &t.schema, params));
+        let mut positions = Vec::new();
+        matching_positions(t, predicate.as_ref(), |pos| positions.push(pos))?;
+        Ok(positions)
     }
 
     /// Removes the rows at `positions` (ascending, distinct) as a `DELETE`
@@ -381,12 +419,7 @@ impl Database {
             .as_ref()
             .map(|w| Bound::bind(w, schema, params));
         let mut matching: Vec<&Row> = Vec::new();
-        for pos in access_path(t, predicate.as_ref()) {
-            let row = &t.rows()[pos];
-            if matches_where(predicate.as_ref(), row)? {
-                matching.push(row);
-            }
-        }
+        matching_positions(t, predicate.as_ref(), |pos| matching.push(&t.rows()[pos]))?;
         // Sort.
         if !select.order_by.is_empty() {
             let order_by: Vec<Bound> = select
@@ -471,11 +504,7 @@ impl Database {
         })
     }
 
-    /// Executes `UPDATE table SET assignments WHERE where_clause` from its
-    /// parts, with `params` filling their holes — for a caller that applies
-    /// one assignment list under many predicates and would otherwise build
-    /// a statement for each.
-    pub fn update(
+    fn update(
         &mut self,
         table: &str,
         assignments: &[crate::ast::Assignment],
@@ -494,19 +523,20 @@ impl Database {
         // Stage the new images of the touched rows (ascending positions)
         // first, so constraint failures leave the table untouched.
         let predicate = where_clause.map(|w| Bound::bind(w, schema, params));
-        let mut staged: Vec<(usize, Row)> = Vec::new();
-        for pos in access_path(t, predicate.as_ref()) {
+        let mut positions = Vec::new();
+        matching_positions(t, predicate.as_ref(), |pos| positions.push(pos))?;
+        let mut staged: Vec<(usize, Row)> = Vec::with_capacity(positions.len());
+        for pos in positions {
             let row = &t.rows()[pos];
-            if matches_where(predicate.as_ref(), row)? {
-                let mut updated = row.clone();
-                for (idx, value) in &bound_assignments {
-                    updated[*idx] = value.eval(row)?.into_owned();
-                }
-                check_not_null(schema, &updated, table)?;
-                staged.push((pos, updated));
+            let mut updated = row.clone();
+            for (idx, value) in &bound_assignments {
+                updated[*idx] = value.eval(row)?.into_owned();
             }
+            check_not_null(schema, &updated, table)?;
+            staged.push((pos, updated));
         }
-        let affected = replace_staged(t, &mut self.capture, table, staged)?;
+        check_staged_unique(t, &staged, &[])?;
+        let affected = swap_staged(t, &mut self.capture, table, staged);
         Ok(QueryResult {
             columns: vec![],
             rows: vec![],
@@ -524,23 +554,11 @@ impl Database {
         let t = table_of(&mut self.tables, table)?;
         let predicate = where_clause.map(|w| Bound::bind(w, &t.schema, params));
         let mut doomed = Vec::new();
-        let mut err = None;
-        for pos in access_path(t, predicate.as_ref()) {
-            match matches_where(predicate.as_ref(), &t.rows()[pos]) {
-                Ok(true) => doomed.push(pos),
-                Ok(false) => {}
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
+        let found = matching_positions(t, predicate.as_ref(), |pos| doomed.push(pos));
         // Rows that matched before the predicate failed are dropped all the
         // same, and capture must reflect what actually happened.
         let affected = remove_captured(t, &mut self.capture, table, &doomed);
-        if let Some(e) = err {
-            return Err(e);
-        }
+        found?;
         Ok(QueryResult {
             columns: vec![],
             rows: vec![],
@@ -589,7 +607,7 @@ fn append_rows(
 ) -> SqlResult<u64> {
     let constraints = unique_constraint_columns(&t.schema);
     for (i, row) in new_rows.iter().enumerate() {
-        check_unique(t, &constraints, row, None, &[])?;
+        check_unique(t, &constraints, row, None, &[], &[])?;
         for earlier in &new_rows[..i] {
             check_rows_distinct(&constraints, earlier, row, table)?;
         }
@@ -604,19 +622,25 @@ fn append_rows(
     Ok(n)
 }
 
-/// Swaps the `staged` new images (ascending positions, NOT NULL-checked)
-/// in place once uniqueness holds over the updated table contents; a
-/// failure leaves every row untouched.
-fn replace_staged(
+/// Checks every `staged` new image (ascending positions) for uniqueness
+/// against the table as it will be once they replace their rows and the
+/// rows at `removed` are gone.
+fn check_staged_unique(t: &Table, staged: &[(usize, Row)], removed: &[usize]) -> SqlResult<()> {
+    let constraints = unique_constraint_columns(&t.schema);
+    for (pos, updated) in staged {
+        check_unique(t, &constraints, updated, Some(*pos), staged, removed)?;
+    }
+    Ok(())
+}
+
+/// Swaps the `staged` new images (ascending positions, already checked) in
+/// place and captures the swap.
+fn swap_staged(
     t: &mut Table,
     capture: &mut Option<BTreeMap<String, TableChanges>>,
     table: &str,
     staged: Vec<(usize, Row)>,
-) -> SqlResult<u64> {
-    let constraints = unique_constraint_columns(&t.schema);
-    for (pos, updated) in &staged {
-        check_unique(t, &constraints, updated, Some(*pos), &staged)?;
-    }
+) -> u64 {
     let affected = staged.len() as u64;
     let mut capture = capture_entry(capture, table, staged.len());
     if let Some(entry) = &mut capture {
@@ -630,7 +654,7 @@ fn replace_staged(
             entry.removed.push(old);
         }
     }
-    Ok(affected)
+    affected
 }
 
 /// Removes the rows at `positions` (ascending, distinct) and captures them.
@@ -648,11 +672,24 @@ fn remove_captured(
     affected
 }
 
-fn matches_where(predicate: Option<&Bound>, row: &Row) -> SqlResult<bool> {
-    match predicate {
-        None => Ok(true),
-        Some(p) => Ok(p.eval(row)?.is_truthy()),
+/// Passes to `found` the ascending positions of the rows `predicate` holds
+/// for, visiting the statement's [access path](access_path); stops at the
+/// first row the predicate fails on, with what matched before it passed.
+fn matching_positions(
+    t: &Table,
+    predicate: Option<&Bound>,
+    mut found: impl FnMut(usize),
+) -> SqlResult<()> {
+    for pos in access_path(t, predicate) {
+        let holds = match predicate {
+            None => true,
+            Some(p) => p.eval(&t.rows()[pos])?.is_truthy(),
+        };
+        if holds {
+            found(pos);
+        }
     }
+    Ok(())
 }
 
 /// Chooses the storage positions a statement visits, in ascending order.
@@ -800,15 +837,17 @@ fn rows_collide(idxs: &[usize], a: &Row, b: &Row) -> bool {
 }
 
 /// Checks `candidate` against the table's contents as they will be once the
-/// `staged` new images (ascending positions) replace their rows; the row at
-/// `skip` is the candidate's own. A constraint holding an indexed column
-/// only looks at the rows sharing the candidate's value there.
+/// `staged` new images (ascending positions) replace their rows and the rows
+/// at `removed` (ascending) are gone; the row at `skip` is the candidate's
+/// own. A constraint holding an indexed column only looks at the rows
+/// sharing the candidate's value there.
 fn check_unique(
     t: &Table,
     constraints: &[(&Vec<String>, Vec<usize>)],
     candidate: &Row,
     skip: Option<usize>,
     staged: &[(usize, Row)],
+    removed: &[usize],
 ) -> SqlResult<()> {
     for (uc, idxs) in constraints {
         // NULL in any constrained column exempts the row (SQL semantics).
@@ -818,7 +857,9 @@ fn check_unique(
         let is_staged = |pos: usize| staged.binary_search_by_key(&pos, |s| s.0).is_ok();
         let collides = t
             .candidates(idxs.iter().map(|&i| (i, &candidate[i])))
-            .filter(|&pos| Some(pos) != skip && !is_staged(pos))
+            .filter(|&pos| {
+                Some(pos) != skip && !is_staged(pos) && removed.binary_search(&pos).is_err()
+            })
             .any(|pos| rows_collide(idxs, &t.rows()[pos], candidate))
             || staged
                 .iter()

@@ -26,7 +26,7 @@ use crate::versioned::{
 use std::collections::BTreeMap;
 use std::mem::Discriminant;
 use std::sync::Arc;
-use warp_sql::ast::{Assignment, SelectItem, SelectStatement};
+use warp_sql::ast::Assignment;
 use warp_sql::{ColumnSet, Expr, SqlError, Statement, Value};
 
 /// The plan of one statement shape. See the [module documentation](self).
@@ -50,8 +50,8 @@ pub struct Plan {
 pub(crate) enum Body {
     Select(SelectPlan),
     Insert(InsertPlan),
-    Update(UpdatePlan),
-    Delete(DeletePlan),
+    Update(WritePlan),
+    Delete(WritePlan),
     /// Executing the statement is this error: runtime DDL, or a table that
     /// does not exist (yet — such a plan is never kept).
     Rejected(SqlError),
@@ -82,30 +82,20 @@ pub(crate) struct InsertPlan {
     pub(crate) read_columns: ColumnSet,
 }
 
+/// An `UPDATE` or a `DELETE`: which versions it matches, and what it
+/// assigns to them.
 #[derive(Debug)]
-pub(crate) struct UpdatePlan {
+pub(crate) struct WritePlan {
     pub(crate) cfg: Arc<TableConfig>,
-    /// Selects the whole row versions the statement matches.
-    pub(crate) matching: Statement,
-    /// The application's assignments.
+    /// The statement's `WHERE` clause restricted to the versions valid at
+    /// the execution's time and generation.
+    pub(crate) matching: Expr,
+    /// The application's assignments (none for a `DELETE`).
     pub(crate) assignments: Vec<Assignment>,
-    /// The same, plus moving the version's start to the execution's time:
-    /// what is applied to each matched version in place.
-    pub(crate) in_place: Vec<Assignment>,
     pub(crate) pins: Pins,
     pub(crate) read_columns: ColumnSet,
+    /// [`ColumnSet::All`] for a `DELETE`: it changes row membership.
     pub(crate) write_columns: ColumnSet,
-}
-
-#[derive(Debug)]
-pub(crate) struct DeletePlan {
-    pub(crate) cfg: Arc<TableConfig>,
-    /// Selects the whole row versions the statement matches.
-    pub(crate) matching: Statement,
-    /// Ends a version at the execution's time.
-    pub(crate) end_version: Vec<Assignment>,
-    pub(crate) pins: Pins,
-    pub(crate) read_columns: ColumnSet,
 }
 
 impl Plan {
@@ -197,8 +187,8 @@ impl Plan {
         match &self.body {
             Body::Rejected(e) => return Err(e.to_string()),
             Body::Select(SelectPlan { pins: pinned, .. })
-            | Body::Update(UpdatePlan { pins: pinned, .. })
-            | Body::Delete(DeletePlan { pins: pinned, .. }) => {
+            | Body::Update(WritePlan { pins: pinned, .. })
+            | Body::Delete(WritePlan { pins: pinned, .. }) => {
                 if let Pins::Columns(pinned) = pinned {
                     pins.clone_from(pinned);
                 }
@@ -276,22 +266,10 @@ impl Body {
         let read_columns = footprint.read_columns;
         let pins = Pins::of(stmt.where_clause(), partition_columns);
         let (time, gen) = (Expr::Param(holes), Expr::Param(holes + 1));
-        // The valid versions of `table` that `where_clause` matches, whole.
-        let matching = |table: &str, where_clause: Option<Expr>| {
-            Statement::Select(SelectStatement {
-                items: vec![SelectItem::Wildcard],
-                table: table.to_string(),
-                where_clause: Some(and_valid(where_clause, validity(time.clone(), gen.clone()))),
-                order_by: vec![],
-                limit: None,
-            })
-        };
+        let matching = |where_clause| and_valid(where_clause, validity(time.clone(), gen.clone()));
         match stmt {
             Statement::Select(mut select) => {
-                select.where_clause = Some(and_valid(
-                    select.where_clause.take(),
-                    validity(time.clone(), gen.clone()),
-                ));
+                select.where_clause = Some(matching(select.where_clause.take()));
                 Body::Select(SelectPlan {
                     stmt: Statement::Select(select),
                     pins,
@@ -341,37 +319,24 @@ impl Body {
                 })
             }
             Statement::Update {
-                table,
                 assignments,
                 where_clause,
-            } => {
-                let mut in_place = assignments.clone();
-                in_place.push(Assignment {
-                    column: COL_START_TIME.to_string(),
-                    value: time.clone(),
-                });
-                Body::Update(UpdatePlan {
-                    matching: matching(&table, where_clause),
-                    cfg,
-                    assignments,
-                    in_place,
-                    pins,
-                    read_columns,
-                    write_columns,
-                })
-            }
-            Statement::Delete {
-                table,
-                where_clause,
-            } => Body::Delete(DeletePlan {
-                matching: matching(&table, where_clause),
+                ..
+            } => Body::Update(WritePlan {
+                matching: matching(where_clause),
                 cfg,
-                end_version: vec![Assignment {
-                    column: COL_END_TIME.to_string(),
-                    value: time.clone(),
-                }],
+                assignments,
                 pins,
                 read_columns,
+                write_columns,
+            }),
+            Statement::Delete { where_clause, .. } => Body::Delete(WritePlan {
+                matching: matching(where_clause),
+                cfg,
+                assignments: Vec::new(),
+                pins,
+                read_columns,
+                write_columns: ColumnSet::All,
             }),
             other => unreachable!("{other} is not a data statement"),
         }

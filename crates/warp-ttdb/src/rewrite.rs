@@ -2,28 +2,19 @@
 //! (paper §4.4).
 
 use crate::dependency::{PartitionKey, PartitionSet};
-use crate::versioned::{
-    Generation, Timestamp, COL_END_GEN, COL_END_TIME, COL_START_GEN, COL_START_TIME,
-};
+use crate::versioned::{COL_END_GEN, COL_END_TIME, COL_START_GEN, COL_START_TIME};
 use std::collections::BTreeSet;
 use warp_sql::ast::BinaryOp;
-use warp_sql::{Expr, Operand, Statement, Value};
+use warp_sql::{Expr, Operand, Value};
 
 /// Builds the predicate selecting row versions valid at `time` in `gen`:
 /// `start_time <= T AND end_time > T AND start_gen <= G AND end_gen >= G`.
+/// A plan passes the two holes its executions fill with their time and
+/// generation.
 ///
 /// Versions use half-open `[start_time, end_time)` intervals, so a query at
 /// exactly the moment a row was superseded sees the *new* version, never
 /// both.
-pub fn validity_predicate(time: Timestamp, gen: Generation) -> Expr {
-    validity(
-        Expr::Literal(Value::Int(time)),
-        Expr::Literal(Value::Int(gen)),
-    )
-}
-
-/// [`validity_predicate`] over expressions: a plan passes the two holes its
-/// executions fill with their time and generation.
 pub(crate) fn validity(time: Expr, gen: Expr) -> Expr {
     let cmp = |column: &str, op, bound: &Expr| Expr::Binary {
         left: Box::new(Expr::Column(column.into())),
@@ -34,15 +25,6 @@ pub(crate) fn validity(time: Expr, gen: Expr) -> Expr {
         .and(cmp(COL_END_TIME, BinaryOp::Gt, &time))
         .and(cmp(COL_START_GEN, BinaryOp::LtEq, &gen))
         .and(cmp(COL_END_GEN, BinaryOp::GtEq, &gen))
-}
-
-/// Adds the validity predicate for `(time, gen)` to a statement's `WHERE`
-/// clause (creating one if the statement has none). Statements without a
-/// `WHERE` slot are left untouched.
-pub fn restrict_to_valid(stmt: &mut Statement, time: Timestamp, gen: Generation) {
-    if let Some(slot) = stmt.where_clause_mut() {
-        *slot = Some(and_valid(slot.take(), validity_predicate(time, gen)));
-    }
 }
 
 /// `where_clause AND validity`, or just `validity` without a clause.
@@ -159,11 +141,20 @@ mod tests {
     use super::*;
     use warp_sql::parse;
 
+    /// The `WHERE` clause of `sql` restricted to the versions valid at
+    /// `(time, gen)`.
+    fn restricted(sql: &str, time: i64, gen: i64) -> String {
+        let stmt = parse(sql).unwrap();
+        let valid = validity(
+            Expr::Literal(Value::Int(time)),
+            Expr::Literal(Value::Int(gen)),
+        );
+        and_valid(stmt.where_clause().cloned(), valid).to_string()
+    }
+
     #[test]
     fn validity_predicate_is_added_to_where() {
-        let mut stmt = parse("SELECT * FROM page WHERE title = 'Main'").unwrap();
-        restrict_to_valid(&mut stmt, 42, 1);
-        let rendered = stmt.where_clause().unwrap().to_string();
+        let rendered = restricted("SELECT * FROM page WHERE title = 'Main'", 42, 1);
         assert!(rendered.contains("title = 'Main'"));
         assert!(rendered.contains("warp_start_time <= 42"));
         assert!(rendered.contains("warp_end_time > 42"));
@@ -172,16 +163,9 @@ mod tests {
 
     #[test]
     fn validity_predicate_added_even_without_where() {
-        let mut stmt = parse("SELECT * FROM page").unwrap();
-        restrict_to_valid(&mut stmt, 5, 0);
-        assert!(stmt.where_clause().is_some());
-    }
-
-    #[test]
-    fn ddl_statements_are_untouched() {
-        let mut stmt = parse("DROP TABLE page").unwrap();
-        restrict_to_valid(&mut stmt, 5, 0);
-        assert!(stmt.where_clause().is_none());
+        let rendered = restricted("SELECT * FROM page", 5, 0);
+        assert!(rendered.contains("warp_start_time <= 5"), "{rendered}");
+        assert!(rendered.contains("warp_end_gen >= 0"), "{rendered}");
     }
 
     /// The partitions `sql` reads: its pins, resolved without parameters.

@@ -2,19 +2,21 @@
 
 use crate::annotations::TableAnnotation;
 use crate::dependency::{PartitionSet, QueryDependency};
-use crate::plan::{Body, DeletePlan, InsertPlan, Plan, PlannedQuery, SelectPlan, UpdatePlan};
-use crate::rewrite::{partitions_of_rows, restrict_to_valid};
+use crate::plan::{Body, InsertPlan, Plan, PlannedQuery, SelectPlan};
+use crate::rewrite::partitions_of_rows;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use warp_sql::ast::{
-    Assignment, ColumnConstraint, ColumnDef, Expr, SelectItem, SelectStatement, Statement,
-};
+use warp_sql::ast::{ColumnConstraint, ColumnDef, Statement};
 use warp_sql::engine::table_key;
 use warp_sql::expr::eval_expr_with;
-use warp_sql::{ColumnSet, ColumnType, Database, QueryResult, SqlError, SqlResult, Value};
+use warp_sql::{
+    ColumnSet, ColumnType, Database, QueryResult, Row, SqlError, SqlResult, Table, Value,
+};
 
 mod rollback;
+mod write;
 
 /// Logical timestamps. The Warp server owns a monotonically increasing
 /// logical clock and stamps every action with it.
@@ -96,14 +98,92 @@ pub(crate) struct TableConfig {
     /// The application's original `CREATE TABLE` statement, kept so a
     /// recovered database can re-create the table identically.
     create_sql: String,
+    layout: Layout,
+}
+
+/// The column positions of one table that the time-travel layer reads and
+/// rewrites by position, resolved once when the table is created (the
+/// schema never changes after that).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Layout {
+    row_id: usize,
+    start_time: usize,
+    end_time: usize,
+    start_gen: usize,
+    end_gen: usize,
+    /// Each partition column's position and annotated name.
+    partitions: Vec<(usize, String)>,
+    /// Each application column's position and name (the bookkeeping
+    /// `warp_*` columns excluded).
+    app: Vec<(usize, String)>,
+}
+
+impl Layout {
+    fn resolve(t: &Table, row_id: &str, partition_columns: &[String]) -> SqlResult<Layout> {
+        let at = |name: &str| {
+            t.schema
+                .column_index(name)
+                .ok_or_else(|| SqlError::NoSuchColumn(name.to_string()))
+        };
+        let mut partitions = Vec::new();
+        for name in partition_columns {
+            partitions.push((at(name)?, name.clone()));
+        }
+        let app = t
+            .schema
+            .columns
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.name.to_ascii_lowercase().starts_with("warp_"))
+            .map(|(i, c)| (i, c.name.clone()))
+            .collect();
+        Ok(Layout {
+            row_id: at(row_id)?,
+            start_time: at(COL_START_TIME)?,
+            end_time: at(COL_END_TIME)?,
+            start_gen: at(COL_START_GEN)?,
+            end_gen: at(COL_END_GEN)?,
+            partitions,
+            app,
+        })
+    }
+
+    /// True if the version `row` is valid at `(time, gen)`, compared as
+    /// the validity predicate compares (a NULL bound holds for no time).
+    fn valid_at(&self, row: &Row, time: Timestamp, gen: Generation) -> bool {
+        cmp(&row[self.start_time], time).is_some_and(Ordering::is_le)
+            && cmp(&row[self.end_time], time).is_some_and(Ordering::is_gt)
+            && cmp(&row[self.start_gen], gen).is_some_and(Ordering::is_le)
+            && cmp(&row[self.end_gen], gen).is_some_and(Ordering::is_ge)
+    }
+}
+
+/// A bookkeeping cell as an integer, 0 if it holds none.
+fn int(v: &Value) -> i64 {
+    v.as_int().unwrap_or(0)
+}
+
+/// How a bookkeeping cell compares with `bound` in SQL: `None` for NULL.
+fn cmp(cell: &Value, bound: i64) -> Option<Ordering> {
+    (!cell.is_null()).then(|| cell.cmp_total(&Value::Int(bound)))
+}
+
+/// The ascending positions of the stored rows equal to `image`, all of
+/// which share its row ID.
+fn positions_equal(t: &Table, layout: &Layout, image: &Row) -> Vec<usize> {
+    t.positions_of(layout.row_id, &image[layout.row_id])
+        .filter(|&pos| t.rows()[pos] == *image)
+        .collect()
 }
 
 /// The time-travel database (paper §4).
 ///
 /// See the crate-level documentation for the model. All application queries
 /// go through [`TimeTravelDb::execute_logged`] (normal execution) or the
-/// repair-session methods in [`crate::repair`]; internal bookkeeping uses the
-/// underlying engine directly.
+/// repair-session methods in [`crate::repair`]. The layer issues no statement
+/// of its own: its bookkeeping reads and rewrites stored versions by
+/// position, and only the application's own statements run through the
+/// engine's executor.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TimeTravelDb {
     db: Database,
@@ -238,13 +318,14 @@ impl TimeTravelDb {
                 .extend_unique_constraints(&[COL_END_TIME, COL_END_GEN]);
         }
         // The row-ID and partition columns are what the application's
-        // queries — and every statement this layer issues itself — pin in
-        // their WHERE clauses, so those are the engine's indexed columns.
+        // queries pin in their WHERE clauses and what this layer finds
+        // versions by, so those are the engine's indexed columns.
         let t = self.db.table_mut(&table).expect("just created");
         t.declare_index(&row_id_column)?;
         for col in &annotation.partition_columns {
             t.declare_index(col)?;
         }
+        let layout = Layout::resolve(t, &row_id_column, &annotation.partition_columns)?;
         self.configs.insert(
             table_key(&table).into_owned(),
             Arc::new(TableConfig {
@@ -252,6 +333,7 @@ impl TimeTravelDb {
                 row_id_column,
                 synthetic_row_id: synthetic,
                 create_sql: create_sql.to_string(),
+                layout,
             }),
         );
         Ok(())
@@ -310,6 +392,39 @@ impl TimeTravelDb {
             .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))
     }
 
+    fn stored(&self, table: &str) -> SqlResult<&Table> {
+        self.db
+            .table(table)
+            .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))
+    }
+
+    /// Sets `column` to `value` in every stored row equal to `image`.
+    fn set_where_equal(
+        &mut self,
+        table: &str,
+        layout: &Layout,
+        image: &Row,
+        column: usize,
+        value: i64,
+    ) -> SqlResult<()> {
+        let t = self.stored(table)?;
+        let staged = positions_equal(t, layout, image)
+            .into_iter()
+            .map(|pos| {
+                let mut row = t.rows()[pos].clone();
+                row[column] = Value::Int(value);
+                (pos, row)
+            })
+            .collect();
+        self.db.replace_rows_at(table, staged).map(drop)
+    }
+
+    /// Removes every stored row equal to `image`.
+    fn remove_where_equal(&mut self, table: &str, layout: &Layout, image: &Row) -> SqlResult<()> {
+        let positions = positions_equal(self.stored(table)?, layout, image);
+        self.db.remove_rows_at(table, &positions).map(drop)
+    }
+
     /// Splits an application query's text into its shape and its literals
     /// and pairs the literals with the shape's plan, building (and keeping)
     /// the plan if this is the first text of that shape. Fails only if the
@@ -353,8 +468,8 @@ impl TimeTravelDb {
         match &plan.body {
             Body::Select(select) => self.planned_select(plan, select, params),
             Body::Insert(insert) => self.planned_insert(plan, insert, params),
-            Body::Update(update) => self.planned_update(plan, update, params, time, gen),
-            Body::Delete(delete) => self.planned_delete(plan, delete, params, gen),
+            Body::Update(write) => self.planned_write(plan, write, false, params, time, gen),
+            Body::Delete(write) => self.planned_write(plan, write, true, params, time, gen),
             Body::Rejected(e) => Err(e.clone()),
         }
     }
@@ -394,16 +509,18 @@ impl TimeTravelDb {
         gen: Generation,
     ) -> SqlResult<Vec<Value>> {
         query.at(time, gen);
-        let (Body::Update(UpdatePlan { cfg, matching, .. })
-        | Body::Delete(DeletePlan { cfg, matching, .. })) = &query.plan.body
-        else {
+        let (Body::Update(write) | Body::Delete(write)) = &query.plan.body else {
             return Ok(Vec::new());
         };
-        let versions = self.db.execute_with(matching, &query.params)?;
-        Ok(versions
-            .rows
+        let table = &query.plan.table;
+        let positions = self
+            .db
+            .positions_matching(table, Some(&write.matching), &query.params)?;
+        let rows = self.stored(table)?.rows();
+        let row_id = write.cfg.layout.row_id;
+        Ok(positions
             .iter()
-            .map(|row| col_val(&versions.columns, row, &cfg.row_id_column))
+            .map(|&pos| rows[pos][row_id].clone())
             .collect())
     }
 
@@ -477,260 +594,6 @@ impl TimeTravelDb {
         })
     }
 
-    /// Materialises the row versions of `table` that are valid at
-    /// `(time, gen)`, returned as full rows plus the schema column names.
-    fn valid_versions(
-        &mut self,
-        table: &str,
-        time: Timestamp,
-        gen: Generation,
-    ) -> SqlResult<(Vec<String>, Vec<Vec<Value>>)> {
-        let mut select = Statement::Select(SelectStatement {
-            items: vec![SelectItem::Wildcard],
-            table: table.to_string(),
-            where_clause: None,
-            order_by: vec![],
-            limit: None,
-        });
-        restrict_to_valid(&mut select, time, gen);
-        let result = self.db.execute(&select)?;
-        Ok((result.columns, result.rows))
-    }
-
-    /// If `gen` is a repair generation and the version is still visible in
-    /// the current generation, preserve a copy for the current generation and
-    /// claim the version for the repair generation (paper §4.4). Returns the
-    /// (possibly updated) start_gen of the version being modified.
-    fn preserve_for_current_gen(
-        &mut self,
-        table: &str,
-        columns: &[String],
-        row: &[Value],
-        gen: Generation,
-    ) -> SqlResult<()> {
-        if gen <= self.current_gen {
-            return Ok(());
-        }
-        let start_gen = col_val(columns, row, COL_START_GEN).as_int().unwrap_or(0);
-        let end_gen = col_val(columns, row, COL_END_GEN)
-            .as_int()
-            .unwrap_or(INF_GEN);
-        if start_gen > self.current_gen || end_gen < self.current_gen {
-            return Ok(());
-        }
-        // Insert a copy that stays visible to the current generation.
-        let mut copy_cols = columns.to_vec();
-        let mut copy_vals: Vec<Expr> = row.iter().cloned().map(Expr::Literal).collect();
-        set_col(
-            &mut copy_cols,
-            &mut copy_vals,
-            COL_END_GEN,
-            Value::Int(self.current_gen),
-        );
-        let insert = Statement::Insert {
-            table: table.to_string(),
-            columns: copy_cols,
-            values: vec![copy_vals],
-        };
-        self.db.execute(&insert)?;
-        // Claim the original version for the repair generation.
-        let ident = version_identity(columns, row);
-        let update = Statement::Update {
-            table: table.to_string(),
-            assignments: vec![Assignment {
-                column: COL_START_GEN.to_string(),
-                value: Expr::Literal(Value::Int(gen)),
-            }],
-            where_clause: Some(ident),
-        };
-        self.db.execute(&update)?;
-        Ok(())
-    }
-
-    fn planned_update(
-        &mut self,
-        plan: &Plan,
-        update: &UpdatePlan,
-        params: &[Value],
-        time: Timestamp,
-        gen: Generation,
-    ) -> SqlResult<LoggedExecution> {
-        let UpdatePlan {
-            cfg,
-            matching,
-            assignments,
-            in_place,
-            pins,
-            read_columns,
-            write_columns,
-        } = update;
-        let table = plan.table.as_str();
-        let read_parts = pins.resolve(&plan.table_key, params);
-        #[cfg(debug_assertions)]
-        warp_sql::observer::arm();
-        let matched = self.db.execute_with(matching, params);
-        #[cfg(debug_assertions)]
-        assert_observed_subset("UPDATE", warp_sql::observer::take(), read_columns);
-        let QueryResult { columns, rows, .. } = matched?;
-        let mut row_ids = Vec::new();
-        let mut written_rows: Vec<Vec<(String, Value)>> = Vec::new();
-        for row in &rows {
-            self.preserve_for_current_gen(table, &columns, row, gen)?;
-            // After preservation the version belongs to the repair generation;
-            // keep a view of the row that reflects its on-disk state so the
-            // version-identity predicates below still match it.
-            let row_now = self.claimed_for(gen, &columns, row);
-            let start_gen_now = col_val(&columns, &row_now, COL_START_GEN)
-                .as_int()
-                .unwrap_or(0);
-            row_ids.push(col_val(&columns, row, &cfg.row_id_column));
-            // Old partition values.
-            let mut named_old = Vec::new();
-            for col in &cfg.annotation.partition_columns {
-                named_old.push((col.clone(), col_val(&columns, row, col)));
-            }
-            written_rows.push(named_old);
-            // New partition values (assignments evaluated against the old row).
-            let mut named_new = Vec::new();
-            for a in assignments {
-                if cfg
-                    .annotation
-                    .partition_columns
-                    .iter()
-                    .any(|p| p.eq_ignore_ascii_case(&a.column))
-                {
-                    let schema = self.db.schema(table).expect("table exists");
-                    named_new.push((
-                        a.column.clone(),
-                        eval_expr_with(&a.value, schema, row, params)?,
-                    ));
-                }
-            }
-            if !named_new.is_empty() {
-                written_rows.push(named_new);
-            }
-            // 1. Keep a historical copy of the old value, ending at `time`.
-            let mut hist_cols = columns.clone();
-            let mut hist_vals: Vec<Expr> = row_now.iter().cloned().map(Expr::Literal).collect();
-            set_col(
-                &mut hist_cols,
-                &mut hist_vals,
-                COL_END_TIME,
-                Value::Int(time),
-            );
-            set_col(
-                &mut hist_cols,
-                &mut hist_vals,
-                COL_START_GEN,
-                Value::Int(start_gen_now),
-            );
-            let only_if_started_before = col_val(&columns, row, COL_START_TIME)
-                .as_int()
-                .map(|s| s < time)
-                .unwrap_or(true);
-            if only_if_started_before {
-                let insert = Statement::Insert {
-                    table: table.to_string(),
-                    columns: hist_cols,
-                    values: vec![hist_vals],
-                };
-                self.db.execute(&insert)?;
-            }
-            // 2. Apply the application's assignments to the current version
-            //    in place, moving its start_time forward to `time`.
-            let ident = version_identity(&columns, &row_now);
-            self.db.update(table, in_place, Some(&ident), params)?;
-        }
-        let write_partitions = partitions_of_rows(
-            table,
-            &cfg.annotation.partition_columns,
-            written_rows.iter().map(|r| r.as_slice()),
-        );
-        Ok(LoggedExecution {
-            result: QueryResult {
-                columns: vec![],
-                rows: vec![],
-                affected: rows.len() as u64,
-                ordered: false,
-            },
-            dependency: QueryDependency::write(table, read_parts, write_partitions, row_ids)
-                .with_columns(read_columns.clone(), write_columns.clone()),
-        })
-    }
-
-    /// `row` as it is stored once [`TimeTravelDb::preserve_for_current_gen`]
-    /// has run for `gen`: a version the current generation could see has
-    /// been claimed for the repair generation.
-    fn claimed_for(&self, gen: Generation, columns: &[String], row: &[Value]) -> Vec<Value> {
-        let mut row_now = row.to_vec();
-        if gen > self.current_gen {
-            let sg = col_val(columns, row, COL_START_GEN).as_int().unwrap_or(0);
-            if sg <= self.current_gen {
-                if let Some(i) = columns
-                    .iter()
-                    .position(|c| c.eq_ignore_ascii_case(COL_START_GEN))
-                {
-                    row_now[i] = Value::Int(gen);
-                }
-            }
-        }
-        row_now
-    }
-
-    fn planned_delete(
-        &mut self,
-        plan: &Plan,
-        delete: &DeletePlan,
-        params: &[Value],
-        gen: Generation,
-    ) -> SqlResult<LoggedExecution> {
-        let DeletePlan {
-            cfg,
-            matching,
-            end_version,
-            pins,
-            read_columns,
-        } = delete;
-        let table = plan.table.as_str();
-        let read_parts = pins.resolve(&plan.table_key, params);
-        #[cfg(debug_assertions)]
-        warp_sql::observer::arm();
-        let matched = self.db.execute_with(matching, params);
-        #[cfg(debug_assertions)]
-        assert_observed_subset("DELETE", warp_sql::observer::take(), read_columns);
-        let QueryResult { columns, rows, .. } = matched?;
-        let mut row_ids = Vec::new();
-        let mut written_rows: Vec<Vec<(String, Value)>> = Vec::new();
-        for row in &rows {
-            self.preserve_for_current_gen(table, &columns, row, gen)?;
-            let row_now = self.claimed_for(gen, &columns, row);
-            row_ids.push(col_val(&columns, row, &cfg.row_id_column));
-            let mut named = Vec::new();
-            for col in &cfg.annotation.partition_columns {
-                named.push((col.clone(), col_val(&columns, row, col)));
-            }
-            written_rows.push(named);
-            // Deleting a row just ends its current version at `time`.
-            let ident = version_identity(&columns, &row_now);
-            self.db.update(table, end_version, Some(&ident), params)?;
-        }
-        let write_partitions = partitions_of_rows(
-            table,
-            &cfg.annotation.partition_columns,
-            written_rows.iter().map(|r| r.as_slice()),
-        );
-        Ok(LoggedExecution {
-            result: QueryResult {
-                columns: vec![],
-                rows: vec![],
-                affected: rows.len() as u64,
-                ordered: false,
-            },
-            dependency: QueryDependency::write(table, read_parts, write_partitions, row_ids)
-                .with_columns(read_columns.clone(), ColumnSet::All),
-        })
-    }
-
     /// Starts a repair generation (paper §4.3) and returns its number. All
     /// repair-time operations execute in this generation while normal
     /// execution continues in the current generation.
@@ -788,39 +651,55 @@ impl TimeTravelDb {
     /// repair generation (used when a user-initiated repair would cause
     /// conflicts for other users, paper §5.5). The tracked delta is
     /// discarded with it (the abort's own cleanup is not a repair effect).
+    ///
+    /// The abort is all or nothing: if restoring the versions preserved for
+    /// the current generation would break a NOT NULL or uniqueness
+    /// constraint, it returns the error with every stored row, the change
+    /// capture and the repair generation as they were.
     pub fn abort_repair_generation(&mut self) -> SqlResult<()> {
-        if !self.ckpt_capture {
-            self.db.discard_change_capture();
+        let Some(next) = self.repair_gen else {
+            if !self.ckpt_capture {
+                self.db.discard_change_capture();
+            }
+            return Ok(());
+        };
+        // Every table's removals (versions created by or claimed for the
+        // repair generation) and restorations (versions preserved for the
+        // current generation) are staged and checked before any changes,
+        // so the abort happens whole or not at all.
+        let current = self.current_gen;
+        let mut rewrites = Vec::with_capacity(self.configs.len());
+        for (table, cfg) in &self.configs {
+            let layout = &cfg.layout;
+            let (mut removed, mut restored) = (Vec::new(), Vec::new());
+            for (pos, row) in self.stored(table)?.rows().iter().enumerate() {
+                if cmp(&row[layout.start_gen], next).is_some_and(Ordering::is_ge) {
+                    removed.push(pos);
+                } else if cmp(&row[layout.end_gen], current) == Some(Ordering::Equal) {
+                    let mut row = row.clone();
+                    row[layout.end_gen] = Value::Int(INF_GEN);
+                    restored.push((pos, row));
+                }
+            }
+            self.db.check_rows_at(table, &restored, &removed)?;
+            rewrites.push((table.clone(), removed, restored));
         }
         // With checkpoint capture armed, the slot stays live through the
         // cleanup below: the repair's physical churn plus its own undoing
         // nets to nothing, so the checkpoint tracker stays exact without
         // special-casing the abort path.
-        let Some(next) = self.repair_gen.take() else {
-            return Ok(());
-        };
-        let tables: Vec<String> = self.configs.keys().cloned().collect();
-        for table in tables {
-            // Remove versions created by (or claimed for) the repair generation.
-            let delete = Statement::Delete {
-                table: table.clone(),
-                where_clause: Some(Expr::Binary {
-                    left: Box::new(Expr::Column(COL_START_GEN.into())),
-                    op: warp_sql::ast::BinaryOp::GtEq,
-                    right: Box::new(Expr::Literal(Value::Int(next))),
-                }),
-            };
-            self.db.execute(&delete)?;
-            // Restore versions preserved for the current generation.
-            let update = Statement::Update {
-                table: table.clone(),
-                assignments: vec![Assignment {
-                    column: COL_END_GEN.to_string(),
-                    value: Expr::Literal(Value::Int(INF_GEN)),
-                }],
-                where_clause: Some(Expr::col_eq(COL_END_GEN, Value::Int(self.current_gen))),
-            };
-            self.db.execute(&update)?;
+        if !self.ckpt_capture {
+            self.db.discard_change_capture();
+        }
+        self.repair_gen = None;
+        for (table, removed, restored) in rewrites {
+            self.db.remove_rows_at(&table, &removed)?;
+            // The restored rows' positions, once the removed rows are gone.
+            let restored = restored
+                .into_iter()
+                .map(|(pos, row)| (pos - removed.partition_point(|&r| r < pos), row))
+                .collect();
+            self.db.replace_rows_at(&table, restored)?;
         }
         Ok(())
     }
@@ -1122,29 +1001,25 @@ impl TimeTravelDb {
     /// repair engine ends in the same state as the sequential one).
     pub fn canonical_dump(&mut self) -> String {
         let mut out = String::new();
-        let tables: Vec<String> = self.configs.keys().cloned().collect();
-        for table in tables {
-            let (columns, rows) = match self.valid_versions(&table, INF_TIME - 1, self.current_gen)
-            {
-                Ok(v) => v,
-                Err(_) => continue,
+        for (table, cfg) in &self.configs {
+            let Some(t) = self.db.table(table) else {
+                continue;
             };
-            let keep: Vec<usize> = columns
+            let keep: Vec<usize> = t
+                .schema
+                .columns
                 .iter()
                 .enumerate()
-                .filter(|(_, c)| !c.starts_with("warp_"))
+                .filter(|(_, c)| !c.name.starts_with("warp_"))
                 .map(|(i, _)| i)
                 .collect();
-            let mut rendered: Vec<String> = rows
+            let mut rendered: Vec<String> = t
+                .rows()
                 .iter()
+                .filter(|row| cfg.layout.valid_at(row, INF_TIME - 1, self.current_gen))
                 .map(|row| {
                     keep.iter()
-                        .map(|&i| {
-                            row.get(i)
-                                .cloned()
-                                .unwrap_or(Value::Null)
-                                .as_display_string()
-                        })
+                        .map(|&i| row[i].as_display_string())
                         .collect::<Vec<_>>()
                         .join("\u{1f}")
                 })
@@ -1166,24 +1041,17 @@ impl TimeTravelDb {
         // The history that survives holds, in full, every query text whose
         // shape is worth a plan; the next execution of each rebuilds it.
         self.plans.clear();
-        let tables: Vec<String> = self.configs.keys().cloned().collect();
-        let mut removed = 0usize;
-        for table in tables {
-            let old_version = Expr::Binary {
-                left: Box::new(Expr::Column(COL_END_TIME.into())),
-                op: warp_sql::ast::BinaryOp::LtEq,
-                right: Box::new(Expr::Literal(Value::Int(before_time))),
-            };
-            let superseded_gen = Expr::Binary {
-                left: Box::new(Expr::Column(COL_END_GEN.into())),
-                op: warp_sql::ast::BinaryOp::Lt,
-                right: Box::new(Expr::Literal(Value::Int(self.current_gen))),
-            };
-            let delete = Statement::Delete {
-                table: table.clone(),
-                where_clause: Some(old_version.or(superseded_gen)),
-            };
-            removed += self.db.execute(&delete)?.affected as usize;
+        let mut removed = 0;
+        for (table, cfg) in &self.configs {
+            let layout = &cfg.layout;
+            let old: Vec<usize> = (self.stored(table)?.rows().iter().enumerate())
+                .filter(|(_, row)| {
+                    cmp(&row[layout.end_time], before_time).is_some_and(Ordering::is_le)
+                        || cmp(&row[layout.end_gen], self.current_gen).is_some_and(Ordering::is_lt)
+                })
+                .map(|(pos, _)| pos)
+                .collect();
+            removed += self.db.remove_rows_at(table, &old)? as usize;
         }
         Ok(removed)
     }
@@ -1248,64 +1116,6 @@ fn merge_changes(
         entry.removed.extend(changes.removed);
         entry.added.extend(changes.added);
     }
-}
-
-/// Looks up a named column in a materialised row.
-fn col_val(columns: &[String], row: &[Value], name: &str) -> Value {
-    columns
-        .iter()
-        .position(|c| c.eq_ignore_ascii_case(name))
-        .and_then(|i| row.get(i).cloned())
-        .unwrap_or(Value::Null)
-}
-
-/// Overwrites (or appends) a named column in a column/value expression list.
-fn set_col(columns: &mut Vec<String>, values: &mut Vec<Expr>, name: &str, value: Value) {
-    match columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-        Some(i) => values[i] = Expr::Literal(value),
-        None => {
-            columns.push(name.to_string());
-            values.push(Expr::Literal(value));
-        }
-    }
-}
-
-/// Builds a predicate uniquely identifying one stored row *version*: its
-/// row-ID columns are not enough (versions share them), so the version's
-/// start time and generation bounds are included as well.
-fn version_identity(columns: &[String], row: &[Value]) -> Expr {
-    let mut pred: Option<Expr> = None;
-    for key in [COL_START_TIME, COL_END_TIME, COL_START_GEN, COL_END_GEN] {
-        let e = Expr::col_eq(key, col_val(columns, row, key));
-        pred = Some(match pred {
-            Some(p) => p.and(e),
-            None => e,
-        });
-    }
-    // Also pin every other column value (including a synthetic row ID) so two
-    // identical-looking versions of *different* rows cannot be confused.
-    for (i, col) in columns.iter().enumerate() {
-        if [COL_START_TIME, COL_END_TIME, COL_START_GEN, COL_END_GEN]
-            .iter()
-            .any(|c| col.eq_ignore_ascii_case(c))
-        {
-            continue;
-        }
-        let v = row.get(i).cloned().unwrap_or(Value::Null);
-        let e = if v.is_null() {
-            Expr::IsNull {
-                expr: Box::new(Expr::Column(col.clone())),
-                negated: false,
-            }
-        } else {
-            Expr::col_eq(col.as_str(), v)
-        };
-        pred = Some(match pred {
-            Some(p) => p.and(e),
-            None => e,
-        });
-    }
-    pred.expect("at least the warp columns exist")
 }
 
 /// Soundness guard (debug builds only): every column the engine actually
@@ -1738,6 +1548,39 @@ mod tests {
             .unwrap();
         assert_eq!(now.result.rows[0][0], Value::text("v1"));
         assert!(db.repair_generation().is_none());
+    }
+
+    /// Restoring the version a repair-generation write preserved collides
+    /// with a row the current generation inserted meanwhile: the abort
+    /// fails, and fails whole.
+    #[test]
+    fn a_failed_abort_changes_nothing() {
+        let mut db = TimeTravelDb::new();
+        db.create_table(
+            "CREATE TABLE item (id INTEGER PRIMARY KEY, slug TEXT UNIQUE)",
+            TableAnnotation::new().row_id("id"),
+        )
+        .unwrap();
+        db.execute_logged("INSERT INTO item (id, slug) VALUES (1, 'a')", 10)
+            .unwrap();
+        let gen = db.begin_repair_generation();
+        let stmt = warp_sql::parse("UPDATE item SET slug = 'b' WHERE id = 1").unwrap();
+        db.execute_stmt_logged(&stmt, 20, gen).unwrap();
+        db.execute_logged("INSERT INTO item (id, slug) VALUES (2, 'a')", 30)
+            .unwrap();
+        let before = db.clone();
+        let err = db.abort_repair_generation().unwrap_err();
+        assert!(matches!(err, SqlError::UniqueViolation { .. }), "{err}");
+        assert_eq!(
+            format!("{:?}", db.raw().table("item").unwrap().rows()),
+            format!("{:?}", before.raw().table("item").unwrap().rows())
+        );
+        assert_eq!(db.repair_generation(), Some(gen));
+        assert_eq!(
+            format!("{:?}", db.db.take_change_capture()),
+            format!("{:?}", before.clone().db.take_change_capture())
+        );
+        db.check_indexes().unwrap();
     }
 
     #[test]

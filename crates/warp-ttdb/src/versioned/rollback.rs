@@ -1,65 +1,11 @@
 //! Time-travel rollback (paper §4.2): one pass per logical row over the
 //! versions the row-ID index holds for it.
 
-use super::{
-    Generation, TableConfig, TimeTravelDb, Timestamp, COL_END_GEN, COL_END_TIME, COL_START_GEN,
-    COL_START_TIME, INF_GEN, INF_TIME,
-};
+use super::{cmp, int, Generation, Layout, TimeTravelDb, Timestamp, INF_GEN, INF_TIME};
 use crate::dependency::{PartitionKey, PartitionSet};
 use crate::repair::DirtyRegion;
 use std::collections::BTreeSet;
-use warp_sql::{ColumnSet, Row, SqlError, SqlResult, Table, Value};
-
-/// The column positions a rollback of one table reads and writes, resolved
-/// once per call.
-struct Layout {
-    row_id: usize,
-    start_time: usize,
-    end_time: usize,
-    start_gen: usize,
-    end_gen: usize,
-    /// Each partition column's position and annotated name.
-    partitions: Vec<(usize, String)>,
-    /// Each application column's position and name (the bookkeeping
-    /// `warp_*` columns excluded).
-    app: Vec<(usize, String)>,
-}
-
-impl Layout {
-    fn resolve(t: &Table, cfg: &TableConfig) -> SqlResult<Layout> {
-        let at = |name: &str| {
-            t.schema
-                .column_index(name)
-                .ok_or_else(|| SqlError::NoSuchColumn(name.to_string()))
-        };
-        let mut partitions = Vec::new();
-        for name in &cfg.annotation.partition_columns {
-            partitions.push((at(name)?, name.clone()));
-        }
-        let app = t
-            .schema
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.name.to_ascii_lowercase().starts_with("warp_"))
-            .map(|(i, c)| (i, c.name.clone()))
-            .collect();
-        Ok(Layout {
-            row_id: at(&cfg.row_id_column)?,
-            start_time: at(COL_START_TIME)?,
-            end_time: at(COL_END_TIME)?,
-            start_gen: at(COL_START_GEN)?,
-            end_gen: at(COL_END_GEN)?,
-            partitions,
-            app,
-        })
-    }
-}
-
-/// A bookkeeping cell as an integer, 0 if it holds none.
-fn int(v: &Value) -> i64 {
-    v.as_int().unwrap_or(0)
-}
+use warp_sql::{ColumnSet, Row, SqlResult, Table, Value};
 
 impl TimeTravelDb {
     /// Rolls back the listed rows of `table` to their state just before
@@ -91,13 +37,13 @@ impl TimeTravelDb {
         gen: Generation,
     ) -> SqlResult<DirtyRegion> {
         let cfg = self.config(table)?;
-        let layout = Layout::resolve(self.stored(table)?, &cfg)?;
+        let layout = &cfg.layout;
         let current = self.current_gen;
         let claims_from_current = |start_gen: i64| gen > current && start_gen <= current;
         let mut keys = BTreeSet::new();
         let mut dirty = ColumnSet::empty();
         for row_id in row_ids {
-            let versions = visible_versions(self.stored(table)?, &layout, row_id, gen);
+            let versions = visible_versions(self.stored(table)?, layout, row_id, gen);
             for v in &versions {
                 for (pos, name) in &layout.partitions {
                     keys.insert(PartitionKey::new(table, name, &v[*pos]));
@@ -117,9 +63,9 @@ impl TimeTravelDb {
                     wiped.push(v);
                     if claims_from_current(int(&v[layout.start_gen])) {
                         // Preserve for the current generation only.
-                        self.set_where_equal(table, &layout, v, layout.end_gen, current)?;
+                        self.set_where_equal(table, layout, v, layout.end_gen, current)?;
                     } else {
-                        self.remove_where_equal(table, &layout, v)?;
+                        self.remove_where_equal(table, layout, v)?;
                     }
                 } else {
                     let best_end = best_keep.map_or(i64::MIN, |b| int(&b[layout.end_time]));
@@ -160,14 +106,14 @@ impl TimeTravelDb {
             if claims_from_current(int(&v[layout.start_gen])) {
                 // Keep the historical version for the current generation;
                 // give the repair generation its own current copy.
-                self.set_where_equal(table, &layout, v, layout.end_gen, current)?;
+                self.set_where_equal(table, layout, v, layout.end_gen, current)?;
                 let mut copy = v.clone();
                 copy[layout.end_time] = Value::Int(INF_TIME);
                 copy[layout.start_gen] = Value::Int(gen);
                 copy[layout.end_gen] = Value::Int(INF_GEN);
                 self.db.insert_row(table, copy)?;
             } else {
-                self.set_where_equal(table, &layout, v, layout.end_time, INF_TIME)?;
+                self.set_where_equal(table, layout, v, layout.end_time, INF_TIME)?;
             }
         }
         let partitions = if layout.partitions.is_empty() {
@@ -180,39 +126,6 @@ impl TimeTravelDb {
             columns: dirty,
         })
     }
-
-    fn stored(&self, table: &str) -> SqlResult<&Table> {
-        self.db
-            .table(table)
-            .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))
-    }
-
-    /// Sets `column` to `value` in every stored row equal to `image`.
-    fn set_where_equal(
-        &mut self,
-        table: &str,
-        layout: &Layout,
-        image: &Row,
-        column: usize,
-        value: i64,
-    ) -> SqlResult<()> {
-        let t = self.stored(table)?;
-        let staged = positions_equal(t, layout, image)
-            .into_iter()
-            .map(|pos| {
-                let mut row = t.rows()[pos].clone();
-                row[column] = Value::Int(value);
-                (pos, row)
-            })
-            .collect();
-        self.db.replace_rows_at(table, staged).map(drop)
-    }
-
-    /// Removes every stored row equal to `image`.
-    fn remove_where_equal(&mut self, table: &str, layout: &Layout, image: &Row) -> SqlResult<()> {
-        let positions = positions_equal(self.stored(table)?, layout, image);
-        self.db.remove_rows_at(table, &positions).map(drop)
-    }
 }
 
 /// The stored versions of one logical row that `gen` can see, in storage
@@ -221,34 +134,272 @@ fn visible_versions(t: &Table, layout: &Layout, row_id: &Value, gen: Generation)
     if row_id.is_null() {
         return Vec::new();
     }
-    let gen = Value::Int(gen);
     t.positions_of(layout.row_id, row_id)
         .map(|pos| &t.rows()[pos])
-        .filter(|row| {
-            let end_gen = &row[layout.end_gen];
-            !end_gen.is_null() && end_gen.cmp_total(&gen).is_ge()
-        })
+        .filter(|row| cmp(&row[layout.end_gen], gen).is_some_and(|o| o.is_ge()))
         .cloned()
         .collect()
 }
 
-/// The ascending positions of the stored rows equal to `image`, all of
-/// which share its row ID.
-fn positions_equal(t: &Table, layout: &Layout, image: &Row) -> Vec<usize> {
-    t.positions_of(layout.row_id, &image[layout.row_id])
-        .filter(|&pos| t.rows()[pos] == *image)
-        .collect()
-}
-
-/// The statement path the kernel replaced, kept as its oracle.
+/// The statement paths the rollback kernel and the positional write
+/// executor replaced, kept as their oracles.
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use crate::dependency::QueryDependency;
+    use crate::plan::{Body, PlannedQuery, WritePlan};
     use crate::rewrite::partitions_of_rows;
-    use crate::versioned::{col_val, set_col, version_identity};
+    use crate::versioned::{
+        LoggedExecution, COL_END_GEN, COL_END_TIME, COL_START_GEN, COL_START_TIME,
+    };
     use warp_sql::ast::{Assignment, Expr, SelectItem, SelectStatement, Statement};
+    use warp_sql::expr::eval_expr_with;
+    use warp_sql::QueryResult;
+
+    /// Looks up a named column in a materialised row.
+    fn col_val(columns: &[String], row: &[Value], name: &str) -> Value {
+        columns
+            .iter()
+            .position(|c| c.eq_ignore_ascii_case(name))
+            .and_then(|i| row.get(i).cloned())
+            .unwrap_or(Value::Null)
+    }
+
+    /// Overwrites (or appends) a named column in a column/value expression
+    /// list.
+    fn set_col(columns: &mut Vec<String>, values: &mut Vec<Expr>, name: &str, value: Value) {
+        match columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
+            Some(i) => values[i] = Expr::Literal(value),
+            None => {
+                columns.push(name.to_string());
+                values.push(Expr::Literal(value));
+            }
+        }
+    }
+
+    /// A predicate matching one stored row *version*: every column pinned,
+    /// NULLs by `IS NULL`.
+    fn version_identity(columns: &[String], row: &[Value]) -> Expr {
+        let mut pred: Option<Expr> = None;
+        for key in [COL_START_TIME, COL_END_TIME, COL_START_GEN, COL_END_GEN] {
+            let e = Expr::col_eq(key, col_val(columns, row, key));
+            pred = Some(match pred {
+                Some(p) => p.and(e),
+                None => e,
+            });
+        }
+        for (i, col) in columns.iter().enumerate() {
+            if [COL_START_TIME, COL_END_TIME, COL_START_GEN, COL_END_GEN]
+                .iter()
+                .any(|c| col.eq_ignore_ascii_case(c))
+            {
+                continue;
+            }
+            let v = row.get(i).cloned().unwrap_or(Value::Null);
+            let e = if v.is_null() {
+                Expr::IsNull {
+                    expr: Box::new(Expr::Column(col.clone())),
+                    negated: false,
+                }
+            } else {
+                Expr::col_eq(col.as_str(), v)
+            };
+            pred = Some(match pred {
+                Some(p) => p.and(e),
+                None => e,
+            });
+        }
+        pred.expect("at least the warp columns exist")
+    }
 
     impl TimeTravelDb {
+        /// The versioned `UPDATE` / `DELETE` as statements: the result and
+        /// the mutations [`TimeTravelDb::execute_planned`] must make, one
+        /// version-identity `INSERT` or `UPDATE` at a time.
+        pub(crate) fn write_by_statements(
+            &mut self,
+            query: &mut PlannedQuery,
+            time: Timestamp,
+            gen: Generation,
+        ) -> SqlResult<LoggedExecution> {
+            query.at(time, gen);
+            let PlannedQuery { plan, params } = query;
+            let (write, delete) = match &plan.body {
+                Body::Update(write) => (write, false),
+                Body::Delete(write) => (write, true),
+                _ => panic!("not an UPDATE or DELETE"),
+            };
+            let WritePlan {
+                cfg,
+                matching,
+                assignments,
+                pins,
+                read_columns,
+                write_columns,
+            } = write;
+            let table = plan.table.as_str();
+            let read_parts = pins.resolve(&plan.table_key, params);
+            let select = Statement::Select(SelectStatement {
+                items: vec![SelectItem::Wildcard],
+                table: table.to_string(),
+                where_clause: Some(matching.clone()),
+                order_by: vec![],
+                limit: None,
+            });
+            let QueryResult { columns, rows, .. } = self.db.execute_with(&select, params)?;
+            // What is applied to each matched version in place.
+            let mut in_place = assignments.clone();
+            in_place.push(Assignment {
+                column: if delete { COL_END_TIME } else { COL_START_TIME }.to_string(),
+                value: Expr::Literal(Value::Int(time)),
+            });
+            let mut row_ids = Vec::new();
+            let mut written_rows: Vec<Vec<(String, Value)>> = Vec::new();
+            for row in &rows {
+                self.preserve_for_current_gen(table, &columns, row, gen)?;
+                let row_now = self.claimed_for(gen, &columns, row);
+                let start_gen_now = col_val(&columns, &row_now, COL_START_GEN)
+                    .as_int()
+                    .unwrap_or(0);
+                row_ids.push(col_val(&columns, row, &cfg.row_id_column));
+                let mut named_old = Vec::new();
+                for col in &cfg.annotation.partition_columns {
+                    named_old.push((col.clone(), col_val(&columns, row, col)));
+                }
+                written_rows.push(named_old);
+                let mut named_new = Vec::new();
+                for a in assignments {
+                    if cfg
+                        .annotation
+                        .partition_columns
+                        .iter()
+                        .any(|p| p.eq_ignore_ascii_case(&a.column))
+                    {
+                        let schema = self.db.schema(table).expect("table exists");
+                        named_new.push((
+                            a.column.clone(),
+                            eval_expr_with(&a.value, schema, row, params)?,
+                        ));
+                    }
+                }
+                if !named_new.is_empty() {
+                    written_rows.push(named_new);
+                }
+                let started_before = col_val(&columns, row, COL_START_TIME)
+                    .as_int()
+                    .map(|s| s < time)
+                    .unwrap_or(true);
+                if !delete && started_before {
+                    let mut hist_cols = columns.clone();
+                    let mut hist_vals: Vec<Expr> =
+                        row_now.iter().cloned().map(Expr::Literal).collect();
+                    set_col(
+                        &mut hist_cols,
+                        &mut hist_vals,
+                        COL_END_TIME,
+                        Value::Int(time),
+                    );
+                    set_col(
+                        &mut hist_cols,
+                        &mut hist_vals,
+                        COL_START_GEN,
+                        Value::Int(start_gen_now),
+                    );
+                    let insert = Statement::Insert {
+                        table: table.to_string(),
+                        columns: hist_cols,
+                        values: vec![hist_vals],
+                    };
+                    self.db.execute(&insert)?;
+                }
+                let update = Statement::Update {
+                    table: table.to_string(),
+                    assignments: in_place.clone(),
+                    where_clause: Some(version_identity(&columns, &row_now)),
+                };
+                self.db.execute_with(&update, params)?;
+            }
+            let write_partitions = partitions_of_rows(
+                table,
+                &cfg.annotation.partition_columns,
+                written_rows.iter().map(|r| r.as_slice()),
+            );
+            Ok(LoggedExecution {
+                result: QueryResult {
+                    columns: vec![],
+                    rows: vec![],
+                    affected: rows.len() as u64,
+                    ordered: false,
+                },
+                dependency: QueryDependency::write(table, read_parts, write_partitions, row_ids)
+                    .with_columns(read_columns.clone(), write_columns.clone()),
+            })
+        }
+
+        /// If `gen` is a repair generation and the version is still visible
+        /// in the current generation, inserts a copy for the current
+        /// generation and claims the version for the repair generation.
+        fn preserve_for_current_gen(
+            &mut self,
+            table: &str,
+            columns: &[String],
+            row: &[Value],
+            gen: Generation,
+        ) -> SqlResult<()> {
+            if gen <= self.current_gen {
+                return Ok(());
+            }
+            let start_gen = col_val(columns, row, COL_START_GEN).as_int().unwrap_or(0);
+            let end_gen = col_val(columns, row, COL_END_GEN)
+                .as_int()
+                .unwrap_or(INF_GEN);
+            if start_gen > self.current_gen || end_gen < self.current_gen {
+                return Ok(());
+            }
+            let mut copy_cols = columns.to_vec();
+            let mut copy_vals: Vec<Expr> = row.iter().cloned().map(Expr::Literal).collect();
+            set_col(
+                &mut copy_cols,
+                &mut copy_vals,
+                COL_END_GEN,
+                Value::Int(self.current_gen),
+            );
+            let insert = Statement::Insert {
+                table: table.to_string(),
+                columns: copy_cols,
+                values: vec![copy_vals],
+            };
+            self.db.execute(&insert)?;
+            let update = Statement::Update {
+                table: table.to_string(),
+                assignments: vec![Assignment {
+                    column: COL_START_GEN.to_string(),
+                    value: Expr::Literal(Value::Int(gen)),
+                }],
+                where_clause: Some(version_identity(columns, row)),
+            };
+            self.db.execute(&update)?;
+            Ok(())
+        }
+
+        /// `row` as it is stored once the version has been claimed for
+        /// `gen`.
+        fn claimed_for(&self, gen: Generation, columns: &[String], row: &[Value]) -> Vec<Value> {
+            let mut row_now = row.to_vec();
+            if gen > self.current_gen {
+                let sg = col_val(columns, row, COL_START_GEN).as_int().unwrap_or(0);
+                if sg <= self.current_gen {
+                    if let Some(i) = columns
+                        .iter()
+                        .position(|c| c.eq_ignore_ascii_case(COL_START_GEN))
+                    {
+                        row_now[i] = Value::Int(gen);
+                    }
+                }
+            }
+            row_now
+        }
+
         /// The rollback as statements: the region
         /// [`TimeTravelDb::rollback_rows`] must return and the mutations it
         /// must make, one version-identity `UPDATE`, `DELETE` or `INSERT` at a
@@ -474,6 +625,9 @@ mod tests {
     use super::*;
     use crate::annotations::TableAnnotation;
     use crate::delta::net_changes;
+    use crate::plan::{Body, PlannedQuery};
+    use crate::versioned::COL_START_GEN;
+    use warp_sql::SqlError;
 
     /// A deterministic stream (xorshift64*), so failures reproduce.
     struct Rng(u64);
@@ -522,13 +676,19 @@ mod tests {
     /// One random application write; failures (a unique collision) are
     /// part of the history like any other outcome.
     fn random_write(db: &mut TimeTravelDb, rng: &mut Rng, time: Timestamp, gen: Generation) {
+        let mut query = db.plan(&random_sql(rng)).unwrap();
+        let _ = db.execute_planned(&mut query, time, gen);
+    }
+
+    /// The text of one random application write.
+    fn random_sql(rng: &mut Rng) -> String {
         let (id, slug, body, n) = (
             rng.pick(IDS),
             rng.pick(SLUGS),
             rng.pick(BODIES),
             rng.pick(NUMS),
         );
-        let sql = match rng.below(7) {
+        match rng.below(7) {
             // Twins: two versions equal under `Value`'s `==` whose images
             // may still differ (`1` and `1.0`).
             0 => {
@@ -548,9 +708,7 @@ mod tests {
             4 => format!("DELETE FROM item WHERE item_id = {id}"),
             5 => format!("INSERT INTO note (txt, k) VALUES ({body}, {id})"),
             _ => format!("UPDATE note SET txt = {body} WHERE k = {id}"),
-        };
-        let mut query = db.plan(&sql).unwrap();
-        let _ = db.execute_planned(&mut query, time, gen);
+        }
     }
 
     /// What the comparison loop saw, so the test can require that every
@@ -608,8 +766,14 @@ mod tests {
             Err(SqlError::UniqueViolation { .. }) => seen.unique_err += 1,
             Err(_) => {}
         }
-        // Compared as debug text: `Value`'s `==` would let `1` stand for
-        // `1.0`, and the kernel must keep each stored image as it is.
+        assert_same_state(db, &mut oracle, &case);
+    }
+
+    /// Both sides hold the same rows, compared as debug text (`Value`'s
+    /// `==` would let `1` stand for `1.0`, and each stored image must stay
+    /// as it is), and captured the same netted change; the capture is
+    /// re-armed afterwards if a repair generation needs it.
+    fn assert_same_state(db: &mut TimeTravelDb, oracle: &mut TimeTravelDb, case: &str) {
         for t in ["item", "note"] {
             assert_eq!(
                 format!("{:?}", db.raw().table(t).unwrap().rows()),
@@ -681,6 +845,141 @@ mod tests {
             ("a unique collision", seen.unique_err),
         ] {
             assert!(count > 0, "no rollback met {case}: {seen:?}");
+        }
+    }
+
+    /// What the write comparison saw of the versions each write matched.
+    #[derive(Default, Debug)]
+    struct WriteSeen {
+        repair_gen: usize,
+        current_gen: usize,
+        claimed: usize,
+        past_version: usize,
+        started_at_time: usize,
+        identical: usize,
+        twins: usize,
+        nulls: usize,
+        multi_row: usize,
+        unique_err: usize,
+    }
+
+    /// Runs one planned `UPDATE` or `DELETE` through the positional
+    /// executor and through the statement oracle on a clone, and requires
+    /// the same outcome, rows and netted capture of both.
+    fn compare_write(
+        db: &mut TimeTravelDb,
+        query: &mut PlannedQuery,
+        time: Timestamp,
+        gen: Generation,
+        seen: &mut WriteSeen,
+    ) {
+        query.at(time, gen);
+        let (Body::Update(write) | Body::Delete(write)) = &query.plan.body else {
+            unreachable!("only writes are compared")
+        };
+        let stored = db.raw().table(&query.plan.table).unwrap();
+        let layout = &write.cfg.layout;
+        let images: Vec<&Row> = db
+            .raw()
+            .positions_matching(&query.plan.table, Some(&write.matching), &query.params)
+            .unwrap_or_default()
+            .into_iter()
+            .map(|pos| &stored.rows()[pos])
+            .collect();
+        let current = db.current_gen;
+        for image in &images {
+            let equal: Vec<&Row> = stored.rows().iter().filter(|r| *r == *image).collect();
+            let same_text = |r: &Row| format!("{r:?}") == format!("{image:?}");
+            seen.claimed += (gen > current && int(&image[layout.start_gen]) <= current) as usize;
+            seen.past_version += (image[layout.end_time] != Value::Int(INF_TIME)) as usize;
+            seen.started_at_time += (image[layout.start_time] == Value::Int(time)) as usize;
+            seen.identical += (equal.iter().filter(|r| same_text(r)).count() > 1) as usize;
+            seen.twins += (!equal.iter().all(|r| same_text(r))) as usize;
+            seen.nulls += image.contains(&Value::Null) as usize;
+        }
+        seen.multi_row += (images.len() > 1) as usize;
+        if gen > current {
+            seen.repair_gen += 1;
+        } else {
+            seen.current_gen += 1;
+        }
+        db.db.discard_change_capture();
+        db.db.begin_change_capture();
+        let mut oracle = db.clone();
+        let got = db.execute_planned(query, time, gen);
+        let want = oracle.write_by_statements(&mut query.clone(), time, gen);
+        let case = format!("`{:?}` at {time} in gen {gen}", query.params);
+        assert_eq!(got, want, "{case}");
+        seen.unique_err += matches!(got, Err(SqlError::UniqueViolation { .. })) as usize;
+        assert_same_state(db, &mut oracle, &case);
+    }
+
+    #[test]
+    fn positional_writes_equal_the_statement_path_over_random_histories() {
+        let mut seen = WriteSeen::default();
+        for seed in 1..=60u64 {
+            let mut rng = Rng(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1);
+            let mut db = fresh_db();
+            let mut time = 1;
+            for _ in 0..80 {
+                let (at, gen) = match rng.below(10) {
+                    // Serving, in the current generation; repeating a time
+                    // lets a write find a version that started then.
+                    0..=4 => {
+                        time += rng.below(2) as Timestamp;
+                        (time, db.current_gen)
+                    }
+                    // Repair-generation writes at past times.
+                    5..=7 => match db.repair_generation() {
+                        Some(gen) => (1 + rng.below(time as u64) as Timestamp, gen),
+                        None => {
+                            db.begin_repair_generation();
+                            continue;
+                        }
+                    },
+                    8 => {
+                        if db.repair_generation().is_some() {
+                            if rng.below(2) == 0 {
+                                db.finalize_repair_generation();
+                            } else {
+                                let _ = db.abort_repair_generation();
+                            }
+                        }
+                        continue;
+                    }
+                    // A rollback leaves versions restored and claimed.
+                    _ => {
+                        let gen = db.repair_generation().unwrap_or(db.current_gen);
+                        let ids = [Value::Int(1 + rng.below(4) as i64)];
+                        let to = rng.below(time as u64 + 2) as Timestamp;
+                        let _ = db.rollback_rows("item", &ids, to, gen);
+                        continue;
+                    }
+                };
+                let mut query = db.plan(&random_sql(&mut rng)).unwrap();
+                if query.plan.is_write() && !matches!(query.plan.body, Body::Insert(_)) {
+                    compare_write(&mut db, &mut query, at, gen, &mut seen);
+                } else {
+                    let _ = db.execute_planned(&mut query, at, gen);
+                }
+            }
+        }
+        for (case, count) in [
+            ("a repair generation", seen.repair_gen),
+            ("the current generation", seen.current_gen),
+            ("a claim from the current generation", seen.claimed),
+            ("a past version with a finite end_time", seen.past_version),
+            (
+                "a version that started at the write's time",
+                seen.started_at_time,
+            ),
+            ("identical versions", seen.identical),
+            ("equal versions with different images", seen.twins),
+            ("NULL columns", seen.nulls),
+            ("a multi-row match", seen.multi_row),
+            ("a unique collision", seen.unique_err),
+        ] {
+            assert!(count > 0, "no write met {case}: {seen:?}");
         }
     }
 }
