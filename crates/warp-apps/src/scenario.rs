@@ -419,10 +419,17 @@ mod tests {
             seq.outcome.stats.actions_cancelled,
             par.outcome.stats.actions_cancelled
         );
-        assert!(
-            par.outcome.stats.partitions_total > 1,
-            "the wiki workload must decompose into multiple partitions: {}",
-            par.outcome.stats.partitions_total
+        // Repair workers select the frontier walk: it plans no partitions
+        // and clones nothing, so nothing escalates or falls back.
+        let stats = &par.outcome.stats;
+        assert_eq!(stats.workers, 2);
+        assert_eq!(
+            (
+                stats.partitions_total,
+                stats.escalations,
+                stats.bounded_clone_fallbacks
+            ),
+            (0, 0, 0)
         );
     }
 }

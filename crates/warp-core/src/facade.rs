@@ -36,12 +36,13 @@
 //!   for status polling and outcome joining, and
 //!   [`Warp::resume_pending_repair`] re-runs a crash-interrupted repair
 //!   found during recovery. A repair does not stop the site: the engine
-//!   owns it as a [`RepairRun`] and steps it one repair unit per worker
-//!   batch at a time, on clones of the database, serving queued requests
-//!   in the current generation between steps. Those requests are logged as
-//!   ordinary actions and join the repair where they meet what it
-//!   modified; the engine pauses only for the commit, which switches
-//!   generations. Any message other than a request — [`Warp::with_server`],
+//!   owns it as a [`RepairRun`] and steps it one re-executed action at a
+//!   time, in the repair generation of the live database, serving queued
+//!   requests in the current generation between steps. Those requests are
+//!   logged as ordinary actions and the repair judges them at its tail like
+//!   any other action; the engine pauses only for the commit, which walks
+//!   what is left and switches generations. Any message other than a
+//!   request — [`Warp::with_server`],
 //!   a checkpoint, another repair, [`Warp::close`] — first drives the
 //!   running repair through its commit.
 //!
@@ -198,8 +199,10 @@ impl WarpBuilder {
         self
     }
 
-    /// Worker threads for the partitioned parallel repair engine; `0` (the
-    /// default) runs the classic sequential engine.
+    /// The repair strategy, by worker count ([`RepairStrategy::with_workers`]):
+    /// any `n` above `0` runs the stepped frontier walk (reporting `n` as
+    /// its worker count), and `0` (the default) the classic sequential
+    /// engine.
     pub fn repair_workers(mut self, workers: usize) -> Self {
         self.repair_workers = workers;
         self
@@ -568,12 +571,16 @@ impl Warp {
     /// handle for status polling and outcome joining. The engine starts the
     /// repair in queue order and keeps serving while it runs: requests
     /// submitted after this call are answered from the current generation
-    /// — the state *before* the repair — until the repair commits, and are
-    /// then folded into the repair wherever they met what it modified, so
-    /// the committed state is the one they would have produced after it.
-    /// Requests submitted after [`RepairHandle::join`] returns see the
-    /// repaired state. A repair of at most one dependency unit, and a
-    /// [`RepairStrategy::Sequential`] one, runs in one piece at the commit.
+    /// — the state *before* the repair — until the repair commits, and the
+    /// repair judges them at its tail like any other action, re-executing
+    /// them in the repair generation where they depend on what it changed,
+    /// so the committed state is the one they would have produced after
+    /// it. Requests submitted after [`RepairHandle::join`] returns see the
+    /// repaired state. With repair workers configured, the repair is the
+    /// frontier walk ([`RepairStrategy::Frontier`]), which the engine steps
+    /// one re-executed action at a time, whatever the plan's shape; a
+    /// [`RepairStrategy::Sequential`] repair runs in one piece at the
+    /// commit.
     pub fn repair(&self, request: RepairRequest) -> RepairHandle {
         self.repair_with_strategy(request, None)
     }
@@ -937,8 +944,8 @@ impl Engine {
         match msg {
             EngineMsg::Serve { request, reply } => {
                 if let Some(active) = self.repair.as_mut() {
-                    // The run clones the database and its commit writes it,
-                    // so the database stays home: the global lane.
+                    // The run works on the database between requests, so
+                    // the database stays home: the global lane.
                     if !active.run.must_commit(&self.server) {
                         active.served += 1;
                         self.serve_global(request, reply);

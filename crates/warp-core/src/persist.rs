@@ -17,17 +17,23 @@
 //!   the time-travel database's row versions exactly (normal-execution
 //!   writes are deterministic given SQL text, time and generation).
 //! * `LogEvent::ClientLog` — an uploaded browser page-visit log.
-//! * `LogEvent::RepairBegin` / `LogEvent::RepairCommit` /
-//!   `LogEvent::RepairAbort` — repair is *not* replayed on recovery
-//!   (re-running it would need patched sources and browser replay mid
-//!   recovery); instead the commit record carries the repair's physical
-//!   effect: per-table row-version deltas (produced by the time-travel
-//!   database's mutation tracker at O(rows changed) — the repair data path
-//!   never snapshots or diffs whole tables), the cancelled-action set, the
-//!   queued conflicts, cookie invalidations and the new generation. A
-//!   `RepairBegin` with no matching commit or abort marks an interrupted
-//!   repair; recovery surfaces it as [`WarpServer::pending_repair`] so the
-//!   administrator can re-run it.
+//! * `LogEvent::RepairBegin` / `LogEvent::RepairCommitSinceBegin` /
+//!   `LogEvent::RepairCommit` / `LogEvent::RepairAbort` — repair is *not*
+//!   replayed on recovery (re-running it would need patched sources and
+//!   browser replay mid recovery); instead the commit record carries the
+//!   repair's physical effect: per-table row-version deltas (produced by
+//!   the time-travel database's mutation tracker at O(rows changed) — the
+//!   repair data path never snapshots or diffs whole tables), the
+//!   cancelled-action set, the queued conflicts, cookie invalidations and
+//!   the new generation. A `RepairBegin` with no matching commit or abort
+//!   marks an interrupted repair; recovery surfaces it as
+//!   [`WarpServer::pending_repair`] so the administrator can re-run it.
+//!   The actions served while a repair ran executed with its generation
+//!   open, so replay holds their writes back until the outcome: a
+//!   `RepairCommitSinceBegin`, whose deltas cover them, drops them; a
+//!   `RepairCommit` (the partitioned engine's, whose deltas do not) and a
+//!   `RepairAbort` replay them first; so does the end of a log whose repair
+//!   is still pending ([`WarpServer::end_of_log`]).
 //! * `LogEvent::Gc` — a garbage-collection cut-off, replayed as-is (GC
 //!   renumbers action IDs, so it must happen at the same point of the
 //!   replayed history).
@@ -88,7 +94,7 @@ use std::collections::BTreeSet;
 use warp_browser::PageVisitRecord;
 use warp_sql::Value as SqlValue;
 use warp_store::{CodecError, Decoder, DurableStore, Encoder, StoreError, StoreResult};
-use warp_ttdb::TableAnnotation;
+use warp_ttdb::{TableAnnotation, TimeTravelDb};
 
 /// Version stamp of the checkpoint payload and record encodings. Bump on
 /// any incompatible change; recovery refuses newer formats loudly instead
@@ -102,6 +108,7 @@ const KIND_REPAIR_COMMIT: u8 = 4;
 const KIND_REPAIR_ABORT: u8 = 5;
 const KIND_GC: u8 = 6;
 const KIND_CREATE_TABLE: u8 = 7;
+const KIND_REPAIR_COMMIT_SINCE_BEGIN: u8 = 8;
 
 /// One record of the durable action log.
 #[derive(Debug, Clone)]
@@ -112,8 +119,16 @@ pub(crate) enum LogEvent {
     ClientLog(PageVisitRecord),
     /// A repair started (crash marker; carries the request for redo).
     RepairBegin(RepairRequest),
-    /// A repair committed; carries its complete physical effect.
+    /// A repair committed; carries its complete physical effect. Its row
+    /// diffs leave out the writes of the actions logged since its
+    /// `RepairBegin`: replay applies those first (the partitioned engine,
+    /// which repairs on clones, and logs written before the walk).
     RepairCommit(RepairCommitRecord),
+    /// A repair committed whose row diffs cover every mutation since its
+    /// `RepairBegin`, the writes of the actions served meanwhile included:
+    /// replay drops those writes (the walks, which repair in the live
+    /// database's repair generation).
+    RepairCommitSinceBegin(RepairCommitRecord),
     /// A repair aborted (only the side effects that survive an abort).
     RepairAbort {
         /// The retroactive patch, which stays applied to the source store
@@ -215,7 +230,9 @@ impl CheckpointMarks {
         match event {
             LogEvent::CreateTable { sql, .. } => self.new_tables.extend(created_table_name(sql)),
             LogEvent::ClientLog(log) => self.new_logs.push((log.client_id.clone(), log.visit_id)),
-            LogEvent::RepairCommit(commit) => self.cancelled.extend(&commit.cancelled),
+            LogEvent::RepairCommit(commit) | LogEvent::RepairCommitSinceBegin(commit) => {
+                self.cancelled.extend(&commit.cancelled)
+            }
             LogEvent::Gc { .. } => self.needs_base = true,
             LogEvent::Action(_) | LogEvent::RepairBegin(_) | LogEvent::RepairAbort { .. } => {}
         }
@@ -489,6 +506,7 @@ wire_variants! {
         KIND_CLIENT_LOG => ClientLog(record),
         KIND_REPAIR_BEGIN => RepairBegin(request),
         KIND_REPAIR_COMMIT => RepairCommit(commit),
+        KIND_REPAIR_COMMIT_SINCE_BEGIN => RepairCommitSinceBegin(commit),
         KIND_REPAIR_ABORT => RepairAbort { patch, cookie_invalidations },
         KIND_GC => Gc { before_time },
         KIND_CREATE_TABLE => CreateTable { sql, annotation },
@@ -915,6 +933,15 @@ pub(crate) fn fold_checkpoint_chain(base: &[u8], deltas: &[Vec<u8>]) -> Option<V
 // The persistent server: open / replay / write path
 // ---------------------------------------------------------------------------
 
+/// Applies one log record to a recovering (or standby) server.
+///
+/// The writes of the actions logged between a `RepairBegin` and its outcome
+/// are held back: the live server executed them in the current generation
+/// while the repair generation was open, which replay cannot reproduce
+/// before it knows the outcome. A `RepairCommitSinceBegin` drops them (its
+/// diff covers them); a legacy `RepairCommit`, a `RepairAbort`, the next
+/// `RepairBegin` or `Gc`, and the end of the log
+/// ([`WarpServer::end_of_log`]) replay them in order.
 fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
     match event {
         LogEvent::Action(event) => {
@@ -932,20 +959,9 @@ fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
                     .pending_cookie_invalidations
                     .remove(&client.client_id);
             }
-            // Re-execute the action's writes at their original times in the
-            // recorded generation; this reproduces the row versions the
-            // original execution created. Reads need no replay.
-            for q in &action.queries {
-                if !q.is_write {
-                    continue;
-                }
-                // Planned per shape, like the execution being replayed: a
-                // tail of one statement with many literals is parsed once.
-                server
-                    .db
-                    .plan(&q.sql)
-                    .and_then(|mut query| server.db.execute_planned(&mut query, q.time, gen))
-                    .map_err(|e| corrupt(format!("replaying `{}`: {e}", q.sql)))?;
+            match server.replay_held.as_mut() {
+                Some(held) => held.push((action.id, gen)),
+                None => replay_writes(&mut server.db, &action, gen)?,
             }
             server.clock.fast_forward(clock_after);
             server.rng_counter = rng_after;
@@ -954,36 +970,24 @@ fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
             restore_actions(&mut server.history, [action.into_owned()])?;
         }
         LogEvent::ClientLog(record) => server.history.upload_client_log(record),
-        LogEvent::RepairBegin(request) => server.pending_repair = Some(request),
+        LogEvent::RepairBegin(request) => {
+            settle_held(server)?;
+            server.replay_held = Some(Vec::new());
+            server.pending_repair = Some(request);
+        }
         LogEvent::RepairCommit(commit) => {
-            server.pending_repair = None;
-            if let Some((patch, from_time)) = &commit.patch {
-                server.sources.apply_retroactive_patch(patch, *from_time);
-            }
-            for (table, remove, add) in &commit.table_diffs {
-                server
-                    .db
-                    .apply_row_diff(table, remove, add)
-                    .map_err(|e| corrupt(format!("applying repair diff to {table}: {e}")))?;
-            }
-            server.db.force_current_generation(commit.current_gen);
-            server.db.raise_synthetic_id_watermark(commit.watermark);
-            for id in commit.cancelled {
-                if let Some(a) = server.history.action_mut(id) {
-                    a.cancelled = true;
-                }
-            }
-            for c in commit.conflicts {
-                server.conflicts.push(c);
-            }
-            server
-                .pending_cookie_invalidations
-                .extend(commit.cookie_invalidations);
+            settle_held(server)?;
+            apply_commit(server, commit)?;
+        }
+        LogEvent::RepairCommitSinceBegin(commit) => {
+            server.replay_held = None;
+            apply_commit(server, commit)?;
         }
         LogEvent::RepairAbort {
             patch,
             cookie_invalidations,
         } => {
+            settle_held(server)?;
             server.pending_repair = None;
             if let Some((patch, from_time)) = &patch {
                 server.sources.apply_retroactive_patch(patch, *from_time);
@@ -993,6 +997,7 @@ fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
                 .extend(cookie_invalidations);
         }
         LogEvent::Gc { before_time } => {
+            settle_held(server)?;
             server.garbage_collect_unlogged(before_time);
         }
         LogEvent::CreateTable { sql, annotation } => {
@@ -1009,6 +1014,60 @@ fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
     Ok(())
 }
 
+/// Re-executes an action's writes at their original times in the recorded
+/// generation; this reproduces the row versions the original execution
+/// created. Reads need no replay.
+fn replay_writes(db: &mut TimeTravelDb, action: &ActionRecord, gen: i64) -> StoreResult<()> {
+    for q in action.queries.iter().filter(|q| q.is_write) {
+        // Planned per shape, like the execution being replayed: a tail of
+        // one statement with many literals is parsed once.
+        db.replay_write(&q.sql, q.time, gen, q.written_row_ids())
+            .map_err(|e| corrupt(format!("replaying `{}`: {e}", q.sql)))?;
+    }
+    Ok(())
+}
+
+/// Replays, in log order, the writes held back since a replayed
+/// `RepairBegin` (see [`apply_event`]).
+fn settle_held(server: &mut WarpServer) -> StoreResult<()> {
+    for (id, gen) in server.replay_held.take().unwrap_or_default() {
+        let action = server
+            .history
+            .action(id)
+            .ok_or_else(|| corrupt(format!("held-back action {id} is not in the history")))?;
+        replay_writes(&mut server.db, action, gen)?;
+    }
+    Ok(())
+}
+
+/// Applies a committed repair's physical effect.
+fn apply_commit(server: &mut WarpServer, commit: RepairCommitRecord) -> StoreResult<()> {
+    server.pending_repair = None;
+    if let Some((patch, from_time)) = &commit.patch {
+        server.sources.apply_retroactive_patch(patch, *from_time);
+    }
+    for (table, remove, add) in &commit.table_diffs {
+        server
+            .db
+            .apply_row_diff(table, remove, add)
+            .map_err(|e| corrupt(format!("applying repair diff to {table}: {e}")))?;
+    }
+    server.db.force_current_generation(commit.current_gen);
+    server.db.raise_synthetic_id_watermark(commit.watermark);
+    for id in commit.cancelled {
+        if let Some(a) = server.history.action_mut(id) {
+            a.cancelled = true;
+        }
+    }
+    for c in commit.conflicts {
+        server.conflicts.push(c);
+    }
+    server
+        .pending_cookie_invalidations
+        .extend(commit.cookie_invalidations);
+    Ok(())
+}
+
 impl WarpServer {
     /// Installs the application and opens its durable store, recovering any
     /// persisted state: the newest checkpoint is restored and the log tail
@@ -1019,6 +1078,19 @@ impl WarpServer {
     /// Recovery requires the same [`AppConfig`] the data was written with
     /// (the schema/seed/install step is replayed from it, not persisted).
     pub fn open(config: ServerConfig) -> StoreResult<(WarpServer, RecoveryReport)> {
+        let (mut server, report) = Self::open_standby(config)?;
+        server.end_of_log()?;
+        Ok((server, report))
+    }
+
+    /// [`WarpServer::open`] for a standby, which goes on applying the
+    /// primary's log ([`WarpServer::apply_replicated`]): the writes of the
+    /// actions served while a logged repair is still pending stay held
+    /// back, since the outcome record that decides them may yet arrive.
+    /// They are not in the database until then, nor in a checkpoint (none
+    /// is cut meanwhile); [`WarpServer::end_of_log`] replays them when the
+    /// standby is promoted.
+    pub fn open_standby(config: ServerConfig) -> StoreResult<(WarpServer, RecoveryReport)> {
         let ServerConfig {
             app,
             backend,
@@ -1061,6 +1133,14 @@ impl WarpServer {
         report.pending_repair = server.pending_repair.is_some();
         server.store = Some(LogSink::Inline(store));
         Ok((server, report))
+    }
+
+    /// Ends a replayed log: the writes of the actions served while its last
+    /// repair ran, held back awaiting an outcome record that never came (a
+    /// crash or a promotion mid-run), are replayed in order. The repair
+    /// stays pending ([`WarpServer::pending_repair`]).
+    pub fn end_of_log(&mut self) -> StoreResult<()> {
+        settle_held(self)
     }
 
     /// Appends one event to the durable log (no-op for in-memory servers).
@@ -1191,6 +1271,7 @@ impl WarpServer {
     /// [`WarpServer::checkpoint_incremental`].
     pub(crate) fn maybe_checkpoint(&mut self) {
         if !self.repair_in_flight
+            && self.replay_held.is_none()
             && self
                 .store
                 .as_ref()
@@ -1919,6 +2000,15 @@ mod tests {
             conflict(K::ActionCancelled, None),
             conflict(K::ReexecutionFailed("boom".into()), Some(9)),
         ];
+        let commit = RepairCommitRecord {
+            patch: Some((patch.clone(), 4)),
+            cancelled: vec![1, 5],
+            conflicts,
+            cookie_invalidations: vec!["c1".into()],
+            current_gen: 2,
+            watermark: -100,
+            table_diffs: vec![("page".into(), vec![sql_values.clone()], vec![sql_values])],
+        };
         let events = [
             LogEvent::ClientLog(log),
             LogEvent::RepairBegin(RepairRequest::RetroactivePatch {
@@ -1930,15 +2020,8 @@ mod tests {
                 visit_id: 3,
                 initiated_by_admin: true,
             }),
-            LogEvent::RepairCommit(RepairCommitRecord {
-                patch: Some((patch, 4)),
-                cancelled: vec![1, 5],
-                conflicts,
-                cookie_invalidations: vec!["c1".into()],
-                current_gen: 2,
-                watermark: -100,
-                table_diffs: vec![("page".into(), vec![sql_values.clone()], vec![sql_values])],
-            }),
+            LogEvent::RepairCommit(commit.clone()),
+            LogEvent::RepairCommitSinceBegin(commit),
             LogEvent::RepairAbort {
                 patch: None,
                 cookie_invalidations: vec!["c2".into(), "c3".into()],
@@ -1974,6 +2057,7 @@ mod tests {
                 (KIND_REPAIR_BEGIN, 49, 0xb48e_7cad_8b4d_b065),
                 (KIND_REPAIR_BEGIN, 16, 0x46b2_3156_4514_3ef0),
                 (KIND_REPAIR_COMMIT, 417, 0x1803_308d_76e6_3898),
+                (KIND_REPAIR_COMMIT_SINCE_BEGIN, 417, 0x1803_308d_76e6_3898),
                 (KIND_REPAIR_ABORT, 17, 0xae17_9eb8_cac9_b88e),
                 (KIND_GC, 8, 0x24b3_1456_53d7_6249),
                 (KIND_CREATE_TABLE, 86, 0x75c7_6c97_3727_0767),

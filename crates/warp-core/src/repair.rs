@@ -20,20 +20,22 @@
 //! 5. **Completion**: the repair generation is finalized (or aborted, for a
 //!    non-admin undo that would cause conflicts for other users).
 //!
-//! A repair is a [`RepairRun`]: started, stepped one repair unit per worker
-//! batch at a time, and committed — so the serving engine keeps answering
-//! requests between steps and pauses only to switch generations.
+//! A repair is a [`RepairRun`]: started, stepped one re-executed action at a
+//! time in the repair generation of the live database, and committed — so
+//! the serving engine keeps answering requests in the current generation
+//! between steps and pauses only to switch generations (§4.3).
 
 use crate::conflict::Conflict;
 use crate::history::ActionId;
 use crate::scheduler::{
-    execute_actions, sort_by_time, PartitionedRepair, RepairEnv, RepairStrategy, Seeds,
+    sort_by_time, PartitionedRepair, RepairEnv, RepairPass, RepairStrategy, Seeds, Walk,
     SYNTHETIC_ID_STRIDE,
 };
 use crate::server::WarpServer;
 use crate::sourcefs::Patch;
 use crate::stats::RepairStats;
 use std::time::Instant;
+use warp_sql::{SqlError, Value};
 use warp_ttdb::RepairSession;
 
 /// How a repair is initiated.
@@ -75,24 +77,30 @@ pub struct RepairOutcome {
     pub reexecuted_actions: Vec<ActionId>,
     /// IDs of the actions that were cancelled, sorted.
     pub cancelled_actions: Vec<ActionId>,
+    /// The error that aborted the repair, if one did: an operation on the
+    /// repair generation failed (merging a partitioned unit's delta, or an
+    /// abort), so the repair could not commit as computed. A failed abort
+    /// leaves the repair generation open.
+    pub error: Option<SqlError>,
 }
 
 /// A repair in progress: started, stepped, committed.
 ///
-/// [`RepairRun::start`] does the cheap part — it logs `RepairBegin`,
-/// applies the patch, picks the seeds and plans the partitions — and leaves
-/// the master database untouched. Each [`RepairRun::step`] advances every
-/// worker batch of the partitioned engine by one repair unit, on clones the
-/// run owns. Between steps the server may keep serving in the current
-/// generation; those requests are logged as ordinary actions.
-/// [`RepairRun::commit`] is the only barrier: actions served since `start`
-/// join the run wherever they meet what it modified (the units they meet
-/// re-run with them), the unit deltas are applied inside the repair
-/// generation, the generation is finalized and `RepairCommit` is logged.
+/// [`RepairRun::start`] logs `RepairBegin`, applies the patch and picks the
+/// seeds; the walks then begin the repair generation on the master
+/// database. With [`RepairStrategy::Frontier`], each [`RepairRun::step`]
+/// re-executes or cancels one action in that generation, and between steps
+/// the server may keep serving in the current generation: those requests
+/// are logged as ordinary actions, and the walk judges them at its tail
+/// like any other action. [`RepairRun::commit`] is the only barrier: it
+/// walks whatever is left, finalizes the generation (or, for a non-admin
+/// repair with conflicts, aborts it) and logs `RepairCommit` (or
+/// `RepairAbort`), whose row diff covers every mutation since
+/// `RepairBegin`, the served ones included.
 ///
-/// A repair whose plan has at most one unit runs in place on the master
-/// database, and [`RepairStrategy::Sequential`] walks the whole history in
-/// place: both have no step and do all their work in `commit`.
+/// [`RepairStrategy::Sequential`] has no step: it walks the whole history
+/// in `commit`. The partitioned strategies step their units on clones and
+/// leave the master database untouched until the commit merges them.
 ///
 /// Between `start` and `commit` the caller must not checkpoint, collect
 /// garbage or upload client logs; the [`crate::Warp`] engine commits the
@@ -130,14 +138,28 @@ pub struct RepairRun {
     floor: ActionId,
     /// The master's synthetic-ID watermark at `start`.
     watermark: i64,
-    /// The partitioned engine; `None` runs the sequential engine.
-    partitioned: Option<PartitionedRepair>,
+    engine: Engine,
+    /// Every table's rows before the repair touched the master, for the
+    /// snapshot-diff reference commit (`reference_snapshot_commit`).
+    pre_snapshot: Option<Vec<(String, Vec<Vec<Value>>)>>,
+}
+
+/// What a [`RepairRun`] executes.
+enum Engine {
+    /// A walk on the master database, in the repair generation it began at
+    /// `start`. `ready` once no step is left (at once for the sequential
+    /// engine, which walks in `commit`).
+    Walk { walk: Box<Walk>, ready: bool },
+    /// The partitioned engine.
+    Partitioned(Box<PartitionedRepair>),
 }
 
 impl RepairRun {
     /// Starts a repair on `server`: logs `RepairBegin` (on a persistent
-    /// server), applies the retroactive patch, picks the seed actions and
-    /// plans the partitions. The master database is not touched.
+    /// server), applies the retroactive patch and picks the seed actions.
+    /// A walk then begins the repair generation on the master database and
+    /// takes the seeds as its first candidates; the partitioned engine
+    /// plans its partitions and leaves the master database untouched.
     pub fn start(
         server: &mut WarpServer,
         request: RepairRequest,
@@ -189,21 +211,48 @@ impl RepairRun {
         };
         stats.time_init = t_init.elapsed();
 
-        // Phase 2: load the graph (totals for reporting) and plan.
+        // Phase 2: load the graph (totals for reporting) and plan: a walk
+        // begins its repair generation now, on the master database.
+        let pre_snapshot = match strategy.clone_scope() {
+            None => reference_snapshot(server, &mut stats),
+            Some(_) => None,
+        };
         let t_graph = Instant::now();
         stats.app_runs_total = server.history.len();
         stats.queries_total = server.history.queries_total();
         stats.page_visits_total = server.history.page_visits_total();
         stats.workers = strategy.worker_count();
-        let partitioned = strategy.clone_scope().map(|scope| {
-            PartitionedRepair::plan(
+        let engine = match strategy.clone_scope() {
+            Some(scope) => Engine::Partitioned(Box::new(PartitionedRepair::plan(
                 &server.history,
                 &server.db,
                 &seeds,
                 strategy.worker_count(),
                 scope,
-            )
-        });
+            ))),
+            None => {
+                let sequential = strategy == RepairStrategy::Sequential;
+                let (env, db) = server.repair_parts();
+                let mut session = if sequential {
+                    RepairSession::begin(db)
+                } else {
+                    RepairSession::begin_precise(db)
+                };
+                session.set_column_oblivious(env.column_oblivious);
+                let walk = if sequential {
+                    let mut order: Vec<ActionId> =
+                        env.history.actions().iter().map(|a| a.id).collect();
+                    sort_by_time(env.history, &mut order);
+                    Walk::scan(&env, session, &order, &seeds, false)
+                } else {
+                    Walk::frontier(&env, session, &seeds)
+                };
+                Engine::Walk {
+                    walk: Box::new(walk),
+                    ready: sequential,
+                }
+            }
+        };
         stats.time_graph = t_graph.elapsed();
         RepairRun {
             request,
@@ -214,7 +263,8 @@ impl RepairRun {
             started,
             floor: server.history.len() as ActionId,
             watermark: server.db.synthetic_id_watermark(),
-            partitioned,
+            engine,
+            pre_snapshot,
         }
     }
 
@@ -227,88 +277,71 @@ impl RepairRun {
 
     /// True when no step is left and the run is ready to commit.
     pub fn is_ready(&self) -> bool {
-        self.partitioned
-            .as_ref()
-            .is_none_or(|p| p.in_place() || p.is_done())
+        match &self.engine {
+            Engine::Walk { ready, .. } => *ready,
+            Engine::Partitioned(p) => p.in_place() || p.is_done(),
+        }
     }
 
-    /// Runs the next step — every worker batch advances by one repair unit,
-    /// on its clone — and returns true while steps remain. Returns false
-    /// at once when the run is ready to commit.
+    /// Runs the next step — the frontier walk re-executes or cancels one
+    /// action; the partitioned engine advances every worker batch by one
+    /// repair unit, on its clone — and returns true while steps remain.
+    /// Returns false at once when the run is ready to commit.
     pub fn step(&mut self, server: &mut WarpServer) -> bool {
         if self.is_ready() {
             return false;
         }
-        let partitioned = self.partitioned.as_mut().expect("a stepped run");
         let (env, db) = server.repair_parts();
-        partitioned.step(&env, db, &self.seeds)
+        match &mut self.engine {
+            Engine::Walk { walk, ready } => {
+                *ready = !walk.step(&env, db);
+                !*ready
+            }
+            Engine::Partitioned(partitioned) => partitioned.step(&env, db, &self.seeds),
+        }
     }
 
-    /// True when foreground inserts served since `start` are about to use
-    /// up the synthetic-ID headroom below the repair's own ranges: commit
-    /// the run before serving another request.
+    /// True when the partitioned engine must commit before the server
+    /// serves another request: foreground inserts served since `start`
+    /// are about to use up the synthetic-ID headroom below its clones'
+    /// ranges. The walks share the master's allocator and never must.
     pub fn must_commit(&self, server: &WarpServer) -> bool {
-        server.db.synthetic_id_watermark() - self.watermark >= SYNTHETIC_ID_STRIDE / 2
+        matches!(self.engine, Engine::Partitioned(_))
+            && server.db.synthetic_id_watermark() - self.watermark >= SYNTHETIC_ID_STRIDE / 2
     }
 
-    /// Commits the run: the barrier. Any step left runs first. Actions
-    /// served since `start` join the units whose modified partitions (or
-    /// replayed page visits) they meet, and those units re-run with them —
-    /// or, when an action meets two units or a re-run escalates, the repair
-    /// is re-planned over the whole history. Then the unit deltas are
-    /// applied inside the repair generation, the generation is finalized
-    /// (or, for a non-admin repair with conflicts, aborted) and
-    /// `RepairCommit` (or `RepairAbort`) is logged.
+    /// Commits the run: the barrier. Any step left runs first. A walk then
+    /// walks whatever is left, the actions served since its last step
+    /// included. The partitioned engine folds in the actions served since
+    /// `start`: they join the units whose modified partitions (or replayed
+    /// page visits) they meet, and those units re-run with them — or, when
+    /// an action meets two units or a re-run escalates, the repair is
+    /// re-planned over the whole history; the unit deltas are then applied
+    /// inside the repair generation. Then the generation is finalized (or,
+    /// for a non-admin repair with conflicts or after an error, aborted)
+    /// and `RepairCommit` (or `RepairAbort`) is logged.
     pub fn commit(mut self, server: &mut WarpServer) -> RepairOutcome {
         while self.step(server) {}
         let mut stats = self.stats;
-        // Test-only reference implementation (`reference_snapshot_commit`):
-        // snapshot every table before the repair touches the master and
-        // diff afterwards, the O(database) strategy the tracker replaced.
-        // Kept compiled in — mirroring `RepairStrategy::PartitionedFullClone`
-        // — so equivalence of the two commit paths is provable byte for
-        // byte.
-        let pre_snapshot: Option<Vec<(String, Vec<Vec<warp_sql::Value>>)>> =
-            if server.store.is_some() && server.reference_snapshot_commit {
-                let t_commit = Instant::now();
-                let snapshot = server
-                    .db
-                    .table_names()
-                    .into_iter()
-                    .map(|t| {
-                        let rows = server.db.table_rows_snapshot(&t);
-                        (t, rows)
-                    })
-                    .collect();
-                stats.time_commit += t_commit.elapsed();
-                Some(snapshot)
-            } else {
-                None
-            };
+        // The partitioned engine touches the master only from here on.
+        let pre_snapshot =
+            (self.pre_snapshot.take()).or_else(|| reference_snapshot(server, &mut stats));
 
-        // Phase 3: re-execution — in place, or folding in what was served
-        // since `start` and merging the partitioned engine's unit deltas.
+        // Phase 3: re-execution — the rest of the walk, or folding in what
+        // was served since `start` and merging the partitioned engine's
+        // unit deltas.
         let floor = self.floor;
+        let since_begin = matches!(self.engine, Engine::Walk { .. });
         let run = {
             let (env, db) = server.repair_parts();
-            match self.partitioned.take() {
-                None => {
-                    let mut order: Vec<ActionId> =
-                        env.history.actions().iter().map(|a| a.id).collect();
-                    sort_by_time(env.history, &mut order);
-                    let mut session = RepairSession::begin(db);
-                    session.set_column_oblivious(env.column_oblivious);
-                    execute_actions(
-                        &env,
-                        db,
-                        session,
-                        &order,
-                        &self.seeds.reexecute,
-                        &self.seeds.cancel,
-                        false,
-                    )
+            match self.engine {
+                Engine::Walk { mut walk, .. } => {
+                    walk.run(&env, db);
+                    let run = walk.finish();
+                    stats.joined = run.stats.joined;
+                    run
                 }
-                Some(mut partitioned) => {
+                Engine::Partitioned(mut partitioned) => {
                     let mut carried = (0, 0);
                     let replan = if partitioned.in_place() {
                         // Served between `start` and `commit`: the one
@@ -322,7 +355,7 @@ impl RepairRun {
                         true
                     };
                     if replan {
-                        partitioned = PartitionedRepair::plan(
+                        *partitioned = PartitionedRepair::plan(
                             env.history,
                             db,
                             &self.seeds,
@@ -342,43 +375,54 @@ impl RepairRun {
             }
         };
         stats.served_during = server.history.len() - floor as usize;
+        let RepairPass {
+            stats: pass_stats,
+            conflicts,
+            cancelled,
+            reexecuted,
+            cookie_invalidations,
+            mut error,
+            ..
+        } = run;
 
         // Phase 5: completion — the repaired state becomes visible (or the
         // repair generation is discarded) atomically.
         let t_ctrl = Instant::now();
-        stats.page_visits_reexecuted = run.stats.page_visits_reexecuted;
-        stats.app_runs_reexecuted = run.stats.app_runs_reexecuted;
-        stats.queries_reexecuted = run.stats.queries_reexecuted;
-        stats.rows_rolled_back = run.stats.rows_rolled_back;
-        stats.actions_cancelled = run.stats.actions_cancelled;
-        stats.time_db = run.stats.time_db;
-        stats.time_app = run.stats.time_app;
-        stats.time_browser = run.stats.time_browser;
-        stats.conflicts = run.conflicts.len();
-        let aborted = !self.initiated_by_admin && !run.conflicts.is_empty();
+        stats.page_visits_reexecuted = pass_stats.page_visits_reexecuted;
+        stats.app_runs_reexecuted = pass_stats.app_runs_reexecuted;
+        stats.queries_reexecuted = pass_stats.queries_reexecuted;
+        stats.rows_rolled_back = pass_stats.rows_rolled_back;
+        stats.actions_cancelled = pass_stats.actions_cancelled;
+        stats.time_db = pass_stats.time_db;
+        stats.time_app = pass_stats.time_app;
+        stats.time_browser = pass_stats.time_browser;
+        stats.conflicts = conflicts.len();
+        let aborted = error.is_some() || (!self.initiated_by_admin && !conflicts.is_empty());
         if aborted {
             // The abort also discards the tracked mutation delta.
-            let _ = server.db.abort_repair_generation();
+            if let Err(e) = server.db.abort_repair_generation() {
+                error.get_or_insert(e);
+            }
         } else {
             server.db.finalize_repair_generation();
-            for &id in &run.cancelled {
+            for &id in &cancelled {
                 if let Some(a) = server.history.action_mut(id) {
                     a.cancelled = true;
                 }
             }
-            for c in &run.conflicts {
+            for c in &conflicts {
                 server.conflicts.push(c.clone());
             }
         }
         server
             .pending_cookie_invalidations
-            .extend(run.cookie_invalidations.iter().cloned());
+            .extend(cookie_invalidations.iter().cloned());
 
         // Build the committed repair's physical write set. The tracker was
         // fed by every mutation path — re-executed writes, rollbacks,
-        // generation bookkeeping, merged unit deltas, even writes that
-        // errored after their phase-2 rollback — so the commit record can
-        // never miss a mutation.
+        // generation bookkeeping, merged unit deltas, writes served while
+        // the generation was open, even writes that errored after their
+        // phase-2 rollback — so the commit record can never miss one.
         let t_commit = Instant::now();
         let delta = if aborted {
             warp_ttdb::RepairDelta::new()
@@ -396,8 +440,7 @@ impl RepairRun {
                 }
                 RepairRequest::UndoVisit { .. } => None,
             };
-            let cookie_invalidations: Vec<String> =
-                run.cookie_invalidations.iter().cloned().collect();
+            let cookie_invalidations: Vec<String> = cookie_invalidations.iter().cloned().collect();
             server.pending_repair = None;
             if aborted {
                 server.log_event(&crate::persist::LogEvent::RepairAbort {
@@ -436,14 +479,18 @@ impl RepairRun {
                 };
                 let commit = crate::persist::RepairCommitRecord {
                     patch,
-                    cancelled: run.cancelled.iter().copied().collect(),
-                    conflicts: run.conflicts.clone(),
+                    cancelled: cancelled.iter().copied().collect(),
+                    conflicts: conflicts.clone(),
                     cookie_invalidations,
                     current_gen: server.db.current_generation(),
                     watermark: server.db.synthetic_id_watermark(),
                     table_diffs,
                 };
-                server.log_event(&crate::persist::LogEvent::RepairCommit(commit));
+                server.log_event(&if since_begin {
+                    crate::persist::LogEvent::RepairCommitSinceBegin(commit)
+                } else {
+                    crate::persist::LogEvent::RepairCommit(commit)
+                });
             }
         }
         // Close the commit-time span before any checkpoint: a due
@@ -456,16 +503,40 @@ impl RepairRun {
             server.maybe_checkpoint();
         }
 
-        stats.time_ctrl = run.stats.time_ctrl + t_ctrl.elapsed();
+        stats.time_ctrl = pass_stats.time_ctrl + t_ctrl.elapsed();
         stats.time_total = self.started.elapsed();
         RepairOutcome {
             stats,
-            conflicts: run.conflicts,
+            conflicts,
             aborted,
-            reexecuted_actions: run.reexecuted.into_iter().collect(),
-            cancelled_actions: run.cancelled.into_iter().collect(),
+            reexecuted_actions: reexecuted.into_iter().collect(),
+            cancelled_actions: cancelled.into_iter().collect(),
+            error,
         }
     }
+}
+
+/// Test-only reference implementation (`reference_snapshot_commit`):
+/// every table's rows before the repair touches the master, to diff
+/// against at the commit — the O(database) strategy the tracker replaced,
+/// kept compiled in so equivalence of the two commit paths is provable
+/// byte for byte. The time goes to `time_commit`.
+fn reference_snapshot(
+    server: &WarpServer,
+    stats: &mut RepairStats,
+) -> Option<Vec<(String, Vec<Vec<Value>>)>> {
+    if server.store.is_none() || !server.reference_snapshot_commit {
+        return None;
+    }
+    let t_commit = Instant::now();
+    let snapshot = (server.db.table_names().into_iter())
+        .map(|t| {
+            let rows = server.db.table_rows_snapshot(&t);
+            (t, rows)
+        })
+        .collect();
+    stats.time_commit += t_commit.elapsed();
+    Some(snapshot)
 }
 
 impl std::fmt::Debug for RepairRun {
@@ -493,12 +564,13 @@ impl WarpServer {
     /// nothing served in between.
     ///
     /// [`RepairStrategy::Sequential`] walks the whole history in time order
-    /// on one thread, in place. [`RepairStrategy::Partitioned`] splits the
-    /// history into independent dependency partitions (see
-    /// [`crate::scheduler`]), re-executes the seeded partitions concurrently
-    /// on a worker pool, and merges the results; it produces the same final
-    /// state, re-executed action set and cancelled action set as the
-    /// sequential engine.
+    /// on one thread, in place. [`RepairStrategy::Frontier`] walks only the
+    /// actions the partition index finds depending on what the repair
+    /// modified (see [`crate::scheduler`]). [`RepairStrategy::Partitioned`]
+    /// splits the history into independent dependency partitions,
+    /// re-executes the seeded partitions concurrently on a worker pool, and
+    /// merges the results. All produce the same final state, re-executed
+    /// action set and cancelled action set as the sequential engine.
     pub fn repair_with(
         &mut self,
         request: RepairRequest,
@@ -508,7 +580,7 @@ impl WarpServer {
     }
 
     /// The repair context and the master database, borrowed apart.
-    fn repair_parts(&mut self) -> (RepairEnv<'_>, &mut warp_ttdb::TimeTravelDb) {
+    pub(crate) fn repair_parts(&mut self) -> (RepairEnv<'_>, &mut warp_ttdb::TimeTravelDb) {
         let env = RepairEnv {
             sources: &self.sources,
             router: &self.router,
@@ -757,6 +829,48 @@ mod tests {
         assert_eq!(
             before.body, after.body,
             "aborted repair must not change state"
+        );
+    }
+
+    /// A non-admin undo with conflicts aborts; when the abort itself fails
+    /// (a stored version the generations do not account for collides with
+    /// the version it restores), the outcome names the error.
+    #[test]
+    fn a_failed_abort_is_reported_in_the_outcome() {
+        let mut server = WarpServer::new(vulnerable_wiki());
+        let mut user = Browser::new("user-1");
+        let mut visit = user.visit("/view.wasl?title=Main", &mut server);
+        user.fill(&mut visit, "body", "user-1 content");
+        let _ = user.submit_form(&mut visit, "/edit.wasl", &mut server);
+        server.upload_client_logs(user.take_logs());
+        let mut req = HttpRequest::get("/view.wasl?title=Main");
+        req.warp.client_id = Some("user-2".to_string());
+        req.warp.visit_id = Some(1);
+        req.warp.request_id = Some(0);
+        server.handle(req);
+        let request = RepairRequest::UndoVisit {
+            client_id: "user-1".to_string(),
+            visit_id: visit.visit_id,
+            initiated_by_admin: false,
+        };
+        let mut run = RepairRun::start(&mut server, request, RepairStrategy::with_workers(1));
+        while run.step(&mut server) {}
+        let mut stray = server.db.raw().table("page").unwrap().rows()[0].clone();
+        stray[0] = warp_sql::Value::Int(99);
+        let width = stray.len();
+        stray[width - 4..].clone_from_slice(&[
+            warp_sql::Value::Int(0),
+            warp_sql::Value::Int(warp_ttdb::INF_TIME),
+            warp_sql::Value::Int(0),
+            warp_sql::Value::Int(warp_ttdb::INF_GEN),
+        ]);
+        server.db.apply_row_diff("page", &[], &[stray]).unwrap();
+        let outcome = run.commit(&mut server);
+        assert!(outcome.aborted);
+        assert!(
+            matches!(outcome.error, Some(SqlError::UniqueViolation { .. })),
+            "{:?}",
+            outcome.error
         );
     }
 }

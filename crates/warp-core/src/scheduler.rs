@@ -1,39 +1,34 @@
-//! The partitioned parallel repair scheduler.
+//! The repair walk and the partitioned parallel repair scheduler.
 //!
-//! The paper's scalability argument (§6–§8) is that repair cost tracks the
-//! *attack's footprint*, not history size: actions whose partition-level
-//! dependencies never meet cannot affect each other during repair, so their
-//! re-execution order is irrelevant and they can be repaired concurrently.
-//! This module makes that argument operational:
+//! The paper's repair (§4) rolls back and re-executes in time order, and
+//! touches only what depends on what changed. `Walk` is that loop —
+//! rollback, selective query re-execution, full application re-execution
+//! and browser replay — as a resumable state machine over the history:
 //!
-//! 1. `plan_partitions` builds an explicit partition graph over the action
-//!    history using the partition index ([`HistoryGraph::partition_index`])
-//!    and groups actions into independent dependency components (union-find
-//!    over partition hubs, whole-table hubs and page-visit links).
-//! 2. `execute_actions` is the repair loop itself — rollback, selective
-//!    query re-execution, full application re-execution and browser replay —
-//!    extracted from the classic controller so the same code drives both the
-//!    sequential engine (one pass over the whole history, in place) and each
-//!    per-partition worker (a pass over one group, against a cloned
-//!    database).
-//! 3. `PartitionedRepair` re-executes the seeded groups as a stepper: each
-//!    step advances every worker batch by one repair unit, on the batch's
-//!    clone of the database, concurrently on a scoped `std::thread` pool, so
-//!    the engine can serve requests between steps. A round that finishes
-//!    checks for cross-partition conflicts (re-execution that touched
-//!    partitions outside its own group) and escalates by merging the
-//!    conflicting groups and re-running them. At commit, actions served
-//!    since the plan join the units whose modified partitions they meet
-//!    (those units re-run with them), and each unit's mutation-tracked
-//!    delta — the exact row versions its repair removed and added, drained
-//!    from its clone — is applied back onto the master database. No
-//!    snapshots or whole-table diffs are taken anywhere: merge cost is
-//!    O(rows changed).
+//! * **The frontier walk** ([`RepairStrategy::Frontier`]) visits only
+//!   candidates, in `(time, id)` order: the seeds, then every action the
+//!   history's partition index finds touching a partition the repair has
+//!   modified, once it is modified, if the action comes after the cursor.
+//!   It never scans the whole history, and it runs on the master database
+//!   inside the repair generation, one re-executed or cancelled action per
+//!   step, so the engine serves current-generation requests between steps.
+//!   Actions served meanwhile are judged at the walk's tail like any other.
+//! * **The scanning walk** visits every action in time order: the classic
+//!   [`RepairStrategy::Sequential`] engine (with the classic, whole-table
+//!   rollback session), and each unit of the partitioned engine.
 //!
-//! Per-partition re-execution stays equivalent to the global time order
-//! because groups are closed under the recorded dependency relation, and any
-//! *new* dependency surfaced by patched code is caught by the escalation
-//! check before the merge is applied.
+//! Both give the same repair over the same history: an action the scan
+//! would change something for has a query whose dependency meets the
+//! modified set, so the index finds it as soon as the set does.
+//!
+//! The partitioned engine (`plan_partitions`, `PartitionedRepair`) is the
+//! older design: it groups the history into independent dependency
+//! components (union-find over partition hubs, whole-table hubs and
+//! page-visit links), walks the seeded groups on clones of the database,
+//! concurrently, and merges the clones' mutation-tracked deltas into the
+//! master at commit. It is reachable through
+//! [`RepairStrategy::Partitioned`] and
+//! [`RepairStrategy::PartitionedFullClone`] only.
 
 use crate::apphost::{run_application, AppRunContext, AppRunResult, ExecMode};
 use crate::conflict::{Conflict, ConflictKind};
@@ -45,6 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 use warp_browser::{replay_visit, ReplayConfig, ReplayOutcome};
 use warp_http::{HttpRequest, HttpResponse, Router, Transport};
+use warp_sql::SqlError;
 use warp_ttdb::{PartitionKey, PartitionSet, RepairDelta, RepairSession, RowScope, TimeTravelDb};
 
 /// How a repair is executed.
@@ -53,6 +49,15 @@ pub enum RepairStrategy {
     /// The classic engine: one thread walks the entire action history in
     /// time order, re-executing in place.
     Sequential,
+    /// The frontier walk: one stepped walk over the candidates only, on the
+    /// master database inside its repair generation, serving between steps
+    /// (see the [module documentation](self)). `workers` is the requested
+    /// worker count, reported in [`RepairStats::workers`]; the walk itself
+    /// runs on the calling thread.
+    Frontier {
+        /// The worker count reported in [`RepairStats::workers`] (min 1).
+        workers: usize,
+    },
     /// The partitioned engine: the history is split into independent
     /// dependency partitions which are re-executed concurrently on `workers`
     /// threads and merged. `workers: 1` still exercises the full
@@ -81,11 +86,11 @@ pub enum RepairStrategy {
 
 impl RepairStrategy {
     /// The strategy a repair worker count selects: `0` runs the sequential
-    /// engine, `n` the partitioned one on `n` workers.
+    /// engine, `n` the frontier walk.
     pub fn with_workers(workers: usize) -> Self {
         match workers {
             0 => RepairStrategy::Sequential,
-            workers => RepairStrategy::Partitioned { workers },
+            workers => RepairStrategy::Frontier { workers },
         }
     }
 
@@ -93,16 +98,17 @@ impl RepairStrategy {
     pub fn worker_count(&self) -> usize {
         match self {
             RepairStrategy::Sequential => 0,
-            RepairStrategy::Partitioned { workers }
+            RepairStrategy::Frontier { workers }
+            | RepairStrategy::Partitioned { workers }
             | RepairStrategy::PartitionedFullClone { workers } => (*workers).max(1),
         }
     }
 
     /// How the partitioned engine's batches clone the master database;
-    /// `None` for the sequential engine.
+    /// `None` for the walks.
     pub(crate) fn clone_scope(&self) -> Option<CloneScope> {
         match self {
-            RepairStrategy::Sequential => None,
+            RepairStrategy::Sequential | RepairStrategy::Frontier { .. } => None,
             RepairStrategy::Partitioned { .. } => Some(CloneScope::Footprint),
             RepairStrategy::PartitionedFullClone { .. } => Some(CloneScope::Full),
         }
@@ -130,7 +136,7 @@ pub(crate) struct RepairEnv<'a> {
     pub column_oblivious: bool,
 }
 
-/// Everything one repair pass (sequential, or one partition group) produced.
+/// Everything one repair pass (a walk, or one partition group) produced.
 /// Mutations of shared server state (history cancellation flags, the
 /// conflict queue, cookie invalidations) are collected here and applied by
 /// the controller after the pass, so passes can run against clones.
@@ -142,7 +148,7 @@ pub(crate) struct RepairPass {
     pub reexecuted: BTreeSet<ActionId>,
     pub cookie_invalidations: BTreeSet<String>,
     /// Partition sets of every query actually executed during the pass
-    /// (collected only for partitioned runs; used for escalation checks).
+    /// (collected only for partitioned units; used for escalation checks).
     pub dynamic_deps: Vec<PartitionSet>,
     /// Tables whose stored rows this pass may have mutated.
     pub touched_tables: BTreeSet<String>,
@@ -152,6 +158,8 @@ pub(crate) struct RepairPass {
     pub modified: Vec<PartitionSet>,
     /// Page visits the pass replayed in the server-side browser.
     pub replayed_visits: BTreeSet<(String, u64)>,
+    /// The error that stopped the repair: it aborts instead of committing.
+    pub error: Option<SqlError>,
 }
 
 /// A transport handed to the server-side re-execution browser. Requests the
@@ -172,46 +180,290 @@ impl Transport for CollectingTransport {
     }
 }
 
-/// Runs the repair loop over `order` (action IDs in time order): actions in
-/// `seed_reexecute` are re-executed with patched code, actions in
-/// `seed_cancel` are rolled back and cancelled, and every other action is
-/// selectively re-executed only where its recorded dependencies intersect
-/// the partitions modified so far (paper §4).
-pub(crate) fn execute_actions(
-    env: &RepairEnv<'_>,
-    db: &mut TimeTravelDb,
-    mut session: RepairSession,
-    order: &[ActionId],
-    seed_reexecute: &BTreeSet<ActionId>,
-    seed_cancel: &BTreeSet<ActionId>,
+/// The repair loop as a resumable walk (paper §4): actions queued for
+/// re-execution run again with patched code, actions queued for
+/// cancellation are rolled back and cancelled, and every other visited
+/// action is selectively re-executed only where its recorded dependencies
+/// meet the partitions modified so far. See the [module
+/// documentation](self) for the two ways the candidates are chosen.
+pub(crate) struct Walk {
+    session: RepairSession,
+    to_reexecute: BTreeSet<ActionId>,
+    to_cancel: BTreeSet<ActionId>,
+    request_overrides: BTreeMap<ActionId, HttpRequest>,
+    pass: RepairPass,
     collect_dynamic: bool,
-) -> RepairPass {
-    let mut run = RepairPass::default();
-    let mut to_reexecute: BTreeSet<ActionId> = order
-        .iter()
-        .filter(|id| seed_reexecute.contains(id))
-        .copied()
-        .collect();
-    let mut to_cancel: BTreeSet<ActionId> = order
-        .iter()
-        .filter(|id| seed_cancel.contains(id))
-        .copied()
-        .collect();
-    let mut request_overrides: BTreeMap<ActionId, HttpRequest> = BTreeMap::new();
-    let mut reexecuted_visits: BTreeSet<(String, u64)> = BTreeSet::new();
+    /// The actions still to visit, by `(time, id)`; all after `cursor`.
+    candidates: BTreeSet<(i64, ActionId)>,
+    /// The last action visited.
+    cursor: (i64, ActionId),
+    /// `None` for the scanning walk; for the frontier walk, what of the
+    /// modified set the candidates were grown from.
+    frontier: Option<Grown>,
+    /// Actions with smaller IDs were candidates from the start or have been
+    /// checked against the whole modified set.
+    checked: ActionId,
+    /// The first action recorded after the walk began.
+    floor: ActionId,
+}
 
-    for &id in order {
+/// What of the session's modified set the frontier walk has looked up in
+/// the history's partition index: a partition (or table) once looked up
+/// needs no second look, since the actions it finds after the cursor were
+/// all made candidates then.
+#[derive(Default)]
+struct Grown {
+    /// Dirty regions of the session already looked up.
+    regions: usize,
+    keys: BTreeSet<PartitionKey>,
+    /// Tables modified as a whole: every partition of them is looked up.
+    whole: BTreeSet<String>,
+    /// Tables with any modification: their whole-table readers and writers
+    /// are looked up.
+    tables: BTreeSet<String>,
+}
+
+impl Walk {
+    /// The scanning walk over `order` (action IDs in time order): every
+    /// listed action is visited, the seeds among them re-executed or
+    /// cancelled.
+    pub(crate) fn scan(
+        env: &RepairEnv<'_>,
+        session: RepairSession,
+        order: &[ActionId],
+        seeds: &Seeds,
+        collect_dynamic: bool,
+    ) -> Self {
+        let in_order = |set: &BTreeSet<ActionId>| -> BTreeSet<ActionId> {
+            order
+                .iter()
+                .filter(|id| set.contains(id))
+                .copied()
+                .collect()
+        };
+        let mut walk = Walk::new(session, in_order(&seeds.reexecute), in_order(&seeds.cancel));
+        walk.collect_dynamic = collect_dynamic;
+        walk.candidates = order.iter().map(|&id| key(env.history, id)).collect();
+        walk.checked = env.history.len() as ActionId;
+        walk.floor = walk.checked;
+        walk
+    }
+
+    /// The frontier walk from `seeds`, over the history as it is now and
+    /// as it grows.
+    pub(crate) fn frontier(env: &RepairEnv<'_>, session: RepairSession, seeds: &Seeds) -> Self {
+        let mut walk = Walk::new(session, seeds.reexecute.clone(), seeds.cancel.clone());
+        walk.candidates = (seeds.reexecute.iter().chain(&seeds.cancel))
+            .filter(|&&id| env.history.action(id).is_some())
+            .map(|&id| key(env.history, id))
+            .collect();
+        walk.frontier = Some(Grown::default());
+        walk.checked = env.history.len() as ActionId;
+        walk.floor = walk.checked;
+        walk
+    }
+
+    fn new(
+        session: RepairSession,
+        to_reexecute: BTreeSet<ActionId>,
+        to_cancel: BTreeSet<ActionId>,
+    ) -> Self {
+        Walk {
+            session,
+            to_reexecute,
+            to_cancel,
+            request_overrides: BTreeMap::new(),
+            pass: RepairPass::default(),
+            collect_dynamic: false,
+            candidates: BTreeSet::new(),
+            cursor: (i64::MIN, 0),
+            frontier: None,
+            checked: 0,
+            floor: 0,
+        }
+    }
+
+    /// Visits candidates until one of them re-executes or cancels
+    /// something, or none is left once the actions recorded since the last
+    /// look have been checked (see [`Walk::fold_recorded`]). Returns true
+    /// while candidates may remain.
+    pub(crate) fn step(&mut self, env: &RepairEnv<'_>, db: &mut TimeTravelDb) -> bool {
+        loop {
+            // Actions recorded since the last look come after every action
+            // recorded before it: they are looked at before the walk
+            // reaches the first of them (growth may have made one a
+            // candidate) or runs out.
+            if (self.candidates.first()).is_none_or(|&(_, id)| id >= self.checked) {
+                self.fold_recorded(env.history, db);
+            }
+            let Some(next) = self.candidates.pop_first() else {
+                return false;
+            };
+            self.cursor = next;
+            if next.1 >= self.floor {
+                self.pass.stats.joined += 1;
+            }
+            let worked = self.visit(env, db, next.1);
+            if self.pass.error.is_some() {
+                self.candidates.clear();
+                return false;
+            }
+            self.grow(env.history);
+            if worked {
+                return true;
+            }
+        }
+    }
+
+    /// Walks every candidate left, the actions recorded meanwhile included.
+    pub(crate) fn run(&mut self, env: &RepairEnv<'_>, db: &mut TimeTravelDb) {
+        while self.step(env, db) {}
+    }
+
+    /// Makes the actions recorded since the last look candidates: every
+    /// one for the scanning walk; for the frontier walk, those whose
+    /// partition footprint meets the whole modified set or that belong to
+    /// a page visit the walk replayed. An action whose current-generation
+    /// write had to stay out of the repair generation
+    /// ([`TimeTravelDb::take_held_out`]) is queued for full re-execution.
+    fn fold_recorded(&mut self, history: &HistoryGraph, db: &mut TimeTravelDb) {
+        let held = db.take_held_out();
+        let recorded = history
+            .actions()
+            .get(self.checked as usize..)
+            .unwrap_or(&[]);
+        if recorded.is_empty() && held.is_empty() {
+            return;
+        }
+        // The scanning walk takes every action and needs no index.
+        let regions = self.session.modified_regions();
+        let modified = (self.frontier.is_some())
+            .then(|| ModifiedIndex::new(regions.iter().map(|r| &r.partitions)));
+        for action in recorded {
+            let meets = modified.as_ref().is_none_or(|modified| {
+                action.client.as_ref().is_some_and(|c| {
+                    (self.pass.replayed_visits).contains(&(c.client_id.clone(), c.visit_id))
+                }) || modified.overlaps_any(&action.partition_footprint().collect::<Vec<_>>())
+            });
+            let wrote_held = action.queries.iter().any(|q| {
+                q.is_write
+                    && held.iter().any(|(table, id)| {
+                        q.dependency.table.eq_ignore_ascii_case(table)
+                            && q.written_row_ids().contains(id)
+                    })
+            });
+            if wrote_held {
+                self.to_reexecute.insert(action.id);
+            }
+            if (meets || wrote_held) && (action.time, action.id) > self.cursor {
+                self.candidates.insert((action.time, action.id));
+            }
+        }
+        self.checked = history.len() as ActionId;
+    }
+
+    /// The frontier walk's growth: the actions after the cursor that the
+    /// partition index finds touching what the session modified since the
+    /// last look become candidates.
+    fn grow(&mut self, history: &HistoryGraph) {
+        let Some(grown) = self.frontier.as_mut() else {
+            return;
+        };
+        let regions = &self.session.modified_regions()[grown.regions..];
+        if regions.is_empty() {
+            return;
+        }
+        grown.regions += regions.len();
+        let index = history.partition_index();
+        let cursor = self.cursor;
+        let candidates = &mut self.candidates;
+        let mut visit = |ids: &[ActionId]| {
+            for &id in ids {
+                let k = key(history, id);
+                if k > cursor {
+                    candidates.insert(k);
+                }
+            }
+        };
+        for region in regions {
+            let (table, keys): (&str, Option<&BTreeSet<PartitionKey>>) = match &region.partitions {
+                PartitionSet::Whole { table } => (table, None),
+                PartitionSet::Keys(keys) => match keys.first() {
+                    Some(first) => (&first.table, Some(keys)),
+                    None => continue,
+                },
+            };
+            // Keys of one set may span tables; each key names its own.
+            let tables: Vec<&str> = match keys {
+                None => vec![table],
+                Some(keys) => keys.iter().map(|k| k.table.as_str()).collect(),
+            };
+            for table in tables {
+                if !grown.tables.contains(table) {
+                    grown.tables.insert(table.to_string());
+                    if let Some(usage) = index.get(table) {
+                        visit(&usage.whole_readers);
+                        visit(&usage.whole_writers);
+                    }
+                }
+            }
+            match keys {
+                None => {
+                    if grown.whole.insert(table.to_string()) {
+                        for hub in index.get(table).into_iter().flat_map(|u| u.keys.values()) {
+                            visit(&hub.readers);
+                            visit(&hub.writers);
+                        }
+                    }
+                }
+                Some(keys) => {
+                    for k in keys {
+                        if grown.whole.contains(k.table.as_str()) || !grown.keys.insert(k.clone()) {
+                            continue;
+                        }
+                        let hub = index
+                            .get(&k.table)
+                            .and_then(|u| u.keys.get(&(k.column.clone(), k.value.clone())));
+                        if let Some(hub) = hub {
+                            visit(&hub.readers);
+                            visit(&hub.writers);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Queues `id` for re-execution or cancellation from a replayed visit:
+    /// the frontier walk makes it a candidate if it still lies ahead.
+    fn queue(&mut self, history: &HistoryGraph, id: ActionId, cancel: bool) {
+        if cancel {
+            self.to_cancel.insert(id);
+        } else {
+            self.to_reexecute.insert(id);
+        }
+        let k = key(history, id);
+        if self.frontier.is_some() && k > self.cursor {
+            self.candidates.insert(k);
+        }
+    }
+
+    /// Visits one action. Returns true if it re-executed or cancelled
+    /// anything.
+    fn visit(&mut self, env: &RepairEnv<'_>, db: &mut TimeTravelDb, id: ActionId) -> bool {
         let action = match env.history.action(id) {
             Some(a) if !a.cancelled => a,
-            _ => continue,
+            _ => return false,
         };
-        if to_cancel.contains(&id) {
+        let run = &mut self.pass;
+        let session = &mut self.session;
+        if self.to_cancel.contains(&id) {
             let t = Instant::now();
-            cancel_action(db, &mut session, action, &mut run);
+            cancel_action(db, session, action, run);
             run.stats.time_db += t.elapsed();
-            continue;
+            return true;
         }
-        let explicitly_queued = to_reexecute.contains(&id);
+        let explicitly_queued = self.to_reexecute.contains(&id);
         let mut needs_full_reexecution = explicitly_queued;
         if !needs_full_reexecution {
             // Selective query re-execution (§4.1): only queries whose
@@ -225,7 +477,7 @@ pub(crate) fn execute_actions(
                 .map(|(i, _)| i)
                 .collect();
             if affected.is_empty() {
-                continue;
+                return false;
             }
             let t = Instant::now();
             for i in affected {
@@ -236,8 +488,8 @@ pub(crate) fn execute_actions(
                 if q.is_write {
                     match session.reexecute_write(db, &mut query, q.time, q.written_row_ids()) {
                         Ok(out) => {
-                            if collect_dynamic {
-                                collect_deps(&mut run, std::iter::once(&out.dependency));
+                            if self.collect_dynamic {
+                                collect_deps(run, std::iter::once(&out.dependency));
                             }
                             run.touched_tables.insert(q.dependency.table.clone());
                         }
@@ -260,18 +512,18 @@ pub(crate) fn execute_actions(
             }
             run.stats.time_db += t.elapsed();
             if !needs_full_reexecution {
-                continue;
+                return true;
             }
         }
         // Full application re-execution.
         let t_app = Instant::now();
-        let effective_request = request_overrides.get(&id).unwrap_or(&action.request);
-        let result = reexecute_action(env, db, &mut session, action, effective_request);
+        let effective_request = self.request_overrides.get(&id).unwrap_or(&action.request);
+        let result = reexecute_action(env, db, session, action, effective_request);
         run.reexecuted.insert(id);
         run.stats.app_runs_reexecuted += 1;
         run.stats.queries_reexecuted += result.queries_reexecuted;
-        if collect_dynamic {
-            collect_deps(&mut run, result.queries.iter().map(|q| &q.dependency));
+        if self.collect_dynamic {
+            collect_deps(run, result.queries.iter().map(|q| &q.dependency));
         }
         for q in &result.queries {
             if q.is_write {
@@ -312,123 +564,149 @@ pub(crate) fn execute_actions(
             ));
         }
         if !response_changed {
-            continue;
+            return true;
         }
         // Browser re-execution for the page visit that received the changed
         // response (paper §5).
         let Some(client) = &action.client else {
-            continue;
+            return true;
         };
         let visit_key = (client.client_id.clone(), client.visit_id);
-        if reexecuted_visits.contains(&visit_key) {
-            continue;
+        if !run.replayed_visits.insert(visit_key) {
+            return true;
         }
-        reexecuted_visits.insert(visit_key);
         run.stats.page_visits_reexecuted += 1;
         let t_browser = Instant::now();
         let replay = replay_client_visit(
             env,
-            &mut run,
+            run,
             &client.client_id,
             client.visit_id,
             &result.response,
         );
         run.stats.time_browser += t_browser.elapsed();
-        match replay {
-            Some(outcome) => {
-                if let Some(reason) = outcome.conflict.clone() {
-                    run.conflicts.push(Conflict::new(
+        let Some(outcome) = replay else {
+            // No client log (extension not installed): Warp cannot verify
+            // the browser's behaviour; inform the user.
+            run.conflicts.push(Conflict::new(
+                &client.client_id,
+                client.visit_id,
+                &action.request.path,
+                ConflictKind::BrowserReplay(warp_browser::ConflictReason::NoClientLog),
+            ));
+            return true;
+        };
+        if let Some(reason) = outcome.conflict.clone() {
+            run.conflicts.push(Conflict::new(
+                &client.client_id,
+                client.visit_id,
+                &action.request.path,
+                ConflictKind::BrowserReplay(reason),
+            ));
+            // Per §5.4: queue the conflict and assume subsequent requests
+            // are unchanged.
+            return true;
+        }
+        // Requests re-issued by the replayed page replace the originals;
+        // requests no longer issued are cancelled.
+        let mut reissued: BTreeSet<u64> = BTreeSet::new();
+        for replayed in &outcome.requests {
+            match replayed.matched_request_id {
+                Some(orig_request_id) => {
+                    reissued.insert(orig_request_id);
+                    if let Some(target) = env.history.action_for_request(
                         &client.client_id,
                         client.visit_id,
-                        &action.request.path,
-                        ConflictKind::BrowserReplay(reason),
-                    ));
-                    // Per §5.4: queue the conflict and assume subsequent
-                    // requests are unchanged.
-                    continue;
-                }
-                // Requests re-issued by the replayed page replace the
-                // originals; requests no longer issued are cancelled.
-                let mut reissued: BTreeSet<u64> = BTreeSet::new();
-                for replayed in &outcome.requests {
-                    match replayed.matched_request_id {
-                        Some(orig_request_id) => {
-                            reissued.insert(orig_request_id);
-                            if let Some(target) = env.history.action_for_request(
-                                &client.client_id,
-                                client.visit_id,
-                                orig_request_id,
-                            ) {
-                                if target != id {
-                                    request_overrides.insert(target, replayed.request.clone());
-                                    to_reexecute.insert(target);
-                                }
-                            }
-                        }
-                        None => {
-                            // A brand-new request that did not exist during
-                            // the original execution: run it now inside the
-                            // repair generation.
-                            let t = Instant::now();
-                            let fresh = run_fresh_in_repair(
-                                env,
-                                db,
-                                &mut session,
-                                &replayed.request,
-                                action.time,
-                            );
-                            run.stats.queries_reexecuted += fresh.queries_reexecuted;
-                            if collect_dynamic {
-                                collect_deps(&mut run, fresh.queries.iter().map(|q| &q.dependency));
-                            }
-                            for q in &fresh.queries {
-                                if q.is_write {
-                                    run.touched_tables.insert(q.dependency.table.clone());
-                                }
-                            }
-                            run.stats.time_app += t.elapsed();
+                        orig_request_id,
+                    ) {
+                        if target != id {
+                            self.request_overrides
+                                .insert(target, replayed.request.clone());
+                            self.queue(env.history, target, false);
                         }
                     }
                 }
-                for other_id in env
-                    .history
-                    .actions_for_visit(&client.client_id, client.visit_id)
-                {
-                    if other_id == id {
-                        continue;
+                None => {
+                    // A brand-new request that did not exist during the
+                    // original execution: run it now inside the repair
+                    // generation.
+                    let t = Instant::now();
+                    let fresh = run_fresh_in_repair(
+                        env,
+                        db,
+                        &mut self.session,
+                        &replayed.request,
+                        action.time,
+                    );
+                    let run = &mut self.pass;
+                    run.stats.queries_reexecuted += fresh.queries_reexecuted;
+                    if self.collect_dynamic {
+                        collect_deps(run, fresh.queries.iter().map(|q| &q.dependency));
                     }
-                    let other = match env.history.action(other_id) {
-                        Some(a) => a,
-                        None => continue,
-                    };
-                    let other_request_id = other
-                        .client
-                        .as_ref()
-                        .map(|c| c.request_id)
-                        .unwrap_or(u64::MAX);
-                    if !reissued.contains(&other_request_id) && !other.cancelled {
-                        to_cancel.insert(other_id);
+                    for q in &fresh.queries {
+                        if q.is_write {
+                            run.touched_tables.insert(q.dependency.table.clone());
+                        }
                     }
+                    run.stats.time_app += t.elapsed();
                 }
-            }
-            None => {
-                // No client log (extension not installed): Warp cannot
-                // verify the browser's behaviour; inform the user.
-                run.conflicts.push(Conflict::new(
-                    &client.client_id,
-                    client.visit_id,
-                    &action.request.path,
-                    ConflictKind::BrowserReplay(warp_browser::ConflictReason::NoClientLog),
-                ));
             }
         }
+        for other_id in env
+            .history
+            .actions_for_visit(&client.client_id, client.visit_id)
+        {
+            if other_id == id {
+                continue;
+            }
+            let Some(other) = env.history.action(other_id) else {
+                continue;
+            };
+            let other_request_id = other
+                .client
+                .as_ref()
+                .map(|c| c.request_id)
+                .unwrap_or(u64::MAX);
+            if !reissued.contains(&other_request_id) && !other.cancelled {
+                self.queue(env.history, other_id, true);
+            }
+        }
+        true
     }
 
-    run.stats.rows_rolled_back = run.stats.rows_rolled_back.max(session.rolled_back_rows);
-    run.rolled_back_rows = session.rolled_back_rows;
-    run.modified = session.modified_partitions().to_vec();
-    run.replayed_visits = reexecuted_visits;
-    run
+    /// The pass the walk produced; its repair generation stays open.
+    pub(crate) fn finish(self) -> RepairPass {
+        let mut run = self.pass;
+        run.stats.rows_rolled_back = run
+            .stats
+            .rows_rolled_back
+            .max(self.session.rolled_back_rows);
+        run.rolled_back_rows = self.session.rolled_back_rows;
+        run.modified = (self.session.modified_regions().iter())
+            .map(|r| r.partitions.clone())
+            .collect();
+        run
+    }
+}
+
+/// An action's place in repair order.
+fn key(history: &HistoryGraph, id: ActionId) -> (i64, ActionId) {
+    (history.action(id).map_or(0, |a| a.time), id)
+}
+
+/// Runs the scanning walk over `order` (action IDs in time order) to its
+/// end: one partitioned unit, or the whole history.
+pub(crate) fn execute_actions(
+    env: &RepairEnv<'_>,
+    db: &mut TimeTravelDb,
+    session: RepairSession,
+    order: &[ActionId],
+    seeds: &Seeds,
+    collect_dynamic: bool,
+) -> RepairPass {
+    let mut walk = Walk::scan(env, session, order, seeds, collect_dynamic);
+    walk.run(env, db);
+    walk.finish()
 }
 
 fn collect_deps<'a>(
@@ -641,7 +919,7 @@ struct ModifiedIndex<'a> {
 }
 
 impl<'a> ModifiedIndex<'a> {
-    fn new(modified: &'a [PartitionSet]) -> Self {
+    fn new(modified: impl IntoIterator<Item = &'a PartitionSet>) -> Self {
         let mut index = ModifiedIndex {
             keys: BTreeSet::new(),
             whole: BTreeSet::new(),
@@ -867,6 +1145,8 @@ pub(crate) struct PartitionedRepair {
     bounded_fallbacks: usize,
     round: Round,
     done: bool,
+    /// The error that stopped the engine: the repair aborts.
+    error: Option<SqlError>,
 }
 
 impl PartitionedRepair {
@@ -922,6 +1202,7 @@ impl PartitionedRepair {
                 results: Vec::new(),
             },
             done: false,
+            error: None,
         };
         repair.round = repair.new_round(history, true);
         repair
@@ -1014,15 +1295,7 @@ impl PartitionedRepair {
             let mut session = RepairSession::begin_precise(db);
             session.set_column_oblivious(env.column_oblivious);
             if let Some(unit) = self.round.units.first() {
-                let pass = execute_actions(
-                    env,
-                    db,
-                    session,
-                    unit,
-                    &seeds.reexecute,
-                    &seeds.cancel,
-                    true,
-                );
+                let pass = execute_actions(env, db, session, unit, seeds, true);
                 let watermark = db.synthetic_id_watermark();
                 self.round.results[0] = Some(UnitResult {
                     pass,
@@ -1052,7 +1325,11 @@ impl PartitionedRepair {
         if self.in_place {
             // Discard the in-place changes before re-running the merged
             // cluster against pristine state.
-            let _ = db.abort_repair_generation();
+            if let Err(e) = db.abort_repair_generation() {
+                self.error = Some(e);
+                self.done = true;
+                return false;
+            }
         }
         self.escalations += 1;
         for (a, b) in merges {
@@ -1332,9 +1609,11 @@ impl PartitionedRepair {
             merged.rolled_back_rows += run.rolled_back_rows;
         }
         merged.stats.conflicts = merged.conflicts.len();
+        merged.error = self.error;
 
         let t_merge = Instant::now();
-        let aborting = !initiated_by_admin && !merged.conflicts.is_empty();
+        let aborting =
+            merged.error.is_some() || (!initiated_by_admin && !merged.conflicts.is_empty());
         if !self.in_place {
             assert!(
                 db.synthetic_id_watermark() <= self.id_base,
@@ -1342,9 +1621,14 @@ impl PartitionedRepair {
             );
             db.begin_repair_generation();
             if !aborting {
-                for result in self.round.results.iter().flatten() {
+                'merge: for result in self.round.results.iter().flatten() {
                     for (table, delta) in &result.delta {
-                        let _ = db.apply_row_diff(table, &delta.remove, &delta.add);
+                        // A failed merge aborts the repair: the generation
+                        // with the deltas merged so far is discarded.
+                        if let Err(e) = db.apply_row_diff(table, &delta.remove, &delta.add) {
+                            merged.error = Some(e);
+                            break 'merge;
+                        }
                     }
                     if result.id_end > result.id_start {
                         // A clone overrunning its reserved ID range would
@@ -1443,15 +1727,7 @@ fn run_unit(
 ) -> UnitResult {
     let mut session = RepairSession::begin_precise(clone);
     session.set_column_oblivious(env.column_oblivious);
-    let pass = execute_actions(
-        env,
-        clone,
-        session,
-        unit,
-        &seeds.reexecute,
-        &seeds.cancel,
-        true,
-    );
+    let pass = execute_actions(env, clone, session, unit, seeds, true);
     UnitResult {
         pass,
         delta: clone.drain_repair_delta(),
@@ -2087,5 +2363,232 @@ mod tests {
         // Other tables stay out of scope; empty sets are always contained.
         assert!(!scope_contains(&scope, &PartitionSet::whole("audit")));
         assert!(scope_contains(&scope, &PartitionSet::empty()));
+    }
+
+    /// Repairs `server` with one walk — the frontier walk, or the scanning
+    /// walk with the same precise session — and returns the dump and the
+    /// re-executed and cancelled sets. `undo` cancels a page visit instead
+    /// of applying `patch`.
+    fn walked(
+        mut server: WarpServer,
+        patch: Option<&Patch>,
+        undo: Option<(String, u64)>,
+        frontier: bool,
+    ) -> (String, BTreeSet<ActionId>, BTreeSet<ActionId>) {
+        let mut seeds = Seeds::default();
+        if let Some(patch) = patch {
+            server.sources.apply_retroactive_patch(patch, 0);
+            seeds
+                .reexecute
+                .extend(server.history.actions_loading_file(&patch.filename, 0));
+        }
+        if let Some((client, visit)) = &undo {
+            seeds
+                .cancel
+                .extend(server.history.actions_for_visit(client, *visit));
+        }
+        let (env, db) = server.repair_parts();
+        let session = RepairSession::begin_precise(db);
+        let mut walk = if frontier {
+            Walk::frontier(&env, session, &seeds)
+        } else {
+            let mut order: Vec<ActionId> = env.history.actions().iter().map(|a| a.id).collect();
+            sort_by_time(env.history, &mut order);
+            Walk::scan(&env, session, &order, &seeds, true)
+        };
+        walk.run(&env, db);
+        let pass = walk.finish();
+        assert!(pass.error.is_none());
+        server.db.finalize_repair_generation();
+        (server.db.canonical_dump(), pass.reexecuted, pass.cancelled)
+    }
+
+    /// The frontier walk against the scanning walk over seeded histories of
+    /// keyed posts and reads, whole-table scans, journal inserts and
+    /// browser visits that post, repaired by patches that stay in their
+    /// partition, redirect a write to another one or write another table,
+    /// and by undoing a visit: the same rows, the same re-executed and
+    /// cancelled actions.
+    #[test]
+    fn the_frontier_walk_equals_the_scanning_walk_over_seeded_histories() {
+        let topics = 5;
+        let app = || {
+            let mut config = two_table_app(topics);
+            config.add_source(
+                "scan.wasl",
+                "let rows = db_query(\"SELECT body FROM note\"); echo(len(rows));",
+            );
+            config
+        };
+        let patches = [
+            notes_patch(),
+            Patch::new(
+                "post.wasl",
+                "let t = param(\"topic\"); if (t == \"t0\") { t = \"t1\"; } \
+                 db_query(\"UPDATE note SET body = '\" . sql_escape(param(\"body\")) . \"' \
+                 WHERE topic = '\" . sql_escape(t) . \"'\"); echo(\"ok\");",
+                "redirect t0 writes to t1",
+            ),
+            Patch::new(
+                "post.wasl",
+                "db_query(\"UPDATE note SET body = 'P: \" . sql_escape(param(\"body\")) . \"' \
+                 WHERE topic = '\" . sql_escape(param(\"topic\")) . \"'\"); \
+                 db_query(\"UPDATE audit SET what = 'patched' WHERE who = 'admin'\"); echo(\"ok\");",
+                "log patched posts to the audit table",
+            ),
+        ];
+        let mut reexecuted = 0;
+        for seed in 1..=24u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |n: u64| {
+                rng ^= rng >> 12;
+                rng ^= rng << 25;
+                rng ^= rng >> 27;
+                rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+            };
+            let mut ops = Vec::new();
+            for i in 0..40u64 {
+                ops.push((next(6), next(topics as u64), i));
+            }
+            let build = || {
+                use warp_browser::Browser;
+                use warp_http::HttpRequest;
+                let mut server = WarpServer::new(app());
+                let mut visits = Vec::new();
+                for &(op, t, i) in &ops {
+                    match op {
+                        0 | 1 => {
+                            server.handle(HttpRequest::post(
+                                "/post.wasl",
+                                [
+                                    ("topic", format!("t{t}").as_str()),
+                                    ("body", &format!("b{i}")),
+                                ],
+                            ));
+                        }
+                        2 => {
+                            server.handle(HttpRequest::get(&format!("/read.wasl?topic=t{t}")));
+                        }
+                        3 => {
+                            server.handle(HttpRequest::get("/scan.wasl"));
+                        }
+                        4 => {
+                            server.handle(HttpRequest::post(
+                                "/audit.wasl",
+                                [
+                                    ("id", format!("{}", 100 + i).as_str()),
+                                    ("who", format!("user{t}").as_str()),
+                                    ("what", "posted"),
+                                ],
+                            ));
+                        }
+                        _ => {
+                            let client = format!("c{i}");
+                            let mut browser = Browser::new(client.clone());
+                            let visit = browser
+                                .visit(&format!("/post.wasl?topic=t{t}&body=v{i}"), &mut server);
+                            server.handle(HttpRequest::get(&format!("/read.wasl?topic=t{t}")));
+                            server.upload_client_logs(browser.take_logs());
+                            visits.push((client, visit.visit_id));
+                        }
+                    }
+                }
+                (server, visits)
+            };
+            let (_, visits) = build();
+            let mut cases: Vec<_> = patches.iter().map(|p| (Some(p), None)).collect();
+            if !visits.is_empty() {
+                let undo = visits[next(visits.len() as u64) as usize].clone();
+                cases.push((None, Some(undo)));
+            }
+            for (patch, undo) in cases {
+                let scan = walked(build().0, patch, undo.clone(), false);
+                let frontier = walked(build().0, patch, undo.clone(), true);
+                assert_eq!(scan, frontier, "seed {seed}, {patch:?}, undo {undo:?}");
+                reexecuted += frontier.1.len();
+            }
+        }
+        assert!(reexecuted > 0);
+    }
+
+    /// A failed merge of a unit's delta aborts the partitioned repair: the
+    /// error is reported, and the abort leaves the master as it was.
+    #[test]
+    fn a_failed_merge_aborts_the_partitioned_repair() {
+        let topics = 4;
+        let mut server = WarpServer::new(notes_app(topics));
+        notes_traffic(&mut server, topics);
+        let before = server.db.clone().canonical_dump();
+        server.sources.apply_retroactive_patch(&notes_patch(), 0);
+        let seeds = Seeds {
+            reexecute: server
+                .history
+                .actions_loading_file("post.wasl", 0)
+                .into_iter()
+                .collect(),
+            cancel: BTreeSet::new(),
+        };
+        let (env, db) = server.repair_parts();
+        let mut repair = PartitionedRepair::plan(env.history, db, &seeds, 2, CloneScope::Full);
+        assert!(!repair.in_place());
+        while repair.step(&env, db, &seeds) {}
+        // A row of the wrong width cannot be merged.
+        let unit = repair
+            .round
+            .results
+            .iter_mut()
+            .flatten()
+            .next()
+            .expect("a unit");
+        unit.delta
+            .entry("note".into())
+            .or_default()
+            .add
+            .push(vec![Value::Int(1)]);
+        let result = repair.finish(db, true, env.history.len() as ActionId);
+        assert!(result.run.error.is_some());
+        db.abort_repair_generation().unwrap();
+        assert_eq!(server.db.canonical_dump(), before);
+    }
+
+    /// A failed abort before an in-place escalation re-runs the merged
+    /// cluster stops the partitioned engine: the repair is aborted with the
+    /// error.
+    #[test]
+    fn a_failed_in_place_abort_aborts_the_partitioned_repair() {
+        use warp_http::HttpRequest;
+        let mut server = WarpServer::new(notes_app(3));
+        server.handle(HttpRequest::post(
+            "/post.wasl",
+            [("topic", "t0"), ("body", "a")],
+        ));
+        server.handle(HttpRequest::get("/read.wasl?topic=t1"));
+        // A stored version the generations do not account for: the
+        // redirected write forks t1's row, and restoring the fork collides
+        // with it.
+        let layout_width = server.db.raw().table("note").unwrap().schema.columns.len();
+        let mut stray = server.db.raw().table("note").unwrap().rows()[1].clone();
+        assert_eq!(stray.len(), layout_width);
+        stray[0] = Value::Int(99);
+        server.db.apply_row_diff("note", &[], &[stray]).unwrap();
+        let outcome = server.repair_with(
+            RepairRequest::RetroactivePatch {
+                patch: Patch::new(
+                    "post.wasl",
+                    "let t = param(\"topic\"); if (t == \"t0\") { t = \"t1\"; } \
+                     db_query(\"UPDATE note SET body = '\" . sql_escape(param(\"body\")) . \"' \
+                     WHERE topic = '\" . sql_escape(t) . \"'\"); echo(\"ok\");",
+                    "redirect t0 writes to t1",
+                ),
+                from_time: 0,
+            },
+            RepairStrategy::Partitioned { workers: 2 },
+        );
+        assert!(outcome.aborted, "{outcome:?}");
+        assert!(
+            matches!(outcome.error, Some(SqlError::UniqueViolation { .. })),
+            "{:?}",
+            outcome.error
+        );
     }
 }

@@ -80,6 +80,10 @@ pub struct WarpServer {
     /// automatic checkpoints are held back, because one cut now would hold
     /// the patched sources and no pending repair.
     pub(crate) repair_in_flight: bool,
+    /// While a replayed log is between a `RepairBegin` and its outcome:
+    /// the `(action, generation)` of every action logged since, whose
+    /// writes are held back (see [`crate::persist`]'s replay).
+    pub(crate) replay_held: Option<Vec<(crate::history::ActionId, i64)>>,
     /// Bookkeeping for incremental checkpoints: what changed in the history
     /// graph since the last checkpoint (row changes are tracked inside the
     /// database; see [`crate::persist::CheckpointMarks`]).
@@ -140,6 +144,7 @@ impl WarpServer {
             store: None,
             pending_repair: None,
             repair_in_flight: false,
+            replay_held: None,
             ckpt_marks: crate::persist::CheckpointMarks::default(),
             maintenance: None,
         }

@@ -63,18 +63,25 @@ pub struct RepairStats {
     /// Conflicts queued for users.
     pub conflicts: usize,
     /// Independent dependency partitions the history decomposed into
-    /// (0 when the classic sequential engine ran).
+    /// (the partitioned engine only: 0 for the walks, which plan no
+    /// partitions — the frontier walk grows its candidates from the
+    /// history's partition index instead).
     pub partitions_total: usize,
-    /// Partitions that contained repair seeds and were actually re-executed.
+    /// Partitions that contained repair seeds and were actually re-executed
+    /// (the partitioned engine only; 0 for the walks).
     pub partitions_repaired: usize,
     /// Escalation rounds: times re-execution touched partitions outside its
-    /// own group, forcing groups to be merged and re-run.
+    /// own group, forcing groups to be merged and re-run (the partitioned
+    /// engine only; the walks have no groups and never escalate: 0).
     pub escalations: usize,
     /// Rounds re-run on whole-database clones because a worker batch
     /// touched a table outside its bounded-memory clone's footprint
-    /// (0 for the sequential and full-clone engines).
+    /// (the bounded-clone partitioned engine only; the walks clone
+    /// nothing: 0).
     pub bounded_clone_fallbacks: usize,
-    /// Worker threads used by the partitioned engine (0 = sequential).
+    /// The repair's worker count: 0 for the sequential engine, the
+    /// configured count for the frontier walk (which runs on the engine
+    /// thread) and the partitioned engine's worker threads.
     pub workers: usize,
     /// Tables whose stored rows the committed repair actually changed
     /// (from the mutation-tracked delta; 0 for aborted repairs).
@@ -87,7 +94,10 @@ pub struct RepairStats {
     /// commit (0 when nothing was served while it ran).
     pub served_during: usize,
     /// Of those, the actions folded into the repair because they met what
-    /// it modified.
+    /// it modified: for the walks, the ones it visited at its tail (judged
+    /// like any other action, re-executed only where their reads or writes
+    /// depend on what it changed); for the partitioned engine, the ones
+    /// that joined a unit and re-ran with it.
     pub joined: usize,
     /// Wall-clock time spent initialising repair (finding candidate actions).
     #[serde(skip)]

@@ -66,7 +66,7 @@ impl Standby {
         let config = ServerConfig::new(app.clone())
             .with_backend(server_backend)
             .with_store_options(options);
-        let (server, _) = WarpServer::open(config)?;
+        let (server, _) = WarpServer::open_standby(config)?;
         let mut standby = Standby {
             app,
             options,
@@ -162,7 +162,7 @@ impl Standby {
         let config = ServerConfig::new(self.app.clone())
             .with_backend(server_backend)
             .with_store_options(self.options);
-        let (server, _) = WarpServer::open(config)?;
+        let (server, _) = WarpServer::open_standby(config)?;
         self.server = server;
         Ok(())
     }
@@ -228,7 +228,9 @@ impl Standby {
     /// frame ends the drain, and nobody is asked to resend), the stream is
     /// dropped, and the warm server is handed over as it stands. No store
     /// is reopened and no record replays: the server already applied every
-    /// record through the recovery path, logs to the standby's own store
+    /// record through the recovery path (only the writes of actions served
+    /// during a repair whose outcome never arrived were held back, and are
+    /// applied now: [`WarpServer::end_of_log`]), logs to the standby's own store
     /// and has its checkpoint tracker armed, and its plan and program
     /// caches arrive warm. The report says what a recovery's would —
     /// `recovered` if any replicated state is held, `pending_repair` if a
@@ -249,6 +251,9 @@ impl Standby {
                 Received::Idle | Received::Closed => break,
             }
         }
+        // The log ends here: writes held back for a repair whose outcome
+        // never arrived are replayed.
+        self.server.end_of_log()?;
         let report = RecoveryReport {
             recovered: self.server.durable_lsn() > 0,
             pending_repair: self.server.pending_repair().is_some(),

@@ -373,31 +373,8 @@ impl Database {
         values: &[Vec<Expr>],
         params: &[Value],
     ) -> SqlResult<QueryResult> {
-        // Evaluate value expressions against an empty row context first (they
-        // may not reference columns), then validate and append.
         let t = table_of(&mut self.tables, table)?;
-        let schema = &t.schema;
-        let mut col_indexes = Vec::with_capacity(columns.len());
-        for c in columns {
-            let idx = schema
-                .column_index(c)
-                .ok_or_else(|| SqlError::NoSuchColumn(c.to_string()))?;
-            col_indexes.push(idx);
-        }
-        let empty_row: Row = vec![Value::Null; schema.columns.len()];
-        let mut new_rows = Vec::with_capacity(values.len());
-        for value_exprs in values {
-            let mut row: Row = schema
-                .columns
-                .iter()
-                .map(|c| c.default.clone().unwrap_or(Value::Null))
-                .collect();
-            for (expr, &idx) in value_exprs.iter().zip(&col_indexes) {
-                row[idx] = eval_expr_with(expr, schema, &empty_row, params)?;
-            }
-            check_not_null(schema, &row, table)?;
-            new_rows.push(row);
-        }
+        let new_rows = insert_rows(t, table, columns, values, params)?;
         let affected = append_rows(t, &mut self.capture, table, new_rows)?;
         Ok(QueryResult {
             columns: vec![],
@@ -405,6 +382,27 @@ impl Database {
             affected,
             ordered: false,
         })
+    }
+
+    /// The rows the `INSERT` statement template `stmt` would append, with
+    /// `params` filling its holes: evaluated and NOT NULL-checked as the
+    /// statement evaluates them, but neither checked for uniqueness nor
+    /// appended.
+    pub fn insert_images(&self, stmt: &Statement, params: &[Value]) -> SqlResult<Vec<Row>> {
+        let Statement::Insert {
+            table,
+            columns,
+            values,
+        } = stmt
+        else {
+            return Err(SqlError::Execution(format!(
+                "insert_images expects INSERT, got {stmt}"
+            )));
+        };
+        let t = self
+            .table(table)
+            .ok_or_else(|| SqlError::NoSuchTable(table.clone()))?;
+        insert_rows(t, table, columns, values, params)
     }
 
     fn select(&mut self, select: &SelectStatement, params: &[Value]) -> SqlResult<QueryResult> {
@@ -595,6 +593,42 @@ fn table_of<'t>(tables: &'t mut BTreeMap<String, Table>, table: &str) -> SqlResu
     tables
         .get_mut(&*table_key(table))
         .ok_or_else(|| SqlError::NoSuchTable(table.to_string()))
+}
+
+/// The rows an `INSERT` of `values` into `columns` appends to `t`: value
+/// expressions are evaluated against an empty row (they may not reference
+/// columns), unnamed columns take their defaults, and every row is
+/// NOT NULL-checked.
+fn insert_rows(
+    t: &Table,
+    table: &str,
+    columns: &[String],
+    values: &[Vec<Expr>],
+    params: &[Value],
+) -> SqlResult<Vec<Row>> {
+    let schema = &t.schema;
+    let mut col_indexes = Vec::with_capacity(columns.len());
+    for c in columns {
+        let idx = schema
+            .column_index(c)
+            .ok_or_else(|| SqlError::NoSuchColumn(c.to_string()))?;
+        col_indexes.push(idx);
+    }
+    let empty_row: Row = vec![Value::Null; schema.columns.len()];
+    let mut new_rows = Vec::with_capacity(values.len());
+    for value_exprs in values {
+        let mut row: Row = schema
+            .columns
+            .iter()
+            .map(|c| c.default.clone().unwrap_or(Value::Null))
+            .collect();
+        for (expr, &idx) in value_exprs.iter().zip(&col_indexes) {
+            row[idx] = eval_expr_with(expr, schema, &empty_row, params)?;
+        }
+        check_not_null(schema, &row, table)?;
+        new_rows.push(row);
+    }
+    Ok(new_rows)
 }
 
 /// Appends `new_rows` (evaluated and NOT NULL-checked) once each is known

@@ -86,7 +86,7 @@ impl ColumnIndex {
 /// The storage positions a statement has to visit, ascending: one index
 /// bucket, or every position when no index applies.
 #[derive(Debug)]
-pub(crate) enum Candidates<'a> {
+pub enum Candidates<'a> {
     /// Every stored row.
     Scan(std::ops::Range<usize>),
     /// The rows of one index bucket.
@@ -177,7 +177,7 @@ impl Table {
     /// The positions that can hold a row equal to every `(column, value)`
     /// pin: the smallest bucket among the pinned indexed columns, or a full
     /// scan when none is indexed. The caller still checks each candidate.
-    pub(crate) fn candidates<'v>(
+    pub fn candidates<'v>(
         &self,
         pins: impl IntoIterator<Item = (usize, &'v Value)>,
     ) -> Candidates<'_> {

@@ -39,7 +39,8 @@ pub struct Plan {
     /// The table's lower-cased name.
     pub(crate) table_key: String,
     /// How many literals the shape has holes for. An execution's parameters
-    /// are those literals, then its time, then its generation (then, for an
+    /// are those literals, then its time, then its generation, then the last
+    /// generation an `INSERT`'s versions are visible in (then, for an
     /// `INSERT` into a table with synthetic row IDs, the IDs it allocates).
     pub(crate) holes: usize,
     pub(crate) body: Body,
@@ -265,7 +266,11 @@ impl Body {
         let write_columns = footprint.effective_write_columns();
         let read_columns = footprint.read_columns;
         let pins = Pins::of(stmt.where_clause(), partition_columns);
-        let (time, gen) = (Expr::Param(holes), Expr::Param(holes + 1));
+        let (time, gen, end_gen) = (
+            Expr::Param(holes),
+            Expr::Param(holes + 1),
+            Expr::Param(holes + 2),
+        );
         let matching = |where_clause| and_valid(where_clause, validity(time.clone(), gen.clone()));
         match stmt {
             Statement::Select(mut select) => {
@@ -294,10 +299,10 @@ impl Body {
                         time.clone(),
                         Expr::Literal(Value::Int(INF_TIME)),
                         gen.clone(),
-                        Expr::Literal(Value::Int(INF_GEN)),
+                        end_gen.clone(),
                     ]);
                     if cfg.synthetic_row_id {
-                        row.push(Expr::Param(holes + 2 + k));
+                        row.push(Expr::Param(holes + 3 + k));
                     }
                     row
                 });
@@ -356,8 +361,9 @@ impl PlannedQuery {
     /// Pairs a plan with the literals of one text of its shape.
     pub(crate) fn new(plan: Arc<Plan>, mut literals: Vec<Value>) -> PlannedQuery {
         debug_assert_eq!(literals.len(), plan.holes);
-        // The slots an execution writes its time and generation to.
-        literals.extend([Value::Null, Value::Null]);
+        // The slots an execution writes its time, generation and end
+        // generation to.
+        literals.extend([Value::Null, Value::Null, Value::Null]);
         PlannedQuery {
             plan,
             params: literals,
@@ -369,12 +375,14 @@ impl PlannedQuery {
         &self.plan
     }
 
-    /// Sets the execution's time and generation, dropping whatever a
-    /// previous execution added after them.
+    /// Sets the execution's time and generation, with versions an `INSERT`
+    /// adds visible in every later generation, dropping whatever a previous
+    /// execution added after them.
     pub(crate) fn at(&mut self, time: i64, gen: i64) {
         let holes = self.plan.holes;
-        self.params.truncate(holes + 2);
+        self.params.truncate(holes + 3);
         self.params[holes] = Value::Int(time);
         self.params[holes + 1] = Value::Int(gen);
+        self.params[holes + 2] = Value::Int(INF_GEN);
     }
 }

@@ -88,6 +88,13 @@ impl RepairSession {
         self.modified.iter().map(|r| r.partitions.clone()).collect()
     }
 
+    /// The dirty regions recorded so far, oldest first: a region once
+    /// recorded stays, so a caller that has seen the first `n` needs only
+    /// the rest.
+    pub fn modified_regions(&self) -> &[DirtyRegion] {
+        &self.modified
+    }
+
     /// Records that the given partitions have been modified during repair,
     /// with an unknown column set (conservatively `All`).
     pub fn note_modified(&mut self, partitions: &PartitionSet) {

@@ -176,6 +176,19 @@ fn positions_equal(t: &Table, layout: &Layout, image: &Row) -> Vec<usize> {
         .collect()
 }
 
+/// What the new version of a current-generation write made while a repair
+/// generation is open shares a unique value with.
+#[derive(Debug)]
+enum Clash {
+    /// Nothing either generation sees.
+    None,
+    /// A version the current generation sees: the write fails with this.
+    Current(SqlError),
+    /// Only versions the repair generation sees: the write has to stay out
+    /// of the repair generation.
+    RepairOnly,
+}
+
 /// The time-travel database (paper §4).
 ///
 /// See the crate-level documentation for the model. All application queries
@@ -201,6 +214,10 @@ pub struct TimeTravelDb {
     /// True while the incremental-checkpoint mutation tracker is armed
     /// (see [`TimeTravelDb::enable_checkpoint_capture`]).
     ckpt_capture: bool,
+    /// The rows whose current-generation write was kept out of the open
+    /// repair generation (see [`TimeTravelDb::take_held_out`]), as
+    /// `(table, row ID)`.
+    held_out: Vec<(String, Value)>,
     /// Changes parked for the next incremental checkpoint. The engine has a
     /// single live capture slot, shared with repair-delta tracking; whenever
     /// the slot has to be handed to a repair generation (or drained for a
@@ -225,6 +242,7 @@ impl TimeTravelDb {
             current_gen: 0,
             repair_gen: None,
             next_synthetic_row_id: 1,
+            held_out: Vec::new(),
             ckpt_capture: false,
             ckpt_changes: BTreeMap::new(),
         }
@@ -281,6 +299,13 @@ impl TimeTravelDb {
     /// (b) adds the four versioning columns, and (c) extends every uniqueness
     /// constraint with `(end_time, end_gen)` so multiple versions of a
     /// logically unique row can coexist (paper §6).
+    ///
+    /// Uniqueness holds per visible set: a unique value is held by at most
+    /// one of the versions visible at any one `(time, gen)`. The extended
+    /// constraint enforces that within one generation; while a repair
+    /// generation is open, a current-generation write is also checked
+    /// against the current generation's versions of the other `end_gen`
+    /// (see [`TimeTravelDb::take_held_out`]).
     pub fn create_table(&mut self, create_sql: &str, annotation: TableAnnotation) -> SqlResult<()> {
         let stmt = warp_sql::parse(create_sql)?;
         let table = match &stmt {
@@ -425,6 +450,83 @@ impl TimeTravelDb {
         self.db.remove_rows_at(table, &positions).map(drop)
     }
 
+    /// Checks the new version `image` of a current-generation write made
+    /// while a repair generation is open against every stored version but
+    /// those at `skip` (the ones the write rewrites), by the unique values
+    /// they share.
+    fn clash(&self, table: &str, layout: &Layout, image: &Row, skip: &[usize]) -> SqlResult<Clash> {
+        let t = self.stored(table)?;
+        let sees = |row: &Row, gen: Generation| {
+            int(&row[layout.start_gen]) <= gen && int(&row[layout.end_gen]) >= gen
+        };
+        let repair = self.repair_gen.filter(|&rg| sees(image, rg));
+        let mut clash = Clash::None;
+        for uc in &t.schema.unique_constraints {
+            // The constraint without `end_gen`: which generations see a
+            // version is what this check decides.
+            let idxs: Vec<usize> = uc
+                .iter()
+                .filter_map(|c| t.schema.column_index(c))
+                .filter(|&i| i != layout.end_gen)
+                .collect();
+            if idxs.iter().any(|&i| image[i].is_null()) {
+                continue;
+            }
+            for pos in t.candidates(idxs.iter().map(|&i| (i, &image[i]))) {
+                let row = &t.rows()[pos];
+                let shares = idxs.iter().all(|&i| row[i].sql_eq(&image[i]) == Some(true));
+                if skip.contains(&pos) || !shares {
+                    continue;
+                }
+                if sees(row, self.current_gen) {
+                    return Ok(Clash::Current(SqlError::UniqueViolation {
+                        table: t.schema.name.clone(),
+                        columns: uc.clone(),
+                    }));
+                }
+                if repair.is_some_and(|rg| sees(row, rg)) {
+                    clash = Clash::RepairOnly;
+                }
+            }
+        }
+        Ok(clash)
+    }
+
+    /// Drains the rows whose current-generation write had to stay out of
+    /// the open repair generation, as `(table, row ID)`: the write's new
+    /// version would have shared a unique value with a version only the
+    /// repair generation sees. An `INSERT` adds such versions with
+    /// `end_gen` = current; an `UPDATE` first forks the version it
+    /// rewrites, as a repair-generation write would, and rewrites the
+    /// current generation's copy. The repair generation then sees the row
+    /// as it was, and the repair has to re-execute the write there.
+    pub fn take_held_out(&mut self) -> Vec<(String, Value)> {
+        std::mem::take(&mut self.held_out)
+    }
+
+    /// Executes a logged write again at `(time, gen)`, as recovery replays
+    /// it: an `INSERT` into a table with synthetic row IDs takes the IDs it
+    /// was logged with (`row_ids`, consecutive from the first) whatever the
+    /// allocator holds, and the allocator ends no lower than it was.
+    pub fn replay_write(
+        &mut self,
+        sql: &str,
+        time: Timestamp,
+        gen: Generation,
+        row_ids: &[Value],
+    ) -> SqlResult<()> {
+        let mut query = self.plan(sql)?;
+        let watermark = self.next_synthetic_row_id;
+        if let (Body::Insert(insert), Some(first)) = (&query.plan.body, row_ids.first()) {
+            if insert.cfg.synthetic_row_id {
+                self.next_synthetic_row_id = int(first);
+            }
+        }
+        let replayed = self.execute_planned(&mut query, time, gen);
+        self.next_synthetic_row_id = self.next_synthetic_row_id.max(watermark);
+        replayed.map(drop)
+    }
+
     /// Splits an application query's text into its shape and its literals
     /// and pairs the literals with the shape's plan, building (and keeping)
     /// the plan if this is the first text of that shape. Fails only if the
@@ -467,7 +569,7 @@ impl TimeTravelDb {
         let PlannedQuery { plan, params } = query;
         match &plan.body {
             Body::Select(select) => self.planned_select(plan, select, params),
-            Body::Insert(insert) => self.planned_insert(plan, insert, params),
+            Body::Insert(insert) => self.planned_insert(plan, insert, params, gen),
             Body::Update(write) => self.planned_write(plan, write, false, params, time, gen),
             Body::Delete(write) => self.planned_write(plan, write, true, params, time, gen),
             Body::Rejected(e) => Err(e.clone()),
@@ -529,6 +631,7 @@ impl TimeTravelDb {
         plan: &Plan,
         insert: &InsertPlan,
         params: &mut Vec<Value>,
+        gen: Generation,
     ) -> SqlResult<LoggedExecution> {
         let InsertPlan {
             cfg,
@@ -572,6 +675,22 @@ impl TimeTravelDb {
                 ));
             }
             written_rows.push(named);
+        }
+        if gen == self.current_gen && self.repair_gen.is_some() {
+            let mut held = false;
+            for image in self.db.insert_images(stmt, params)? {
+                match self.clash(table, &cfg.layout, &image, &[])? {
+                    Clash::Current(e) => return Err(e),
+                    Clash::RepairOnly => held = true,
+                    Clash::None => {}
+                }
+            }
+            if held {
+                params[plan.holes + 2] = Value::Int(self.current_gen);
+                let key = plan.table_key.as_str();
+                self.held_out
+                    .extend(row_ids.iter().map(|id| (key.to_string(), id.clone())));
+            }
         }
         let result = self.db.execute_with(stmt, params)?;
         let write_partitions = partitions_of_rows(
@@ -975,6 +1094,7 @@ impl TimeTravelDb {
             current_gen: self.current_gen,
             repair_gen: self.repair_gen,
             next_synthetic_row_id: self.next_synthetic_row_id,
+            held_out: Vec::new(),
             // Worker clones never cut checkpoints; their mutations reach the
             // master's trackers through the merged row diffs.
             ckpt_capture: false,
@@ -1566,8 +1686,17 @@ mod tests {
         let gen = db.begin_repair_generation();
         let stmt = warp_sql::parse("UPDATE item SET slug = 'b' WHERE id = 1").unwrap();
         db.execute_stmt_logged(&stmt, 20, gen).unwrap();
-        db.execute_logged("INSERT INTO item (id, slug) VALUES (2, 'a')", 30)
-            .unwrap();
+        // No write can make the restore collide any more (the current
+        // generation refuses a second 'a'), so a stored version the
+        // generations do not account for is put in place directly.
+        let layout = db.configs["item"].layout.clone();
+        let mut stray = db.raw().table("item").unwrap().rows()[0].clone();
+        stray[0] = Value::Int(2);
+        stray[1] = Value::text("a");
+        stray[layout.end_time] = Value::Int(INF_TIME);
+        stray[layout.start_gen] = Value::Int(0);
+        stray[layout.end_gen] = Value::Int(INF_GEN);
+        db.apply_row_diff("item", &[], &[stray]).unwrap();
         let before = db.clone();
         let err = db.abort_repair_generation().unwrap_err();
         assert!(matches!(err, SqlError::UniqueViolation { .. }), "{err}");
@@ -2023,5 +2152,283 @@ mod tests {
             .len(),
             2
         );
+    }
+
+    fn item_db() -> TimeTravelDb {
+        let mut db = TimeTravelDb::new();
+        db.create_table(
+            "CREATE TABLE item (id INTEGER PRIMARY KEY, slug TEXT UNIQUE)",
+            TableAnnotation::new().row_id("id"),
+        )
+        .unwrap();
+        db
+    }
+
+    /// The `(id, slug)` rows visible at `(time, gen)`, sorted.
+    fn visible(db: &mut TimeTravelDb, time: Timestamp, gen: Generation) -> Vec<(i64, String)> {
+        let mut query = db.plan("SELECT id, slug FROM item").unwrap();
+        let mut rows: Vec<(i64, String)> = db
+            .execute_planned(&mut query, time, gen)
+            .unwrap()
+            .result
+            .rows
+            .iter()
+            .map(|r| (r[0].as_int().unwrap(), r[1].as_display_string()))
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn uniqueness_holds_across_an_open_repair_generation() {
+        let mut db = item_db();
+        db.execute_logged("INSERT INTO item (id, slug) VALUES (1, 'a')", 10)
+            .unwrap();
+        let gen = db.begin_repair_generation();
+        let stmt = warp_sql::parse("UPDATE item SET slug = 'b' WHERE id = 1").unwrap();
+        db.execute_stmt_logged(&stmt, 20, gen).unwrap();
+        // The current generation still sees (1, 'a').
+        let err = db
+            .execute_logged("INSERT INTO item (id, slug) VALUES (2, 'a')", 30)
+            .unwrap_err();
+        assert!(matches!(err, SqlError::UniqueViolation { .. }), "{err}");
+        let err = db
+            .execute_logged("UPDATE item SET slug = 'a' WHERE id = 1", 30)
+            .map(|_| ());
+        assert!(err.is_ok(), "a row may keep its own value: {err:?}");
+        let current = db.current_generation();
+        assert_eq!(visible(&mut db, 40, current), [(1, "a".into())]);
+        assert_eq!(visible(&mut db, 40, gen), [(1, "b".into())]);
+        assert!(db.take_held_out().is_empty());
+        db.abort_repair_generation().unwrap();
+        db.check_indexes().unwrap();
+    }
+
+    #[test]
+    fn a_collision_only_the_repair_generation_sees_keeps_the_write_out_of_it() {
+        let mut db = item_db();
+        db.execute_logged("INSERT INTO item (id, slug) VALUES (1, 'a')", 10)
+            .unwrap();
+        db.execute_logged("INSERT INTO item (id, slug) VALUES (3, 'c')", 11)
+            .unwrap();
+        let gen = db.begin_repair_generation();
+        let stmt = warp_sql::parse("UPDATE item SET slug = 'b' WHERE id = 1").unwrap();
+        db.execute_stmt_logged(&stmt, 20, gen).unwrap();
+        // 'b' is taken only in the repair generation: both writes succeed,
+        // and neither version reaches the repair generation.
+        db.execute_logged("INSERT INTO item (id, slug) VALUES (2, 'b')", 30)
+            .unwrap();
+        db.execute_logged("UPDATE item SET slug = 'b' WHERE id = 3", 31)
+            .unwrap_err();
+        db.execute_logged("DELETE FROM item WHERE id = 2", 32)
+            .unwrap();
+        db.execute_logged("UPDATE item SET slug = 'b' WHERE id = 3", 33)
+            .unwrap();
+        let current = db.current_generation();
+        assert_eq!(
+            visible(&mut db, 40, current),
+            [(1, "a".into()), (3, "b".into())]
+        );
+        assert_eq!(
+            visible(&mut db, 40, gen),
+            [(1, "b".into()), (3, "c".into())]
+        );
+        let layout = db.configs["item"].layout.clone();
+        let held: Vec<&Row> = (db.raw().table("item").unwrap().rows().iter())
+            .filter(|r| r[0] == Value::Int(2) || r[1] == Value::text("b") && r[0] == Value::Int(3))
+            .collect();
+        assert!(
+            held.iter()
+                .all(|r| r[layout.end_gen] == Value::Int(current)),
+            "{held:?}"
+        );
+        assert_eq!(
+            db.take_held_out(),
+            [
+                ("item".to_string(), Value::Int(2)),
+                ("item".to_string(), Value::Int(3))
+            ]
+        );
+        db.check_indexes().unwrap();
+        let mut aborted = db.clone();
+        aborted.abort_repair_generation().unwrap();
+        assert_eq!(
+            visible(&mut aborted, 40, current),
+            [(1, "a".into()), (3, "b".into())]
+        );
+        db.finalize_repair_generation();
+        assert_eq!(
+            visible(&mut db, 40, gen),
+            [(1, "b".into()), (3, "c".into())]
+        );
+    }
+
+    /// Interleaved current- and repair-generation inserts, updates and
+    /// deletes, finalizes and aborts over seeded histories, against a model
+    /// of what each generation sees: one map per generation, plus the rows
+    /// the repair generation has forked (a current-generation write to one
+    /// of those stays out of the repair generation).
+    #[test]
+    fn generations_match_a_two_map_model_over_random_histories() {
+        let mut seen = [0usize; 6];
+        for seed in 1..=40u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |n: u64| {
+                rng ^= rng >> 12;
+                rng ^= rng << 25;
+                rng ^= rng >> 27;
+                rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+            };
+            let mut db = item_db();
+            let mut cur: BTreeMap<i64, String> = BTreeMap::new();
+            let mut rep: Option<BTreeMap<i64, String>> = None;
+            let mut forked: std::collections::BTreeSet<i64> = Default::default();
+            let (mut time, mut next_id) = (10, 1);
+            for _ in 0..120 {
+                time += 1;
+                let slug = format!("s{}", next(6));
+                let taken = |map: &BTreeMap<i64, String>, id: i64| {
+                    map.iter().any(|(&other, s)| other != id && *s == slug)
+                };
+                let pick = |map: &BTreeMap<i64, String>, k: u64| {
+                    map.keys().nth(k as usize % map.len().max(1)).copied()
+                };
+                let k = next(1000);
+                match (next(10), rep.as_mut()) {
+                    (0, None) => {
+                        rep = Some(cur.clone());
+                        forked.clear();
+                        db.begin_repair_generation();
+                    }
+                    (0, Some(_)) if next(2) == 0 => {
+                        cur = rep.take().unwrap();
+                        db.finalize_repair_generation();
+                    }
+                    (0, Some(_)) => {
+                        rep = None;
+                        db.abort_repair_generation().unwrap();
+                        seen[5] += 1;
+                    }
+                    (1..=3, _) => {
+                        let id = next_id;
+                        next_id += 1;
+                        let out = db.execute_logged(
+                            &format!("INSERT INTO item (id, slug) VALUES ({id}, '{slug}')"),
+                            time,
+                        );
+                        if taken(&cur, id) {
+                            assert!(matches!(out, Err(SqlError::UniqueViolation { .. })));
+                            continue;
+                        }
+                        out.unwrap();
+                        cur.insert(id, slug.clone());
+                        if let Some(rep) = rep.as_mut() {
+                            if taken(rep, id) {
+                                forked.insert(id);
+                                seen[0] += 1;
+                            } else {
+                                rep.insert(id, slug.clone());
+                            }
+                        }
+                    }
+                    (4..=5, _) => {
+                        let Some(id) = pick(&cur, k) else { continue };
+                        let out = db.execute_logged(
+                            &format!("UPDATE item SET slug = '{slug}' WHERE id = {id}"),
+                            time,
+                        );
+                        if taken(&cur, id) {
+                            assert!(matches!(out, Err(SqlError::UniqueViolation { .. })));
+                            seen[1] += 1;
+                            continue;
+                        }
+                        out.unwrap();
+                        cur.insert(id, slug.clone());
+                        if let Some(rep) = rep.as_mut().filter(|_| !forked.contains(&id)) {
+                            if taken(rep, id) {
+                                forked.insert(id);
+                                seen[2] += 1;
+                            } else {
+                                rep.insert(id, slug.clone());
+                            }
+                        }
+                    }
+                    (6, _) => {
+                        let Some(id) = pick(&cur, k) else { continue };
+                        db.execute_logged(&format!("DELETE FROM item WHERE id = {id}"), time)
+                            .unwrap();
+                        cur.remove(&id);
+                        if let Some(rep) = rep.as_mut().filter(|_| !forked.contains(&id)) {
+                            rep.remove(&id);
+                        }
+                    }
+                    (_, None) => {}
+                    (7..=8, Some(rep)) => {
+                        let gen = db.repair_generation().unwrap();
+                        let (sql, id) = match pick(rep, k).filter(|_| next(3) > 0) {
+                            Some(id) => (
+                                format!("UPDATE item SET slug = '{slug}' WHERE id = {id}"),
+                                id,
+                            ),
+                            None => {
+                                next_id += 1;
+                                let id = next_id - 1;
+                                (
+                                    format!("INSERT INTO item (id, slug) VALUES ({id}, '{slug}')"),
+                                    id,
+                                )
+                            }
+                        };
+                        let mut query = db.plan(&sql).unwrap();
+                        let out = db.execute_planned(&mut query, time, gen);
+                        if taken(rep, id) {
+                            assert!(
+                                matches!(out, Err(SqlError::UniqueViolation { .. })),
+                                "{sql}"
+                            );
+                            // A refused UPDATE stops after forking the row.
+                            if rep.contains_key(&id) {
+                                forked.insert(id);
+                            }
+                            continue;
+                        }
+                        out.unwrap();
+                        rep.insert(id, slug.clone());
+                        forked.insert(id);
+                        seen[3] += 1;
+                    }
+                    (_, Some(rep)) => {
+                        let gen = db.repair_generation().unwrap();
+                        let Some(id) = pick(rep, k) else { continue };
+                        let mut query = db
+                            .plan(&format!("DELETE FROM item WHERE id = {id}"))
+                            .unwrap();
+                        db.execute_planned(&mut query, time, gen).unwrap();
+                        rep.remove(&id);
+                        forked.insert(id);
+                        seen[4] += 1;
+                    }
+                }
+                let as_rows = |map: &BTreeMap<i64, String>| {
+                    map.iter()
+                        .map(|(&id, s)| (id, s.clone()))
+                        .collect::<Vec<_>>()
+                };
+                let current = db.current_generation();
+                assert_eq!(
+                    visible(&mut db, time, current),
+                    as_rows(&cur),
+                    "seed {seed}"
+                );
+                if let (Some(rep), Some(gen)) = (&rep, db.repair_generation()) {
+                    assert_eq!(visible(&mut db, time, gen), as_rows(rep), "seed {seed}");
+                }
+                db.check_indexes().unwrap();
+            }
+            db.take_held_out();
+        }
+        // Held-out inserts and updates, refused updates, repair writes and
+        // deletes, and aborts each occurred.
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     }
 }

@@ -150,11 +150,11 @@ mod oracle {
     use crate::plan::{Body, PlannedQuery, WritePlan};
     use crate::rewrite::partitions_of_rows;
     use crate::versioned::{
-        LoggedExecution, COL_END_GEN, COL_END_TIME, COL_START_GEN, COL_START_TIME,
+        Clash, LoggedExecution, COL_END_GEN, COL_END_TIME, COL_START_GEN, COL_START_TIME,
     };
     use warp_sql::ast::{Assignment, Expr, SelectItem, SelectStatement, Statement};
     use warp_sql::expr::eval_expr_with;
-    use warp_sql::QueryResult;
+    use warp_sql::{QueryResult, SqlError};
 
     /// Looks up a named column in a materialised row.
     fn col_val(columns: &[String], row: &[Value], name: &str) -> Value {
@@ -257,7 +257,50 @@ mod oracle {
             let mut written_rows: Vec<Vec<(String, Value)>> = Vec::new();
             for row in &rows {
                 self.preserve_for_current_gen(table, &columns, row, gen)?;
-                let row_now = self.claimed_for(gen, &columns, row);
+                let mut row_now = self.claimed_for(gen, &columns, row);
+                let mut clash = Clash::None;
+                if let Some(rg) = self
+                    .repair_gen
+                    .filter(|_| !delete && gen == self.current_gen)
+                {
+                    let layout = &cfg.layout;
+                    let schema = self.db.schema(table).expect("table exists");
+                    let mut new = row_now.clone();
+                    for a in assignments {
+                        let i = (schema.column_index(&a.column))
+                            .ok_or_else(|| SqlError::NoSuchColumn(a.column.clone()))?;
+                        new[i] = eval_expr_with(&a.value, schema, &row_now, params)?;
+                    }
+                    new[layout.start_time] = Value::Int(time);
+                    let t = self.db.table(table).expect("table exists");
+                    let equal: Vec<usize> =
+                        (0..t.len()).filter(|&p| t.rows()[p] == row_now).collect();
+                    clash = self.clash(table, layout, &new, &equal)?;
+                    if let Clash::RepairOnly = clash {
+                        let current = Value::Int(self.current_gen);
+                        let mut copy_cols = columns.clone();
+                        let mut copy_vals: Vec<Expr> =
+                            row_now.iter().cloned().map(Expr::Literal).collect();
+                        set_col(&mut copy_cols, &mut copy_vals, COL_END_GEN, current.clone());
+                        self.db.execute(&Statement::Insert {
+                            table: table.to_string(),
+                            columns: copy_cols,
+                            values: vec![copy_vals],
+                        })?;
+                        let claim = Statement::Update {
+                            table: table.to_string(),
+                            assignments: vec![Assignment {
+                                column: COL_START_GEN.to_string(),
+                                value: Expr::Literal(Value::Int(rg)),
+                            }],
+                            where_clause: Some(version_identity(&columns, &row_now)),
+                        };
+                        self.db.execute(&claim)?;
+                        row_now[layout.end_gen] = current;
+                        let id = col_val(&columns, row, &cfg.row_id_column);
+                        self.held_out.push((plan.table_key.clone(), id));
+                    }
+                }
                 let start_gen_now = col_val(&columns, &row_now, COL_START_GEN)
                     .as_int()
                     .unwrap_or(0);
@@ -311,6 +354,9 @@ mod oracle {
                         values: vec![hist_vals],
                     };
                     self.db.execute(&insert)?;
+                }
+                if let Clash::Current(e) = clash {
+                    return Err(e);
                 }
                 let update = Statement::Update {
                     table: table.to_string(),

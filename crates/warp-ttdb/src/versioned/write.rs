@@ -1,7 +1,7 @@
 //! The versioned write (paper §4.2–4.4): an application's `UPDATE` or
 //! `DELETE`, applied by position to the versions it matches.
 
-use super::{int, positions_equal, Generation, TimeTravelDb, Timestamp, INF_GEN};
+use super::{int, positions_equal, Clash, Generation, TimeTravelDb, Timestamp, INF_GEN};
 use crate::dependency::{PartitionKey, PartitionSet, QueryDependency};
 use crate::plan::{Plan, WritePlan};
 use crate::versioned::LoggedExecution;
@@ -34,7 +34,10 @@ impl TimeTravelDb {
     /// row the repair generation has forked stays invisible to the repair
     /// generation (it rewrites the current generation's copy, whose
     /// `end_gen` stops short of the repair generation), and a write to an
-    /// unforked row is visible to both.
+    /// unforked row is visible to both — unless its new version would
+    /// share a unique value with a version only the repair generation
+    /// sees: the write then forks the row from the current side first
+    /// (see [`TimeTravelDb::take_held_out`]).
     pub(super) fn planned_write(
         &mut self,
         plan: &Plan,
@@ -110,6 +113,32 @@ impl TimeTravelDb {
                     keys.insert(PartitionKey::new(table, &a.column, &value));
                 }
             }
+            let mut clash = Clash::None;
+            if !delete && gen == current && self.repair_gen.is_some() {
+                // The new version, checked across generations before
+                // anything of this version changes.
+                let targets = targets.as_ref().map_err(Clone::clone)?;
+                let t = self.stored(table)?;
+                let mut new = image_now.clone();
+                for (a, &target) in assignments.iter().zip(targets) {
+                    new[target] = eval_expr_with(&a.value, &t.schema, &image_now, params)?;
+                }
+                new[layout.start_time] = Value::Int(time);
+                let rewritten = positions_equal(t, layout, &image_now);
+                clash = self.clash(table, layout, &new, &rewritten)?;
+                if let Clash::RepairOnly = clash {
+                    // Fork from the current side: the repair generation
+                    // keeps the version, the write goes to the copy.
+                    let mut copy = image_now.clone();
+                    copy[layout.end_gen] = Value::Int(current);
+                    self.db.insert_row(table, copy.clone())?;
+                    let rg = self.repair_gen.unwrap_or(gen);
+                    self.set_where_equal(table, layout, &image_now, layout.start_gen, rg)?;
+                    image_now = copy;
+                    self.held_out
+                        .push((plan.table_key.clone(), image[layout.row_id].clone()));
+                }
+            }
             if !delete && image[layout.start_time].as_int().is_none_or(|s| s < time) {
                 let mut history = image_now.clone();
                 history[layout.end_time] = Value::Int(time);
@@ -131,6 +160,10 @@ impl TimeTravelDb {
                     new[layout.start_time] = Value::Int(time);
                 }
                 staged.push((pos, new));
+            }
+            if let Clash::Current(e) = clash {
+                // Where the rewrite's own uniqueness check would fail.
+                return Err(e);
             }
             self.db.replace_rows_at(table, staged)?;
         }

@@ -201,6 +201,202 @@ fn assert_log_rebuilds(backend: &MemoryBackend, live: &mut WarpServer) {
     assert_eq!(standby.db.canonical_dump(), dump, "the standby diverged");
 }
 
+/// A foreground *write* into the repaired tables: a post or a journal
+/// insert.
+fn foreground_write(rng: &mut Rng, n: usize) -> HttpRequest {
+    let topic = rng.below(TOPICS);
+    if rng.below(2) == 0 {
+        post(topic, &format!("w{n}"))
+    } else {
+        log(topic, &format!("w{n}"))
+    }
+}
+
+/// The frontier walk, stepped with foreground writes (and other requests)
+/// served between every pair of steps, against a blocking walk followed by
+/// the same requests. `one_cluster` repairs by undoing one browser visit
+/// that posted (its seeds are one dependency cluster); otherwise by the
+/// patch, whose seeds are the posts of every even topic.
+fn walk_equals_blocking(seed: u64, one_cluster: bool) {
+    let strategy = RepairStrategy::with_workers(2);
+    let mut rng = Rng(seed);
+    let backend = MemoryBackend::new();
+    let mut live = open(&backend, options());
+    let record = |server: &mut WarpServer, rng: &mut Rng| {
+        let visits = history(server, rng);
+        let mut writer = Browser::new("writer");
+        let topic = rng.below(TOPICS);
+        let visit = writer.visit(&format!("/post.wasl?topic=t{topic}&body=oops"), server);
+        server.handle(read(topic));
+        server.upload_client_logs(writer.take_logs());
+        (visits, visit.visit_id)
+    };
+    let (visits, undo) = record(&mut live, &mut rng);
+    let repair = || match one_cluster {
+        true => RepairRequest::UndoVisit {
+            client_id: "writer".into(),
+            visit_id: undo,
+            initiated_by_admin: true,
+        },
+        false => request(),
+    };
+    let floor = live.history.len() as u64;
+
+    let mut run = RepairRun::start(&mut live, repair(), strategy);
+    assert!(!run.is_ready(), "the walk has steps");
+    let mut served = Vec::new();
+    let mut steps = 0;
+    loop {
+        assert!(
+            live.db.repair_generation().is_some(),
+            "the walk runs in the live database"
+        );
+        let request = foreground_write(&mut rng, served.len());
+        for request in std::iter::once(request)
+            .chain((0..rng.below(3)).map(|_| foreground(&mut rng, &visits, served.len())))
+            .collect::<Vec<_>>()
+        {
+            let response = live.handle(request.clone());
+            assert_eq!(response.status, 200, "{request:?}: {}", response.body);
+            served.push(request);
+        }
+        if !run.step(&mut live) {
+            break;
+        }
+        steps += 1;
+    }
+    assert!(steps > 0);
+    let online = run.commit(&mut live);
+
+    let mut blocking = WarpServer::new(app());
+    record(&mut blocking, &mut Rng(seed));
+    let reference = blocking.repair_with(repair(), strategy);
+    for request in &served {
+        blocking.handle(request.clone());
+    }
+
+    let case = format!("seed {seed}, one cluster {one_cluster}");
+
+    assert!(!online.aborted && !reference.aborted, "{case}");
+    assert_eq!(
+        live.db.canonical_dump(),
+        blocking.db.canonical_dump(),
+        "{case}: rows differ from the blocking repair"
+    );
+    assert_eq!(online.stats.served_during, served.len());
+    for (online_ids, reference_ids) in [
+        (&online.reexecuted_actions, &reference.reexecuted_actions),
+        (&online.cancelled_actions, &reference.cancelled_actions),
+    ] {
+        let (before, after): (Vec<u64>, Vec<u64>) = online_ids.iter().partition(|&&id| id < floor);
+        assert_eq!(&before, reference_ids, "{case}");
+        assert!(after.len() <= online.stats.joined, "{case}");
+    }
+    assert_log_rebuilds(&backend, &mut live);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn a_stepped_walk_ends_where_a_blocking_one_does(seed in 0..u64::MAX) {
+
+        walk_equals_blocking(seed, true);
+        walk_equals_blocking(seed, false);
+    }
+}
+
+/// The journal's rows the current generation sees, with their synthetic
+/// row IDs: recovery must replay inserts with the IDs they were served
+/// with, though the walk's own inserts took IDs from the same allocator in
+/// between.
+fn journal(server: &WarpServer) -> Vec<(i64, String, String)> {
+    let t = server.db.raw().table("entry").expect("the journal");
+    let at = |c: &str| t.schema.column_index(c).expect("a column");
+    let (id, topic, body) = (at("warp_row_id"), at("topic"), at("body"));
+    let (end_time, start_gen, end_gen) = (
+        at("warp_end_time"),
+        at("warp_start_gen"),
+        at("warp_end_gen"),
+    );
+    let gen = server.db.current_generation();
+    let int = |v: &warp_sql::Value| v.as_int().expect("a bookkeeping integer");
+    let mut rows: Vec<_> = (t.rows().iter())
+        .filter(|r| {
+            int(&r[start_gen]) <= gen && int(&r[end_gen]) >= gen && int(&r[end_time]) == i64::MAX
+        })
+        .map(|r| {
+            (
+                int(&r[id]),
+                r[topic].as_display_string(),
+                r[body].as_display_string(),
+            )
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// A crash between a walk's `start` and `commit`, with writes served in
+/// between: recovery rebuilds the current generation as it stood (the
+/// served writes replayed with their row IDs, the repair's discarded),
+/// reports the repair pending, and resuming it ends where the
+/// uninterrupted walk does. The patch also journals every post, so the
+/// walk's inserts and the served ones share the synthetic-ID allocator.
+#[test]
+fn a_crash_in_the_middle_of_a_walk_resumes_to_the_same_rows() {
+    let journaling = || {
+        RepairRequest::RetroactivePatch {
+        patch: Patch::new(
+            "post.wasl",
+            "db_query(\"UPDATE note SET body = '[\" . sql_escape(param(\"body\")) . \"]' \
+             WHERE topic = '\" . sql_escape(param(\"topic\")) . \"'\"); \
+             db_query(\"INSERT INTO entry (topic, body) VALUES ('\" . sql_escape(param(\"topic\")) . \"', 'repaired')\"); \
+             echo(\"posted\");",
+            "wrap and journal stored notes",
+        ),
+        from_time: 0,
+    }
+    };
+    let backend = MemoryBackend::new();
+    let mut live = open(&backend, options());
+    let visits = history(&mut live, &mut Rng(7));
+    let strategy = RepairStrategy::with_workers(2);
+    let mut run = RepairRun::start(&mut live, journaling(), strategy);
+    let mut rng = Rng(11);
+    for n in 0..12 {
+        let request = if n % 2 == 0 {
+            log(n % TOPICS, &format!("served {n}"))
+        } else {
+            foreground(&mut rng, &visits, n)
+        };
+        assert_eq!(live.handle(request).status, 200);
+        run.step(&mut live);
+    }
+    let image = backend.snapshot();
+    let (at_crash, journal_at_crash) = (live.db.canonical_dump(), journal(&live));
+    run.commit(&mut live);
+
+    let (mut recovered, report) = WarpServer::open(
+        ServerConfig::new(app())
+            .with_backend(Box::new(image))
+            .with_store_options(options()),
+    )
+    .expect("recover the crashed store");
+    assert!(report.pending_repair);
+    assert_eq!(
+        recovered.db.canonical_dump(),
+        at_crash,
+        "recovery lost or misplaced a write served during the walk"
+    );
+    assert_eq!(journal(&recovered), journal_at_crash, "row IDs diverged");
+    let resumed = recovered
+        .resume_pending_repair(strategy)
+        .expect("a pending repair");
+    assert!(!resumed.aborted);
+    assert_eq!(recovered.db.canonical_dump(), live.db.canonical_dump());
+}
+
 /// Online vs blocking, for one history and worker count.
 fn online_equals_blocking(seed: u64, workers: usize) {
     let strategy = RepairStrategy::Partitioned { workers };
