@@ -422,7 +422,7 @@ mod tests {
         // Repair workers select the frontier walk: it plans no partitions
         // and clones nothing, so nothing escalates or falls back.
         let stats = &par.outcome.stats;
-        assert_eq!(stats.workers, 2);
+        assert_eq!(stats.workers, 1);
         assert_eq!(
             (
                 stats.partitions_total,

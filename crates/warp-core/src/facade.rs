@@ -200,9 +200,8 @@ impl WarpBuilder {
     }
 
     /// The repair strategy, by worker count ([`RepairStrategy::with_workers`]):
-    /// any `n` above `0` runs the stepped frontier walk (reporting `n` as
-    /// its worker count), and `0` (the default) the classic sequential
-    /// engine.
+    /// any `n` above `0` runs the stepped frontier walk on the engine
+    /// thread, and `0` (the default) the classic sequential engine.
     pub fn repair_workers(mut self, workers: usize) -> Self {
         self.repair_workers = workers;
         self

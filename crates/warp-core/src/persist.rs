@@ -34,6 +34,11 @@
 //!   `RepairCommit` (the partitioned engine's, whose deltas do not) and a
 //!   `RepairAbort` replay them first; so does the end of a log whose repair
 //!   is still pending ([`WarpServer::end_of_log`]).
+//! * `LogEvent::RepairInterrupted` — appended by a server that opens (or is
+//!   promoted) over a log whose repair is still pending: the writes of the
+//!   actions served since its `RepairBegin` stand as served, so replay
+//!   applies the held-back writes here and holds nothing back after it.
+//!   The repair stays pending.
 //! * `LogEvent::Gc` — a garbage-collection cut-off, replayed as-is (GC
 //!   renumbers action IDs, so it must happen at the same point of the
 //!   replayed history).
@@ -109,6 +114,7 @@ const KIND_REPAIR_ABORT: u8 = 5;
 const KIND_GC: u8 = 6;
 const KIND_CREATE_TABLE: u8 = 7;
 const KIND_REPAIR_COMMIT_SINCE_BEGIN: u8 = 8;
+const KIND_REPAIR_INTERRUPTED: u8 = 9;
 
 /// One record of the durable action log.
 #[derive(Debug, Clone)]
@@ -129,6 +135,11 @@ pub(crate) enum LogEvent {
     /// replay drops those writes (the walks, which repair in the live
     /// database's repair generation).
     RepairCommitSinceBegin(RepairCommitRecord),
+    /// The log's pending repair was interrupted (a crash or a promotion
+    /// mid-run) and the server went on serving: the writes of the actions
+    /// logged since its `RepairBegin` stand as served. The repair stays
+    /// pending ([`WarpServer::pending_repair`]).
+    RepairInterrupted,
     /// A repair aborted (only the side effects that survive an abort).
     RepairAbort {
         /// The retroactive patch, which stays applied to the source store
@@ -234,7 +245,10 @@ impl CheckpointMarks {
                 self.cancelled.extend(&commit.cancelled)
             }
             LogEvent::Gc { .. } => self.needs_base = true,
-            LogEvent::Action(_) | LogEvent::RepairBegin(_) | LogEvent::RepairAbort { .. } => {}
+            LogEvent::Action(_)
+            | LogEvent::RepairBegin(_)
+            | LogEvent::RepairInterrupted
+            | LogEvent::RepairAbort { .. } => {}
         }
     }
 }
@@ -507,6 +521,7 @@ wire_variants! {
         KIND_REPAIR_BEGIN => RepairBegin(request),
         KIND_REPAIR_COMMIT => RepairCommit(commit),
         KIND_REPAIR_COMMIT_SINCE_BEGIN => RepairCommitSinceBegin(commit),
+        KIND_REPAIR_INTERRUPTED => RepairInterrupted,
         KIND_REPAIR_ABORT => RepairAbort { patch, cookie_invalidations },
         KIND_GC => Gc { before_time },
         KIND_CREATE_TABLE => CreateTable { sql, annotation },
@@ -939,9 +954,9 @@ pub(crate) fn fold_checkpoint_chain(base: &[u8], deltas: &[Vec<u8>]) -> Option<V
 /// are held back: the live server executed them in the current generation
 /// while the repair generation was open, which replay cannot reproduce
 /// before it knows the outcome. A `RepairCommitSinceBegin` drops them (its
-/// diff covers them); a legacy `RepairCommit`, a `RepairAbort`, the next
-/// `RepairBegin` or `Gc`, and the end of the log
-/// ([`WarpServer::end_of_log`]) replay them in order.
+/// diff covers them); a legacy `RepairCommit`, a `RepairAbort`, a
+/// `RepairInterrupted`, the next `RepairBegin` or `Gc`, and the end of the
+/// log ([`WarpServer::end_of_log`]) replay them in order.
 fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
     match event {
         LogEvent::Action(event) => {
@@ -983,6 +998,7 @@ fn apply_event(server: &mut WarpServer, event: LogEvent) -> StoreResult<()> {
             server.replay_held = None;
             apply_commit(server, commit)?;
         }
+        LogEvent::RepairInterrupted => settle_held(server)?,
         LogEvent::RepairAbort {
             patch,
             cookie_invalidations,
@@ -1138,9 +1154,17 @@ impl WarpServer {
     /// Ends a replayed log: the writes of the actions served while its last
     /// repair ran, held back awaiting an outcome record that never came (a
     /// crash or a promotion mid-run), are replayed in order. The repair
-    /// stays pending ([`WarpServer::pending_repair`]).
+    /// stays pending ([`WarpServer::pending_repair`]). A
+    /// `RepairInterrupted` record is logged, so that replay — a later
+    /// recovery or a standby of this server — holds back nothing this
+    /// server serves from here on.
     pub fn end_of_log(&mut self) -> StoreResult<()> {
-        settle_held(self)
+        if self.replay_held.is_none() {
+            return Ok(());
+        }
+        settle_held(self)?;
+        self.log_event(&LogEvent::RepairInterrupted);
+        Ok(())
     }
 
     /// Appends one event to the durable log (no-op for in-memory servers).
@@ -1214,9 +1238,12 @@ impl WarpServer {
     /// store and the log is compacted (all segments deleted). On the
     /// group-commit path, pending records are flushed first — the
     /// checkpoint payload reflects their effects, and the writer appends
-    /// them before compacting. No-op for in-memory servers.
+    /// them before compacting. No-op for in-memory servers, and on a
+    /// standby while it holds back writes for a pending repair
+    /// ([`WarpServer::open_standby`]): the checkpoint would cover their log
+    /// records without their rows.
     pub fn checkpoint(&mut self) {
-        if self.store.is_none() {
+        if self.store.is_none() || self.replay_held.is_some() {
             return;
         }
         let payload = BaseCheckpoint::capture(self).encode();
@@ -1231,10 +1258,10 @@ impl WarpServer {
     /// base checkpoint when the chain has no base yet, when GC renumbered
     /// action IDs, or when the chain grew past
     /// [`warp_store::StoreOptions::fold_after_deltas`] links on a server
-    /// with no background maintenance worker to fold it. No-op for
-    /// in-memory servers.
+    /// with no background maintenance worker to fold it. No-op where
+    /// [`WarpServer::checkpoint`] is.
     pub fn checkpoint_incremental(&mut self) {
-        let Some(sink) = self.store.as_ref() else {
+        let Some(sink) = self.store.as_ref().filter(|_| self.replay_held.is_none()) else {
             return;
         };
         let fold_inline = self.maintenance.is_none() && sink.should_fold();
@@ -1271,7 +1298,6 @@ impl WarpServer {
     /// [`WarpServer::checkpoint_incremental`].
     pub(crate) fn maybe_checkpoint(&mut self) {
         if !self.repair_in_flight
-            && self.replay_held.is_none()
             && self
                 .store
                 .as_ref()
@@ -2022,6 +2048,7 @@ mod tests {
             }),
             LogEvent::RepairCommit(commit.clone()),
             LogEvent::RepairCommitSinceBegin(commit),
+            LogEvent::RepairInterrupted,
             LogEvent::RepairAbort {
                 patch: None,
                 cookie_invalidations: vec!["c2".into(), "c3".into()],
@@ -2058,6 +2085,7 @@ mod tests {
                 (KIND_REPAIR_BEGIN, 16, 0x46b2_3156_4514_3ef0),
                 (KIND_REPAIR_COMMIT, 417, 0x1803_308d_76e6_3898),
                 (KIND_REPAIR_COMMIT_SINCE_BEGIN, 417, 0x1803_308d_76e6_3898),
+                (KIND_REPAIR_INTERRUPTED, 0, 0xcbf2_9ce4_8422_2325),
                 (KIND_REPAIR_ABORT, 17, 0xae17_9eb8_cac9_b88e),
                 (KIND_GC, 8, 0x24b3_1456_53d7_6249),
                 (KIND_CREATE_TABLE, 86, 0x75c7_6c97_3727_0767),

@@ -51,13 +51,9 @@ pub enum RepairStrategy {
     Sequential,
     /// The frontier walk: one stepped walk over the candidates only, on the
     /// master database inside its repair generation, serving between steps
-    /// (see the [module documentation](self)). `workers` is the requested
-    /// worker count, reported in [`RepairStats::workers`]; the walk itself
-    /// runs on the calling thread.
-    Frontier {
-        /// The worker count reported in [`RepairStats::workers`] (min 1).
-        workers: usize,
-    },
+    /// (see the [module documentation](self)). It runs on the engine's
+    /// thread, so it reports one worker in [`RepairStats::workers`].
+    Frontier,
     /// The partitioned engine: the history is split into independent
     /// dependency partitions which are re-executed concurrently on `workers`
     /// threads and merged. `workers: 1` still exercises the full
@@ -86,11 +82,11 @@ pub enum RepairStrategy {
 
 impl RepairStrategy {
     /// The strategy a repair worker count selects: `0` runs the sequential
-    /// engine, `n` the frontier walk.
+    /// engine, any other count the frontier walk.
     pub fn with_workers(workers: usize) -> Self {
         match workers {
             0 => RepairStrategy::Sequential,
-            workers => RepairStrategy::Frontier { workers },
+            _ => RepairStrategy::Frontier,
         }
     }
 
@@ -98,8 +94,8 @@ impl RepairStrategy {
     pub fn worker_count(&self) -> usize {
         match self {
             RepairStrategy::Sequential => 0,
-            RepairStrategy::Frontier { workers }
-            | RepairStrategy::Partitioned { workers }
+            RepairStrategy::Frontier => 1,
+            RepairStrategy::Partitioned { workers }
             | RepairStrategy::PartitionedFullClone { workers } => (*workers).max(1),
         }
     }
@@ -108,7 +104,7 @@ impl RepairStrategy {
     /// `None` for the walks.
     pub(crate) fn clone_scope(&self) -> Option<CloneScope> {
         match self {
-            RepairStrategy::Sequential | RepairStrategy::Frontier { .. } => None,
+            RepairStrategy::Sequential | RepairStrategy::Frontier => None,
             RepairStrategy::Partitioned { .. } => Some(CloneScope::Footprint),
             RepairStrategy::PartitionedFullClone { .. } => Some(CloneScope::Full),
         }
@@ -304,10 +300,6 @@ impl Walk {
                 self.pass.stats.joined += 1;
             }
             let worked = self.visit(env, db, next.1);
-            if self.pass.error.is_some() {
-                self.candidates.clear();
-                return false;
-            }
             self.grow(env.history);
             if worked {
                 return true;
@@ -2365,16 +2357,24 @@ mod tests {
         assert!(scope_contains(&scope, &PartitionSet::empty()));
     }
 
+    /// What one walk of [`walked`] ended with: the dump, the re-executed
+    /// and cancelled actions and the count of re-executed queries, plus
+    /// whether the session modified a partitioned table as a whole.
+    type Walked = (
+        (String, BTreeSet<ActionId>, BTreeSet<ActionId>, usize),
+        bool,
+    );
+
     /// Repairs `server` with one walk — the frontier walk, or the scanning
-    /// walk with the same precise session — and returns the dump and the
-    /// re-executed and cancelled sets. `undo` cancels a page visit instead
-    /// of applying `patch`.
+    /// walk with the same precise session — and returns what it ended with
+    /// ([`Walked`]). `undo` cancels a page visit instead of applying
+    /// `patch`.
     fn walked(
         mut server: WarpServer,
         patch: Option<&Patch>,
         undo: Option<(String, u64)>,
         frontier: bool,
-    ) -> (String, BTreeSet<ActionId>, BTreeSet<ActionId>) {
+    ) -> Walked {
         let mut seeds = Seeds::default();
         if let Some(patch) = patch {
             server.sources.apply_retroactive_patch(patch, 0);
@@ -2397,10 +2397,33 @@ mod tests {
             Walk::scan(&env, session, &order, &seeds, true)
         };
         walk.run(&env, db);
+        let whole = walk.session.modified_regions().iter().any(|r| {
+            matches!(&r.partitions, PartitionSet::Whole { table }
+                if !db.partition_columns(table).is_empty())
+        });
         let pass = walk.finish();
         assert!(pass.error.is_none());
         server.db.finalize_repair_generation();
-        (server.db.canonical_dump(), pass.reexecuted, pass.cancelled)
+        let queries = pass.stats.queries_reexecuted;
+        let dump = server.db.canonical_dump();
+        ((dump, pass.reexecuted, pass.cancelled, queries), whole)
+    }
+
+    /// `server`'s history with the writes of every browser visit recorded
+    /// with a whole-table write set, as a write that names no partition is
+    /// indexed: rolling one back modifies its partitioned table as a whole.
+    fn widen_visit_writes(server: &mut WarpServer) {
+        let mut history = HistoryGraph::new();
+        for action in server.history.actions() {
+            let mut action = action.clone();
+            if action.client.is_some() {
+                for q in action.queries.iter_mut().filter(|q| q.is_write) {
+                    q.dependency.write_partitions = PartitionSet::whole(&q.dependency.table);
+                }
+            }
+            history.record_action(action);
+        }
+        server.history = history;
     }
 
     /// The frontier walk against the scanning walk over seeded histories of
@@ -2408,7 +2431,9 @@ mod tests {
     /// browser visits that post, repaired by patches that stay in their
     /// partition, redirect a write to another one or write another table,
     /// and by undoing a visit: the same rows, the same re-executed and
-    /// cancelled actions.
+    /// cancelled actions and the same count of re-executed queries. Each
+    /// history is walked again with its visits' writes recorded whole-table
+    /// ([`widen_visit_writes`]), so rollbacks modify `note` as a whole.
     #[test]
     fn the_frontier_walk_equals_the_scanning_walk_over_seeded_histories() {
         let topics = 5;
@@ -2438,6 +2463,7 @@ mod tests {
             ),
         ];
         let mut reexecuted = 0;
+        let mut wholes = 0;
         for seed in 1..=24u64 {
             let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut next = |n: u64| {
@@ -2502,13 +2528,30 @@ mod tests {
                 cases.push((None, Some(undo)));
             }
             for (patch, undo) in cases {
-                let scan = walked(build().0, patch, undo.clone(), false);
-                let frontier = walked(build().0, patch, undo.clone(), true);
-                assert_eq!(scan, frontier, "seed {seed}, {patch:?}, undo {undo:?}");
-                reexecuted += frontier.1.len();
+                for widened in [false, true] {
+                    let server = || {
+                        let mut server = build().0;
+                        if widened {
+                            widen_visit_writes(&mut server);
+                        }
+                        server
+                    };
+                    let (scan, _) = walked(server(), patch, undo.clone(), false);
+                    let (frontier, whole) = walked(server(), patch, undo.clone(), true);
+                    assert_eq!(
+                        scan, frontier,
+                        "seed {seed}, {patch:?}, undo {undo:?}, widened {widened}"
+                    );
+                    reexecuted += frontier.1.len();
+                    wholes += usize::from(whole);
+                }
             }
         }
         assert!(reexecuted > 0);
+        assert!(
+            wholes > 0,
+            "no walk modified a partitioned table as a whole"
+        );
     }
 
     /// A failed merge of a unit's delta aborts the partitioned repair: the

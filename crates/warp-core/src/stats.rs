@@ -79,9 +79,9 @@ pub struct RepairStats {
     /// (the bounded-clone partitioned engine only; the walks clone
     /// nothing: 0).
     pub bounded_clone_fallbacks: usize,
-    /// The repair's worker count: 0 for the sequential engine, the
-    /// configured count for the frontier walk (which runs on the engine
-    /// thread) and the partitioned engine's worker threads.
+    /// The repair's worker count: 0 for the sequential engine, 1 for the
+    /// frontier walk (which runs on the engine thread) and the partitioned
+    /// engine's worker threads.
     pub workers: usize,
     /// Tables whose stored rows the committed repair actually changed
     /// (from the mutation-tracked delta; 0 for aborted repairs).

@@ -80,14 +80,6 @@ impl RepairSession {
         self.column_oblivious = oblivious;
     }
 
-    /// The partitions this session has modified so far (rollbacks plus
-    /// re-executed and new writes) — the partition projection of the dirty
-    /// regions, which is what the partitioned scheduler's escalation logic
-    /// consumes.
-    pub fn modified_partitions(&self) -> Vec<PartitionSet> {
-        self.modified.iter().map(|r| r.partitions.clone()).collect()
-    }
-
     /// The dirty regions recorded so far, oldest first: a region once
     /// recorded stays, so a caller that has seen the first `n` needs only
     /// the rest.

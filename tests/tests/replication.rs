@@ -8,8 +8,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use warp_browser::Browser;
 use warp_core::{
-    AppConfig, Durability, MemoryBackend, Patch, RepairRequest, RepairStrategy, ServerConfig,
-    ShipFrame, StorageBackend, StoreError, StoreOptions, Warp, WarpServer,
+    AppConfig, Durability, MemoryBackend, Patch, RepairRequest, RepairRun, RepairStrategy,
+    ServerConfig, ShipFrame, StorageBackend, StoreError, StoreOptions, Warp, WarpServer,
 };
 use warp_http::HttpRequest;
 use warp_replica::{
@@ -650,8 +650,9 @@ proptest! {
     /// torn and resynced, one replaced by a `Bootstrap` rebuild, the last
     /// left unpumped for `promote` to drain — while the standby cuts its
     /// own base, delta and folded checkpoints. The server `promote` hands
-    /// over and the server `WarpServer::open` rebuilds from a copy of the
-    /// standby's backend must then be indistinguishable: same dump,
+    /// over (which logs a `RepairInterrupted` over a pending repair) and
+    /// the server `WarpServer::open` rebuilds from a copy of the standby's
+    /// backend must then be indistinguishable: same dump,
     /// history, LSN and pending repair; the same responses, action IDs and
     /// dump after the same three further requests (clock, RNG, session and
     /// synthetic-ID counters continue alike); and, after one more
@@ -721,7 +722,8 @@ proptest! {
         prop_assert_eq!(report.recovered, recovery.recovered);
         prop_assert_eq!(report.pending_repair, recovery.pending_repair);
         prop_assert_eq!(report.pending_repair, log.last().is_some_and(|r| r.0 == KIND_REPAIR_BEGIN));
-        prop_assert_eq!(promoted.durable_lsn(), cut as u64);
+        // Promotion over a pending repair logs its `RepairInterrupted`.
+        prop_assert_eq!(promoted.durable_lsn(), (cut + usize::from(report.pending_repair)) as u64);
         prop_assert_eq!(promoted.durable_lsn(), recovered.durable_lsn());
         prop_assert_eq!(promoted.history.actions(), recovered.history.actions());
         prop_assert_eq!(
@@ -757,4 +759,114 @@ proptest! {
             prop_assert_eq!(&again.db.canonical_dump(), &dump);
         }
     }
+}
+
+/// A primary that crashes in the middle of a walk, restarts and goes on
+/// serving without resuming the repair. A standby following its log holds
+/// back the writes served during the walk until the restarted primary's
+/// `RepairInterrupted`, and from there on applies every write as it
+/// arrives: it equals the primary at every batch boundary after the
+/// restart, cuts checkpoints again, and a second recovery of the primary's
+/// log rebuilds the same rows.
+#[test]
+fn a_standby_follows_a_primary_restarted_in_the_middle_of_a_walk() {
+    let options = journal_options(0);
+    let disk = MemoryBackend::new();
+    let mut primary = open_journal(&disk, options);
+    for n in 0..4 {
+        let page = format!("Page{}", n % 2);
+        let body = format!("<b>v{n}</b>");
+        primary.handle(HttpRequest::post(
+            "/edit.wasl",
+            [("title", page.as_str()), ("body", &body)],
+        ));
+        primary.handle(HttpRequest::get(&format!("/view.wasl?title={page}")));
+    }
+    let request = RepairRequest::RetroactivePatch {
+        patch: patch(),
+        from_time: 0,
+    };
+    let mut run = RepairRun::start(&mut primary, request, RepairStrategy::with_workers(1));
+    for n in 0..3 {
+        let body = format!("during {n}");
+        primary.handle(HttpRequest::post(
+            "/edit.wasl",
+            [("title", "Page0"), ("body", &body)],
+        ));
+        primary.handle(HttpRequest::post("/note.wasl", [("author", body.as_str())]));
+        run.step(&mut primary);
+    }
+    // The crash: the store as it stood, mid-walk.
+    let image = disk.snapshot();
+    drop(run);
+    drop(primary);
+
+    let standby_options = StoreOptions {
+        checkpoint_interval: 4,
+        fold_after_deltas: 2,
+        ..StoreOptions::default()
+    };
+    let standby_disk = MemoryBackend::new();
+    let (mut standby, _) = WarpServer::open_standby(
+        ServerConfig::new(journal_app())
+            .with_backend(Box::new(standby_disk.clone()))
+            .with_store_options(standby_options),
+    )
+    .expect("open the standby");
+    let mut shipped = 0;
+    let mut ship = |standby: &mut WarpServer| {
+        let (_, log) =
+            DurableStore::open(Box::new(image.snapshot()), options).expect("read the log");
+        let records: Vec<(u8, &[u8])> = (log.records[shipped..].iter())
+            .map(|(_, kind, payload)| (*kind, payload.as_slice()))
+            .collect();
+        standby.apply_replicated(&records).expect("apply the frame");
+        shipped = log.records.len();
+    };
+    ship(&mut standby);
+
+    let (mut restarted, report) = WarpServer::open(
+        ServerConfig::new(journal_app())
+            .with_backend(Box::new(image.clone()))
+            .with_store_options(options),
+    )
+    .expect("restart the primary");
+    assert!(report.pending_repair);
+    for round in 0..4 {
+        ship(&mut standby);
+        assert_eq!(
+            standby.db.canonical_dump(),
+            restarted.db.canonical_dump(),
+            "the standby diverged before round {round}"
+        );
+        for n in 0..3 {
+            let body = format!("after {round}.{n}");
+            let form = [("title", "Page1"), ("body", body.as_str())];
+            restarted.handle(HttpRequest::post("/edit.wasl", form));
+            restarted.handle(HttpRequest::post("/note.wasl", [("author", body.as_str())]));
+        }
+    }
+    ship(&mut standby);
+    assert_eq!(standby.db.canonical_dump(), restarted.db.canonical_dump());
+    assert!(
+        standby.pending_repair().is_some(),
+        "the repair stays pending"
+    );
+    let (_, standby_store) =
+        DurableStore::open(Box::new(standby_disk.snapshot()), standby_options).expect("read");
+    assert!(
+        standby_store.checkpoint.is_some(),
+        "the standby cut no checkpoint after the restart"
+    );
+
+    let dump = restarted.db.canonical_dump();
+    drop(restarted);
+    let (mut again, report) = WarpServer::open(
+        ServerConfig::new(journal_app())
+            .with_backend(Box::new(image))
+            .with_store_options(options),
+    )
+    .expect("recover the restarted primary");
+    assert!(report.pending_repair);
+    assert_eq!(again.db.canonical_dump(), dump);
 }
