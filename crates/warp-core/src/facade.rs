@@ -1020,6 +1020,12 @@ impl Engine {
         if msg.is_none() {
             active.served = 0;
             active.run.step(&mut self.server);
+            // A step is background work: give the core to a client thread
+            // that is runnable on it, so its request is queued before the
+            // next step. Without this, on a host with fewer cores than busy
+            // threads, a short repair runs to its commit before a client
+            // woken on the engine's core is scheduled at all.
+            std::thread::yield_now();
         }
         msg
     }
